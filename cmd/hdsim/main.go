@@ -4,7 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"log"
+	"io"
 	"os"
 
 	hds "repro"
@@ -17,7 +17,36 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// fatal is the panic value die raises; run turns it into an exit-1
+// message on stderr, which is what log.Fatal used to do.
+type fatal string
+
+func die(v ...any)                 { panic(fatal(fmt.Sprint(v...))) }
+func dief(format string, v ...any) { panic(fatal(fmt.Sprintf(format, v...))) }
+
+// stdout is where the current run prints its report.
+var stdout io.Writer = os.Stdout
+
+// run is main with its process boundary made explicit — arguments in,
+// report on out, diagnostics on errw, exit code back — so tests drive the
+// driver in-process.
+func run(args []string, out, errw io.Writer) (code int) {
+	stdout = out
+	flushTraceOnExit = nil
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(fatal)
+			if !ok {
+				panic(r)
+			}
+			fmt.Fprintln(errw, string(f))
+			code = 1
+		}
+	}()
+	flag := flag.NewFlagSet("hdsim", flag.ContinueOnError)
+	flag.SetOutput(errw)
 	algo := flag.String("algo", "fig8", "fig8, fig9, fig9-anon, ohp (standalone Figure 6 detector), or heartbeat (population-scale churn workload)")
 	n := flag.Int("n", 5, "number of processes")
 	l := flag.Int("l", 2, "number of distinct identifiers (1 = anonymous, n = unique)")
@@ -42,13 +71,15 @@ func main() {
 	replayPath := flag.String("replay", "", "re-verify a recorded run offline from its v2 binary trace (engine-free; every other scenario flag is ignored — the trace's embedded fingerprint wins)")
 	traceBuf := flag.Int("trace-buf", 0, "trace spill batch size in events (0 = default 4096)")
 	traceFormat := flag.String("trace-format", "text", "trace encoding: text (canonical lines) or binary (compact varint stream, decode with trace.ReadBinary)")
-	campaignFlags := cliutil.CampaignFlags(flag.CommandLine)
-	flag.Parse()
+	campaignFlags := cliutil.CampaignFlags(flag)
+	if err := flag.Parse(args); err != nil {
+		return 2
+	}
 	sweep.SetDefaultWorkers(*workers)
 
 	if *replayPath != "" {
 		runReplay(*replayPath)
-		return
+		return 0
 	}
 
 	// meta is the scenario fingerprint stamped on binary traces: the flag
@@ -71,21 +102,21 @@ func main() {
 	var traceRec *trace.Recorder
 	var traceFile *os.File
 	if err := cliutil.ValidateTraceBuf(*traceBuf); err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	if err := cliutil.ValidateTraceFormat(*traceFormat, *tracePath); err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	if err := cliutil.ValidateBeaters(*beaters, *n); err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	if *tracePath != "" {
 		if *seeds > 1 {
-			log.Fatal("-trace applies to single runs: seed sweeps would interleave unrelated traces")
+			die("-trace applies to single runs: seed sweeps would interleave unrelated traces")
 		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 		traceFile = f
 		var sink trace.Sink
@@ -97,7 +128,7 @@ func main() {
 			bs.SetMeta(meta)
 			sink = bs
 		default:
-			log.Fatalf("-trace-format %q: want text or binary", *traceFormat)
+			dief("-trace-format %q: want text or binary", *traceFormat)
 		}
 		traceRec = trace.NewSpillRecorder(sink, *traceBuf)
 	}
@@ -116,30 +147,30 @@ func main() {
 			return
 		}
 		if err := traceRec.Flush(); err != nil {
-			log.Fatalf("trace: %v", err)
+			dief("trace: %v", err)
 		}
 		if err := traceFile.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
+			dief("trace: %v", err)
 		}
 		s := traceRec.Stats()
-		fmt.Printf("  trace:            %s (%d deliveries, %d drops)\n", *tracePath, s.Delivered, s.Dropped)
+		fmt.Fprintf(stdout, "  trace:            %s (%d deliveries, %d drops)\n", *tracePath, s.Delivered, s.Dropped)
 	}
 
 	campaignCfg, err := campaignFlags()
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	if *seeds <= 1 && (campaignCfg.Shards > 1 || campaignCfg.Dir != "" || campaignCfg.Resume) {
-		log.Fatal("-shards/-shard/-checkpoint-dir/-resume apply to seed sweeps: set -seeds > 1")
+		die("-shards/-shard/-checkpoint-dir/-resume apply to seed sweeps: set -seeds > 1")
 	}
 
 	sched, err := cliutil.ParseCrashes(*crashes)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	churnSpec, err := cliutil.ParseChurn(*churn)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	ids := hds.BalancedIDs(*n, *l)
 	var net sim.Model = hds.Async{MaxDelay: 8}
@@ -148,16 +179,16 @@ func main() {
 	}
 	if *netSpec != "" {
 		if net, err = cliutil.ParseNet(*netSpec); err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 	}
 	if *partitions != "" {
 		ws, err := cliutil.ParsePartitions(*partitions)
 		if err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 		if err := cliutil.ValidatePartitionN(ws, *n); err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 		// Horizon validation runs against the horizon the run will actually
 		// use; 0 means "algorithm default", which every algorithm sets far
@@ -165,7 +196,7 @@ func main() {
 		// checked here (consensus re-checks against its expanded default).
 		if *horizon > 0 {
 			if err := cliutil.ValidatePartitionHorizon(ws, *horizon); err != nil {
-				log.Fatal(err)
+				die(err)
 			}
 		}
 		net = sim.Partition{Base: net, Windows: ws}
@@ -176,22 +207,22 @@ func main() {
 
 	if *algo == "ohp" {
 		if *seeds > 1 {
-			log.Fatal("-seeds > 1 is not supported with -algo ohp; sweep seeds with the consensus algorithms or via internal/sweep")
+			die("-seeds > 1 is not supported with -algo ohp; sweep seeds with the consensus algorithms or via internal/sweep")
 		}
 		runOHP(meta, ids, net, *netSpec != "" || *gst > 0, sched, churnSpec, *gst, *delta, *seed, *horizon, traceRec)
 		closeTrace()
-		return
+		return 0
 	}
 	if *algo == "heartbeat" {
 		if *seeds > 1 {
-			log.Fatal("-seeds > 1 is not supported with -algo heartbeat; sweep seeds via internal/sweep")
+			die("-seeds > 1 is not supported with -algo heartbeat; sweep seeds via internal/sweep")
 		}
 		if len(sched) > 0 {
-			log.Fatal("-algo heartbeat takes a -churn spec, not -crashes")
+			die("-algo heartbeat takes a -churn spec, not -crashes")
 		}
 		runHeartbeat(meta, ids, net, churnSpec, *period, *beaters, *maxEvents, *seed, *horizon, traceRec)
 		closeTrace()
-		return
+		return 0
 	}
 	consensusHorizon := *horizon
 	if consensusHorizon <= 0 {
@@ -246,7 +277,7 @@ func main() {
 				Horizon: consensusHorizon, Trace: traceRec,
 			})
 		default:
-			log.Fatalf("unknown algorithm %q", *algo)
+			dief("unknown algorithm %q", *algo)
 			panic("unreachable")
 		}
 	}
@@ -258,10 +289,10 @@ func main() {
 		scenario := fmt.Sprintf("algo=%s ids=%v t=%d crashes=%s churn=%s net=%s detectors=%s stabilize=%d adversary=%s horizon=%d",
 			*algo, ids, *t, *crashes, *churn, net, *detectors, *stabilize, *adversary, consensusHorizon)
 		runSweep(campaignCfg, *algo, ids, *crashes, scenario, *seed, *seeds, runOne)
-		return
+		return 0
 	}
 
-	replay.WriteConsensusHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids})
+	replay.WriteConsensusHeader(stdout, &replay.Scenario{Meta: meta, IDs: ids})
 	rep, stats, err := runOne(*seed)
 	if err != nil {
 		fatalf("verification failed: %v", err)
@@ -275,8 +306,9 @@ func main() {
 			DecideAfterChurn: churnRes.DecideAfterChurn,
 		}
 	}
-	replay.WriteConsensusBlock(os.Stdout, *n, rep, ci, stats)
+	replay.WriteConsensusBlock(stdout, *n, rep, ci, stats)
 	closeTrace()
+	return 0
 }
 
 // flushTraceOnExit, when set, pushes a partial spilled trace to disk
@@ -289,7 +321,7 @@ func fatalf(format string, args ...any) {
 	if flushTraceOnExit != nil {
 		flushTraceOnExit()
 	}
-	log.Fatalf(format, args...)
+	dief(format, args...)
 }
 
 // runOHP runs the standalone Figure 6 detector — crash-stop (verified
@@ -310,14 +342,14 @@ func runOHP(meta *trace.Meta, ids hds.Assignment, net sim.Model, netGiven bool, 
 		if effective == nil {
 			effective = sim.PartialSync{Delta: 3}
 		}
-		replay.WriteOHPHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: effective})
+		replay.WriteOHPHeader(stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: effective})
 		res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
 			IDs: ids, Churn: churn, Net: cnet, Seed: seed, Horizon: horizon, Trace: traceRec,
 		})
 		if err != nil {
 			fatalf("verification failed: %v", err)
 		}
-		replay.WriteChurnOHPBlock(os.Stdout, ids.N(), res)
+		replay.WriteChurnOHPBlock(stdout, ids.N(), res)
 		return
 	}
 	exp := hds.OHPExperiment{IDs: ids, Crashes: crashes, GST: gst, Delta: delta, Seed: seed, Horizon: horizon, Trace: traceRec}
@@ -326,12 +358,12 @@ func runOHP(meta *trace.Meta, ids hds.Assignment, net sim.Model, netGiven bool, 
 		exp.Net = net
 		effective = net
 	}
-	replay.WriteOHPHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Crashes: crashes, Net: effective})
+	replay.WriteOHPHeader(stdout, &replay.Scenario{Meta: meta, IDs: ids, Crashes: crashes, Net: effective})
 	res, err := hds.RunOHP(exp)
 	if err != nil {
 		fatalf("verification failed: %v", err)
 	}
-	replay.WriteOHPBlock(os.Stdout, res)
+	replay.WriteOHPBlock(stdout, res)
 }
 
 // runHeartbeat runs the population-scale heartbeat churn workload with
@@ -342,7 +374,7 @@ func runOHP(meta *trace.Meta, ids hds.Assignment, net sim.Model, netGiven bool, 
 // count, which is what lets -n reach 50,000.
 func runHeartbeat(meta *trace.Meta, ids hds.Assignment, net sim.Model, churn hds.ChurnSpec,
 	period int64, beaters, maxEvents int, seed, horizon int64, traceRec *trace.Recorder) {
-	replay.WriteHeartbeatHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: net})
+	replay.WriteHeartbeatHeader(stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: net})
 	res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
 		IDs: ids, Churn: churn, Net: net, Period: period, Seed: seed,
 		Horizon: horizon, Beaters: beaters, MaxEvents: maxEvents,
@@ -351,7 +383,7 @@ func runHeartbeat(meta *trace.Meta, ids hds.Assignment, net sim.Model, churn hds
 	if err != nil {
 		fatalf("verification failed: %v", err)
 	}
-	replay.WriteHeartbeatBlock(os.Stdout, ids.N(), res, true)
+	replay.WriteHeartbeatBlock(stdout, ids.N(), res, true)
 }
 
 // runReplay re-verifies a recorded run from its trace alone: the scenario
@@ -362,15 +394,15 @@ func runHeartbeat(meta *trace.Meta, ids hds.Assignment, net sim.Model, churn hds
 func runReplay(path string) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	defer f.Close()
 	r, err := trace.NewBinaryReader(f)
 	if err != nil {
-		log.Fatalf("replay: %v", err)
+		dief("replay: %v", err)
 	}
-	if err := replay.Verify(r.Meta(), r, os.Stdout); err != nil {
-		log.Fatalf("verification failed: %v", err)
+	if err := replay.Verify(r.Meta(), r, stdout); err != nil {
+		dief("verification failed: %v", err)
 	}
 }
 
@@ -404,13 +436,13 @@ func runSweep(cfg campaign.Config, algo string, ids hds.Assignment, crashes, sce
 		return seedRow{Seed: s, Rounds: rep.MaxRound, Decided: int64(rep.LastDecision), Broadcasts: stats.Broadcasts}
 	})
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	if !res.Complete {
-		fmt.Printf("campaign %s: shard %d/%d checkpointed in %s (merge with -resume)\n", id, cfg.Shard, cfg.Shards, cfg.Dir)
+		fmt.Fprintf(stdout, "campaign %s: shard %d/%d checkpointed in %s (merge with -resume)\n", id, cfg.Shard, cfg.Shards, cfg.Dir)
 		return
 	}
-	fmt.Printf("algo=%s ids=%v crashes=%s seeds=%d..%d workers=%d campaign=%s digest=%.12s\n",
+	fmt.Fprintf(stdout, "algo=%s ids=%v crashes=%s seeds=%d..%d workers=%d campaign=%s digest=%.12s\n",
 		algo, ids, crashes, first, first+int64(k)-1, sweep.DefaultWorkers(), id, res.Digest)
 
 	var (
@@ -423,10 +455,10 @@ func runSweep(cfg campaign.Config, algo string, ids hds.Assignment, crashes, sce
 	for _, r := range res.Rows {
 		if r.Err != "" {
 			failures++
-			fmt.Printf("  seed=%-5d ✗ %v\n", r.Seed, r.Err)
+			fmt.Fprintf(stdout, "  seed=%-5d ✗ %v\n", r.Seed, r.Err)
 			continue
 		}
-		fmt.Printf("  seed=%-5d rounds=%-3d decided=t=%-8d broadcasts=%d\n",
+		fmt.Fprintf(stdout, "  seed=%-5d rounds=%-3d decided=t=%-8d broadcasts=%d\n",
 			r.Seed, r.Rounds, r.Decided, r.Broadcasts)
 		if minD < 0 || r.Decided < minD {
 			minD = r.Decided
@@ -446,13 +478,13 @@ func runSweep(cfg campaign.Config, algo string, ids hds.Assignment, crashes, sce
 	}
 	okRuns := k - failures
 	if okRuns == 0 {
-		log.Fatalf("all %d runs failed verification", k)
+		dief("all %d runs failed verification", k)
 	}
-	fmt.Printf("verified %d/%d runs ✔\n", okRuns, k)
-	fmt.Printf("  decided at (vt): min=%d mean=%.1f max=%d\n", minD, float64(sumD)/float64(okRuns), maxD)
-	fmt.Printf("  rounds:          min=%d mean=%.1f max=%d\n", minRounds, float64(sumRounds)/float64(okRuns), maxRounds)
-	fmt.Printf("  broadcasts:      mean=%.1f\n", float64(sumBcast)/float64(okRuns))
+	fmt.Fprintf(stdout, "verified %d/%d runs ✔\n", okRuns, k)
+	fmt.Fprintf(stdout, "  decided at (vt): min=%d mean=%.1f max=%d\n", minD, float64(sumD)/float64(okRuns), maxD)
+	fmt.Fprintf(stdout, "  rounds:          min=%d mean=%.1f max=%d\n", minRounds, float64(sumRounds)/float64(okRuns), maxRounds)
+	fmt.Fprintf(stdout, "  broadcasts:      mean=%.1f\n", float64(sumBcast)/float64(okRuns))
 	if failures > 0 {
-		log.Fatalf("%d/%d runs failed verification", failures, k)
+		dief("%d/%d runs failed verification", failures, k)
 	}
 }

@@ -1,0 +1,111 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current behaviour")
+
+// hdsim runs the driver in-process and returns what a shell would see:
+// stdout followed by an "exit N" line. The temp dir is spelled $TMP so
+// the echoed -trace path is stable.
+func hdsim(t *testing.T, tmp string, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	if code != 0 {
+		t.Logf("hdsim %s: exit %d: %s", strings.Join(args, " "), code, stderr.String())
+	}
+	return strings.ReplaceAll(stdout.String(), tmp, "$TMP") + fmt.Sprintf("exit %d\n", code)
+}
+
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from golden:\n--- want ---\n%s--- got ---\n%s", name, want, got)
+	}
+}
+
+// grid is one command line per (algorithm, fault input, network source)
+// shape the driver accepts. Traced cases also record a binary trace, pin
+// its bytes by digest, and pin the -replay report of that trace.
+var grid = []struct {
+	name   string
+	args   string
+	traced bool
+}{
+	{"fig8_oracle", "-algo fig8 -n 5 -l 2 -t 2 -crashes 1:40,3:60", true},
+	{"fig8_mp", "-algo fig8 -detectors mp -gst 80 -delta 3 -crashes 0:50", true},
+	{"fig8_churn", "-algo fig8 -n 5 -l 2 -t 2 -churn 0.3:1:60", true},
+	{"fig8_mp_churn", "-algo fig8 -n 5 -l 3 -t 2 -detectors mp -gst 100 -delta 4 -churn 0.3:1:60", true},
+	{"fig8_churn_crashes", "-algo fig8 -n 7 -l 3 -t 3 -churn 0.2:1:40 -crashes 6:70", true},
+	{"fig9", "-algo fig9 -n 6 -l 3 -crashes 0:20,1:40,2:60,3:80", true},
+	{"fig9_churn", "-algo fig9 -n 6 -l 3 -churn 0.34:2:40:50", true},
+	{"fig9_partition", "-algo fig9 -n 4 -l 2 -partition 0-120@2 -adversary split -stabilize 150", true},
+	{"fig9anon", "-algo fig9-anon -n 4 -l 1 -adversary none", true},
+	{"fig9anon_churn", "-algo fig9-anon -n 5 -l 1 -churn 0.2:1:35", true},
+	{"ohp_default_net", "-algo ohp -crashes 1:100,4:200", true},
+	{"ohp_delta0", "-algo ohp -delta 0 -crashes 1:100", true},
+	{"ohp_net", "-algo ohp -n 6 -l 3 -crashes 1:30 -net lognormal:0.7:15 -horizon 12000", true},
+	{"ohp_gst", "-algo ohp -gst 50 -delta 4 -crashes 2:150", true},
+	{"ohp_churn", "-algo ohp -n 12 -l 4 -churn 0.25:2:40:60", true},
+	{"ohp_churn_net", "-algo ohp -n 5 -l 2 -churn 0.4:1 -net psync:0:2", true},
+	{"heartbeat", "-algo heartbeat -n 200 -l 10 -beaters 10 -churn 0.1:1:12:20:0 -horizon 60", true},
+	{"heartbeat_lossy", "-algo heartbeat -n 40 -l 4 -churn 0.3:1 -net lossy:0.2:6 -period 15 -beaters 5", true},
+	{"sweep_fig8", "-algo fig8 -n 5 -l 2 -t 2 -crashes 3:40 -gst 60 -seeds 4 -workers 2", false},
+	{"sweep_fig9_churn", "-algo fig9 -n 6 -l 3 -churn 0.34:1:60 -seeds 4 -workers 1", false},
+	{"fail_termination", "-algo fig8 -n 5 -l 2 -t 2 -crashes 0:10,1:10,2:10 -horizon 2000", true},
+}
+
+func TestGolden(t *testing.T) {
+	for _, tc := range grid {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			args := strings.Fields(tc.args)
+			if !tc.traced {
+				checkGolden(t, tc.name, hdsim(t, tmp, args...))
+				return
+			}
+			bin := filepath.Join(tmp, "run.bin")
+			live := hdsim(t, tmp, append(args, "-trace", bin, "-trace-format", "binary")...)
+			data, err := os.ReadFile(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live += fmt.Sprintf("trace sha256 %x\n", sha256.Sum256(data))
+			checkGolden(t, tc.name, live)
+			checkGolden(t, tc.name+".replay", hdsim(t, tmp, "-replay", bin))
+		})
+	}
+}
+
+// TestGoldenTextTrace pins the canonical text rendering of a full trace.
+func TestGoldenTextTrace(t *testing.T) {
+	tmp := t.TempDir()
+	txt := filepath.Join(tmp, "run.txt")
+	out := hdsim(t, tmp, "-algo", "fig9", "-n", "4", "-l", "2", "-crashes", "1:30", "-trace", txt, "-trace-buf", "7")
+	data, err := os.ReadFile(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "text_trace", out+fmt.Sprintf("trace sha256 %x\n", sha256.Sum256(data)))
+}

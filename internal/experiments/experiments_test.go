@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -15,10 +19,7 @@ func TestAllTablesVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
-	tables, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := allTables(t)
 	ids := make(map[string]bool)
 	for _, table := range tables {
 		table := table
@@ -50,6 +51,52 @@ func TestAllTablesVerified(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// allTables builds E1–E21 once for every test that reads the full set.
+var allTables = func() func(t *testing.T) []Table {
+	var (
+		once   sync.Once
+		tables []Table
+		err    error
+	)
+	return func(t *testing.T) []Table {
+		t.Helper()
+		once.Do(func() { tables, err = All() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables
+	}
+}()
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/table_digests.txt from the current tables")
+
+// TestTableDigests pins every table's rendered bytes (header, rows and
+// notes) by SHA-256: the tables are the repository's published result, so
+// a refactor that moves one cell must show up as a digest diff.
+func TestTableDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep")
+	}
+	var b strings.Builder
+	for _, table := range allTables(t) {
+		fmt.Fprintf(&b, "%s %x\n", table.ID, sha256.Sum256([]byte(table.Markdown())))
+	}
+	const path = "testdata/table_digests.txt"
+	if *updateDigests {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("table digests changed:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 }
 
