@@ -119,7 +119,7 @@ func BenchmarkE8_Fig7HSigma(b *testing.B) {
 func BenchmarkE9_Fig8Consensus(b *testing.B) {
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
-		rep, stats, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs:       hds.BalancedIDs(5, 2),
 			T:         2,
 			Crashes:   map[hds.PID]hds.Time{1: 30},
@@ -130,8 +130,8 @@ func BenchmarkE9_Fig8Consensus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds += int64(rep.MaxRound)
-		msgs += int64(stats.Broadcasts)
+		rounds += int64(res.Report.MaxRound)
+		msgs += int64(res.Stats.Broadcasts)
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(msgs)/float64(b.N), "broadcasts/op")
@@ -140,7 +140,7 @@ func BenchmarkE9_Fig8Consensus(b *testing.B) {
 func BenchmarkE10_Fig9Consensus(b *testing.B) {
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
-		rep, stats, err := hds.RunFig9(hds.Fig9Experiment{
+		res, err := hds.RunFig9(hds.Fig9Experiment{
 			IDs:       hds.BalancedIDs(6, 3),
 			Crashes:   map[hds.PID]hds.Time{0: 20, 1: 35, 2: 50, 3: 65}, // t ≥ n/2
 			Stabilize: 140,
@@ -150,8 +150,8 @@ func BenchmarkE10_Fig9Consensus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds += int64(rep.MaxRound)
-		msgs += int64(stats.Broadcasts)
+		rounds += int64(res.Report.MaxRound)
+		msgs += int64(res.Stats.Broadcasts)
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(msgs)/float64(b.N), "broadcasts/op")
@@ -164,7 +164,7 @@ func BenchmarkE11_HomonymyExtremes(b *testing.B) {
 func BenchmarkE12_EndToEndHPS(b *testing.B) {
 	var decided int64
 	for i := 0; i < b.N; i++ {
-		rep, _, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs:       hds.BalancedIDs(5, 2),
 			T:         2,
 			Crashes:   map[hds.PID]hds.Time{3: 40},
@@ -176,7 +176,7 @@ func BenchmarkE12_EndToEndHPS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		decided += rep.LastDecision
+		decided += res.Report.LastDecision
 	}
 	b.ReportMetric(float64(decided)/float64(b.N), "vt-decide/op")
 }
@@ -205,7 +205,7 @@ func BenchmarkSubstrate_SimBroadcastStorm(b *testing.B) {
 
 func BenchmarkSubstrate_Fig8NoFailures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := hds.RunFig8(hds.Fig8Experiment{
+		if _, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs: hds.BalancedIDs(7, 3), T: 3, Seed: int64(i),
 		}); err != nil {
 			b.Fatal(err)
@@ -259,7 +259,7 @@ func BenchmarkE20_ChurnConsensus(b *testing.B) {
 func BenchmarkChurnConsensusFig8(b *testing.B) {
 	var after int64
 	for i := 0; i < b.N; i++ {
-		res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs: hds.BalancedIDs(5, 2), T: 2,
 			Churn: hds.ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
 			Net:   hds.Async{MaxDelay: 8}, Seed: int64(i),

@@ -19,6 +19,17 @@
 // delivery accounting, and delivery liveness) before results are printed;
 // a verification failure exits non-zero.
 //
+// The scenario flags bind straight into a trace.Meta fingerprint, which
+// internal/scenario resolves (defaults, effective network, validation)
+// and runs; -replay resolves the fingerprint a trace embeds through the
+// same code. Everything the resolver rejects exits 1 with a "scenario:"
+// error before a header is printed or the -trace file is created: -n < 1,
+// -l outside [1, n], an unknown -algo, -adversary or -detectors value,
+// -detectors mp with anything but fig8, a -partition cut >= n or a window
+// still open at the horizon, -crashes with heartbeat, -crashes plus -churn
+// with ohp, -beaters > n, and any malformed -crashes/-churn/-net/-partition
+// spec.
+//
 // heartbeat-only flags: -period sets the beat interval; -beaters caps how
 // many processes beat (0 = all n; the rest only listen, so event volume
 // is Θ(beaters·n) while every broadcast still fans out to all n live
@@ -36,7 +47,10 @@
 //
 // -net selects the delay model (see cliutil.ParseNet): async[:max],
 // psync:gst:delta, timely[:δ], pareto[:α[:cap]], lognormal[:σ[:cap]],
-// alt[:period[:calm]], asym[:skew]. It overrides -gst/-delta.
+// alt[:period[:calm]], asym[:skew], lossy[:p[:max]]. It overrides
+// -gst/-delta. Without -net or -gst, ohp runs on its own
+// PartialSync{gst, delta} (-delta 0 meaning 3) rather than the
+// asynchronous default; the header prints the network that runs.
 //
 // -trace FILE streams the run's full event trace to FILE. -trace-format
 // selects the sink: text (the default; one event per line, the canonical

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current behaviour")
@@ -108,4 +110,80 @@ func TestGoldenTextTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "text_trace", out+fmt.Sprintf("trace sha256 %x\n", sha256.Sum256(data)))
+}
+
+// TestRejectsBeforeOutput is the fail-closed contract of the command line:
+// every value scenario.Resolve rejects exits 1 with a named error before a
+// header is printed and before the -trace file is created or truncated.
+func TestRejectsBeforeOutput(t *testing.T) {
+	cases := []struct{ name, args, want string }{
+		{"n zero", "-n 0", "n=0"},
+		{"l above n", "-n 3 -l 5", "l=5 outside [1, n=3]"},
+		{"unknown algo", "-algo bogus", `unknown algorithm "bogus"`},
+		{"unknown adversary", "-adversary bogus", `unknown adversary "bogus"`},
+		{"unknown detectors", "-detectors bogus", `unknown detector source "bogus"`},
+		{"mp under fig9", "-algo fig9 -detectors mp", "fig8 only"},
+		{"partition cut at n", "-partition 0-10@5", "does not split n=5"},
+		{"heartbeat with crashes", "-algo heartbeat -crashes 1:5", "not -crashes"},
+		{"ohp crashes and churn", "-algo ohp -crashes 1:5 -churn 0.3:1", "either -churn or -crashes"},
+		{"bad crashes", "-crashes garbage", "bad crash spec"},
+		{"bad net", "-net warp:9", `unknown network "warp"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			txt := filepath.Join(t.TempDir(), "run.txt")
+			if err := os.WriteFile(txt, []byte("keep"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			code := run(append(strings.Fields(tc.args), "-trace", txt), &stdout, &stderr)
+			if code != 1 || stdout.Len() != 0 {
+				t.Errorf("exit %d, stdout %q: want exit 1 and no output", code, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q: want %q", stderr.String(), tc.want)
+			}
+			if kept, _ := os.ReadFile(txt); string(kept) != "keep" {
+				t.Errorf("-trace file was truncated before the scenario was validated: %q", kept)
+			}
+		})
+	}
+}
+
+// TestReplayRejectsHostileMetadata: a trace's metadata block is outside
+// input too — the same rejections must hold through -replay, where
+// ident.Balanced used to panic.
+func TestReplayRejectsHostileMetadata(t *testing.T) {
+	for name, m := range map[string]*trace.Meta{
+		"l above n":              {Algo: "fig8", N: 3, L: 5},
+		"partition cut at n":     {Algo: "fig9", N: 4, L: 2, Partitions: "0-10@4"},
+		"heartbeat with crashes": {Algo: "heartbeat", N: 4, L: 2, Crashes: "1:5"},
+		"ohp crashes and churn":  {Algo: "ohp", N: 4, L: 2, Crashes: "1:5", Churn: "0.3:1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bin := filepath.Join(t.TempDir(), "hostile.bin")
+			f, err := os.Create(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := trace.NewBinarySink(f)
+			sink.SetMeta(m)
+			if err := sink.Spill([]trace.Event{{Kind: trace.KindCrash}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-replay", bin}, &stdout, &stderr); code != 1 || stdout.Len() != 0 {
+				t.Errorf("exit %d, stdout %q: want exit 1 and no output", code, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), "scenario: ") {
+				t.Errorf("stderr %q: want a scenario: error", stderr.String())
+			}
+		})
+	}
 }

@@ -38,7 +38,7 @@ func main() {
 	// its remaining member, and HΩ's multiplicity shrinks accordingly.
 	crashes := map[hds.PID]hds.Time{0: 25, 1: 55}
 
-	report, stats, err := hds.RunFig8(hds.Fig8Experiment{
+	res, err := hds.RunFig8(hds.Fig8Experiment{
 		IDs:       ids,
 		T:         3, // n=7, t<n/2
 		Crashes:   crashes,
@@ -50,9 +50,9 @@ func main() {
 		log.Fatalf("consensus failed verification: %v", err)
 	}
 	fmt.Println("consensus reached ✔ despite the alpha.example outage")
-	fmt.Printf("  agreed config:     %s\n", report.Value)
-	fmt.Printf("  deciders:          %d of %d users\n", report.Deciders, n)
-	fmt.Printf("  rounds needed:     %d\n", report.MaxRound)
+	fmt.Printf("  agreed config:     %s\n", res.Report.Value)
+	fmt.Printf("  deciders:          %d of %d users\n", res.Report.Deciders, n)
+	fmt.Printf("  rounds needed:     %d\n", res.Report.MaxRound)
 	fmt.Printf("  COORD traffic:     %d broadcasts (the homonymous leaders' coordination)\n",
-		stats.ByTag["COORD"])
+		res.Stats.ByTag["COORD"])
 }

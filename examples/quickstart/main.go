@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	report, stats, err := hds.RunFig8(hds.Fig8Experiment{
+	res, err := hds.RunFig8(hds.Fig8Experiment{
 		IDs:       hds.BalancedIDs(5, 2),       // 5 processes, 2 identifiers
 		T:         2,                           // tolerate up to 2 crashes
 		Crashes:   map[hds.PID]hds.Time{3: 40}, // process 3 crashes at t=40
@@ -28,9 +28,9 @@ func main() {
 		log.Fatalf("consensus failed verification: %v", err)
 	}
 	fmt.Println("consensus reached ✔")
-	fmt.Printf("  decided value:     %q\n", report.Value)
-	fmt.Printf("  deciders:          %d (all correct processes)\n", report.Deciders)
-	fmt.Printf("  rounds needed:     %d\n", report.MaxRound)
-	fmt.Printf("  last decision at:  t=%d (virtual time)\n", report.LastDecision)
-	fmt.Printf("  broadcasts:        %d  (by type: %v)\n", stats.Broadcasts, stats.ByTag)
+	fmt.Printf("  decided value:     %q\n", res.Report.Value)
+	fmt.Printf("  deciders:          %d (all correct processes)\n", res.Report.Deciders)
+	fmt.Printf("  rounds needed:     %d\n", res.Report.MaxRound)
+	fmt.Printf("  last decision at:  t=%d (virtual time)\n", res.Report.LastDecision)
+	fmt.Printf("  broadcasts:        %d  (by type: %v)\n", res.Stats.Broadcasts, res.Stats.ByTag)
 }

@@ -34,7 +34,7 @@ func main() {
 	}
 	crashes := map[hds.PID]hds.Time{0: 15, 2: 30, 4: 45, 6: 60, 8: 75, 9: 90, 11: 105}
 
-	report, stats, err := hds.RunFig9(hds.Fig9Experiment{
+	res, err := hds.RunFig9(hds.Fig9Experiment{
 		IDs:       ids,
 		Crashes:   crashes,
 		Proposals: proposals,
@@ -46,8 +46,8 @@ func main() {
 	}
 	fmt.Printf("\n%d of %d motes crashed — far beyond a majority.\n", len(crashes), n)
 	fmt.Println("consensus reached ✔ (Figure 9: any number of crashes)")
-	fmt.Printf("  agreed reading:    %s\n", report.Value)
-	fmt.Printf("  deciders:          %d of %d (motes that decided before dying count too)\n", report.Deciders, n)
-	fmt.Printf("  rounds needed:     %d\n", report.MaxRound)
-	fmt.Printf("  broadcasts:        %d\n", stats.Broadcasts)
+	fmt.Printf("  agreed reading:    %s\n", res.Report.Value)
+	fmt.Printf("  deciders:          %d of %d (motes that decided before dying count too)\n", res.Report.Deciders, n)
+	fmt.Printf("  rounds needed:     %d\n", res.Report.MaxRound)
+	fmt.Printf("  broadcasts:        %d\n", res.Stats.Broadcasts)
 }

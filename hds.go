@@ -19,7 +19,7 @@
 // partially synchronous network, with the failure detector stack built
 // from the paper's own Figure 6 algorithm:
 //
-//	report, stats, err := hds.RunFig8(hds.Fig8Experiment{
+//	res, err := hds.RunFig8(hds.Fig8Experiment{
 //		IDs:       hds.BalancedIDs(5, 2),       // 5 processes, 2 identifiers
 //		T:         2,                           // tolerate 2 crashes
 //		Crashes:   map[hds.PID]hds.Time{3: 40}, // p3 crashes at t=40
@@ -27,6 +27,11 @@
 //		Detectors: hds.MessagePassingDetectors, // Fig. 6 underneath
 //		Seed:      1,
 //	})
+//	// res.Report is the verified outcome, res.Stats the message costs.
+//
+// Crash-recovery churn is the same call with a Churn spec added; crash-stop
+// is the churn schedule with no recover events, so each algorithm has one
+// run body.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable surface and offers turnkey experiment runners.
@@ -135,24 +140,46 @@ const (
 )
 
 // Fig8Experiment describes one run of the Figure 8 consensus
-// (HAS[t < n/2, HΩ]).
+// (HAS[t < n/2, HΩ]), crash-stop or — with a Churn spec — under
+// crash-recovery churn: churners cycle down and up per the schedule,
+// recovered processes rejoin through the (REJOIN, r) round-resync
+// exchange, and the consensus properties are verified in their
+// crash-recovery restatement (Termination over the eventually-up
+// processes, decisions surviving outages).
 type Fig8Experiment struct {
-	IDs     Assignment
-	T       int
+	IDs Assignment
+	// T is the crash bound. Under churn it is a budget every process that
+	// ever crashes — churner or permanent — spends, matching the paper's
+	// "at most t faulty" under the strict "correct = never crashes" reading;
+	// T < n/2 guarantees the never-crashed majority completes rounds on its
+	// own, so rejoiners can always catch up.
+	T int
+	// Crashes are permanent crash-stop crashes. Combined with Churn, a
+	// process may appear in at most one of the two mechanisms.
 	Crashes map[PID]Time
+	// Churn, when its Fraction is positive, adds a crash-recovery schedule.
+	Churn ChurnSpec
 	// Net defaults to Async{}; use PartialSync with MessagePassingDetectors.
 	Net sim.Model
-	// Detectors defaults to OracleDetectors.
+	// Detectors defaults to OracleDetectors (whose stable views are stated
+	// over the eventually-up set, so they re-converge after churn).
 	Detectors DetectorSource
 	// Stabilize is the oracle stabilization time (OracleDetectors only).
+	// Under churn, zero defaults to 50 past the schedule's last event, so
+	// the adversary stays active through the whole churn phase.
 	Stabilize Time
 	// Adversary shapes pre-stabilization oracle output (OracleDetectors).
 	Adversary oracle.Adversary
 	// Proposals defaults to "v0".."v{n-1}".
 	Proposals []Value
 	Seed      int64
-	// Horizon caps virtual time (default 1e6).
+	// Horizon caps virtual time (default 1e6). Under churn it must exceed
+	// the fault schedule's last event — a horizon that cuts the schedule
+	// short would silently verify a different fault pattern — and the
+	// runner enforces that instead of trusting the caller.
 	Horizon Time
+	// MaxEvents overrides the engine's runaway guard (0 = engine default).
+	MaxEvents int
 	// Trace, when non-nil, replaces the default stats-only recorder: pass
 	// a retaining recorder for a full in-memory trace, or one with a
 	// trace.Sink attached to stream batches (spill mode). The caller owns
@@ -160,68 +187,17 @@ type Fig8Experiment struct {
 	Trace *trace.Recorder
 }
 
-// RunFig8 executes the experiment, verifies Termination/Validity/Agreement
-// and returns the verified report plus message statistics.
-func RunFig8(e Fig8Experiment) (Report, Stats, error) {
-	n := e.IDs.N()
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return Report{}, Stats{}, err
-	}
-	if e.T < 0 || 2*e.T >= n {
-		return Report{}, Stats{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
-	}
-	proposals := e.Proposals
-	if proposals == nil {
-		proposals = defaultProposals(n)
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 1_000_000
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, KnownN: true, Recorder: rec})
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
-	world := oracle.NewWorld(truth, e.Stabilize)
-
-	insts := make([]*core.Fig8, n)
-	for i := 0; i < n; i++ {
-		node := sim.NewNode()
-		var det fd.HOmega
-		switch e.Detectors {
-		case MessagePassingDetectors:
-			d := ohp.New()
-			node.Add("ohp", d)
-			det = d
-		default:
-			d := oracle.NewHOmega(world, e.Adversary)
-			node.Add("homega", d)
-			det = d
-		}
-		insts[i] = core.NewFig8(det, e.T, proposals[i])
-		node.Add("consensus", insts[i])
-		eng.AddProcess(node)
-	}
-	eng.CrashSchedule(e.Crashes)
-	eng.RunUntil(e.Horizon, func() bool { return allDecidedFig8(truth, insts) })
-	if err := guardErr(eng); err != nil {
-		return Report{}, rec.Stats(), err
-	}
-
-	outcomes := make([]core.Outcome, n)
-	for i, inst := range insts {
-		outcomes[i] = inst.Decided()
-		if err := inst.InvariantErr(); err != nil {
-			return Report{}, rec.Stats(), fmt.Errorf("hds: internal invariant: %w", err)
-		}
-	}
-	rep, err := check.Consensus(truth, proposals, outcomes)
-	return rep, rec.Stats(), err
-}
-
 // Fig9Experiment describes one run of the Figure 9 consensus
-// (HAS[HΩ, HΣ]) or its anonymous baseline.
+// (HAS[HΩ, HΣ]) or its anonymous baseline. Fig. 9 needs neither n nor t:
+// quorums come from the HΣ detector, whose stable output under churn is
+// built over the eventually-up set, so any churn schedule is admissible —
+// including final-down churners that shrink the deciding population.
 type Fig9Experiment struct {
-	IDs     Assignment
+	IDs Assignment
+	// Crashes, Churn, Stabilize, Horizon, MaxEvents and Trace are as in
+	// Fig8Experiment.
 	Crashes map[PID]Time
+	Churn   ChurnSpec
 	Net     sim.Model
 	// AnonymousBaseline switches to the AΩ variant without the Leaders'
 	// Coordination Phase (§5.3 closing remark).
@@ -231,81 +207,279 @@ type Fig9Experiment struct {
 	Proposals         []Value
 	Seed              int64
 	Horizon           Time
-	// Trace, when non-nil, replaces the default stats-only recorder (see
-	// Fig8Experiment.Trace).
-	Trace *trace.Recorder
+	MaxEvents         int
+	Trace             *trace.Recorder
+}
+
+// ConsensusResult reports a consensus run: the checker-verified outcome,
+// the message costs, and the fault pattern's numbers (for a crash-stop run
+// EventuallyUp equals Correct and Recoveries is zero).
+type ConsensusResult struct {
+	// Report is the checker-verified outcome (Termination quantified over
+	// the eventually-up processes under churn).
+	Report Report
+	// Stats aggregates message costs; filled on verification failures too.
+	Stats Stats
+	// LastChange is the final fault-pattern change (last crash or
+	// recovery) — the earliest instant the run's tail is fault-free.
+	LastChange Time
+	// DecideAfterChurn is how long after the fault pattern settled the last
+	// eventually-up process decided (0 when consensus finished first): the
+	// decision latency attributable to re-convergence and rejoin.
+	DecideAfterChurn Time
+	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
+	EventuallyUp, Correct int
+	// Recoveries counts executed recover events.
+	Recoveries int
+	// Stopped is why the run ended.
+	Stopped sim.StopReason
+}
+
+// RunFig8 executes the experiment — under churn with the rejoin protocol
+// live — verifies Termination/Validity/Agreement and returns the verified
+// report plus message statistics.
+func RunFig8(e Fig8Experiment) (ConsensusResult, error) {
+	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
+		return ConsensusResult{}, err
+	}
+	if n := e.IDs.N(); e.T < 0 || 2*e.T >= n {
+		return ConsensusResult{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
+	}
+	return consensusRun{
+		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
+		stabilize: e.Stabilize, horizon: e.Horizon,
+		cfg: sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, KnownN: true, MaxEvents: e.MaxEvents, Recorder: traceRecorder(e.Trace)},
+		admit: func(truth *fd.GroundTruth) error {
+			if crashed := len(truth.CrashTimes); crashed > e.T {
+				return fmt.Errorf("hds: churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, e.T)
+			}
+			return nil
+		},
+		stack: func(world *oracle.World, node *sim.Node, proposal Value) decider {
+			var det fd.HOmega
+			if e.Detectors == MessagePassingDetectors {
+				d := ohp.New()
+				node.Add("ohp", d)
+				det = d
+			} else {
+				d := oracle.NewHOmega(world, e.Adversary)
+				node.Add("homega", d)
+				det = d
+			}
+			return core.NewFig8(det, e.T, proposal)
+		},
+	}.run()
 }
 
 // RunFig9 executes the experiment and verifies the consensus properties.
 // Detectors are oracle-driven: the paper's HΣ implementation (Figure 7)
 // lives in the synchronous model, so the asynchronous consensus is
 // exercised against the class (see DESIGN.md's substitution table).
-func RunFig9(e Fig9Experiment) (Report, Stats, error) {
-	n := e.IDs.N()
+func RunFig9(e Fig9Experiment) (ConsensusResult, error) {
 	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return Report{}, Stats{}, err
+		return ConsensusResult{}, err
 	}
-	proposals := e.Proposals
-	if proposals == nil {
-		proposals = defaultProposals(n)
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 1_000_000
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, Recorder: rec})
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
-	world := oracle.NewWorld(truth, e.Stabilize)
-
-	insts := make([]*core.Fig9, n)
-	for i := 0; i < n; i++ {
-		hs := oracle.NewHSigma(world)
-		node := sim.NewNode().Add("hsigma", hs)
-		if e.AnonymousBaseline {
-			ao := oracle.NewAOmega(world, e.Adversary)
-			node.Add("aomega", ao)
-			insts[i] = core.NewFig9Anonymous(ao, hs, proposals[i])
-		} else {
+	return consensusRun{
+		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
+		stabilize: e.Stabilize, horizon: e.Horizon,
+		cfg: sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, MaxEvents: e.MaxEvents, Recorder: traceRecorder(e.Trace)},
+		admit: func(truth *fd.GroundTruth) error {
+			if len(truth.EventuallyUp()) == 0 {
+				return fmt.Errorf("hds: no process is eventually up — nothing can decide")
+			}
+			return nil
+		},
+		stack: func(world *oracle.World, node *sim.Node, proposal Value) decider {
+			hs := oracle.NewHSigma(world)
+			node.Add("hsigma", hs)
+			if e.AnonymousBaseline {
+				ao := oracle.NewAOmega(world, e.Adversary)
+				node.Add("aomega", ao)
+				return core.NewFig9Anonymous(ao, hs, proposal)
+			}
 			ho := oracle.NewHOmega(world, e.Adversary)
 			node.Add("homega", ho)
-			insts[i] = core.NewFig9(ho, hs, proposals[i])
-		}
-		node.Add("consensus", insts[i])
-		eng.AddProcess(node)
+			return core.NewFig9(ho, hs, proposal)
+		},
+	}.run()
+}
+
+// decider is what the run body needs from a consensus instance.
+type decider interface {
+	sim.Process
+	Decided() core.Outcome
+	InvariantErr() error
+}
+
+// consensusRun is one validated consensus experiment: the inputs both
+// algorithms share, plus the two things they do not — stack, which puts
+// process i's detectors on its node and returns its consensus instance,
+// and admit, which vets the fault pattern of a churn run (Fig. 8's t
+// budget, Fig. 9's non-empty eventually-up set).
+type consensusRun struct {
+	crashes   map[PID]Time
+	churn     ChurnSpec
+	proposals []Value
+	stabilize Time
+	horizon   Time
+	cfg       sim.Config
+	admit     func(*fd.GroundTruth) error
+	stack     func(*oracle.World, *sim.Node, Value) decider
+}
+
+// run is the one body behind RunFig8 and RunFig9. Crash-stop is the churn
+// schedule with no recover events, so both go through the same fault
+// pattern, engine schedule and until-predicate; what a churn spec adds is
+// decided here from r.churn alone: schedule-vs-horizon validation, the
+// admit check, the stabilization default, decision-stability monitoring,
+// the engine-vs-truth cross-check, and Termination over "eventually-up"
+// instead of "correct" processes.
+func (r consensusRun) run() (ConsensusResult, error) {
+	ids := r.cfg.IDs
+	churn := r.churn.Fraction > 0
+	if r.horizon == 0 {
+		r.horizon = 1_000_000
 	}
-	eng.CrashSchedule(e.Crashes)
-	eng.RunUntil(e.Horizon, func() bool { return allDecidedFig9(truth, insts) })
-	if err := guardErr(eng); err != nil {
-		return Report{}, rec.Stats(), err
+	schedule, truth, err := FaultPattern(ids, r.churn, r.crashes, r.horizon)
+	if err != nil {
+		return ConsensusResult{}, err
+	}
+	if churn {
+		if err := r.admit(truth); err != nil {
+			return ConsensusResult{}, err
+		}
+		if r.stabilize == 0 {
+			r.stabilize = truth.LastChange() + 50
+		}
+	}
+	if r.proposals == nil {
+		r.proposals = DefaultProposals(ids.N())
 	}
 
-	outcomes := make([]core.Outcome, n)
+	eng := sim.New(r.cfg)
+	world := oracle.NewWorld(truth, r.stabilize)
+	insts := make([]decider, ids.N())
+	for i := range insts {
+		node := sim.NewNode()
+		insts[i] = r.stack(world, node, r.proposals[i])
+		eng.AddProcess(node.Add("consensus", insts[i]))
+	}
+	eng.ApplyChurn(schedule)
+	var mon *check.DecisionMonitor
+	if churn {
+		mon = check.NewDecisionMonitor()
+		eng.AfterEvent(func(_ Time, p sim.PID) {
+			if p >= 0 {
+				mon.Observe(p, insts[p].Decided())
+			}
+		})
+	}
+	eng.RunUntil(r.horizon, func() bool {
+		for _, p := range truth.EventuallyUp() {
+			if !insts[p].Decided().Decided {
+				return false
+			}
+		}
+		return true
+	})
+
+	// A failed run still reports what it cost and why it stopped.
+	failed := ConsensusResult{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
+	if err := guardErr(eng); err != nil {
+		return failed, err
+	}
+	if churn {
+		if err := checkTruthConsistency(eng, truth); err != nil {
+			return failed, err
+		}
+		if err := mon.Err(); err != nil {
+			return failed, err
+		}
+	}
+	outcomes := make([]core.Outcome, len(insts))
 	for i, inst := range insts {
 		outcomes[i] = inst.Decided()
 		if err := inst.InvariantErr(); err != nil {
-			return Report{}, rec.Stats(), fmt.Errorf("hds: internal invariant: %w", err)
+			return failed, fmt.Errorf("hds: internal invariant: %w", err)
 		}
 	}
-	rep, err := check.Consensus(truth, proposals, outcomes)
-	return rep, rec.Stats(), err
+	res, err := VerifyConsensus(truth, churn, r.proposals, outcomes)
+	res.Stats, res.Stopped, res.Recoveries = failed.Stats, failed.Stopped, eng.Recoveries()
+	return res, err
 }
 
-func allDecidedFig8(truth *fd.GroundTruth, insts []*core.Fig8) bool {
-	for _, p := range truth.Correct() {
-		if !insts[p].Decided().Decided {
-			return false
-		}
+// VerifyConsensus judges final outcomes against the fault pattern and
+// fills the result's report and fault-pattern numbers; the caller adds
+// what only it can count (Stats, Recoveries, Stopped). churn selects the
+// crash-recovery restatement: Termination over the eventually-up
+// processes instead of the correct ones. It is the judgement a live run
+// and an offline replay of its trace share.
+func VerifyConsensus(truth *fd.GroundTruth, churn bool, proposals []Value, outcomes []core.Outcome) (ConsensusResult, error) {
+	verify := check.Consensus
+	if churn {
+		verify = check.ConsensusChurn
 	}
-	return true
+	rep, err := verify(truth, proposals, outcomes)
+	if err != nil {
+		return ConsensusResult{}, err
+	}
+	res := ConsensusResult{
+		Report:       rep,
+		LastChange:   truth.LastChange(),
+		EventuallyUp: len(truth.EventuallyUp()),
+		Correct:      len(truth.Correct()),
+	}
+	if rep.LastDecision > res.LastChange {
+		res.DecideAfterChurn = rep.LastDecision - res.LastChange
+	}
+	return res, nil
 }
 
-func allDecidedFig9(truth *fd.GroundTruth, insts []*core.Fig9) bool {
-	for _, p := range truth.Correct() {
-		if !insts[p].Decided().Decided {
-			return false
+// FaultPattern expands a churn spec plus permanent crashes into the one
+// schedule the engine executes (sim.Engine.ApplyChurn) and the ground
+// truth the checkers judge against — crash-stop is the case with no
+// recover events. Crashes are appended in ascending PID order: same-time
+// events are tie-broken by registration sequence, so map order must not
+// leak. A process driven by both mechanisms is rejected, and so is a churn
+// schedule whose last event is not before the horizon (crashes included: a
+// permanent crash past the horizon would be truncated exactly like a churn
+// event, and the truth would verify a fault pattern the run never had).
+// Offline verification rebuilds a recorded run's fault pattern with it
+// from the scenario fingerprint alone.
+func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon Time) ([]ChurnEvent, *fd.GroundTruth, error) {
+	schedule := churn.Events(ids.N())
+	if len(crashes) > 0 {
+		churners := make(map[PID]bool, len(schedule))
+		for _, ev := range schedule {
+			churners[ev.P] = true
+		}
+		pids := make([]PID, 0, len(crashes))
+		var overlap []PID
+		for p := range crashes {
+			pids = append(pids, p)
+			if churners[p] {
+				overlap = append(overlap, p)
+			}
+		}
+		if len(overlap) > 0 {
+			slices.Sort(overlap)
+			return nil, nil, fmt.Errorf("hds: process(es) %v appear in both the churn schedule and the Crashes map — use one crash mechanism per process (the engine would interleave both into a schedule nobody asked for)", overlap)
+		}
+		slices.Sort(pids)
+		for _, p := range pids {
+			schedule = append(schedule, ChurnEvent{P: p, At: crashes[p]})
 		}
 	}
-	return true
+	if churn.Fraction > 0 {
+		var last Time
+		for _, ev := range schedule {
+			last = max(last, ev.At)
+		}
+		if last >= horizon {
+			return nil, nil, fmt.Errorf("hds: the fault schedule's last event at t=%d is not before the horizon %d — the run would truncate the fault pattern", last, horizon)
+		}
+	}
+	return schedule, fd.NewGroundTruthFromChurn(ids, schedule), nil
 }
 
 // guardErr converts a MaxEvents-truncated run into an error. Every
@@ -323,9 +497,7 @@ func guardErr(eng *sim.Engine) error {
 // experiment supplies none: "v0".."v{n-1}". Exported so offline
 // verification can reconstruct the proposals a recorded run was checked
 // against from its scenario fingerprint alone.
-func DefaultProposals(n int) []Value { return defaultProposals(n) }
-
-func defaultProposals(n int) []Value {
+func DefaultProposals(n int) []Value {
 	out := make([]Value, n)
 	for i := range out {
 		out[i] = Value(fmt.Sprintf("v%d", i))

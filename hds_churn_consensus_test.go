@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunChurnFig8Oracle(t *testing.T) {
-	res, err := RunChurnFig8(ChurnFig8Experiment{
+	res, err := RunFig8(Fig8Experiment{
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Churn:     ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
@@ -37,7 +37,7 @@ func TestRunChurnFig8Oracle(t *testing.T) {
 }
 
 func TestRunChurnFig8MessagePassing(t *testing.T) {
-	res, err := RunChurnFig8(ChurnFig8Experiment{
+	res, err := RunFig8(Fig8Experiment{
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Churn:     ChurnSpec{Fraction: 0.3, Cycles: 2, Start: 3, Down: 40, Up: 50, Stagger: 7},
@@ -58,7 +58,7 @@ func TestRunChurnFig8MessagePassing(t *testing.T) {
 }
 
 func TestRunChurnFig9(t *testing.T) {
-	res, err := RunChurnFig9(ChurnFig9Experiment{
+	res, err := RunFig9(Fig9Experiment{
 		IDs:       BalancedIDs(6, 3),
 		Churn:     ChurnSpec{Fraction: 0.34, Cycles: 1, Start: 2, Down: 60, Stagger: 7},
 		Net:       Async{MaxDelay: 8},
@@ -80,7 +80,7 @@ func TestRunChurnFig9FinalDown(t *testing.T) {
 	// Final-down churners degrade churn to crash-stop for them: Termination
 	// quantifies over the strictly smaller eventually-up set, which must
 	// still decide.
-	res, err := RunChurnFig9(ChurnFig9Experiment{
+	res, err := RunFig9(Fig9Experiment{
 		IDs:   BalancedIDs(6, 3),
 		Churn: ChurnSpec{Fraction: 0.34, Cycles: 2, Start: 25, Down: 30, Up: 40, FinalDown: true},
 		Seed:  4,
@@ -97,7 +97,7 @@ func TestRunChurnFig9FinalDown(t *testing.T) {
 }
 
 func TestRunChurnFig9Anonymous(t *testing.T) {
-	if _, err := RunChurnFig9(ChurnFig9Experiment{
+	if _, err := RunFig9(Fig9Experiment{
 		IDs:               AnonymousIDs(5),
 		AnonymousBaseline: true,
 		Churn:             ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 35},
@@ -111,7 +111,7 @@ func TestRunChurnFig8WithExtraCrashes(t *testing.T) {
 	// Churn plus a disjoint permanent crash: t=2 budget covers one churner
 	// and one crash-stop process; the crash-stop one is exempt from
 	// Termination, the churner is not.
-	res, err := RunChurnFig8(ChurnFig8Experiment{
+	res, err := RunFig8(Fig8Experiment{
 		IDs:     BalancedIDs(5, 2),
 		T:       2,
 		Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
@@ -133,7 +133,7 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 		run  func() error
 	}{
 		{"fig8 horizon truncates churn", "horizon", func() error {
-			_, err := RunChurnFig8(ChurnFig8Experiment{
+			_, err := RunFig8(Fig8Experiment{
 				IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Horizon: 50,
@@ -144,7 +144,7 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 			// The horizon check covers the merged schedule: a Crashes entry
 			// the run would never execute must be rejected, not silently
 			// folded into the ground truth as a crash that "happened".
-			_, err := RunChurnFig8(ChurnFig8Experiment{
+			_, err := RunFig8(Fig8Experiment{
 				IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Crashes: map[PID]Time{3: 2_000_000}, // default horizon is 1e6
@@ -152,7 +152,7 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 			return err
 		}},
 		{"fig8 churn and crashes overlap", "both", func() error {
-			_, err := RunChurnFig8(ChurnFig8Experiment{
+			_, err := RunFig8(Fig8Experiment{
 				IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Crashes: map[PID]Time{0: 30}, // PID 0 is the churner
@@ -160,21 +160,21 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 			return err
 		}},
 		{"fig8 churners exceed t budget", "budget", func() error {
-			_, err := RunChurnFig8(ChurnFig8Experiment{
+			_, err := RunFig8(Fig8Experiment{
 				IDs: BalancedIDs(5, 2), T: 1,
 				Churn: ChurnSpec{Fraction: 0.5, Cycles: 1, Start: 25, Down: 40},
 			})
 			return err
 		}},
 		{"fig8 t out of range", "t <", func() error {
-			_, err := RunChurnFig8(ChurnFig8Experiment{
+			_, err := RunFig8(Fig8Experiment{
 				IDs: BalancedIDs(4, 2), T: 2,
 				Churn: ChurnSpec{Fraction: 0.25, Cycles: 1, Start: 25, Down: 40},
 			})
 			return err
 		}},
 		{"fig9 horizon truncates churn", "horizon", func() error {
-			_, err := RunChurnFig9(ChurnFig9Experiment{
+			_, err := RunFig9(Fig9Experiment{
 				IDs:     BalancedIDs(5, 2),
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 2, Start: 25, Down: 40, Up: 50},
 				Horizon: 100,
@@ -182,14 +182,14 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 			return err
 		}},
 		{"fig9 nobody eventually up", "eventually up", func() error {
-			_, err := RunChurnFig9(ChurnFig9Experiment{
+			_, err := RunFig9(Fig9Experiment{
 				IDs:   AnonymousIDs(3),
 				Churn: ChurnSpec{Fraction: 1, Cycles: 1, Start: 25, Down: 30, FinalDown: true},
 			})
 			return err
 		}},
 		{"fig9 invalid assignment", "identifier", func() error {
-			_, err := RunChurnFig9(ChurnFig9Experiment{
+			_, err := RunFig9(Fig9Experiment{
 				IDs:   Assignment{"a", ""},
 				Churn: ChurnSpec{Fraction: 0.5, Cycles: 1, Start: 25, Down: 30},
 			})
@@ -213,13 +213,13 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 // detector-layer churn runners validate their inputs like the consensus
 // runners always did, instead of silently producing meaningless numbers.
 func TestChurnDetectorRunnersValidateInputs(t *testing.T) {
-	if _, err := RunChurnOHP(ChurnOHPExperiment{
+	if _, err := RunOHP(OHPExperiment{
 		IDs:   Assignment{"a", ""},
 		Churn: ChurnSpec{Fraction: 0.5, Cycles: 1},
 	}); err == nil || !strings.Contains(err.Error(), "identifier") {
 		t.Errorf("invalid assignment accepted: %v", err)
 	}
-	if _, err := RunChurnOHP(ChurnOHPExperiment{
+	if _, err := RunOHP(OHPExperiment{
 		IDs:     BalancedIDs(8, 4),
 		Churn:   ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60},
 		Horizon: 100, // last event at 170

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunChurnOHPReconverges(t *testing.T) {
-	res, err := RunChurnOHP(ChurnOHPExperiment{
+	res, err := RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(12, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
 		Seed:  1, Horizon: 3000,
@@ -25,8 +25,8 @@ func TestRunChurnOHPReconverges(t *testing.T) {
 	if res.Recoveries != 6 {
 		t.Errorf("Recoveries = %d, want 6 (3 churners × 2 cycles)", res.Recoveries)
 	}
-	if res.TrustedRestab < res.LastChange {
-		t.Errorf("re-stabilization %d before the last fault-pattern change %d", res.TrustedRestab, res.LastChange)
+	if res.TrustedStabilization < res.LastChange {
+		t.Errorf("re-stabilization %d before the last fault-pattern change %d", res.TrustedStabilization, res.LastChange)
 	}
 	if res.Leader.ID == "" || res.Leader.Multiplicity == 0 {
 		t.Errorf("no stabilized leader: %v", res.Leader)
@@ -36,7 +36,7 @@ func TestRunChurnOHPReconverges(t *testing.T) {
 func TestRunChurnOHPFinalDown(t *testing.T) {
 	// Churners that never come back degrade churn to crash-stop for them:
 	// the detector must settle on the strictly smaller eventually-up set.
-	res, err := RunChurnOHP(ChurnOHPExperiment{
+	res, err := RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(8, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 30, Up: 40, FinalDown: true},
 		Seed:  2, Horizon: 3000,
@@ -87,7 +87,7 @@ func TestGuardSurfacedInDrivers(t *testing.T) {
 		t.Fatalf("Stopped = %v, want max-events", res.Stopped)
 	}
 	// The verifying runners turn the same condition into an error.
-	_, err = RunChurnOHP(ChurnOHPExperiment{
+	_, err = RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(12, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 1},
 		Seed:  5, Horizon: 3000, MaxEvents: 100,

@@ -13,12 +13,20 @@ import (
 )
 
 // OHPExperiment describes one standalone run of the Figure 6 detector
-// (◇HP̄ + HΩ) in the partially synchronous system HPS.
+// (◇HP̄ + HΩ) in the partially synchronous system HPS, crash-stop or — with
+// a Churn spec — under crash-recovery churn, where the detector must
+// re-converge to I(EventuallyUp): the crash-recovery restatement of the
+// class properties (their crash-stop forms are the special case with no
+// recoveries).
 type OHPExperiment struct {
 	IDs     Assignment
 	Crashes map[PID]Time
-	GST     Time
-	Delta   Time
+	// Churn, when its Fraction is positive, adds a crash-recovery schedule;
+	// a process may appear in at most one of Crashes and the schedule.
+	Churn ChurnSpec
+	GST   Time
+	// Delta defaults to 3.
+	Delta Time
 	// Net overrides the network model. When nil the experiment runs on
 	// PartialSync{GST, Delta} — the paper's HPS setting. Any eventually
 	// timely model works (the truncated heavy-tail models qualify: their
@@ -26,19 +34,21 @@ type OHPExperiment struct {
 	// them.
 	Net  sim.Model
 	Seed int64
-	// Horizon caps virtual time (default 5000).
+	// Horizon caps virtual time (default 5000). Under churn it must exceed
+	// the fault schedule's last event.
 	Horizon Time
-	// Trace, when non-nil, replaces the default stats-only recorder: pass
-	// a retaining recorder for a full in-memory trace, or one with a
-	// trace.Sink attached to stream batches (spill mode). The caller owns
-	// flushing.
+	// MaxEvents overrides the engine's runaway guard (0 = engine default).
+	MaxEvents int
+	// Trace, when non-nil, replaces the default stats-only recorder (see
+	// Fig8Experiment.Trace).
 	Trace *trace.Recorder
 }
 
 // OHPResult reports the verified detector run.
 type OHPResult struct {
-	// TrustedStabilization is the virtual time at which the last correct
-	// process's h_trusted changed for the last time (to I(Correct)).
+	// TrustedStabilization is the virtual time at which the last
+	// eventually-up process's h_trusted changed for the last time (to
+	// I(EventuallyUp) — I(Correct) in a crash-stop run).
 	TrustedStabilization Time
 	// LeaderStabilization is the analogous instant for the HΩ output.
 	LeaderStabilization Time
@@ -48,12 +58,30 @@ type OHPResult struct {
 	Stats Stats
 	// FinalTimeouts are the adapted per-process timeout values.
 	FinalTimeouts []Time
+	// LastChange is the final fault-pattern change (last crash or
+	// recovery) — the earliest instant stabilization could begin.
+	LastChange Time
+	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
+	EventuallyUp, Correct int
+	// Recoveries counts executed recover events.
+	Recoveries int
+	// Stopped is why the run ended (horizon for a healthy detector run:
+	// polling never quiesces).
+	Stopped sim.StopReason
 }
 
 // RunOHP executes Figure 6 on every process, verifies the ◇HP̄ and HΩ
-// class properties against the ground truth, and reports stabilization
-// times and costs (experiment E6/E7).
+// class properties against the ground truth (stated over the eventually-up
+// set, which is the correct set when nothing recovers), and reports
+// stabilization times and costs (experiments E6/E7/E18). Under churn it
+// also cross-checks the engine's incremental fault bookkeeping against the
+// schedule-derived truth. Malformed inputs — an invalid assignment, a
+// crash outside [0, n), a horizon that cuts the churn schedule short — are
+// rejected with errors, not run.
 func RunOHP(e OHPExperiment) (OHPResult, error) {
+	if err := validateExperiment(e.IDs, e.Crashes, nil); err != nil {
+		return OHPResult{}, err
+	}
 	if e.Horizon == 0 {
 		e.Horizon = 5000
 	}
@@ -61,29 +89,29 @@ func RunOHP(e OHPExperiment) (OHPResult, error) {
 		e.Delta = 3
 	}
 	n := e.IDs.N()
+	schedule, truth, err := FaultPattern(e.IDs, e.Churn, e.Crashes, e.Horizon)
+	if err != nil {
+		return OHPResult{}, err
+	}
 	net := e.Net
 	if net == nil {
 		net = sim.PartialSync{GST: e.GST, Delta: e.Delta}
 	}
 	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{
-		IDs:      e.IDs,
-		Net:      net,
-		Seed:     e.Seed,
-		Recorder: rec,
-	})
+	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	dets := make([]*ohp.Detector, n)
 	for i := range dets {
 		dets[i] = ohp.New()
 		eng.AddProcess(dets[i])
 	}
-	eng.CrashSchedule(e.Crashes)
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
+	eng.ApplyChurn(schedule)
 	// The trusted probe samples the detector's live view: no clone on the
 	// per-event path (OnTimer replaces h_trusted wholesale, so stored views
 	// are never mutated after sampling). Streaming probes suffice — the
-	// checkers judge final views only — and their change streams feed the
-	// trace when one is kept, so a replay can re-verify the same verdicts.
+	// checkers judge final views and stabilization times only, so O(1)
+	// state per process does (equivalence with the materialized Probe is
+	// pinned in internal/fd) — and their change streams feed the trace
+	// when one is kept, so a replay can re-verify the same verdicts.
 	trustedProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 		if eng.Crashed(p) {
 			return nil, false
@@ -105,25 +133,47 @@ func RunOHP(e OHPExperiment) (OHPResult, error) {
 	if err := guardErr(eng); err != nil {
 		return OHPResult{}, err
 	}
+	if e.Churn.Fraction > 0 {
+		if err := checkTruthConsistency(eng, truth); err != nil {
+			return OHPResult{}, err
+		}
+	}
 
-	resT, err := fd.CheckDiamondHPbar(truth, trustedProbe)
+	out, err := VerifyOHP(truth, trustedProbe, leaderProbe)
 	if err != nil {
 		return OHPResult{}, err
 	}
-	resL, err := fd.CheckHOmega(truth, leaderProbe)
+	out.Stats, out.Recoveries, out.Stopped = rec.Stats(), eng.Recoveries(), eng.Stopped()
+	for _, d := range dets {
+		out.FinalTimeouts = append(out.FinalTimeouts, d.Timeout())
+	}
+	return out, nil
+}
+
+// VerifyOHP judges the detectors' final views against the fault pattern —
+// the ◇HP̄ and HΩ class properties over the eventually-up set — and fills
+// the result's stabilization times, leader and fault-pattern numbers; the
+// caller adds what only it can count (Stats, Recoveries, Stopped,
+// FinalTimeouts). It is the judgement a live run (streaming probes) and
+// an offline replay of its trace (change replayers) share.
+func VerifyOHP(truth *fd.GroundTruth, trusted fd.FinalView[*multiset.Multiset[ident.ID]], leader fd.FinalView[fd.LeaderInfo]) (OHPResult, error) {
+	resT, err := fd.CheckDiamondHPbar(truth, trusted)
+	if err != nil {
+		return OHPResult{}, err
+	}
+	resL, err := fd.CheckHOmega(truth, leader)
 	if err != nil {
 		return OHPResult{}, err
 	}
 	out := OHPResult{
 		TrustedStabilization: resT.StabilizationTime,
 		LeaderStabilization:  resL.StabilizationTime,
-		Stats:                rec.Stats(),
+		LastChange:           truth.LastChange(),
+		EventuallyUp:         len(truth.EventuallyUp()),
+		Correct:              len(truth.Correct()),
 	}
-	if correct := truth.Correct(); len(correct) > 0 {
-		out.Leader, _ = leaderProbe.Last(correct[0])
-	}
-	for _, d := range dets {
-		out.FinalTimeouts = append(out.FinalTimeouts, d.Timeout())
+	if up := truth.EventuallyUp(); len(up) > 0 {
+		out.Leader, _ = leader.Last(up[0])
 	}
 	return out, nil
 }

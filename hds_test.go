@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunFig8Oracle(t *testing.T) {
-	rep, stats, err := RunFig8(Fig8Experiment{
+	res, err := RunFig8(Fig8Experiment{
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Crashes:   map[PID]Time{1: 30},
@@ -18,16 +18,16 @@ func TestRunFig8Oracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Deciders < 4 {
-		t.Errorf("deciders = %d, want ≥ 4", rep.Deciders)
+	if res.Report.Deciders < 4 {
+		t.Errorf("deciders = %d, want ≥ 4", res.Report.Deciders)
 	}
-	if stats.Broadcasts == 0 || stats.Delivered == 0 {
-		t.Errorf("stats empty: %+v", stats)
+	if res.Stats.Broadcasts == 0 || res.Stats.Delivered == 0 {
+		t.Errorf("stats empty: %+v", res.Stats)
 	}
 }
 
 func TestRunFig8EndToEnd(t *testing.T) {
-	rep, _, err := RunFig8(Fig8Experiment{
+	res, err := RunFig8(Fig8Experiment{
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Crashes:   map[PID]Time{3: 40},
@@ -39,13 +39,13 @@ func TestRunFig8EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Value == "" {
+	if res.Report.Value == "" {
 		t.Error("no decision value")
 	}
 }
 
 func TestRunFig9MinorityCorrect(t *testing.T) {
-	rep, _, err := RunFig9(Fig9Experiment{
+	res, err := RunFig9(Fig9Experiment{
 		IDs:       BalancedIDs(6, 3),
 		Crashes:   map[PID]Time{0: 20, 1: 35, 2: 50, 3: 65},
 		Stabilize: 120,
@@ -54,13 +54,13 @@ func TestRunFig9MinorityCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Deciders < 2 {
-		t.Errorf("deciders = %d, want ≥ 2", rep.Deciders)
+	if res.Report.Deciders < 2 {
+		t.Errorf("deciders = %d, want ≥ 2", res.Report.Deciders)
 	}
 }
 
 func TestRunFig9AnonymousBaseline(t *testing.T) {
-	if _, _, err := RunFig9(Fig9Experiment{
+	if _, err := RunFig9(Fig9Experiment{
 		IDs:               AnonymousIDs(5),
 		AnonymousBaseline: true,
 		Crashes:           map[PID]Time{4: 45},
@@ -133,27 +133,27 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 		run  func() error
 	}{
 		{"fig8 t too large", func() error {
-			_, _, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(4), T: 2})
+			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(4), T: 2})
 			return err
 		}},
 		{"fig8 crash pid out of range", func() error {
-			_, _, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{9: 5}})
+			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{9: 5}})
 			return err
 		}},
 		{"fig8 negative crash time", func() error {
-			_, _, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{0: -1}})
+			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{0: -1}})
 			return err
 		}},
 		{"fig8 proposal count mismatch", func() error {
-			_, _, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Proposals: []Value{"a"}})
+			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Proposals: []Value{"a"}})
 			return err
 		}},
 		{"fig9 empty assignment", func() error {
-			_, _, err := RunFig9(Fig9Experiment{})
+			_, err := RunFig9(Fig9Experiment{})
 			return err
 		}},
 		{"fig9 bottom proposed", func() error {
-			_, _, err := RunFig9(Fig9Experiment{IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}})
+			_, err := RunFig9(Fig9Experiment{IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}})
 			return err
 		}},
 	}

@@ -110,6 +110,7 @@ var deterministicSegments = map[string]bool{
 	"multiset":    true,
 	"reduce":      true,
 	"hunt":        true,
+	"scenario":    true,
 }
 
 // IsDeterministic reports whether the package at the given import path is

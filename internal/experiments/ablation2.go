@@ -121,13 +121,13 @@ func E17PhaseMessageBreakdown() (Table, error) {
 func runBreakdown(algo string, crashes map[sim.PID]sim.Time, seed int64) (trace.Stats, error) {
 	ids := ident.Balanced(6, 3)
 	if algo == "fig8" {
-		_, stats, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs: ids, T: 2, Crashes: crashes, Stabilize: 80, Seed: seed,
 		})
-		return stats, err
+		return res.Stats, err
 	}
-	_, stats, err := hds.RunFig9(hds.Fig9Experiment{
+	res, err := hds.RunFig9(hds.Fig9Experiment{
 		IDs: ids, Crashes: crashes, Stabilize: 80, Seed: seed,
 	})
-	return stats, err
+	return res.Stats, err
 }

@@ -186,7 +186,7 @@ func E9Fig8Consensus() (Table, error) {
 		{9, 3, 4, nil, 300, oracle.AdversaryRotate, "rotate", 8},
 	}
 	err := tableRows(&t, cfgs, func(_ int, c cfg) []string {
-		rep, stats, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs:       ident.Balanced(c.n, c.l),
 			T:         c.tt,
 			Crashes:   c.crashes,
@@ -200,7 +200,7 @@ func E9Fig8Consensus() (Table, error) {
 		}
 		return []string{
 			itoaI(c.n), itoaI(c.l), itoaI(c.tt), itoaI(len(c.crashes)), itoa(c.stab), c.advName,
-			itoaI(rep.MaxRound), itoa(rep.LastDecision), itoaI(stats.Broadcasts),
+			itoaI(res.Report.MaxRound), itoa(res.Report.LastDecision), itoaI(res.Stats.Broadcasts),
 		}
 	})
 	return t, err
@@ -228,7 +228,7 @@ func E10Fig9Consensus() (Table, error) {
 		for i := 0; i < k; i++ {
 			crashes[hds.PID(i)] = hds.Time(20 + 15*i)
 		}
-		rep, stats, err := hds.RunFig9(hds.Fig9Experiment{
+		res, err := hds.RunFig9(hds.Fig9Experiment{
 			IDs:       ident.Balanced(n, 3),
 			Crashes:   crashes,
 			Stabilize: 140,
@@ -240,7 +240,7 @@ func E10Fig9Consensus() (Table, error) {
 		}
 		return []string{
 			itoaI(n), "3", itoaI(k), itoaI(n - k), "140",
-			itoaI(rep.MaxRound), itoa(rep.LastDecision), itoaI(stats.Broadcasts),
+			itoaI(res.Report.MaxRound), itoa(res.Report.LastDecision), itoaI(res.Stats.Broadcasts),
 		}
 	})
 	return t, err
@@ -265,30 +265,30 @@ func E11HomonymyExtremes() (Table, error) {
 		name string
 		l    int
 		algo string
-		run  func() (hds.Report, hds.Stats, error)
+		run  func() (hds.ConsensusResult, error)
 	}
 	variants := []variant{
-		{"unique (classical)", n, "Fig 8 (HΩ)", func() (hds.Report, hds.Stats, error) {
+		{"unique (classical)", n, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
 			return hds.RunFig8(hds.Fig8Experiment{
 				IDs: ident.Unique(n), T: 2, Crashes: crashes, Stabilize: 80, Seed: 71,
 			})
 		}},
-		{"homonymous", 2, "Fig 8 (HΩ)", func() (hds.Report, hds.Stats, error) {
+		{"homonymous", 2, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
 			return hds.RunFig8(hds.Fig8Experiment{
 				IDs: ident.Balanced(n, 2), T: 2, Crashes: crashes, Stabilize: 80, Seed: 72,
 			})
 		}},
-		{"anonymous", 1, "Fig 8 (HΩ)", func() (hds.Report, hds.Stats, error) {
+		{"anonymous", 1, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
 			return hds.RunFig8(hds.Fig8Experiment{
 				IDs: ident.AnonymousN(n), T: 2, Crashes: crashes, Stabilize: 80, Seed: 73,
 			})
 		}},
-		{"anonymous", 1, "Fig 9 (HΩ+HΣ)", func() (hds.Report, hds.Stats, error) {
+		{"anonymous", 1, "Fig 9 (HΩ+HΣ)", func() (hds.ConsensusResult, error) {
 			return hds.RunFig9(hds.Fig9Experiment{
 				IDs: ident.AnonymousN(n), Crashes: crashes, Stabilize: 80, Seed: 74,
 			})
 		}},
-		{"anonymous baseline", 1, "Fig 9 (AΩ, no COORD)", func() (hds.Report, hds.Stats, error) {
+		{"anonymous baseline", 1, "Fig 9 (AΩ, no COORD)", func() (hds.ConsensusResult, error) {
 			return hds.RunFig9(hds.Fig9Experiment{
 				IDs: ident.AnonymousN(n), Crashes: crashes, Stabilize: 80, Seed: 75,
 				AnonymousBaseline: true,
@@ -296,13 +296,13 @@ func E11HomonymyExtremes() (Table, error) {
 		}},
 	}
 	err := tableRows(&t, variants, func(_ int, v variant) []string {
-		rep, stats, err := v.run()
+		res, err := v.run()
 		if err != nil {
 			return []string{v.name, itoaI(v.l), v.algo, "✗ " + err.Error(), "-", "-", "-"}
 		}
 		return []string{
-			v.name, itoaI(v.l), v.algo, itoaI(rep.MaxRound), itoa(rep.LastDecision),
-			itoaI(stats.Broadcasts), itoaI(stats.ByTag["COORD"]),
+			v.name, itoaI(v.l), v.algo, itoaI(res.Report.MaxRound), itoa(res.Report.LastDecision),
+			itoaI(res.Stats.Broadcasts), itoaI(res.Stats.ByTag["COORD"]),
 		}
 	})
 	return t, err
@@ -321,7 +321,7 @@ func E12EndToEndHPS() (Table, error) {
 		},
 	}
 	err := tableRows(&t, []hds.Time{0, 100, 300, 600}, func(i int, gst hds.Time) []string {
-		rep, stats, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.RunFig8(hds.Fig8Experiment{
 			IDs:       ident.Balanced(5, 2),
 			T:         2,
 			Crashes:   map[hds.PID]hds.Time{3: 40},
@@ -335,7 +335,7 @@ func E12EndToEndHPS() (Table, error) {
 		}
 		return []string{
 			"5", "2", itoa(gst), "3", "1",
-			itoaI(rep.MaxRound), itoa(rep.LastDecision), itoaI(stats.Broadcasts),
+			itoaI(res.Report.MaxRound), itoa(res.Report.LastDecision), itoaI(res.Stats.Broadcasts),
 		}
 	})
 	return t, err

@@ -213,7 +213,8 @@ func Sanitize(s Scenario) Scenario {
 		}
 		s.T = clampInt(s.T, faults, maxT)
 	case "ohp":
-		// RunChurnOHP drives churn only; crash-stops belong to RunOHP.
+		// The detector scenario takes one fault mechanism: the resolver
+		// rejects crash-stops next to a churn spec.
 		if s.Churn.Fraction > 0 {
 			s.Crashes = nil
 		}

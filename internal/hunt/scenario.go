@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	hds "repro"
-	"repro/internal/cliutil"
-	"repro/internal/fd/oracle"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -139,18 +137,6 @@ func (s Scenario) Clone() Scenario {
 	return c
 }
 
-// crashMap converts the canonical slice to the runners' map form.
-func (s Scenario) crashMap() map[sim.PID]sim.Time {
-	if len(s.Crashes) == 0 {
-		return nil
-	}
-	m := make(map[sim.PID]sim.Time, len(s.Crashes))
-	for _, c := range s.Crashes {
-		m[c.P] = c.At
-	}
-	return m
-}
-
 // lastScheduleEvent returns the latest instant of the combined fault and
 // partition schedule — the time by which every outage has healed and every
 // window has closed.
@@ -172,57 +158,49 @@ func (s Scenario) lastScheduleEvent() sim.Time {
 	return last
 }
 
-// net builds the scenario's network model: the parsed -net spec (or nil
-// for the runner's default) wrapped in the partition schedule when one is
-// present. A nil return tells the runner to use its own default.
-func (s Scenario) net() (sim.Model, error) {
+// resolve fills the runnable scenario directly from the JSON form — no
+// round trip through flag strings, which cannot express every ChurnSpec
+// field. hunt's defaults are not the driver's: zero Horizon, Stabilize,
+// Period and MaxEvents keep meaning "the runner's default", an empty net
+// spec leaves the model to the runner (nil), and partition windows over
+// an empty spec cut an Async{MaxDelay: 8} base.
+func (s Scenario) resolve() (*scenario.Scenario, error) {
+	ids, err := scenario.BalancedIDs(s.N, s.L)
+	if err != nil {
+		return nil, err
+	}
 	var base sim.Model
-	if s.Net != "" {
-		m, err := cliutil.ParseNet(s.Net)
-		if err != nil {
-			return nil, err
-		}
-		base = m
-	}
-	if len(s.Partitions) == 0 {
-		return base, nil
-	}
-	if base == nil {
+	if len(s.Partitions) > 0 {
 		base = sim.Async{MaxDelay: 8}
 	}
-	return sim.Partition{Base: base, Windows: s.Partitions}, nil
-}
-
-func (s Scenario) adversary() oracle.Adversary {
-	switch s.Adversary {
-	case "none":
-		return oracle.AdversaryNone
-	case "split":
-		return oracle.AdversarySplit
-	default:
-		return oracle.AdversaryRotate
+	net, err := scenario.Network(s.Net, base, s.Partitions)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// Validate rejects scenarios the runners would reject, with hunt-level
-// messages; Run also surfaces runner errors as class "config", so
-// Validate exists mainly for corpus hygiene and cmd/hunt -run.
-func (s Scenario) Validate() error {
-	kindOK := false
-	for _, k := range Kinds {
-		if s.Kind == k {
-			kindOK = true
+	adv, err := scenario.ParseAdversary(s.Adversary)
+	if err != nil {
+		return nil, err
+	}
+	sc := &scenario.Scenario{
+		Algo: s.Kind, IDs: ids, T: s.T, Churn: s.Churn, Net: net, Horizon: s.Horizon,
+		Stabilize: s.Stabilize, Adversary: adv, Period: s.Period, MaxEvents: s.MaxEvents,
+	}
+	if len(s.Crashes) > 0 {
+		sc.Crashes = make(map[sim.PID]sim.Time, len(s.Crashes))
+		for _, c := range s.Crashes {
+			sc.Crashes[c.P] = c.At
 		}
 	}
-	if !kindOK {
-		return fmt.Errorf("hunt: unknown kind %q (want one of %s)", s.Kind, strings.Join(Kinds, ", "))
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
-	if s.N < 1 {
-		return fmt.Errorf("hunt: n=%d, want >= 1", s.N)
-	}
-	if s.L < 1 || s.L > s.N {
-		return fmt.Errorf("hunt: l=%d outside [1, n=%d]", s.L, s.N)
-	}
+	return sc, nil
+}
+
+// Validate rejects scenarios without a canonical form and scenarios the
+// resolver rejects; Run also surfaces runner errors as class "config", so
+// Validate exists mainly for corpus hygiene and cmd/hunt -run.
+func (s Scenario) Validate() error {
 	if !sort.SliceIsSorted(s.Crashes, func(i, j int) bool { return s.Crashes[i].P < s.Crashes[j].P }) {
 		return fmt.Errorf("hunt: crash entries not sorted by pid — the scenario has no canonical form")
 	}
@@ -231,26 +209,13 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("hunt: duplicate crash entry for pid %d", s.Crashes[i].P)
 		}
 	}
-	if _, err := s.net(); err != nil {
+	if _, err := s.resolve(); err != nil {
 		return fmt.Errorf("hunt: %w", err)
-	}
-	if err := cliutil.ValidatePartitionN(s.Partitions, s.N); err != nil {
-		return fmt.Errorf("hunt: %w", err)
-	}
-	if s.Horizon > 0 {
-		if err := cliutil.ValidatePartitionHorizon(s.Partitions, s.Horizon); err != nil {
-			return fmt.Errorf("hunt: %w", err)
-		}
-	}
-	switch s.Adversary {
-	case "", "none", "rotate", "split":
-	default:
-		return fmt.Errorf("hunt: unknown adversary %q", s.Adversary)
 	}
 	return nil
 }
 
-// lossCapable reports whether the scenario's network model can drop
+// lossCapable reports whether a scenario's network model can drop
 // in-flight copies between live processes (beyond the drops every churn
 // run has, to crashed recipients). persistent means the loss never stops
 // (a Lossy wrap, or an Alternating model that never calms); transient
@@ -258,14 +223,7 @@ func (s Scenario) Validate() error {
 // The distinction matters because the detectors tolerate transient loss
 // (they re-broadcast forever) but nothing is promised under loss that
 // never ends.
-func (s Scenario) lossCapable() (persistent, transient bool) {
-	if len(s.Partitions) > 0 {
-		transient = true
-	}
-	m, err := s.net()
-	if err != nil {
-		return persistent, transient
-	}
+func lossCapable(m sim.Model) (persistent, transient bool) {
 	for m != nil {
 		switch v := m.(type) {
 		case sim.Partition:
@@ -312,8 +270,22 @@ func (s Scenario) lossCapable() (persistent, transient bool) {
 // live over reliable links, and nothing stabilizes under loss that never
 // ends. Safety failures always keep their class.
 func (s Scenario) Run() Outcome {
-	o := s.exec()
-	persistent, transient := s.lossCapable()
+	sc, err := s.resolve()
+	if err != nil {
+		return configOutcome(err)
+	}
+	res, err := sc.Run(s.Seed, nil)
+	churn := s.Churn.Fraction > 0
+	var o Outcome
+	switch s.Kind {
+	case "ohp":
+		o = ohpOutcome(res.OHP, err, churn)
+	case "heartbeat":
+		o = heartbeatOutcome(res.Heartbeat, err)
+	default:
+		o = consensusOutcome(res.Consensus, err, churn)
+	}
+	persistent, transient := lossCapable(sc.Net)
 	expected := false
 	switch s.Kind {
 	case "fig8", "fig9", "fig9-anon":
@@ -333,66 +305,4 @@ func (s Scenario) Run() Outcome {
 		o.Verdict = fmt.Sprintf("FAIL class=%s err=%q", ClassLossLiveness, o.Err)
 	}
 	return o
-}
-
-func (s Scenario) exec() Outcome {
-	net, err := s.net()
-	if err != nil {
-		return configOutcome(err)
-	}
-	ids := hds.BalancedIDs(s.N, s.L)
-	switch s.Kind {
-	case "fig8":
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
-				IDs: ids, T: s.T, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
-				Stabilize: s.Stabilize, Adversary: s.adversary(), Seed: s.Seed,
-				Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnConsensusOutcome(res, err)
-		}
-		rep, stats, err := hds.RunFig8(hds.Fig8Experiment{
-			IDs: ids, T: s.T, Crashes: s.crashMap(), Net: net,
-			Stabilize: s.Stabilize, Adversary: s.adversary(), Seed: s.Seed, Horizon: s.Horizon,
-		})
-		return consensusOutcome(rep, stats, err)
-	case "fig9", "fig9-anon":
-		anon := s.Kind == "fig9-anon"
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
-				IDs: ids, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
-				AnonymousBaseline: anon, Stabilize: s.Stabilize, Adversary: s.adversary(),
-				Seed: s.Seed, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnConsensusOutcome(res, err)
-		}
-		rep, stats, err := hds.RunFig9(hds.Fig9Experiment{
-			IDs: ids, Crashes: s.crashMap(), Net: net,
-			AnonymousBaseline: anon, Stabilize: s.Stabilize, Adversary: s.adversary(),
-			Seed: s.Seed, Horizon: s.Horizon,
-		})
-		return consensusOutcome(rep, stats, err)
-	case "ohp":
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
-				IDs: ids, Churn: s.Churn, Net: net, Seed: s.Seed,
-				Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnOHPOutcome(res, err)
-		}
-		exp := hds.OHPExperiment{IDs: ids, Crashes: s.crashMap(), Delta: 3, Seed: s.Seed, Horizon: s.Horizon}
-		if net != nil {
-			exp.Net = net
-		}
-		res, err := hds.RunOHP(exp)
-		return ohpOutcome(res, err)
-	case "heartbeat":
-		res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-			IDs: ids, Churn: s.Churn, Net: net, Period: s.Period, Seed: s.Seed,
-			Horizon: s.Horizon, MaxEvents: s.MaxEvents, StreamVerify: true,
-		})
-		return heartbeatOutcome(res, err)
-	default:
-		return configOutcome(fmt.Errorf("hunt: unknown kind %q", s.Kind))
-	}
 }

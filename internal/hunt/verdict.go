@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	hds "repro"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -70,6 +71,10 @@ func Classify(err error) string {
 	}
 	msg := err.Error()
 	switch {
+	case strings.HasPrefix(msg, "scenario:"), strings.HasPrefix(msg, "hunt:"), strings.HasPrefix(msg, "cliutil:"):
+		// Resolver rejections quote their input, so they are matched
+		// before the substring cases below can see it.
+		return ClassConfig
 	case strings.Contains(msg, "check: termination violated"):
 		return ClassTermination
 	case strings.Contains(msg, "check: agreement violated"):
@@ -97,7 +102,7 @@ func Classify(err error) string {
 		return ClassGuard
 	case strings.Contains(msg, "internal invariant"):
 		return ClassInvariant
-	case strings.HasPrefix(msg, "hds:") || strings.HasPrefix(msg, "hunt:") || strings.HasPrefix(msg, "cliutil:"):
+	case strings.HasPrefix(msg, "hds:"):
 		return ClassConfig
 	default:
 		return ClassInvariant
@@ -123,52 +128,46 @@ func configOutcome(err error) Outcome {
 	}
 }
 
-func consensusOutcome(rep hds.Report, stats hds.Stats, err error) Outcome {
-	if err != nil {
-		return failOutcome(err, stats, "")
+// churnFields returns what a churn outcome carries and a crash-stop one
+// does not: the stop reason, and the fault-pattern fields of the verdict
+// (placed between its family fields and its traffic counts).
+func churnFields(churn bool, stopped sim.StopReason, up, rec int) (stop, fault string) {
+	if !churn {
+		return "", ""
 	}
+	stop = stopped.String()
+	return stop, fmt.Sprintf(" up=%d rec=%d stop=%s", up, rec, stop)
+}
+
+func traffic(s trace.Stats) string {
+	return fmt.Sprintf(" bcast=%d deliv=%d drop=%d", s.Broadcasts, s.Delivered, s.Dropped)
+}
+
+func consensusOutcome(res hds.ConsensusResult, err error, churn bool) Outcome {
+	if err != nil && churn {
+		// A failed churn run buckets as never run, with zero stats: campaign
+		// evolution for a given (seeds, seed, budget) is a function of the
+		// coverage keys, so the bucketing stays what it was when the churn
+		// runners returned nothing on failure.
+		res = hds.ConsensusResult{}
+	}
+	stop, fault := churnFields(churn, res.Stopped, res.EventuallyUp, res.Recoveries)
+	if err != nil {
+		return failOutcome(err, res.Stats, stop)
+	}
+	rep := res.Report
 	return Outcome{
 		OK:    true,
 		Round: rep.MaxRound,
-		Stats: stats,
-		Verdict: fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q bcast=%d deliv=%d drop=%d",
-			rep.MaxRound, rep.Deciders, rep.FirstDecision, rep.LastDecision, rep.Value,
-			stats.Broadcasts, stats.Delivered, stats.Dropped),
-	}
-}
-
-func churnConsensusOutcome(res hds.ChurnConsensusResult, err error) Outcome {
-	stop := res.Stopped.String()
-	if err != nil {
-		return failOutcome(err, res.Stats, stop)
-	}
-	return Outcome{
-		OK:    true,
-		Round: res.Report.MaxRound,
 		Stop:  stop,
 		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q up=%d rec=%d stop=%s bcast=%d deliv=%d drop=%d",
-			res.Report.MaxRound, res.Report.Deciders, res.Report.FirstDecision, res.Report.LastDecision,
-			res.Report.Value, res.EventuallyUp, res.Recoveries, stop,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
+		Verdict: fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q",
+			rep.MaxRound, rep.Deciders, rep.FirstDecision, rep.LastDecision, rep.Value) + fault + traffic(res.Stats),
 	}
 }
 
-func ohpOutcome(res hds.OHPResult, err error) Outcome {
-	if err != nil {
-		return failOutcome(err, res.Stats, "")
-	}
-	return Outcome{
-		OK:    true,
-		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS trusted=%d leader=%d bcast=%d deliv=%d drop=%d",
-			res.TrustedStabilization, res.LeaderStabilization,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
-	}
-}
-
-func churnOHPOutcome(res hds.ChurnOHPResult, err error) Outcome {
-	stop := res.Stopped.String()
+func ohpOutcome(res hds.OHPResult, err error, churn bool) Outcome {
+	stop, fault := churnFields(churn, res.Stopped, res.EventuallyUp, res.Recoveries)
 	if err != nil {
 		return failOutcome(err, res.Stats, stop)
 	}
@@ -176,9 +175,8 @@ func churnOHPOutcome(res hds.ChurnOHPResult, err error) Outcome {
 		OK:    true,
 		Stop:  stop,
 		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS trusted=%d leader=%d up=%d rec=%d stop=%s bcast=%d deliv=%d drop=%d",
-			res.TrustedRestab, res.LeaderRestab, res.EventuallyUp, res.Recoveries, stop,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
+		Verdict: fmt.Sprintf("PASS trusted=%d leader=%d", res.TrustedStabilization, res.LeaderStabilization) +
+			fault + traffic(res.Stats),
 	}
 }
 

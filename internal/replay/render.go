@@ -4,116 +4,99 @@ import (
 	"fmt"
 	"io"
 
-	hds "repro"
 	"repro/internal/cliutil"
+	"repro/internal/scenario"
 )
 
-// The report renderers below are the single source of the driver's output
+// The renderers below are the single source of the driver's report
 // format: cmd/hdsim prints live results through them and Verify prints
 // replayed results through them, so live and replay reports can differ
 // only in the verified numbers — never in formatting. Engine-only lines
 // (event counts, queue high-water) exist solely on the live side and are
 // gated by the `engine` parameter.
 
-// WriteConsensusHeader writes the single-run consensus header line.
-func WriteConsensusHeader(w io.Writer, sc *Scenario) {
-	m := sc.Meta
-	fmt.Fprintf(w, "algo=%s n=%d ℓ=%d ids=%v crashes=%s churn=%s seed=%d\n",
-		m.Algo, m.N, m.L, sc.IDs, m.Crashes, m.Churn, m.Seed)
-}
-
-// ChurnInfo carries the churn-specific lines of a consensus block.
-type ChurnInfo struct {
-	EventuallyUp, Correct int
-	Recoveries            int
-	LastChange            hds.Time
-	DecideAfterChurn      hds.Time
-}
-
-// WriteConsensusBlock writes the verified-consensus report; churn is nil
-// for crash-stop runs.
-func WriteConsensusBlock(w io.Writer, n int, rep hds.Report, churn *ChurnInfo, stats hds.Stats) {
-	if churn != nil {
-		fmt.Fprintln(w, "consensus verified ✔ (termination over the eventually-up set, validity, agreement, decision stability)")
-	} else {
-		fmt.Fprintln(w, "consensus verified ✔ (termination, validity, agreement)")
+// WriteHeader writes the scenario's single-run header line.
+func WriteHeader(w io.Writer, sc *scenario.Scenario) {
+	m, n := sc.Meta, sc.IDs.N()
+	switch sc.Algo {
+	case "heartbeat":
+		beaters := "all"
+		if m.Beaters > 0 && m.Beaters < n {
+			beaters = fmt.Sprint(m.Beaters)
+		}
+		fmt.Fprintf(w, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
+			n, m.L, beaters, sc.Churn, sc.Net, m.Period, m.Seed)
+	case "ohp":
+		if sc.Churn.Fraction > 0 {
+			fmt.Fprintf(w, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", sc.IDs, sc.Churn, sc.Net, m.Seed)
+		} else {
+			fmt.Fprintf(w, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", sc.IDs, len(sc.Crashes), sc.Net, m.Seed)
+		}
+	default:
+		fmt.Fprintf(w, "algo=%s n=%d ℓ=%d ids=%v crashes=%s churn=%s seed=%d\n",
+			m.Algo, n, m.L, sc.IDs, m.Crashes, m.Churn, m.Seed)
 	}
-	fmt.Fprintf(w, "  decided value:    %q\n", rep.Value)
-	fmt.Fprintf(w, "  deciders:         %d\n", rep.Deciders)
-	fmt.Fprintf(w, "  rounds:           %d\n", rep.MaxRound)
-	fmt.Fprintf(w, "  decisions span:   t=%d .. t=%d\n", rep.FirstDecision, rep.LastDecision)
-	if churn != nil {
-		fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", churn.EventuallyUp, n, churn.Correct)
-		fmt.Fprintf(w, "  recoveries:       %d\n", churn.Recoveries)
-		fmt.Fprintf(w, "  last churn event: t=%d\n", churn.LastChange)
-		fmt.Fprintf(w, "  decide after churn: +%d\n", churn.DecideAfterChurn)
-	}
-	fmt.Fprintf(w, "  broadcasts:       %d total — %s\n", stats.Broadcasts, cliutil.FormatTagCounts(stats.ByTag))
-	fmt.Fprintf(w, "  deliveries/drops: %d/%d\n", stats.Delivered, stats.Dropped)
 }
 
-// WriteOHPHeader writes the standalone-detector header line (crash-stop or
-// churn form, depending on the scenario).
-func WriteOHPHeader(w io.Writer, sc *Scenario) {
-	if sc.Churn.Fraction > 0 {
-		fmt.Fprintf(w, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", sc.IDs, sc.Churn, sc.Net, sc.Meta.Seed)
-		return
-	}
-	fmt.Fprintf(w, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", sc.IDs, len(sc.Crashes), sc.Net, sc.Meta.Seed)
-}
-
-// WriteOHPBlock writes the crash-stop detector report.
-func WriteOHPBlock(w io.Writer, res hds.OHPResult) {
-	fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ)")
-	fmt.Fprintf(w, "  ◇HP̄ stabilized:  t=%d\n", res.TrustedStabilization)
-	fmt.Fprintf(w, "  HΩ stabilized:    t=%d  leader=%s\n", res.LeaderStabilization, res.Leader)
-	fmt.Fprintf(w, "  broadcasts:       %d — %s\n", res.Stats.Broadcasts, cliutil.FormatTagCounts(res.Stats.ByTag))
-}
-
-// WriteChurnOHPBlock writes the churn detector report.
-func WriteChurnOHPBlock(w io.Writer, n int, res hds.ChurnOHPResult) {
-	fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ over the eventually-up set)")
-	fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", res.EventuallyUp, n, res.Correct)
-	fmt.Fprintf(w, "  recoveries:       %d\n", res.Recoveries)
-	fmt.Fprintf(w, "  last change:      t=%d\n", res.LastChange)
-	fmt.Fprintf(w, "  ◇HP̄ re-stab:     t=%d\n", res.TrustedRestab)
-	fmt.Fprintf(w, "  HΩ re-stab:       t=%d  leader=%s\n", res.LeaderRestab, res.Leader)
-	fmt.Fprintf(w, "  broadcasts:       %d — %s\n", res.Stats.Broadcasts, cliutil.FormatTagCounts(res.Stats.ByTag))
-}
-
-// WriteHeartbeatHeader writes the heartbeat header line.
-func WriteHeartbeatHeader(w io.Writer, sc *Scenario) {
-	m := sc.Meta
-	fmt.Fprintf(w, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
-		m.N, m.L, BeatersLabel(m.Beaters, m.N), sc.Churn, sc.Net, m.Period, m.Seed)
-}
-
-// BeatersLabel renders the -beaters flag for headers ("all" or a count).
-func BeatersLabel(beaters, n int) string {
-	if beaters <= 0 || beaters >= n {
-		return "all"
-	}
-	return fmt.Sprintf("%d", beaters)
-}
-
-// WriteHeartbeatBlock writes the heartbeat report. engine selects the live
-// form: the live driver additionally cross-checks the engine's fault
-// bookkeeping and prints the engine-only counters (events processed, queue
-// high-water) that a trace cannot carry; a replay verifies the
-// trace-derivable properties and prints only the shared lines.
-func WriteHeartbeatBlock(w io.Writer, n int, res hds.HeartbeatResult, engine bool) {
-	if engine {
-		fmt.Fprintln(w, "heartbeat churn verified ✔ (fault bookkeeping vs schedule truth, heard-sum vs delivered, delivery liveness)")
-	} else {
-		fmt.Fprintln(w, "heartbeat churn verified ✔ (recoveries vs schedule truth, delivery liveness)")
-	}
-	fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", res.EventuallyUp, n, res.Correct)
-	fmt.Fprintf(w, "  recoveries:       %d\n", res.Recoveries)
-	if engine {
-		fmt.Fprintf(w, "  events processed: %d (stop: %s)\n", res.Processed, res.Stopped)
-	}
-	fmt.Fprintf(w, "  deliveries/drops: %d/%d\n", res.Stats.Delivered, res.Stats.Dropped)
-	if engine {
-		fmt.Fprintf(w, "  queue high-water: %d entries (lazy fan-out: tracks broadcasts, not n² copies)\n", res.MaxQueue)
+// WriteReport writes the verified-run report of the scenario's algorithm
+// family; a churn spec adds the fault-pattern lines. engine selects the
+// live form of the heartbeat report: the live driver additionally
+// cross-checks the engine's fault bookkeeping and prints the engine-only
+// counters (events processed, queue high-water) that a trace cannot
+// carry; a replay verifies the trace-derivable properties and prints only
+// the shared lines.
+func WriteReport(w io.Writer, sc *scenario.Scenario, res scenario.Result, engine bool) {
+	n, churn := sc.IDs.N(), sc.Churn.Fraction > 0
+	switch sc.Algo {
+	case "ohp":
+		r := res.OHP
+		if !churn {
+			fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ)")
+			fmt.Fprintf(w, "  ◇HP̄ stabilized:  t=%d\n", r.TrustedStabilization)
+			fmt.Fprintf(w, "  HΩ stabilized:    t=%d  leader=%s\n", r.LeaderStabilization, r.Leader)
+		} else {
+			fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ over the eventually-up set)")
+			fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", r.EventuallyUp, n, r.Correct)
+			fmt.Fprintf(w, "  recoveries:       %d\n", r.Recoveries)
+			fmt.Fprintf(w, "  last change:      t=%d\n", r.LastChange)
+			fmt.Fprintf(w, "  ◇HP̄ re-stab:     t=%d\n", r.TrustedStabilization)
+			fmt.Fprintf(w, "  HΩ re-stab:       t=%d  leader=%s\n", r.LeaderStabilization, r.Leader)
+		}
+		fmt.Fprintf(w, "  broadcasts:       %d — %s\n", r.Stats.Broadcasts, cliutil.FormatTagCounts(r.Stats.ByTag))
+	case "heartbeat":
+		r := res.Heartbeat
+		if engine {
+			fmt.Fprintln(w, "heartbeat churn verified ✔ (fault bookkeeping vs schedule truth, heard-sum vs delivered, delivery liveness)")
+		} else {
+			fmt.Fprintln(w, "heartbeat churn verified ✔ (recoveries vs schedule truth, delivery liveness)")
+		}
+		fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", r.EventuallyUp, n, r.Correct)
+		fmt.Fprintf(w, "  recoveries:       %d\n", r.Recoveries)
+		if engine {
+			fmt.Fprintf(w, "  events processed: %d (stop: %s)\n", r.Processed, r.Stopped)
+		}
+		fmt.Fprintf(w, "  deliveries/drops: %d/%d\n", r.Stats.Delivered, r.Stats.Dropped)
+		if engine {
+			fmt.Fprintf(w, "  queue high-water: %d entries (lazy fan-out: tracks broadcasts, not n² copies)\n", r.MaxQueue)
+		}
+	default:
+		r := res.Consensus
+		if churn {
+			fmt.Fprintln(w, "consensus verified ✔ (termination over the eventually-up set, validity, agreement, decision stability)")
+		} else {
+			fmt.Fprintln(w, "consensus verified ✔ (termination, validity, agreement)")
+		}
+		fmt.Fprintf(w, "  decided value:    %q\n", r.Report.Value)
+		fmt.Fprintf(w, "  deciders:         %d\n", r.Report.Deciders)
+		fmt.Fprintf(w, "  rounds:           %d\n", r.Report.MaxRound)
+		fmt.Fprintf(w, "  decisions span:   t=%d .. t=%d\n", r.Report.FirstDecision, r.Report.LastDecision)
+		if churn {
+			fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", r.EventuallyUp, n, r.Correct)
+			fmt.Fprintf(w, "  recoveries:       %d\n", r.Recoveries)
+			fmt.Fprintf(w, "  last churn event: t=%d\n", r.LastChange)
+			fmt.Fprintf(w, "  decide after churn: +%d\n", r.DecideAfterChurn)
+		}
+		fmt.Fprintf(w, "  broadcasts:       %d total — %s\n", r.Stats.Broadcasts, cliutil.FormatTagCounts(r.Stats.ByTag))
+		fmt.Fprintf(w, "  deliveries/drops: %d/%d\n", r.Stats.Delivered, r.Stats.Dropped)
 	}
 }

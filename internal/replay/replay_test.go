@@ -2,185 +2,40 @@ package replay_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
-	hds "repro"
-	"repro/internal/cliutil"
-	"repro/internal/fd/oracle"
 	"repro/internal/replay"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
 // The differential contract: a live run's verdict report and the report
 // Verify re-derives from that run's trace alone must be byte-identical.
-// The live side below mirrors cmd/hdsim's experiment construction and
-// header format strings independently of BuildScenario, so a drift in the
-// scenario-resolution rules, the checker reconstruction, or the stats
-// re-aggregation all surface as a byte diff.
+// Both sides resolve the fingerprint through internal/scenario (whose
+// rules cmd/hdsim's golden outputs pin); the live side then runs the
+// engine, the replay side only reads the recorded events — so a drift in
+// the checker reconstruction or the stats re-aggregation surfaces as a
+// byte diff.
 
-// chainNet mirrors the driver's network defaulting chain.
-func chainNet(t testing.TB, m *trace.Meta) sim.Model {
-	t.Helper()
-	var net sim.Model = hds.Async{MaxDelay: 8}
-	if m.GST > 0 {
-		net = hds.PartialSync{GST: m.GST, Delta: m.Delta}
-	}
-	if m.Net != "" {
-		var err error
-		if net, err = cliutil.ParseNet(m.Net); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Partitions != "" {
-		ws, err := cliutil.ParsePartitions(m.Partitions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net = sim.Partition{Base: net, Windows: ws}
-	}
-	return net
-}
-
-// liveRun executes the scenario the way cmd/hdsim would — same experiment
-// construction, same defaulting, same header format — with a retaining
-// recorder, and returns the rendered live report plus the recorded events.
+// liveRun executes the scenario the way cmd/hdsim does — resolve, run,
+// render — with a retaining recorder, and returns the rendered live report
+// plus the recorded events.
 func liveRun(t testing.TB, m *trace.Meta) (string, []trace.Event) {
 	t.Helper()
-	ids := hds.BalancedIDs(m.N, m.L)
-	sched, err := cliutil.ParseCrashes(m.Crashes)
+	sc, err := scenario.Resolve(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn, err := cliutil.ParseChurn(m.Churn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := chainNet(t, m)
 	rec := trace.NewRecorder()
 	var buf bytes.Buffer
-
-	switch m.Algo {
-	case "ohp":
-		netGiven := m.Net != "" || m.GST > 0
-		if churn.Fraction > 0 {
-			var cnet sim.Model
-			if netGiven {
-				cnet = net
-			}
-			effective := cnet
-			if effective == nil {
-				effective = sim.PartialSync{Delta: 3}
-			}
-			fmt.Fprintf(&buf, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", ids, churn, effective, m.Seed)
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
-				IDs: ids, Churn: churn, Net: cnet, Seed: m.Seed, Horizon: m.Horizon, Trace: rec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay.WriteChurnOHPBlock(&buf, m.N, res)
-			break
-		}
-		exp := hds.OHPExperiment{
-			IDs: ids, Crashes: sched, GST: m.GST, Delta: m.Delta,
-			Seed: m.Seed, Horizon: m.Horizon, Trace: rec,
-		}
-		var effective sim.Model = sim.PartialSync{GST: m.GST, Delta: m.Delta}
-		if netGiven {
-			exp.Net = net
-			effective = net
-		}
-		fmt.Fprintf(&buf, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", ids, len(sched), effective, m.Seed)
-		res, err := hds.RunOHP(exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay.WriteOHPBlock(&buf, res)
-
-	case "heartbeat":
-		fmt.Fprintf(&buf, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
-			m.N, m.L, replay.BeatersLabel(m.Beaters, m.N), churn, net, m.Period, m.Seed)
-		res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-			IDs: ids, Churn: churn, Net: net, Period: m.Period, Seed: m.Seed,
-			Horizon: m.Horizon, Beaters: m.Beaters, MaxEvents: m.MaxEvents,
-			Trace: rec, StreamVerify: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The replay form: the engine-only counters cannot be compared.
-		replay.WriteHeartbeatBlock(&buf, m.N, res, false)
-
-	default: // consensus
-		adv := map[string]oracle.Adversary{
-			"none": oracle.AdversaryNone, "rotate": oracle.AdversaryRotate, "split": oracle.AdversarySplit,
-		}[m.Adversary]
-		horizon := m.Horizon
-		if horizon <= 0 {
-			horizon = 3_000_000
-		}
-		fmt.Fprintf(&buf, "algo=%s n=%d ℓ=%d ids=%v crashes=%s churn=%s seed=%d\n",
-			m.Algo, m.N, m.L, ids, m.Crashes, m.Churn, m.Seed)
-		var rep hds.Report
-		var stats hds.Stats
-		var churnRes *hds.ChurnConsensusResult
-		switch m.Algo {
-		case "fig8":
-			src := hds.OracleDetectors
-			if m.Detectors == "mp" {
-				src = hds.MessagePassingDetectors
-			}
-			if churn.Fraction > 0 {
-				res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
-					IDs: ids, T: m.T, Churn: churn, Crashes: sched, Net: net,
-					Detectors: src, Stabilize: m.Stabilize, Adversary: adv, Seed: m.Seed,
-					Horizon: horizon, Trace: rec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				churnRes, rep, stats = &res, res.Report, res.Stats
-			} else if rep, stats, err = hds.RunFig8(hds.Fig8Experiment{
-				IDs: ids, T: m.T, Crashes: sched, Net: net,
-				Detectors: src, Stabilize: m.Stabilize, Adversary: adv, Seed: m.Seed,
-				Horizon: horizon, Trace: rec,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		default: // fig9, fig9-anon
-			if churn.Fraction > 0 {
-				res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
-					IDs: ids, Churn: churn, Crashes: sched, Net: net,
-					AnonymousBaseline: m.Algo == "fig9-anon",
-					Stabilize:         m.Stabilize, Adversary: adv, Seed: m.Seed,
-					Horizon: horizon, Trace: rec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				churnRes, rep, stats = &res, res.Report, res.Stats
-			} else if rep, stats, err = hds.RunFig9(hds.Fig9Experiment{
-				IDs: ids, Crashes: sched, Net: net,
-				AnonymousBaseline: m.Algo == "fig9-anon",
-				Stabilize:         m.Stabilize, Adversary: adv, Seed: m.Seed,
-				Horizon: horizon, Trace: rec,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var ci *replay.ChurnInfo
-		if churnRes != nil {
-			ci = &replay.ChurnInfo{
-				EventuallyUp: churnRes.EventuallyUp, Correct: churnRes.Correct,
-				Recoveries: churnRes.Recoveries, LastChange: churnRes.LastChange,
-				DecideAfterChurn: churnRes.DecideAfterChurn,
-			}
-		}
-		replay.WriteConsensusBlock(&buf, m.N, rep, ci, stats)
+	replay.WriteHeader(&buf, sc)
+	res, err := sc.Run(m.Seed, rec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// The replay form: heartbeat's engine-only counters cannot be compared.
+	replay.WriteReport(&buf, sc, res, false)
 	return buf.String(), rec.Events()
 }
 
@@ -218,6 +73,9 @@ var grid = []struct {
 	}},
 	{"ohp_crashes_default_net", &trace.Meta{
 		Algo: "ohp", N: 5, L: 2, Crashes: "1:100,4:200", Delta: 3, Seed: 7,
+	}},
+	{"ohp_crashes_delta0", &trace.Meta{
+		Algo: "ohp", N: 5, L: 2, Crashes: "1:100", Seed: 12,
 	}},
 	{"ohp_crashes_psync_net", &trace.Meta{
 		Algo: "ohp", N: 5, L: 2, Crashes: "2:150", Net: "psync:50:4", Delta: 3, Seed: 8,
@@ -374,7 +232,7 @@ func TestVerifyDetectsTamperedTrace(t *testing.T) {
 // an in-memory heartbeat trace (the population-scale workload shape).
 func BenchmarkReplayVerify(b *testing.B) {
 	m := &trace.Meta{
-		Algo: "heartbeat", N: 500, L: 10, Churn: "0.2:1",
+		Algo: "heartbeat", N: 500, L: 10, Churn: "0.2:1:20:30:0",
 		Period: 15, Beaters: 20, Seed: 1, Delta: 3,
 	}
 	_, events := liveRun(b, m)

@@ -1,3 +1,12 @@
+// Package replay re-verifies recorded executions offline: from a v2 trace
+// (scenario fingerprint + event stream) alone it resolves the scenario the
+// live run verified against — through internal/scenario, the resolver
+// cmd/hdsim itself uses — reconstructs every checker input from the
+// events, and re-runs the checkers. The rendered verdict block is produced
+// by the same renderers the live driver prints through, so a healthy
+// replay is byte-identical to the live report (minus engine-only
+// counters), and any difference is a determinism regression, not a
+// formatting accident.
 package replay
 
 import (
@@ -7,6 +16,7 @@ import (
 	hds "repro"
 	"repro/internal/check"
 	"repro/internal/fd"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -18,177 +28,102 @@ import (
 // it was recorded. A verification failure is returned as an error, with
 // the same message the live checkers would have produced.
 func Verify(m *trace.Meta, src trace.EventSource, w io.Writer) error {
-	sc, err := BuildScenario(m)
+	sc, err := scenario.Resolve(m)
 	if err != nil {
 		return err
 	}
-	switch m.Algo {
-	case "fig8", "fig9", "fig9-anon":
-		return verifyConsensus(sc, src, w)
+	WriteHeader(w, sc)
+	var res scenario.Result
+	switch sc.Algo {
 	case "ohp":
-		return verifyOHP(sc, src, w)
+		res.OHP, err = verifyOHP(sc, src)
 	case "heartbeat":
-		return verifyHeartbeat(sc, src, w)
+		res.Heartbeat, err = verifyHeartbeat(sc, src)
+	default:
+		res.Consensus, err = verifyConsensus(sc, src)
 	}
-	panic("unreachable: BuildScenario validated the algorithm")
+	if err != nil {
+		return err
+	}
+	WriteReport(w, sc, res, false)
+	return nil
 }
 
-// statsOf re-aggregates the execution statistics the live recorder kept:
-// Record's counting path is the same code, so the replayed Stats agree
-// with the live ones by construction.
-type statsOf = trace.Recorder
-
-func verifyConsensus(sc *Scenario, src trace.EventSource, w io.Writer) error {
-	WriteConsensusHeader(w, sc)
-	n := sc.Meta.N
-	tracker := check.NewOutcomeTracker(n)
-	rec := &statsOf{}
-	recoveries := 0
-	if err := trace.Drain(src, func(e trace.Event) error {
+// drain feeds every event to observe and returns what the live recorder
+// and engine would have counted: Record's counting path is the same code,
+// so the replayed Stats agree with the live ones by construction.
+func drain(src trace.EventSource, observe func(trace.Event)) (stats hds.Stats, recoveries int, err error) {
+	var rec trace.Recorder
+	err = trace.Drain(src, func(e trace.Event) error {
 		rec.Record(e)
 		if e.Kind == trace.KindRecover {
 			recoveries++
 		}
-		tracker.Observe(e)
+		observe(e)
 		return nil
-	}); err != nil {
-		return err
+	})
+	return rec.Stats(), recoveries, err
+}
+
+func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.ConsensusResult, error) {
+	n := sc.IDs.N()
+	tracker := check.NewOutcomeTracker(n)
+	stats, recoveries, err := drain(src, tracker.Observe)
+	if err != nil {
+		return hds.ConsensusResult{}, err
 	}
 	if err := tracker.Err(); err != nil {
-		return err
+		return hds.ConsensusResult{}, err
 	}
-
-	proposals := hds.DefaultProposals(n)
-	outcomes := tracker.Outcomes()
-	var churn *ChurnInfo
-	var rep hds.Report
-	if sc.Churn.Fraction > 0 {
-		_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
-		if err != nil {
-			return err
-		}
-		if rep, err = check.ConsensusChurn(truth, proposals, outcomes); err != nil {
-			return err
-		}
-		churn = &ChurnInfo{
-			EventuallyUp: len(truth.EventuallyUp()),
-			Correct:      len(truth.Correct()),
-			Recoveries:   recoveries,
-			LastChange:   truth.LastChange(),
-		}
-		if rep.LastDecision > churn.LastChange {
-			churn.DecideAfterChurn = rep.LastDecision - churn.LastChange
-		}
-	} else {
-		truth := fd.NewGroundTruth(sc.IDs, sc.Crashes)
-		var err error
-		if rep, err = check.Consensus(truth, proposals, outcomes); err != nil {
-			return err
-		}
+	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
+	if err != nil {
+		return hds.ConsensusResult{}, err
 	}
-	WriteConsensusBlock(w, n, rep, churn, rec.Stats())
-	return nil
+	res, err := hds.VerifyConsensus(truth, sc.Churn.Fraction > 0, hds.DefaultProposals(n), tracker.Outcomes())
+	res.Stats, res.Recoveries = stats, recoveries
+	return res, err
 }
 
-func verifyOHP(sc *Scenario, src trace.EventSource, w io.Writer) error {
-	WriteOHPHeader(w, sc)
-	n := sc.Meta.N
+func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.OHPResult, error) {
+	n := sc.IDs.N()
 	trusted := fd.NewTrustedReplayer(n)
 	leader := fd.NewLeaderReplayer(n)
-	rec := &statsOf{}
-	recoveries := 0
-	if err := trace.Drain(src, func(e trace.Event) error {
-		rec.Record(e)
-		if e.Kind == trace.KindRecover {
-			recoveries++
-		}
+	stats, recoveries, err := drain(src, func(e trace.Event) {
 		trusted.Observe(e)
 		leader.Observe(e)
-		return nil
-	}); err != nil {
-		return err
+	})
+	if err != nil {
+		return hds.OHPResult{}, err
 	}
 	if err := trusted.Err(); err != nil {
-		return err
+		return hds.OHPResult{}, err
 	}
 	if err := leader.Err(); err != nil {
-		return err
+		return hds.OHPResult{}, err
 	}
-
-	if sc.Churn.Fraction > 0 {
-		_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, nil, sc.Horizon)
-		if err != nil {
-			return err
-		}
-		resT, err := fd.CheckDiamondHPbar(truth, trusted.Probe())
-		if err != nil {
-			return err
-		}
-		resL, err := fd.CheckHOmega(truth, leader.Probe())
-		if err != nil {
-			return err
-		}
-		res := hds.ChurnOHPResult{
-			LastChange:    truth.LastChange(),
-			TrustedRestab: resT.StabilizationTime,
-			LeaderRestab:  resL.StabilizationTime,
-			EventuallyUp:  len(truth.EventuallyUp()),
-			Correct:       len(truth.Correct()),
-			Recoveries:    recoveries,
-			Stats:         rec.Stats(),
-		}
-		if up := truth.EventuallyUp(); len(up) > 0 {
-			res.Leader, _ = leader.Probe().Last(up[0])
-		}
-		WriteChurnOHPBlock(w, n, res)
-		return nil
-	}
-
-	truth := fd.NewGroundTruth(sc.IDs, sc.Crashes)
-	resT, err := fd.CheckDiamondHPbar(truth, trusted.Probe())
+	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
 	if err != nil {
-		return err
+		return hds.OHPResult{}, err
 	}
-	resL, err := fd.CheckHOmega(truth, leader.Probe())
-	if err != nil {
-		return err
-	}
-	res := hds.OHPResult{
-		TrustedStabilization: resT.StabilizationTime,
-		LeaderStabilization:  resL.StabilizationTime,
-		Stats:                rec.Stats(),
-	}
-	if correct := truth.Correct(); len(correct) > 0 {
-		res.Leader, _ = leader.Probe().Last(correct[0])
-	}
-	WriteOHPBlock(w, res)
-	return nil
+	res, err := hds.VerifyOHP(truth, trusted.Probe(), leader.Probe())
+	res.Stats, res.Recoveries = stats, recoveries
+	return res, err
 }
 
-func verifyHeartbeat(sc *Scenario, src trace.EventSource, w io.Writer) error {
-	WriteHeartbeatHeader(w, sc)
-	n := sc.Meta.N
+func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.HeartbeatResult, error) {
+	n := sc.IDs.N()
 	heard := make([]int, n)
-	rec := &statsOf{}
-	recoveries := 0
-	if err := trace.Drain(src, func(e trace.Event) error {
-		rec.Record(e)
-		switch e.Kind {
-		case trace.KindDeliver:
-			if e.PID >= 0 && e.PID < n {
-				heard[e.PID]++
-			}
-		case trace.KindRecover:
-			recoveries++
+	stats, recoveries, err := drain(src, func(e trace.Event) {
+		if e.Kind == trace.KindDeliver && e.PID >= 0 && e.PID < n {
+			heard[e.PID]++
 		}
-		return nil
-	}); err != nil {
-		return err
+	})
+	if err != nil {
+		return hds.HeartbeatResult{}, err
 	}
-
 	schedule, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, nil, sc.Horizon)
 	if err != nil {
-		return err
+		return hds.HeartbeatResult{}, err
 	}
 	want := 0
 	for _, ev := range schedule {
@@ -197,19 +132,17 @@ func verifyHeartbeat(sc *Scenario, src trace.EventSource, w io.Writer) error {
 		}
 	}
 	if recoveries != want {
-		return fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", recoveries, want)
+		return hds.HeartbeatResult{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", recoveries, want)
 	}
 	for _, p := range truth.EventuallyUp() {
 		if heard[p] == 0 {
-			return fmt.Errorf("hds: eventually-up process %d heard no beats", p)
+			return hds.HeartbeatResult{}, fmt.Errorf("hds: eventually-up process %d heard no beats", p)
 		}
 	}
-	res := hds.HeartbeatResult{
+	return hds.HeartbeatResult{
 		EventuallyUp: len(truth.EventuallyUp()),
 		Correct:      len(truth.Correct()),
 		Recoveries:   recoveries,
-		Stats:        rec.Stats(),
-	}
-	WriteHeartbeatBlock(w, n, res, false)
-	return nil
+		Stats:        stats,
+	}, nil
 }

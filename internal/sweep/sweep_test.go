@@ -257,7 +257,7 @@ func (p *pollster) OnTimer(tag int) {
 func TestChurnHeavyTailSweepDeterminism(t *testing.T) {
 	scenarios := []func() string{
 		func() string { // Figure 6 detector under churn
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
+			res, err := hds.RunOHP(hds.OHPExperiment{
 				IDs:   ident.Balanced(12, 4),
 				Churn: hds.ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
 				Seed:  1, Horizon: 2000,
@@ -284,7 +284,7 @@ func TestChurnHeavyTailSweepDeterminism(t *testing.T) {
 			return fmt.Sprintf("hb-1000 %+v %v", res, err)
 		},
 		func() string { // consensus under churn: Fig. 8 with the rejoin protocol
-			res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
+			res, err := hds.RunFig8(hds.Fig8Experiment{
 				IDs: ident.Balanced(5, 2), T: 2,
 				Churn: hds.ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
 				Net:   sim.Async{MaxDelay: 8}, Seed: 4,
@@ -292,7 +292,7 @@ func TestChurnHeavyTailSweepDeterminism(t *testing.T) {
 			return fmt.Sprintf("churn-fig8 %+v %v", res, err)
 		},
 		func() string { // consensus under churn: Fig. 9, final-down churners
-			res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
+			res, err := hds.RunFig9(hds.Fig9Experiment{
 				IDs:   ident.Balanced(6, 3),
 				Churn: hds.ChurnSpec{Fraction: 0.34, Cycles: 2, Start: 2, Down: 30, Up: 40, FinalDown: true},
 				Net:   sim.Async{MaxDelay: 8}, Seed: 5,
