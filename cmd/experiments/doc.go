@@ -15,4 +15,10 @@
 //
 //	go run ./cmd/experiments -only E18 -shards 4 -shard 0 -checkpoint-dir ckpt   # × 4, in parallel
 //	go run ./cmd/experiments -only E18 -shards 4 -checkpoint-dir ckpt -resume    # verify + merge
+//
+// -cpuprofile FILE and -memprofile FILE write a CPU profile of the table
+// runs and a heap profile taken when they end, for go tool pprof; the
+// tables on stdout are the same with or without them:
+//
+//	go run ./cmd/experiments -only E21 -workers 1 -cpuprofile e21.pprof > /dev/null
 package main

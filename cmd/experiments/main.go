@@ -16,6 +16,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E6,E9); default all")
 	workers := flag.Int("workers", 0, "scenario parallelism (0 = all cores, 1 = serial); output is identical either way")
 	campaignCfg := cliutil.CampaignFlags(flag.CommandLine)
+	startProfiles := cliutil.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 	sweep.SetDefaultWorkers(*workers)
 
@@ -31,7 +32,14 @@ func main() {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
 	tables, err := experiments.Tables(ids)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,6 +74,11 @@
 // memory. See also cmd/tracediff for localizing the first divergent
 // event between two recorded traces.
 //
+// -cpuprofile FILE and -memprofile FILE write a CPU profile of the run and
+// a heap profile taken when it ends, for go tool pprof. They are side
+// outputs: stdout, the trace and every digest are the same with or
+// without them.
+//
 // With -seeds k > 1 the same scenario is swept over k consecutive seeds in
 // parallel across all cores (deterministically: the report is identical
 // for any -workers value), and per-seed rows plus aggregates are printed:

@@ -53,16 +53,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&tr.buf, "trace-buf", 0, "trace spill batch size in events (0 = default 4096)")
 	fs.StringVar(&tr.format, "trace-format", "text", "trace encoding: text (canonical lines) or binary (compact varint stream, decode with trace.ReadBinary)")
 	campaignFlags := cliutil.CampaignFlags(fs)
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	sweep.SetDefaultWorkers(*workers)
 
-	var err error
-	if *replayPath != "" {
-		err = runReplay(*replayPath, stdout)
-	} else {
-		err = runLive(m, *seeds, &tr, campaignFlags, stdout)
+	stopProfiles, err := startProfiles()
+	if err == nil {
+		if *replayPath != "" {
+			err = runReplay(*replayPath, stdout)
+		} else {
+			err = runLive(m, *seeds, &tr, campaignFlags, stdout)
+		}
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "hdsim:", err)

@@ -112,6 +112,23 @@ func TestGoldenTextTrace(t *testing.T) {
 	checkGolden(t, "text_trace", out+fmt.Sprintf("trace sha256 %x\n", sha256.Sum256(data)))
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
+// file behind and change nothing on stdout.
+func TestProfileFlags(t *testing.T) {
+	tmp := t.TempDir()
+	args := strings.Fields(grid[0].args)
+	plain := hdsim(t, tmp, args...)
+	cpu, mem := filepath.Join(tmp, "cpu.pprof"), filepath.Join(tmp, "mem.pprof")
+	if got := hdsim(t, tmp, append(args, "-cpuprofile", cpu, "-memprofile", mem)...); got != plain {
+		t.Errorf("stdout changed under the profile flags:\n--- plain ---\n%s--- profiled ---\n%s", plain, got)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestRejectsBeforeOutput is the fail-closed contract of the command line:
 // every value scenario.Resolve rejects exits 1 with a named error before a
 // header is printed and before the -trace file is created or truncated.

@@ -41,6 +41,11 @@
 //     produce (Config.EagerFanout retains the eager path as a
 //     differential oracle). The queue high-water mark (MaxQueueLen)
 //     therefore tracks live broadcasts, not n² copies in flight;
+//   - every copy's fate is computed once, by the send-time scan, which
+//     writes it into a per-broadcast fate table of one byte per recipient
+//     that the waves read back; the tables of all in-flight broadcasts
+//     are held to a fixed budget, past which a broadcast recomputes its
+//     fates per wave instead (see fanout.go);
 //   - all fan-out copies of one broadcast share a single refcounted slot in
 //     the engine's payload table (freed to a freelist when the last copy
 //     pops), instead of carrying the boxed payload once per copy;

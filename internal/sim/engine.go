@@ -171,6 +171,13 @@ func (k schedKey) after(o schedKey) bool {
 	return k.t > o.t || (k.t == o.t && k.seq > o.seq)
 }
 
+// latest keeps the later of *k and o.
+func (k *schedKey) latest(o schedKey) {
+	if !k.set || o.after(*k) {
+		*k = o
+	}
+}
+
 // Engine runs one execution. Create it with New, attach processes with
 // AddProcess, optionally schedule crashes, then Run. Engines are not safe
 // for concurrent use; all determinism comes from the single event queue.
@@ -202,24 +209,17 @@ type Engine struct {
 	// everCrashed[p] is sticky: recovery clears crashed[p] but never this.
 	// CorrectSet ("correct = never crashes") keys off it.
 	everCrashed []bool
-	// pendingCrash[p] counts evCrash events for p still in the queue, so
-	// CorrectSet is O(n) instead of rescanning the queue per call.
-	pendingCrash []int
-	// lastCrash/lastRecover hold the (time, seq) of the latest scheduled or
-	// executed crash/recover per process; EventuallyUpSet compares them to
-	// decide a process's final state without rescanning the queue.
-	lastCrash   []schedKey
-	lastRecover []schedKey
-	// partialCrash[p], when set, makes p's next broadcast at or after the
-	// stored time partial: each copy is delivered independently with the
-	// stored probability, then p crashes. Quiescence disarms unfired arms:
-	// a process that never broadcasts after `after` never crashes.
-	partialCrash []*partialCrash
-	afterEvent   []func(now Time, p PID)
-	processed    int
-	recoveries   int
-	started      bool
-	stopped      StopReason
+	// faults holds the fault bookkeeping of the processes that ever had a
+	// crash, recovery or partial crash scheduled — typically a small share
+	// of a large population — and faultIdx[p] is p's index in it plus one,
+	// 0 for a process with no record. See fault and faultFor.
+	faultIdx   []int32
+	faults     []faultRec
+	afterEvent []func(now Time, p PID)
+	processed  int
+	recoveries int
+	started    bool
+	stopped    StopReason
 	// Lazy fan-out state (fanout.go). fanSrc/fanRand are the engine's one
 	// reusable per-copy fate stream; fanouts/freeFans the record table and
 	// its freelist; bcasts keys fate streams; perLink/linkNet cache the
@@ -231,6 +231,14 @@ type Engine struct {
 	bcasts   uint64
 	perLink  bool
 	linkNet  LinkModel
+	// Fate tables (fanout.go): freeFates is their freelist, fateBytes the
+	// bytes handed out to in-flight broadcasts right now, fateBudget the
+	// bound on it (fateTableBudget; a field only so tests can force the
+	// rescan fallback). fateEvals counts copyFate calls.
+	freeFates  [][]byte
+	fateBytes  int
+	fateBudget int
+	fateEvals  uint64
 	// done is the active RunUntil predicate, visible to deliverWave so a
 	// wave can stop between copies exactly as the eager path stops between
 	// events.
@@ -248,6 +256,42 @@ type Engine struct {
 type partialCrash struct {
 	after       Time
 	deliverProb float64
+}
+
+// faultRec is one process's fault bookkeeping.
+type faultRec struct {
+	// pendingCrash counts the process's evCrash events still in the queue,
+	// so CorrectSet is O(n) instead of rescanning the queue per call.
+	pendingCrash int
+	// lastCrash/lastRecover hold the (time, seq) of the latest scheduled or
+	// executed crash/recover; EventuallyUpSet compares them to decide the
+	// process's final state without rescanning the queue.
+	lastCrash   schedKey
+	lastRecover schedKey
+	// partial, when set, makes the process's next broadcast at or after the
+	// stored time partial: each copy is delivered independently with the
+	// stored probability, then the process crashes. Quiescence disarms
+	// unfired arms: a process that never broadcasts after `after` never
+	// crashes.
+	partial *partialCrash
+}
+
+// fault returns p's fault record, or nil if nothing was ever scheduled for
+// p. The pointer is into e.faults: use it before the next faultFor.
+func (e *Engine) fault(p PID) *faultRec {
+	if i := e.faultIdx[p]; i > 0 {
+		return &e.faults[i-1]
+	}
+	return nil
+}
+
+// faultFor returns p's fault record, creating it on first use.
+func (e *Engine) faultFor(p PID) *faultRec {
+	if e.faultIdx[p] == 0 {
+		e.faults = append(e.faults, faultRec{})
+		e.faultIdx[p] = int32(len(e.faults))
+	}
+	return &e.faults[e.faultIdx[p]-1]
 }
 
 // Recoverer is implemented by processes that restart activity after a
@@ -274,17 +318,17 @@ func New(cfg Config) *Engine {
 	}
 	n := cfg.IDs.N()
 	e := &Engine{
-		cfg:          cfg,
-		ids:          cfg.IDs,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		rec:          cfg.Recorder,
-		crashed:      make([]bool, n),
-		everCrashed:  make([]bool, n),
-		pendingCrash: make([]int, n),
-		lastCrash:    make([]schedKey, n),
-		lastRecover:  make([]schedKey, n),
-		partialCrash: make([]*partialCrash, n),
-		curSeq:       -1,
+		cfg:         cfg,
+		ids:         cfg.IDs,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rec:         cfg.Recorder,
+		procs:       make([]Process, 0, n),
+		envs:        make([]*Env, 0, n),
+		crashed:     make([]bool, n),
+		everCrashed: make([]bool, n),
+		faultIdx:    make([]int32, n),
+		curSeq:      -1,
+		fateBudget:  fateTableBudget,
 	}
 	e.fanRand = rand.New(&e.fanSrc)
 	e.linkNet, e.perLink = cfg.Net.(LinkModel)
@@ -325,10 +369,9 @@ func (e *Engine) CrashAt(p PID, t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	e.pendingCrash[p]++
-	if k := (schedKey{t: t, seq: int64(e.seq), set: true}); k.after(e.lastCrash[p]) || !e.lastCrash[p].set {
-		e.lastCrash[p] = k
-	}
+	f := e.faultFor(p)
+	f.pendingCrash++
+	f.lastCrash.latest(schedKey{t: t, seq: int64(e.seq), set: true})
 	e.push(event{time: t, kind: evCrash, pid: int32(p)})
 }
 
@@ -359,9 +402,7 @@ func (e *Engine) RecoverAt(p PID, t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	if k := (schedKey{t: t, seq: int64(e.seq), set: true}); k.after(e.lastRecover[p]) || !e.lastRecover[p].set {
-		e.lastRecover[p] = k
-	}
+	e.faultFor(p).lastRecover.latest(schedKey{t: t, seq: int64(e.seq), set: true})
 	e.push(event{time: t, kind: evRecover, pid: int32(p)})
 }
 
@@ -370,7 +411,7 @@ func (e *Engine) RecoverAt(p PID, t Time) {
 // independently with probability deliverProb (the "arbitrary subset" of the
 // model), and p is crashed immediately afterwards.
 func (e *Engine) CrashDuringBroadcast(p PID, after Time, deliverProb float64) {
-	e.partialCrash[p] = &partialCrash{after: after, deliverProb: deliverProb}
+	e.faultFor(p).partial = &partialCrash{after: after, deliverProb: deliverProb}
 }
 
 // Crashed reports whether p is down right now (crashed and not yet
@@ -391,7 +432,8 @@ func (e *Engine) Recoveries() int { return e.recoveries }
 // an armed process that never broadcast after `after` never crashes and is
 // disarmed (and correct) from that point on.
 func (e *Engine) correct(p PID) bool {
-	return !e.everCrashed[p] && e.pendingCrash[p] == 0 && e.partialCrash[p] == nil
+	f := e.fault(p)
+	return f == nil || (!e.everCrashed[p] && f.pendingCrash == 0 && f.partial == nil)
 }
 
 // CorrectSet returns the indexes of processes that never crash — the
@@ -401,9 +443,22 @@ func (e *Engine) correct(p PID) bool {
 // crash-recovery schedules a process that crashes and recovers is NOT
 // correct in this strict sense; see EventuallyUpSet for the weaker class.
 func (e *Engine) CorrectSet() []PID {
+	return e.pidsWhere(e.correct)
+}
+
+// pidsWhere returns the processes that satisfy keep, in index order, or nil
+// if none does. Nearly every process satisfies the two predicates it
+// serves, so the result is allocated once, at the first hit, with room for
+// all the processes after it, instead of grown by doubling — at n = 50,000
+// the difference is a megabyte of garbage at the moment a run's memory
+// peaks.
+func (e *Engine) pidsWhere(keep func(PID) bool) []PID {
 	var out []PID
 	for p := range e.crashed {
-		if e.correct(PID(p)) {
+		if keep(PID(p)) {
+			if out == nil {
+				out = make([]PID, 0, len(e.crashed)-p)
+			}
 			out = append(out, PID(p))
 		}
 	}
@@ -417,22 +472,15 @@ func (e *Engine) CorrectSet() []PID {
 // under churn are stated relative to this set — a detector can only
 // converge to the processes that are eventually permanently up.
 func (e *Engine) EventuallyUpSet() []PID {
-	var out []PID
-	for p := range e.crashed {
-		if e.correct(PID(p)) {
-			out = append(out, PID(p))
-			continue
+	return e.pidsWhere(func(p PID) bool {
+		if e.correct(p) {
+			return true
 		}
-		if e.partialCrash[p] != nil {
-			// A live arm is a crash with an unknowable future time: it
-			// outranks any already-scheduled recovery.
-			continue
-		}
-		if e.lastRecover[p].set && e.lastRecover[p].after(e.lastCrash[p]) {
-			out = append(out, PID(p))
-		}
-	}
-	return out
+		// A live arm is a crash with an unknowable future time: it outranks
+		// any already-scheduled recovery.
+		f := e.fault(p)
+		return f.partial == nil && f.lastRecover.set && f.lastRecover.after(f.lastCrash)
+	})
 }
 
 // CorrectIDs returns I(Correct), the multiset of identifiers of correct
@@ -464,6 +512,12 @@ func (e *Engine) Processed() int { return e.processed }
 // measurable witness that population size is no longer a memory dimension;
 // the population-scaling experiment reports it per row.
 func (e *Engine) MaxQueueLen() int { return e.maxQueue }
+
+// FateEvals returns how many copy fates the engine has computed so far —
+// one per copy when every broadcast carried a fate table, one per copy per
+// wave for those that did not. It is a deterministic function of the
+// configuration, like every other counter here.
+func (e *Engine) FateEvals() uint64 { return e.fateEvals }
 
 // Stopped reports why the most recent Run/RunUntil call returned. Callers
 // must check for StopMaxEvents before trusting a run's results: the guard
@@ -505,10 +559,8 @@ func (e *Engine) RunUntil(until Time, done func() bool) int {
 		// will ever broadcast again — unfired CrashDuringBroadcast arms can
 		// never fire. Disarm them: a process that never broadcasts after
 		// `after` never crashes, and belongs in the Correct set.
-		for p, pc := range e.partialCrash {
-			if pc != nil {
-				e.partialCrash[p] = nil
-			}
+		for i := range e.faults {
+			e.faults[i].partial = nil
 		}
 	}
 	return e.processed - startProcessed
@@ -553,7 +605,7 @@ func (e *Engine) step() StopReason {
 	pid := PID(ev.pid)
 	switch ev.kind {
 	case evCrash:
-		e.pendingCrash[pid]--
+		e.fault(pid).pendingCrash--
 		if !e.crashed[pid] {
 			e.crashed[pid] = true
 			e.everCrashed[pid] = true
@@ -637,11 +689,11 @@ func (e *Engine) broadcast(from PID, payload any) {
 	if e.crashed[from] {
 		return
 	}
-	pc := e.partialCrash[from]
-	partial := pc != nil && e.now >= pc.after
+	flt := e.fault(from)
+	partial := flt != nil && flt.partial != nil && e.now >= flt.partial.after
 	prob := 0.0
 	if partial {
-		prob = pc.deliverProb
+		prob = flt.partial.deliverProb
 	}
 	var tag string
 	if e.rec != nil {
@@ -655,8 +707,11 @@ func (e *Engine) broadcast(from PID, payload any) {
 	if e.cfg.EagerFanout {
 		e.broadcastEager(key, from, payload, partial, prob, tag)
 	} else {
-		scheduled, minDelay, firstK := e.fanoutScan(key, from, partial, prob, tag)
-		if scheduled > 0 {
+		fates := e.allocFates()
+		scheduled, minDelay, firstK := e.fanoutScan(key, from, partial, prob, tag, fates)
+		if scheduled == 0 {
+			e.freeFateTable(fates)
+		} else {
 			baseSeq := e.seq
 			e.seq += uint64(scheduled)
 			idx := e.allocFanout(fanoutRec{
@@ -667,22 +722,21 @@ func (e *Engine) broadcast(from PID, payload any) {
 				from:    int32(from),
 				partial: partial,
 				prob:    prob,
+				fates:   fates,
 				delay:   minDelay,
 			})
 			e.requeue(event{time: e.now + minDelay, seq: baseSeq + uint64(firstK), kind: evFanout, pid: int32(from), arg: idx})
 		}
 	}
 	if partial {
-		e.partialCrash[from] = nil
+		flt.partial = nil
 		e.crashed[from] = true
 		e.everCrashed[from] = true
 		// The crash happens during the event being processed: key it by the
 		// current event's (time, seq) so recoveries scheduled at the same
 		// instant order against it exactly as the queue will pop them. A
 		// crash scheduled even later (CrashAt) keeps precedence.
-		if k := (schedKey{t: e.now, seq: e.curSeq, set: true}); k.after(e.lastCrash[from]) || !e.lastCrash[from].set {
-			e.lastCrash[from] = k
-		}
+		flt.lastCrash.latest(schedKey{t: e.now, seq: e.curSeq, set: true})
 		if e.rec != nil {
 			e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindCrash, PID: int(from), Detail: "mid-broadcast"})
 		}

@@ -30,11 +30,18 @@ package sim
 // to the eager expansion's. The eager path is retained behind
 // Config.EagerFanout as the differential oracle for exactly that claim.
 //
-// Cost: a broadcast is Θ(n · waves) recipient-fate evaluations instead of
-// n heap pushes and pops, where waves is the number of distinct delay
-// values the model produces (bounded by the delay range, e.g. ≤ 10 for
-// Async{MaxDelay: 10} — independent of n). Memory per in-flight broadcast
-// drops from Θ(n) queue entries to one entry plus one fanout record.
+// Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is the
+// only place a fate is computed — plus Θ(n · waves) byte reads, where
+// waves is the number of distinct delay values the model produces (bounded
+// by the delay range, e.g. ≤ 10 for Async{MaxDelay: 10} — independent of
+// n). The scan writes each fate into a per-broadcast fate table, one byte
+// per recipient, and every wave reads the table instead of re-deriving the
+// fates. Memory per in-flight broadcast is one queue entry, one fanout
+// record and Θ(n) table bytes, the last only while the engine's live
+// tables stay under fateTableBudget: a broadcast sent over budget carries
+// no table and its waves rescan — Θ(n · waves) fate evaluations, no bytes
+// — so however many broadcasts are in flight, population size is never a
+// memory dimension beyond that fixed budget.
 
 import (
 	"math/rand"
@@ -112,6 +119,7 @@ const (
 // copy, any number of times, in any order. Delays are clamped to >= 1
 // exactly as the eager path clamps them.
 func (e *Engine) copyFate(key uint64, sent Time, from int32, partial bool, prob float64, to int) (Time, fateStatus) {
+	e.fateEvals++
 	e.fanSrc.state = fateSeed(key, to)
 	r := e.fanRand
 	if partial && r.Float64() >= prob {
@@ -133,8 +141,24 @@ func (e *Engine) copyFate(key uint64, sent Time, from int32, partial bool, prob 
 	return d, fateDeliver
 }
 
+// A fate table holds one byte per recipient of one in-flight broadcast,
+// written by fanoutScan and read by every wave: fateNone for a recipient
+// that gets no copy (lost, or dropped by the sender's partial crash), the
+// fate delay itself when it is below fateLate, and fateLate for any longer
+// delay, which the wave recomputes through copyFate (pure, so the answer is
+// the one the scan saw).
+const (
+	fateNone = 0
+	fateLate = 255
+	// fateTableBudget bounds the table bytes live in one engine at any
+	// instant. It covers the largest checked-in scenario (n = 50,000 with
+	// 100 broadcasts in flight: 4.8 MiB); beyond it broadcasts go without a
+	// table, so a dense run at n = 20,000 cannot allocate n² bytes.
+	fateTableBudget = 8 << 20
+)
+
 // fanoutRec is the per-in-flight-broadcast state of the lazy path. The
-// first six fields are fixed at broadcast time; delay/resumeI advance as
+// first seven fields are fixed at broadcast time; delay/resumeI advance as
 // waves complete. Records are recycled through a freelist, so at steady
 // state broadcasting allocates nothing here.
 type fanoutRec struct {
@@ -145,12 +169,42 @@ type fanoutRec struct {
 	from    int32   // sender, for LinkModel fates
 	partial bool    // CrashDuringBroadcast was armed for this broadcast
 	prob    float64 // partial-crash per-copy deliver probability
+	// fates is the broadcast's fate table, nil when it was sent over
+	// budget: its waves then recompute every fate.
+	fates []byte
 	// delay is the current wave: copies whose fate delay equals it are
 	// delivered when the wave entry pops.
 	delay Time
 	// resumeI is the recipient index delivery resumes at within the
 	// current wave, after a mid-wave MaxEvents or predicate stop.
 	resumeI int32
+}
+
+// allocFates hands out a fate table for a broadcast about to be scanned,
+// or nil when another table would take the engine's live table bytes over
+// the budget. Tables all have one length, n, and are recycled through a
+// freelist: a new one is allocated only when the freelist is empty, so
+// live plus free bytes never exceed the budget either, and at steady state
+// broadcasting allocates nothing here.
+func (e *Engine) allocFates() []byte {
+	n := len(e.procs)
+	if e.fateBytes+n > e.fateBudget {
+		return nil
+	}
+	e.fateBytes += n
+	if k := len(e.freeFates); k > 0 {
+		tab := e.freeFates[k-1]
+		e.freeFates = e.freeFates[:k-1]
+		return tab
+	}
+	return make([]byte, n)
+}
+
+func (e *Engine) freeFateTable(tab []byte) {
+	if tab != nil {
+		e.fateBytes -= len(tab)
+		e.freeFates = append(e.freeFates, tab)
+	}
 }
 
 // allocFanout stores a record and returns its index.
@@ -174,12 +228,15 @@ func (e *Engine) freeFanout(idx int32) {
 // records the loss/partial-crash drop traces (at the broadcast instant,
 // exactly as the eager path does), counts the scheduled copies, and finds
 // the first wave — the minimum fate delay and the scheduled index of the
-// first copy carrying it. tag is the broadcast's trace tag ("" when the
+// first copy carrying it. It is the one place a copy's fate is decided:
+// every fate is written into tab (unless the broadcast got none), and the
+// waves read it back. tag is the broadcast's trace tag ("" when the
 // recorder retains nothing).
-func (e *Engine) fanoutScan(key uint64, from PID, partial bool, prob float64, tag string) (scheduled int, minDelay Time, firstK int32) {
+func (e *Engine) fanoutScan(key uint64, from PID, partial bool, prob float64, tag string, tab []byte) (scheduled int, minDelay Time, firstK int32) {
 	minDelay = -1
 	for to := range e.procs {
 		d, st := e.copyFate(key, e.now, int32(from), partial, prob, to)
+		b := byte(fateNone)
 		switch st {
 		case fatePartialDrop:
 			if e.rec != nil {
@@ -203,6 +260,13 @@ func (e *Engine) fanoutScan(key uint64, from PID, partial bool, prob float64, ta
 				firstK = int32(scheduled)
 			}
 			scheduled++
+			b = fateLate
+			if d < fateLate {
+				b = byte(d)
+			}
+		}
+		if tab != nil {
+			tab[to] = b
 		}
 	}
 	return scheduled, minDelay, firstK
@@ -210,7 +274,9 @@ func (e *Engine) fanoutScan(key uint64, from PID, partial bool, prob float64, ta
 
 // deliverWave pops one wave of a lazy broadcast: every copy whose fate
 // delay equals the record's current wave delay, in recipient order, each
-// with its reserved seq. The same pass finds the next wave (minimum fate
+// with its reserved seq. Fates are read from the record's fate table; a
+// broadcast without one (sent over budget) and the table's fateLate
+// entries recompute them. The same pass finds the next wave (minimum fate
 // delay beyond the current one); the entry is re-pushed at that wave's
 // time, or the record retires. Mid-wave stops (the MaxEvents guard, a
 // RunUntil predicate) re-push the entry keyed by the seq of the first
@@ -231,9 +297,22 @@ func (e *Engine) deliverWave(ev event) StopReason {
 	var nextFirstK int32
 	k := int32(0)
 	for to := range e.procs {
-		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
-		if st != fateDeliver {
-			continue
+		var d Time
+		if f.fates != nil {
+			b := f.fates[to]
+			if b == fateNone {
+				continue
+			}
+			d = Time(b)
+			if b == fateLate {
+				d, _ = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			}
+		} else {
+			var st fateStatus
+			d, st = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			if st != fateDeliver {
+				continue
+			}
 		}
 		ck := k
 		k++
@@ -279,6 +358,7 @@ func (e *Engine) deliverWave(ev event) StopReason {
 		e.requeue(event{time: f.sent + nextDelay, seq: f.baseSeq + uint64(nextFirstK), kind: evFanout, pid: ev.pid, arg: idx})
 	default:
 		e.freeSlot(f.slot)
+		e.freeFateTable(f.fates)
 		e.freeFanout(idx)
 	}
 	return stop

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
@@ -51,91 +52,123 @@ func buildFanEngine(n int, net Model, seed int64, eager bool, maxEvents int) (*E
 	return eng, rec
 }
 
-// runPair runs the same scenario through the lazy path and the eager
-// oracle and returns both (engine, recorder) pairs after identical Run
-// calls driven by the caller.
-func runPair(t *testing.T, n int, net Model, seed int64, maxEvents int, drive func(e *Engine)) (lazy, eager *Engine, lazyRec, eagerRec *trace.Recorder) {
-	t.Helper()
-	lazy, lazyRec = buildFanEngine(n, net, seed, false, maxEvents)
-	eager, eagerRec = buildFanEngine(n, net, seed, true, maxEvents)
-	drive(lazy)
-	drive(eager)
-	return lazy, eager, lazyRec, eagerRec
+// fanRun is one finished run of a fan-out differential.
+type fanRun struct {
+	mode string
+	eng  *Engine
+	rec  *trace.Recorder
 }
 
-// requireIdentical asserts the two runs are byte-identical in trace and
-// equal in every observable the engine exposes.
-func requireIdentical(t *testing.T, lazy, eager *Engine, lazyRec, eagerRec *trace.Recorder) {
+// runModes runs the same scenario through the three expansions that must
+// agree — the eager oracle, the lazy path with fate tables, and the lazy
+// path with the table budget forced to zero so every wave rescans — each
+// driven by the same Run calls.
+func runModes(n int, net Model, seed int64, maxEvents int, drive func(e *Engine)) []fanRun {
+	runs := []fanRun{{mode: "eager"}, {mode: "tabled"}, {mode: "rescan"}}
+	for i := range runs {
+		r := &runs[i]
+		r.eng, r.rec = buildFanEngine(n, net, seed, r.mode == "eager", maxEvents)
+		if r.mode == "rescan" {
+			r.eng.fateBudget = 0
+		}
+		drive(r.eng)
+	}
+	return runs
+}
+
+// requireIdentical asserts that every run is byte-identical in trace to the
+// first and equal to it in every observable the engine exposes.
+func requireIdentical(t *testing.T, runs []fanRun) {
 	t.Helper()
-	var lb, eb bytes.Buffer
-	if err := trace.WriteText(&lb, lazyRec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteText(&eb, eagerRec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb.Bytes(), eb.Bytes()) {
-		ll, el := lb.Bytes(), eb.Bytes()
-		i := 0
-		for i < len(ll) && i < len(el) && ll[i] == el[i] {
-			i++
+	render := func(r fanRun) []byte {
+		var b bytes.Buffer
+		if err := trace.WriteText(&b, r.rec.Events()); err != nil {
+			t.Fatal(err)
 		}
-		lo := i - 120
-		if lo < 0 {
-			lo = 0
+		return b.Bytes()
+	}
+	want := runs[0]
+	wantTrace := render(want)
+	for _, got := range runs[1:] {
+		if gotTrace := render(got); !bytes.Equal(gotTrace, wantTrace) {
+			i := 0
+			for i < len(gotTrace) && i < len(wantTrace) && gotTrace[i] == wantTrace[i] {
+				i++
+			}
+			lo := max(i-120, 0)
+			t.Fatalf("%s and %s traces diverge at byte %d:\n%s: ...%q\n%s: ...%q", got.mode, want.mode, i,
+				got.mode, string(gotTrace[lo:min(i+120, len(gotTrace))]), want.mode, string(wantTrace[lo:min(i+120, len(wantTrace))]))
 		}
-		t.Fatalf("lazy and eager traces diverge at byte %d:\nlazy:  ...%q\neager: ...%q",
-			i, string(ll[lo:min(i+120, len(ll))]), string(el[lo:min(i+120, len(el))]))
-	}
-	if ls, es := fmt.Sprintf("%+v", lazyRec.Stats()), fmt.Sprintf("%+v", eagerRec.Stats()); ls != es {
-		t.Errorf("stats diverge:\nlazy:  %s\neager: %s", ls, es)
-	}
-	if lazy.Processed() != eager.Processed() {
-		t.Errorf("processed: lazy %d, eager %d", lazy.Processed(), eager.Processed())
-	}
-	if lazy.Stopped() != eager.Stopped() {
-		t.Errorf("stopped: lazy %v, eager %v", lazy.Stopped(), eager.Stopped())
-	}
-	if lazy.Now() != eager.Now() {
-		t.Errorf("now: lazy %d, eager %d", lazy.Now(), eager.Now())
-	}
-	if l, e := fmt.Sprint(lazy.CorrectSet()), fmt.Sprint(eager.CorrectSet()); l != e {
-		t.Errorf("correct set: lazy %s, eager %s", l, e)
-	}
-	if l, e := fmt.Sprint(lazy.EventuallyUpSet()), fmt.Sprint(eager.EventuallyUpSet()); l != e {
-		t.Errorf("eventually-up set: lazy %s, eager %s", l, e)
+		if g, w := fmt.Sprintf("%+v", got.rec.Stats()), fmt.Sprintf("%+v", want.rec.Stats()); g != w {
+			t.Errorf("stats diverge:\n%s: %s\n%s: %s", got.mode, g, want.mode, w)
+		}
+		if got.eng.Processed() != want.eng.Processed() {
+			t.Errorf("processed: %s %d, %s %d", got.mode, got.eng.Processed(), want.mode, want.eng.Processed())
+		}
+		if got.eng.Stopped() != want.eng.Stopped() {
+			t.Errorf("stopped: %s %v, %s %v", got.mode, got.eng.Stopped(), want.mode, want.eng.Stopped())
+		}
+		if got.eng.Now() != want.eng.Now() {
+			t.Errorf("now: %s %d, %s %d", got.mode, got.eng.Now(), want.mode, want.eng.Now())
+		}
+		if g, w := fmt.Sprint(got.eng.CorrectSet()), fmt.Sprint(want.eng.CorrectSet()); g != w {
+			t.Errorf("correct set: %s %s, %s %s", got.mode, g, want.mode, w)
+		}
+		if g, w := fmt.Sprint(got.eng.EventuallyUpSet()), fmt.Sprint(want.eng.EventuallyUpSet()); g != w {
+			t.Errorf("eventually-up set: %s %s, %s %s", got.mode, g, want.mode, w)
+		}
 	}
 }
 
 // TestLazyFanoutMatchesEager is the lazy path's differential oracle: over
 // every network model family — uniform, partially synchronous with loss,
 // deterministic, heavy-tailed, oscillating, per-link asymmetric, lossy,
-// partitioned — a
-// churn-heavy run under lazy fan-out must be byte-identical in trace (and
-// equal in all engine observables) to the same run under eager expansion.
+// partitioned — a churn-heavy run under lazy fan-out, with fate tables and
+// without, must be byte-identical in trace (and equal in all engine
+// observables) to the same run under eager expansion. The last two models
+// draw delays on both sides of the tables' one-byte range, so their late
+// waves take the recompute escape.
 func TestLazyFanoutMatchesEager(t *testing.T) {
-	nets := []Model{
-		Async{MaxDelay: 8},
-		PartialSync{GST: 30, Delta: 4, PreLoss: 0.3, PreMax: 12},
-		Timely{Delta: 3},
-		Pareto{Scale: 1, Alpha: 1.2, Cap: 40},
-		LogNormal{Median: 3, Sigma: 1, Cap: 40},
-		Alternating{Period: 15, GoodDelta: 3, BadMax: 20, BadLoss: 0.25, CalmAfter: 45},
-		AsymmetricLinks{Base: Async{MaxDelay: 5}, MaxSkew: 6},
-		Lossy{Base: Async{MaxDelay: 6}, P: 0.3},
-		Partition{Base: Async{MaxDelay: 6}, Windows: []PartitionWindow{
+	grid := []struct {
+		net     Model
+		horizon Time
+		late    bool // some delays exceed what a table byte holds
+	}{
+		{net: Async{MaxDelay: 8}, horizon: 60},
+		{net: PartialSync{GST: 30, Delta: 4, PreLoss: 0.3, PreMax: 12}, horizon: 60},
+		{net: Timely{Delta: 3}, horizon: 60},
+		{net: Pareto{Scale: 1, Alpha: 1.2, Cap: 40}, horizon: 60},
+		{net: LogNormal{Median: 3, Sigma: 1, Cap: 40}, horizon: 60},
+		{net: Alternating{Period: 15, GoodDelta: 3, BadMax: 20, BadLoss: 0.25, CalmAfter: 45}, horizon: 60},
+		{net: AsymmetricLinks{Base: Async{MaxDelay: 5}, MaxSkew: 6}, horizon: 60},
+		{net: Lossy{Base: Async{MaxDelay: 6}, P: 0.3}, horizon: 60},
+		{net: Partition{Base: Async{MaxDelay: 6}, Windows: []PartitionWindow{
 			{From: 10, To: 25, Cut: 8}, {From: 35, To: 50, Cut: 15},
-		}},
-		Partition{Base: AsymmetricLinks{Base: Async{MaxDelay: 5}, MaxSkew: 6}, Windows: []PartitionWindow{
+		}}, horizon: 60},
+		{net: Partition{Base: AsymmetricLinks{Base: Async{MaxDelay: 5}, MaxSkew: 6}, Windows: []PartitionWindow{
 			{From: 5, To: 40, Cut: 11},
-		}},
+		}}, horizon: 60},
+		{net: Pareto{Scale: 1, Alpha: 0.5, Cap: 400}, horizon: 300, late: true},
+		{net: LogNormal{Median: 30, Sigma: 1.5}, horizon: 300, late: true},
 	}
-	for _, net := range nets {
-		net := net
-		t.Run(net.String(), func(t *testing.T) {
+	for _, g := range grid {
+		t.Run(g.net.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				lazy, eager, lr, er := runPair(t, 23, net, seed, 0, func(e *Engine) { e.Run(60) })
-				requireIdentical(t, lazy, eager, lr, er)
+				runs := runModes(23, g.net, seed, 0, func(e *Engine) { e.Run(g.horizon) })
+				requireIdentical(t, runs)
+				tabled, rescan := runs[1].eng, runs[2].eng
+				if rescan.fateBytes != 0 || len(rescan.freeFates) != 0 {
+					t.Errorf("a run with no budget handed out fate tables (%d B live, %d free)", rescan.fateBytes, len(rescan.freeFates))
+				}
+				if tabled.fateBytes == 0 && len(tabled.freeFates) == 0 {
+					t.Error("the default budget handed out no fate table")
+				}
+				if tabled.FateEvals() > rescan.FateEvals() {
+					t.Errorf("fate evaluations: %d with tables, %d without", tabled.FateEvals(), rescan.FateEvals())
+				}
+				if g.late != slices.ContainsFunc(tabled.fanouts, func(f fanoutRec) bool { return bytes.IndexByte(f.fates, fateLate) >= 0 }) {
+					t.Errorf("in-flight tables holding a late entry: want %v", g.late)
+				}
 			}
 		})
 	}
@@ -149,14 +182,16 @@ func TestLazyFanoutMaxEventsMidWave(t *testing.T) {
 	// Timely puts a whole broadcast in one wave of 23 copies, so caps that
 	// are not multiples of 23 stop mid-wave.
 	for _, cap := range []int{10, 57, 100, 149} {
-		lazy, eager, lr, er := runPair(t, 23, Timely{Delta: 3}, 7, cap, func(e *Engine) { e.Run(60) })
-		if lazy.Stopped() != StopMaxEvents {
-			t.Fatalf("cap %d: lazy stopped %v, want max-events", cap, lazy.Stopped())
+		runs := runModes(23, Timely{Delta: 3}, 7, cap, func(e *Engine) { e.Run(60) })
+		for _, r := range runs[1:] {
+			if r.eng.Stopped() != StopMaxEvents {
+				t.Fatalf("cap %d: %s stopped %v, want max-events", cap, r.mode, r.eng.Stopped())
+			}
+			if r.eng.Processed() != cap {
+				t.Fatalf("cap %d: %s processed %d", cap, r.mode, r.eng.Processed())
+			}
 		}
-		if lazy.Processed() != cap {
-			t.Fatalf("cap %d: lazy processed %d", cap, lazy.Processed())
-		}
-		requireIdentical(t, lazy, eager, lr, er)
+		requireIdentical(t, runs)
 	}
 }
 
@@ -176,8 +211,112 @@ func TestLazyFanoutPredicateMidWave(t *testing.T) {
 			}
 		}
 	}
-	lazy, eager, lr, er := runPair(t, 17, Async{MaxDelay: 6}, 11, 0, stepAll)
-	requireIdentical(t, lazy, eager, lr, er)
+	requireIdentical(t, runModes(17, Async{MaxDelay: 6}, 11, 0, stepAll))
+}
+
+// TestLazyFanoutTableZeros pins the table encoding of copies that are never
+// scheduled: one broadcast over a lossy network from a sender that crashes
+// mid-broadcast leaves a zero for every lost or dropped copy, its reserved
+// seqs cover the others only, and all three expansions still agree on it.
+func TestLazyFanoutTableZeros(t *testing.T) {
+	const n = 64
+	build := func(mode string, budget int) fanRun {
+		rec := trace.NewRecorder()
+		eng := New(Config{IDs: ident.Balanced(n, 4), Net: Lossy{Base: Async{MaxDelay: 6}, P: 0.3}, Seed: 5, Recorder: rec, EagerFanout: mode == "eager"})
+		for i := 0; i < n; i++ {
+			eng.AddProcess(&quietBroadcaster{bcast: i == 0})
+		}
+		eng.fateBudget = budget
+		eng.CrashDuringBroadcast(0, 0, 0.5)
+		return fanRun{mode: mode, eng: eng, rec: rec}
+	}
+	runs := []fanRun{build("eager", 0), build("tabled", fateTableBudget), build("rescan", 0)}
+
+	tabled := runs[1]
+	tabled.eng.start()
+	f := tabled.eng.fanouts[0]
+	zeros := bytes.Count(f.fates, []byte{fateNone})
+	if dropped := tabled.rec.Stats().Dropped; zeros == 0 || zeros != dropped {
+		t.Fatalf("table holds %d zeros for %d send-time drops, want equal and > 0", zeros, dropped)
+	}
+	if reserved := int(tabled.eng.seq - f.baseSeq); reserved != n-zeros {
+		t.Fatalf("broadcast reserved %d seqs for %d scheduled copies", reserved, n-zeros)
+	}
+	for _, r := range runs {
+		r.eng.Run(50)
+	}
+	requireIdentical(t, runs)
+	if got := tabled.rec.Stats().Delivered; got != n-zeros {
+		t.Fatalf("delivered %d copies, want the %d the table scheduled", got, n-zeros)
+	}
+}
+
+// TestLazyFanoutBudget runs dense traffic — every process beats, hundreds
+// of broadcasts in flight — against a budget worth ten tables: the live
+// table bytes never exceed it, no memory is held beyond it, broadcasts sent
+// over budget rescan (so the run costs more fate evaluations than a fully
+// tabled one and fewer than a table-free one), and the trace is the eager
+// oracle's all the same.
+func TestLazyFanoutBudget(t *testing.T) {
+	const n, budget = 120, 10 * 120
+	build := func(mode string, budget int) fanRun {
+		eng, rec := buildFanEngine(n, Async{MaxDelay: 8}, 9, mode == "eager", 0)
+		eng.fateBudget = budget
+		return fanRun{mode: mode, eng: eng, rec: rec}
+	}
+	runs := []fanRun{build("eager", 0), build("budgeted", budget), build("tabled", fateTableBudget), build("rescan", 0)}
+
+	budgeted := runs[1].eng
+	peak := 0
+	budgeted.AfterEvent(func(Time, PID) { peak = max(peak, budgeted.fateBytes) })
+	for _, r := range runs {
+		r.eng.Run(40)
+	}
+	requireIdentical(t, runs)
+	if peak != budget {
+		t.Errorf("live table bytes peaked at %d, want exactly the budget %d under dense traffic", peak, budget)
+	}
+	if held := budgeted.fateBytes + n*len(budgeted.freeFates); held > budget {
+		t.Errorf("engine holds %d table bytes (live + free), over the budget %d", held, budget)
+	}
+	if b, tab, res := budgeted.FateEvals(), runs[2].eng.FateEvals(), runs[3].eng.FateEvals(); !(tab < b && b < res) {
+		t.Errorf("fate evaluations: %d budgeted, want between %d (all tabled) and %d (none)", b, tab, res)
+	}
+}
+
+// TestLazyFanoutFateEvals states the fate table's claim as a count, on the
+// shape of the population-scaling rows (E21): n = 2000, 100 beaters, 5 %
+// churn, async[1..8]. With tables every scheduled copy costs one fate
+// evaluation, at send time; without, one per wave of its broadcast.
+func TestLazyFanoutFateEvals(t *testing.T) {
+	const n = 2000
+	perCopy := func(budget int) float64 {
+		rec := &trace.Recorder{}
+		eng := New(Config{IDs: ident.Balanced(n, 100), Net: Async{MaxDelay: 8}, Seed: 1, Recorder: rec, MaxEvents: 10_000_000})
+		for i := 0; i < n; i++ {
+			if i%(n/100) == 0 {
+				eng.AddProcess(&fanPoll{period: 15})
+			} else {
+				eng.AddProcess(&quietBroadcaster{})
+			}
+		}
+		eng.fateBudget = budget
+		eng.ApplyChurn(ChurnSpec{Fraction: 0.05, Start: 12, Down: 20}.Events(n))
+		eng.Run(60)
+		if eng.Stopped() != StopHorizon {
+			t.Fatalf("stopped %v, want horizon", eng.Stopped())
+		}
+		// Under a reliable network every drop is a scheduled copy that met
+		// a crashed recipient.
+		st := rec.Stats()
+		return float64(eng.FateEvals()) / float64(st.Delivered+st.Dropped)
+	}
+	if got := perCopy(fateTableBudget); got > 1.5 {
+		t.Errorf("%.2f fate evaluations per scheduled copy with tables, want <= 1.5", got)
+	}
+	if got := perCopy(0); got < 8 {
+		t.Errorf("%.2f fate evaluations per scheduled copy without tables, want >= 8 (one per wave plus the send-time scan)", got)
+	}
 }
 
 // TestLazyFanoutConstantQueue pins the tentpole's O(1) claim: after one

@@ -6,10 +6,11 @@ import (
 )
 
 // Sink receives batches of events spilled from a Recorder. Spill is called
-// with batches in recording order; ownership of the batch slice passes to
-// the sink (the recorder never touches it again), so sinks may retain it
-// without copying. A Recorder calls Spill from at most one goroutine at a
-// time (under its own lock); sinks need no locking of their own.
+// with batches in recording order; the batch slice is borrowed for the
+// duration of the call only — the recorder overwrites it with the next
+// batch as soon as Spill returns — so a sink that keeps events must copy
+// them. A Recorder calls Spill from at most one goroutine at a time (under
+// its own lock); sinks need no locking of their own.
 type Sink interface {
 	Spill(batch []Event) error
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ type sliceSink struct {
 }
 
 func (s *sliceSink) Spill(batch []Event) error {
-	s.batches = append(s.batches, batch)
+	s.batches = append(s.batches, slices.Clone(batch)) // the batch is only borrowed
 	return nil
 }
 
@@ -192,5 +193,27 @@ func TestNilAndZeroValueSpillSafety(t *testing.T) {
 	}
 	if got := zero.Stats().Delivered; got != 2 {
 		t.Fatalf("zero-value stats broken: delivered = %d", got)
+	}
+}
+
+type nopSink struct{}
+
+func (nopSink) Spill([]Event) error { return nil }
+
+// TestSpillReusesStagingBuffer pins the borrowed-batch contract from the
+// recorder's side: in streaming mode one staging buffer serves the whole
+// run, so recording through any number of spills allocates nothing.
+func TestSpillReusesStagingBuffer(t *testing.T) {
+	r := NewSpillRecorder(nopSink{}, 8)
+	in := genEvents(64)
+	for _, e := range in { // warm-up: the buffer and the per-tag counters
+		r.Record(e)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		for _, e := range in {
+			r.Record(e)
+		}
+	}); avg != 0 {
+		t.Fatalf("spilling 8 batches allocates %.1f times, want 0", avg)
 	}
 }

@@ -222,22 +222,26 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Unlock()
 }
 
-// spillLocked hands the full staging buffer off as one batch — to the sink
-// in streaming mode, to the chunk list otherwise — and resets the write
-// position. The batch slice's ownership passes to its destination; the
-// recorder allocates a fresh buffer rather than copying, so a batch is
+// spillLocked hands the full staging buffer off as one batch and resets the
+// write position. A sink only borrows the batch for the call, so in
+// streaming mode the one staging buffer is reused for the whole run —
+// cleared first, so it does not pin the spilled events' strings. In
+// in-memory mode the batch itself joins the chunk list and the recorder
+// allocates a fresh buffer rather than copying. Either way a batch is
 // written exactly once.
 func (r *Recorder) spillLocked() {
 	batch := r.buf
-	r.buf = make([]Event, 0, cap(batch))
 	if r.sink != nil {
 		r.spilled += len(batch)
 		if err := r.sink.Spill(batch); err != nil && r.err == nil {
 			r.err = err
 		}
+		clear(batch)
+		r.buf = batch[:0]
 		return
 	}
 	r.chunks = append(r.chunks, batch)
+	r.buf = make([]Event, 0, cap(batch))
 }
 
 // Flush pushes the staging buffer's partial batch to the sink (a no-op in
