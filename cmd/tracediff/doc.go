@@ -21,9 +21,9 @@ stride), the footer index makes the search logarithmic: each frame
 record carries the cumulative digest of every body byte before it, so a
 binary search over frame boundaries pins the divergent frame and only
 that frame pair is decoded — a multi-gigabyte trace pair diffs by
-reading two index sections and one frame from each file. v1 traces,
-unfinalized traces (a run that died before its trailer), and mismatched
-strides fall back to a linear lockstep scan of both bodies in constant
+reading two index sections and one frame from each file. Unfinalized
+traces (a run that died before its trailer) and mismatched strides fall
+back to a linear lockstep scan of both bodies in constant
 memory.
 
 The first divergent event is reported with its global ordinal and both

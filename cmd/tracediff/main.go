@@ -51,8 +51,8 @@ func fatal(err error) {
 }
 
 // side is one trace under comparison: indexed random access when the
-// stream is a finalized v2 file, streaming fallback otherwise (v1, or a
-// run that died before writing its trailer).
+// stream is a finalized v2 file, streaming fallback otherwise (a run that
+// died before writing its trailer).
 type side struct {
 	path string
 	f    *os.File
@@ -111,7 +111,7 @@ func compareMeta(a, b *side) bool {
 	}
 	switch {
 	case ma == nil && mb == nil:
-		fmt.Println("meta: none (v1 or fingerprint-less traces)")
+		fmt.Println("meta: none (fingerprint-less traces)")
 		return true
 	case ma == nil || mb == nil:
 		fmt.Println("meta: DIFFER (only one trace carries a scenario fingerprint)")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -20,9 +21,14 @@ type Options struct {
 	// 4×MaxDelay; copies sent after arrive within MaxDelay.
 	GST     time.Duration
 	PreLoss float64
-	// Seed drives the delay/loss randomness.
+	// Unit is the real-time length of one abstract time unit (default
+	// 1ms): Proc.Now, Proc.SetTimer and every trace timestamp count in it,
+	// so a live trace has one time base.
+	Unit time.Duration
+	// Seed drives the delay/loss randomness and the per-process Rand.
 	Seed int64
-	// Recorder, when non-nil, receives trace events.
+	// Recorder, when non-nil, receives trace events (a nil *trace.Recorder
+	// discards them).
 	Recorder *trace.Recorder
 	// InboxSize is the per-process buffer (default 4096).
 	InboxSize int
@@ -56,6 +62,9 @@ func NewCluster(ids ident.Assignment, opts Options) *Cluster {
 	if opts.MaxDelay < opts.MinDelay {
 		opts.MaxDelay = 10 * opts.MinDelay
 	}
+	if opts.Unit <= 0 {
+		opts.Unit = time.Millisecond
+	}
 	if opts.InboxSize <= 0 {
 		opts.InboxSize = 4096
 	}
@@ -78,23 +87,18 @@ func NewCluster(ids ident.Assignment, opts Options) *Cluster {
 // may use it is the algorithm's contract).
 func (c *Cluster) N() int { return c.ids.N() }
 
-// ID returns id(p) for process index p.
-func (c *Cluster) ID(p int) ident.ID { return c.ids[p] }
-
-// IDs returns the identity assignment.
-func (c *Cluster) IDs() ident.Assignment { return c.ids }
-
 // Inbox returns process p's receive channel.
 func (c *Cluster) Inbox(p int) <-chan any { return c.inboxes[p] }
 
 // Crash marks p crashed: its future broadcasts are ignored and nothing
-// more is delivered to it.
+// more is delivered to it. The crash and every broadcast are recorded
+// under the cluster lock, so a trace never shows p broadcasting after its
+// crash event.
 func (c *Cluster) Crash(p int) {
 	c.mu.Lock()
-	already := c.crashed[p]
-	c.crashed[p] = true
-	c.mu.Unlock()
-	if !already && c.opts.Recorder != nil {
+	defer c.mu.Unlock()
+	if !c.crashed[p] {
+		c.crashed[p] = true
 		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindCrash, PID: p})
 	}
 }
@@ -135,11 +139,9 @@ func (c *Cluster) Broadcast(from int, payload any) {
 		}
 	}
 	c.wg.Add(live)
+	c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindBroadcast, PID: from, MsgTag: tagOf(payload)})
 	c.mu.Unlock()
 
-	if c.opts.Recorder != nil {
-		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindBroadcast, PID: from, MsgTag: tagOf(payload)})
-	}
 	for _, pl := range plans {
 		if pl.drop {
 			continue
@@ -183,17 +185,14 @@ func (c *Cluster) deliver(to int, payload any, after time.Duration) {
 	}
 	select {
 	case c.inboxes[to] <- payload:
-		if c.opts.Recorder != nil {
-			c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
-		}
+		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
 	case <-c.done:
 	}
 }
 
 // Close stops all pending deliveries and waits for delivery goroutines to
-// exit; subsequent broadcasts are ignored. Processes blocked on their
-// inbox must be released by their own contexts/deadlines; Close never
-// closes inbox channels (receivers may still drain them).
+// exit; subsequent broadcasts are ignored. It does not stop processes
+// (Proc.Stop does) and never closes inbox channels.
 func (c *Cluster) Close() {
 	c.closed.Do(func() {
 		c.mu.Lock()
@@ -204,11 +203,11 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-func (c *Cluster) sinceStart() int64 { return int64(time.Since(c.start) / time.Microsecond) }
+// sinceStart is the run's clock: whole Units since NewCluster.
+func (c *Cluster) sinceStart() int64 { return int64(time.Since(c.start) / c.opts.Unit) }
 
 func tagOf(payload any) string {
-	type tagger interface{ MsgTag() string }
-	if t, ok := payload.(tagger); ok {
+	if t, ok := payload.(sim.Tagger); ok {
 		return t.MsgTag()
 	}
 	return "?"

@@ -3,8 +3,8 @@ package trace
 // Compact binary trace format. Text rendering dominates spill cost (every
 // event is a fmt.Sprintf), and text traces at large n dominate disk: the
 // binary sink writes roughly an order of magnitude less and formats
-// nothing. Version 2 (what BinarySink writes) is self-describing and
-// seekable; version 1 streams remain readable.
+// nothing. Version 2, the only one written and read, is self-describing
+// and seekable.
 //
 //	header:  8-byte magic "HDTRACE\x02" (the trailing byte is the format
 //	         version), then the metadata block: a uvarint byte length and
@@ -42,11 +42,10 @@ package trace
 // which is monotone in time only within one engine; merged or hand-built
 // traces may step backwards.
 //
-// Version 1 is the same event encoding with no metadata, no frames, no
-// index and no trailer: the stream simply ends after the last event. The
-// v2 end-of-events control plus trailer make truncation and trailing
-// garbage detectable exactly; in v1 the kind-range check catches stray
-// bytes that version's reader silently accepted as phantom events.
+// The end-of-events control plus trailer make truncation and trailing
+// garbage detectable exactly. Version 1 (the same event encoding with no
+// metadata, frames, index or trailer; last written before PR 10) is
+// rejected by name like any other unsupported version.
 //
 // The decoder reproduces Event values exactly, so rendering a decoded
 // trace with WriteText is byte-identical to what WriterSink would have
@@ -65,9 +64,6 @@ import (
 // binaryMagic identifies a binary trace stream; the last byte is the
 // format version BinarySink writes.
 var binaryMagic = [8]byte{'H', 'D', 'T', 'R', 'A', 'C', 'E', 2}
-
-// binaryMagicV1 is the version-1 header, still accepted by readers.
-var binaryMagicV1 = [8]byte{'H', 'D', 'T', 'R', 'A', 'C', 'E', 1}
 
 // indexEndMagic closes a v2 stream; OpenTraceFile seeks it from the end.
 var indexEndMagic = [8]byte{'H', 'D', 'I', 'X', 'E', 'N', 'D', '2'}
@@ -94,10 +90,7 @@ const maxBinaryString = 1 << 20
 var ErrBinaryTrace = errors.New("trace: binary format error")
 
 // ErrTrailingData reports bytes following a complete stream — after the
-// v2 trailer, where nothing legitimate can live. It wraps ErrBinaryTrace.
-// Version-1 streams have no end marker, so for them stray bytes surface
-// as an invalid-kind or truncated-event error instead; either way extra
-// bytes are never silently ignored.
+// trailer, where nothing legitimate can live. It wraps ErrBinaryTrace.
 var ErrTrailingData = fmt.Errorf("%w: trailing data after end of stream", ErrBinaryTrace)
 
 // fnvOffset/fnvPrime are the FNV-64a parameters; the digest is computed
@@ -333,7 +326,6 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 // to its distinct tags/details, not its events. It implements EventSource.
 type BinaryReader struct {
 	r       *byteCounter
-	version int
 	meta    *Meta
 	index   *Index
 	strs    []string
@@ -348,8 +340,8 @@ type BinaryReader struct {
 
 var _ EventSource = (*BinaryReader)(nil)
 
-// NewBinaryReader validates the stream header (either version) and
-// returns a reader positioned at the first event.
+// NewBinaryReader validates the stream header and returns a reader
+// positioned at the first event.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	return newBinaryReader(bufio.NewReaderSize(r, 1<<16))
 }
@@ -363,13 +355,7 @@ func newBinaryReader(br *bufio.Reader) (*BinaryReader, error) {
 		}
 		return nil, err
 	}
-	switch magic {
-	case binaryMagic:
-		d.version = 2
-	case binaryMagicV1:
-		d.version = 1
-		return d, nil
-	default:
+	if magic != binaryMagic {
 		if bytes.Equal(magic[:7], binaryMagic[:7]) {
 			return nil, fmt.Errorf("%w: unsupported version %d", ErrBinaryTrace, magic[7])
 		}
@@ -396,22 +382,19 @@ func newBinaryReader(br *bufio.Reader) (*BinaryReader, error) {
 	return d, nil
 }
 
-// Version reports the stream's format version (1 or 2).
-func (d *BinaryReader) Version() int { return d.version }
-
-// Meta returns the stream's scenario fingerprint, or nil for v1 streams
-// and v2 streams written without one.
+// Meta returns the stream's scenario fingerprint, or nil for a stream
+// written without one.
 func (d *BinaryReader) Meta() *Meta { return d.meta }
 
 // Index returns the stream's frame index. It is available only after
-// Next returned io.EOF (the index trails the events); v1 streams and
-// frame sections have none.
+// Next returned io.EOF (the index trails the events); frame sections have
+// none.
 func (d *BinaryReader) Index() *Index { return d.index }
 
 // Next implements EventSource: it returns the next event, io.EOF at a
 // clean end of stream, and an error wrapping ErrBinaryTrace for any
-// corruption — truncation mid-event, an invalid kind, a v2 stream cut
-// off before its end-of-events marker, or trailing bytes after the
+// corruption — truncation mid-event, an invalid kind, a stream cut off
+// before its end-of-events marker, or trailing bytes after the
 // trailer (ErrTrailingData).
 func (d *BinaryReader) Next() (Event, error) {
 	for {
@@ -421,7 +404,7 @@ func (d *BinaryReader) Next() (Event, error) {
 		kind, err := binary.ReadUvarint(d.r)
 		if err != nil {
 			if err == io.EOF {
-				if d.version == 1 || d.bounded {
+				if d.bounded {
 					d.done = true
 					return Event{}, io.EOF // clean boundary between events
 				}
@@ -429,7 +412,7 @@ func (d *BinaryReader) Next() (Event, error) {
 			}
 			return Event{}, d.corrupt("event kind", err)
 		}
-		if kind == 0 && d.version >= 2 {
+		if kind == 0 {
 			code, err := binary.ReadUvarint(d.r)
 			if err != nil {
 				return Event{}, d.corrupt("control code", err)
@@ -452,7 +435,7 @@ func (d *BinaryReader) Next() (Event, error) {
 				return Event{}, fmt.Errorf("%w: unknown control code %d", ErrBinaryTrace, code)
 			}
 		}
-		if kind == 0 || kind > uint64(KindTimerDrop) {
+		if kind > uint64(KindTimerDrop) {
 			return Event{}, fmt.Errorf("%w: invalid event kind %d at offset %d", ErrBinaryTrace, kind, d.r.n)
 		}
 		dt, err := binary.ReadVarint(d.r)

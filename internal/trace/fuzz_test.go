@@ -25,7 +25,7 @@ func fuzzEvents() []Event {
 // re-encoded and decoded again — the decoder must be a left inverse of the
 // encoder on its own output.
 func FuzzBinaryReader(f *testing.F) {
-	// Seed with valid v2 and v1 streams, their truncations, and targeted
+	// Seed with a valid stream, its truncations, and targeted
 	// mutations (bad magic, bad version, wild lengths, corrupt index and
 	// metadata, trailing bytes) so the fuzzer starts on the format's
 	// interesting edges rather than random bytes.
@@ -58,7 +58,8 @@ func FuzzBinaryReader(f *testing.F) {
 	}
 	f.Add(wildLen)
 	// v2-specific edges: body intact, index/trailer corrupted; metadata
-	// cut mid-JSON; bytes after the trailer; v1 with and without garbage.
+	// cut mid-JSON; bytes after the trailer; a v1 header (rejected by name)
+	// alone and with bytes behind it.
 	corruptIndex := bytes.Clone(valid)
 	for i := len(corruptIndex) - 40; i < len(corruptIndex)-16; i++ {
 		corruptIndex[i] ^= 0x55
@@ -66,9 +67,8 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add(corruptIndex)
 	f.Add(valid[:12]) // magic + truncated metadata
 	f.Add(append(bytes.Clone(valid), 0x00))
-	v1 := encodeV1(events)
-	f.Add(v1)
-	f.Add(append(bytes.Clone(v1), 0, 0, 0, 0, 0))
+	f.Add(v1Header)
+	f.Add(append(bytes.Clone(v1Header), 0, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Random access must uphold the same contract on the same bytes.

@@ -5,15 +5,17 @@
 //	go run gen_corpus.go
 //
 // writes testdata/fuzz/FuzzBinaryReader/seed-* in the go-fuzz corpus file
-// format. The seeds mirror the f.Add cases (valid v2 and v1 streams,
-// truncations, and targeted header/index/trailer mutations) so
-// `go test -run Fuzz` — the CI smoke — exercises them without a fuzzing
-// engine.
+// format. The seeds mirror the f.Add cases (a valid stream, truncations,
+// and targeted header/index/trailer mutations) so `go test -run Fuzz` —
+// the CI smoke — exercises them without a fuzzing engine.
+//
+// seed-v1 and seed-v1-garbage in that directory are not written here: they
+// are real version-1 streams from when a v1 encoder existed, kept as seeds
+// the reader must reject by name (ErrBinaryTrace, "unsupported version 1").
 package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -22,38 +24,6 @@ import (
 
 	"repro/internal/trace"
 )
-
-// encodeV1 hand-builds a version-1 stream (the old writer is gone; this
-// mirrors index_test.go's helper of the same name).
-func encodeV1(events []trace.Event) []byte {
-	out := []byte{'H', 'D', 'T', 'R', 'A', 'C', 'E', 1}
-	strs := map[string]uint64{}
-	putStr := func(v string) {
-		if v == "" {
-			out = append(out, 0)
-			return
-		}
-		if ref, ok := strs[v]; ok {
-			out = binary.AppendUvarint(out, ref)
-			return
-		}
-		ref := uint64(len(strs)) + 1
-		strs[v] = ref
-		out = binary.AppendUvarint(out, ref)
-		out = binary.AppendUvarint(out, uint64(len(v)))
-		out = append(out, v...)
-	}
-	var lastT int64
-	for _, e := range events {
-		out = binary.AppendUvarint(out, uint64(e.Kind))
-		out = binary.AppendVarint(out, e.Time-lastT)
-		lastT = e.Time
-		out = binary.AppendUvarint(out, uint64(e.PID))
-		putStr(e.MsgTag)
-		putStr(e.Detail)
-	}
-	return out
-}
 
 func main() {
 	events := []trace.Event{
@@ -87,7 +57,6 @@ func main() {
 	for i := len(corruptIndex) - 40; i < len(corruptIndex)-16; i++ {
 		corruptIndex[i] ^= 0x55
 	}
-	v1 := encodeV1(events)
 
 	seeds := map[string][]byte{
 		"seed-valid":         valid,
@@ -100,8 +69,6 @@ func main() {
 		"seed-corrupt-index": corruptIndex,
 		"seed-meta-cut":      valid[:12],
 		"seed-trailing-byte": append(bytes.Clone(valid), 0x00),
-		"seed-v1":            v1,
-		"seed-v1-garbage":    append(bytes.Clone(v1), 0, 0, 0, 0, 0),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzBinaryReader")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

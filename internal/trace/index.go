@@ -139,8 +139,8 @@ type TraceFile struct {
 }
 
 // OpenTraceFile opens a complete v2 stream of the given size via random
-// access. v1 streams and unfinalized v2 streams have no trailer and are
-// rejected; stream them with NewBinaryReader instead.
+// access. Unfinalized streams have no trailer and are rejected; stream
+// them with NewBinaryReader instead.
 func OpenTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	if size < 24 { // magic + end control + trailer
 		return nil, fmt.Errorf("%w: file too short (%d bytes) for a finalized v2 trace", ErrBinaryTrace, size)
@@ -160,13 +160,9 @@ func OpenTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The header parse both validates the magic/metadata and rejects v1.
 	hr, err := newBinaryReader(bufio.NewReaderSize(io.NewSectionReader(r, 0, int64(indexOff)), 1<<12))
 	if err != nil {
 		return nil, err
-	}
-	if hr.Version() != 2 {
-		return nil, fmt.Errorf("%w: version %d streams carry no index", ErrBinaryTrace, hr.Version())
 	}
 	for _, f := range ix.Frames {
 		if f.Offset >= indexOff {
@@ -196,7 +192,6 @@ func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 	section := io.NewSectionReader(f.r, int64(start), int64(end-start))
 	return &BinaryReader{
 		r:       &byteCounter{r: bufio.NewReaderSize(section, 1<<16)},
-		version: 2,
 		meta:    f.meta,
 		bounded: true,
 	}, nil

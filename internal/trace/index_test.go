@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -27,90 +29,17 @@ func encodeV2(t *testing.T, events []Event, stride int, meta *Meta) []byte {
 	return buf.Bytes()
 }
 
-// encodeV1 hand-builds a version-1 stream (the old writer is gone): same
-// event encoding, no metadata, frames, index or trailer. Compatibility
-// tests decode these to prove v1 streams remain readable.
-func encodeV1(events []Event) []byte {
-	out := append([]byte{}, binaryMagicV1[:]...)
-	strs := map[string]uint64{}
-	putStr := func(v string) {
-		if v == "" {
-			out = append(out, 0)
-			return
-		}
-		if ref, ok := strs[v]; ok {
-			out = binary.AppendUvarint(out, ref)
-			return
-		}
-		ref := uint64(len(strs)) + 1
-		strs[v] = ref
-		out = binary.AppendUvarint(out, ref)
-		out = binary.AppendUvarint(out, uint64(len(v)))
-		out = append(out, v...)
-	}
-	var lastT int64
-	for _, e := range events {
-		out = binary.AppendUvarint(out, uint64(e.Kind))
-		out = binary.AppendVarint(out, e.Time-lastT)
-		lastT = e.Time
-		out = binary.AppendUvarint(out, uint64(e.PID))
-		putStr(e.MsgTag)
-		putStr(e.Detail)
-	}
-	return out
-}
+// v1Header is all a version-1 stream needs to be rejected: the v1 magic
+// (nothing has written one since the v2 format landed).
+var v1Header = []byte{'H', 'D', 'T', 'R', 'A', 'C', 'E', 1}
 
-// TestBinaryV1Compat pins backward compatibility: a version-1 stream
-// decodes to the same events, reports Version 1, and ends with a clean
-// io.EOF (v1 has no end marker).
-func TestBinaryV1Compat(t *testing.T) {
-	events := genEvents(100)
-	bin := encodeV1(events)
-	d, err := NewBinaryReader(bytes.NewReader(bin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Version() != 1 {
-		t.Fatalf("Version() = %d, want 1", d.Version())
-	}
-	if d.Meta() != nil {
-		t.Fatalf("v1 stream reports metadata %+v", d.Meta())
-	}
-	var got []Event
-	if err := Drain(d, func(e Event) error { got = append(got, e); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(events))
-	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
-		}
-	}
-	if d.Index() != nil {
-		t.Error("v1 stream reports an index")
-	}
-}
-
-// TestBinaryV1TrailingGarbage pins the regression the satellite fix is
-// for: in v1, five stray zero bytes after the last event used to decode
-// silently as a phantom Kind(0) event. The kind-range check must reject
-// them — and any other out-of-range lead byte — with ErrBinaryTrace.
-func TestBinaryV1TrailingGarbage(t *testing.T) {
-	events := genEvents(5)
-	for _, garbage := range [][]byte{
-		{0, 0, 0, 0, 0},           // phantom kind-0 event (the silent case)
-		{0x7f, 0, 0, 0, 0},        // kind 127: out of range
-		{byte(KindTimerDrop + 1)}, // first unassigned kind
-	} {
-		bin := append(encodeV1(events), garbage...)
-		got, err := ReadBinary(bytes.NewReader(bin))
-		if err == nil {
-			t.Fatalf("garbage %v: decoded silently to %d events", garbage, len(got))
-		}
-		if !errors.Is(err, ErrBinaryTrace) {
-			t.Fatalf("garbage %v: error %v does not wrap ErrBinaryTrace", garbage, err)
+// TestBinaryV1Rejected pins the end of v1 support: the reader refuses the
+// header by name, with or without events behind it, instead of decoding.
+func TestBinaryV1Rejected(t *testing.T) {
+	for _, bin := range [][]byte{v1Header, append(bytes.Clone(v1Header), 1, 2, 0, 0, 0)} {
+		_, err := NewBinaryReader(bytes.NewReader(bin))
+		if !errors.Is(err, ErrBinaryTrace) || !strings.Contains(fmt.Sprint(err), "unsupported version 1") {
+			t.Fatalf("v1 stream of %d bytes: got %v, want ErrBinaryTrace naming version 1", len(bin), err)
 		}
 	}
 }
@@ -319,17 +248,18 @@ func TestBinaryIndexDigests(t *testing.T) {
 	}
 }
 
-// TestOpenTraceFileErrors covers the random-access failure modes: v1
-// streams, unfinalized streams, and corrupt trailers must all reject with
-// ErrBinaryTrace rather than misparse.
+// TestOpenTraceFileErrors covers the random-access failure modes:
+// unfinalized streams, corrupt trailers and a v1 header must all reject
+// with ErrBinaryTrace rather than misparse.
 func TestOpenTraceFileErrors(t *testing.T) {
-	v1 := encodeV1(genEvents(50))
-	if _, err := OpenTraceFile(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrBinaryTrace) {
-		t.Errorf("v1: got %v, want ErrBinaryTrace", err)
-	}
 	v2 := encodeV2(t, genEvents(50), 8, nil)
 	if _, err := OpenTraceFile(bytes.NewReader(v2[:len(v2)-1]), int64(len(v2)-1)); !errors.Is(err, ErrBinaryTrace) {
 		t.Errorf("clipped trailer: got %v, want ErrBinaryTrace", err)
+	}
+	v1 := bytes.Clone(v2)
+	v1[7] = 1 // finalized trailer and index, but a version the reader refuses
+	if _, err := OpenTraceFile(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrBinaryTrace) {
+		t.Errorf("v1 header: got %v, want ErrBinaryTrace", err)
 	}
 	mangled := bytes.Clone(v2)
 	binary.LittleEndian.PutUint64(mangled[len(mangled)-16:], uint64(len(mangled))) // index offset past EOF
