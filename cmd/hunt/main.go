@@ -16,9 +16,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,40 +29,62 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
-	budget := flag.Int("budget", 200, "scenario executions to spend exploring (excludes shrink runs)")
-	seed := flag.Int64("seed", 1, "campaign master seed (drives every mutation draw)")
-	batch := flag.Int("batch", 16, "mutants per generation")
-	workers := flag.Int("workers", 0, "execution parallelism (0 = all cores, 1 = serial); never changes results")
-	out := flag.String("out", "", "directory to write minimized findings as corpus entries (fuzz mode)")
-	replay := flag.String("replay", "", "replay corpus entries from this file or directory")
-	run := flag.String("run", "", "run one scenario or corpus-entry JSON file and print the verdict")
-	pin := flag.String("pin", "", "re-run a corpus entry and rewrite its pinned verdict in place")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// errReported makes run exit 1 without a diagnostic: the failure (a
+// finding, a failing verdict) is already on stdout.
+var errReported = errors.New("reported on stdout")
+
+// run is the whole driver with its process boundary made explicit, like
+// cmd/hdsim's: arguments in, log on stdout, diagnostics on stderr, exit
+// code back — 0 clean, 1 a finding, a failing verdict, a drifted corpus
+// entry or an I/O error, 2 a flag syntax error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hunt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	budget := fs.Int("budget", 200, "scenario executions to spend exploring (excludes shrink runs)")
+	seed := fs.Int64("seed", 1, "campaign master seed (drives every mutation draw)")
+	batch := fs.Int("batch", 16, "mutants per generation")
+	workers := fs.Int("workers", 0, "execution parallelism (0 = all cores, 1 = serial); never changes results")
+	out := fs.String("out", "", "directory to write minimized findings as corpus entries (fuzz mode)")
+	replay := fs.String("replay", "", "replay corpus entries from this file or directory")
+	one := fs.String("run", "", "run one scenario or corpus-entry JSON file and print the verdict")
+	pin := fs.String("pin", "", "re-run a corpus entry and rewrite its pinned verdict in place")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	sweep.SetDefaultWorkers(*workers)
 
+	var err error
 	switch {
 	case *replay != "":
-		replayCorpus(*replay)
-	case *run != "":
-		runOne(*run)
+		err = replayCorpus(*replay, stdout)
+	case *one != "":
+		err = runOne(*one, stdout)
 	case *pin != "":
-		pinEntry(*pin)
+		err = pinEntry(*pin, stdout)
 	default:
-		fuzz(*budget, *seed, *batch, *out)
+		err = fuzz(*budget, *seed, *batch, *out, stdout)
 	}
+	if err != nil {
+		if err != errReported {
+			fmt.Fprintln(stderr, "hunt:", err)
+		}
+		return 1
+	}
+	return 0
 }
 
-func fuzz(budget int, seed int64, batch int, out string) {
+func fuzz(budget int, seed int64, batch int, out string, stdout io.Writer) error {
 	res := hunt.Fuzz(hunt.FuzzConfig{
 		MasterSeed: seed,
 		Budget:     budget,
 		BatchSize:  batch,
-		Log:        os.Stdout,
+		Log:        stdout,
 	})
 	if out != "" {
 		if err := os.MkdirAll(out, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i, f := range res.Findings {
 			e := hunt.Entry{
@@ -72,33 +95,34 @@ func fuzz(budget int, seed int64, batch int, out string) {
 			}
 			b, err := hunt.EncodeEntry(e)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			path := filepath.Join(out, e.Name+".json")
 			if err := os.WriteFile(path, b, 0o644); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 	}
 	if len(res.Findings) > 0 {
-		os.Exit(1)
+		return errReported
 	}
+	return nil
 }
 
 // corpusFiles expands a file-or-directory path into the sorted list of
 // its .json entries.
-func corpusFiles(path string) []string {
+func corpusFiles(path string) ([]string, error) {
 	info, err := os.Stat(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if !info.IsDir() {
-		return []string{path}
+		return []string{path}, nil
 	}
 	entries, err := os.ReadDir(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var files []string
 	for _, e := range entries {
@@ -108,78 +132,92 @@ func corpusFiles(path string) []string {
 	}
 	sort.Strings(files)
 	if len(files) == 0 {
-		log.Fatalf("no corpus entries (*.json) under %s", path)
+		return nil, fmt.Errorf("no corpus entries (*.json) under %s", path)
 	}
-	return files
+	return files, nil
 }
 
-func replayCorpus(path string) {
-	failures := 0
-	for _, file := range corpusFiles(path) {
-		b, err := os.ReadFile(file)
-		if err != nil {
-			log.Fatal(err)
-		}
-		e, err := hunt.DecodeEntry(b)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := hunt.Replay(e); err != nil {
-			failures++
-			fmt.Printf("✗ %s\n  %v\n", e.Name, err)
-			continue
-		}
-		fmt.Printf("✓ %s — %s\n", e.Name, e.Want)
-	}
-	if failures > 0 {
-		log.Fatalf("%d corpus entries drifted", failures)
-	}
-}
-
-// loadScenario reads either a bare Scenario or a full corpus Entry.
-func loadScenario(file string) hunt.Scenario {
+func readEntry(file string) (hunt.Entry, error) {
 	b, err := os.ReadFile(file)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if e, err := hunt.DecodeEntry(b); err == nil {
-		return e.Scenario
-	}
-	var s hunt.Scenario
-	if err := json.Unmarshal(b, &s); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	return s
-}
-
-func runOne(file string) {
-	s := loadScenario(file)
-	o := s.Run()
-	fmt.Printf("%s\n%s\n", s.Fingerprint(), o.Verdict)
-	if o.Failed() {
-		os.Exit(1)
-	}
-}
-
-func pinEntry(file string) {
-	b, err := os.ReadFile(file)
-	if err != nil {
-		log.Fatal(err)
+		return hunt.Entry{}, err
 	}
 	e, err := hunt.DecodeEntry(b)
 	if err != nil {
-		log.Fatal(err)
+		return hunt.Entry{}, fmt.Errorf("%s: %w", file, err)
+	}
+	return e, nil
+}
+
+func replayCorpus(path string, stdout io.Writer) error {
+	files, err := corpusFiles(path)
+	if err != nil {
+		return err
+	}
+	failures := 0
+	for _, file := range files {
+		e, err := readEntry(file)
+		if err != nil {
+			return err
+		}
+		if err := hunt.Replay(e); err != nil {
+			failures++
+			fmt.Fprintf(stdout, "✗ %s\n  %v\n", e.Name, err)
+			continue
+		}
+		fmt.Fprintf(stdout, "✓ %s — %s\n", e.Name, e.Want)
+	}
+	if failures > 0 {
+		return fmt.Errorf("%d corpus entries drifted", failures)
+	}
+	return nil
+}
+
+// loadScenario reads either a bare Scenario or a full corpus Entry.
+func loadScenario(file string) (hunt.Scenario, error) {
+	b, err := os.ReadFile(file)
+	if err != nil {
+		return hunt.Scenario{}, err
+	}
+	if e, err := hunt.DecodeEntry(b); err == nil {
+		return e.Scenario, nil
+	}
+	var s hunt.Scenario
+	if err := json.Unmarshal(b, &s); err != nil {
+		return hunt.Scenario{}, fmt.Errorf("%s: %w", file, err)
+	}
+	if err := s.Validate(); err != nil {
+		return hunt.Scenario{}, fmt.Errorf("%s: %w", file, err)
+	}
+	return s, nil
+}
+
+func runOne(file string, stdout io.Writer) error {
+	s, err := loadScenario(file)
+	if err != nil {
+		return err
+	}
+	o := s.Run()
+	fmt.Fprintf(stdout, "%s\n%s\n", s.Fingerprint(), o.Verdict)
+	if o.Failed() {
+		return errReported
+	}
+	return nil
+}
+
+func pinEntry(file string, stdout io.Writer) error {
+	e, err := readEntry(file)
+	if err != nil {
+		return err
 	}
 	e.Want = e.Scenario.Run().Verdict
 	nb, err := hunt.EncodeEntry(e)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := os.WriteFile(file, nb, 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pinned %s — %s\n", e.Name, e.Want)
+	fmt.Fprintf(stdout, "pinned %s — %s\n", e.Name, e.Want)
+	return nil
 }
