@@ -9,6 +9,9 @@
 //	hunt -run scenario.json                run one scenario (or corpus entry) and print its verdict
 //	hunt -pin entry.json                   re-run an entry and rewrite it with the current verdict
 //
+// Every mode takes -cpuprofile FILE / -memprofile FILE (read with go tool
+// pprof); neither changes a byte of stdout.
+//
 // Campaign determinism: the same -seed and -budget produce byte-identical
 // logs and findings at any -workers value (see internal/hunt's package
 // doc). Logs go to stdout; timestamps never appear in them.
@@ -25,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cliutil"
 	"repro/internal/hunt"
 	"repro/internal/sweep"
 )
@@ -50,21 +54,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replay := fs.String("replay", "", "replay corpus entries from this file or directory")
 	one := fs.String("run", "", "run one scenario or corpus-entry JSON file and print the verdict")
 	pin := fs.String("pin", "", "re-run a corpus entry and rewrite its pinned verdict in place")
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	sweep.SetDefaultWorkers(*workers)
 
-	var err error
-	switch {
-	case *replay != "":
-		err = replayCorpus(*replay, stdout)
-	case *one != "":
-		err = runOne(*one, stdout)
-	case *pin != "":
-		err = pinEntry(*pin, stdout)
-	default:
-		err = fuzz(*budget, *seed, *batch, *out, stdout)
+	stopProfiles, err := startProfiles()
+	if err == nil {
+		switch {
+		case *replay != "":
+			err = replayCorpus(*replay, stdout)
+		case *one != "":
+			err = runOne(*one, stdout)
+		case *pin != "":
+			err = pinEntry(*pin, stdout)
+		default:
+			err = fuzz(*budget, *seed, *batch, *out, stdout)
+		}
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
 	}
 	if err != nil {
 		if err != errReported {

@@ -120,3 +120,25 @@ func TestExitCodes(t *testing.T) {
 		})
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
+// file behind — on the exit-1 path too — and change nothing on stdout.
+func TestProfileFlags(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"leader-wedge-min.json", "run_leader_wedge_min"},
+		{"partition-coordinator.json", "run_partition_coordinator"}, // exit 1
+	} {
+		entry, name := tc[0], tc[1]
+		tmp := t.TempDir()
+		cpu, mem := filepath.Join(tmp, "cpu.pprof"), filepath.Join(tmp, "mem.pprof")
+		stdout, _, _ := huntCmd(t, "-run", filepath.Join(corpus, entry), "-cpuprofile", cpu, "-memprofile", mem)
+		if want := golden(t, name); stdout != want {
+			t.Errorf("stdout changed under the profile flags:\n--- want ---\n%s--- got ---\n%s", want, stdout)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: %s: want a non-empty profile (stat: %v)", entry, filepath.Base(path), err)
+			}
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/fd"
 	"repro/internal/ident"
@@ -36,11 +37,81 @@ type Ph2QMsg struct {
 // MsgTag implements sim.Tagger.
 func (Ph2QMsg) MsgTag() string { return "PH2" }
 
+// quorMsg is one buffered PH1/PH2. labels is the sender's own slice, not a
+// copy: a sender replaces its current_labels wholesale when they change and
+// every fd.HSigma.Labels hands out a fresh or never-mutated slice, so
+// nothing writes to it after the broadcast.
 type quorMsg struct {
 	id     ident.ID
 	sr     int
-	labels map[fd.Label]bool
+	labels []fd.Label
 	est    Value
+}
+
+// quorBuf is one round's PH1 or PH2 reception buffer: the messages in
+// arrival order plus an index over them, maintained by add, that turns the
+// quorum guard into a lookup. Invariant: avail(sr, x) is the multiset of
+// senders of this round's buffered messages of sub-round sr whose label
+// list contains x; a message is never removed, so it only grows.
+type quorBuf struct {
+	msgs []quorMsg
+	srs  []srSenders // ascending by sr
+}
+
+// srSenders is the index of one sub-round: per label, who sent it. The
+// label list is searched linearly — the HΣ detectors that feed Fig. 9
+// carry a handful of labels — and stays correct, if slower, for long ones.
+type srSenders struct {
+	sr      int
+	byLabel []labelSenders
+}
+
+type labelSenders struct {
+	label   fd.Label
+	senders *multiset.Multiset[ident.ID]
+	counted int // len(msgs) after the last message counted: a label listed twice counts once
+}
+
+// add buffers an arriving message and counts its sender under each of its
+// labels. This is the only place the index allocates.
+func (b *quorBuf) add(m quorMsg) {
+	b.msgs = append(b.msgs, m)
+	i, found := slices.BinarySearchFunc(b.srs, m.sr, func(s srSenders, sr int) int { return cmp.Compare(s.sr, sr) })
+	if !found {
+		b.srs = slices.Insert(b.srs, i, srSenders{sr: m.sr})
+	}
+	s := &b.srs[i]
+	for _, l := range m.labels {
+		e := s.find(l)
+		if e == nil {
+			s.byLabel = append(s.byLabel, labelSenders{label: l, senders: multiset.New[ident.ID]()})
+			e = &s.byLabel[len(s.byLabel)-1]
+		}
+		if e.counted != len(b.msgs) {
+			e.counted = len(b.msgs)
+			e.senders.Add(m.id)
+		}
+	}
+}
+
+// find returns the sub-round's entry for label x — its senders are
+// avail(sr, x) — or nil when no message of the sub-round carries x.
+func (s *srSenders) find(x fd.Label) *labelSenders {
+	for i := range s.byLabel {
+		if s.byLabel[i].label == x {
+			return &s.byLabel[i]
+		}
+	}
+	return nil
+}
+
+// maxSR returns the highest sub-round any buffered message carries, 0 for
+// an empty (nil) buffer.
+func (b *quorBuf) maxSR() int {
+	if b == nil {
+		return 0
+	}
+	return b.srs[len(b.srs)-1].sr
 }
 
 type fig9Phase int
@@ -79,11 +150,15 @@ type Fig9 struct {
 	sr            int
 	currentLabels []fd.Label
 
+	// Reception buffers, keyed by round. The guards read them at round and
+	// round+1 only and round never decreases, so they hold no round below
+	// it: arrivals for past rounds are not buffered and forgetRounds drops
+	// a round's entries when the process leaves it.
 	coord     map[int][]Value // estimates from homonym co-leaders, per round
 	coordSeen map[int]bool    // any COORD seen for a round (Phase 2 exit)
 	ph0       map[int]*Value
-	ph1       map[int][]quorMsg
-	ph2       map[int][]quorMsg
+	ph1       map[int]*quorBuf // nil until the round's first PH1 arrives
+	ph2       map[int]*quorBuf
 	maxRounds int // safety valve for adversarial tests; 0 = unlimited
 
 	// epoch and rejoining implement the crash-recovery rejoin protocol,
@@ -121,8 +196,8 @@ func newFig9(d1 fd.HOmega, d3 fd.AOmega, d2 fd.HSigma, proposal Value) *Fig9 {
 		coord:     make(map[int][]Value),
 		coordSeen: make(map[int]bool),
 		ph0:       make(map[int]*Value),
-		ph1:       make(map[int][]quorMsg),
-		ph2:       make(map[int][]quorMsg),
+		ph1:       make(map[int]*quorBuf),
+		ph2:       make(map[int]*quorBuf),
 	}
 }
 
@@ -191,7 +266,7 @@ func (c *Fig9) Poll() { c.step() }
 
 // OnMessage implements sim.Process. As in Fig8, round-stamped messages
 // double as resync signals for a rejoining process, after being recorded
-// in the reception buffers.
+// in the reception buffers (unless they are of a round already left).
 func (c *Fig9) OnMessage(payload any) {
 	switch m := payload.(type) {
 	case DecideMsg:
@@ -201,22 +276,28 @@ func (c *Fig9) OnMessage(payload any) {
 	case RejoinAckMsg:
 		c.onRejoinAck(m)
 	case CoordMsg:
-		c.coordSeen[m.Round] = true
-		if m.ID == c.env.ID() {
-			c.coord[m.Round] = append(c.coord[m.Round], m.Est)
+		if m.Round >= c.round {
+			c.coordSeen[m.Round] = true
+			if m.ID == c.env.ID() {
+				c.coord[m.Round] = append(c.coord[m.Round], m.Est)
+			}
 		}
 		c.maybeResync(m.Round, m.Est, true)
 	case Ph0Msg:
-		if c.ph0[m.Round] == nil {
+		if m.Round >= c.round && c.ph0[m.Round] == nil {
 			v := m.Est
 			c.ph0[m.Round] = &v
 		}
 		c.maybeResync(m.Round, m.Est, true)
 	case Ph1QMsg:
-		c.ph1[m.Round] = append(c.ph1[m.Round], toQuorMsg(m.ID, m.SR, m.Labels, m.Est))
+		if m.Round >= c.round {
+			bufferQuorMsg(c.ph1, m.Round, quorMsg{id: m.ID, sr: m.SR, labels: m.Labels, est: m.Est})
+		}
 		c.maybeResync(m.Round, m.Est, true)
 	case Ph2QMsg:
-		c.ph2[m.Round] = append(c.ph2[m.Round], toQuorMsg(m.ID, m.SR, m.Labels, m.Est))
+		if m.Round >= c.round {
+			bufferQuorMsg(c.ph2, m.Round, quorMsg{id: m.ID, sr: m.SR, labels: m.Labels, est: m.Est})
+		}
 		c.maybeResync(m.Round, m.Est, m.Est != Bottom)
 	}
 	c.step()
@@ -286,7 +367,9 @@ func (c *Fig9) maybeResync(round int, est Value, adopt bool) {
 		if adopt {
 			c.est1 = est
 		}
+		left := c.round
 		c.round = round
+		c.forgetRounds(left)
 		// As in Fig8.maybeResync: a jumping leader still owes the target
 		// round its COORD (homonymous variant only) and its Phase 0 push —
 		// when churn takes out a whole leader group, the rejoiners are the
@@ -312,12 +395,13 @@ func (c *Fig9) maybeResync(round int, est Value, adopt bool) {
 	}
 }
 
-func toQuorMsg(id ident.ID, sr int, labels []fd.Label, est Value) quorMsg {
-	set := make(map[fd.Label]bool, len(labels))
-	for _, l := range labels {
-		set[l] = true
+func bufferQuorMsg(bufs map[int]*quorBuf, round int, m quorMsg) {
+	b := bufs[round]
+	if b == nil {
+		b = &quorBuf{}
+		bufs[round] = b
 	}
-	return quorMsg{id: id, sr: sr, labels: set, est: est}
+	b.add(m)
 }
 
 func (c *Fig9) step() {
@@ -402,8 +486,8 @@ func (c *Fig9) enterPhase2() {
 // stepPh1 is Phase 1's repeat loop (lines 22–38).
 func (c *Fig9) stepPh1() bool {
 	// Lines 23–24: a PH2 for this round means Phase 1 concluded elsewhere.
-	if msgs := c.ph2[c.round]; len(msgs) > 0 {
-		c.est2 = msgs[0].est
+	if buf := c.ph2[c.round]; buf != nil {
+		c.est2 = buf.msgs[0].est
 		c.enterPhase2()
 		return true
 	}
@@ -467,29 +551,33 @@ func (c *Fig9) nextRoundSignal() bool {
 	if !c.anonymous() {
 		return c.coordSeen[c.round+1]
 	}
-	return c.ph0[c.round+1] != nil || len(c.ph1[c.round+1]) > 0
+	return c.ph0[c.round+1] != nil || c.ph1[c.round+1] != nil
 }
 
 func (c *Fig9) nextRound() {
 	c.round++
+	c.forgetRounds(c.round - 1)
 	c.startRound()
+}
+
+// forgetRounds drops the reception buffers of rounds [from, c.round), the
+// ones the process just left.
+func (c *Fig9) forgetRounds(from int) {
+	for r := from; r < c.round; r++ {
+		delete(c.coord, r)
+		delete(c.coordSeen, r)
+		delete(c.ph0, r)
+		delete(c.ph1, r)
+		delete(c.ph2, r)
+	}
 }
 
 // advanceSubRound implements the two triggers of lines 32–33 / 55–56:
 // the local h_labels grew, or a peer message of this round carries a
 // higher sub-round.
-func (c *Fig9) advanceSubRound(msgs []quorMsg) bool {
+func (c *Fig9) advanceSubRound(buf *quorBuf) bool {
 	labels := c.d2.Labels()
-	trigger := !fd.LabelsEqual(c.currentLabels, labels)
-	if !trigger {
-		for _, m := range msgs {
-			if m.sr > c.sr {
-				trigger = true
-				break
-			}
-		}
-	}
-	if !trigger {
+	if fd.LabelsEqual(c.currentLabels, labels) && buf.maxSR() <= c.sr {
 		return false
 	}
 	c.sr++
@@ -501,36 +589,26 @@ func (c *Fig9) advanceSubRound(msgs []quorMsg) bool {
 // and a set M of this round's messages of sub-round sr, all carrying label
 // x, whose sender identifiers form exactly the multiset mset (lines
 // 25–28 / 45–48). It returns the estimates of a deterministic such M
-// (earliest arrivals per identifier).
-func (c *Fig9) matchQuorum(msgs []quorMsg) ([]Value, bool) {
-	if len(msgs) == 0 {
+// (earliest arrivals per identifier, in arrival order).
+//
+// Such an M exists iff mset ⊆ avail(sr, x) — see quorBuf for the index
+// invariant — so the guard is |h_quora| · sub-rounds lookups, pairs in
+// detector order and sub-rounds ascending, and allocates nothing unless it
+// holds; only then is that one sub-round rescanned to pick M.
+func (c *Fig9) matchQuorum(buf *quorBuf) ([]Value, bool) {
+	if buf == nil {
 		return nil, false
 	}
-	srs := make(map[int]bool)
-	for _, m := range msgs {
-		srs[m.sr] = true
-	}
-	srList := make([]int, 0, len(srs))
-	for sr := range srs {
-		srList = append(srList, sr)
-	}
-	sort.Ints(srList)
-
 	for _, pair := range c.d2.Quora() {
-		for _, sr := range srList {
-			avail := multiset.New[ident.ID]()
-			for _, m := range msgs {
-				if m.sr == sr && m.labels[pair.Label] {
-					avail.Add(m.id)
-				}
-			}
-			if avail.Empty() || !pair.M.SubsetOf(avail) {
+		for i := range buf.srs {
+			s := &buf.srs[i]
+			if e := s.find(pair.Label); e == nil || !pair.M.SubsetOf(e.senders) {
 				continue
 			}
 			need := pair.M.Counts()
 			rec := make([]Value, 0, pair.M.Len())
-			for _, m := range msgs {
-				if m.sr == sr && m.labels[pair.Label] && need[m.id] > 0 {
+			for _, m := range buf.msgs {
+				if m.sr == s.sr && need[m.id] > 0 && slices.Contains(m.labels, pair.Label) {
 					need[m.id]--
 					rec = append(rec, m.est)
 				}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/multiset"
+	"repro/internal/sim"
 )
 
 func TestClassifyRec(t *testing.T) {
@@ -60,7 +64,7 @@ func TestMatchQuorum(t *testing.T) {
 	c := &Fig9{d2: hs}
 
 	msg := func(id ident.ID, sr int, labels []fd.Label, est Value) quorMsg {
-		return toQuorMsg(id, sr, labels, est)
+		return quorMsg{id: id, sr: sr, labels: labels, est: est}
 	}
 
 	t.Run("no messages", func(t *testing.T) {
@@ -75,7 +79,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 1, []fd.Label{"q"}, "x"),
 			msg("B", 1, []fd.Label{"q"}, "x"),
 		}
-		rec, ok := c.matchQuorum(msgs)
+		rec, ok := c.matchQuorum(bufOf(msgs))
 		if !ok || len(rec) != 3 {
 			t.Fatalf("rec = %v, ok = %v", rec, ok)
 		}
@@ -86,7 +90,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 1, []fd.Label{"q"}, "x"),
 			msg("B", 1, []fd.Label{"q"}, "x"),
 		}
-		if _, ok := c.matchQuorum(msgs); ok {
+		if _, ok := c.matchQuorum(bufOf(msgs)); ok {
 			t.Error("matched with only one A (needs two)")
 		}
 	})
@@ -97,7 +101,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 1, []fd.Label{"other"}, "x"), // lacks q
 			msg("B", 1, []fd.Label{"q"}, "x"),
 		}
-		if _, ok := c.matchQuorum(msgs); ok {
+		if _, ok := c.matchQuorum(bufOf(msgs)); ok {
 			t.Error("matched although one A does not carry the label")
 		}
 	})
@@ -108,7 +112,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 2, []fd.Label{"q"}, "x"),
 			msg("B", 1, []fd.Label{"q"}, "x"),
 		}
-		if _, ok := c.matchQuorum(msgs); ok {
+		if _, ok := c.matchQuorum(bufOf(msgs)); ok {
 			t.Error("matched across different sub-rounds")
 		}
 	})
@@ -119,7 +123,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 2, []fd.Label{"q"}, "y"),
 			msg("B", 2, []fd.Label{"q"}, "x"),
 		}
-		rec, ok := c.matchQuorum(msgs)
+		rec, ok := c.matchQuorum(bufOf(msgs))
 		if !ok {
 			t.Fatal("no match in sub-round 2")
 		}
@@ -135,7 +139,7 @@ func TestMatchQuorum(t *testing.T) {
 			msg("A", 1, []fd.Label{"q"}, "third"), // extra A beyond demand
 			msg("B", 1, []fd.Label{"q"}, "b"),
 		}
-		rec, _ := c.matchQuorum(msgs)
+		rec, _ := c.matchQuorum(bufOf(msgs))
 		want := []Value{"first", "second", "b"}
 		if !reflect.DeepEqual(rec, want) {
 			t.Errorf("rec = %v, want %v", rec, want)
@@ -150,3 +154,217 @@ type stubHSigma struct {
 
 func (s *stubHSigma) Quora() []fd.QuorumPair { return s.quora }
 func (s *stubHSigma) Labels() []fd.Label     { return s.labels }
+
+func bufOf(msgs []quorMsg) *quorBuf {
+	b := &quorBuf{}
+	for _, m := range msgs {
+		b.add(m)
+	}
+	return b
+}
+
+// matchQuorumRescan is the guard as it was evaluated before the sender
+// index existed — rebuild every (pair, sub-round) multiset from the
+// message list on each call — kept as the reference the index is held to.
+func matchQuorumRescan(quora []fd.QuorumPair, msgs []quorMsg) ([]Value, bool) {
+	if len(msgs) == 0 {
+		return nil, false
+	}
+	labelSets := make([]map[fd.Label]bool, len(msgs))
+	srs := make(map[int]bool)
+	for i, m := range msgs {
+		srs[m.sr] = true
+		labelSets[i] = make(map[fd.Label]bool, len(m.labels))
+		for _, l := range m.labels {
+			labelSets[i][l] = true
+		}
+	}
+	srList := make([]int, 0, len(srs))
+	for sr := range srs {
+		srList = append(srList, sr)
+	}
+	sort.Ints(srList)
+
+	for _, pair := range quora {
+		for _, sr := range srList {
+			avail := multiset.New[ident.ID]()
+			for i, m := range msgs {
+				if m.sr == sr && labelSets[i][pair.Label] {
+					avail.Add(m.id)
+				}
+			}
+			if avail.Empty() || !pair.M.SubsetOf(avail) {
+				continue
+			}
+			need := pair.M.Counts()
+			rec := make([]Value, 0, pair.M.Len())
+			for i, m := range msgs {
+				if m.sr == sr && labelSets[i][pair.Label] && need[m.id] > 0 {
+					need[m.id]--
+					rec = append(rec, m.est)
+				}
+			}
+			return rec, true
+		}
+	}
+	return nil, false
+}
+
+// TestMatchQuorumIndexEqualsRescan holds the index to the rescan after
+// every arrival of random sequences: homonymous senders, sub-rounds out of
+// order, label lists that are empty, duplicated or long, quorum pairs with
+// multiplicities above one and a label nobody carries.
+func TestMatchQuorumIndexEqualsRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ids := []ident.ID{"A", "B", "C"}
+	long := make([]fd.Label, 64)
+	for i := range long {
+		long[i] = fd.Label(fmt.Sprintf("l%02d", i))
+	}
+	labelLists := [][]fd.Label{
+		nil, {"p"}, {"q"}, {"p", "q"}, {"q", "p", "q"}, {"p", "p"}, long,
+		append(append([]fd.Label{}, long...), "q"),
+	}
+	pairLabels := []fd.Label{"p", "q", "l63", "nobody"}
+	matches, arrivals := 0, 0
+	for cas := 0; cas < 10000; cas++ {
+		hs := &stubHSigma{}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			m := multiset.New[ident.ID]()
+			for sz := 1 + rng.Intn(3); sz > 0; sz-- {
+				m.Add(ids[rng.Intn(len(ids))])
+			}
+			hs.quora = append(hs.quora, fd.QuorumPair{Label: pairLabels[rng.Intn(len(pairLabels))], M: m})
+		}
+		c := &Fig9{d2: hs}
+		buf := &quorBuf{}
+		for n := 1 + rng.Intn(10); n > 0; n-- {
+			buf.add(quorMsg{
+				id:     ids[rng.Intn(len(ids))],
+				sr:     1 + rng.Intn(4),
+				labels: labelLists[rng.Intn(len(labelLists))],
+				est:    Value(fmt.Sprintf("e%d", arrivals)),
+			})
+			arrivals++
+			got, gotOK := c.matchQuorum(buf)
+			want, wantOK := matchQuorumRescan(hs.quora, buf.msgs)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d after %d arrivals: index (%v, %v), rescan (%v, %v)\nquora %v\nmsgs %v",
+					cas, len(buf.msgs), got, gotOK, want, wantOK, hs.quora, buf.msgs)
+			}
+			if gotOK {
+				matches++
+			}
+		}
+	}
+	// Both outcomes must be well represented or the property is vacuous.
+	if matches < arrivals/10 || matches > arrivals*9/10 {
+		t.Errorf("%d matches in %d guard evaluations: generator is lopsided", matches, arrivals)
+	}
+}
+
+// TestMatchQuorumFailingGuardAllocatesNothing: the guard fails on almost
+// every evaluation, so that path must not build maps or multisets.
+func TestMatchQuorumFailingGuardAllocatesNothing(t *testing.T) {
+	hs := &stubHSigma{quora: []fd.QuorumPair{
+		{Label: "all", M: multiset.From[ident.ID]("A", "A", "A", "B", "B", "B", "C", "C", "C")},
+		{Label: "corr", M: multiset.From[ident.ID]("A", "A", "B", "D")},
+	}}
+	c := &Fig9{d2: hs}
+	buf := &quorBuf{}
+	labels := []fd.Label{"all", "corr"}
+	for i := 0; i < 16; i++ {
+		buf.add(quorMsg{id: []ident.ID{"A", "B", "C"}[i%3], sr: 1 + i/8, labels: labels, est: "v"})
+	}
+	if _, ok := c.matchQuorum(buf); ok {
+		t.Fatal("guard holds: the test needs a failing one")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.matchQuorum(buf) }); allocs != 0 {
+		t.Errorf("failing guard allocates %v times per evaluation, want 0", allocs)
+	}
+}
+
+type stubHOmega struct{ leader fd.LeaderInfo }
+
+func (s stubHOmega) Leader() (fd.LeaderInfo, bool) { return s.leader, true }
+
+// spoiler keeps a Fig9 instance with identifier A cycling through rounds
+// without ever deciding: it answers each of A's PH1 with a different
+// estimate, so Phase 1 concludes on ⊥, completes the resulting Phase 2
+// quorum with a ⊥ of its own, and re-sends one message of every buffered
+// kind for the round A has already left. A rejoining A it pulls three
+// rounds ahead, over two rounds it has sent traffic for.
+type spoiler struct{ env sim.Environment }
+
+func (s *spoiler) Init(env sim.Environment) { s.env = env }
+func (s *spoiler) OnTimer(int)              {}
+func (s *spoiler) OnMessage(payload any) {
+	labels := []fd.Label{"q"}
+	switch m := payload.(type) {
+	case Ph1QMsg:
+		if m.ID != "A" {
+			return
+		}
+		s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: "spoil"})
+		s.env.Broadcast(CoordMsg{ID: "A", Round: m.Round - 1, Est: "late"})
+		s.env.Broadcast(Ph0Msg{Round: m.Round - 1, Est: "late"})
+		s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round - 1, SR: 1, Labels: labels, Est: "late"})
+		s.env.Broadcast(Ph2QMsg{ID: "B", Round: m.Round - 1, SR: 1, Labels: labels, Est: "late"})
+	case Ph2QMsg:
+		if m.ID == "A" {
+			s.env.Broadcast(Ph2QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: Bottom})
+		}
+	case RejoinMsg:
+		for ahead := 1; ahead <= 3; ahead++ {
+			s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round + ahead, SR: 1, Labels: labels, Est: "spoil"})
+		}
+	}
+}
+
+// TestFig9ForgetsRoundsItLeft: the reception buffers are read at the
+// current round and the next one only, so a long non-deciding run must not
+// accumulate one entry per round passed — whether the round was left by
+// Phase 2 or by a rejoiner's resync jump — nor buffer late arrivals for
+// rounds it already left.
+func TestFig9ForgetsRoundsItLeft(t *testing.T) {
+	const rounds = 250
+	for _, tc := range []struct {
+		name  string
+		churn []sim.ChurnEvent
+	}{
+		{"crash-free", nil},
+		{"resync jump", []sim.ChurnEvent{{P: 0, At: 40}, {P: 0, At: 60, Recover: true}}},
+	} {
+		name := tc.name
+		for seed := int64(1); seed <= 8; seed++ {
+			hs := &stubHSigma{
+				quora:  []fd.QuorumPair{{Label: "q", M: multiset.From[ident.ID]("A", "B")}},
+				labels: []fd.Label{"q"},
+			}
+			c := NewFig9(stubHOmega{fd.LeaderInfo{ID: "A", Multiplicity: 1}}, hs, "v")
+			c.SetMaxRounds(rounds)
+			eng := sim.New(sim.Config{IDs: ident.Assignment{"A", "B"}, Net: sim.Async{MaxDelay: 3}, Seed: seed})
+			eng.AddProcess(c)
+			eng.AddProcess(&spoiler{})
+			eng.ApplyChurn(tc.churn)
+			eng.RunUntil(1_000_000, func() bool { return c.Round() > rounds })
+			eng.Run(eng.Now() + 50) // let the last late arrivals land
+
+			if c.Decided().Decided || c.Round() != rounds+1 {
+				t.Fatalf("%s seed %d: decided=%v round=%d: want an undecided run stopped at round %d",
+					name, seed, c.Decided().Decided, c.Round(), rounds+1)
+			}
+			if err := c.InvariantErr(); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < c.round; r++ {
+				if c.coord[r] != nil || c.coordSeen[r] || c.ph0[r] != nil || c.ph1[r] != nil || c.ph2[r] != nil {
+					t.Fatalf("%s seed %d: round %d is still buffered at round %d", name, seed, r, c.round)
+				}
+			}
+			if held := len(c.coord) + len(c.coordSeen) + len(c.ph0) + len(c.ph1) + len(c.ph2); held > 2*5 {
+				t.Errorf("%s seed %d: %d buffer entries after %d rounds, want at most two rounds' worth", name, seed, held, rounds)
+			}
+		}
+	}
+}
