@@ -22,6 +22,18 @@
 // arrives, a timer fires, or a co-located failure-detector module changes
 // output (sim.Poller).
 //
+// Fig. 9's Phase 1/2 guard — some (x, mset) ∈ h_quora matched by one
+// sub-round's messages — fails on almost every such evaluation, so it is
+// answered from an index kept at message arrival instead of a rescan of
+// the buffer. Invariant: avail(sr, x) is the multiset of senders of this
+// round's buffered messages of sub-round sr whose label list contains x;
+// it only grows, and the guard holds iff mset ⊆ avail(sr, x) for some
+// pair and sub-round. Buffered messages share the sender's label slice:
+// a sender replaces its current_labels wholesale, never in place, and
+// fd.HSigma.Labels returns copies or immutable values. Reception buffers
+// exist for the current round and later ones only; a round's buffers go
+// when the process leaves it.
+//
 // Beyond the paper's crash-stop model, both algorithms implement
 // sim.Recoverer with a rejoin protocol for crash-recovery churn: a
 // recovered process re-arms its timer chain under a fresh epoch,
