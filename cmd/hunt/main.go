@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if err != nil {
-		if err != errReported {
+		if !errors.Is(err, errReported) {
 			fmt.Fprintln(stderr, "hunt:", err)
 		}
 		return 1

@@ -335,7 +335,6 @@ func TestFig9ForgetsRoundsItLeft(t *testing.T) {
 		{"crash-free", nil},
 		{"resync jump", []sim.ChurnEvent{{P: 0, At: 40}, {P: 0, At: 60, Recover: true}}},
 	} {
-		name := tc.name
 		for seed := int64(1); seed <= 8; seed++ {
 			hs := &stubHSigma{
 				quora:  []fd.QuorumPair{{Label: "q", M: multiset.From[ident.ID]("A", "B")}},
@@ -352,18 +351,18 @@ func TestFig9ForgetsRoundsItLeft(t *testing.T) {
 
 			if c.Decided().Decided || c.Round() != rounds+1 {
 				t.Fatalf("%s seed %d: decided=%v round=%d: want an undecided run stopped at round %d",
-					name, seed, c.Decided().Decided, c.Round(), rounds+1)
+					tc.name, seed, c.Decided().Decided, c.Round(), rounds+1)
 			}
 			if err := c.InvariantErr(); err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < c.round; r++ {
 				if c.coord[r] != nil || c.coordSeen[r] || c.ph0[r] != nil || c.ph1[r] != nil || c.ph2[r] != nil {
-					t.Fatalf("%s seed %d: round %d is still buffered at round %d", name, seed, r, c.round)
+					t.Fatalf("%s seed %d: round %d is still buffered at round %d", tc.name, seed, r, c.round)
 				}
 			}
 			if held := len(c.coord) + len(c.coordSeen) + len(c.ph0) + len(c.ph1) + len(c.ph2); held > 2*5 {
-				t.Errorf("%s seed %d: %d buffer entries after %d rounds, want at most two rounds' worth", name, seed, held, rounds)
+				t.Errorf("%s seed %d: %d buffer entries after %d rounds, want at most two rounds' worth", tc.name, seed, held, rounds)
 			}
 		}
 	}
