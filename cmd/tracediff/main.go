@@ -4,6 +4,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,41 +14,60 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tracediff <trace-a> <trace-b>\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command with its process boundary made explicit, like
+// cmd/hdsim's and cmd/hunt's: arguments in, verdict on stdout,
+// diagnostics on stderr, exit code back — 0 identical, 1 any divergence,
+// 2 a usage or I/O error (`tracediff: <error>` on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracediff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tracediff <trace-a> <trace-b>\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	a, err := open(flag.Arg(0))
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	identical, err := diff(fs.Arg(0), fs.Arg(1), stdout)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "tracediff: %v\n", err)
+		return 2
+	}
+	if identical {
+		return 0
+	}
+	return 1
+}
+
+// diff compares the two trace files and reports whether fingerprints and
+// events both agree.
+func diff(pathA, pathB string, stdout io.Writer) (bool, error) {
+	a, err := open(pathA)
+	if err != nil {
+		return false, err
 	}
 	defer a.close()
-	b, err := open(flag.Arg(1))
+	b, err := open(pathB)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	defer b.close()
 
-	metaOK := compareMeta(a, b)
-	identical, err := compareEvents(a, b)
+	metaOK, err := compareMeta(a, b, stdout)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	if identical && metaOK {
-		os.Exit(0)
-	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tracediff: %v\n", err)
-	os.Exit(2)
+	identical, err := compareEvents(a, b, stdout)
+	return identical && metaOK, err
 }
 
 // side is one trace under comparison: indexed random access when the
@@ -100,32 +120,32 @@ func (s *side) meta() (*trace.Meta, error) {
 // compareMeta prints the scenario-fingerprint verdict and reports whether
 // the fingerprints agree. Two traces of different scenarios can still be
 // event-diffed, but they are not runs of the same experiment.
-func compareMeta(a, b *side) bool {
+func compareMeta(a, b *side, stdout io.Writer) (bool, error) {
 	ma, err := a.meta()
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	mb, err := b.meta()
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	switch {
 	case ma == nil && mb == nil:
-		fmt.Println("meta: none (fingerprint-less traces)")
-		return true
+		fmt.Fprintln(stdout, "meta: none (fingerprint-less traces)")
+		return true, nil
 	case ma == nil || mb == nil:
-		fmt.Println("meta: DIFFER (only one trace carries a scenario fingerprint)")
-		fmt.Printf("  a: %s\n", metaLine(ma))
-		fmt.Printf("  b: %s\n", metaLine(mb))
-		return false
+		fmt.Fprintln(stdout, "meta: DIFFER (only one trace carries a scenario fingerprint)")
+		fmt.Fprintf(stdout, "  a: %s\n", metaLine(ma))
+		fmt.Fprintf(stdout, "  b: %s\n", metaLine(mb))
+		return false, nil
 	case *ma == *mb:
-		fmt.Printf("meta: identical — %s\n", metaLine(ma))
-		return true
+		fmt.Fprintf(stdout, "meta: identical — %s\n", metaLine(ma))
+		return true, nil
 	default:
-		fmt.Println("meta: DIFFER (not runs of the same scenario)")
-		fmt.Printf("  a: %s\n", metaLine(ma))
-		fmt.Printf("  b: %s\n", metaLine(mb))
-		return false
+		fmt.Fprintln(stdout, "meta: DIFFER (not runs of the same scenario)")
+		fmt.Fprintf(stdout, "  a: %s\n", metaLine(ma))
+		fmt.Fprintf(stdout, "  b: %s\n", metaLine(mb))
+		return false, nil
 	}
 }
 
@@ -144,20 +164,20 @@ func metaLine(m *trace.Meta) string {
 // finalized v2 traces whose frames align, the per-frame cumulative
 // digests locate the divergent frame by binary search and only that frame
 // is decoded from each side; otherwise both bodies stream linearly.
-func compareEvents(a, b *side) (bool, error) {
+func compareEvents(a, b *side, stdout io.Writer) (bool, error) {
 	if a.tf != nil && b.tf != nil {
 		ia, ib := a.tf.Index(), b.tf.Index()
 		if ia.TotalDigest == ib.TotalDigest && ia.TotalEvents == ib.TotalEvents {
-			fmt.Printf("events: identical — %d events, digest %016x\n", ia.TotalEvents, ia.TotalDigest)
+			fmt.Fprintf(stdout, "events: identical — %d events, digest %016x\n", ia.TotalEvents, ia.TotalDigest)
 			return true, nil
 		}
 		if k, ok := divergentFrame(ia, ib); ok {
-			return false, diffFrames(a, b, k)
+			return false, diffFrames(a, b, k, stdout)
 		}
 		// Frames misaligned (different spill strides): digests at frame
 		// boundaries are not comparable, scan instead.
 	}
-	return diffStreams(a, b)
+	return diffStreams(a, b, stdout)
 }
 
 // divergentFrame returns the index of the first frame that can contain
@@ -190,7 +210,7 @@ func divergentFrame(ia, ib *trace.Index) (int, bool) {
 
 // diffFrames reports the first divergent event at or after frame k,
 // decoding one aligned frame pair at a time.
-func diffFrames(a, b *side, k int) error {
+func diffFrames(a, b *side, k int, stdout io.Writer) error {
 	na, nb := len(a.tf.Index().Frames), len(b.tf.Index().Frames)
 	for ; k < na && k < nb; k++ {
 		fa, err := frameEvents(a, k)
@@ -202,11 +222,11 @@ func diffFrames(a, b *side, k int) error {
 			return err
 		}
 		ord := a.tf.Index().Frames[k].Ordinal
-		if done, err := reportFirstDiff(fa, fb, ord, k); done {
+		if done, err := reportFirstDiff(fa, fb, ord, k, stdout); done {
 			return err
 		}
 	}
-	reportLength(a.tf.Index().TotalEvents, b.tf.Index().TotalEvents)
+	reportLength(a.tf.Index().TotalEvents, b.tf.Index().TotalEvents, stdout)
 	return nil
 }
 
@@ -227,39 +247,39 @@ func frameEvents(s *side, k int) ([]trace.Event, error) {
 // ord; on a mismatch it prints the divergence and reports done. A length
 // mismatch within the pair is also final (frames are aligned, so the
 // shorter side's trace ends inside this frame).
-func reportFirstDiff(fa, fb []trace.Event, ord uint64, frame int) (bool, error) {
+func reportFirstDiff(fa, fb []trace.Event, ord uint64, frame int, stdout io.Writer) (bool, error) {
 	n := len(fa)
 	if len(fb) < n {
 		n = len(fb)
 	}
 	for i := 0; i < n; i++ {
 		if fa[i] != fb[i] {
-			fmt.Printf("events: first divergence at event %d (frame %d)\n", ord+uint64(i), frame)
-			fmt.Printf("  a: %s\n", fa[i])
-			fmt.Printf("  b: %s\n", fb[i])
+			fmt.Fprintf(stdout, "events: first divergence at event %d (frame %d)\n", ord+uint64(i), frame)
+			fmt.Fprintf(stdout, "  a: %s\n", fa[i])
+			fmt.Fprintf(stdout, "  b: %s\n", fb[i])
 			return true, nil
 		}
 	}
 	if len(fa) != len(fb) {
-		reportLength(ord+uint64(len(fa)), ord+uint64(len(fb)))
+		reportLength(ord+uint64(len(fa)), ord+uint64(len(fb)), stdout)
 		return true, nil
 	}
 	return false, nil
 }
 
-func reportLength(na, nb uint64) {
+func reportLength(na, nb uint64, stdout io.Writer) {
 	if na == nb {
 		// Aligned, equal-length, pairwise-equal events — yet the digests
 		// disagreed. That means a body byte difference the decoder
 		// normalizes away (it cannot happen with this writer).
-		fmt.Printf("events: %d in both, no event-level divergence\n", na)
+		fmt.Fprintf(stdout, "events: %d in both, no event-level divergence\n", na)
 		return
 	}
-	fmt.Printf("events: lengths diverge — %d vs %d (traces agree up to the shorter)\n", na, nb)
+	fmt.Fprintf(stdout, "events: lengths diverge — %d vs %d (traces agree up to the shorter)\n", na, nb)
 }
 
 // diffStreams is the linear fallback: decode both bodies in lockstep.
-func diffStreams(a, b *side) (bool, error) {
+func diffStreams(a, b *side, stdout io.Writer) (bool, error) {
 	ra, err := a.stream()
 	if err != nil {
 		return false, err
@@ -274,7 +294,7 @@ func diffStreams(a, b *side) (bool, error) {
 		eb, errB := rb.Next()
 		switch {
 		case errA == io.EOF && errB == io.EOF:
-			fmt.Printf("events: identical — %d events\n", ord)
+			fmt.Fprintf(stdout, "events: identical — %d events\n", ord)
 			return true, nil
 		case errA == io.EOF || errB == io.EOF:
 			var na, nb uint64 = ord, ord
@@ -283,16 +303,16 @@ func diffStreams(a, b *side) (bool, error) {
 			} else {
 				na++
 			}
-			reportLength(na, nb)
+			reportLength(na, nb, stdout)
 			return false, nil
 		case errA != nil:
 			return false, fmt.Errorf("%s: %w", a.path, errA)
 		case errB != nil:
 			return false, fmt.Errorf("%s: %w", b.path, errB)
 		case ea != eb:
-			fmt.Printf("events: first divergence at event %d\n", ord)
-			fmt.Printf("  a: %s\n", ea)
-			fmt.Printf("  b: %s\n", eb)
+			fmt.Fprintf(stdout, "events: first divergence at event %d\n", ord)
+			fmt.Fprintf(stdout, "  a: %s\n", ea)
+			fmt.Fprintf(stdout, "  b: %s\n", eb)
 			return false, nil
 		}
 		ord++
