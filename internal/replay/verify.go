@@ -49,26 +49,28 @@ func Verify(m *trace.Meta, src trace.EventSource, w io.Writer) error {
 	return nil
 }
 
-// drain feeds every event to observe and returns what the live recorder
-// and engine would have counted: Record's counting path is the same code,
-// so the replayed Stats agree with the live ones by construction.
-func drain(src trace.EventSource, observe func(trace.Event)) (stats hds.Stats, recoveries int, err error) {
+// drain feeds every event to observe, a batch at a time, and returns what
+// the live recorder would have counted: RecordBatch counts through the
+// definition Record counts through, so the replayed Stats agree with the
+// live ones by construction. A batch is valid only during the call.
+func drain(src trace.EventSource, observe func(batch []trace.Event)) (hds.Stats, error) {
 	var rec trace.Recorder
-	err = trace.Drain(src, func(e trace.Event) error {
-		rec.Record(e)
-		if e.Kind == trace.KindRecover {
-			recoveries++
-		}
-		observe(e)
+	err := trace.DrainBatches(src, func(batch []trace.Event) error {
+		rec.RecordBatch(batch)
+		observe(batch)
 		return nil
 	})
-	return rec.Stats(), recoveries, err
+	return rec.Stats(), err
 }
 
 func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.ConsensusResult, error) {
 	n := sc.IDs.N()
 	tracker := check.NewOutcomeTracker(n)
-	stats, recoveries, err := drain(src, tracker.Observe)
+	stats, err := drain(src, func(batch []trace.Event) {
+		for _, e := range batch {
+			tracker.Observe(e)
+		}
+	})
 	if err != nil {
 		return hds.ConsensusResult{}, err
 	}
@@ -80,7 +82,7 @@ func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.Consensu
 		return hds.ConsensusResult{}, err
 	}
 	res, err := hds.VerifyConsensus(truth, sc.Churn.Fraction > 0, hds.DefaultProposals(n), tracker.Outcomes())
-	res.Stats, res.Recoveries = stats, recoveries
+	res.Stats, res.Recoveries = stats, stats.Recoveries
 	return res, err
 }
 
@@ -88,9 +90,11 @@ func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.OHPResult, err
 	n := sc.IDs.N()
 	trusted := fd.NewTrustedReplayer(n)
 	leader := fd.NewLeaderReplayer(n)
-	stats, recoveries, err := drain(src, func(e trace.Event) {
-		trusted.Observe(e)
-		leader.Observe(e)
+	stats, err := drain(src, func(batch []trace.Event) {
+		for _, e := range batch {
+			trusted.Observe(e)
+			leader.Observe(e)
+		}
 	})
 	if err != nil {
 		return hds.OHPResult{}, err
@@ -106,16 +110,18 @@ func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.OHPResult, err
 		return hds.OHPResult{}, err
 	}
 	res, err := hds.VerifyOHP(truth, trusted.Probe(), leader.Probe())
-	res.Stats, res.Recoveries = stats, recoveries
+	res.Stats, res.Recoveries = stats, stats.Recoveries
 	return res, err
 }
 
 func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.HeartbeatResult, error) {
 	n := sc.IDs.N()
 	heard := make([]int, n)
-	stats, recoveries, err := drain(src, func(e trace.Event) {
-		if e.Kind == trace.KindDeliver && e.PID >= 0 && e.PID < n {
-			heard[e.PID]++
+	stats, err := drain(src, func(batch []trace.Event) {
+		for i := range batch {
+			if e := &batch[i]; e.Kind == trace.KindDeliver && e.PID >= 0 && e.PID < n {
+				heard[e.PID]++
+			}
 		}
 	})
 	if err != nil {
@@ -131,8 +137,8 @@ func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Heartbea
 			want++
 		}
 	}
-	if recoveries != want {
-		return hds.HeartbeatResult{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", recoveries, want)
+	if stats.Recoveries != want {
+		return hds.HeartbeatResult{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", stats.Recoveries, want)
 	}
 	for _, p := range truth.EventuallyUp() {
 		if heard[p] == 0 {
@@ -142,7 +148,7 @@ func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Heartbea
 	return hds.HeartbeatResult{
 		EventuallyUp: len(truth.EventuallyUp()),
 		Correct:      len(truth.Correct()),
-		Recoveries:   recoveries,
+		Recoveries:   stats.Recoveries,
 		Stats:        stats,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -261,4 +262,107 @@ func BenchmarkBinarySinkSpill(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestDecodeSteadyStateAllocs pins the decoder's allocation budget: one
+// 4096-event frame carrying three tags and two details, pulled through
+// NextBatch into a reused slab, allocates one string per distinct
+// tag/detail and nothing per event — the rest is the fixed cost of a
+// reader (its window, its string table, the index it ends on).
+func TestDecodeSteadyStateAllocs(t *testing.T) {
+	tags := []string{"HB", "PH1", "COORD"}
+	details := []string{"", "r=1", "sender crashed mid-broadcast"}
+	events := make([]Event, DefaultFrameEvents)
+	for i := range events {
+		events[i] = Event{Time: int64(i / 3), Kind: KindDeliver, PID: i % 300, MsgTag: tags[i%3], Detail: details[i%3]}
+	}
+	bin := encodeV2(t, events, DefaultFrameEvents, nil)
+	src := bytes.NewReader(bin)
+	slab := make([]Event, 512)
+	decode := func() {
+		src.Reset(bin)
+		r, err := NewBinaryReader(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for {
+			n, err := r.NextBatch(slab)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += n
+		}
+		if total != len(events) {
+			t.Fatalf("decoded %d events, want %d", total, len(events))
+		}
+	}
+	const distinct, fixed = 5, 12
+	allocs := testing.AllocsPerRun(20, decode)
+	t.Logf("allocs per decode: %.0f", allocs)
+	if allocs > distinct+fixed {
+		t.Errorf("decoding %d events allocated %.0f times, want at most %d (one per distinct string) + %d (per reader)",
+			len(events), allocs, distinct, fixed)
+	}
+}
+
+// TestDrainBatches pins the batch drain on both kinds of source: the
+// batches concatenate to the source's sequence, a reused slab never
+// exceeds its size, events ahead of a source error are delivered before
+// the error comes back, and a consumer error stops the drain.
+func TestDrainBatches(t *testing.T) {
+	events := genEvents(3*drainSlab + 17)
+	bin := encodeV2(t, events, 100, nil)
+	reader := func(data []byte) EventSource {
+		r, err := NewBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	collect := func(src EventSource) ([]Event, error) {
+		var got []Event
+		err := DrainBatches(src, func(batch []Event) error {
+			if len(batch) == 0 || len(batch) > drainSlab {
+				t.Fatalf("batch of %d events", len(batch))
+			}
+			got = append(got, batch...)
+			return nil
+		})
+		return got, err
+	}
+	for _, src := range []EventSource{reader(bin), NewSliceSource(events)} {
+		if got, err := collect(src); err != nil || !slices.Equal(got, events) {
+			t.Errorf("%T: drained %d events (%v), want %d", src, len(got), err, len(events))
+		}
+	}
+
+	cut := bin[:len(bin)*2/3]
+	want, wantErr := eventsBeforeError(reader(cut))
+	got, err := collect(reader(cut))
+	if !errors.Is(err, ErrBinaryTrace) || err.Error() != wantErr.Error() || !slices.Equal(got, want) || len(got) == 0 {
+		t.Errorf("truncated stream: drained %d events (%v), want %d (%v)", len(got), err, len(want), wantErr)
+	}
+
+	stop := io.ErrClosedPipe
+	calls := 0
+	if err := DrainBatches(reader(bin), func([]Event) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("consumer error: got %v after %d calls, want %v after 1", err, calls, stop)
+	}
+}
+
+// eventsBeforeError drains src through Next and returns the events ahead
+// of its first error, and that error.
+func eventsBeforeError(src EventSource) ([]Event, error) {
+	var out []Event
+	for {
+		e, err := src.Next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
 }

@@ -21,9 +21,11 @@ func fuzzEvents() []Event {
 // FuzzBinaryReader pins the decoder's corruption contract: arbitrary input
 // must never panic, and every decode failure must wrap ErrBinaryTrace so
 // callers can tell corruption from I/O errors — through the streaming
-// reader and the random-access opener alike. Inputs that do decode are
-// re-encoded and decoded again — the decoder must be a left inverse of the
-// encoder on its own output.
+// reader and the random-access opener alike — and on every input the
+// decoder must agree with the reference decoder (reference_test.go) on
+// events, error text and index. Inputs that do decode are re-encoded and
+// decoded again — the decoder must be a left inverse of the encoder on its
+// own output.
 func FuzzBinaryReader(f *testing.F) {
 	// Seed with a valid stream, its truncations, and targeted
 	// mutations (bad magic, bad version, wild lengths, corrupt index and
@@ -71,20 +73,17 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add(append(bytes.Clone(v1Header), 0, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Random access must uphold the same contract on the same bytes.
-		if tf, err := OpenTraceFile(bytes.NewReader(data), int64(len(data))); err == nil {
-			for i := range tf.Index().Frames {
-				fr, err := tf.OpenFrame(i)
-				if err != nil {
-					t.Fatalf("OpenFrame(%d): %v", i, err)
-				}
-				if err := Drain(fr, func(Event) error { return nil }); err != nil && !errors.Is(err, ErrBinaryTrace) {
-					t.Fatalf("frame %d decode error does not wrap ErrBinaryTrace: %v", i, err)
-				}
-			}
-		} else if !errors.Is(err, ErrBinaryTrace) {
-			t.Fatalf("OpenTraceFile error does not wrap ErrBinaryTrace: %v", err)
+		// The window decoder must be indistinguishable from the decoder it
+		// replaced — events, error text, index — at a window most records
+		// straddle and at the production one, through Next and through
+		// NextBatch; and so must every frame reader random access hands
+		// out, which upholds the same corruption contract on the same
+		// bytes.
+		for _, window := range testWindows {
+			got := againstReference(t, data, window, plain)
+			batchesAgainstNext(t, data, window, 7, got)
 		}
+		framesAgainstReference(t, data)
 
 		decoded, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -153,14 +153,14 @@ func OpenTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 		return nil, fmt.Errorf("%w: no trailer end magic — not a finalized v2 trace (stream it with NewBinaryReader)", ErrBinaryTrace)
 	}
 	indexOff := binary.LittleEndian.Uint64(trailer[:8])
-	if indexOff < 10 || int64(indexOff) > size-16 {
+	if indexOff < 10 || indexOff > uint64(size-16) { // compared unsigned: an offset past 2^63 must not pass as negative
 		return nil, fmt.Errorf("%w: trailer index offset %d outside file of %d bytes", ErrBinaryTrace, indexOff, size)
 	}
 	ix, err := parseIndex(io.NewSectionReader(r, int64(indexOff), size-16-int64(indexOff)))
 	if err != nil {
 		return nil, err
 	}
-	hr, err := newBinaryReader(bufio.NewReaderSize(io.NewSectionReader(r, 0, int64(indexOff)), 1<<12))
+	hr, err := newBinaryReader(io.NewSectionReader(r, 0, int64(indexOff)), 1<<12)
 	if err != nil {
 		return nil, err
 	}
@@ -189,9 +189,11 @@ func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 	if i+1 < len(f.index.Frames) {
 		end = f.index.Frames[i+1].Offset - 2 // the restart control precedes the next frame
 	}
-	section := io.NewSectionReader(f.r, int64(start), int64(end-start))
+	// The window is the section when that is smaller: decoding one frame
+	// costs one read and the frame's own size in memory.
+	size := min(max(int64(end)-int64(start), 1), windowSize)
 	return &BinaryReader{
-		r:       &byteCounter{r: bufio.NewReaderSize(section, 1<<16)},
+		w:       window{src: io.NewSectionReader(f.r, int64(start), int64(end-start)), buf: make([]byte, size)},
 		meta:    f.meta,
 		bounded: true,
 	}, nil

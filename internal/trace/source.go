@@ -48,3 +48,42 @@ func Drain(src EventSource, fn func(Event) error) error {
 		}
 	}
 }
+
+// drainSlab is the batch DrainBatches pulls at a time: large enough that
+// per-batch costs vanish against per-event ones, small enough (28 KiB)
+// that a replay's memory does not move.
+const drainSlab = 512
+
+// DrainBatches pulls src to exhaustion like Drain, handing fn the events
+// in batches: one reused slab, filled by the source's NextBatch when it
+// has one (a BinaryReader does) and by Next otherwise. A batch is valid
+// only until fn returns — fn must copy what it keeps. Events that precede
+// an error of the source are delivered before DrainBatches returns it.
+func DrainBatches(src EventSource, fn func([]Event) error) error {
+	slab := make([]Event, drainSlab)
+	batcher, _ := src.(interface{ NextBatch([]Event) (int, error) })
+	for {
+		var n int
+		var err error
+		if batcher != nil {
+			n, err = batcher.NextBatch(slab)
+		} else {
+			for n < len(slab) && err == nil {
+				if slab[n], err = src.Next(); err == nil {
+					n++
+				}
+			}
+		}
+		if n > 0 {
+			if err := fn(slab[:n]); err != nil {
+				return err
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -98,4 +101,45 @@ func TestKindAndEventStrings(t *testing.T) {
 	if s := e2.String(); !strings.Contains(s, "crash") {
 		t.Errorf("event string = %q", s)
 	}
+}
+
+// TestRecordBatchEqualsRecord pins RecordBatch to Record: a seeded batch
+// holding every kind, several broadcast tags (the empty one included) and
+// kinds outside the defined range yields the same Stats — ByTag included —
+// and the same retained events whether it is recorded event by event or in
+// batches of uneven size, on stats-only and retaining recorders alike.
+func TestRecordBatchEqualsRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	kinds := []Kind{-3, 0, KindTimerDrop + 1, 1000}
+	for k := KindBroadcast; k <= KindTimerDrop; k++ {
+		kinds = append(kinds, k)
+	}
+	tags := []string{"", "PH1", "PH2", "COORD", "ALIVE"}
+	events := make([]Event, 3000)
+	for i := range events {
+		events[i] = Event{Time: int64(i), Kind: kinds[rng.Intn(len(kinds))], PID: rng.Intn(7), MsgTag: tags[rng.Intn(len(tags))]}
+	}
+	for _, keep := range []bool{false, true} {
+		one, batched := &Recorder{KeepEvents: keep, BufSize: 64}, &Recorder{KeepEvents: keep, BufSize: 64}
+		for _, e := range events {
+			one.Record(e)
+		}
+		for rest := events; len(rest) > 0; {
+			n := min(1+rng.Intn(700), len(rest))
+			batched.RecordBatch(rest[:n])
+			rest = rest[n:]
+		}
+		batched.RecordBatch(nil)
+		if got, want := batched.Stats(), one.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("KeepEvents=%v: RecordBatch stats %+v, Record stats %+v", keep, got, want)
+		}
+		if want := one.Stats(); want.Broadcasts == 0 || want.TimerDrops == 0 || len(want.ByTag) != len(tags) {
+			t.Fatalf("seeded batch misses a kind or tag: %+v", want)
+		}
+		if got, want := batched.Events(), one.Events(); !slices.Equal(got, want) || (keep && len(got) != len(events)) {
+			t.Errorf("KeepEvents=%v: RecordBatch retained %d events, Record %d", keep, len(got), len(want))
+		}
+	}
+	var none *Recorder
+	none.RecordBatch(events) // a nil recorder is safe to record into
 }
