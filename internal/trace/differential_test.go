@@ -109,7 +109,7 @@ func framesAgainstReference(t testing.TB, data []byte) {
 			end = frames[i+1].Offset - 2
 		}
 		section := io.NewSectionReader(bytes.NewReader(data), int64(f.Offset), int64(end-f.Offset))
-		ref := &refReader{r: &byteCounter{r: bufio.NewReader(section)}, meta: tf.Meta(), bounded: true}
+		ref := &refReader{r: &byteCounter{r: bufio.NewReader(section), n: f.Offset}, meta: tf.Meta(), bounded: true}
 		if d := got.diff(drainAll(ref, nil)); d != "" {
 			t.Fatalf("frame %d: %s\ninput %x", i, d, data)
 		}

@@ -179,7 +179,8 @@ func (f *TraceFile) Meta() *Meta { return f.meta }
 func (f *TraceFile) Index() *Index { return f.index }
 
 // OpenFrame returns a reader over exactly frame i's events, positioned at
-// its first event with fresh decoder state.
+// its first event with fresh decoder state. Offsets in its errors are file
+// offsets, like the streaming reader's.
 func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 	if i < 0 || i >= len(f.index.Frames) {
 		return nil, fmt.Errorf("trace: frame %d out of range [0,%d)", i, len(f.index.Frames))
@@ -193,7 +194,7 @@ func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 	// costs one read and the frame's own size in memory.
 	size := min(max(int64(end)-int64(start), 1), windowSize)
 	return &BinaryReader{
-		w:       window{src: io.NewSectionReader(f.r, int64(start), int64(end-start)), buf: make([]byte, size)},
+		w:       window{src: io.NewSectionReader(f.r, int64(start), int64(end-start)), buf: make([]byte, size), base: start},
 		meta:    f.meta,
 		bounded: true,
 	}, nil

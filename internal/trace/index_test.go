@@ -317,3 +317,49 @@ func TestBinaryReaderIsEventSource(t *testing.T) {
 		t.Fatalf("Drain consumer error: got %v, want %v", err, want)
 	}
 }
+
+// TestFrameReaderOffsetsAreAbsolute pins the offsets in decode errors to
+// the file: a corrupt kind byte in frame 2 is reported at the same offset
+// by the frame's own reader and by the streaming reader that reaches it
+// from the top. (Frame readers used to count from their section's start.)
+func TestFrameReaderOffsetsAreAbsolute(t *testing.T) {
+	bin := encodeV2(t, genEvents(40), 8, &Meta{Algo: "ohp", N: 5})
+	tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the kind of frame 2's second event: the streaming reader,
+	// whose offsets have always been absolute, says where it is.
+	probe, err := NewBinaryReader(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i <= tf.Index().Frames[2].Ordinal; i++ {
+		if _, err := probe.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kindAt := probe.w.offset()
+	corrupt := bytes.Clone(bin)
+	corrupt[kindAt] = 0x7f
+	want := fmt.Sprintf("invalid event kind 127 at offset %d", kindAt+1)
+
+	tf, err = OpenTraceFile(bytes.NewReader(corrupt), int64(len(corrupt)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := tf.OpenFrame(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := NewBinaryReader(bytes.NewReader(corrupt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*BinaryReader{fr, stream} {
+		err := Drain(src, func(Event) error { return nil })
+		if !errors.Is(err, ErrBinaryTrace) || !strings.Contains(fmt.Sprint(err), want) {
+			t.Errorf("bounded=%v reader: got %v, want ErrBinaryTrace with %q", src.bounded, err, want)
+		}
+	}
+}
