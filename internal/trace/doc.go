@@ -29,4 +29,23 @@
 //
 // The zero value is a ready, concurrency-safe, stats-only recorder; a nil
 // *Recorder is safe to record into and reports empty results.
+//
+// # Decoding
+//
+// BinaryReader decodes a binary stream (NewBinaryReader) or one frame of
+// a finalized file (OpenTraceFile, TraceFile.OpenFrame) event by event
+// (Next) or a slab at a time (NextBatch); Drain and DrainBatches are the
+// matching pull loops over any EventSource. The decoder's contract:
+//
+//   - It owns a byte window over its source and refills it only at record
+//     boundaries; reader state changes only once a record has been
+//     scanned whole, so a refill never tears an event.
+//   - Offsets in errors are absolute stream offsets, for frame readers
+//     too.
+//   - A batch belongs to the caller: NextBatch keeps no reference to dst,
+//     and a batch handed out by DrainBatches, which reuses one slab, is
+//     valid only until the callback returns and must not be retained.
+//   - Errors are built in one place and are sticky. Corruption wraps
+//     ErrBinaryTrace and names the field the stream was cut in; a read
+//     error of the source other than io.EOF is returned unwrapped.
 package trace
