@@ -218,7 +218,8 @@ func newStr(ref uint64, s string) []byte {
 // three frames, metadata, four distinct strings (one first seen in the
 // middle of a frame, one longer than the small test window), a detail
 // that refers to the tag introduced by the same event, a negative time
-// delta, a two-byte pid and a non-canonical two-byte varint.
+// delta, varints of one, two, three and six bytes and a non-canonical
+// two-byte one.
 func differentialTrace() ([]byte, []Event) {
 	long := strings.Repeat("quorum-", 6) // 42 bytes against a 16-byte window
 	h := newHandTrace(&Meta{Algo: "fig9", N: 300, L: 3, Seed: 7})
@@ -227,16 +228,16 @@ func differentialTrace() ([]byte, []Event) {
 	h.event(3, 1, uv(uint64(KindDrop)), sv(-2), uv(1), uv(1), newStr(3, long)) // time steps back; new string mid-frame
 	h.restart()
 	h.event(9, 2, uv(uint64(KindTimer)), sv(9), []byte{0x82, 0x00}, newStr(1, "T"), uv(1)) // pid 2, non-canonically; detail = the new tag
-	h.event(9, 2, uv(uint64(KindCrash)), sv(0), uv(2), uv(0), uv(0))
+	h.event(9, 20000, uv(uint64(KindCrash)), sv(0), uv(20000), uv(0), uv(0))               // three-byte pid
 	h.restart()
-	h.event(12, 1, uv(uint64(KindDecide)), sv(12), uv(1), uv(0), newStr(1, "v=1"))
+	h.event(1<<40, 1, uv(uint64(KindDecide)), sv(1<<40), uv(1), uv(0), newStr(1, "v=1")) // six-byte delta
 	want := []Event{
 		{Time: 5, Kind: KindBroadcast, PID: 0, MsgTag: "PH1", Detail: "r1"},
 		{Time: 5, Kind: KindDeliver, PID: 299, MsgTag: "PH1", Detail: "r1"},
 		{Time: 3, Kind: KindDrop, PID: 1, MsgTag: "PH1", Detail: long},
 		{Time: 9, Kind: KindTimer, PID: 2, MsgTag: "T", Detail: "T"},
-		{Time: 9, Kind: KindCrash, PID: 2},
-		{Time: 12, Kind: KindDecide, PID: 1, Detail: "v=1"},
+		{Time: 9, Kind: KindCrash, PID: 20000},
+		{Time: 1 << 40, Kind: KindDecide, PID: 1, Detail: "v=1"},
 	}
 	return h.finish(), want
 }

@@ -324,6 +324,10 @@ func (d *BinaryReader) next(e *Event) error {
 		}
 		if single(b, p) {
 			pid, p = uint64(b[p]), p+1
+		} else if p+1 < len(b) && b[p+1] < 0x80 {
+			// The one field that is routinely two bytes: any population
+			// above 128 puts most pids here.
+			pid, p = uint64(b[p]&0x7f)|uint64(b[p+1])<<7, p+2
 		} else if pid, p = uvarintMulti(b, p); p <= 0 {
 			field = "pid"
 			goto stalled
