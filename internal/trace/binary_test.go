@@ -301,9 +301,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	const distinct, fixed = 5, 12
-	allocs := testing.AllocsPerRun(20, decode)
-	t.Logf("allocs per decode: %.0f", allocs)
-	if allocs > distinct+fixed {
+	if allocs := testing.AllocsPerRun(20, decode); allocs > distinct+fixed {
 		t.Errorf("decoding %d events allocated %.0f times, want at most %d (one per distinct string) + %d (per reader)",
 			len(events), allocs, distinct, fixed)
 	}
@@ -316,7 +314,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 func TestDrainBatches(t *testing.T) {
 	events := genEvents(3*drainSlab + 17)
 	bin := encodeV2(t, events, 100, nil)
-	reader := func(data []byte) EventSource {
+	reader := func(data []byte) *BinaryReader {
 		r, err := NewBinaryReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -341,28 +339,15 @@ func TestDrainBatches(t *testing.T) {
 	}
 
 	cut := bin[:len(bin)*2/3]
-	want, wantErr := eventsBeforeError(reader(cut))
+	want := drainAll(reader(cut), nil)
 	got, err := collect(reader(cut))
-	if !errors.Is(err, ErrBinaryTrace) || err.Error() != wantErr.Error() || !slices.Equal(got, want) || len(got) == 0 {
-		t.Errorf("truncated stream: drained %d events (%v), want %d (%v)", len(got), err, len(want), wantErr)
+	if !errors.Is(err, ErrBinaryTrace) || err.Error() != want.err || !slices.Equal(got, want.events) || len(got) == 0 {
+		t.Errorf("truncated stream: drained %d events (%v), want %d (%s)", len(got), err, len(want.events), want.err)
 	}
 
 	stop := io.ErrClosedPipe
 	calls := 0
 	if err := DrainBatches(reader(bin), func([]Event) error { calls++; return stop }); err != stop || calls != 1 {
 		t.Errorf("consumer error: got %v after %d calls, want %v after 1", err, calls, stop)
-	}
-}
-
-// eventsBeforeError drains src through Next and returns the events ahead
-// of its first error, and that error.
-func eventsBeforeError(src EventSource) ([]Event, error) {
-	var out []Event
-	for {
-		e, err := src.Next()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
 	}
 }

@@ -336,7 +336,7 @@ func TestDifferentialLongString(t *testing.T) {
 		{Time: 3, Kind: KindNote, PID: 3, MsgTag: long, Detail: "short"},
 	}
 	data := encodeV2(t, events, 2, nil)
-	for _, sw := range sourceWraps[:3] {
+	for _, sw := range sourceWraps {
 		got := againstReference(t, data, windowSize, sw.wrap)
 		if got.err != "EOF" || !slices.Equal(got.events, events) {
 			t.Fatalf("%s: decoded %d events (%s)", sw.name, len(got.events), got.err)
