@@ -43,9 +43,16 @@
 //     therefore tracks live broadcasts, not n² copies in flight;
 //   - every copy's fate is computed once, by the send-time scan, which
 //     writes it into a per-broadcast fate table of one byte per recipient
-//     that the waves read back; the tables of all in-flight broadcasts
+//     and notes which delays occur; a wave knows its successor from that
+//     set and picks its own copies out of the table eight recipients per
+//     load, with byte masks and popcounts instead of a compare per byte
+//     (WaveWords counts the loads). The tables of all in-flight broadcasts
 //     are held to a fixed budget, past which a broadcast recomputes its
 //     fates per wave instead (see fanout.go);
+//   - a wave counts its deliveries and drops for a stats-only recorder in
+//     plain ints and adds them once, before it returns: the recorder's
+//     Delivered/Dropped are exact whenever Run/RunUntil has returned and
+//     may lag by the current wave inside an AfterEvent hook;
 //   - all fan-out copies of one broadcast share a single refcounted slot in
 //     the engine's payload table (freed to a freelist when the last copy
 //     pops), instead of carrying the boxed payload once per copy;

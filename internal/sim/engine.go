@@ -234,11 +234,18 @@ type Engine struct {
 	// Fate tables (fanout.go): freeFates is their freelist, fateBytes the
 	// bytes handed out to in-flight broadcasts right now, fateBudget the
 	// bound on it (fateTableBudget; a field only so tests can force the
-	// rescan fallback). fateEvals counts copyFate calls.
+	// rescan fallback). fateEvals counts copyFate calls, waveWords the
+	// table words waves loaded.
 	freeFates  [][]byte
 	fateBytes  int
 	fateBudget int
 	fateEvals  uint64
+	waveWords  uint64
+	// waveDelivered/waveDropped are the current wave's deliveries and
+	// recipient-crashed drops not yet added to a stats-only recorder
+	// (flushWaveTally).
+	waveDelivered int
+	waveDropped   int
 	// done is the active RunUntil predicate, visible to deliverWave so a
 	// wave can stop between copies exactly as the eager path stops between
 	// events.
@@ -498,7 +505,9 @@ func (e *Engine) CorrectIDs() []ident.ID {
 // (p = -1 for the initial time-0 notification, where every process just
 // ran Init). Property checkers use it to sample failure-detector outputs
 // exactly when they can change: a process's output may change only during
-// its own events or when virtual time advances.
+// its own events or when virtual time advances. An observer that reads a
+// stats-only recorder sees Delivered/Dropped short of the delivery wave in
+// progress; they are exact once Run/RunUntil has returned.
 func (e *Engine) AfterEvent(f func(now Time, p PID)) {
 	e.afterEvent = append(e.afterEvent, f)
 }
@@ -518,6 +527,12 @@ func (e *Engine) MaxQueueLen() int { return e.maxQueue }
 // wave for those that did not. It is a deterministic function of the
 // configuration, like every other counter here.
 func (e *Engine) FateEvals() uint64 { return e.fateEvals }
+
+// WaveWords returns how many 8-byte fate-table words delivery waves have
+// loaded so far: at most ⌈n/8⌉ per wave of a broadcast that carries a
+// table, where selecting the wave's copies byte by byte would visit n. Like
+// FateEvals it is a deterministic function of the configuration.
+func (e *Engine) WaveWords() uint64 { return e.waveWords }
 
 // Stopped reports why the most recent Run/RunUntil call returned. Callers
 // must check for StopMaxEvents before trusting a run's results: the guard
@@ -609,17 +624,13 @@ func (e *Engine) step() StopReason {
 		if !e.crashed[pid] {
 			e.crashed[pid] = true
 			e.everCrashed[pid] = true
-			if e.rec != nil {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindCrash, PID: int(pid)})
-			}
+			e.record(trace.KindCrash, int(pid), "", "")
 		}
 	case evRecover:
 		if e.crashed[pid] {
 			e.crashed[pid] = false
 			e.recoveries++
-			if e.rec != nil {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindRecover, PID: int(pid)})
-			}
+			e.record(trace.KindRecover, int(pid), "", "")
 			if r, ok := e.procs[pid].(Recoverer); ok {
 				r.OnRecover()
 			}
@@ -627,13 +638,7 @@ func (e *Engine) step() StopReason {
 	case evDeliver:
 		payload := e.takePayload(ev.arg)
 		if e.crashed[pid] {
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: int(pid), MsgTag: tagOf(payload), Detail: "recipient crashed"})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: int(pid)})
-				}
-			}
+			e.record(trace.KindDrop, int(pid), tagOf(payload), "recipient crashed")
 			break
 		}
 		if e.rec != nil {
@@ -645,26 +650,18 @@ func (e *Engine) step() StopReason {
 		}
 		e.procs[pid].OnMessage(payload)
 	case evTimer:
+		var detail string
+		if e.retain {
+			detail = timerDetail(int(ev.arg))
+		}
 		if e.crashed[pid] {
 			// A timer on a down process is dropped, exactly like a message
 			// copy — and, like one, it leaves a trace: silently vanishing
 			// timers made crash interleavings unreproducible from traces.
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindTimerDrop, PID: int(pid), Detail: timerDetail(int(ev.arg))})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindTimerDrop, PID: int(pid)})
-				}
-			}
+			e.record(trace.KindTimerDrop, int(pid), "", detail)
 			break
 		}
-		if e.rec != nil {
-			if e.retain {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindTimer, PID: int(pid), Detail: timerDetail(int(ev.arg))})
-			} else {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindTimer, PID: int(pid)})
-			}
-		}
+		e.record(trace.KindTimer, int(pid), "", detail)
 		e.procs[pid].OnTimer(int(ev.arg))
 	}
 	e.notifyAfter(pid)
@@ -707,25 +704,22 @@ func (e *Engine) broadcast(from PID, payload any) {
 	if e.cfg.EagerFanout {
 		e.broadcastEager(key, from, payload, partial, prob, tag)
 	} else {
-		fates := e.allocFates()
-		scheduled, minDelay, firstK := e.fanoutScan(key, from, partial, prob, tag, fates)
+		f := fanoutRec{
+			key:     key,
+			sent:    e.now,
+			from:    int32(from),
+			partial: partial,
+			prob:    prob,
+			fates:   e.allocFates(),
+		}
+		scheduled, firstK := e.fanoutScan(&f, tag)
 		if scheduled == 0 {
-			e.freeFateTable(fates)
+			e.freeFateTable(f.fates)
 		} else {
-			baseSeq := e.seq
+			f.baseSeq = e.seq
 			e.seq += uint64(scheduled)
-			idx := e.allocFanout(fanoutRec{
-				key:     key,
-				baseSeq: baseSeq,
-				sent:    e.now,
-				slot:    e.allocSlot(payload),
-				from:    int32(from),
-				partial: partial,
-				prob:    prob,
-				fates:   fates,
-				delay:   minDelay,
-			})
-			e.requeue(event{time: e.now + minDelay, seq: baseSeq + uint64(firstK), kind: evFanout, pid: int32(from), arg: idx})
+			f.slot = e.allocSlot(payload)
+			e.requeue(event{time: e.now + f.delay, seq: f.baseSeq + uint64(firstK), kind: evFanout, pid: int32(from), arg: e.allocFanout(f)})
 		}
 	}
 	if partial {
@@ -737,9 +731,7 @@ func (e *Engine) broadcast(from PID, payload any) {
 		// instant order against it exactly as the queue will pop them. A
 		// crash scheduled even later (CrashAt) keeps precedence.
 		flt.lastCrash.latest(schedKey{t: e.now, seq: e.curSeq, set: true})
-		if e.rec != nil {
-			e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindCrash, PID: int(from), Detail: "mid-broadcast"})
-		}
+		e.record(trace.KindCrash, int(from), "", "mid-broadcast")
 	}
 }
 
@@ -755,21 +747,9 @@ func (e *Engine) broadcastEager(key uint64, from PID, payload any, partial bool,
 		d, st := e.copyFate(key, e.now, int32(from), partial, prob, to)
 		switch st {
 		case fatePartialDrop:
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to, MsgTag: tag, Detail: "sender crashed mid-broadcast"})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to})
-				}
-			}
+			e.record(trace.KindDrop, to, tag, "sender crashed mid-broadcast")
 		case fateLost:
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to, MsgTag: tag, Detail: "lost"})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to})
-				}
-			}
+			e.record(trace.KindDrop, to, tag, "lost")
 		case fateDeliver:
 			e.push(event{time: e.now + d, kind: evDeliver, pid: int32(to), arg: slot})
 			copies++
@@ -865,16 +845,24 @@ func (e *Engine) freeSlot(slot int32) {
 	e.freeSlots = append(e.freeSlots, slot)
 }
 
-func (e *Engine) record(ev trace.Event) {
-	if e.rec != nil {
-		e.rec.Record(ev)
+// record adds one engine event at the current time. A recorder that keeps
+// statistics only gets the bare kind and pid — what it counts — so callers
+// pass tag and detail unconditionally; a detail that costs something to
+// build (timerDetail) they build only when e.retain.
+func (e *Engine) record(kind trace.Kind, pid int, tag, detail string) {
+	if e.rec == nil {
+		return
 	}
+	if !e.retain {
+		tag, detail = "", ""
+	}
+	e.rec.Record(trace.Event{Time: e.now, Kind: kind, PID: pid, MsgTag: tag, Detail: detail})
 }
 
 // Note records a custom trace event on behalf of process p; algorithms use
 // it (via Env.Note) to mark decisions and failure-detector output changes.
 func (e *Engine) note(p PID, kind trace.Kind, tag, detail string) {
-	e.record(trace.Event{Time: e.now, Kind: kind, PID: int(p), MsgTag: tag, Detail: detail})
+	e.rec.Record(trace.Event{Time: e.now, Kind: kind, PID: int(p), MsgTag: tag, Detail: detail})
 }
 
 // tagCache memoizes the reflected type name of untagged payloads. It is a

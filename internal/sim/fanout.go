@@ -20,8 +20,7 @@ package sim
 // Delivery proceeds in waves, one per distinct delay value: the queue
 // entry for a broadcast carries the current wave's delay d; popping it
 // delivers every copy with fate delay == d (in recipient order, with the
-// copy's reserved seq), while the same pass computes the next wave's delay
-// (the minimum fate delay > d); the entry is then re-pushed at that wave's
+// copy's reserved seq); the entry is then re-pushed at the next wave's
 // time, or retired when no wave remains. Because the broadcast reserves
 // the contiguous seq interval its copies would have received from the
 // eager path, the wave entry can always be keyed by the seq of its
@@ -31,19 +30,35 @@ package sim
 // Config.EagerFanout as the differential oracle for exactly that claim.
 //
 // Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is the
-// only place a fate is computed — plus Θ(n · waves) byte reads, where
+// only place a fate is computed — plus Θ(n/8 · waves) word loads, where
 // waves is the number of distinct delay values the model produces (bounded
 // by the delay range, e.g. ≤ 10 for Async{MaxDelay: 10} — independent of
 // n). The scan writes each fate into a per-broadcast fate table, one byte
-// per recipient, and every wave reads the table instead of re-deriving the
-// fates. Memory per in-flight broadcast is one queue entry, one fanout
-// record and Θ(n) table bytes, the last only while the engine's live
-// tables stay under fateTableBudget: a broadcast sent over budget carries
-// no table and its waves rescan — Θ(n · waves) fate evaluations, no bytes
-// — so however many broadcasts are in flight, population size is never a
-// memory dimension beyond that fixed budget.
+// per recipient, and notes in the record which byte values occur (a
+// 256-bit set, nothing per recipient). A wave therefore knows its
+// successor's delay before it starts, and selects its own copies from the
+// table eight recipients per load: an exact equal-byte mask picks them, a
+// running popcount of the non-zero bytes gives each its reserved seq, and
+// a word with no match costs one test (deliverWaveWords; Engine.WaveWords
+// counts the loads). Only what a byte cannot say is left to a
+// per-recipient loop (deliverWaveFates): the waves of delay ≥ fateLate,
+// which recompute the fateLate entries' fates, and the waves of a
+// broadcast without a table. Memory per in-flight broadcast is one queue
+// entry, one fanout record and Θ(n) table bytes, the last only while the
+// engine's live tables stay under fateTableBudget: a broadcast sent over
+// budget carries no table and its waves rescan — Θ(n · waves) fate
+// evaluations, no bytes — so however many broadcasts are in flight,
+// population size is never a memory dimension beyond that fixed budget.
+//
+// Deliveries and recipient-crashed drops of a wave are counted in plain
+// ints when the recorder keeps statistics only, and added to it once,
+// before deliverWave returns (on every exit, mid-wave stops included): the
+// recorder's Delivered/Dropped are exact whenever Run/RunUntil has
+// returned, and may lag by the current wave inside an AfterEvent hook.
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/trace"
@@ -157,9 +172,26 @@ const (
 	fateTableBudget = 8 << 20
 )
 
+// delaySet is the set of byte values a broadcast's fate table holds: which
+// waves the broadcast has, in 32 bytes whatever the population.
+type delaySet [4]uint64
+
+func (s *delaySet) add(b byte) { s[b>>6] |= 1 << (b & 63) }
+
+// after returns the smallest member above b, or 0 (fateNone, never a
+// wave) when there is none.
+func (s *delaySet) after(b byte) byte {
+	for v := int(b) + 1; v < 256; v = (v | 63) + 1 {
+		if w := s[v>>6] >> (v & 63); w != 0 {
+			return byte(v + bits.TrailingZeros64(w))
+		}
+	}
+	return 0
+}
+
 // fanoutRec is the per-in-flight-broadcast state of the lazy path. The
-// first seven fields are fixed at broadcast time; delay/resumeI advance as
-// waves complete. Records are recycled through a freelist, so at steady
+// fields down to lateK are fixed at broadcast time; delay/resumeI advance
+// as waves complete. Records are recycled through a freelist, so at steady
 // state broadcasting allocates nothing here.
 type fanoutRec struct {
 	key     uint64  // fate-stream key (nextFanKey)
@@ -172,6 +204,14 @@ type fanoutRec struct {
 	// fates is the broadcast's fate table, nil when it was sent over
 	// budget: its waves then recompute every fate.
 	fates []byte
+	// delays is the set of bytes in the fate table, so a wave names its
+	// successor without searching for it.
+	delays delaySet
+	// lateDelay is the shortest fate delay a table byte cannot hold (0 when
+	// every delay fits) and lateK the scheduled index of the first copy
+	// carrying it: the wave that follows the last in-range one.
+	lateDelay Time
+	lateK     int32
 	// delay is the current wave: copies whose fate delay equals it are
 	// delivered when the wave entry pops.
 	delay Time
@@ -224,95 +264,194 @@ func (e *Engine) freeFanout(idx int32) {
 	e.freeFans = append(e.freeFans, idx)
 }
 
-// fanoutScan walks the recipients of a broadcast once at send time: it
-// records the loss/partial-crash drop traces (at the broadcast instant,
-// exactly as the eager path does), counts the scheduled copies, and finds
-// the first wave — the minimum fate delay and the scheduled index of the
-// first copy carrying it. It is the one place a copy's fate is decided:
-// every fate is written into tab (unless the broadcast got none), and the
-// waves read it back. tag is the broadcast's trace tag ("" when the
-// recorder retains nothing).
-func (e *Engine) fanoutScan(key uint64, from PID, partial bool, prob float64, tag string, tab []byte) (scheduled int, minDelay Time, firstK int32) {
-	minDelay = -1
+// fanoutScan walks the recipients of the broadcast f describes (key, sent,
+// from, partial, prob, fates) once at send time: it records the
+// loss/partial-crash drop traces (at the broadcast instant, exactly as the
+// eager path does), counts the scheduled copies, and finds the first wave
+// — the minimum fate delay, stored in f.delay, and the scheduled index of
+// the first copy carrying it. It is the one place a copy's fate is decided:
+// every fate is written into f.fates (unless the broadcast got none) and
+// summarized in f.delays/lateDelay/lateK, and the waves read those back.
+// tag is the broadcast's trace tag.
+func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int32) {
+	var delays delaySet
+	var minDelay, lateDelay Time
+	var lateK int32
 	for to := range e.procs {
-		d, st := e.copyFate(key, e.now, int32(from), partial, prob, to)
+		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
 		b := byte(fateNone)
 		switch st {
 		case fatePartialDrop:
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to, MsgTag: tag, Detail: "sender crashed mid-broadcast"})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to})
-				}
-			}
+			e.record(trace.KindDrop, to, tag, "sender crashed mid-broadcast")
 		case fateLost:
-			if e.rec != nil {
-				if e.retain {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to, MsgTag: tag, Detail: "lost"})
-				} else {
-					e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to})
-				}
-			}
+			e.record(trace.KindDrop, to, tag, "lost")
 		case fateDeliver:
-			if minDelay < 0 || d < minDelay {
-				minDelay = d
-				firstK = int32(scheduled)
+			if minDelay == 0 || d < minDelay {
+				minDelay, firstK = d, int32(scheduled)
 			}
-			scheduled++
-			b = fateLate
 			if d < fateLate {
 				b = byte(d)
+			} else {
+				b = fateLate
+				if lateDelay == 0 || d < lateDelay {
+					lateDelay, lateK = d, int32(scheduled)
+				}
 			}
+			scheduled++
 		}
-		if tab != nil {
-			tab[to] = b
+		delays.add(b)
+		if f.fates != nil {
+			f.fates[to] = b
 		}
 	}
-	return scheduled, minDelay, firstK
+	f.delay, f.delays, f.lateDelay, f.lateK = minDelay, delays, lateDelay, lateK
+	return scheduled, firstK
 }
 
 // deliverWave pops one wave of a lazy broadcast: every copy whose fate
 // delay equals the record's current wave delay, in recipient order, each
-// with its reserved seq. Fates are read from the record's fate table; a
-// broadcast without one (sent over budget) and the table's fateLate
-// entries recompute them. The same pass finds the next wave (minimum fate
-// delay beyond the current one); the entry is re-pushed at that wave's
+// with its reserved seq; the entry is then re-pushed at the next wave's
 // time, or the record retires. Mid-wave stops (the MaxEvents guard, a
 // RunUntil predicate) re-push the entry keyed by the seq of the first
 // undelivered copy, so a later Run resumes exactly where the eager path
-// would have.
+// would have. A wave whose delay a table byte holds is selected from the
+// table a word at a time; any other goes recipient by recipient.
 //
-// The record and payload are copied to locals up front: a delivered
-// process may broadcast, growing e.fanouts/e.payloads and invalidating
-// any held pointers.
+// The record is copied up front: a delivered process may broadcast,
+// growing e.fanouts/e.payloads and invalidating any held pointers.
 func (e *Engine) deliverWave(ev event) StopReason {
-	idx := ev.arg
-	f := e.fanouts[idx]
+	f := e.fanouts[ev.arg]
+	var stop StopReason
+	if f.fates != nil && f.delay < fateLate {
+		stop = e.deliverWaveWords(ev, f)
+	} else {
+		stop = e.deliverWaveFates(ev, f)
+	}
+	e.flushWaveTally()
+	return stop
+}
+
+// flushWaveTally adds the deliveries and drops deliverCopy counted since
+// the last flush to a stats-only recorder, one atomic add per kind instead
+// of one per copy.
+func (e *Engine) flushWaveTally() {
+	if !e.retain {
+		e.rec.Count(trace.KindDeliver, e.waveDelivered)
+		e.rec.Count(trace.KindDrop, e.waveDropped)
+	}
+	e.waveDelivered, e.waveDropped = 0, 0
+}
+
+const (
+	byteOnes = 0x0101010101010101 // times b: b in every byte
+	byteLow7 = 0x7F7F7F7F7F7F7F7F
+	byteHigh = 0x8080808080808080
+)
+
+// nonzeroBytes returns the top bit of every byte of x that is not zero, and
+// of no other: the low seven bits of a byte carry into its top bit exactly
+// when one of them is set, and never beyond it. (The shorter
+// (x-byteOnes)&^x test is exact only up to the first zero byte: its borrow
+// flags the byte 0x01 that follows one.)
+func nonzeroBytes(x uint64) uint64 {
+	return ((x&byteLow7 + byteLow7) | x) & byteHigh
+}
+
+// deliverWaveWords delivers the wave f.delay < fateLate of a broadcast with
+// a fate table, eight table bytes per load. With nz the non-zero bytes of a
+// word — its scheduled copies — the wave's copies are the bytes equal to
+// the delay, the copy at byte j has scheduled index (copies in earlier
+// words) + popcount(nz below j), and a word holding none is left after one
+// test. The successor wave is known from f.delays; the scan only has to
+// find its first copy.
+func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
+	tab := f.fates
+	payload := e.payloads[f.slot].payload
+	next := f.delays.after(byte(f.delay))
+	nextDelay, nextK := Time(next), -1
+	switch next {
+	case fateNone: // this is the last wave
+		nextK = 0
+	case fateLate:
+		nextDelay, nextK = f.lateDelay, int(f.lateK)
+	}
+	cur, nxt := byteOnes*uint64(f.delay), byteOnes*uint64(next)
+	resumeI := int(f.resumeI)
+	stop := StopNone
+	k := 0 // scheduled copies in the words before this one
+	for i := 0; i < len(tab); i += 8 {
+		var x uint64
+		if i+8 <= len(tab) {
+			x = binary.LittleEndian.Uint64(tab[i:])
+		} else {
+			for j, b := range tab[i:] {
+				x |= uint64(b) << (8 * j)
+			}
+		}
+		e.waveWords++
+		nz := nonzeroBytes(x)
+		if nz == 0 {
+			continue
+		}
+		if nextK < 0 {
+			if m := byteHigh &^ nonzeroBytes(x^nxt); m != 0 {
+				nextK = k + bits.OnesCount64(nz&((m&-m)-1))
+			}
+		}
+		m := byteHigh &^ nonzeroBytes(x^cur)
+		if i < resumeI { // delivered before a mid-wave stop
+			if resumeI-i >= 8 {
+				m = 0
+			} else {
+				m &= ^uint64(0) << (8 * (resumeI - i))
+			}
+		}
+		for m != 0 {
+			bit := bits.TrailingZeros64(m)
+			to := i + bit>>3
+			seq := f.baseSeq + uint64(k+bits.OnesCount64(nz&(1<<bit-1)))
+			if stop == StopNone && e.processed >= e.cfg.MaxEvents {
+				stop = StopMaxEvents
+			}
+			if stop != StopNone {
+				e.suspendWave(ev, to, seq)
+				return stop
+			}
+			m &= m - 1
+			e.deliverCopy(to, payload, seq)
+			if e.done != nil && e.done() {
+				stop = StopPredicate // and find where the wave resumes
+			}
+		}
+		k += bits.OnesCount64(nz)
+	}
+	e.finishWave(ev, &f, nextDelay, int32(nextK))
+	return stop
+}
+
+// deliverWaveFates delivers a wave recipient by recipient, taking each
+// fate delay from copyFate: every wave of a broadcast without a table, and
+// of one with a table the waves of delay >= fateLate, whose copies are
+// among the table's fateLate entries. The same pass finds the next wave,
+// the minimum fate delay beyond this one.
+func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 	payload := e.payloads[f.slot].payload
 	stop := StopNone
-	resumeI := -1
-	var resumeSeq uint64
-	var nextDelay Time = -1
-	var nextFirstK int32
+	var nextDelay Time
+	var nextK int32
 	k := int32(0)
 	for to := range e.procs {
-		var d Time
 		if f.fates != nil {
-			b := f.fates[to]
-			if b == fateNone {
+			if b := f.fates[to]; b != fateLate {
+				if b != fateNone {
+					k++ // delivered by an in-range wave
+				}
 				continue
 			}
-			d = Time(b)
-			if b == fateLate {
-				d, _ = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
-			}
-		} else {
-			var st fateStatus
-			d, st = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
-			if st != fateDeliver {
-				continue
-			}
+		}
+		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+		if st != fateDeliver {
+			continue
 		}
 		ck := k
 		k++
@@ -320,75 +459,76 @@ func (e *Engine) deliverWave(ev event) StopReason {
 			continue // delivered in an earlier wave
 		}
 		if d > f.delay {
-			if nextDelay < 0 || d < nextDelay {
-				nextDelay = d
-				nextFirstK = ck
+			if nextDelay == 0 || d < nextDelay {
+				nextDelay, nextK = d, ck
 			}
 			continue
 		}
 		if to < int(f.resumeI) {
 			continue // delivered before a mid-wave stop
 		}
-		if stop != StopNone {
-			// Already stopping: just find the wave's resume point.
-			if resumeI < 0 {
-				resumeI = to
-				resumeSeq = f.baseSeq + uint64(ck)
-			}
-			continue
-		}
-		if e.processed >= e.cfg.MaxEvents {
+		if stop == StopNone && e.processed >= e.cfg.MaxEvents {
 			stop = StopMaxEvents
-			resumeI = to
-			resumeSeq = f.baseSeq + uint64(ck)
-			continue
+		}
+		if stop != StopNone {
+			e.suspendWave(ev, to, f.baseSeq+uint64(ck))
+			return stop
 		}
 		e.deliverCopy(to, payload, f.baseSeq+uint64(ck))
 		if e.done != nil && e.done() {
-			stop = StopPredicate
+			stop = StopPredicate // and find where the wave resumes
 		}
 	}
-	switch {
-	case resumeI >= 0:
-		e.fanouts[idx].resumeI = int32(resumeI)
-		e.requeue(event{time: ev.time, seq: resumeSeq, kind: evFanout, pid: ev.pid, arg: idx})
-	case nextDelay >= 0:
-		e.fanouts[idx].delay = nextDelay
-		e.fanouts[idx].resumeI = 0
-		e.requeue(event{time: f.sent + nextDelay, seq: f.baseSeq + uint64(nextFirstK), kind: evFanout, pid: ev.pid, arg: idx})
-	default:
+	e.finishWave(ev, &f, nextDelay, nextK)
+	return stop
+}
+
+// suspendWave re-pushes a wave that stopped short of its copy for
+// recipient to, keyed by that copy's seq.
+func (e *Engine) suspendWave(ev event, to int, seq uint64) {
+	e.fanouts[ev.arg].resumeI = int32(to)
+	ev.seq = seq
+	e.requeue(ev)
+}
+
+// finishWave moves a broadcast whose current wave is done on to the wave
+// of delay next, whose first copy has scheduled index nextK, or retires it
+// when next is 0.
+func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
+	if next == 0 {
 		e.freeSlot(f.slot)
 		e.freeFateTable(f.fates)
-		e.freeFanout(idx)
+		e.freeFanout(ev.arg)
+		return
 	}
-	return stop
+	r := &e.fanouts[ev.arg]
+	r.delay, r.resumeI = next, 0
+	ev.time, ev.seq = f.sent+next, f.baseSeq+uint64(nextK)
+	e.requeue(ev)
 }
 
 // deliverCopy delivers (or drops, if the recipient is down) one fan-out
 // copy. It is the lazy path's evDeliver arm: same traces, same counters,
 // same observer notification, with seq the copy's reserved position in
-// the global event order.
+// the global event order. What a retaining recorder gets as an event, any
+// other gets as a count, through flushWaveTally.
 func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 	e.curSeq = int64(seq)
 	e.processed++
 	pid := PID(to)
 	if e.crashed[to] {
-		if e.rec != nil {
-			if e.retain {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to, MsgTag: tagOf(payload), Detail: "recipient crashed"})
-			} else {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDrop, PID: to})
-			}
+		if e.retain {
+			e.record(trace.KindDrop, to, tagOf(payload), "recipient crashed")
+		} else {
+			e.waveDropped++
 		}
 		e.notifyAfter(pid)
 		return
 	}
-	if e.rec != nil {
-		if e.retain {
-			e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
-		} else {
-			e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to})
-		}
+	if e.retain {
+		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
+	} else {
+		e.waveDelivered++
 	}
 	e.procs[to].OnMessage(payload)
 	e.notifyAfter(pid)

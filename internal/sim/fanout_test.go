@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -179,19 +181,23 @@ func TestLazyFanoutMatchesEager(t *testing.T) {
 // cut at exactly the same event as the eager run and leave identical
 // traces, and resuming the run must not deliver anything further.
 func TestLazyFanoutMaxEventsMidWave(t *testing.T) {
-	// Timely puts a whole broadcast in one wave of 23 copies, so caps that
-	// are not multiples of 23 stop mid-wave.
-	for _, cap := range []int{10, 57, 100, 149} {
-		runs := runModes(23, Timely{Delta: 3}, 7, cap, func(e *Engine) { e.Run(60) })
-		for _, r := range runs[1:] {
-			if r.eng.Stopped() != StopMaxEvents {
-				t.Fatalf("cap %d: %s stopped %v, want max-events", cap, r.mode, r.eng.Stopped())
+	// Timely puts a whole broadcast in one wave of n copies, and the run
+	// opens with n of them, so a cap c < n² stops broadcast c/n short of
+	// its copy for recipient c%n: the caps put that recipient first and
+	// last in a table word, inside one, and in the tail n%8 leaves.
+	for _, n := range []int{7, 8, 9, 23, 64, 65} {
+		for _, cap := range []int{1, 7, 8, 9, n - 1, n, n + 1, n + 8, 2*n + 10, 3*n + 5, 6*n + 11} {
+			runs := runModes(n, Timely{Delta: 3}, 7, cap, func(e *Engine) { e.Run(60) })
+			for _, r := range runs[1:] {
+				if r.eng.Stopped() != StopMaxEvents {
+					t.Fatalf("n %d cap %d: %s stopped %v, want max-events", n, cap, r.mode, r.eng.Stopped())
+				}
+				if r.eng.Processed() != cap {
+					t.Fatalf("n %d cap %d: %s processed %d", n, cap, r.mode, r.eng.Processed())
+				}
 			}
-			if r.eng.Processed() != cap {
-				t.Fatalf("cap %d: %s processed %d", cap, r.mode, r.eng.Processed())
-			}
+			requireIdentical(t, runs)
 		}
-		requireIdentical(t, runs)
 	}
 }
 
@@ -211,7 +217,9 @@ func TestLazyFanoutPredicateMidWave(t *testing.T) {
 			}
 		}
 	}
-	requireIdentical(t, runModes(17, Async{MaxDelay: 6}, 11, 0, stepAll))
+	for _, n := range []int{7, 8, 9, 17, 64, 65} {
+		requireIdentical(t, runModes(n, Async{MaxDelay: 6}, 11, 0, stepAll))
+	}
 }
 
 // TestLazyFanoutTableZeros pins the table encoding of copies that are never
@@ -288,9 +296,13 @@ func TestLazyFanoutBudget(t *testing.T) {
 // shape of the population-scaling rows (E21): n = 2000, 100 beaters, 5 %
 // churn, async[1..8]. With tables every scheduled copy costs one fate
 // evaluation, at send time; without, one per wave of its broadcast.
+//
+// The waves' side of the claim is WaveWords: a wave loads the table a word
+// at a time, at most ⌈n/8⌉ loads where a byte scan visits n entries, and
+// async[1..8] gives a broadcast at most 8 waves.
 func TestLazyFanoutFateEvals(t *testing.T) {
 	const n = 2000
-	perCopy := func(budget int) float64 {
+	perCopy := func(budget int) (float64, *Engine, trace.Stats) {
 		rec := &trace.Recorder{}
 		eng := New(Config{IDs: ident.Balanced(n, 100), Net: Async{MaxDelay: 8}, Seed: 1, Recorder: rec, MaxEvents: 10_000_000})
 		for i := 0; i < n; i++ {
@@ -309,13 +321,21 @@ func TestLazyFanoutFateEvals(t *testing.T) {
 		// Under a reliable network every drop is a scheduled copy that met
 		// a crashed recipient.
 		st := rec.Stats()
-		return float64(eng.FateEvals()) / float64(st.Delivered+st.Dropped)
+		return float64(eng.FateEvals()) / float64(st.Delivered+st.Dropped), eng, st
 	}
-	if got := perCopy(fateTableBudget); got > 1.5 {
+	got, eng, st := perCopy(fateTableBudget)
+	if got > 1.5 {
 		t.Errorf("%.2f fate evaluations per scheduled copy with tables, want <= 1.5", got)
 	}
-	if got := perCopy(0); got < 8 {
+	if words, bound := eng.WaveWords(), uint64(st.Broadcasts)*8*((n+7)/8); words == 0 || words > bound {
+		t.Errorf("waves loaded %d table words for %d broadcasts, want > 0 and <= %d (8 waves of %d words each)", words, st.Broadcasts, bound, (n+7)/8)
+	}
+	got, eng, _ = perCopy(0)
+	if got < 8 {
 		t.Errorf("%.2f fate evaluations per scheduled copy without tables, want >= 8 (one per wave plus the send-time scan)", got)
+	}
+	if eng.WaveWords() != 0 {
+		t.Errorf("waves loaded %d table words in a run without tables", eng.WaveWords())
 	}
 }
 
@@ -362,3 +382,315 @@ func (q *quietBroadcaster) Init(env Environment) {
 }
 func (q *quietBroadcaster) OnMessage(any) {}
 func (q *quietBroadcaster) OnTimer(int)   {}
+
+// waveRef is deliverWave as it stood before waves read the fate table a
+// word at a time: one pass over the recipients, each table byte put through
+// a three-way compare with the wave's delay, the same pass finding the
+// minimum delay beyond it. It is kept verbatim (but for the tally flush
+// deliverCopy now needs) as the oracle for deliverWave.
+func (e *Engine) waveRef(ev event) StopReason {
+	idx := ev.arg
+	f := e.fanouts[idx]
+	payload := e.payloads[f.slot].payload
+	stop := StopNone
+	resumeI := -1
+	var resumeSeq uint64
+	var nextDelay Time = -1
+	var nextFirstK int32
+	k := int32(0)
+	for to := range e.procs {
+		var d Time
+		if f.fates != nil {
+			b := f.fates[to]
+			if b == fateNone {
+				continue
+			}
+			d = Time(b)
+			if b == fateLate {
+				d, _ = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			}
+		} else {
+			var st fateStatus
+			d, st = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			if st != fateDeliver {
+				continue
+			}
+		}
+		ck := k
+		k++
+		if d < f.delay {
+			continue // delivered in an earlier wave
+		}
+		if d > f.delay {
+			if nextDelay < 0 || d < nextDelay {
+				nextDelay = d
+				nextFirstK = ck
+			}
+			continue
+		}
+		if to < int(f.resumeI) {
+			continue // delivered before a mid-wave stop
+		}
+		if stop != StopNone {
+			// Already stopping: just find the wave's resume point.
+			if resumeI < 0 {
+				resumeI = to
+				resumeSeq = f.baseSeq + uint64(ck)
+			}
+			continue
+		}
+		if e.processed >= e.cfg.MaxEvents {
+			stop = StopMaxEvents
+			resumeI = to
+			resumeSeq = f.baseSeq + uint64(ck)
+			continue
+		}
+		e.deliverCopy(to, payload, f.baseSeq+uint64(ck))
+		if e.done != nil && e.done() {
+			stop = StopPredicate
+		}
+	}
+	switch {
+	case resumeI >= 0:
+		e.fanouts[idx].resumeI = int32(resumeI)
+		e.requeue(event{time: ev.time, seq: resumeSeq, kind: evFanout, pid: ev.pid, arg: idx})
+	case nextDelay >= 0:
+		e.fanouts[idx].delay = nextDelay
+		e.fanouts[idx].resumeI = 0
+		e.requeue(event{time: f.sent + nextDelay, seq: f.baseSeq + uint64(nextFirstK), kind: evFanout, pid: ev.pid, arg: idx})
+	default:
+		e.freeSlot(f.slot)
+		e.freeFateTable(f.fates)
+		e.freeFanout(idx)
+	}
+	e.flushWaveTally()
+	return stop
+}
+
+// lateNet delays every copy beyond what a table byte holds, so the fates
+// copyFate recomputes for a planted table's fateLate entries agree with
+// the entries.
+type lateNet struct{}
+
+func (lateNet) Delay(_ Time, r *rand.Rand) (Time, bool) { return fateLate + Time(r.Intn(3)), true }
+func (lateNet) String() string                          { return "late[255..257]" }
+
+// waveCase is one wave of one planted broadcast: its fate table, the
+// wave's delay, the recipient index it resumes at, and a stop once stopAt
+// copies have been processed — by the MaxEvents guard, which stops short
+// of the next copy, or by a predicate, which stops behind the last one and
+// has the wave look for its resume point. down marks crashed recipients
+// (bit to%64), retain the recorder mode.
+type waveCase struct {
+	table   []byte
+	delay   Time
+	resumeI int
+	stopAt  int
+	pred    bool
+	down    uint64
+	retain  bool
+}
+
+// waveHit is one processed copy: its recipient and its seq (the ordinal of
+// the copy among the broadcast's scheduled ones, over baseSeq).
+type waveHit struct {
+	to  PID
+	seq int64
+}
+
+// waveOutcome is everything a wave leaves behind.
+type waveOutcome struct {
+	hits      []waveHit
+	stop      StopReason
+	queue     []event // the re-pushed entry: its (time, seq) are the next wave's delay and first copy, or the resume point
+	delay     Time    // the record after the wave: zero once retired
+	resumeI   int32
+	freed     [3]int // records, payload slots, tables on the freelists
+	processed int
+	stats     string
+	events    []trace.Event
+}
+
+// runWave plants c in a fresh engine and pops the wave, through waveRef if
+// ref and through deliverWave otherwise.
+func runWave(c waveCase, ref bool) waveOutcome {
+	n := len(c.table)
+	rec := &trace.Recorder{KeepEvents: c.retain}
+	// An engine needs a process; an empty table gets one and loses it.
+	e := New(Config{IDs: ident.Unique(max(n, 1)), Net: lateNet{}, Seed: 1, Recorder: rec, MaxEvents: 1 << 30})
+	for i := 0; i < max(n, 1); i++ {
+		e.AddProcess(&quietBroadcaster{})
+	}
+	e.start()
+	e.procs = e.procs[:n]
+	for to := 0; to < n; to++ {
+		e.crashed[to] = c.down>>(to%64)&1 == 1
+	}
+
+	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, slot: e.allocSlot(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
+	k := int32(0)
+	for to, b := range c.table {
+		f.delays.add(b)
+		if b == fateLate {
+			if d, _ := e.copyFate(f.key, f.sent, f.from, false, 0, to); f.lateDelay == 0 || d < f.lateDelay {
+				f.lateDelay, f.lateK = d, k
+			}
+		}
+		if b != fateNone {
+			k++
+		}
+	}
+	e.fateBytes = n
+	e.seq = f.baseSeq + uint64(k)
+	e.now = f.sent + f.delay
+	idx := e.allocFanout(f)
+
+	var out waveOutcome
+	e.AfterEvent(func(_ Time, p PID) { out.hits = append(out.hits, waveHit{p, e.curSeq}) })
+	if c.pred {
+		e.done = func() bool { return e.processed >= c.stopAt }
+	} else {
+		e.cfg.MaxEvents = c.stopAt
+	}
+	ev := event{time: e.now, seq: f.baseSeq, kind: evFanout, pid: 0, arg: idx}
+	if ref {
+		out.stop = e.waveRef(ev)
+	} else {
+		out.stop = e.deliverWave(ev)
+	}
+	out.queue = slices.Clone(e.queue)
+	out.delay, out.resumeI = e.fanouts[idx].delay, e.fanouts[idx].resumeI
+	out.freed = [3]int{len(e.freeFans), len(e.freeSlots), len(e.freeFates)}
+	out.processed = e.processed
+	out.stats = fmt.Sprintf("%+v", rec.Stats())
+	out.events = rec.Events()
+	return out
+}
+
+// checkWave runs c through deliverWave and through waveRef and requires
+// the same outcome: the same recipients with the same seqs, the same stop,
+// the same next wave (delay and first copy) or resume point (index and
+// seq), the same record, counts and trace.
+func checkWave(t *testing.T, c waveCase) waveOutcome {
+	t.Helper()
+	got, want := runWave(c, false), runWave(c, true)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("table %v delay %d resumeI %d stopAt %d pred %v down %#x retain %v:\ndeliverWave %+v\n    waveRef %+v",
+			c.table, c.delay, c.resumeI, c.stopAt, c.pred, c.down, c.retain, got, want)
+	}
+	return got
+}
+
+// TestWaveSelectEqualsByteScan is deliverWave's differential test against
+// the byte-at-a-time loop it replaced: 15,123 seeded tables, 213 of each
+// length 0–70 (every len%8 tail; one case in five has a delay of 1 or 2, so
+// 0x01 bytes follow zero bytes) whose bytes are drawn from {0, delay-1,
+// delay, delay+1, 254, 255}; for each length every resume index up to it —
+// word starts and mid-word alike — then 142 waves from the start; a stop
+// after some copy count up to the wave's size, by MaxEvents and by
+// predicate; crashed recipients, both recorder modes, and waves of delay
+// 255–257 so the per-recipient loop is compared too.
+//
+// Verified to fail with each of four planted mutations in fanout.go:
+// nonzeroBytes replaced by the inexact byteHigh &^ ((x - byteOnes) &^ x)
+// ("haszero": its borrow makes a byte that differs from the delay by one
+// look equal to it when it follows an equal byte); the popcount prefix
+// 1<<bit - 1 widened to 1<<(bit+1) - 1 (the copy counts itself: every seq
+// one too high); the resume mask shifted one byte too far; and the next
+// wave's first copy located with m-1 in place of (m&-m)-1.
+func TestWaveSelectEqualsByteScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	var suspended, advanced, retired int
+	for i := 0; i < 71*213; i++ {
+		delay := Time(1 + rng.Intn(257))
+		if rng.Intn(5) == 0 {
+			delay = Time(1 + rng.Intn(2))
+		}
+		own := byte(min(delay, fateLate))
+		alphabet := []byte{fateNone, fateNone, own, own, 254, fateLate}
+		if delay > 1 {
+			alphabet = append(alphabet, byte(min(delay-1, fateLate)))
+		}
+		if delay < fateLate {
+			alphabet = append(alphabet, byte(delay+1))
+		}
+		// A third of the tables are mostly empty words, a third have no
+		// gaps, and half hold nothing past the wave: it is the last.
+		skew, last := rng.Intn(3), rng.Intn(2) == 0
+		table := make([]byte, i%71)
+		for j := range table {
+			switch {
+			case skew == 1 && rng.Intn(4) != 0:
+				table[j] = fateNone
+			case skew == 2:
+				table[j] = alphabet[2+rng.Intn(len(alphabet)-2)]
+			default:
+				table[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			if last && Time(table[j]) > delay {
+				table[j] = own
+			}
+		}
+		c := waveCase{
+			table:  table,
+			delay:  delay,
+			stopAt: rng.Intn(len(table)/3 + 2),
+			pred:   rng.Intn(2) == 0,
+			retain: rng.Intn(2) == 0,
+		}
+		if r := i / 71; r <= 70 {
+			c.resumeI = r % (len(table) + 1)
+		}
+		if rng.Intn(3) == 0 {
+			c.down = rng.Uint64() & rng.Uint64()
+		}
+		if rng.Intn(3) == 0 {
+			c.stopAt = 1 << 20 // no stop
+		}
+		switch out := checkWave(t, c); {
+		case len(out.queue) == 0:
+			retired++
+		case out.delay == c.delay:
+			suspended++
+		default:
+			advanced++
+		}
+	}
+	if least := min(suspended, advanced, retired); least < 71*213/5 {
+		t.Errorf("%d waves suspended, %d advanced, %d retired: want each outcome in a fifth of the cases", suspended, advanced, retired)
+	}
+}
+
+// FuzzWaveSelect is the same comparison on arbitrary tables: cur is the
+// wave's delay (0, not a delay, stands for 256), stopAfter's low bit
+// chooses a predicate stop over a MaxEvents one and the rest is the copy
+// count it strikes at.
+func FuzzWaveSelect(f *testing.F) {
+	f.Add([]byte{}, byte(1), uint16(0), uint16(0))
+	f.Add([]byte{2, 0, 1, 2, 0, 1, 1, 2, 2}, byte(2), uint16(0), uint16(4))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, byte(3), uint16(9), uint16(7))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 254, 255, 253, 0, 255, 254, 253}, byte(253), uint16(0), uint16(1))
+	f.Add([]byte{255, 1, 255, 0, 255, 255, 9, 255, 255}, byte(255), uint16(2), uint16(3))
+	f.Fuzz(func(t *testing.T, table []byte, cur byte, resumeI, stopAfter uint16) {
+		if len(table) > 512 {
+			t.Skip("longer than anything a word boundary distinguishes")
+		}
+		delay := Time(cur)
+		if cur == 0 {
+			delay = 256
+		}
+		down := uint64(0)
+		for _, b := range table {
+			down = down*31 + uint64(b)
+		}
+		checkWave(t, waveCase{
+			table:   table,
+			delay:   delay,
+			resumeI: int(resumeI),
+			stopAt:  int(stopAfter >> 1),
+			pred:    stopAfter&1 == 1,
+			down:    down,
+			retain:  len(table)%2 == 0,
+		})
+	})
+}

@@ -239,6 +239,22 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Unlock()
 }
 
+// Count adds n events of kind k to the statistics and retains nothing: it
+// is how a producer that tallies a run of events in plain ints hands them
+// to a stats-only recorder, with one atomic add instead of n. The engine's
+// delivery waves do; Delivered and Dropped are therefore exact whenever
+// Run/RunUntil has returned, and may lag by the wave in progress when read
+// from inside an AfterEvent hook. Broadcasts, which are also counted per
+// tag, go through Record.
+func (r *Recorder) Count(k Kind, n int) {
+	if r == nil || n == 0 {
+		return
+	}
+	if c := r.counter(k); c != nil {
+		c.Add(int64(n))
+	}
+}
+
 // RecordBatch adds the events of batch in order, to the same effect as
 // calling Record on each. On a stats-only recorder it counts the batch
 // first and touches each shared counter once per batch instead of once
@@ -254,7 +270,7 @@ func (r *Recorder) RecordBatch(batch []Event) {
 		}
 		return
 	}
-	var counts [KindTimerDrop + 1]int64
+	var counts [KindTimerDrop + 1]int
 	for i := range batch {
 		e := &batch[i]
 		if uint(e.Kind) < uint(len(counts)) {
@@ -265,9 +281,7 @@ func (r *Recorder) RecordBatch(batch []Event) {
 		}
 	}
 	for k, n := range counts {
-		if c := r.counter(Kind(k)); c != nil && n > 0 {
-			c.Add(n)
-		}
+		r.Count(Kind(k), n)
 	}
 }
 
