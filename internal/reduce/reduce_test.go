@@ -1,28 +1,53 @@
 package reduce
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ident"
 	"repro/internal/multiset"
 )
 
-// TestRelationMatrix executes every Figure-5 arrow under several seeds and
-// verifies the emulated detector satisfies the target class (E5).
+var update = flag.Bool("update", false, "rewrite testdata/relation_matrix.txt from the current relations")
+
+// TestRelationMatrix executes every Figure-5 arrow under seeds 1–4,
+// verifies the emulated detector satisfies the target class (E5), and
+// pins each run's verdict and stabilization time against
+// testdata/relation_matrix.txt: E5's table digest only pins the worst of
+// the four seeds.
 func TestRelationMatrix(t *testing.T) {
+	var b strings.Builder
 	for _, rel := range All() {
 		rel := rel
 		t.Run(rel.From+"→"+rel.To, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				res, err := rel.Run(seed)
+				verdict := "ok"
 				if err != nil {
-					t.Fatalf("seed %d (%s, %s): %v", seed, rel.Source, rel.Model, err)
+					verdict = err.Error()
+					t.Errorf("seed %d (%s, %s): %v", seed, rel.Source, rel.Model, err)
 				}
-				if res.StabilizationTime < 0 {
-					t.Fatalf("negative stabilization time")
-				}
+				fmt.Fprintf(&b, "%s → %s [%s] seed=%d %s stabilization=%d\n",
+					rel.From, rel.To, rel.Source, seed, verdict, res.StabilizationTime)
 			}
 		})
+	}
+	const path = "testdata/relation_matrix.txt"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("relation matrix changed:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 }
 
