@@ -10,12 +10,14 @@
 // the small interfaces below, and the simulator's observers sample those
 // same interfaces to feed the checkers.
 //
-// Verification runs in two equivalent pipelines. Probe materializes full
-// per-process sample histories; StreamProbe sees the same sample stream
-// but keeps O(1) state per process, pushing changes to online monitors
-// (SigmaMonitor checks Σ safety against an antichain of minimal quorums).
+// Verification samples through one pipeline. A StreamProbe reads a
+// detector output whenever it can change, keeps O(1) state per process
+// and pushes every change to its observers: online monitors (SigmaMonitor
+// checks Σ safety against an antichain of minimal quorums), the trace, or
+// — in a Probe — a collector that keeps the full per-process history for
+// the checkers that quantify over whole executions (HΣ, Σ, AP, AΣ).
 // Checkers that judge final outputs and stabilization times take the
-// FinalView interface both probes implement, so one checker body serves
-// materialized and streaming runs alike; stream_test.go pins that both
-// pipelines produce identical verdicts over identical executions.
+// FinalView interface, so one checker body serves a bare StreamProbe, a
+// Probe and a trace replayer; stream_test.go compares the sampler with an
+// independent reference over identical executions.
 package fd

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ident"
@@ -170,4 +171,21 @@ func LabelsEqual(a, b []Label) bool {
 		}
 	}
 	return true
+}
+
+// QuoraEqual compares two h_quora snapshots pairwise, in order: detectors
+// report their pairs in a stable order, so a reordering is a change.
+func QuoraEqual(a, b []QuorumPair) bool {
+	return slices.EqualFunc(a, b, func(x, y QuorumPair) bool {
+		return x.Label == y.Label && x.M.Equal(y.M)
+	})
+}
+
+// MultisetEqual is multiset equality that also accepts nil (a detector
+// with no output yet): nil equals only nil.
+func MultisetEqual(a, b *multiset.Multiset[ident.ID]) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Equal(b)
 }

@@ -10,105 +10,62 @@ type Sample[T any] struct {
 	Value T
 }
 
-// Probe collects, per process, the history of a detector output. It
-// samples after every simulator event (the only instants outputs can
-// change) and stores a new sample only when the value changed, so the
-// history is the exact sequence of distinct outputs with their first
-// occurrence times.
+// Probe is a StreamProbe that also keeps, per process, the history of the
+// detector output: the exact sequence of distinct outputs with their
+// first-occurrence times. The history is a collector registered with
+// Observe, so what is stored is what StreamProbe.Feed accepted — there is
+// one sampler and one "equal to the last sample?" test. Checkers that
+// quantify over whole executions (HΣ monotonicity and safety, Σ safety)
+// need it; checkers that read final outputs only take a FinalView and
+// run on the bare StreamProbe, whose state does not grow with the run.
 type Probe[T any] struct {
+	*StreamProbe[T]
 	histories [][]Sample[T]
 }
 
-// NewProbe attaches a probe to the engine. get returns the current output
-// of process p (ok=false while the process has no output or has crashed);
-// eq decides whether two outputs are equal.
-//
-// Sampling exploits the engine's change contract: a process's output can
-// change only during its own events or when virtual time advances (oracle
-// detectors are functions of the clock). The probe therefore samples the
-// event's process after every event, and all processes whenever the clock
-// moved — which observes exactly the same history as sampling everyone
-// after every event, at a fraction of the cost.
-func NewProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *Probe[T] {
-	pr := &Probe[T]{histories: make([][]Sample[T], n)}
-	sample := func(now sim.Time, p int) {
-		v, ok := get(sim.PID(p))
-		if !ok {
-			return
-		}
-		h := pr.histories[p]
-		if len(h) > 0 && eq(h[len(h)-1].Value, v) {
-			return
-		}
-		pr.histories[p] = append(h, Sample[T]{Time: now, Value: v})
-	}
-	lastNow := sim.Time(-1)
-	eng.AfterEvent(func(now sim.Time, p sim.PID) {
-		if p >= 0 && now == lastNow {
-			if int(p) < n {
-				sample(now, int(p))
-			}
-			return
-		}
-		lastNow = now
-		for q := 0; q < n; q++ {
-			sample(now, q)
-		}
+// collect wraps sp in a Probe whose histories receive every sample sp
+// accepts from now on.
+func collect[T any](sp *StreamProbe[T]) *Probe[T] {
+	pr := &Probe[T]{StreamProbe: sp, histories: make([][]Sample[T], sp.N())}
+	sp.Observe(func(p sim.PID, s Sample[T]) {
+		pr.histories[p] = append(pr.histories[p], s)
 	})
 	return pr
+}
+
+// NewProbe attaches a history-keeping probe to the engine: NewStreamProbe
+// (see there for get, eq and the sampling instants) plus the collector.
+func NewProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *Probe[T] {
+	return collect(NewStreamProbe(eng, n, get, eq))
 }
 
 // NewSyncProbe attaches a probe to a lock-step engine, sampling at the end
 // of every synchronous step (Time carries the step number).
 func NewSyncProbe[T any](eng *sim.SyncEngine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *Probe[T] {
-	pr := &Probe[T]{histories: make([][]Sample[T], n)}
+	pr := collect(NewStaticStreamProbe(n, eq))
 	eng.AfterStep(func(step int) {
 		for p := 0; p < n; p++ {
-			v, ok := get(sim.PID(p))
-			if !ok {
-				continue
-			}
-			h := pr.histories[p]
-			if len(h) > 0 && eq(h[len(h)-1].Value, v) {
-				continue
-			}
-			pr.histories[p] = append(h, Sample[T]{Time: sim.Time(step), Value: v})
+			pr.sample(sim.Time(step), sim.PID(p), get)
 		}
 	})
 	return pr
 }
 
 // NewStaticProbe builds a probe from pre-recorded histories (one slice per
-// process). Checker tests and offline analyses use it; live runs use
-// NewProbe.
+// process), fed sample by sample so the final view is the one a live run
+// with these histories would have left. Checker tests and offline analyses
+// use it; live runs use NewProbe.
 func NewStaticProbe[T any](histories [][]Sample[T]) *Probe[T] {
-	return &Probe[T]{histories: histories}
+	// Given histories are stored as they are, repeated values included.
+	pr := collect(NewStaticStreamProbe(len(histories), func(a, b T) bool { return false }))
+	for p, h := range histories {
+		for _, s := range h {
+			pr.Feed(s.Time, sim.PID(p), s.Value)
+		}
+	}
+	return pr
 }
 
 // History returns process p's sample history (distinct consecutive values
 // with their first-occurrence times).
 func (pr *Probe[T]) History(p sim.PID) []Sample[T] { return pr.histories[p] }
-
-// Last returns the final sampled output of p, ok=false if p never output.
-func (pr *Probe[T]) Last(p sim.PID) (T, bool) {
-	h := pr.histories[p]
-	if len(h) == 0 {
-		var zero T
-		return zero, false
-	}
-	return h[len(h)-1].Value, true
-}
-
-// LastChange returns the time of p's final output change, i.e. the moment
-// p's output stabilized (0 if p never output). Checkers use the maximum
-// over correct processes as the measured stabilization time.
-func (pr *Probe[T]) LastChange(p sim.PID) sim.Time {
-	h := pr.histories[p]
-	if len(h) == 0 {
-		return 0
-	}
-	return h[len(h)-1].Time
-}
-
-// N returns the number of processes probed.
-func (pr *Probe[T]) N() int { return len(pr.histories) }

@@ -1,17 +1,21 @@
 package fd
 
-// Streaming verification. Probe retains every distinct output a process
-// ever showed, so its memory grows with the execution; at n = 50,000 the
-// histories — not the simulator — become the memory ceiling. StreamProbe
-// keeps only each process's latest output and the time it last changed
-// (O(1) state per process, independent of event count) and pushes each
-// change through registered observers as it happens. Checkers that only
+// Sampling and streaming verification. There is one sampler: a
+// StreamProbe reads a detector output at the instants it can change,
+// compares it with the last value it accepted (Feed — the only place a
+// sample is compared and stored) and, on a change, replaces that value and
+// runs its observers. Its own state is each process's latest output and
+// the time it last changed — O(1) per process, independent of the event
+// count, which is what lets n = 50,000 runs be verified at all. Anything
+// that needs more than the final view subscribes with Observe: Probe
+// (probe.go) is a StreamProbe with a collector that appends every accepted
+// sample to a per-process history, SigmaMonitor checks Σ safety online,
+// RecordChanges writes the change stream into a trace. Checkers that only
 // need final outputs (◇HP̄, HΩ, 𝔈, Ω, AΩ, and the stabilization time)
-// accept the FinalView interface, which both probes implement — so the
-// same checker code verifies a materialized run and a streaming one.
-// Properties quantified over whole histories (Σ safety) become online
-// monitors: see SigmaMonitor. Equivalence of the two pipelines is pinned
-// by tests running both over identical executions.
+// accept the FinalView interface, so the same checker code judges a bare
+// StreamProbe, a history-keeping Probe and a trace replayer. The sampler
+// is compared with an independent reference (the pre-merge NewProbe and
+// NewSyncProbe bodies, kept in stream_test.go) on live runs.
 
 import (
 	"fmt"
@@ -21,9 +25,8 @@ import (
 	"repro/internal/sim"
 )
 
-// FinalView is the read surface shared by Probe (full histories) and
-// StreamProbe (latest sample only): everything a final-state checker
-// needs. Last returns p's latest output (ok=false if p never output);
+// FinalView is the read surface of a StreamProbe (and so of a Probe):
+// everything a final-state checker needs. Last returns p's latest output (ok=false if p never output);
 // LastChange the time that output last changed; N the process count.
 type FinalView[T any] interface {
 	Last(p sim.PID) (T, bool)
@@ -36,12 +39,11 @@ var (
 	_ FinalView[int] = (*StreamProbe[int])(nil)
 )
 
-// StreamProbe samples a detector output exactly as Probe does — the
-// event's process after every event, every process when the clock moves —
-// but retains only the latest value per process. Observers registered
-// with Observe see every change (the same sample stream Probe would have
-// appended), which is how online monitors consume an execution without
-// anyone materializing it.
+// StreamProbe samples a detector output and retains only the latest value
+// per process. Observers registered with Observe see every change — the
+// exact sequence of distinct outputs with their first-occurrence times —
+// which is how histories, online monitors and traces consume an execution
+// without the probe materializing it.
 type StreamProbe[T any] struct {
 	last       []T
 	seen       []bool
@@ -50,10 +52,19 @@ type StreamProbe[T any] struct {
 	obs        []func(p sim.PID, s Sample[T])
 }
 
-// NewStreamProbe attaches a streaming probe to the engine; get and eq are
-// exactly NewProbe's. Register observers before the run starts.
+// NewStreamProbe attaches a probe to the engine. get returns the current
+// output of process p (ok=false while the process has no output or has
+// crashed); eq decides whether two outputs are equal. Register observers
+// before the run starts.
+//
+// Sampling exploits the engine's change contract: a process's output can
+// change only during its own events or when virtual time advances (oracle
+// detectors are functions of the clock). The probe therefore samples the
+// event's process after every event, and all processes whenever the clock
+// moved — which observes exactly the same history as sampling everyone
+// after every event, at a fraction of the cost.
 func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *StreamProbe[T] {
-	sp := newStreamProbe[T](n, eq)
+	sp := NewStaticStreamProbe(n, eq)
 	lastNow := sim.Time(-1)
 	eng.AfterEvent(func(now sim.Time, p sim.PID) {
 		if p >= 0 && now == lastNow {
@@ -70,14 +81,10 @@ func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool)
 	return sp
 }
 
-// NewStaticStreamProbe builds a detached streaming probe fed by hand
-// through Feed — the streaming counterpart of NewStaticProbe, for checker
-// tests and offline replay (e.g. driving monitors from a decoded trace).
+// NewStaticStreamProbe builds a detached probe fed by hand through Feed:
+// for checker tests, offline replay (driving monitors from a decoded
+// trace) and samplers with their own clock (NewSyncProbe).
 func NewStaticStreamProbe[T any](n int, eq func(a, b T) bool) *StreamProbe[T] {
-	return newStreamProbe[T](n, eq)
-}
-
-func newStreamProbe[T any](n int, eq func(a, b T) bool) *StreamProbe[T] {
 	return &StreamProbe[T]{
 		last:       make([]T, n),
 		seen:       make([]bool, n),
@@ -110,8 +117,8 @@ func (sp *StreamProbe[T]) Feed(now sim.Time, p sim.PID, v T) {
 	}
 }
 
-// Observe registers an observer for every sample a Probe would have
-// stored: p's output changed to s.Value at s.Time. Observers run in
+// Observe registers an observer for every accepted sample: p's output
+// changed to s.Value at s.Time. Observers run in
 // registration order, synchronously, inside the engine's event loop.
 func (sp *StreamProbe[T]) Observe(f func(p sim.PID, s Sample[T])) {
 	sp.obs = append(sp.obs, f)

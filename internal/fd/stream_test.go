@@ -42,11 +42,99 @@ func (g *gossiper) OnTimer(tag int) {
 
 func (g *gossiper) OnRecover() { g.env.SetTimer(4, 0) }
 
-// TestStreamProbeMatchesProbeLive pins the core streaming-equivalence
-// claim on a live engine: a StreamProbe and a Probe attached to the same
-// run see identical sample streams — the observer feed reproduces the
-// materialized history exactly, and the final views agree — and the
-// final-state checkers produce identical verdicts through either.
+// refHistories is what the reference sampler below fills: the Probe type
+// as it was before Probe became a collector on StreamProbe.
+type refHistories[T any] struct {
+	histories [][]Sample[T]
+}
+
+// refProbe is NewProbe's body from before the samplers were merged, kept
+// verbatim as the independent reference: its own AfterEvent loop, its own
+// "equal to the last stored sample?" test, its own append.
+func refProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *refHistories[T] {
+	pr := &refHistories[T]{histories: make([][]Sample[T], n)}
+	sample := func(now sim.Time, p int) {
+		v, ok := get(sim.PID(p))
+		if !ok {
+			return
+		}
+		h := pr.histories[p]
+		if len(h) > 0 && eq(h[len(h)-1].Value, v) {
+			return
+		}
+		pr.histories[p] = append(h, Sample[T]{Time: now, Value: v})
+	}
+	lastNow := sim.Time(-1)
+	eng.AfterEvent(func(now sim.Time, p sim.PID) {
+		if p >= 0 && now == lastNow {
+			if int(p) < n {
+				sample(now, int(p))
+			}
+			return
+		}
+		lastNow = now
+		for q := 0; q < n; q++ {
+			sample(now, q)
+		}
+	})
+	return pr
+}
+
+func (pr *refHistories[T]) History(p sim.PID) []Sample[T] { return pr.histories[p] }
+
+func (pr *refHistories[T]) Last(p sim.PID) (T, bool) {
+	h := pr.histories[p]
+	if len(h) == 0 {
+		var zero T
+		return zero, false
+	}
+	return h[len(h)-1].Value, true
+}
+
+func (pr *refHistories[T]) LastChange(p sim.PID) sim.Time {
+	h := pr.histories[p]
+	if len(h) == 0 {
+		return 0
+	}
+	return h[len(h)-1].Time
+}
+
+func (pr *refHistories[T]) N() int { return len(pr.histories) }
+
+// sameAsReference requires a probe's histories and final view to be the
+// reference sampler's, sample for sample.
+func sameAsReference[T any](t *testing.T, name string, ref *refHistories[T], got *Probe[T], eq func(a, b T) bool) {
+	t.Helper()
+	if got.N() != ref.N() {
+		t.Fatalf("%s: probes %d processes, reference %d", name, got.N(), ref.N())
+	}
+	for p := sim.PID(0); int(p) < ref.N(); p++ {
+		want, h := ref.History(p), got.History(p)
+		if len(h) != len(want) {
+			t.Fatalf("%s p%d: stored %d samples, reference %d", name, p, len(h), len(want))
+		}
+		for i := range want {
+			if h[i].Time != want[i].Time || !eq(h[i].Value, want[i].Value) {
+				t.Fatalf("%s p%d sample %d: %v@%d, reference %v@%d",
+					name, p, i, h[i].Value, h[i].Time, want[i].Value, want[i].Time)
+			}
+		}
+		rv, rok := ref.Last(p)
+		gv, gok := got.Last(p)
+		if rok != gok || (rok && !eq(rv, gv)) {
+			t.Fatalf("%s p%d: Last diverges: (%v,%v), reference (%v,%v)", name, p, gv, gok, rv, rok)
+		}
+		if got.LastChange(p) != ref.LastChange(p) {
+			t.Fatalf("%s p%d: LastChange %d, reference %d", name, p, got.LastChange(p), ref.LastChange(p))
+		}
+	}
+}
+
+// TestStreamProbeMatchesProbeLive pins the sampler on a live engine
+// against the independent reference: a Probe, a StreamProbe with a
+// hand-rolled collector and refProbe attached to the same run see
+// identical sample streams and final views, and the final-state checkers
+// produce identical verdicts through any of them.
 func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	const n = 9
 	eng := sim.New(sim.Config{IDs: ident.Balanced(n, 3), Net: sim.Async{MaxDelay: 6}, Seed: 5})
@@ -67,44 +155,35 @@ func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	}
 	eq := func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) }
 
+	ref := refProbe(eng, n, get, eq)
 	probe := NewProbe(eng, n, get, eq)
 	sp := NewStreamProbe(eng, n, get, eq)
-	streamed := make([][]Sample[*multiset.Multiset[ident.ID]], n)
+	streamed := &Probe[*multiset.Multiset[ident.ID]]{StreamProbe: sp, histories: make([][]Sample[*multiset.Multiset[ident.ID]], n)}
 	sp.Observe(func(p sim.PID, s Sample[*multiset.Multiset[ident.ID]]) {
-		streamed[p] = append(streamed[p], s)
+		streamed.histories[p] = append(streamed.histories[p], s)
 	})
 
 	eng.Run(60)
 
+	samples := 0
 	for p := 0; p < n; p++ {
-		h := probe.History(sim.PID(p))
-		if len(h) != len(streamed[p]) {
-			t.Fatalf("p%d: probe stored %d samples, stream observed %d", p, len(h), len(streamed[p]))
-		}
-		for i := range h {
-			if h[i].Time != streamed[p][i].Time || !h[i].Value.Equal(streamed[p][i].Value) {
-				t.Fatalf("p%d sample %d: probe %v@%d, stream %v@%d",
-					p, i, h[i].Value, h[i].Time, streamed[p][i].Value, streamed[p][i].Time)
-			}
-		}
-		pv, pok := probe.Last(sim.PID(p))
-		sv, sok := sp.Last(sim.PID(p))
-		if pok != sok || (pok && !pv.Equal(sv)) {
-			t.Fatalf("p%d: Last diverges: probe (%v,%v), stream (%v,%v)", p, pv, pok, sv, sok)
-		}
-		if probe.LastChange(sim.PID(p)) != sp.LastChange(sim.PID(p)) {
-			t.Fatalf("p%d: LastChange diverges: %d vs %d", p, probe.LastChange(sim.PID(p)), sp.LastChange(sim.PID(p)))
-		}
+		samples += len(ref.History(sim.PID(p)))
 	}
+	if samples < 3*n {
+		t.Fatalf("reference stored %d samples: the run is too quiet to compare samplers on", samples)
+	}
+	sameAsReference(t, "Probe", ref, probe, eq)
+	sameAsReference(t, "StreamProbe observer", ref, streamed, eq)
 
 	// Identical verdicts through either pipeline, for passing or failing
 	// checks alike. (The toy detector need not satisfy ◇HP̄; what must hold
 	// is agreement.)
 	g := NewGroundTruth(eng.IDs(), map[sim.PID]sim.Time{5: 21})
+	rr, errR := CheckDiamondHPbar(g, ref)
 	rp, errP := CheckDiamondHPbar(g, probe)
 	rs, errS := CheckDiamondHPbar(g, sp)
-	if fmt.Sprint(rp, errP) != fmt.Sprint(rs, errS) {
-		t.Errorf("◇HP̄ verdicts diverge:\nprobe:  %v %v\nstream: %v %v", rp, errP, rs, errS)
+	if fmt.Sprint(rr, errR) != fmt.Sprint(rp, errP) || fmt.Sprint(rr, errR) != fmt.Sprint(rs, errS) {
+		t.Errorf("◇HP̄ verdicts diverge:\nreference: %v %v\nprobe:     %v %v\nstream:    %v %v", rr, errR, rp, errP, rs, errS)
 	}
 }
 
