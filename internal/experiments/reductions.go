@@ -3,77 +3,19 @@ package experiments
 import (
 	"repro/internal/fd"
 	"repro/internal/fd/alive"
-	"repro/internal/fd/oracle"
 	"repro/internal/ident"
-	"repro/internal/multiset"
 	"repro/internal/reduce"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"slices"
 )
 
-const (
-	redStabilize sim.Time = 120
-	redHorizon   sim.Time = 800
-)
-
-// redHarness runs one reduction deployment and returns the check result
-// plus message statistics.
-type redHarness struct {
-	ids     ident.Assignment
-	crashes map[sim.PID]sim.Time
-	seed    int64
-	rec     *trace.Recorder
-	eng     *sim.Engine
-	truth   *fd.GroundTruth
-	world   *oracle.World
-}
-
-func newRedHarness(ids ident.Assignment, crashes map[sim.PID]sim.Time, seed int64) *redHarness {
-	rec := &trace.Recorder{}
-	h := &redHarness{
-		ids:     ids,
-		crashes: crashes,
-		seed:    seed,
-		rec:     rec,
-		eng:     sim.New(sim.Config{IDs: ids, Seed: seed, Recorder: rec}),
-		truth:   fd.NewGroundTruth(ids, crashes),
+// verified renders a class checker's verdict as a table cell.
+func verified(err error) string {
+	if err != nil {
+		return "✗ " + err.Error()
 	}
-	h.world = oracle.NewWorld(h.truth, redStabilize)
-	return h
-}
-
-func (h *redHarness) run() {
-	h.eng.CrashSchedule(h.crashes)
-	h.eng.Run(redHorizon)
-}
-
-func (h *redHarness) hsigmaProbes(dets []fd.HSigma) (*fd.Probe[[]fd.QuorumPair], *fd.Probe[[]fd.Label]) {
-	quora := fd.NewProbe(h.eng, len(dets), func(p sim.PID) ([]fd.QuorumPair, bool) {
-		if h.eng.Crashed(p) {
-			return nil, false
-		}
-		return dets[p].Quora(), true
-	}, quoraEqual)
-	labels := fd.NewProbe(h.eng, len(dets), func(p sim.PID) ([]fd.Label, bool) {
-		if h.eng.Crashed(p) {
-			return nil, false
-		}
-		return dets[p].Labels(), true
-	}, fd.LabelsEqual)
-	return quora, labels
-}
-
-func quoraEqual(a, b []fd.QuorumPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label || !a[i].M.Equal(b[i].M) {
-			return false
-		}
-	}
-	return true
+	return "✓"
 }
 
 // E1SigmaToHSigmaKnown measures Figure 1 (Σ→HΣ, membership known): a
@@ -88,30 +30,13 @@ func E1SigmaToHSigmaKnown() (Table, error) {
 		Notes:  []string{"Zero broadcasts: the Figure 1 transformation is communication-free; h_labels is the 2^(n−1) subsets of I(Π) containing id(p)."},
 	}
 	err := tableRows(&t, []int{3, 5, 7}, func(_ int, n int) []string {
-		ids := ident.Unique(n)
-		crashes := map[sim.PID]sim.Time{0: 40}
-		h := newRedHarness(ids, crashes, int64(n))
-		dets := make([]fd.HSigma, n)
-		var labelCount int
-		for i := 0; i < n; i++ {
-			src := oracle.NewSigma(h.world)
-			xf := reduce.NewSigmaToHSigmaKnown(src, ids.I(), 0)
-			dets[i] = xf
-			h.eng.AddProcess(sim.NewNode().Add("sigma", src).Add("fig1", xf))
-		}
-		quora, labels := h.hsigmaProbes(dets)
-		h.run()
-		res, err := fd.CheckHSigma(h.truth, quora, labels)
-		status := "✓"
-		if err != nil {
-			status = "✗ " + err.Error()
-		}
-		if ls, ok := labels.Last(1); ok {
-			labelCount = len(ls)
-		}
+		out, err := reduce.Deployment[fd.HSigma]{
+			IDs: ident.Unique(n), Crashes: map[sim.PID]sim.Time{0: 40}, Seed: int64(n),
+			Stack: reduce.StackFig1, Target: reduce.JudgeHSigma,
+		}.Run()
 		return []string{
-			itoaI(n), "1", status, itoa(res.StabilizationTime),
-			itoaI(h.rec.Stats().Broadcasts), itoaI(labelCount),
+			itoaI(n), "1", verified(err), itoa(out.StabilizationTime),
+			itoaI(out.Stats.Broadcasts), itoaI(len(out.Detectors[1].Labels())),
 		}
 	})
 	return t, err
@@ -128,26 +53,13 @@ func E2SigmaToHSigmaUnknown() (Table, error) {
 		Notes:  []string{"IDENT traffic grows linearly in n per unit time — the price of membership discovery; stabilization tracks the oracle's Σ convergence."},
 	}
 	err := tableRows(&t, []int{3, 5, 7}, func(_ int, n int) []string {
-		ids := ident.Unique(n)
-		crashes := map[sim.PID]sim.Time{sim.PID(n - 1): 60}
-		h := newRedHarness(ids, crashes, int64(10+n))
-		dets := make([]fd.HSigma, n)
-		for i := 0; i < n; i++ {
-			src := oracle.NewSigma(h.world)
-			xf := reduce.NewSigmaToHSigmaUnknown(src, 0)
-			dets[i] = xf
-			h.eng.AddProcess(sim.NewNode().Add("sigma", src).Add("fig2", xf))
-		}
-		quora, labels := h.hsigmaProbes(dets)
-		h.run()
-		res, err := fd.CheckHSigma(h.truth, quora, labels)
-		status := "✓"
-		if err != nil {
-			status = "✗ " + err.Error()
-		}
+		out, err := reduce.Deployment[fd.HSigma]{
+			IDs: ident.Unique(n), Crashes: map[sim.PID]sim.Time{sim.PID(n - 1): 60}, Seed: int64(10 + n),
+			Stack: reduce.StackFig2, Target: reduce.JudgeHSigma,
+		}.Run()
 		return []string{
-			itoaI(n), "1", status, itoa(res.StabilizationTime),
-			itoaI(h.rec.Stats().ByTag["IDENT"]),
+			itoaI(n), "1", verified(err), itoa(out.StabilizationTime),
+			itoaI(out.Stats.ByTag["IDENT"]),
 		}
 	})
 	return t, err
@@ -183,17 +95,17 @@ func E3AliveList() (Table, error) {
 			eng.AddProcess(dets[i])
 		}
 		eng.CrashSchedule(cfg.crashes)
-		probe := fd.NewProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
+		probe := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
 			if eng.Crashed(p) {
 				return nil, false
 			}
 			return dets[p].Alive(), true
-		}, slicesEqual)
+		}, slices.Equal[[]ident.ID])
 		// Prefix probe: the sorted set of the first |Correct| identifiers,
 		// whose last change is the meaningful stabilization instant.
 		truth := fd.NewGroundTruth(ids, cfg.crashes)
 		k := len(truth.Correct())
-		prefix := fd.NewProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
+		prefix := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
 			if eng.Crashed(p) {
 				return nil, false
 			}
@@ -204,14 +116,9 @@ func E3AliveList() (Table, error) {
 			top := append([]ident.ID(nil), a[:k]...)
 			slices.Sort(top)
 			return top, true
-		}, slicesEqual)
+		}, slices.Equal[[]ident.ID])
 		eng.Run(1200)
-		res, err := fd.CheckAliveList(truth, probe)
-		status := "✓"
-		if err != nil {
-			status = "✗ " + err.Error()
-		}
-		_ = res
+		_, err := fd.CheckAliveList(truth, probe)
 		var prefixStable sim.Time
 		for _, p := range truth.Correct() {
 			if ts := prefix.LastChange(p); ts > prefixStable {
@@ -219,23 +126,11 @@ func E3AliveList() (Table, error) {
 			}
 		}
 		return []string{
-			itoaI(cfg.n), itoaI(len(cfg.crashes)), itoa(truth.LastCrashTime()), status,
+			itoaI(cfg.n), itoaI(len(cfg.crashes)), itoa(truth.LastCrashTime()), verified(err),
 			itoa(prefixStable), itoaI(rec.Stats().ByTag["ALIVE"]),
 		}
 	})
 	return t, err
-}
-
-func slicesEqual(a, b []ident.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // E4HSigmaToSigma measures Figure 4 (HΣ→Σ via 𝔈): the emulated Σ detector
@@ -249,42 +144,16 @@ func E4HSigmaToSigma() (Table, error) {
 		Notes:  []string{"The emulated Σ trusts I(Correct) once the 𝔈 ranking prefers the all-correct HΣ candidate; both gossip streams run at the poll rate."},
 	}
 	err := tableRows(&t, []int{3, 5, 7}, func(_ int, n int) []string {
-		ids := ident.Unique(n)
-		crashes := map[sim.PID]sim.Time{0: 50}
-		h := newRedHarness(ids, crashes, int64(20+n))
-		dets := make([]*reduce.HSigmaToSigma, n)
-		for i := 0; i < n; i++ {
-			src := oracle.NewHSigma(h.world)
-			al := alive.New(0)
-			xf := reduce.NewHSigmaToSigma(src, al, 0)
-			dets[i] = xf
-			h.eng.AddProcess(sim.NewNode().Add("hsigma", src).Add("alive", al).Add("fig4", xf))
-		}
-		pr := fd.NewProbe(h.eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-			if h.eng.Crashed(p) || !dets[p].HasOutput() {
-				return nil, false
-			}
-			return dets[p].TrustedQuorum(), true
-		}, msEq)
-		h.run()
-		res, err := fd.CheckSigma(h.truth, pr)
-		status := "✓"
-		if err != nil {
-			status = "✗ " + err.Error()
-		}
+		out, err := reduce.Deployment[*reduce.HSigmaToSigma]{
+			IDs: ident.Unique(n), Crashes: map[sim.PID]sim.Time{0: 50}, Seed: int64(20 + n),
+			Stack: reduce.StackFig4, Target: reduce.JudgeSigma,
+		}.Run()
 		return []string{
-			itoaI(n), "1", status, itoa(res.StabilizationTime),
-			itoaI(h.rec.Stats().ByTag["LABELS"]), itoaI(h.rec.Stats().ByTag["ALIVE"]),
+			itoaI(n), "1", verified(err), itoa(out.StabilizationTime),
+			itoaI(out.Stats.ByTag["LABELS"]), itoaI(out.Stats.ByTag["ALIVE"]),
 		}
 	})
 	return t, err
-}
-
-func msEq(a, b *multiset.Multiset[ident.ID]) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Equal(b)
 }
 
 // E5RelationMatrix executes every Figure-5 arrow and reports the verified
@@ -298,19 +167,17 @@ func E5RelationMatrix() (Table, error) {
 		Notes:  []string{"Each arrow is an executable reduction; \"verified\" means the emulated detector passed every axiom of the target class on the recorded execution (4 seeds; worst stabilization shown)."},
 	}
 	err := tableRows(&t, reduce.All(), func(_ int, rel reduce.Relation) []string {
-		status := "✓"
+		var failed error
 		var worst sim.Time
 		for seed := int64(1); seed <= 4; seed++ {
 			res, err := rel.Run(seed)
 			if err != nil {
-				status = "✗ " + err.Error()
+				failed = err
 				break
 			}
-			if res.StabilizationTime > worst {
-				worst = res.StabilizationTime
-			}
+			worst = max(worst, res.StabilizationTime)
 		}
-		return []string{rel.From, rel.To, rel.Source, rel.Model, status, itoa(worst)}
+		return []string{rel.From, rel.To, rel.Source, rel.Model, verified(failed), itoa(worst)}
 	})
 	return t, err
 }
@@ -330,50 +197,17 @@ func E13APReductions() (Table, error) {
 		{1: 40},
 		{0: 30, 2: 60, 4: 90},
 	}, func(_ int, crashes map[sim.PID]sim.Time) []string {
-		n := 6
+		const n = 6
 		ids := ident.AnonymousN(n)
-
-		// ◇HP̄ via Lemma 2.
-		h1 := newRedHarness(ids, crashes, 31)
-		ohpDets := make([]fd.DiamondHPbar, n)
-		for i := 0; i < n; i++ {
-			src := oracle.NewAP(h1.world, 0)
-			xf := reduce.NewAPToDiamondHPbar(src, 0)
-			ohpDets[i] = xf
-			h1.eng.AddProcess(sim.NewNode().Add("ap", src).Add("lemma2", xf))
-		}
-		pr := fd.NewProbe(h1.eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-			if h1.eng.Crashed(p) {
-				return nil, false
-			}
-			return ohpDets[p].Trusted(), true
-		}, msEq)
-		h1.run()
-		res1, err1 := fd.CheckDiamondHPbar(h1.truth, pr)
-		s1 := "✓"
-		if err1 != nil {
-			s1 = "✗ " + err1.Error()
-		}
-
-		// HΣ via Lemma 3.
-		h2 := newRedHarness(ids, crashes, 32)
-		hsDets := make([]fd.HSigma, n)
-		for i := 0; i < n; i++ {
-			src := oracle.NewAP(h2.world, 0)
-			xf := reduce.NewAPToHSigma(src, 0)
-			hsDets[i] = xf
-			h2.eng.AddProcess(sim.NewNode().Add("ap", src).Add("lemma3", xf))
-		}
-		quora, labels := h2.hsigmaProbes(hsDets)
-		h2.run()
-		res2, err2 := fd.CheckHSigma(h2.truth, quora, labels)
-		s2 := "✓"
-		if err2 != nil {
-			s2 = "✗ " + err2.Error()
-		}
-
+		ohp, err1 := reduce.Deployment[fd.DiamondHPbar]{
+			IDs: ids, Crashes: crashes, Seed: 31, Stack: reduce.StackLemma2, Target: reduce.JudgeDiamondHPbar,
+		}.Run()
+		hs, err2 := reduce.Deployment[fd.HSigma]{
+			IDs: ids, Crashes: crashes, Seed: 32, Stack: reduce.StackLemma3, Target: reduce.JudgeHSigma,
+		}.Run()
 		return []string{
-			itoaI(n), itoaI(len(crashes)), s1, itoa(res1.StabilizationTime), s2, itoa(res2.StabilizationTime),
+			itoaI(n), itoaI(len(crashes)),
+			verified(err1), itoa(ohp.StabilizationTime), verified(err2), itoa(hs.StabilizationTime),
 		}
 	})
 	return t, err

@@ -33,7 +33,7 @@ func runHSigma(t *testing.T, ids ident.Assignment, crashes []syncCrash, seed int
 			return nil, false
 		}
 		return dets[p].Quora(), true
-	}, quoraEqual)
+	}, fd.QuoraEqual)
 	labels := fd.NewSyncProbe(eng, ids.N(), func(p sim.PID) ([]fd.Label, bool) {
 		if eng.Crashed(p) {
 			return nil, false
@@ -43,18 +43,6 @@ func runHSigma(t *testing.T, ids ident.Assignment, crashes []syncCrash, seed int
 	eng.RunSteps(steps)
 	truth := fd.NewGroundTruth(ids, crashTimes)
 	return fd.CheckHSigma(truth, quora, labels)
-}
-
-func quoraEqual(a, b []fd.QuorumPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label || !a[i].M.Equal(b[i].M) {
-			return false
-		}
-	}
-	return true
 }
 
 func TestFailureFree(t *testing.T) {

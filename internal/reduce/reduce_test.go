@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/fd"
+	"repro/internal/fd/oracle"
 	"repro/internal/ident"
 	"repro/internal/multiset"
+	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/relation_matrix.txt from the current relations")
@@ -48,6 +52,87 @@ func TestRelationMatrix(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("relation matrix changed:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestRelationsRunConcurrently runs every arrow's four seeds at once: a
+// row's identity assignment and crash schedule are shared by all its runs
+// (E5 puts rows on sweep workers), so under -race this is the check that
+// a deployment only reads them.
+func TestRelationsRunConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, rel := range All() {
+		for seed := int64(1); seed <= 4; seed++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := rel.Run(seed); err != nil {
+					t.Errorf("%s → %s seed %d: %v", rel.From, rel.To, seed, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// deployed runs one deployment for the wrong-stack table below.
+func deployed[D any](ids ident.Assignment, stack Stack[D], target Judge[D]) error {
+	_, err := Deployment[D]{IDs: ids, Crashes: map[sim.PID]sim.Time{0: 45}, Seed: 1, Stack: stack, Target: target}.Run()
+	return err
+}
+
+// blind rebuilds a stack over oracles that believe nobody ever crashes:
+// the harness still crashes process 0 and judges against that truth.
+func blind[D any](stack Stack[D]) Stack[D] {
+	return func(w *oracle.World, node *sim.Node) D {
+		return stack(oracle.NewWorld(fd.NewGroundTruth(w.Truth.IDs, nil), w.Stabilize), node)
+	}
+}
+
+// TestDeploymentRejectsWrongStacks gives the harness its teeth: for each
+// target class a deliberately wrong stack goes through Deployment exactly
+// as the Figure 5 arrows do, and the class checker's own error must come
+// back. The right stack over the same ids and crash passes.
+func TestDeploymentRejectsWrongStacks(t *testing.T) {
+	cases := []struct {
+		name    string
+		wantErr string // prefix: the target class checker's own message
+		right   func() error
+		wrong   func() error
+	}{
+		// Lemma 3 is stated for anonymous systems; over unique identifiers
+		// its ⊥-quora name no process.
+		{"HΣ: Lemma 3 over unique ids", "HΣ ",
+			func() error { return deployed(ident.AnonymousN(5), StackLemma3, JudgeHSigma) },
+			func() error { return deployed(ident.Unique(5), StackLemma3, JudgeHSigma) }},
+		// Figure 4 over an HΣ that never learns of the crash keeps
+		// trusting the crashed process.
+		{"Σ: Figure 4 over a blind HΣ", "Σ ",
+			func() error { return deployed(ident.Unique(5), StackFig4, JudgeSigma) },
+			func() error { return deployed(ident.Unique(5), blind(StackFig4), JudgeSigma) }},
+		// Lemma 2 likewise outputs ⊥^a, never I(Correct) of a unique system.
+		{"◇HP̄: Lemma 2 over unique ids", "◇HP̄ ",
+			func() error { return deployed(ident.AnonymousN(5), StackLemma2, JudgeDiamondHPbar) },
+			func() error { return deployed(ident.Unique(5), StackLemma2, JudgeDiamondHPbar) }},
+		// Observation 1 over a ◇HP̄ with another crash set counts the
+		// crashed process in the leader identifier's multiplicity.
+		{"HΩ: Observation 1 over a blind ◇HP̄", "HΩ",
+			func() error { return deployed(ident.Balanced(6, 3), StackObs1, JudgeHOmega) },
+			func() error { return deployed(ident.Balanced(6, 3), blind(StackObs1), JudgeHOmega) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.right(); err != nil {
+				t.Fatalf("right stack rejected: %v", err)
+			}
+			err := tc.wrong()
+			if err == nil {
+				t.Fatal("wrong stack passed the class checker")
+			}
+			if !strings.HasPrefix(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q is not the %q checker's", err, tc.wantErr)
+			}
+		})
 	}
 }
 

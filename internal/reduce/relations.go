@@ -2,10 +2,7 @@ package reduce
 
 import (
 	"repro/internal/fd"
-	"repro/internal/fd/alive"
-	"repro/internal/fd/oracle"
 	"repro/internal/ident"
-	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -19,231 +16,35 @@ type Relation struct {
 	Run      func(seed int64) (fd.Result, error)
 }
 
-const (
-	relStabilize sim.Time = 120
-	relHorizon   sim.Time = 800
-)
-
-// relRun is the shared harness: n processes with the given identity
-// assignment and crash schedule; build constructs each node's module stack
-// and returns the probes' check function.
-func relRun(ids ident.Assignment, crashes map[sim.PID]sim.Time, seed int64,
-	build func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error),
-) (fd.Result, error) {
-	eng := sim.New(sim.Config{IDs: ids, Seed: seed})
-	truth := fd.NewGroundTruth(ids, crashes)
-	world := oracle.NewWorld(truth, relStabilize)
-	check := build(eng, truth, world)
-	eng.CrashSchedule(crashes)
-	eng.Run(relHorizon)
-	return check()
-}
-
-// hsigmaProbes attaches HΣ probes over a slice of emulated detectors and
-// returns the corresponding CheckHSigma closure.
-func hsigmaProbes(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.HSigma) func() (fd.Result, error) {
-	n := len(dets)
-	quora := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.QuorumPair, bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
-		return dets[p].Quora(), true
-	}, quoraEqual)
-	labels := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.Label, bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
-		return dets[p].Labels(), true
-	}, fd.LabelsEqual)
-	return func() (fd.Result, error) { return fd.CheckHSigma(truth, quora, labels) }
-}
-
-func quoraEqual(a, b []fd.QuorumPair) bool {
-	if len(a) != len(b) {
-		return false
+// arrow is a Relation's Run: the deployment of stack over ids with the
+// given crashes, judged by the target class; the seed varies the adversary.
+func arrow[D any](ids ident.Assignment, crashes map[sim.PID]sim.Time, stack Stack[D], target Judge[D]) func(int64) (fd.Result, error) {
+	return func(seed int64) (fd.Result, error) {
+		out, err := Deployment[D]{IDs: ids, Crashes: crashes, Seed: seed, Stack: stack, Target: target}.Run()
+		return out.Result, err
 	}
-	for i := range a {
-		if a[i].Label != b[i].Label || !a[i].M.Equal(b[i].M) {
-			return false
-		}
-	}
-	return true
-}
-
-func msEqual(a, b *multiset.Multiset[ident.ID]) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Equal(b)
 }
 
 // All returns the executable relation matrix: every reduction the paper
-// proves, ready to run and verify. Seeds vary the adversary.
+// proves, ready to run and verify.
 func All() []Relation {
+	type crashes = map[sim.PID]sim.Time
 	return []Relation{
-		{
-			From: "Σ", To: "HΣ", Source: "Theorem 1(1) / Figure 1", Model: "AS[∅], membership known",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.Unique(5)
-				crashes := map[sim.PID]sim.Time{1: 40}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.HSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewSigma(world)
-						xf := NewSigmaToHSigmaKnown(src, ids.I(), 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("sigma", src).Add("fig1", xf))
-					}
-					return hsigmaProbes(eng, truth, dets)
-				})
-			},
-		},
-		{
-			From: "Σ", To: "HΣ", Source: "Theorem 1(2) / Figure 2", Model: "AS[Σ], membership unknown",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.Unique(5)
-				crashes := map[sim.PID]sim.Time{3: 60}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.HSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewSigma(world)
-						xf := NewSigmaToHSigmaUnknown(src, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("sigma", src).Add("fig2", xf))
-					}
-					return hsigmaProbes(eng, truth, dets)
-				})
-			},
-		},
-		{
-			From: "HΣ", To: "Σ", Source: "Theorem 2 / Figure 4 (uses 𝔈 of Lemma 1 / Figure 3)", Model: "AS[HΣ], membership unknown",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.Unique(5)
-				crashes := map[sim.PID]sim.Time{0: 50}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]*HSigmaToSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewHSigma(world)
-						al := alive.New(0)
-						xf := NewHSigmaToSigma(src, al, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("hsigma", src).Add("alive", al).Add("fig4", xf))
-					}
-					pr := fd.NewProbe(eng, ids.N(), func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-						if eng.Crashed(p) || !dets[p].HasOutput() {
-							return nil, false
-						}
-						return dets[p].TrustedQuorum(), true
-					}, msEqual)
-					return func() (fd.Result, error) { return fd.CheckSigma(truth, pr) }
-				})
-			},
-		},
-		{
-			From: "AΣ", To: "HΣ", Source: "Theorem 3", Model: "AAS[∅]",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.AnonymousN(5)
-				crashes := map[sim.PID]sim.Time{2: 40}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.HSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewASigma(world)
-						xf := NewASigmaToHSigma(src, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("asigma", src).Add("thm3", xf))
-					}
-					return hsigmaProbes(eng, truth, dets)
-				})
-			},
-		},
-		{
-			From: "AP", To: "◇HP̄", Source: "Lemma 2 / Theorem 4", Model: "AAS[∅]",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.AnonymousN(5)
-				crashes := map[sim.PID]sim.Time{1: 30, 4: 70}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.DiamondHPbar, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewAP(world, 0)
-						xf := NewAPToDiamondHPbar(src, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("ap", src).Add("lemma2", xf))
-					}
-					pr := fd.NewProbe(eng, ids.N(), func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-						if eng.Crashed(p) {
-							return nil, false
-						}
-						return dets[p].Trusted(), true
-					}, msEqual)
-					return func() (fd.Result, error) { return fd.CheckDiamondHPbar(truth, pr) }
-				})
-			},
-		},
-		{
-			From: "AP", To: "HΣ", Source: "Lemma 3 / Theorem 4", Model: "AAS[∅]",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.AnonymousN(5)
-				crashes := map[sim.PID]sim.Time{0: 35}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.HSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewAP(world, 0)
-						xf := NewAPToHSigma(src, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("ap", src).Add("lemma3", xf))
-					}
-					return hsigmaProbes(eng, truth, dets)
-				})
-			},
-		},
-		{
-			From: "◇HP̄", To: "HΩ", Source: "Observation 1 / Corollary 2", Model: "HAS[◇HP̄]",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.Balanced(6, 3)
-				crashes := map[sim.PID]sim.Time{0: 45}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]fd.HOmega, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewDiamondHPbar(world)
-						xf := NewDiamondHPbarToHOmega(src, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().Add("ohp", src).Add("obs1", xf))
-					}
-					pr := fd.NewProbe(eng, ids.N(), func(p sim.PID) (fd.LeaderInfo, bool) {
-						if eng.Crashed(p) {
-							return fd.LeaderInfo{}, false
-						}
-						return dets[p].Leader()
-					}, func(a, b fd.LeaderInfo) bool { return a == b })
-					return func() (fd.Result, error) { return fd.CheckHOmega(truth, pr) }
-				})
-			},
-		},
-		{
-			From: "Σ", To: "Σ (via HΣ)", Source: "Corollary 1 (composite Fig 2 ∘ Fig 4)", Model: "AS[Σ]",
-			Run: func(seed int64) (fd.Result, error) {
-				ids := ident.Unique(5)
-				crashes := map[sim.PID]sim.Time{2: 55}
-				return relRun(ids, crashes, seed, func(eng *sim.Engine, truth *fd.GroundTruth, world *oracle.World) func() (fd.Result, error) {
-					dets := make([]*HSigmaToSigma, ids.N())
-					for i := 0; i < ids.N(); i++ {
-						src := oracle.NewSigma(world)
-						mid := NewSigmaToHSigmaUnknown(src, 0)
-						al := alive.New(0)
-						xf := NewHSigmaToSigma(mid, al, 0)
-						dets[i] = xf
-						eng.AddProcess(sim.NewNode().
-							Add("sigma", src).Add("fig2", mid).Add("alive", al).Add("fig4", xf))
-					}
-					pr := fd.NewProbe(eng, ids.N(), func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-						if eng.Crashed(p) || !dets[p].HasOutput() {
-							return nil, false
-						}
-						return dets[p].TrustedQuorum(), true
-					}, msEqual)
-					return func() (fd.Result, error) { return fd.CheckSigma(truth, pr) }
-				})
-			},
-		},
+		{From: "Σ", To: "HΣ", Source: "Theorem 1(1) / Figure 1", Model: "AS[∅], membership known",
+			Run: arrow(ident.Unique(5), crashes{1: 40}, StackFig1, JudgeHSigma)},
+		{From: "Σ", To: "HΣ", Source: "Theorem 1(2) / Figure 2", Model: "AS[Σ], membership unknown",
+			Run: arrow(ident.Unique(5), crashes{3: 60}, StackFig2, JudgeHSigma)},
+		{From: "HΣ", To: "Σ", Source: "Theorem 2 / Figure 4 (uses 𝔈 of Lemma 1 / Figure 3)", Model: "AS[HΣ], membership unknown",
+			Run: arrow(ident.Unique(5), crashes{0: 50}, StackFig4, JudgeSigma)},
+		{From: "AΣ", To: "HΣ", Source: "Theorem 3", Model: "AAS[∅]",
+			Run: arrow(ident.AnonymousN(5), crashes{2: 40}, StackThm3, JudgeHSigma)},
+		{From: "AP", To: "◇HP̄", Source: "Lemma 2 / Theorem 4", Model: "AAS[∅]",
+			Run: arrow(ident.AnonymousN(5), crashes{1: 30, 4: 70}, StackLemma2, JudgeDiamondHPbar)},
+		{From: "AP", To: "HΣ", Source: "Lemma 3 / Theorem 4", Model: "AAS[∅]",
+			Run: arrow(ident.AnonymousN(5), crashes{0: 35}, StackLemma3, JudgeHSigma)},
+		{From: "◇HP̄", To: "HΩ", Source: "Observation 1 / Corollary 2", Model: "HAS[◇HP̄]",
+			Run: arrow(ident.Balanced(6, 3), crashes{0: 45}, StackObs1, JudgeHOmega)},
+		{From: "Σ", To: "Σ (via HΣ)", Source: "Corollary 1 (composite Fig 2 ∘ Fig 4)", Model: "AS[Σ]",
+			Run: arrow(ident.Unique(5), crashes{2: 55}, StackFig2Fig4, JudgeSigma)},
 	}
 }
