@@ -34,12 +34,6 @@ type HeartbeatExperiment struct {
 	// Trace, when non-nil, replaces the default stats-only recorder (see
 	// OHPExperiment.Trace).
 	Trace *trace.Recorder
-	// StreamVerify additionally attaches a streaming probe (O(1) state per
-	// process) over the per-process delivery counters and, on complete
-	// runs, verifies delivery liveness: every eventually-up process heard
-	// at least one beat. This is the large-n stand-in for the detector
-	// checkers, which a heartbeat-only workload cannot run.
-	StreamVerify bool
 }
 
 // HeartbeatResult reports one heartbeat-churn run.
@@ -116,9 +110,10 @@ var (
 // against the schedule-derived ground truth. On every run — truncated or
 // not — the per-process delivery counters must sum to exactly the
 // recorder's Delivered count: one OnMessage per delivery trace, the
-// end-to-end accounting check on the lazy fan-out path. Like RunOHP
-// it rejects invalid assignments and horizons that truncate the churn
-// schedule.
+// end-to-end accounting check on the lazy fan-out path. Complete runs are
+// also judged for delivery liveness, read off the same counters (see
+// VerifyHeartbeat). Like RunOHP it rejects invalid assignments and
+// horizons that truncate the churn schedule.
 func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 	if err := e.IDs.Validate(); err != nil {
 		return HeartbeatResult{}, fmt.Errorf("hds: %w", err)
@@ -153,16 +148,6 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 	}
 	eng.ApplyChurn(schedule)
 
-	var heardProbe *fd.StreamProbe[int]
-	if e.StreamVerify {
-		heardProbe = fd.NewStreamProbe(eng, n, func(p sim.PID) (int, bool) {
-			if eng.Crashed(p) {
-				return 0, false
-			}
-			return beats[p].heard, true
-		}, func(a, b int) bool { return a == b })
-	}
-
 	eng.Run(e.Horizon)
 	complete := eng.Stopped() != sim.StopMaxEvents
 	if complete {
@@ -181,11 +166,9 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 		return HeartbeatResult{}, fmt.Errorf(
 			"hds: processes heard %d beats but the recorder delivered %d — fan-out accounting drift", heard, stats.Delivered)
 	}
-	if heardProbe != nil && complete {
-		for _, p := range truth.EventuallyUp() {
-			if got, ok := heardProbe.Last(p); !ok || got == 0 {
-				return HeartbeatResult{}, fmt.Errorf("hds: eventually-up process %d heard no beats", p)
-			}
+	if complete {
+		if err := VerifyHeartbeat(truth, func(p PID) int { return beats[p].heard }); err != nil {
+			return HeartbeatResult{}, err
 		}
 	}
 	return HeartbeatResult{
@@ -197,6 +180,21 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 		MaxQueue:     eng.MaxQueueLen(),
 		Stats:        stats,
 	}, nil
+}
+
+// VerifyHeartbeat judges delivery liveness against the fault pattern:
+// every eventually-up process heard at least one beat, heard(p) being p's
+// delivery count. It is the large-n stand-in for the detector checkers,
+// which a heartbeat-only workload cannot run, and the judgement a live run
+// (the processes' own counters) and an offline replay of its trace
+// (deliveries counted from the events) share.
+func VerifyHeartbeat(truth *fd.GroundTruth, heard func(p PID) int) error {
+	for _, p := range truth.EventuallyUp() {
+		if heard(p) == 0 {
+			return fmt.Errorf("hds: eventually-up process %d heard no beats", p)
+		}
+	}
+	return nil
 }
 
 // checkTruthConsistency asserts that the engine's incremental fault

@@ -140,10 +140,8 @@ func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Heartbea
 	if stats.Recoveries != want {
 		return hds.HeartbeatResult{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", stats.Recoveries, want)
 	}
-	for _, p := range truth.EventuallyUp() {
-		if heard[p] == 0 {
-			return hds.HeartbeatResult{}, fmt.Errorf("hds: eventually-up process %d heard no beats", p)
-		}
+	if err := hds.VerifyHeartbeat(truth, func(p hds.PID) int { return heard[p] }); err != nil {
+		return hds.HeartbeatResult{}, err
 	}
 	return hds.HeartbeatResult{
 		EventuallyUp: len(truth.EventuallyUp()),

@@ -252,7 +252,7 @@ func (sc *Scenario) Run(seed int64, rec *trace.Recorder) (Result, error) {
 		res.Heartbeat, err = hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
 			IDs: sc.IDs, Churn: sc.Churn, Net: sc.Net, Period: sc.Period, Seed: seed,
 			Horizon: sc.Horizon, Beaters: sc.Beaters, MaxEvents: sc.MaxEvents,
-			Trace: rec, StreamVerify: true,
+			Trace: rec,
 		})
 	default:
 		err = fmt.Errorf("scenario: unknown algorithm %q", sc.Algo)
