@@ -1,6 +1,7 @@
 package hds
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/fd"
@@ -205,8 +206,21 @@ type HSigmaResult struct {
 }
 
 // RunHSigma executes Figure 7, verifies all four HΣ axioms, and reports
-// stabilization and quora sizes (experiment E8).
+// stabilization and quora sizes (experiment E8). Like the other runners it
+// rejects malformed input — an invalid assignment, a crash outside [0, n)
+// or outside steps [1, Steps], a negative step count, a delivery
+// probability outside [0, 1] — with an error, not a panic.
 func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
+	crashTimes := make(map[sim.PID]sim.Time, len(e.CrashSteps))
+	for p, cs := range e.CrashSteps {
+		crashTimes[p] = sim.Time(cs.Step)
+	}
+	if err := validateExperiment(e.IDs, crashTimes, nil); err != nil {
+		return HSigmaResult{}, err
+	}
+	if e.Steps < 0 {
+		return HSigmaResult{}, fmt.Errorf("hds: negative step count %d", e.Steps)
+	}
 	if e.Steps == 0 {
 		e.Steps = 12
 	}
@@ -220,17 +234,23 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 	}
 	// Register in ascending PID order: CrashAtStep appends to the step's
 	// crash list, and the sync engine replays that list, so map iteration
-	// order would otherwise reach the trace.
+	// order would otherwise reach the trace (or pick the error reported).
 	crashPids := make([]sim.PID, 0, len(e.CrashSteps))
 	for p := range e.CrashSteps {
 		crashPids = append(crashPids, p)
 	}
 	slices.Sort(crashPids)
-	crashTimes := make(map[sim.PID]sim.Time, len(e.CrashSteps))
 	for _, p := range crashPids {
 		cs := e.CrashSteps[p]
+		if cs.Step < 1 || cs.Step > e.Steps {
+			// A crash the run never executes would still be in the ground
+			// truth, and the checker would judge a fault that did not happen.
+			return HSigmaResult{}, fmt.Errorf("hds: process %d crashes at step %d, outside the run's steps [1,%d]", p, cs.Step, e.Steps)
+		}
+		if !(cs.DeliverProb >= 0 && cs.DeliverProb <= 1) {
+			return HSigmaResult{}, fmt.Errorf("hds: delivery probability %v for process %d is outside [0,1]", cs.DeliverProb, p)
+		}
 		eng.CrashAtStep(p, cs.Step, cs.DeliverProb)
-		crashTimes[p] = sim.Time(cs.Step)
 	}
 	truth := fd.NewGroundTruth(e.IDs, crashTimes)
 	quora := fd.NewSyncProbe(eng, n, func(p sim.PID) ([]fd.QuorumPair, bool) {
@@ -238,7 +258,7 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 			return nil, false
 		}
 		return dets[p].Quora(), true
-	}, quoraEq)
+	}, fd.QuoraEqual)
 	labels := fd.NewSyncProbe(eng, n, func(p sim.PID) ([]fd.Label, bool) {
 		if eng.Crashed(p) {
 			return nil, false
@@ -259,16 +279,4 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 		}
 	}
 	return out, nil
-}
-
-func quoraEq(a, b []fd.QuorumPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label || !a[i].M.Equal(b[i].M) {
-			return false
-		}
-	}
-	return true
 }

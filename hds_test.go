@@ -1,6 +1,8 @@
 package hds
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fd/oracle"
@@ -156,11 +158,55 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 			_, err := RunFig9(Fig9Experiment{IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}})
 			return err
 		}},
+		{"ohp crash pid out of range", func() error {
+			_, err := RunOHP(OHPExperiment{IDs: UniqueIDs(3), Crashes: map[PID]Time{3: 5}})
+			return err
+		}},
+		{"hsigma empty assignment", func() error {
+			_, err := RunHSigma(HSigmaExperiment{})
+			return err
+		}},
+		{"hsigma crash pid out of range", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{9: {Step: 2, DeliverProb: 0.5}}})
+			return err
+		}},
+		{"hsigma negative crash pid", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{-1: {Step: 2}}})
+			return err
+		}},
+		{"hsigma negative crash step", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{1: {Step: -2}}})
+			return err
+		}},
+		{"hsigma crash after the last step", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), Steps: 12, CrashSteps: map[PID]CrashStep{1: {Step: 30, DeliverProb: 0.5}}})
+			return err
+		}},
+		{"hsigma crash at step zero", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{1: {Step: 0, DeliverProb: 0.5}}})
+			return err
+		}},
+		{"hsigma negative step count", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), Steps: -1})
+			return err
+		}},
+		{"hsigma delivery probability above one", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{1: {Step: 2, DeliverProb: 1.5}}})
+			return err
+		}},
+		{"hsigma delivery probability NaN", func() error {
+			_, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(6, 3), CrashSteps: map[PID]CrashStep{1: {Step: 2, DeliverProb: math.NaN()}}})
+			return err
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.run(); err == nil {
-				t.Error("malformed experiment accepted")
+			err := tt.run()
+			if err == nil {
+				t.Fatal("malformed experiment accepted")
+			}
+			if !strings.HasPrefix(err.Error(), "hds: ") {
+				t.Errorf("error %q does not name the package that rejected the input", err)
 			}
 		})
 	}
