@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/fd"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/multiset"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/relation_matrix.txt from the current relations")
@@ -55,24 +55,31 @@ func TestRelationMatrix(t *testing.T) {
 	}
 }
 
-// TestRelationsRunConcurrently runs every arrow's four seeds at once: a
-// row's identity assignment and crash schedule are shared by all its runs
-// (E5 puts rows on sweep workers), so under -race this is the check that
-// a deployment only reads them.
+// TestRelationsRunConcurrently runs every arrow's four seeds on sweep
+// workers at once: a row's identity assignment and crash schedule are
+// shared by all its runs (E5 puts rows on the same pool), so under -race
+// this is the check that a deployment only reads them.
 func TestRelationsRunConcurrently(t *testing.T) {
-	var wg sync.WaitGroup
+	type job struct {
+		rel  Relation
+		seed int64
+	}
+	var jobs []job
 	for _, rel := range All() {
 		for seed := int64(1); seed <= 4; seed++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := rel.Run(seed); err != nil {
-					t.Errorf("%s → %s seed %d: %v", rel.From, rel.To, seed, err)
-				}
-			}()
+			jobs = append(jobs, job{rel, seed})
 		}
 	}
-	wg.Wait()
+	_, err := sweep.MapErr(sweep.Options{Workers: 4}, jobs, func(_ int, j job) (fd.Result, error) {
+		res, err := j.rel.Run(j.seed)
+		if err != nil {
+			err = fmt.Errorf("%s → %s seed %d: %w", j.rel.From, j.rel.To, j.seed, err)
+		}
+		return res, err
+	})
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 // deployed runs one deployment for the wrong-stack table below.
