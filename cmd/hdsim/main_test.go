@@ -112,6 +112,15 @@ func TestGoldenTextTrace(t *testing.T) {
 	checkGolden(t, "text_trace", out+fmt.Sprintf("trace sha256 %x\n", sha256.Sum256(data)))
 }
 
+// TestGoldenMaxEvents: -max-events reaches the consensus runners too, not
+// only heartbeat's — a run it truncates fails with the named guard error
+// (stderr is part of this golden) instead of deciding under the default cap.
+func TestGoldenMaxEvents(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(strings.Fields("-algo fig8 -n 5 -l 2 -t 2 -max-events 3"), &stdout, &stderr)
+	checkGolden(t, "fig8_maxevents", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
+}
+
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // file behind and change nothing on stdout.
 func TestProfileFlags(t *testing.T) {
@@ -145,6 +154,7 @@ func TestRejectsBeforeOutput(t *testing.T) {
 		{"ohp crashes and churn", "-algo ohp -crashes 1:5 -churn 0.3:1", "either -churn or -crashes"},
 		{"bad crashes", "-crashes garbage", "bad crash spec"},
 		{"bad net", "-net warp:9", `unknown network "warp"`},
+		{"negative max-events", "-max-events -3", "max-events=-3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,7 +65,10 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 	sc := &Scenario{
 		Meta: m, Algo: m.Algo, T: m.T,
 		Horizon: hds.Time(m.Horizon), Stabilize: hds.Time(m.Stabilize),
-		Beaters: m.Beaters,
+		Beaters: m.Beaters, MaxEvents: m.MaxEvents,
+	}
+	if m.MaxEvents < 0 {
+		return nil, fmt.Errorf("scenario: max-events=%d, want >= 0 (0 = engine default)", m.MaxEvents)
 	}
 	var err error
 	if sc.IDs, err = BalancedIDs(m.N, m.L); err != nil {
@@ -111,7 +114,7 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 		}
 		defaultHorizon = 5000
 	case "heartbeat":
-		sc.Period, sc.MaxEvents = hds.Time(m.Period), m.MaxEvents
+		sc.Period = hds.Time(m.Period)
 		period := sc.Period
 		if period <= 0 {
 			period = 10

@@ -44,6 +44,7 @@ func TestResolveRejects(t *testing.T) {
 		{"bad churn", func(m *trace.Meta) { m.Churn = "2" }, "bad churn fraction"},
 		{"bad net", func(m *trace.Meta) { m.Net = "warp:9" }, `unknown network "warp"`},
 		{"bad partitions", func(m *trace.Meta) { m.Partitions = "10@2" }, "bad partition window"},
+		{"negative max-events", func(m *trace.Meta) { m.MaxEvents = -3 }, "max-events=-3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +106,14 @@ func TestResolveDefaults(t *testing.T) {
 			}
 			if sc.Horizon != tc.horizon {
 				t.Errorf("horizon = %d, want %d", sc.Horizon, tc.horizon)
+			}
+			// The runaway guard is every algorithm's, not heartbeat's alone.
+			m.MaxEvents = 77
+			if sc, err = scenario.Resolve(&m); err != nil {
+				t.Fatal(err)
+			}
+			if sc.MaxEvents != 77 {
+				t.Errorf("MaxEvents = %d, want the fingerprint's 77", sc.MaxEvents)
 			}
 		})
 	}
