@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	hds "repro"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/fd"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/ident"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // E14CoordinationAblation removes the Leaders' Coordination Phase from
@@ -183,38 +183,13 @@ func E15LeaderGroupSize() (Table, error) {
 				ids[i] = ident.ID(fmt.Sprintf("solo%02d", i))
 			}
 		}
-		rec := trace.NewRecorder()
-		rec.KeepEvents = false
-		eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 8}, Seed: int64(90 + c), KnownN: true, Recorder: rec})
-		truth := fd.NewGroundTruth(ids, nil)
-		world := oracle.NewWorld(truth, 0)
-		proposals := make([]core.Value, n)
-		insts := make([]*core.Fig8, n)
-		for i := 0; i < n; i++ {
-			proposals[i] = core.Value(fmt.Sprintf("v%d", i))
-			det := oracle.NewHOmega(world, oracle.AdversaryNone)
-			insts[i] = core.NewFig8(det, 3, proposals[i])
-			eng.AddProcess(sim.NewNode().Add("homega", det).Add("consensus", insts[i]))
-		}
-		eng.RunUntil(200_000, func() bool {
-			for _, inst := range insts {
-				if !inst.Decided().Decided {
-					return false
-				}
-			}
-			return true
-		})
-		outcomes := make([]core.Outcome, n)
-		for i, inst := range insts {
-			outcomes[i] = inst.Decided()
-		}
-		rep, err := check.Consensus(truth, proposals, outcomes)
+		res, err := hds.RunFig8(hds.Fig8Experiment{IDs: ids, T: 3, Net: sim.Async{MaxDelay: 8}, Seed: int64(90 + c), Horizon: 200_000})
 		if err != nil {
 			return []string{itoaI(n), itoaI(c), "✗ " + err.Error(), "-", "-", "-"}
 		}
 		return []string{
-			itoaI(n), itoaI(c), itoaI(rep.MaxRound), itoa(rep.LastDecision),
-			itoaI(rec.Stats().ByTag["COORD"]), itoaI(rec.Stats().Broadcasts),
+			itoaI(n), itoaI(c), itoaI(res.Report.MaxRound), itoa(res.Report.LastDecision),
+			itoaI(res.Stats.ByTag["COORD"]), itoaI(res.Stats.Broadcasts),
 		}
 	})
 	return t, err
