@@ -5,10 +5,12 @@ package core
 //
 //	go run -ldflags "-X repro/internal/core.wedgeCanary=wedge" ./cmd/hunt ...
 //
-// With the canary armed, Fig9.maybeResync's jumping leader skips the
-// COORD/Phase-0 push it owes the round it lands in, so churn that takes
-// out a whole leader group wedges the everyone-quorums again — the exact
-// bug class the scenario hunter's CI canary must find and shrink. Normal
+// With the canary armed, the round skeleton's resync exchange is off for
+// every variant (skeleton.resyncing is false: no maybeResync fast-forward,
+// no Fig9.followAck), so a jumping leader never makes the COORD/Phase-0
+// push it owes the round it should land in and churn that takes out a
+// whole leader group wedges the everyone-quorums again — the exact bug
+// class the scenario hunter's CI canary must find and shrink. Normal
 // builds leave the variable empty and the guard is always true; no code
 // path in this repository assigns it.
 var wedgeCanary string

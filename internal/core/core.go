@@ -69,7 +69,7 @@ func (RejoinMsg) MsgTag() string { return "REJOIN" }
 // re-enters the protocol at that round's Phase 1 — a round it has never
 // voted in (rounds are monotone), so the quorum-intersection safety
 // argument is untouched. Within its own round, Fig. 9 additionally follows
-// the responder's phase and sub-round (see Fig9.onRejoinAck): its HΣ
+// the responder's phase and sub-round (see Fig9.followAck): its HΣ
 // quorums can require every eventually-up process, so a rejoiner stranded
 // mid-phase — peers consumed its pre-crash quorum message and moved on,
 // their later traffic died with the outage — must be able to catch up from
@@ -104,7 +104,8 @@ type Ph0Msg struct {
 // MsgTag implements sim.Tagger.
 func (Ph0Msg) MsgTag() string { return "PH0" }
 
-// decider holds the decide/relay logic shared by both algorithms.
+// decider holds the decide/relay logic of Task T2; the round skeleton
+// embeds it.
 type decider struct {
 	env     sim.Environment
 	outcome Outcome

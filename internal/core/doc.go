@@ -22,6 +22,17 @@
 // arrives, a timer fires, or a co-located failure-detector module changes
 // output (sim.Poller).
 //
+// The paper presents Figure 9 as Figure 8 with Phases 1–2 swapped, and the
+// code is laid out the same way: one round skeleton, two quorum rules. The
+// unexported skeleton (round.go), embedded by Fig8 and Fig9, owns the round
+// state, propose, the Leaders' Coordination Phase, Phase 0, the Phase 2
+// reception cases, Task T2, the heartbeat and the whole rejoin protocol;
+// fig8.go and fig9.go hold what differs — how Phases 1–2 collect a quorum
+// (n−t or α counted copies; HΣ quora matched in sub-rounds) — behind the
+// small quorumRule interface the skeleton calls. The five constructors set
+// the skeleton's three variant switches: the HΩ or AΩ leader source and
+// whether rounds start at Phase 0.
+//
 // Fig. 9's Phase 1/2 guard — some (x, mset) ∈ h_quora matched by one
 // sub-round's messages — fails on almost every such evaluation, so it is
 // answered from an index kept at message arrival instead of a rescan of
@@ -30,15 +41,18 @@
 // it only grows, and the guard holds iff mset ⊆ avail(sr, x) for some
 // pair and sub-round. Buffered messages share the sender's label slice:
 // a sender replaces its current_labels wholesale, never in place, and
-// fd.HSigma.Labels returns copies or immutable values. Reception buffers
-// exist for the current round and later ones only; a round's buffers go
-// when the process leaves it.
+// fd.HSigma.Labels returns copies or immutable values. Under every
+// constructor, reception buffers exist for the current round and later
+// ones only; a round's buffers go when the process leaves it.
 //
-// Beyond the paper's crash-stop model, both algorithms implement
+// Beyond the paper's crash-stop model, the skeleton implements
 // sim.Recoverer with a rejoin protocol for crash-recovery churn: a
 // recovered process re-arms its timer chain under a fresh epoch,
 // broadcasts (REJOIN, r), and either adopts an already-taken decision via
 // the re-armed DECIDE relay or fast-forwards into the live round from the
 // peers' (REJOIN_ACK, round, est) answers — joining only rounds it never
-// voted in, so the quorum-intersection safety arguments are unchanged.
+// voted in, so the quorum-intersection safety arguments are unchanged. The
+// argument is stated once, on skeleton.maybeResync; its one Fig. 9-specific
+// sentence is that "one vote per round" reads "one per sub-round" there,
+// which Fig9.followAck's sub-round catch-up preserves.
 package core

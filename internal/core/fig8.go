@@ -25,62 +25,27 @@ type Ph2Msg struct {
 // MsgTag implements sim.Tagger.
 func (Ph2Msg) MsgTag() string { return "PH2" }
 
-type fig8Phase int
-
-const (
-	f8Coord fig8Phase = iota + 1
-	f8Ph0
-	f8Ph1
-	f8Ph2
-)
-
 // Fig8 is the per-process consensus instance for HAS[t < n/2, HΩ]
 // (Figure 8, Theorem 7). It requires the engine to expose n (KnownN) and a
 // bound t < n/2 on the number of faulty processes. Attach it to a node
 // together with its HΩ detector module so that detector output changes
 // re-evaluate the phase guards.
+//
+// The round structure is the embedded skeleton's; what is Fig. 8's own is
+// the quorum rule of Phases 1–2: count n−t messages (or α of them).
 type Fig8 struct {
-	decider
-	d        fd.HOmega
-	t        int
-	proposal Value
-
-	n     int
-	round int
-	phase fig8Phase
-	est1  Value
-	est2  Value
-
-	// Per-round reception buffers. COORD keeps only estimates addressed to
-	// this identifier (the guard counts homonym co-leaders); PH0 keeps the
-	// first estimate; PH1/PH2 keep one entry per received copy.
-	coord map[int][]Value
-	ph0   map[int]*Value
-	ph1   map[int][]Value
-	ph2   map[int][]Value
-
-	// skipCoord ablates the Leaders' Coordination Phase (see
-	// NewFig8NoCoordination); maxRounds bounds ablated runs.
-	skipCoord bool
-	maxRounds int
+	skeleton
+	t int
+	n int
 
 	// alpha, when positive, replaces the knowledge of n per the paper's
 	// footnote 5: quorums wait for α messages and a value is adopted when
 	// α copies of it arrived. Requires α > n/2 and ≥ α correct processes.
 	alpha int
 
-	// epoch tags the heartbeat timer chain. An outage strands the pre-crash
-	// timer (timers firing on a down process are dropped, but one set just
-	// before the crash can outlive the outage); bumping the epoch on
-	// recovery makes such stale timers recognizable, so the restarted chain
-	// is the only live one.
-	epoch int
-	// rejoining, set on recovery, enables the round-resync fast-forward: any
-	// protocol message of a round above the local one (a REJOIN_ACK, or
-	// ordinary traffic from peers that moved on) pulls the process into that
-	// round's Phase 1. It stays set until the process closes a full Phase 2
-	// quorum — one successful round means it is a normal participant again.
-	rejoining bool
+	// PH1/PH2 estimates by round, one entry per received copy.
+	ph1 map[int][]Value
+	ph2 map[int][]Value
 }
 
 var (
@@ -92,15 +57,10 @@ var (
 // NewFig8 creates a consensus instance proposing the given value, using
 // detector d ∈ HΩ and tolerating up to t crashes.
 func NewFig8(d fd.HOmega, t int, proposal Value) *Fig8 {
-	return &Fig8{
-		d:        d,
-		t:        t,
-		proposal: proposal,
-		coord:    make(map[int][]Value),
-		ph0:      make(map[int]*Value),
-		ph1:      make(map[int][]Value),
-		ph2:      make(map[int][]Value),
-	}
+	c := &Fig8{t: t, ph1: make(map[int][]Value), ph2: make(map[int][]Value)}
+	c.skeleton = newSkeleton(c, proposal)
+	c.hOmega = d
+	return c
 }
 
 // NewFig8NoCoordination creates the ABLATED variant without the Leaders'
@@ -132,13 +92,8 @@ func NewFig8Alpha(d fd.HOmega, alpha int, proposal Value) *Fig8 {
 	return c
 }
 
-// SetMaxRounds bounds the number of rounds executed (0 = unlimited);
-// ablation experiments use it to stop non-terminating configurations.
-func (c *Fig8) SetMaxRounds(k int) { c.maxRounds = k }
-
-// Init implements sim.Process: propose(v).
+// Init implements sim.Process: check the system model, then propose(v).
 func (c *Fig8) Init(env sim.Environment) {
-	c.env = env
 	if c.alpha == 0 {
 		n, known := env.N()
 		if !known {
@@ -149,14 +104,7 @@ func (c *Fig8) Init(env sim.Environment) {
 		}
 		c.n = n
 	}
-	if c.proposal == Bottom {
-		panic("core: Bottom must not be proposed")
-	}
-	c.est1 = c.proposal
-	c.round = 1
-	c.startRound()
-	env.SetTimer(heartbeat, c.epoch)
-	c.step()
+	c.skeleton.Init(env)
 }
 
 // quorumSize is the number of messages Phases 1–2 wait for: n−t with
@@ -177,224 +125,7 @@ func (c *Fig8) adopted(count int) bool {
 	return 2*count > c.n
 }
 
-func (c *Fig8) startRound() {
-	if c.skipCoord {
-		c.phase = f8Ph0
-		return
-	}
-	c.phase = f8Coord
-	c.env.Broadcast(CoordMsg{ID: c.env.ID(), Round: c.round, Est: c.est1})
-}
-
-// OnTimer implements sim.Process: the heartbeat re-evaluates guards whose
-// truth changed with virtual time only (detector stabilization). A decided
-// process stops its heartbeat so that finished executions drain. Timers of
-// an older epoch are stale pre-outage survivors and are ignored — OnRecover
-// started a fresh chain.
-func (c *Fig8) OnTimer(tag int) {
-	if tag != c.epoch {
-		return
-	}
-	if !c.outcome.Decided {
-		c.env.SetTimer(heartbeat, c.epoch)
-	}
-	c.step()
-}
-
-// OnRecover implements sim.Recoverer: the rejoin protocol. The process
-// re-arms its timer chain under a fresh epoch and broadcasts (REJOIN, r);
-// peers answer from their current round state (RejoinAckMsg) or, if they
-// already decided, by re-sending DECIDE — so the rejoiner either
-// fast-forwards into the live round or adopts the decision through the
-// Task T2 relay. A process that had decided before the outage keeps its
-// decision (state survives a crash) and only re-relays it.
-func (c *Fig8) OnRecover() {
-	if c.env == nil {
-		return // crashed before Init ran; the engine never started this instance
-	}
-	c.epoch++
-	if c.outcome.Decided {
-		// The pre-crash DECIDE broadcast may have been lost in part (e.g. a
-		// crash during the broadcast itself); re-relay it.
-		c.env.Broadcast(DecideMsg{Val: c.outcome.Value, Round: c.outcome.Round})
-		return
-	}
-	c.rejoining = true
-	c.env.SetTimer(heartbeat, c.epoch)
-	c.env.Broadcast(RejoinMsg{Round: c.round})
-	c.step()
-}
-
-// Poll implements sim.Poller: co-located module activity (the detector)
-// may have changed guard values.
-func (c *Fig8) Poll() { c.step() }
-
-// OnMessage implements sim.Process. Every round-stamped message doubles as
-// a resync signal for a rejoining process (maybeResync); the message is
-// recorded in its reception buffer first, so a message that triggers the
-// jump still counts toward its round's quorums.
-func (c *Fig8) OnMessage(payload any) {
-	switch m := payload.(type) {
-	case DecideMsg:
-		c.onDecide(m)
-	case RejoinMsg:
-		c.onRejoin()
-	case RejoinAckMsg:
-		c.maybeResync(m.Round, m.Est, true)
-	case CoordMsg:
-		if m.ID == c.env.ID() {
-			c.coord[m.Round] = append(c.coord[m.Round], m.Est)
-		}
-		c.maybeResync(m.Round, m.Est, true)
-	case Ph0Msg:
-		if c.ph0[m.Round] == nil {
-			v := m.Est
-			c.ph0[m.Round] = &v
-		}
-		c.maybeResync(m.Round, m.Est, true)
-	case Ph1Msg:
-		c.ph1[m.Round] = append(c.ph1[m.Round], m.Est)
-		c.maybeResync(m.Round, m.Est, true)
-	case Ph2Msg:
-		c.ph2[m.Round] = append(c.ph2[m.Round], m.Est)
-		c.maybeResync(m.Round, m.Est, m.Est != Bottom)
-	}
-	c.step()
-}
-
-// onRejoin answers a peer's (REJOIN, r): a decided process re-sends DECIDE
-// (T2 re-relay), everyone else reports its current position.
-func (c *Fig8) onRejoin() {
-	if c.answerRejoin() {
-		return
-	}
-	c.env.Broadcast(RejoinAckMsg{Round: c.round, Phase: int(c.phase), Est: c.est1, Est2: c.est2})
-}
-
-// maybeResync fast-forwards a rejoining process toward the live protocol
-// state. A round above the local one is joined at Phase 1, casting this
-// process's first — and only — PH1 vote there (rounds are monotone, so a
-// strictly higher round was never voted in). Within the local round, the
-// process may be wedged in a wait whose messages were lost during the
-// outage: a leader in the Coordination Phase skips the co-leader wait
-// (safety rests on the Phase 1/2 quorums alone), and a non-leader in
-// Phase 0 whose leader push was lost adopts the circulating estimate and
-// joins Phase 1 — in both cases no Phase 1/2 broadcast of this round has
-// been made yet, so no vote is ever duplicated. Adopting a circulating
-// est1 is safe because after a decision of v every est1 in any later round
-// equals v (the Phase 2 quorum-intersection lock), and before one, est1
-// values only seed votes.
-func (c *Fig8) maybeResync(round int, est Value, adopt bool) {
-	if !c.rejoining || c.outcome.Decided {
-		return
-	}
-	switch {
-	case round > c.round:
-		if adopt {
-			c.est1 = est
-		}
-		c.round = round
-		// A jumping leader must still play its leader part in the target
-		// round: the co-leaders' Coordination Phase counts its COORD, and
-		// the followers' Phase 0 waits for a leader push — if every holder
-		// of the leading identifier is a rejoiner (churn does not spare
-		// leader groups), skipping these would wedge the whole system in a
-		// silent round. Both are estimate carriers, not votes, so the
-		// once-per-round discipline (first entry into the round) keeps them
-		// safe.
-		if c.leaderNow() {
-			c.env.Broadcast(CoordMsg{ID: c.env.ID(), Round: c.round, Est: c.est1})
-			c.env.Broadcast(Ph0Msg{Round: c.round, Est: c.est1})
-		}
-		c.phase = f8Ph1
-		c.env.Broadcast(Ph1Msg{Round: c.round, Est: c.est1})
-	case round == c.round && c.phase == f8Coord:
-		if adopt {
-			c.est1 = est
-		}
-		c.phase = f8Ph0
-	case round == c.round && c.phase == f8Ph0 && !c.leaderNow():
-		if adopt {
-			c.est1 = est
-		}
-		c.phase = f8Ph1
-		c.env.Broadcast(Ph1Msg{Round: c.round, Est: c.est1})
-	}
-}
-
-// leaderNow reports whether the detector currently elects this process.
-func (c *Fig8) leaderNow() bool {
-	ld, ok := c.d.Leader()
-	return ok && ld.ID == c.env.ID()
-}
-
-// step runs the state machine until no guard fires.
-func (c *Fig8) step() {
-	if c.env == nil {
-		return
-	}
-	for !c.outcome.Decided {
-		if c.maxRounds > 0 && c.round > c.maxRounds {
-			return
-		}
-		switch c.phase {
-		case f8Coord:
-			if !c.stepCoord() {
-				return
-			}
-		case f8Ph0:
-			if !c.stepPh0() {
-				return
-			}
-		case f8Ph1:
-			if !c.stepPh1() {
-				return
-			}
-		case f8Ph2:
-			if !c.stepPh2() {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-// stepCoord is the Leaders' Coordination Phase wait (lines 9–14): leaders
-// wait for COORD messages from all h_multiplicity homonym co-leaders and
-// adopt the minimum estimate; non-leaders pass straight through.
-func (c *Fig8) stepCoord() bool {
-	ld, ok := c.d.Leader()
-	iAmLeader := ok && ld.ID == c.env.ID()
-	need := ld.Multiplicity
-	if need < 1 {
-		need = 1
-	}
-	if iAmLeader && len(c.coord[c.round]) < need {
-		return false
-	}
-	if ests := c.coord[c.round]; len(ests) > 0 {
-		c.est1 = minValue(ests)
-	}
-	c.phase = f8Ph0
-	return true
-}
-
-// stepPh0 is Phase 0 (lines 16–18): leaders push their estimate; everyone
-// else adopts the first leader estimate received; all re-broadcast.
-func (c *Fig8) stepPh0() bool {
-	v := c.ph0[c.round]
-	if !c.leaderNow() && v == nil {
-		return false
-	}
-	if v != nil {
-		c.est1 = *v
-	}
-	c.env.Broadcast(Ph0Msg{Round: c.round, Est: c.est1})
-	c.env.Broadcast(Ph1Msg{Round: c.round, Est: c.est1})
-	c.phase = f8Ph1
-	return true
-}
+func (c *Fig8) enterPh1() { c.env.Broadcast(Ph1Msg{Round: c.round, Est: c.est1}) }
 
 // stepPh1 is Phase 1 (lines 20–26): wait for n−t estimates; a value seen
 // more than n/2 times becomes est2, otherwise est2 = ⊥.
@@ -412,41 +143,41 @@ func (c *Fig8) stepPh1() bool {
 		}
 	}
 	c.env.Broadcast(Ph2Msg{Round: c.round, Est: c.est2})
-	c.phase = f8Ph2
+	c.phase = inPh2
 	return true
 }
 
-// stepPh2 is Phase 2 (lines 28–34): wait for n−t est2 values; decide on a
-// unanimous non-⊥ value, adopt a partially-supported one, skip on all-⊥.
+// stepPh2 is Phase 2 (lines 28–34): wait for n−t est2 values.
 func (c *Fig8) stepPh2() bool {
 	got := c.ph2[c.round]
 	if len(got) < c.quorumSize() {
 		return false
 	}
-	// Closing a full Phase 2 quorum means the process is a normal
-	// participant again: no further rejoin fast-forwards.
-	c.rejoining = false
-	rec := distinct(got)
-	kind, v := classifyRec(rec)
-	switch kind {
-	case recAllSameValue:
-		c.decide(v, c.round)
-		return true
-	case recValueAndBot:
-		c.est1 = v
-	case recAllBot:
-		// skip
-	default:
-		c.invariant(false, "fig8: round %d rec contains two non-⊥ values: %v", c.round, rec)
-	}
-	c.round++
-	c.startRound()
+	c.closePh2(got)
 	return true
 }
 
-// Round returns the current round (observability).
-func (c *Fig8) Round() int { return c.round }
+func (c *Fig8) buffer(payload any) (int, Value) {
+	switch m := payload.(type) {
+	case Ph1Msg:
+		if m.Round >= c.round {
+			c.ph1[m.Round] = append(c.ph1[m.Round], m.Est)
+		}
+		return m.Round, m.Est
+	case Ph2Msg:
+		if m.Round >= c.round {
+			c.ph2[m.Round] = append(c.ph2[m.Round], m.Est)
+		}
+		return m.Round, m.Est
+	}
+	return 0, Bottom
+}
 
-// Rejoining reports whether the process is in rejoin catch-up: recovered
-// from an outage and not yet through a full Phase 2 quorum (observability).
-func (c *Fig8) Rejoining() bool { return c.rejoining }
+func (c *Fig8) forget(round int) {
+	delete(c.ph1, round)
+	delete(c.ph2, round)
+}
+
+func (c *Fig8) subRound() int { return 0 }
+
+func (c *Fig8) followAck(RejoinAckMsg) {}

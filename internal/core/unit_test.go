@@ -288,82 +288,159 @@ type stubHOmega struct{ leader fd.LeaderInfo }
 
 func (s stubHOmega) Leader() (fd.LeaderInfo, bool) { return s.leader, true }
 
-// spoiler keeps a Fig9 instance with identifier A cycling through rounds
-// without ever deciding: it answers each of A's PH1 with a different
-// estimate, so Phase 1 concludes on ⊥, completes the resulting Phase 2
-// quorum with a ⊥ of its own, and re-sends one message of every buffered
-// kind for the round A has already left. A rejoining A it pulls three
-// rounds ahead, over two rounds it has sent traffic for.
-type spoiler struct{ env sim.Environment }
+type stubAOmega bool
 
-func (s *spoiler) Init(env sim.Environment) { s.env = env }
+func (s stubAOmega) IsLeader() bool { return bool(s) }
+
+// spoiler keeps a consensus instance with identifier A — Fig. 8's message
+// types or Fig. 9's — cycling through rounds without ever deciding: it
+// answers each of A's PH1 with an estimate of its own, completes the
+// resulting Phase 2 quorum with a ⊥, so the round closes on "skip" or
+// "adopt", and re-sends one message of every buffered kind for the round A
+// has already left. A rejoining A it pulls three rounds ahead, over two
+// rounds it has sent traffic for.
+type spoiler struct {
+	env sim.Environment
+	// own counts the Fig. 8 messages in flight back to the spoiler itself:
+	// they name no sender, so a copy of its own broadcast is told from A's
+	// message by having one owed.
+	own map[any]int
+}
+
+func (s *spoiler) Init(env sim.Environment) { s.env, s.own = env, make(map[any]int) }
 func (s *spoiler) OnTimer(int)              {}
+
+func (s *spoiler) send(payload any) {
+	switch payload.(type) {
+	case Ph1Msg, Ph2Msg:
+		s.own[payload]++
+	}
+	s.env.Broadcast(payload)
+}
+
 func (s *spoiler) OnMessage(payload any) {
 	labels := []fd.Label{"q"}
 	switch m := payload.(type) {
+	case Ph1Msg, Ph2Msg:
+		if s.own[m] > 0 {
+			s.own[m]--
+			return
+		}
+	}
+	switch m := payload.(type) {
+	case Ph1Msg:
+		s.send(Ph1Msg{Round: m.Round, Est: "spoil"})
+		s.late(m.Round - 1)
+	case Ph2Msg:
+		s.send(Ph2Msg{Round: m.Round, Est: Bottom})
 	case Ph1QMsg:
 		if m.ID != "A" {
 			return
 		}
-		s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: "spoil"})
-		s.env.Broadcast(CoordMsg{ID: "A", Round: m.Round - 1, Est: "late"})
-		s.env.Broadcast(Ph0Msg{Round: m.Round - 1, Est: "late"})
-		s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round - 1, SR: 1, Labels: labels, Est: "late"})
-		s.env.Broadcast(Ph2QMsg{ID: "B", Round: m.Round - 1, SR: 1, Labels: labels, Est: "late"})
+		s.send(Ph1QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: "spoil"})
+		s.late(m.Round - 1)
 	case Ph2QMsg:
 		if m.ID == "A" {
-			s.env.Broadcast(Ph2QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: Bottom})
+			s.send(Ph2QMsg{ID: "B", Round: m.Round, SR: m.SR, Labels: labels, Est: Bottom})
 		}
 	case RejoinMsg:
 		for ahead := 1; ahead <= 3; ahead++ {
-			s.env.Broadcast(Ph1QMsg{ID: "B", Round: m.Round + ahead, SR: 1, Labels: labels, Est: "spoil"})
+			s.send(Ph1Msg{Round: m.Round + ahead, Est: "spoil"})
+			s.send(Ph1QMsg{ID: "B", Round: m.Round + ahead, SR: 1, Labels: labels, Est: "spoil"})
 		}
 	}
 }
 
-// TestFig9ForgetsRoundsItLeft: the reception buffers are read at the
-// current round and the next one only, so a long non-deciding run must not
-// accumulate one entry per round passed — whether the round was left by
-// Phase 2 or by a rejoiner's resync jump — nor buffer late arrivals for
-// rounds it already left.
-func TestFig9ForgetsRoundsItLeft(t *testing.T) {
-	const rounds = 250
-	for _, tc := range []struct {
-		name  string
-		churn []sim.ChurnEvent
-	}{
-		{"crash-free", nil},
-		{"resync jump", []sim.ChurnEvent{{P: 0, At: 40}, {P: 0, At: 60, Recover: true}}},
-	} {
-		for seed := int64(1); seed <= 8; seed++ {
-			hs := &stubHSigma{
-				quora:  []fd.QuorumPair{{Label: "q", M: multiset.From[ident.ID]("A", "B")}},
-				labels: []fd.Label{"q"},
-			}
-			c := NewFig9(stubHOmega{fd.LeaderInfo{ID: "A", Multiplicity: 1}}, hs, "v")
-			c.SetMaxRounds(rounds)
-			eng := sim.New(sim.Config{IDs: ident.Assignment{"A", "B"}, Net: sim.Async{MaxDelay: 3}, Seed: seed})
-			eng.AddProcess(c)
-			eng.AddProcess(&spoiler{})
-			eng.ApplyChurn(tc.churn)
-			eng.RunUntil(1_000_000, func() bool { return c.Round() > rounds })
-			eng.Run(eng.Now() + 50) // let the last late arrivals land
+// late sends one message of every buffered kind, of both figures, for a
+// round A has left.
+func (s *spoiler) late(round int) {
+	labels := []fd.Label{"q"}
+	s.send(CoordMsg{ID: "A", Round: round, Est: "late"})
+	s.send(Ph0Msg{Round: round, Est: "late"})
+	s.send(Ph1Msg{Round: round, Est: "late"})
+	s.send(Ph2Msg{Round: round, Est: "late"})
+	s.send(Ph1QMsg{ID: "B", Round: round, SR: 1, Labels: labels, Est: "late"})
+	s.send(Ph2QMsg{ID: "B", Round: round, SR: 1, Labels: labels, Est: "late"})
+}
 
-			if c.Decided().Decided || c.Round() != rounds+1 {
-				t.Fatalf("%s seed %d: decided=%v round=%d: want an undecided run stopped at round %d",
-					tc.name, seed, c.Decided().Decided, c.Round(), rounds+1)
-			}
-			if err := c.InvariantErr(); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < c.round; r++ {
-				if c.coord[r] != nil || c.coordSeen[r] || c.ph0[r] != nil || c.ph1[r] != nil || c.ph2[r] != nil {
-					t.Fatalf("%s seed %d: round %d is still buffered at round %d", tc.name, seed, r, c.round)
+// TestForgetsRoundsItLeft: under every constructor, the reception buffers
+// are read at the current round and the next one only, so a long
+// non-deciding run must not accumulate one entry per round passed —
+// whether the round was left by Phase 2 or by a rejoiner's resync jump —
+// nor buffer late arrivals for rounds it already left.
+func TestForgetsRoundsItLeft(t *testing.T) {
+	const rounds = 250
+	leader := stubHOmega{fd.LeaderInfo{ID: "A", Multiplicity: 1}}
+	hs := &stubHSigma{
+		quora:  []fd.QuorumPair{{Label: "q", M: multiset.From[ident.ID]("A", "B")}},
+		labels: []fd.Label{"q"},
+	}
+	type instance interface {
+		sim.Process
+		SetMaxRounds(int)
+		Round() int
+		Decided() Outcome
+		InvariantErr() error
+	}
+	of8 := func(c *Fig8) (instance, buffered) { return c, bufferedBy(&c.skeleton, c.ph1, c.ph2) }
+	of9 := func(c *Fig9) (instance, buffered) { return c, bufferedBy(&c.skeleton, c.ph1, c.ph2) }
+	for _, v := range []struct {
+		name string
+		make func() (instance, buffered)
+	}{
+		{"NewFig8", func() (instance, buffered) { return of8(NewFig8(leader, 0, "v")) }},
+		{"NewFig8NoCoordination", func() (instance, buffered) { return of8(NewFig8NoCoordination(leader, 0, "v")) }},
+		{"NewFig8Alpha", func() (instance, buffered) { return of8(NewFig8Alpha(leader, 2, "v")) }},
+		{"NewFig9", func() (instance, buffered) { return of9(NewFig9(leader, hs, "v")) }},
+		{"NewFig9Anonymous", func() (instance, buffered) { return of9(NewFig9Anonymous(stubAOmega(true), hs, "v")) }},
+	} {
+		for _, tc := range []struct {
+			name  string
+			churn []sim.ChurnEvent
+		}{
+			{"crash-free", nil},
+			{"resync jump", []sim.ChurnEvent{{P: 0, At: 40}, {P: 0, At: 60, Recover: true}}},
+		} {
+			for seed := int64(1); seed <= 8; seed++ {
+				tag := fmt.Sprintf("%s %s seed %d", v.name, tc.name, seed)
+				c, held := v.make()
+				c.SetMaxRounds(rounds)
+				eng := sim.New(sim.Config{IDs: ident.Assignment{"A", "B"}, Net: sim.Async{MaxDelay: 3}, Seed: seed, KnownN: true})
+				eng.AddProcess(c)
+				eng.AddProcess(&spoiler{})
+				eng.ApplyChurn(tc.churn)
+				eng.RunUntil(1_000_000, func() bool { return c.Round() > rounds })
+				eng.Run(eng.Now() + 50) // let the last late arrivals land
+
+				if c.Decided().Decided || c.Round() != rounds+1 {
+					t.Fatalf("%s: decided=%v round=%d: want an undecided run stopped at round %d",
+						tag, c.Decided().Decided, c.Round(), rounds+1)
+				}
+				if err := c.InvariantErr(); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < c.Round(); r++ {
+					if inRound, _ := held(r); inRound {
+						t.Fatalf("%s: round %d is still buffered at round %d", tag, r, c.Round())
+					}
+				}
+				if _, n := held(0); n > 2*3 {
+					t.Errorf("%s: %d buffer entries after %d rounds, want at most two rounds' worth", tag, n, rounds)
 				}
 			}
-			if held := len(c.coord) + len(c.coordSeen) + len(c.ph0) + len(c.ph1) + len(c.ph2); held > 2*5 {
-				t.Errorf("%s seed %d: %d buffer entries after %d rounds, want at most two rounds' worth", tc.name, seed, held, rounds)
-			}
 		}
+	}
+}
+
+// buffered reports what an instance still holds in its reception buffers:
+// whether anything of round r, and how many (buffer, round) entries in all.
+type buffered func(r int) (inRound bool, entries int)
+
+func bufferedBy[V any](sk *skeleton, ph1, ph2 map[int]V) buffered {
+	return func(r int) (bool, int) {
+		_, a := sk.rounds[r]
+		_, b := ph1[r]
+		_, c := ph2[r]
+		return a || b || c, len(sk.rounds) + len(ph1) + len(ph2)
 	}
 }
