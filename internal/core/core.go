@@ -147,12 +147,13 @@ func (d *decider) onDecide(m DecideMsg) {
 	d.env.Broadcast(DecideMsg{Val: m.Val, Round: m.Round})
 }
 
-// answerRejoin re-broadcasts a decided outcome in response to a REJOIN: the
-// rejoiner may have been down when the original DECIDE (and its relays)
-// went out, and a decided process takes no further protocol steps, so
-// Task T2's "relay once" must be re-armed for it. It reports whether the
-// process had decided (and therefore answered).
-func (d *decider) answerRejoin() bool {
+// relayAgain re-broadcasts a decided outcome and reports whether there was
+// one. Task T2 relays a decision once, and a decided process takes no
+// further protocol steps, so the relay is re-armed where that once may not
+// have been enough: on a peer's REJOIN (the rejoiner may have been down
+// when the original DECIDE and its relays went out) and on the process's
+// own recovery.
+func (d *decider) relayAgain() bool {
 	if !d.outcome.Decided {
 		return false
 	}

@@ -176,10 +176,9 @@ func (c *skeleton) OnRecover() {
 		return // crashed before Init ran; the engine never started this instance
 	}
 	c.epoch++
-	if c.outcome.Decided {
+	if c.relayAgain() {
 		// The pre-crash DECIDE broadcast may have been lost in part (e.g. a
-		// crash during the broadcast itself); re-relay it.
-		c.env.Broadcast(DecideMsg{Val: c.outcome.Value, Round: c.outcome.Round})
+		// crash during the broadcast itself).
 		return
 	}
 	c.rejoining = true
@@ -219,8 +218,7 @@ func (c *skeleton) OnMessage(payload any) {
 		}
 		c.maybeResync(m.Round, m.Est)
 	case Ph0Msg:
-		if m.Round >= c.round && !c.rounds[m.Round].ph0Seen {
-			h := c.rounds[m.Round]
+		if h := c.rounds[m.Round]; m.Round >= c.round && !h.ph0Seen {
 			h.ph0, h.ph0Seen = m.Est, true
 			c.rounds[m.Round] = h
 		}
@@ -234,7 +232,7 @@ func (c *skeleton) OnMessage(payload any) {
 // onRejoin answers a peer's (REJOIN, r): a decided process re-sends DECIDE
 // (T2 re-relay), everyone else reports its current position.
 func (c *skeleton) onRejoin() {
-	if c.answerRejoin() {
+	if c.relayAgain() {
 		return
 	}
 	c.env.Broadcast(RejoinAckMsg{Round: c.round, Phase: int(c.phase), SR: c.rule.subRound(), Est: c.est1, Est2: c.est2})

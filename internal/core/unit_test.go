@@ -307,6 +307,8 @@ type spoiler struct {
 	own map[any]int
 }
 
+var spoilerLabels = []fd.Label{"q"}
+
 func (s *spoiler) Init(env sim.Environment) { s.env, s.own = env, make(map[any]int) }
 func (s *spoiler) OnTimer(int)              {}
 
@@ -319,7 +321,7 @@ func (s *spoiler) send(payload any) {
 }
 
 func (s *spoiler) OnMessage(payload any) {
-	labels := []fd.Label{"q"}
+	labels := spoilerLabels
 	switch m := payload.(type) {
 	case Ph1Msg, Ph2Msg:
 		if s.own[m] > 0 {
@@ -354,7 +356,7 @@ func (s *spoiler) OnMessage(payload any) {
 // late sends one message of every buffered kind, of both figures, for a
 // round A has left.
 func (s *spoiler) late(round int) {
-	labels := []fd.Label{"q"}
+	labels := spoilerLabels
 	s.send(CoordMsg{ID: "A", Round: round, Est: "late"})
 	s.send(Ph0Msg{Round: round, Est: "late"})
 	s.send(Ph1Msg{Round: round, Est: "late"})
