@@ -47,31 +47,32 @@ func TestVariantTraces(t *testing.T) {
 		tolerated = 2
 		horizon   = 1000
 	)
-	homega := func(w *oracle.World, node *sim.Node) *oracle.HOmega {
-		d := oracle.NewHOmega(w, oracle.AdversaryRotate)
-		node.Add("homega", d)
-		return d
-	}
 	variants := []struct {
 		name   string
 		knownN bool
 		build  func(w *oracle.World, node *sim.Node, v core.Value) variantInst
 	}{
 		{"fig8", true, func(w *oracle.World, node *sim.Node, v core.Value) variantInst {
-			return core.NewFig8(homega(w, node), tolerated, v)
+			d := oracle.NewHOmega(w, oracle.AdversaryRotate)
+			node.Add("homega", d)
+			return core.NewFig8(d, tolerated, v)
 		}},
 		{"fig8-nocoord", true, func(w *oracle.World, node *sim.Node, v core.Value) variantInst {
-			c := core.NewFig8NoCoordination(homega(w, node), tolerated, v)
+			d := oracle.NewHOmega(w, oracle.AdversaryRotate)
+			node.Add("homega", d)
+			c := core.NewFig8NoCoordination(d, tolerated, v)
 			c.SetMaxRounds(15) // the ablation need not terminate
 			return c
 		}},
 		{"fig8-alpha", false, func(w *oracle.World, node *sim.Node, v core.Value) variantInst {
-			return core.NewFig8Alpha(homega(w, node), len(ids)-tolerated, v)
+			d := oracle.NewHOmega(w, oracle.AdversaryRotate)
+			node.Add("homega", d)
+			return core.NewFig8Alpha(d, len(ids)-tolerated, v)
 		}},
 		{"fig9", false, func(w *oracle.World, node *sim.Node, v core.Value) variantInst {
-			hs := oracle.NewHSigma(w)
-			node.Add("hsigma", hs)
-			return core.NewFig9(homega(w, node), hs, v)
+			hs, ho := oracle.NewHSigma(w), oracle.NewHOmega(w, oracle.AdversaryRotate)
+			node.Add("hsigma", hs).Add("homega", ho)
+			return core.NewFig9(ho, hs, v)
 		}},
 		{"fig9-anon", false, func(w *oracle.World, node *sim.Node, v core.Value) variantInst {
 			hs, ao := oracle.NewHSigma(w), oracle.NewAOmega(w, oracle.AdversaryRotate)
