@@ -24,7 +24,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E6,E9); default all")
-	workers := fs.Int("workers", 0, "scenario parallelism (0 = all cores, 1 = serial); output is identical either way")
+	workers := fs.Int("workers", 0, "size of each worker pool — tables, a table's rows, E14's seeds nest (0 = all cores, 1 = serial); output is identical either way")
 	campaignCfg := cliutil.CampaignFlags(fs)
 	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -61,22 +61,16 @@ type beat struct{}
 func (beat) MsgTag() string { return "BEAT" }
 
 // heartbeater broadcasts one beat per period and restarts its chain after
-// recovery (timer epochs keep exactly one chain live). A listen-only
-// heartbeater (beats=false) never broadcasts or arms timers; it just
-// counts deliveries, which keeps pure listeners off the event queue.
+// recovery (timer epochs keep exactly one chain live).
 type heartbeater struct {
 	env    sim.Environment
 	period Time
 	epoch  int
 	heard  int
-	beats  bool
 }
 
 func (h *heartbeater) Init(env sim.Environment) {
 	h.env = env
-	if !h.beats {
-		return
-	}
 	env.Broadcast(beat{})
 	env.SetTimer(h.period, h.epoch)
 }
@@ -92,17 +86,28 @@ func (h *heartbeater) OnTimer(tag int) {
 }
 
 func (h *heartbeater) OnRecover() {
-	if !h.beats {
-		return
-	}
 	h.epoch++
 	h.env.Broadcast(beat{})
 	h.env.SetTimer(h.period, h.epoch)
 }
 
+// listener is a process that only counts the beats delivered to it: it
+// never broadcasts or arms a timer, which keeps it off the event queue,
+// and has nothing to restart after an outage, so it is no sim.Recoverer.
+// Its whole state is the counter, so that n listeners are one slab of
+// words (see RunHeartbeatChurn). The counter is an int because it cannot
+// wrap: every OnMessage is one event the engine processed, and the engine
+// stops at sim.Config.MaxEvents, itself an int.
+type listener int
+
+func (l *listener) Init(sim.Environment) {}
+func (l *listener) OnMessage(any)        { *l++ }
+func (l *listener) OnTimer(int)          {}
+
 var (
 	_ sim.Process   = (*heartbeater)(nil)
 	_ sim.Recoverer = (*heartbeater)(nil)
+	_ sim.Process   = (*listener)(nil)
 )
 
 // RunHeartbeatChurn executes the heartbeat workload under churn and
@@ -115,8 +120,15 @@ var (
 // VerifyHeartbeat). Like RunOHP it rejects invalid assignments and
 // horizons that truncate the churn schedule.
 func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
+	res, _, err := runHeartbeat(e)
+	return res, err
+}
+
+// runHeartbeat is RunHeartbeatChurn, also returning every process's
+// delivery counter (the differential test compares them one by one).
+func runHeartbeat(e HeartbeatExperiment) (HeartbeatResult, func(PID) int, error) {
 	if err := e.IDs.Validate(); err != nil {
-		return HeartbeatResult{}, fmt.Errorf("hds: %w", err)
+		return HeartbeatResult{}, nil, fmt.Errorf("hds: %w", err)
 	}
 	if e.Period <= 0 {
 		e.Period = 10
@@ -131,7 +143,7 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 	}
 	schedule, truth, err := FaultPattern(e.IDs, e.Churn, nil, e.Horizon)
 	if err != nil {
-		return HeartbeatResult{}, err
+		return HeartbeatResult{}, nil, err
 	}
 	net := e.Net
 	if net == nil {
@@ -139,12 +151,24 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 	}
 	rec := traceRecorder(e.Trace) // default is stats-only: keeps big n cheap
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
-	// One slab, not n objects: a wave visits recipients in ascending pid
-	// order, so the counters it bumps sit next to each other.
-	beats := make([]heartbeater, n)
+	// Two slabs, not n objects. A wave visits recipients in ascending pid
+	// order and bumps one counter each; the listeners' counters are eight
+	// to a cache line and 400 KB at n = 50,000, so they stay in L2 beside
+	// the engine's fate tables, where n heartbeater structs did not.
+	beats := make([]heartbeater, beaters)
 	for i := range beats {
-		beats[i] = heartbeater{period: e.Period, beats: i < beaters}
+		beats[i] = heartbeater{period: e.Period}
 		eng.AddProcess(&beats[i])
+	}
+	listeners := make([]listener, n-beaters)
+	for i := range listeners {
+		eng.AddProcess(&listeners[i])
+	}
+	heard := func(p PID) int {
+		if int(p) < beaters {
+			return beats[p].heard
+		}
+		return int(listeners[int(p)-beaters])
 	}
 	eng.ApplyChurn(schedule)
 
@@ -154,21 +178,21 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 		// A truncated run's engine state is still consistent, but the
 		// schedule may not have fully fired; only cross-check complete runs.
 		if err := checkTruthConsistency(eng, truth); err != nil {
-			return HeartbeatResult{}, err
+			return HeartbeatResult{}, nil, err
 		}
 	}
 	stats := rec.Stats()
-	heard := 0
-	for i := range beats {
-		heard += beats[i].heard
+	heardSum := 0
+	for p := 0; p < n; p++ {
+		heardSum += heard(PID(p))
 	}
-	if heard != stats.Delivered {
-		return HeartbeatResult{}, fmt.Errorf(
-			"hds: processes heard %d beats but the recorder delivered %d — fan-out accounting drift", heard, stats.Delivered)
+	if heardSum != stats.Delivered {
+		return HeartbeatResult{}, nil, fmt.Errorf(
+			"hds: processes heard %d beats but the recorder delivered %d — fan-out accounting drift", heardSum, stats.Delivered)
 	}
 	if complete {
-		if err := VerifyHeartbeat(truth, func(p PID) int { return beats[p].heard }); err != nil {
-			return HeartbeatResult{}, err
+		if err := VerifyHeartbeat(truth, heard); err != nil {
+			return HeartbeatResult{}, nil, err
 		}
 	}
 	return HeartbeatResult{
@@ -179,7 +203,7 @@ func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 		Recoveries:   eng.Recoveries(),
 		MaxQueue:     eng.MaxQueueLen(),
 		Stats:        stats,
-	}, nil
+	}, heard, nil
 }
 
 // VerifyHeartbeat judges delivery liveness against the fault pattern:

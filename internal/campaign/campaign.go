@@ -31,6 +31,12 @@ type Config struct {
 	Resume bool
 	// Workers is the per-shard sweep parallelism (0 = sweep default).
 	Workers int
+	// Cost, when non-nil, estimates scenario i's running time (i is the
+	// campaign's global scenario index) and is handed to each shard's
+	// sweep as sweep.Options.Cost: a scheduling hint. It is no part of the
+	// campaign's identity — validation, digests and checkpoints never see
+	// it, and rows are the same with or without it.
+	Cost func(i int) int64
 }
 
 // shardOnly reports whether cfg selects a single shard of a larger
@@ -183,7 +189,11 @@ func runShard[R any](cfg Config, r Range, f func(i int) R) ([]json.RawMessage, e
 	for j := range idx {
 		idx[j] = r.From + j
 	}
-	rows := sweep.MapOpt(sweep.Options{Workers: cfg.Workers}, idx, func(_ int, i int) R {
+	opt := sweep.Options{Workers: cfg.Workers}
+	if cfg.Cost != nil {
+		opt.Cost = func(j int) int64 { return cfg.Cost(idx[j]) }
+	}
+	rows := sweep.MapOpt(opt, idx, func(_ int, i int) R {
 		return f(i)
 	})
 	out := make([]json.RawMessage, len(rows))

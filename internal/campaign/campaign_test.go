@@ -143,6 +143,50 @@ func TestShardDigestsStableAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCostChangesNoDigestOrCheckpoint: Config.Cost decides which
+// scenario of a shard starts first and nothing else. A sharded run that
+// sets it — reversing every shard's dispatch — produces the rows, the
+// campaign digest and, byte for byte, the checkpoint files of the same
+// run without it; and each shard asks for the cost of its own scenarios
+// by their campaign-wide index, not by their position in the shard.
+func TestCostChangesNoDigestOrCheckpoint(t *testing.T) {
+	const n, shards = 11, 3
+	plainDir, costDir := t.TempDir(), t.TempDir()
+	plain, err := campaign.Run(campaign.Config{Shards: shards, Shard: -1, Dir: plainDir, Workers: 4}, "cost", n, scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked []int // Cost runs on the calling goroutine: no lock
+	costed, err := campaign.Run(campaign.Config{Shards: shards, Shard: -1, Dir: costDir, Workers: 4,
+		Cost: func(i int) int64 { asked = append(asked, i); return int64(i) }}, "cost", n, scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(costed.Rows, plain.Rows) || costed.Digest != plain.Digest {
+		t.Fatalf("Cost changed the campaign: digest %s, want %s", costed.Digest, plain.Digest)
+	}
+	for s := 0; s < shards; s++ {
+		want, err := os.ReadFile(campaign.ShardPath(plainDir, "cost", shards, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(campaign.ShardPath(costDir, "cost", shards, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("shard %d checkpoint differs with Cost set", s)
+		}
+	}
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
+	}
+	if !reflect.DeepEqual(asked, want) {
+		t.Errorf("Cost asked about scenarios %v, want each campaign index once, shard by shard: %v", asked, want)
+	}
+}
+
 // corrupt rewrites a shard checkpoint through fn.
 func corrupt(t *testing.T, path string, fn func([]byte) []byte) {
 	t.Helper()

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestCampaignFlags(t *testing.T) {
 	}
 
 	cfg, err := parse()
-	if err != nil || cfg != (campaign.Config{Shards: 1, Shard: -1}) {
+	if err != nil || !reflect.DeepEqual(cfg, campaign.Config{Shards: 1, Shard: -1}) {
 		t.Fatalf("default campaign config = %+v, %v", cfg, err)
 	}
 	cfg, err = parse("-shards", "4", "-shard", "2", "-checkpoint-dir", "/tmp/x")

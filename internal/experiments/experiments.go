@@ -80,7 +80,20 @@ func currentCampaign() campaign.Config {
 // code revision that wrote it; discard it (or skip -resume) after editing
 // any table's scenario list.
 func tableRows[I any](t *Table, inputs []I, f func(i int, in I) []string) error {
-	res, err := campaign.Run(currentCampaign(), t.ID, len(inputs), func(i int) []string {
+	return tableRowsByCost(t, inputs, nil, f)
+}
+
+// tableRowsByCost is tableRows for a table whose scenarios differ in
+// length by orders of magnitude: cost estimates one input's running time
+// from its own parameters, and the campaign starts the costliest first
+// (campaign.Config.Cost — when a row runs, never what it holds). Nil is
+// input order.
+func tableRowsByCost[I any](t *Table, inputs []I, cost func(in I) int64, f func(i int, in I) []string) error {
+	cfg := currentCampaign()
+	if cost != nil {
+		cfg.Cost = func(i int) int64 { return cost(inputs[i]) }
+	}
+	res, err := campaign.Run(cfg, t.ID, len(inputs), func(i int) []string {
 		return f(i, inputs[i])
 	})
 	if err != nil {

@@ -169,12 +169,20 @@ func E21PopulationScaling() (Table, error) {
 		{10_000, 100, 100, sim.ChurnSpec{Fraction: 0.1, Cycles: 1, Start: 5, Down: 12}, 45, 2},
 		{50_000, 200, 100, sim.ChurnSpec{Fraction: 0.05, Cycles: 1, Start: 5, Down: 12}, 45, 3},
 	}
-	err := tableRows(&t, cfgs, func(_ int, c cfg) []string {
-		ids := ident.Balanced(c.n, c.l)
-		beaters := c.beaters
-		if beaters == 0 {
-			beaters = c.n
+	// beatersOf resolves HeartbeatExperiment's "0 = all beat".
+	beatersOf := func(c cfg) int {
+		if c.beaters == 0 {
+			return c.n
 		}
+		return c.beaters
+	}
+	// A row's length is its copies per beat, n recipients × beaters: the
+	// 50,000 row is half the table, so it starts first and the two small
+	// rows run beside it instead of ahead of it.
+	copiesPerBeat := func(c cfg) int64 { return int64(c.n) * int64(beatersOf(c)) }
+	err := tableRowsByCost(&t, cfgs, copiesPerBeat, func(_ int, c cfg) []string {
+		ids := ident.Balanced(c.n, c.l)
+		beaters := beatersOf(c)
 		base := []string{itoaI(c.n), itoaI(c.l), itoaI(beaters), c.churn.String()}
 		res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
 			IDs: ids, Churn: c.churn, Period: 15, Seed: c.seed, Horizon: c.horizon,

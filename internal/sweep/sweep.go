@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,6 +13,15 @@ type Options struct {
 	// process-wide default (SetDefaultWorkers), which itself defaults to
 	// GOMAXPROCS; 1 runs serially on the calling goroutine.
 	Workers int
+	// Cost, when non-nil, is a scheduling hint: the pool starts indices in
+	// descending Cost(i), ties in ascending i, so that the longest scenario
+	// does not start last and leave the other workers idle through its
+	// tail. It is called once per index, on the calling goroutine, before
+	// any scenario runs, and not at all by a serial run. It can change
+	// when a scenario runs, never what Map returns: results stay in input
+	// order, and the error and the panic reported stay the lowest-index
+	// ones. Nil dispatches in index order.
+	Cost func(i int) int64
 }
 
 // defaultWorkers is the process-wide worker count used when Options.Workers
@@ -64,15 +74,17 @@ func MapErr[I, R any](opt Options, inputs []I, f func(i int, in I) (R, error)) (
 	return results, nil
 }
 
-// run executes job(0..n-1) on a pool. Workers pull the next index from an
-// atomic counter; each index is executed exactly once. Panic semantics
-// match serial execution deterministically: after the first panic the pool
-// stops dispatching new indices, already-dispatched jobs run to
-// completion, and the panic re-raised on the calling goroutine is the
-// lowest-index one. That index is exactly the index a serial run would
-// have panicked at — dispatch is monotone, so every index below a
-// panicking one was dispatched (hence ran, hence had its own panic
-// captured) before dispatch stopped.
+// run executes job(0..n-1) on a pool. Workers pull the next position of
+// the dispatch order (index order, or opt.Cost's) from an atomic counter;
+// each index is executed at most once, and exactly once if nothing
+// panics. Panic semantics match serial execution deterministically: once
+// a panic at index p is captured, indices above the lowest captured p are
+// no longer started, every index below it still is, already-started jobs
+// run to completion, and the panic re-raised on the calling goroutine is
+// the lowest-index one. That index is exactly the index a serial run
+// would have panicked at: an index is only ever skipped for being above a
+// captured panic, so the lowest panicking index is never skipped, and
+// everything below it runs whatever the dispatch order.
 func run(opt Options, n int, job func(i int)) {
 	if n == 0 {
 		return
@@ -90,30 +102,40 @@ func run(opt Options, n int, job func(i int)) {
 		}
 		return
 	}
+	var order []int // order[k] is the k-th index started; nil is index order
+	if opt.Cost != nil {
+		order = byDescendingCost(n, opt.Cost)
+	}
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicIdx = -1
-		panicked any
+		next        atomic.Int64
+		lowestPanic atomic.Int64 // lowest index whose panic was captured, n while none
+		wg          sync.WaitGroup
+		panicMu     sync.Mutex
+		panicked    any
 	)
+	lowestPanic.Store(int64(n))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
+			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
+				if order != nil {
+					i = order[i]
+				}
+				if int64(i) > lowestPanic.Load() {
+					continue
+				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							stop.Store(true)
 							panicMu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicked = i, r
+							if int64(i) < lowestPanic.Load() {
+								lowestPanic.Store(int64(i))
+								panicked = r
 							}
 							panicMu.Unlock()
 						}
@@ -124,7 +146,19 @@ func run(opt Options, n int, job func(i int)) {
 		}()
 	}
 	wg.Wait()
-	if panicIdx >= 0 {
+	if lowestPanic.Load() < int64(n) {
 		panic(panicked)
 	}
+}
+
+// byDescendingCost returns 0..n-1 ordered by descending cost(i), ties by
+// ascending i, evaluating cost once per index.
+func byDescendingCost(n int, cost func(i int) int64) []int {
+	costs := make([]int64, n)
+	order := make([]int, n)
+	for i := range order {
+		costs[i], order[i] = cost(i), i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
+	return order
 }
