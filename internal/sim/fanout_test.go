@@ -2,10 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ident"
@@ -78,9 +82,50 @@ func runModes(n int, net Model, seed int64, maxEvents int, drive func(e *Engine)
 	return runs
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/eager_digests.txt from the eager runs of the fan-out differentials")
+
+const eagerDigestPath = "testdata/eager_digests.txt"
+
+// eagerDigests is testdata/eager_digests.txt: for every case the fan-out
+// differentials run, the eager run's trace digest and engine observables,
+// one "key<TAB>digest" line each. The file was written by the engine's own
+// eager expansion; whatever plays the eager part now has to reproduce it.
+// Under -update the cases a run visits are collected here and TestMain
+// writes them out.
+var eagerDigests = map[string]string{}
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if !*update {
+		data, err := os.ReadFile(eagerDigestPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			key, digest, _ := strings.Cut(line, "\t")
+			eagerDigests[key] = digest
+		}
+	}
+	code := m.Run()
+	if *update && code == 0 {
+		lines := make([]string, 0, len(eagerDigests))
+		for key, digest := range eagerDigests {
+			lines = append(lines, key+"\t"+digest+"\n")
+		}
+		slices.Sort(lines)
+		if err := os.WriteFile(eagerDigestPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
 // requireIdentical asserts that every run is byte-identical in trace to the
-// first and equal to it in every observable the engine exposes.
-func requireIdentical(t *testing.T, runs []fanRun) {
+// first and equal to it in every observable the engine exposes, and that
+// the first — the eager run — is the one pinned under key.
+func requireIdentical(t *testing.T, key string, runs []fanRun) {
 	t.Helper()
 	render := func(r fanRun) []byte {
 		var b bytes.Buffer
@@ -91,6 +136,14 @@ func requireIdentical(t *testing.T, runs []fanRun) {
 	}
 	want := runs[0]
 	wantTrace := render(want)
+	digest := fmt.Sprintf("sha256=%x events=%d processed=%d stopped=%v now=%d correct=%v up=%v stats=%+v",
+		sha256.Sum256(wantTrace), len(want.rec.Events()), want.eng.Processed(), want.eng.Stopped(), want.eng.Now(),
+		want.eng.CorrectSet(), want.eng.EventuallyUpSet(), want.rec.Stats())
+	if *update {
+		eagerDigests[key] = digest
+	} else if pinned, ok := eagerDigests[key]; !ok || pinned != digest {
+		t.Errorf("%s run of %q is not the pinned one:\n got %s\nwant %s", want.mode, key, digest, pinned)
+	}
 	for _, got := range runs[1:] {
 		if gotTrace := render(got); !bytes.Equal(gotTrace, wantTrace) {
 			i := 0
@@ -157,7 +210,7 @@ func TestLazyFanoutMatchesEager(t *testing.T) {
 		t.Run(g.net.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				runs := runModes(23, g.net, seed, 0, func(e *Engine) { e.Run(g.horizon) })
-				requireIdentical(t, runs)
+				requireIdentical(t, fmt.Sprintf("matches/%s/seed=%d", g.net, seed), runs)
 				tabled, rescan := runs[1].eng, runs[2].eng
 				if rescan.fateBytes != 0 || len(rescan.freeFates) != 0 {
 					t.Errorf("a run with no budget handed out fate tables (%d B live, %d free)", rescan.fateBytes, len(rescan.freeFates))
@@ -196,7 +249,7 @@ func TestLazyFanoutMaxEventsMidWave(t *testing.T) {
 					t.Fatalf("n %d cap %d: %s processed %d", n, cap, r.mode, r.eng.Processed())
 				}
 			}
-			requireIdentical(t, runs)
+			requireIdentical(t, fmt.Sprintf("maxevents/n=%d/cap=%d", n, cap), runs)
 		}
 	}
 }
@@ -218,7 +271,7 @@ func TestLazyFanoutPredicateMidWave(t *testing.T) {
 		}
 	}
 	for _, n := range []int{7, 8, 9, 17, 64, 65} {
-		requireIdentical(t, runModes(n, Async{MaxDelay: 6}, 11, 0, stepAll))
+		requireIdentical(t, fmt.Sprintf("predicate/n=%d", n), runModes(n, Async{MaxDelay: 6}, 11, 0, stepAll))
 	}
 }
 
@@ -253,7 +306,7 @@ func TestLazyFanoutTableZeros(t *testing.T) {
 	for _, r := range runs {
 		r.eng.Run(50)
 	}
-	requireIdentical(t, runs)
+	requireIdentical(t, "tablezeros", runs)
 	if got := tabled.rec.Stats().Delivered; got != n-zeros {
 		t.Fatalf("delivered %d copies, want the %d the table scheduled", got, n-zeros)
 	}
@@ -280,7 +333,7 @@ func TestLazyFanoutBudget(t *testing.T) {
 	for _, r := range runs {
 		r.eng.Run(40)
 	}
-	requireIdentical(t, runs)
+	requireIdentical(t, "budget", runs)
 	if peak != budget {
 		t.Errorf("live table bytes peaked at %d, want exactly the budget %d under dense traffic", peak, budget)
 	}
