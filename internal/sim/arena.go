@@ -5,14 +5,6 @@ import (
 	"strconv"
 )
 
-// payloadSlot is one entry of the engine's broadcast payload table: the
-// boxed payload plus the number of still-undelivered fan-out copies
-// referencing it. 24 bytes; recycled through the engine's freelist.
-type payloadSlot struct {
-	payload any
-	refs    int32
-}
-
 // arenaMaxPerType bounds the intern arena per payload type. Payload values
 // that never repeat (monotone counters, unique intervals) would otherwise
 // grow the arena with entries that are never hit; past the cap, Intern

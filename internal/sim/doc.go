@@ -25,7 +25,7 @@
 // Per-message delivery fates (loss, partial-crash survival, per-link
 // delay) are drawn from deterministic fate streams keyed by (seed,
 // broadcast, recipient) — pure functions, re-evaluable in any order — so
-// the lazy fan-out below reproduces the eager expansion bit for bit.
+// a broadcast never has to be stored as n scheduled copies.
 //
 // # Hot-path design
 //
@@ -34,13 +34,16 @@
 //
 //   - queue events are 32-byte values in a 4-ary min-heap — no per-event
 //     heap allocation, no pointer chasing;
-//   - fan-out is lazy: a broadcast enqueues one evFanout entry instead of
-//     n delivery copies; the entry delivers one delay-wave at a time
-//     against live membership and re-enqueues itself for the next wave,
-//     preserving the exact (time, seq) pop order the eager path would
-//     produce (Config.EagerFanout retains the eager path as a
-//     differential oracle). The queue high-water mark (MaxQueueLen)
-//     therefore tracks live broadcasts, not n² copies in flight;
+//   - fan-out is lazy: an in-flight broadcast is one evFanout queue entry
+//     and one fanout record (fate key, boxed payload, fate table, wave
+//     cursor), freed in one place when its last wave is done. The entry
+//     delivers one delay-wave at a time against live membership and
+//     re-enqueues itself for the next wave, each copy keeping the
+//     (time, seq) position a queue entry of its own would have had — the
+//     per-copy expansion is a test-only reference (eager_ref_test.go) the
+//     fan-out tests compare every trace byte with. The queue high-water
+//     mark (MaxQueueLen) therefore tracks live broadcasts, not n² copies
+//     in flight;
 //   - every copy's fate is computed once, by the send-time scan, which
 //     writes it into a per-broadcast fate table of one byte per recipient
 //     and notes which delays occur; a wave knows its successor from that
@@ -53,9 +56,6 @@
 //     plain ints and adds them once, before it returns: the recorder's
 //     Delivered/Dropped are exact whenever Run/RunUntil has returned and
 //     may lag by the current wave inside an AfterEvent hook;
-//   - all fan-out copies of one broadcast share a single refcounted slot in
-//     the engine's payload table (freed to a freelist when the last copy
-//     pops), instead of carrying the boxed payload once per copy;
 //   - repeated payload values can be interned through the engine's
 //     type-indexed arena (Intern), so periodic algorithms do not re-box
 //     their messages every period;

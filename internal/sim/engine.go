@@ -30,23 +30,15 @@ type Config struct {
 	// MaxEvents caps the number of processed events as a runaway guard.
 	// Defaults to 5,000,000.
 	MaxEvents int
-	// EagerFanout restores the pre-lazy broadcast expansion: n evDeliver
-	// events pushed at send time, one per recipient. The queue then grows
-	// with in-flight copies instead of in-flight broadcasts, so it is
-	// unusable at large n; it exists as the differential oracle for the
-	// lazy path (both draw per-copy fates from the same keyed streams, so
-	// runs are byte-identical — see fanout.go) and is exercised by tests.
-	EagerFanout bool
 }
 
 type eventKind int32
 
 const (
-	evDeliver eventKind = iota + 1
-	evTimer
+	evTimer eventKind = iota + 1
 	evCrash
 	evRecover
-	// evFanout is the lazy path's per-broadcast entry: arg indexes the
+	// evFanout is an in-flight broadcast's one entry: arg indexes the
 	// engine's fanout table, and the entry's (time, seq) are those of the
 	// earliest undelivered copy of the broadcast's current wave.
 	evFanout
@@ -54,16 +46,15 @@ const (
 
 // event is stored by value in the queue; scheduling one costs no heap
 // allocation beyond the queue slice's amortized growth. The struct is kept
-// to 32 bytes — at n=1000 the queue holds millions of in-flight events, so
-// its footprint dominates a run's memory. Deliveries do not carry their
-// payload: all fan-out copies of one broadcast share a single refcounted
-// slot in the engine's payload table, referenced by arg.
+// to 32 bytes: every sift step of the heap moves whole events. A
+// broadcast's entry does not carry the payload: that sits in the fanout
+// record arg names.
 type event struct {
 	time Time
 	seq  uint64 // tie-break: FIFO among simultaneous events
 	kind eventKind
 	pid  int32
-	arg  int32 // evDeliver: payload-table slot; evTimer: timer tag; evFanout: fanout-table index
+	arg  int32 // evTimer: timer tag; evFanout: fanout-table index
 }
 
 // before is the total queue order: (time, seq) lexicographically. seq is
@@ -197,12 +188,6 @@ type Engine struct {
 	// statistics only, the engine skips all per-event tag/detail formatting
 	// (broadcast tags are still computed — the ByTag statistic needs them).
 	retain bool
-	// payloads is the broadcast payload table: every fan-out copy of one
-	// broadcast references the same slot, which is freed to the freelist
-	// when its last copy pops. At steady state delivery costs no payload
-	// storage beyond one slot per in-flight broadcast.
-	payloads  []payloadSlot
-	freeSlots []int32
 	// arena interns boxed payloads by (type, value) — see Intern.
 	arena   payloadArena
 	crashed []bool
@@ -220,10 +205,10 @@ type Engine struct {
 	recoveries int
 	started    bool
 	stopped    StopReason
-	// Lazy fan-out state (fanout.go). fanSrc/fanRand are the engine's one
-	// reusable per-copy fate stream; fanouts/freeFans the record table and
-	// its freelist; bcasts keys fate streams; perLink/linkNet cache the
-	// Net's LinkModel assertion for the per-copy hot path.
+	// Fan-out state (fanout.go). fanSrc/fanRand are the engine's one
+	// reusable per-copy fate stream; fanouts/freeFans the table of in-flight
+	// broadcasts and its freelist; bcasts keys fate streams; perLink/linkNet
+	// cache the Net's LinkModel assertion for the per-copy hot path.
 	fanSrc   fanSource
 	fanRand  *rand.Rand
 	fanouts  []fanoutRec
@@ -246,13 +231,12 @@ type Engine struct {
 	// (flushWaveTally).
 	waveDelivered int
 	waveDropped   int
-	// done is the active RunUntil predicate, visible to deliverWave so a
-	// wave can stop between copies exactly as the eager path stops between
-	// events.
+	// done is the active RunUntil predicate. It is evaluated after every
+	// event, and a delivered copy is one: deliverWave reads it here to stop
+	// between two copies of a wave.
 	done func() bool
-	// maxQueue is the high-water mark of the event queue, the direct
-	// witness that fan-out is lazy: it tracks in-flight broadcasts, not
-	// in-flight copies.
+	// maxQueue is the high-water mark of the event queue: it tracks
+	// in-flight broadcasts, not in-flight copies.
 	maxQueue int
 	// curSeq is the seq of the event being processed (-1 during start), so
 	// mid-event state changes (partial crashes) order correctly against
@@ -516,10 +500,10 @@ func (e *Engine) AfterEvent(f func(now Time, p PID)) {
 func (e *Engine) Processed() int { return e.processed }
 
 // MaxQueueLen returns the event queue's high-water mark (entries, not
-// bytes). Under lazy fan-out it grows with in-flight broadcasts plus
-// timers and schedules — not with in-flight message copies — which is the
-// measurable witness that population size is no longer a memory dimension;
-// the population-scaling experiment reports it per row.
+// bytes). It grows with in-flight broadcasts plus timers and schedules —
+// not with in-flight message copies — which is the measurable witness that
+// population size is not a memory dimension; the population-scaling
+// experiment reports it per row.
 func (e *Engine) MaxQueueLen() int { return e.maxQueue }
 
 // FateEvals returns how many copy fates the engine has computed so far —
@@ -635,20 +619,6 @@ func (e *Engine) step() StopReason {
 				r.OnRecover()
 			}
 		}
-	case evDeliver:
-		payload := e.takePayload(ev.arg)
-		if e.crashed[pid] {
-			e.record(trace.KindDrop, int(pid), tagOf(payload), "recipient crashed")
-			break
-		}
-		if e.rec != nil {
-			if e.retain {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: int(pid), MsgTag: tagOf(payload)})
-			} else {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: int(pid)})
-			}
-		}
-		e.procs[pid].OnMessage(payload)
 	case evTimer:
 		var detail string
 		if e.retain {
@@ -677,11 +647,12 @@ func (e *Engine) notifyAfter(p PID) {
 	}
 }
 
-// broadcast fans payload out to every process. Each copy's fate (survival
-// of a partial crash, loss, delay) comes from its own keyed stream — see
-// fanout.go — so the lazy default (one queue entry per broadcast, waves
-// resolved at delivery time) and the eager oracle (one entry per copy,
-// Config.EagerFanout) schedule byte-identical executions.
+// broadcast fans payload out to every process: one scan decides every
+// copy's fate (survival of a partial crash, loss, delay — each from the
+// copy's own keyed stream) and reserves the scheduled copies' seqs, and one
+// queue entry naming one fanout record carries the broadcast from then on
+// (fanout.go). A broadcast none of whose copies is scheduled leaves nothing
+// behind.
 func (e *Engine) broadcast(from PID, payload any) {
 	if e.crashed[from] {
 		return
@@ -700,27 +671,22 @@ func (e *Engine) broadcast(from PID, payload any) {
 		tag = tagOf(payload)
 		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindBroadcast, PID: int(from), MsgTag: tag})
 	}
-	key := e.nextFanKey()
-	if e.cfg.EagerFanout {
-		e.broadcastEager(key, from, payload, partial, prob, tag)
+	f := fanoutRec{
+		key:     e.nextFanKey(),
+		sent:    e.now,
+		from:    int32(from),
+		partial: partial,
+		prob:    prob,
+		payload: payload,
+		fates:   e.allocFates(),
+	}
+	scheduled, firstK := e.fanoutScan(&f, tag)
+	if scheduled == 0 {
+		e.freeFateTable(f.fates)
 	} else {
-		f := fanoutRec{
-			key:     key,
-			sent:    e.now,
-			from:    int32(from),
-			partial: partial,
-			prob:    prob,
-			fates:   e.allocFates(),
-		}
-		scheduled, firstK := e.fanoutScan(&f, tag)
-		if scheduled == 0 {
-			e.freeFateTable(f.fates)
-		} else {
-			f.baseSeq = e.seq
-			e.seq += uint64(scheduled)
-			f.slot = e.allocSlot(payload)
-			e.requeue(event{time: e.now + f.delay, seq: f.baseSeq + uint64(firstK), kind: evFanout, pid: int32(from), arg: e.allocFanout(f)})
-		}
+		f.baseSeq = e.seq
+		e.seq += uint64(scheduled)
+		e.requeue(event{time: e.now + f.delay, seq: f.baseSeq + uint64(firstK), kind: evFanout, pid: int32(from), arg: e.allocFanout(f)})
 	}
 	if partial {
 		flt.partial = nil
@@ -732,32 +698,6 @@ func (e *Engine) broadcast(from PID, payload any) {
 		// crash scheduled even later (CrashAt) keeps precedence.
 		flt.lastCrash.latest(schedKey{t: e.now, seq: e.curSeq, set: true})
 		e.record(trace.KindCrash, int(from), "", "mid-broadcast")
-	}
-}
-
-// broadcastEager materializes every copy at send time (Config.EagerFanout):
-// the pre-lazy expansion, kept as the lazy path's differential oracle. It
-// draws fates from the same keyed streams, records the same drop traces in
-// the same recipient order, and pushes scheduled copies in that order, so
-// copy k receives exactly the seq the lazy path reserves for it.
-func (e *Engine) broadcastEager(key uint64, from PID, payload any, partial bool, prob float64, tag string) {
-	slot := e.allocSlot(payload)
-	copies := int32(0)
-	for to := range e.procs {
-		d, st := e.copyFate(key, e.now, int32(from), partial, prob, to)
-		switch st {
-		case fatePartialDrop:
-			e.record(trace.KindDrop, to, tag, "sender crashed mid-broadcast")
-		case fateLost:
-			e.record(trace.KindDrop, to, tag, "lost")
-		case fateDeliver:
-			e.push(event{time: e.now + d, kind: evDeliver, pid: int32(to), arg: slot})
-			copies++
-		}
-	}
-	e.payloads[slot].refs = copies
-	if copies == 0 {
-		e.freeSlot(slot)
 	}
 }
 
@@ -812,37 +752,6 @@ func (e *Engine) pop() event {
 		e.queue.down(0)
 	}
 	return top
-}
-
-// allocSlot stores a broadcast payload in the payload table and returns its
-// slot index. Slots are recycled through a freelist, so at steady state
-// broadcasting allocates nothing here.
-func (e *Engine) allocSlot(payload any) int32 {
-	if n := len(e.freeSlots); n > 0 {
-		s := e.freeSlots[n-1]
-		e.freeSlots = e.freeSlots[:n-1]
-		e.payloads[s] = payloadSlot{payload: payload}
-		return s
-	}
-	e.payloads = append(e.payloads, payloadSlot{payload: payload})
-	return int32(len(e.payloads) - 1)
-}
-
-// takePayload reads a delivery's payload and releases one reference; the
-// last copy frees the slot (dropping the payload reference for the GC).
-func (e *Engine) takePayload(slot int32) any {
-	s := &e.payloads[slot]
-	payload := s.payload
-	s.refs--
-	if s.refs == 0 {
-		e.freeSlot(slot)
-	}
-	return payload
-}
-
-func (e *Engine) freeSlot(slot int32) {
-	e.payloads[slot] = payloadSlot{}
-	e.freeSlots = append(e.freeSlots, slot)
 }
 
 // record adds one engine event at the current time. A recorder that keeps

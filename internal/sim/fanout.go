@@ -1,33 +1,38 @@
 package sim
 
-// Lazy broadcast fan-out.
+// Broadcast fan-out: one queue entry and one record per in-flight
+// broadcast.
 //
-// The engine used to expand a broadcast eagerly: n evDeliver events pushed
-// into the heap at send time, one per recipient, each carrying its own
-// delay drawn from the engine's main random stream. That makes the queue —
-// and therefore memory — O(in-flight copies): at n = 50,000 one heartbeat
-// wave alone is 2.5 billion queue entries.
+// A broadcast is n copies, each with its own delivery time and its own
+// place in the global (time, seq) event order, and the engine never holds
+// n of anything in the queue for it: at n = 50,000 one heartbeat wave would
+// be 2.5 billion entries. What makes one entry enough, without storing n
+// delays, is that every copy's fate is a pure function: copy (b, to) of
+// broadcast b draws its partial-crash survival, loss, and delay from a
+// private splitmix64 stream keyed by (broadcast key, recipient index). Any
+// pass over the recipients can recompute every copy's fate at will, in any
+// order, and always get the same answer — so a broadcast's state compresses
+// to "which wave is next" instead of "here are n scheduled copies".
 //
-// The lazy path keeps ONE live queue entry per in-flight broadcast. The
-// trick that makes this possible without storing n delays is making every
-// copy's fate a pure function: copy (b, to) of broadcast b draws its
-// partial-crash survival, loss, and delay from a private splitmix64 stream
-// keyed by (broadcast key, recipient index). Any pass over the recipients
-// can then recompute every copy's fate at will, in any order, and always
-// get the same answer — so the broadcast's expansion state compresses to
-// "which wave is next" instead of "here are n scheduled copies".
+// The state is one fanoutRec: the fate key, the boxed payload, the fate
+// table and the wave cursor. broadcast fills it, the queue entry's arg
+// names it, and finishWave — the one place a record is freed — zeroes it
+// and returns its table once the last wave is done. A broadcast that
+// schedules no copy (all lost, or dropped by the sender's partial crash)
+// never gets one.
 //
 // Delivery proceeds in waves, one per distinct delay value: the queue
 // entry for a broadcast carries the current wave's delay d; popping it
 // delivers every copy with fate delay == d (in recipient order, with the
 // copy's reserved seq); the entry is then re-pushed at the next wave's
-// time, or retired when no wave remains. Because the broadcast reserves
-// the contiguous seq interval its copies would have received from the
-// eager path, the wave entry can always be keyed by the seq of its
-// earliest undelivered copy, and the global (time, seq) pop order — and
-// hence every trace byte and every downstream random draw — is identical
-// to the eager expansion's. The eager path is retained behind
-// Config.EagerFanout as the differential oracle for exactly that claim.
+// time, or retired when no wave remains. At send time the broadcast
+// reserves a contiguous seq interval, one seq per scheduled copy in
+// recipient order — the seqs n separate queue entries pushed in that order
+// would have drawn — so the wave entry can always be keyed by the seq of
+// its earliest undelivered copy, and copies of different broadcasts and
+// timers due at one instant pop in send order, copy by copy. That
+// per-copy expansion exists as a test-only reference (eager_ref_test.go),
+// and the fan-out tests hold every trace byte to it.
 //
 // Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is the
 // only place a fate is computed — plus Θ(n/8 · waves) word loads, where
@@ -103,8 +108,8 @@ func fateSeed(key uint64, to int) uint64 {
 // nextFanKey returns the fate key for the next broadcast: a mix of the
 // run's seed and the per-engine broadcast counter. Keys — and therefore
 // every copy fate in the run — are a pure function of (Config.Seed,
-// broadcast order), which is what keeps lazy and eager expansion, and
-// serial and parallel sweeps, byte-identical.
+// broadcast order), which is what keeps serial and parallel sweeps
+// byte-identical.
 func (e *Engine) nextFanKey() uint64 {
 	e.bcasts++
 	x := uint64(e.cfg.Seed) ^ (e.bcasts * 0xD1342543DE82EF95)
@@ -131,8 +136,7 @@ const (
 // copyFate computes the fate of the copy of broadcast (key, sent, from,
 // partial, prob) addressed to recipient `to`. It is a pure function of its
 // arguments plus the engine's network model: callers may evaluate any
-// copy, any number of times, in any order. Delays are clamped to >= 1
-// exactly as the eager path clamps them.
+// copy, any number of times, in any order. Delays are clamped to >= 1.
 func (e *Engine) copyFate(key uint64, sent Time, from int32, partial bool, prob float64, to int) (Time, fateStatus) {
 	e.fateEvals++
 	e.fanSrc.state = fateSeed(key, to)
@@ -189,18 +193,18 @@ func (s *delaySet) after(b byte) byte {
 	return 0
 }
 
-// fanoutRec is the per-in-flight-broadcast state of the lazy path. The
-// fields down to lateK are fixed at broadcast time; delay/resumeI advance
-// as waves complete. Records are recycled through a freelist, so at steady
-// state broadcasting allocates nothing here.
+// fanoutRec is everything the engine holds for one in-flight broadcast.
+// The fields down to lateK are fixed at broadcast time; delay/resumeI
+// advance as waves complete. Records are recycled through a freelist, so at
+// steady state broadcasting allocates nothing here.
 type fanoutRec struct {
 	key     uint64  // fate-stream key (nextFanKey)
 	baseSeq uint64  // first seq of the reserved copy-seq interval
 	sent    Time    // broadcast time, passed to Model.Delay as t
-	slot    int32   // payload-table slot, freed when the record retires
 	from    int32   // sender, for LinkModel fates
 	partial bool    // CrashDuringBroadcast was armed for this broadcast
 	prob    float64 // partial-crash per-copy deliver probability
+	payload any     // the boxed message, the same box for every copy
 	// fates is the broadcast's fate table, nil when it was sent over
 	// budget: its waves then recompute every fate.
 	fates []byte
@@ -266,8 +270,8 @@ func (e *Engine) freeFanout(idx int32) {
 
 // fanoutScan walks the recipients of the broadcast f describes (key, sent,
 // from, partial, prob, fates) once at send time: it records the
-// loss/partial-crash drop traces (at the broadcast instant, exactly as the
-// eager path does), counts the scheduled copies, and finds the first wave
+// loss/partial-crash drop traces (at the broadcast instant, in recipient
+// order), counts the scheduled copies, and finds the first wave
 // — the minimum fate delay, stored in f.delay, and the scheduled index of
 // the first copy carrying it. It is the one place a copy's fate is decided:
 // every fate is written into f.fates (unless the broadcast got none) and
@@ -308,17 +312,17 @@ func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int
 	return scheduled, firstK
 }
 
-// deliverWave pops one wave of a lazy broadcast: every copy whose fate
+// deliverWave pops one wave of a broadcast: every copy whose fate
 // delay equals the record's current wave delay, in recipient order, each
 // with its reserved seq; the entry is then re-pushed at the next wave's
 // time, or the record retires. Mid-wave stops (the MaxEvents guard, a
 // RunUntil predicate) re-push the entry keyed by the seq of the first
-// undelivered copy, so a later Run resumes exactly where the eager path
-// would have. A wave whose delay a table byte holds is selected from the
-// table a word at a time; any other goes recipient by recipient.
+// undelivered copy, so a later Run resumes with that copy. A wave whose
+// delay a table byte holds is selected from the table a word at a time;
+// any other goes recipient by recipient.
 //
 // The record is copied up front: a delivered process may broadcast,
-// growing e.fanouts/e.payloads and invalidating any held pointers.
+// growing e.fanouts and invalidating any held pointer into it.
 func (e *Engine) deliverWave(ev event) StopReason {
 	f := e.fanouts[ev.arg]
 	var stop StopReason
@@ -366,7 +370,7 @@ func nonzeroBytes(x uint64) uint64 {
 // find its first copy.
 func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 	tab := f.fates
-	payload := e.payloads[f.slot].payload
+	payload := f.payload
 	next := f.delays.after(byte(f.delay))
 	nextDelay, nextK := Time(next), -1
 	switch next {
@@ -435,7 +439,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 // among the table's fateLate entries. The same pass finds the next wave,
 // the minimum fate delay beyond this one.
 func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
-	payload := e.payloads[f.slot].payload
+	payload := f.payload
 	stop := StopNone
 	var nextDelay Time
 	var nextK int32
@@ -493,10 +497,10 @@ func (e *Engine) suspendWave(ev event, to int, seq uint64) {
 
 // finishWave moves a broadcast whose current wave is done on to the wave
 // of delay next, whose first copy has scheduled index nextK, or retires it
-// when next is 0.
+// when next is 0: the table goes back to its freelist and the record is
+// zeroed, which lets go of the payload.
 func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
 	if next == 0 {
-		e.freeSlot(f.slot)
 		e.freeFateTable(f.fates)
 		e.freeFanout(ev.arg)
 		return
@@ -508,10 +512,11 @@ func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
 }
 
 // deliverCopy delivers (or drops, if the recipient is down) one fan-out
-// copy. It is the lazy path's evDeliver arm: same traces, same counters,
-// same observer notification, with seq the copy's reserved position in
-// the global event order. What a retaining recorder gets as an event, any
-// other gets as a count, through flushWaveTally.
+// copy — the one place either happens. A copy is an event like a timer or
+// a crash: it counts as processed, notifies the observers, and takes seq,
+// its reserved position in the global event order, as the current one.
+// What a retaining recorder gets as an event, any other gets as a count,
+// through flushWaveTally.
 func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 	e.curSeq = int64(seq)
 	e.processed++

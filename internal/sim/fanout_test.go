@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"reflect"
@@ -35,49 +37,69 @@ func (p *fanPoll) OnTimer(tag int) {
 }
 func (p *fanPoll) OnRecover() { p.env.SetTimer(p.period, 0) }
 
+// fanDriver is what a fan-out differential binds processes to and runs: the
+// engine, or the eager reference around one (eager_ref_test.go).
+type fanDriver interface {
+	AddProcess(Process) PID
+	Run(until Time) int
+	RunUntil(until Time, done func() bool) int
+	Stopped() StopReason
+}
+
+// fanRun is one run of a fan-out differential: drv drives it, eng is the
+// engine underneath, where every observable lives. order hashes the
+// (time, process, seq) of every event in the order processed — the seq is
+// in no trace, and it is what a copy's reserved position claims to equal.
+type fanRun struct {
+	mode  string
+	eng   *Engine
+	drv   fanDriver
+	rec   *trace.Recorder
+	order hash.Hash64
+}
+
+// newFanRun builds an engine over cfg with a retaining recorder; mode
+// "eager" puts the eager reference in front of it.
+func newFanRun(mode string, cfg Config) fanRun {
+	rec := trace.NewRecorder()
+	cfg.Recorder = rec
+	eng := New(cfg)
+	r := fanRun{mode: mode, eng: eng, drv: eng, rec: rec, order: fnv.New64a()}
+	if mode == "eager" {
+		r.drv = &eagerRef{Engine: eng}
+	}
+	eng.AfterEvent(func(now Time, p PID) { fmt.Fprintln(r.order, now, p, eng.curSeq) })
+	return r
+}
+
 // buildFanEngine assembles one churn-heavy engine: n pollsters, a crash
 // with recovery, a crash-stop, and a partial (mid-broadcast) crash, over
 // the given network model.
-func buildFanEngine(n int, net Model, seed int64, eager bool, maxEvents int) (*Engine, *trace.Recorder) {
-	rec := trace.NewRecorder()
-	eng := New(Config{
-		IDs:         ident.Balanced(n, 2),
-		Net:         net,
-		Seed:        seed,
-		Recorder:    rec,
-		EagerFanout: eager,
-		MaxEvents:   maxEvents,
-	})
+func buildFanEngine(mode string, n int, net Model, seed int64, maxEvents int) fanRun {
+	r := newFanRun(mode, Config{IDs: ident.Balanced(n, 2), Net: net, Seed: seed, MaxEvents: maxEvents})
 	for i := 0; i < n; i++ {
-		eng.AddProcess(&fanPoll{period: 5})
+		r.drv.AddProcess(&fanPoll{period: 5})
 	}
-	eng.CrashAt(1, 12)
-	eng.RecoverAt(1, 31)
-	eng.CrashAt(2, 40)
-	eng.CrashDuringBroadcast(3, 20, 0.5)
-	return eng, rec
-}
-
-// fanRun is one finished run of a fan-out differential.
-type fanRun struct {
-	mode string
-	eng  *Engine
-	rec  *trace.Recorder
+	r.eng.CrashAt(1, 12)
+	r.eng.RecoverAt(1, 31)
+	r.eng.CrashAt(2, 40)
+	r.eng.CrashDuringBroadcast(3, 20, 0.5)
+	return r
 }
 
 // runModes runs the same scenario through the three expansions that must
-// agree — the eager oracle, the lazy path with fate tables, and the lazy
-// path with the table budget forced to zero so every wave rescans — each
-// driven by the same Run calls.
-func runModes(n int, net Model, seed int64, maxEvents int, drive func(e *Engine)) []fanRun {
-	runs := []fanRun{{mode: "eager"}, {mode: "tabled"}, {mode: "rescan"}}
-	for i := range runs {
-		r := &runs[i]
-		r.eng, r.rec = buildFanEngine(n, net, seed, r.mode == "eager", maxEvents)
-		if r.mode == "rescan" {
+// agree — the eager reference, the engine with fate tables, and the engine
+// with the table budget forced to zero so every wave rescans — each driven
+// by the same Run calls.
+func runModes(n int, net Model, seed int64, maxEvents int, drive func(e fanDriver)) []fanRun {
+	var runs []fanRun
+	for _, mode := range []string{"eager", "tabled", "rescan"} {
+		r := buildFanEngine(mode, n, net, seed, maxEvents)
+		if mode == "rescan" {
 			r.eng.fateBudget = 0
 		}
-		drive(r.eng)
+		drive(r.drv)
+		runs = append(runs, r)
 	}
 	return runs
 }
@@ -157,6 +179,9 @@ func requireIdentical(t *testing.T, key string, runs []fanRun) {
 		if g, w := fmt.Sprintf("%+v", got.rec.Stats()), fmt.Sprintf("%+v", want.rec.Stats()); g != w {
 			t.Errorf("stats diverge:\n%s: %s\n%s: %s", got.mode, g, want.mode, w)
 		}
+		if got.order.Sum64() != want.order.Sum64() {
+			t.Errorf("%s and %s processed events in different (time, process, seq) order", got.mode, want.mode)
+		}
 		if got.eng.Processed() != want.eng.Processed() {
 			t.Errorf("processed: %s %d, %s %d", got.mode, got.eng.Processed(), want.mode, want.eng.Processed())
 		}
@@ -209,7 +234,7 @@ func TestLazyFanoutMatchesEager(t *testing.T) {
 	for _, g := range grid {
 		t.Run(g.net.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				runs := runModes(23, g.net, seed, 0, func(e *Engine) { e.Run(g.horizon) })
+				runs := runModes(23, g.net, seed, 0, func(e fanDriver) { e.Run(g.horizon) })
 				requireIdentical(t, fmt.Sprintf("matches/%s/seed=%d", g.net, seed), runs)
 				tabled, rescan := runs[1].eng, runs[2].eng
 				if rescan.fateBytes != 0 || len(rescan.freeFates) != 0 {
@@ -240,7 +265,7 @@ func TestLazyFanoutMaxEventsMidWave(t *testing.T) {
 	// last in a table word, inside one, and in the tail n%8 leaves.
 	for _, n := range []int{7, 8, 9, 23, 64, 65} {
 		for _, cap := range []int{1, 7, 8, 9, n - 1, n, n + 1, n + 8, 2*n + 10, 3*n + 5, 6*n + 11} {
-			runs := runModes(n, Timely{Delta: 3}, 7, cap, func(e *Engine) { e.Run(60) })
+			runs := runModes(n, Timely{Delta: 3}, 7, cap, func(e fanDriver) { e.Run(60) })
 			for _, r := range runs[1:] {
 				if r.eng.Stopped() != StopMaxEvents {
 					t.Fatalf("n %d cap %d: %s stopped %v, want max-events", n, cap, r.mode, r.eng.Stopped())
@@ -259,7 +284,7 @@ func TestLazyFanoutMaxEventsMidWave(t *testing.T) {
 // of each wave, and the single-stepped execution must remain byte-identical
 // to the eager one driven the same way.
 func TestLazyFanoutPredicateMidWave(t *testing.T) {
-	stepAll := func(e *Engine) {
+	stepAll := func(e fanDriver) {
 		always := func() bool { return true }
 		for {
 			if e.RunUntil(45, always) == 0 && (e.Stopped() == StopQuiescent || e.Stopped() == StopHorizon) {
@@ -282,14 +307,13 @@ func TestLazyFanoutPredicateMidWave(t *testing.T) {
 func TestLazyFanoutTableZeros(t *testing.T) {
 	const n = 64
 	build := func(mode string, budget int) fanRun {
-		rec := trace.NewRecorder()
-		eng := New(Config{IDs: ident.Balanced(n, 4), Net: Lossy{Base: Async{MaxDelay: 6}, P: 0.3}, Seed: 5, Recorder: rec, EagerFanout: mode == "eager"})
+		r := newFanRun(mode, Config{IDs: ident.Balanced(n, 4), Net: Lossy{Base: Async{MaxDelay: 6}, P: 0.3}, Seed: 5})
 		for i := 0; i < n; i++ {
-			eng.AddProcess(&quietBroadcaster{bcast: i == 0})
+			r.drv.AddProcess(&quietBroadcaster{bcast: i == 0})
 		}
-		eng.fateBudget = budget
-		eng.CrashDuringBroadcast(0, 0, 0.5)
-		return fanRun{mode: mode, eng: eng, rec: rec}
+		r.eng.fateBudget = budget
+		r.eng.CrashDuringBroadcast(0, 0, 0.5)
+		return r
 	}
 	runs := []fanRun{build("eager", 0), build("tabled", fateTableBudget), build("rescan", 0)}
 
@@ -304,7 +328,7 @@ func TestLazyFanoutTableZeros(t *testing.T) {
 		t.Fatalf("broadcast reserved %d seqs for %d scheduled copies", reserved, n-zeros)
 	}
 	for _, r := range runs {
-		r.eng.Run(50)
+		r.drv.Run(50)
 	}
 	requireIdentical(t, "tablezeros", runs)
 	if got := tabled.rec.Stats().Delivered; got != n-zeros {
@@ -321,9 +345,9 @@ func TestLazyFanoutTableZeros(t *testing.T) {
 func TestLazyFanoutBudget(t *testing.T) {
 	const n, budget = 120, 10 * 120
 	build := func(mode string, budget int) fanRun {
-		eng, rec := buildFanEngine(n, Async{MaxDelay: 8}, 9, mode == "eager", 0)
-		eng.fateBudget = budget
-		return fanRun{mode: mode, eng: eng, rec: rec}
+		r := buildFanEngine(mode, n, Async{MaxDelay: 8}, 9, 0)
+		r.eng.fateBudget = budget
+		return r
 	}
 	runs := []fanRun{build("eager", 0), build("budgeted", budget), build("tabled", fateTableBudget), build("rescan", 0)}
 
@@ -331,7 +355,7 @@ func TestLazyFanoutBudget(t *testing.T) {
 	peak := 0
 	budgeted.AfterEvent(func(Time, PID) { peak = max(peak, budgeted.fateBytes) })
 	for _, r := range runs {
-		r.eng.Run(40)
+		r.drv.Run(40)
 	}
 	requireIdentical(t, "budget", runs)
 	if peak != budget {
@@ -419,11 +443,136 @@ func TestLazyFanoutConstantQueue(t *testing.T) {
 	// would hold ~n in-flight copies per in-flight broadcast. The lazy
 	// high-water mark must stay O(broadcasts + timers), i.e. a few entries
 	// per process, independent of fan-out.
-	eng2, _ := buildFanEngine(200, Async{MaxDelay: 8}, 3, false, 0)
+	eng2 := buildFanEngine("tabled", 200, Async{MaxDelay: 8}, 3, 0).eng
 	eng2.Run(40)
 	if hw := eng2.MaxQueueLen(); hw > 4*200 {
 		t.Errorf("churn-run queue high-water mark %d at n=200, want O(n) entries (<= 800), not O(n * in-flight copies)", hw)
 	}
+}
+
+// lostNet loses every copy.
+type lostNet struct{}
+
+func (lostNet) Delay(Time, *rand.Rand) (Time, bool) { return 0, false }
+func (lostNet) String() string                      { return "lost" }
+
+// requireOneRecordPerBroadcast checks the fanout table against the queue:
+// the records in use are exactly those a queue entry names, they hold a
+// payload, every other record is zero — no payload, no fate table pinned —
+// and the live table bytes are those of the records in use.
+func requireOneRecordPerBroadcast(t *testing.T, e *Engine) {
+	t.Helper()
+	inFlight := map[int32]bool{}
+	for _, ev := range e.queue {
+		if ev.kind == evFanout {
+			if inFlight[ev.arg] {
+				t.Fatalf("two queue entries name record %d", ev.arg)
+			}
+			inFlight[ev.arg] = true
+		}
+	}
+	if got := len(e.fanouts) - len(e.freeFans); got != len(inFlight) {
+		t.Fatalf("%d records in use (%d allocated, %d free) for %d broadcasts in flight", got, len(e.fanouts), len(e.freeFans), len(inFlight))
+	}
+	tableBytes := 0
+	for i, f := range e.fanouts {
+		switch {
+		case !inFlight[int32(i)]:
+			if !reflect.DeepEqual(f, fanoutRec{}) {
+				t.Fatalf("retired record %d is not zeroed: %+v", i, f)
+			}
+		case f.payload == nil:
+			t.Fatalf("record %d of an in-flight broadcast holds no payload", i)
+		}
+		tableBytes += len(f.fates)
+	}
+	if tableBytes != e.fateBytes {
+		t.Fatalf("%d table bytes accounted live, the records in use hold %d", e.fateBytes, tableBytes)
+	}
+}
+
+// TestFanoutRecordLifetime holds the engine to one record per in-flight
+// broadcast, freed in one place: after every event of a run single-stepped
+// to quiescence (one sender crashing mid-broadcast, every stop but a
+// wave's last in the middle of it), for broadcasts that schedule no copy at
+// all, and across a MaxEvents stop in the middle of a wave and the run that
+// resumes it.
+func TestFanoutRecordLifetime(t *testing.T) {
+	const n, senders = 19, 5
+	build := func(net Model, maxEvents int) *Engine {
+		e := New(Config{IDs: ident.Balanced(n, 3), Net: net, Seed: 4, MaxEvents: maxEvents})
+		for i := 0; i < n; i++ {
+			e.AddProcess(&quietBroadcaster{bcast: i%4 == 0})
+		}
+		return e
+	}
+
+	t.Run("quiescent", func(t *testing.T) {
+		e := build(Async{MaxDelay: 8}, 0)
+		e.CrashDuringBroadcast(4, 0, 0.5)
+		always := func() bool { return true }
+		for e.RunUntil(1000, always); e.Stopped() == StopPredicate; e.RunUntil(1000, always) {
+			requireOneRecordPerBroadcast(t, e)
+		}
+		requireOneRecordPerBroadcast(t, e)
+		if e.Stopped() != StopQuiescent || len(e.queue) != 0 {
+			t.Fatalf("stopped %v with %d queue entries, want quiescent", e.Stopped(), len(e.queue))
+		}
+		if len(e.fanouts) != senders || len(e.freeFans) != senders {
+			t.Errorf("%d records, %d free after %d broadcasts, want all of them back", len(e.fanouts), len(e.freeFans), senders)
+		}
+	})
+
+	// Every copy lost, and every copy dropped by the sender's own crash:
+	// the broadcast is over when it returns, and leaves no record behind.
+	for name, arm := range map[string]func() *Engine{
+		"all lost": func() *Engine { return build(lostNet{}, 0) },
+		"all dropped": func() *Engine {
+			e := build(Async{MaxDelay: 8}, 0)
+			for p := PID(0); p < n; p += 4 {
+				e.CrashDuringBroadcast(p, 0, 0)
+			}
+			return e
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := arm()
+			e.start()
+			if len(e.queue) != 0 || len(e.fanouts) != 0 || e.seq != 0 {
+				t.Fatalf("%d queue entries, %d records, %d seqs reserved for broadcasts without a scheduled copy", len(e.queue), len(e.fanouts), e.seq)
+			}
+			if e.fateBytes != 0 || len(e.freeFates) != 1 {
+				t.Errorf("%d table bytes live, %d tables free, want the one table back on the freelist", e.fateBytes, len(e.freeFates))
+			}
+			requireOneRecordPerBroadcast(t, e)
+		})
+	}
+
+	t.Run("mid-wave stop and resume", func(t *testing.T) {
+		// Timely puts a broadcast in one wave: the cap stops the second
+		// broadcast short of its copy for recipient 5.
+		e := build(Timely{Delta: 3}, n+5)
+		e.Run(1000)
+		if e.Stopped() != StopMaxEvents {
+			t.Fatalf("stopped %v, want max-events", e.Stopped())
+		}
+		if !slices.ContainsFunc(e.fanouts, func(f fanoutRec) bool { return f.resumeI == 5 }) {
+			t.Fatalf("no record suspended at recipient 5: %+v", e.fanouts)
+		}
+		requireOneRecordPerBroadcast(t, e)
+		if got := len(e.fanouts) - len(e.freeFans); got != senders-1 {
+			t.Errorf("%d records in use with %d broadcasts undelivered", got, senders-1)
+		}
+		e.cfg.MaxEvents = 1 << 20
+		e.Run(1000)
+		requireOneRecordPerBroadcast(t, e)
+		if e.Stopped() != StopQuiescent || e.Processed() != senders*n {
+			t.Fatalf("stopped %v after %d events, want quiescent after %d", e.Stopped(), e.Processed(), senders*n)
+		}
+		if len(e.freeFans) != senders {
+			t.Errorf("%d records free after the resumed run, want %d", len(e.freeFans), senders)
+		}
+	})
 }
 
 type quietBroadcaster struct{ bcast bool }
@@ -440,11 +589,12 @@ func (q *quietBroadcaster) OnTimer(int)   {}
 // word at a time: one pass over the recipients, each table byte put through
 // a three-way compare with the wave's delay, the same pass finding the
 // minimum delay beyond it. It is kept verbatim (but for the tally flush
-// deliverCopy now needs) as the oracle for deliverWave.
+// deliverCopy now needs, and the payload read from the record, where it
+// now is) as the oracle for deliverWave.
 func (e *Engine) waveRef(ev event) StopReason {
 	idx := ev.arg
 	f := e.fanouts[idx]
-	payload := e.payloads[f.slot].payload
+	payload := f.payload
 	stop := StopNone
 	resumeI := -1
 	var resumeSeq uint64
@@ -512,7 +662,6 @@ func (e *Engine) waveRef(ev event) StopReason {
 		e.fanouts[idx].resumeI = 0
 		e.requeue(event{time: f.sent + nextDelay, seq: f.baseSeq + uint64(nextFirstK), kind: evFanout, pid: ev.pid, arg: idx})
 	default:
-		e.freeSlot(f.slot)
 		e.freeFateTable(f.fates)
 		e.freeFanout(idx)
 	}
@@ -558,7 +707,7 @@ type waveOutcome struct {
 	queue     []event // the re-pushed entry: its (time, seq) are the next wave's delay and first copy, or the resume point
 	delay     Time    // the record after the wave: zero once retired
 	resumeI   int32
-	freed     [3]int // records, payload slots, tables on the freelists
+	freed     [2]int // records, tables on the freelists
 	processed int
 	stats     string
 	events    []trace.Event
@@ -580,7 +729,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 		e.crashed[to] = c.down>>(to%64)&1 == 1
 	}
 
-	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, slot: e.allocSlot(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
+	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
 	k := int32(0)
 	for to, b := range c.table {
 		f.delays.add(b)
@@ -613,7 +762,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 	}
 	out.queue = slices.Clone(e.queue)
 	out.delay, out.resumeI = e.fanouts[idx].delay, e.fanouts[idx].resumeI
-	out.freed = [3]int{len(e.freeFans), len(e.freeSlots), len(e.freeFates)}
+	out.freed = [2]int{len(e.freeFans), len(e.freeFates)}
 	out.processed = e.processed
 	out.stats = fmt.Sprintf("%+v", rec.Stats())
 	out.events = rec.Events()

@@ -12,8 +12,8 @@ import (
 // only inside PartialSync's pre-GST window and Alternating's bad windows —
 // which made "lossy but otherwise calm" scenarios unwritable and therefore
 // unfuzzable. Loss draws ride the engine's keyed per-copy fate streams, so
-// a copy's fate stays a pure function of (seed, broadcast, recipient) and
-// the lazy and eager fan-out paths see identical outcomes.
+// a copy's fate stays a pure function of (seed, broadcast, recipient): the
+// send-time scan and any wave that recomputes it see the same outcome.
 //
 // P must be < 1 for liveness-checked runs: the detectors and consensus
 // algorithms assume fair-lossy links at worst, and the scenario hunter's
@@ -134,7 +134,7 @@ func (p Partition) Delay(t Time, r *rand.Rand) (Time, bool) {
 // LinkDelay implements LinkModel: a severed copy is lost before any base
 // draw, so the base model's randomness is consumed only for copies the
 // partition lets through — the severed fate is a pure function of
-// (t, from, to) and stays identical across the lazy and eager paths.
+// (t, from, to), the same whenever and however often it is evaluated.
 func (p Partition) LinkDelay(t Time, from, to PID, r *rand.Rand) (Time, bool) {
 	if p.severed(t, from, to) {
 		return 0, false
