@@ -27,10 +27,12 @@
 // -l outside [1, n], an unknown -algo, -adversary or -detectors value,
 // -detectors mp with anything but fig8, a -partition cut >= n or a window
 // still open at the horizon, -crashes with heartbeat, -crashes plus -churn
-// with ohp, -beaters > n, and any malformed -crashes/-churn/-net/-partition
-// spec.
+// with ohp, -beaters > n, a negative -period, -horizon, -stabilize, -gst,
+// -delta or -max-events, and any malformed -crashes/-churn/-net/-partition
+// spec. -seeds < 1 is rejected the same way.
 //
-// heartbeat-only flags: -period sets the beat interval; -beaters caps how
+// heartbeat-only flags: -period sets the beat interval (0 = the default,
+// 10, which is what the header then prints); -beaters caps how
 // many processes beat (0 = all n; the rest only listen, so event volume
 // is Θ(beaters·n) while every broadcast still fans out to all n live
 // recipients); -max-events overrides the engine's runaway-guard cap.

@@ -81,6 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // anything is printed or any file is created — and runs it once or, with
 // -seeds k > 1, as a seed-sweep campaign.
 func runLive(m *trace.Meta, seeds int, tr *traceOut, campaignFlags func() (campaign.Config, error), stdout io.Writer) error {
+	if seeds < 1 {
+		return fmt.Errorf("-seeds %d, want >= 1", seeds)
+	}
 	if err := cliutil.ValidateTraceBuf(tr.buf); err != nil {
 		return err
 	}

@@ -121,6 +121,35 @@ func TestGoldenMaxEvents(t *testing.T) {
 	checkGolden(t, "fig8_maxevents", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
 }
 
+// TestGoldenSignRejections: a negative time or count, and a sweep of no
+// seeds, used to be replaced by a default without a word — -period -5 even
+// printed period=-5 over a run at period 10. Each is a named error now,
+// before the header (stdout, stderr and the exit code are the golden).
+func TestGoldenSignRejections(t *testing.T) {
+	for name, args := range map[string]string{
+		"reject_period":         "-algo heartbeat -n 20 -l 4 -period -5",
+		"reject_horizon":        "-horizon -7",
+		"reject_stabilize":      "-stabilize -7",
+		"reject_gst":            "-gst -1",
+		"reject_delta":          "-delta -3",
+		"reject_seeds_zero":     "-seeds 0",
+		"reject_seeds_negative": "-seeds -2",
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(args), &stdout, &stderr)
+		checkGolden(t, name, stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
+	}
+}
+
+// TestHeartbeatHeaderPrintsPeriodUsed: -period 0 selects the default, and
+// the header names it instead of echoing the 0.
+func TestHeartbeatHeaderPrintsPeriodUsed(t *testing.T) {
+	out := hdsim(t, t.TempDir(), strings.Fields("-algo heartbeat -n 20 -l 4 -period 0")...)
+	if !strings.Contains(out, " period=10 ") || !strings.HasSuffix(out, "exit 0\n") {
+		t.Errorf("want period=10 in the header of a verified run, got:\n%s", out)
+	}
+}
+
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // file behind and change nothing on stdout.
 func TestProfileFlags(t *testing.T) {
@@ -155,6 +184,8 @@ func TestRejectsBeforeOutput(t *testing.T) {
 		{"bad crashes", "-crashes garbage", "bad crash spec"},
 		{"bad net", "-net warp:9", `unknown network "warp"`},
 		{"negative max-events", "-max-events -3", "max-events=-3"},
+		{"negative period", "-algo heartbeat -period -5", "period=-5"},
+		{"no seeds", "-seeds 0", "-seeds 0, want >= 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,7 +25,7 @@ func WriteHeader(w io.Writer, sc *scenario.Scenario) {
 			beaters = fmt.Sprint(m.Beaters)
 		}
 		fmt.Fprintf(w, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
-			n, m.L, beaters, sc.Churn, sc.Net, m.Period, m.Seed)
+			n, m.L, beaters, sc.Churn, sc.Net, sc.Period, m.Seed)
 	case "ohp":
 		if sc.Churn.Fraction > 0 {
 			fmt.Fprintf(w, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", sc.IDs, sc.Churn, sc.Net, m.Seed)

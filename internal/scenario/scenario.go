@@ -42,7 +42,8 @@ type Scenario struct {
 	Stabilize hds.Time
 	Adversary oracle.Adversary
 	Detectors hds.DetectorSource
-	// Period and Beaters are the heartbeat workload parameters.
+	// Period and Beaters are the heartbeat workload parameters. Period is
+	// the beat interval the run uses; 0 selects the runner's own default.
 	Period  hds.Time
 	Beaters int
 	// MaxEvents overrides the engine's runaway guard (0 = engine default).
@@ -66,9 +67,6 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 		Meta: m, Algo: m.Algo, T: m.T,
 		Horizon: hds.Time(m.Horizon), Stabilize: hds.Time(m.Stabilize),
 		Beaters: m.Beaters, MaxEvents: m.MaxEvents,
-	}
-	if m.MaxEvents < 0 {
-		return nil, fmt.Errorf("scenario: max-events=%d, want >= 0 (0 = engine default)", m.MaxEvents)
 	}
 	var err error
 	if sc.IDs, err = BalancedIDs(m.N, m.L); err != nil {
@@ -114,14 +112,12 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 		}
 		defaultHorizon = 5000
 	case "heartbeat":
-		sc.Period = hds.Time(m.Period)
-		period := sc.Period
-		if period <= 0 {
-			period = 10
+		if sc.Period = hds.Time(m.Period); sc.Period == 0 {
+			sc.Period = 10
 		}
-		defaultHorizon = 10 * period
+		defaultHorizon = 10 * sc.Period
 	}
-	if sc.Horizon <= 0 {
+	if sc.Horizon == 0 {
 		sc.Horizon = defaultHorizon
 	}
 	if sc.Net, err = Network(m.Net, base, windows); err != nil {
@@ -182,9 +178,10 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 }
 
 // Validate rejects scenarios no runner should be handed: an unknown
-// algorithm, fault inputs the algorithm's runner has no use for, a
-// partition cut that severs nothing or never heals inside the run, more
-// beaters than processes. The runners keep their own input checks (crash
+// algorithm, fault inputs the algorithm's runner has no use for, a negative
+// time or count (a runner would replace it with its default, and the run
+// would not be the one described), a partition cut that severs nothing or
+// never heals inside the run, more beaters than processes. The runners keep their own input checks (crash
 // PIDs, the t bound, schedules against the horizon); those need the
 // expanded fault pattern, which is built once, by the runner.
 func (sc *Scenario) Validate() error {
@@ -200,6 +197,19 @@ func (sc *Scenario) Validate() error {
 		}
 	default:
 		return fmt.Errorf("scenario: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", sc.Algo)
+	}
+	type field struct {
+		name string
+		v    int64
+	}
+	fields := []field{{"period", sc.Period}, {"horizon", sc.Horizon}, {"stabilize", sc.Stabilize}, {"max-events", int64(sc.MaxEvents)}}
+	if m := sc.Meta; m != nil {
+		fields = append(fields, field{"gst", m.GST}, field{"delta", m.Delta})
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: %s=%d, want >= 0", f.name, f.v)
+		}
 	}
 	if err := cliutil.ValidateBeaters(sc.Beaters, sc.IDs.N()); err != nil {
 		return fmt.Errorf("scenario: %w", err)

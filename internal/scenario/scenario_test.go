@@ -45,6 +45,12 @@ func TestResolveRejects(t *testing.T) {
 		{"bad net", func(m *trace.Meta) { m.Net = "warp:9" }, `unknown network "warp"`},
 		{"bad partitions", func(m *trace.Meta) { m.Partitions = "10@2" }, "bad partition window"},
 		{"negative max-events", func(m *trace.Meta) { m.MaxEvents = -3 }, "max-events=-3"},
+		{"negative period", func(m *trace.Meta) { m.Algo, m.Period = "heartbeat", -5 }, "period=-5"},
+		{"negative horizon", func(m *trace.Meta) { m.Horizon = -7 }, "horizon=-7"},
+		{"negative stabilize", func(m *trace.Meta) { m.Stabilize = -7 }, "stabilize=-7"},
+		{"negative gst", func(m *trace.Meta) { m.GST = -1 }, "gst=-1"},
+		{"negative gst under ohp", func(m *trace.Meta) { m.Algo, m.GST = "ohp", -1 }, "gst=-1"},
+		{"negative delta", func(m *trace.Meta) { m.Delta = -3 }, "delta=-3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
