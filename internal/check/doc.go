@@ -11,7 +11,7 @@
 // permanently down are exempt), and DecisionMonitor — fed from
 // sim.Engine.AfterEvent — pins that a decision taken before an outage
 // survives it unchanged. DecisionMonitor is this package's streaming
-// checker: like fd's StreamProbe/SigmaMonitor it consumes samples as they
+// checker: like fd's StreamProbe it consumes samples as they
 // arrive and keeps O(1) state per process, so consensus verification does
 // not materialize histories either.
 package check

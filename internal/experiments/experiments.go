@@ -139,16 +139,6 @@ func Registry() []Builder {
 	}
 }
 
-// Builders lists every experiment's table builder in index order.
-func Builders() []func() (Table, error) {
-	reg := Registry()
-	out := make([]func() (Table, error), len(reg))
-	for i, b := range reg {
-		out[i] = b.Build
-	}
-	return out
-}
-
 // All runs every experiment and returns the tables in index order.
 func All() ([]Table, error) {
 	return Tables(nil)

@@ -12,10 +12,9 @@
 //
 // Verification samples through one pipeline. A StreamProbe reads a
 // detector output whenever it can change, keeps O(1) state per process
-// and pushes every change to its observers: online monitors (SigmaMonitor
-// checks Σ safety against an antichain of minimal quorums), the trace, or
-// — in a Probe — a collector that keeps the full per-process history for
-// the checkers that quantify over whole executions (HΣ, Σ, AP, AΣ).
+// and pushes every change to its observers: the trace, or — in a Probe —
+// a collector that keeps the full per-process history for the checkers
+// that quantify over whole executions (HΣ, Σ, AP, AΣ).
 // Checkers that judge final outputs and stabilization times take the
 // FinalView interface, so one checker body serves a bare StreamProbe, a
 // Probe and a trace replayer; stream_test.go compares the sampler with an

@@ -24,10 +24,6 @@ import (
 const (
 	TagTrusted = "TRUSTED" // *multiset.Multiset[ident.ID] (◇HP̄, Σ)
 	TagLeader  = "LEADER"  // LeaderInfo (HΩ)
-	TagAlive   = "ALIVE"   // []ident.ID (𝔈)
-	TagOmega   = "OMEGA"   // ident.ID (Ω)
-	TagAOmega  = "AOMEGA"  // bool (AΩ)
-	TagAP      = "AP"      // int (AP)
 )
 
 // RenderView encodes a trusted/quorum multiset as its canonical Key
@@ -70,31 +66,6 @@ func ParseLeader(s string) (LeaderInfo, error) {
 		return LeaderInfo{}, fmt.Errorf("fd: leader %q has bad multiplicity", s)
 	}
 	return LeaderInfo{ID: ident.ID(s[:i]), Multiplicity: c}, nil
-}
-
-// RenderAlive encodes an 𝔈 alive list in order ("g002|g001"; empty is "").
-func RenderAlive(ids []ident.ID) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = string(id)
-	}
-	return strings.Join(parts, "|")
-}
-
-// ParseAlive inverts RenderAlive.
-func ParseAlive(s string) ([]ident.ID, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, "|")
-	ids := make([]ident.ID, len(parts))
-	for i, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("fd: alive list %q has an empty identifier", s)
-		}
-		ids[i] = ident.ID(p)
-	}
-	return ids, nil
 }
 
 // RecordChanges subscribes rec to the probe: every accepted sample becomes

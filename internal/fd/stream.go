@@ -9,21 +9,15 @@ package fd
 // count, which is what lets n = 50,000 runs be verified at all. Anything
 // that needs more than the final view subscribes with Observe: Probe
 // (probe.go) is a StreamProbe with a collector that appends every accepted
-// sample to a per-process history, SigmaMonitor checks Σ safety online,
-// RecordChanges writes the change stream into a trace. Checkers that only
+// sample to a per-process history, RecordChanges writes the change stream
+// into a trace. Checkers that only
 // need final outputs (◇HP̄, HΩ, 𝔈, Ω, AΩ, and the stabilization time)
 // accept the FinalView interface, so the same checker code judges a bare
 // StreamProbe, a history-keeping Probe and a trace replayer. The sampler
 // is compared with an independent reference (the pre-merge NewProbe and
 // NewSyncProbe bodies, kept in stream_test.go) on live runs.
 
-import (
-	"fmt"
-
-	"repro/internal/ident"
-	"repro/internal/multiset"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // FinalView is the read surface of a StreamProbe (and so of a Probe):
 // everything a final-state checker needs. Last returns p's latest output (ok=false if p never output);
@@ -138,91 +132,3 @@ func (sp *StreamProbe[T]) LastChange(p sim.PID) sim.Time { return sp.lastChange[
 
 // N implements FinalView.
 func (sp *StreamProbe[T]) N() int { return len(sp.last) }
-
-// SigmaMonitor checks Σ safety online: every pair of quorums sampled
-// anywhere in the execution must intersect. Instead of materializing all
-// samples and testing all pairs (the O(samples²) pass in CheckSigma), it
-// keeps the antichain of minimal quorums seen so far: a new quorum is
-// tested against the antichain only — if Q intersects every kept minimal
-// quorum, it intersects every quorum ever seen, because each seen quorum
-// is a superset of some kept one (supersets are pruned on insertion and
-// never kept). State is therefore bounded by the number of pairwise-
-// incomparable distinct quorums in the run — for converging detectors a
-// handful — not by the event count. The first violation is retained with
-// both offending sample points.
-type SigmaMonitor struct {
-	kept []sigmaSample
-	err  error
-}
-
-type sigmaSample struct {
-	q   *multiset.Multiset[ident.ID]
-	pid sim.PID
-	t   sim.Time
-}
-
-// NewSigmaMonitor returns an empty monitor; attach it to a quorum probe
-// with Attach, or drive it directly through Observe.
-func NewSigmaMonitor() *SigmaMonitor { return &SigmaMonitor{} }
-
-// Attach subscribes the monitor to every quorum sample the probe sees.
-func (m *SigmaMonitor) Attach(sp *StreamProbe[*multiset.Multiset[ident.ID]]) {
-	sp.Observe(m.Observe)
-}
-
-// Observe feeds one quorum sample. The quorum value must not be mutated
-// after the call (probes already require snapshot semantics from get).
-func (m *SigmaMonitor) Observe(p sim.PID, s Sample[*multiset.Multiset[ident.ID]]) {
-	if m.err != nil {
-		return
-	}
-	keep := true
-	w := 0
-	for _, k := range m.kept {
-		if !k.q.Intersects(s.Value) {
-			m.err = fmt.Errorf("Σ safety: quorum %v (p%d@%d) and %v (p%d@%d) are disjoint",
-				k.q, k.pid, k.t, s.Value, p, s.Time)
-			return
-		}
-		if keep && k.q.SubsetOf(s.Value) {
-			// A kept quorum is contained in the new one: anything
-			// intersecting the kept one intersects Q, so Q adds nothing.
-			keep = false
-		}
-		if keep && s.Value.SubsetOf(k.q) {
-			// Q is smaller: the kept superset becomes redundant. Drop it
-			// (Q will stand in for it from now on).
-			continue
-		}
-		m.kept[w] = k
-		w++
-	}
-	m.kept = m.kept[:w]
-	if keep {
-		m.kept = append(m.kept, sigmaSample{q: s.Value, pid: p, t: s.Time})
-	}
-}
-
-// Err returns the first safety violation observed, if any.
-func (m *SigmaMonitor) Err() error { return m.err }
-
-// CheckSigmaStream is CheckSigma's streaming form: safety comes from the
-// monitor that watched the run, liveness and stabilization from the final
-// view. Run both over the same probe: attach the monitor before the run,
-// call this after it.
-func CheckSigmaStream(g *GroundTruth, pr FinalView[*multiset.Multiset[ident.ID]], m *SigmaMonitor) (Result, error) {
-	if err := m.Err(); err != nil {
-		return Result{}, err
-	}
-	want := g.EventuallyUpIDs()
-	for _, p := range g.EventuallyUp() {
-		got, ok := pr.Last(p)
-		if !ok {
-			return Result{}, fmt.Errorf("Σ liveness: eventually-up process %d produced no output", p)
-		}
-		if !got.SubsetOf(want) {
-			return Result{}, fmt.Errorf("Σ liveness: process %d trusts %v ⊄ I(EventuallyUp) = %v", p, got, want)
-		}
-	}
-	return Result{StabilizationTime: stabilization(g, pr)}, nil
-}

@@ -181,96 +181,3 @@ func TestStreamProbeMatchesProbeLive(t *testing.T) {
 		t.Errorf("◇HP̄ verdicts diverge:\nreference: %v %v\nprobe:     %v %v\nstream:    %v %v", rr, errR, rp, errP, rs, errS)
 	}
 }
-
-// feedStream replays static histories through a stream probe in global
-// time order, the order a live run would produce them.
-func feedStream[T any](sp *StreamProbe[T], histories [][]Sample[T]) {
-	idx := make([]int, len(histories))
-	for {
-		best, bp := -1, -1
-		for p, h := range histories {
-			if idx[p] < len(h) {
-				if bp < 0 || h[idx[p]].Time < sim.Time(best) {
-					best, bp = int(h[idx[p]].Time), p
-				}
-			}
-		}
-		if bp < 0 {
-			return
-		}
-		s := histories[bp][idx[bp]]
-		sp.Feed(s.Time, sim.PID(bp), s.Value)
-		idx[bp]++
-	}
-}
-
-// TestCheckSigmaStreamMatchesCheckSigma pins monitor/checker equivalence
-// on the three static cases the materialized checker is tested with: a
-// passing run, a safety violation (disjoint quorums), and a liveness
-// violation (quorum outside I(EventuallyUp)).
-func TestCheckSigmaStreamMatchesCheckSigma(t *testing.T) {
-	g := truth3AAB(1)
-	eq := func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) }
-	cases := []struct {
-		name string
-		h    [][]Sample[*multiset.Multiset[ident.ID]]
-	}{
-		{"good", [][]Sample[*multiset.Multiset[ident.ID]]{
-			hist(ms("A", "A", "B"), ms("A", "B")),
-			nil,
-			hist(ms("A", "B")),
-		}},
-		{"disjoint-quorums", [][]Sample[*multiset.Multiset[ident.ID]]{
-			hist(ms("A")),
-			nil,
-			hist(ms("B")),
-		}},
-		{"liveness", [][]Sample[*multiset.Multiset[ident.ID]]{
-			hist(ms("A", "A", "B")), // ⊄ I(EventuallyUp) = {A, B}
-			nil,
-			hist(ms("A", "B")),
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			matRes, matErr := CheckSigma(g, NewStaticProbe(tc.h))
-
-			sp := NewStaticStreamProbe(len(tc.h), eq)
-			m := NewSigmaMonitor()
-			m.Attach(sp)
-			feedStream(sp, tc.h)
-			strRes, strErr := CheckSigmaStream(g, sp, m)
-
-			if (matErr == nil) != (strErr == nil) {
-				t.Fatalf("verdicts diverge: materialized err=%v, streaming err=%v", matErr, strErr)
-			}
-			if matErr == nil && matRes != strRes {
-				t.Fatalf("results diverge: materialized %+v, streaming %+v", matRes, strRes)
-			}
-		})
-	}
-}
-
-// TestSigmaMonitorAntichainBounded pins the monitor's memory claim: a long
-// stream of nested (comparable) quorums keeps the antichain at one entry —
-// state tracks incomparable quorums, not samples.
-func TestSigmaMonitorAntichainBounded(t *testing.T) {
-	m := NewSigmaMonitor()
-	ids := []ident.ID{"A", "B", "C", "D", "E", "F"}
-	// Growing chain: {A}, {A,B}, {A,B,C}, ... then shrinking back.
-	for i := 1; i <= len(ids); i++ {
-		m.Observe(0, Sample[*multiset.Multiset[ident.ID]]{Time: sim.Time(i), Value: ms(ids[:i]...)})
-	}
-	for i := len(ids); i >= 1; i-- {
-		m.Observe(1, Sample[*multiset.Multiset[ident.ID]]{Time: sim.Time(20 + i), Value: ms(ids[:i]...)})
-	}
-	if m.Err() != nil {
-		t.Fatalf("nested quorums flagged: %v", m.Err())
-	}
-	if len(m.kept) != 1 {
-		t.Errorf("antichain holds %d quorums after a nested chain, want 1", len(m.kept))
-	}
-	if !m.kept[0].q.Equal(ms("A")) {
-		t.Errorf("kept quorum %v, want the minimal {A}", m.kept[0].q)
-	}
-}
