@@ -122,9 +122,8 @@ func TestGoldenMaxEvents(t *testing.T) {
 }
 
 // TestGoldenSignRejections: a negative time or count, and a sweep of no
-// seeds, used to be replaced by a default without a word — -period -5 even
-// printed period=-5 over a run at period 10. Each is a named error now,
-// before the header (stdout, stderr and the exit code are the golden).
+// seeds, is a named error before the header, never a default the header
+// does not show (stdout, stderr and the exit code are the golden).
 func TestGoldenSignRejections(t *testing.T) {
 	for name, args := range map[string]string{
 		"reject_period":         "-algo heartbeat -n 20 -l 4 -period -5",

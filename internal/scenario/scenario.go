@@ -181,9 +181,10 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 // algorithm, fault inputs the algorithm's runner has no use for, a negative
 // time or count (a runner would replace it with its default, and the run
 // would not be the one described), a partition cut that severs nothing or
-// never heals inside the run, more beaters than processes. The runners keep their own input checks (crash
-// PIDs, the t bound, schedules against the horizon); those need the
-// expanded fault pattern, which is built once, by the runner.
+// never heals inside the run, more beaters than processes. The runners
+// keep their own input checks (crash PIDs, the t bound, schedules against
+// the horizon); those need the expanded fault pattern, which is built
+// once, by the runner.
 func (sc *Scenario) Validate() error {
 	switch sc.Algo {
 	case "fig8", "fig9", "fig9-anon":

@@ -29,10 +29,11 @@ package sim
 // reserves a contiguous seq interval, one seq per scheduled copy in
 // recipient order — the seqs n separate queue entries pushed in that order
 // would have drawn — so the wave entry can always be keyed by the seq of
-// its earliest undelivered copy, and copies of different broadcasts and
-// timers due at one instant pop in send order, copy by copy. That
-// per-copy expansion exists as a test-only reference (eager_ref_test.go),
-// and the fan-out tests hold every trace byte to it.
+// its earliest undelivered copy, and whatever is due at one instant, copies
+// of several broadcasts and timers alike, pops in the order it was
+// scheduled, copy by copy. That per-copy expansion exists as a test-only
+// reference (eager_ref_test.go), and the fan-out tests hold every trace
+// byte and every seq to it.
 //
 // Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is the
 // only place a fate is computed — plus Θ(n/8 · waves) word loads, where
