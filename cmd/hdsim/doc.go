@@ -29,7 +29,8 @@
 // still open at the horizon, -crashes with heartbeat, -crashes plus -churn
 // with ohp, -beaters > n, a negative -period, -horizon, -stabilize, -gst,
 // -delta or -max-events, and any malformed -crashes/-churn/-net/-partition
-// spec. -seeds < 1 is rejected the same way.
+// spec, including a NaN or infinite -churn fraction or -net float
+// parameter. -seeds < 1 is rejected the same way.
 //
 // heartbeat-only flags: -period sets the beat interval (0 = the default,
 // 10, which is what the header then prints); -beaters caps how

@@ -121,9 +121,10 @@ func TestGoldenMaxEvents(t *testing.T) {
 	checkGolden(t, "fig8_maxevents", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
 }
 
-// TestGoldenSignRejections: a negative time or count, and a sweep of no
-// seeds, is a named error before the header, never a default the header
-// does not show (stdout, stderr and the exit code are the golden).
+// TestGoldenSignRejections: a negative time or count, a non-finite float
+// parameter, and a sweep of no seeds, is a named error before the header,
+// never a default the header does not show or a NaN the run compares
+// against (stdout, stderr and the exit code are the golden).
 func TestGoldenSignRejections(t *testing.T) {
 	for name, args := range map[string]string{
 		"reject_period":         "-algo heartbeat -n 20 -l 4 -period -5",
@@ -133,6 +134,10 @@ func TestGoldenSignRejections(t *testing.T) {
 		"reject_delta":          "-delta -3",
 		"reject_seeds_zero":     "-seeds 0",
 		"reject_seeds_negative": "-seeds -2",
+		"reject_lossy_nan":      "-algo fig9 -n 6 -l 3 -net lossy:NaN",
+		"reject_pareto_nan":     "-algo fig9 -n 6 -l 3 -net pareto:NaN",
+		"reject_lognormal_inf":  "-algo fig9 -n 6 -l 3 -net lognormal:+Inf",
+		"reject_churn_nan":      "-algo fig9 -n 6 -l 3 -churn NaN",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(args), &stdout, &stderr)

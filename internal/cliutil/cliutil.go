@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,7 +81,8 @@ func ValidateBeaters(beaters, n int) error {
 }
 
 // ParseCrashes parses a crash schedule of the form "pid:time[,pid:time...]"
-// (e.g. "1:30,4:120"). An empty or blank string yields an empty schedule.
+// (e.g. "1:30,4:120"): each pid >= 0 at most once, each time >= 0. An
+// empty or blank string yields an empty schedule.
 func ParseCrashes(s string) (map[sim.PID]sim.Time, error) {
 	out := make(map[sim.PID]sim.Time)
 	if strings.TrimSpace(s) == "" {
@@ -106,7 +108,7 @@ func ParseCrashes(s string) (map[sim.PID]sim.Time, error) {
 			return nil, fmt.Errorf("negative time in %q", part)
 		}
 		if _, dup := out[sim.PID(pid)]; dup {
-			return nil, fmt.Errorf("duplicate pid %d in schedule", pid)
+			return nil, fmt.Errorf("duplicate pid %d in schedule %q", pid, s)
 		}
 		out[sim.PID(pid)] = at
 	}
@@ -114,16 +116,16 @@ func ParseCrashes(s string) (map[sim.PID]sim.Time, error) {
 }
 
 // ParseNet parses a network-model spec for the CLIs. Forms (parameters in
-// brackets are optional):
+// brackets are optional) and the range each parameter must lie in:
 //
-//	async[:maxDelay]            reliable asynchronous, uniform delays
-//	psync:gst:delta             partial synchrony (HPS)
-//	timely[:delta]              fixed-latency links
-//	pareto[:alpha[:cap]]        truncated heavy tail (Pareto, scale 2)
-//	lognormal[:sigma[:cap]]     truncated heavy tail (log-normal, median 3)
-//	alt[:period[:calmAfter]]    time-varying partial synchrony
-//	asym[:maxSkew]              per-link asymmetric skew over async
-//	lossy[:p[:maxDelay]]        iid per-copy loss over async
+//	async[:maxDelay]            reliable asynchronous, uniform delays; maxDelay >= 1
+//	psync:gst:delta             partial synchrony (HPS); gst >= 0, delta >= 1
+//	timely[:delta]              fixed-latency links; delta >= 1
+//	pareto[:alpha[:cap]]        truncated heavy tail (Pareto, scale 2); finite alpha > 0, cap >= 2
+//	lognormal[:sigma[:cap]]     truncated heavy tail (log-normal, median 3); finite sigma > 0, cap >= 1
+//	alt[:period[:calmAfter]]    time-varying partial synchrony; period >= 1, calmAfter >= 0
+//	asym[:maxSkew]              per-link asymmetric skew over async; maxSkew >= 1
+//	lossy[:p[:maxDelay]]        iid per-copy loss over async; 0 <= p < sim.MaxLossP, maxDelay >= 1
 func ParseNet(spec string) (sim.Model, error) {
 	parts := strings.Split(strings.TrimSpace(spec), ":")
 	name, args := parts[0], parts[1:]
@@ -148,7 +150,8 @@ func ParseNet(spec string) (sim.Model, error) {
 	// Every parameter is range-checked here: the sim models silently clamp
 	// out-of-range values to defaults, which would turn a typo like
 	// "async:-3" into a quietly different scenario instead of an error
-	// (mirroring ParseCrashes' negative checks).
+	// (mirroring ParseCrashes' negative checks). The float checks are
+	// written so that NaN, which fails every comparison, fails them too.
 	switch name {
 	case "async":
 		max, err := num(0, 8)
@@ -187,8 +190,8 @@ func ParseNet(spec string) (sim.Model, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad pareto spec %q (want pareto[:alpha[:cap]])", spec)
 		}
-		if alpha <= 0 {
-			return nil, fmt.Errorf("bad pareto spec %q: alpha %v, want > 0", spec, alpha)
+		if !(alpha > 0) || math.IsInf(alpha, 1) {
+			return nil, fmt.Errorf("bad pareto spec %q: alpha %v, want finite > 0", spec, alpha)
 		}
 		if cap < 2 {
 			return nil, fmt.Errorf("bad pareto spec %q: cap %d, want >= the scale (2)", spec, cap)
@@ -200,8 +203,8 @@ func ParseNet(spec string) (sim.Model, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad lognormal spec %q (want lognormal[:sigma[:cap]])", spec)
 		}
-		if sigma <= 0 {
-			return nil, fmt.Errorf("bad lognormal spec %q: sigma %v, want > 0", spec, sigma)
+		if !(sigma > 0) || math.IsInf(sigma, 1) {
+			return nil, fmt.Errorf("bad lognormal spec %q: sigma %v, want finite > 0", spec, sigma)
 		}
 		if cap < 1 {
 			return nil, fmt.Errorf("bad lognormal spec %q: cap %d, want >= 1", spec, cap)
@@ -239,7 +242,7 @@ func ParseNet(spec string) (sim.Model, error) {
 		// be clamped by the model, silently running a different scenario —
 		// and p = 1 would kill every link, which no liveness checker can
 		// tell apart from a protocol bug.
-		if p < 0 || p >= sim.MaxLossP {
+		if !(p >= 0 && p < sim.MaxLossP) {
 			return nil, fmt.Errorf("bad lossy spec %q: p %v, want 0 <= p < %v", spec, p, sim.MaxLossP)
 		}
 		if max < 1 {
@@ -314,7 +317,8 @@ func ValidatePartitionHorizon(ws []sim.PartitionWindow, horizon sim.Time) error 
 }
 
 // ParseChurn parses a crash-recovery churn spec of the form
-// "fraction[:cycles[:down[:up[:stagger]]]]", e.g. "0.2:2:40:60". An empty
+// "fraction[:cycles[:down[:up[:stagger]]]]", e.g. "0.2:2:40:60", with the
+// fraction in (0, 1], cycles, down and up >= 1 and stagger >= 0. An empty
 // string yields the zero spec (no churn). Stagger defaults to 7, so
 // successive churners' outages overlap partially instead of aligning; an
 // explicit stagger of 0 keeps churners in phase (reproduce a default CLI
@@ -330,7 +334,7 @@ func ParseChurn(spec string) (sim.ChurnSpec, error) {
 		return sim.ChurnSpec{}, fmt.Errorf("bad churn spec %q (want fraction[:cycles[:down[:up[:stagger]]]])", spec)
 	}
 	frac, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || frac <= 0 || frac > 1 {
+	if err != nil || !(frac > 0 && frac <= 1) {
 		return sim.ChurnSpec{}, fmt.Errorf("bad churn fraction in %q (want a value in (0, 1])", spec)
 	}
 	out := sim.ChurnSpec{Fraction: frac, Stagger: 7}

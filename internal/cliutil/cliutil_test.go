@@ -144,6 +144,9 @@ func TestParseNetRejectsOutOfRangeParams(t *testing.T) {
 		"lognormal:-0.7", "lognormal:0", "lognormal:1:-15", "lognormal:1:0",
 		"alt:-40", "alt:0", "alt:40:-200",
 		"asym:-10", "asym:0",
+		// NaN fails every comparison, so a check written as "reject if
+		// out of range" lets it through; ±Inf is no parameter either.
+		"pareto:NaN", "pareto:+Inf", "lognormal:NaN", "lognormal:+Inf", "lossy:NaN", "lossy:-Inf",
 	} {
 		if m, err := ParseNet(bad); err == nil {
 			t.Errorf("ParseNet(%q) = %v, want error (out-of-range parameter must not clamp)", bad, m)
@@ -179,7 +182,7 @@ func TestParseChurn(t *testing.T) {
 	if spec, err := ParseChurn("0.2:2:40:60:0"); err != nil || spec.Stagger != 0 {
 		t.Fatalf("ParseChurn(0.2:2:40:60:0) = %+v, %v", spec, err)
 	}
-	for _, bad := range []string{"x", "0", "1.5", "-0.2", "0.2:0", "0.2:2:0", "0.2:2:40:0", "0.2:2:40:60:7:9", "0.2:2:40:60:-1", "0.2:a"} {
+	for _, bad := range []string{"x", "0", "1.5", "-0.2", "0.2:0", "0.2:2:0", "0.2:2:40:0", "0.2:2:40:60:7:9", "0.2:2:40:60:-1", "0.2:a", "NaN", "NaN:1:60", "+Inf", "-Inf"} {
 		if spec, err := ParseChurn(bad); err == nil {
 			t.Errorf("ParseChurn(%q) = %+v, want error", bad, spec)
 		}

@@ -20,7 +20,11 @@
 // The implementations are event-driven state machines for the simulator:
 // every paper "wait until" is a guard re-evaluated whenever a message
 // arrives, a timer fires, or a co-located failure-detector module changes
-// output (sim.Poller).
+// output (sim.Poller). Each handler ends in step, which runs the guards to
+// a fixpoint, stale heartbeats of a pre-outage epoch included; a sim.Node
+// relies on that and does not poll the module again after its own message
+// or timer unless a Poller below it ran in between. Guard evaluation at a
+// fixpoint writes nothing, so one evaluation per event is exact.
 //
 // The paper presents Figure 9 as Figure 8 with Phases 1–2 swapped, and the
 // code is laid out the same way: one round skeleton, two quorum rules. The

@@ -152,13 +152,12 @@ func (c *skeleton) forgetRounds(from int) {
 // OnTimer implements sim.Process: the heartbeat re-evaluates guards whose
 // truth changed with virtual time only (detector stabilization). A decided
 // process stops its heartbeat so that finished executions drain. Timers of
-// an older epoch are stale pre-outage survivors and are ignored — OnRecover
-// started a fresh chain.
+// an older epoch are stale pre-outage survivors: they do not re-arm, since
+// OnRecover started a fresh chain, but they still re-evaluate the guards.
+// Virtual time has moved since the last step, and the node does not
+// re-poll the module whose own timer fired (sim.Poller's contract).
 func (c *skeleton) OnTimer(tag int) {
-	if tag != c.epoch {
-		return
-	}
-	if !c.outcome.Decided {
+	if tag == c.epoch && !c.outcome.Decided {
 		c.env.SetTimer(heartbeat, c.epoch)
 	}
 	c.step()
@@ -188,7 +187,8 @@ func (c *skeleton) OnRecover() {
 }
 
 // Poll implements sim.Poller: co-located module activity (the detectors)
-// may have changed guard values.
+// may have changed guard values. Every handler ends in c.step(), so a
+// handler already leaves the fixpoint Poll would.
 func (c *skeleton) Poll() { c.step() }
 
 // OnMessage implements sim.Process. Every round-stamped message doubles as

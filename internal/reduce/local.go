@@ -40,8 +40,10 @@ func (l *localSampler) OnTimer(tag int) {
 	l.env.SetTimer(l.poll, tag)
 }
 
-// OnMessage implements sim.Process; local transformations receive nothing.
-func (l *localSampler) OnMessage(any) {}
+// OnMessage implements sim.Process. Local transformations receive nothing
+// of their own, but a handler must end where Poll would (sim.Poller), so
+// it samples like one.
+func (l *localSampler) OnMessage(any) { l.Poll() }
 
 // Poll implements sim.Poller: re-sample whenever anything happened on the
 // node, so output transitions are observed at the same event they become

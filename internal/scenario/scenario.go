@@ -11,6 +11,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	hds "repro"
 	"repro/internal/cliutil"
@@ -180,8 +181,9 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 // Validate rejects scenarios no runner should be handed: an unknown
 // algorithm, fault inputs the algorithm's runner has no use for, a negative
 // time or count (a runner would replace it with its default, and the run
-// would not be the one described), a partition cut that severs nothing or
-// never heals inside the run, more beaters than processes. The runners
+// would not be the one described), a NaN or infinite churn fraction (NaN
+// slips through every comparison downstream), a partition cut that severs
+// nothing or never heals inside the run, more beaters than processes. The runners
 // keep their own input checks (crash PIDs, the t bound, schedules against
 // the horizon); those need the expanded fault pattern, which is built
 // once, by the runner.
@@ -211,6 +213,9 @@ func (sc *Scenario) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("scenario: %s=%d, want >= 0", f.name, f.v)
 		}
+	}
+	if f := sc.Churn.Fraction; math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("scenario: churn fraction %v, want a finite value", f)
 	}
 	if err := cliutil.ValidateBeaters(sc.Beaters, sc.IDs.N()); err != nil {
 		return fmt.Errorf("scenario: %w", err)

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -42,6 +43,8 @@ func TestResolveRejects(t *testing.T) {
 		{"beaters above n", func(m *trace.Meta) { m.Algo, m.Beaters = "heartbeat", 9 }, "-beaters 9 exceeds n=5"},
 		{"bad crashes", func(m *trace.Meta) { m.Crashes = "garbage" }, "bad crash spec"},
 		{"bad churn", func(m *trace.Meta) { m.Churn = "2" }, "bad churn fraction"},
+		{"NaN churn", func(m *trace.Meta) { m.Churn = "NaN:1:60" }, "bad churn fraction"},
+		{"NaN lossy net", func(m *trace.Meta) { m.Net = "lossy:NaN" }, `bad lossy spec "lossy:NaN"`},
 		{"bad net", func(m *trace.Meta) { m.Net = "warp:9" }, `unknown network "warp"`},
 		{"bad partitions", func(m *trace.Meta) { m.Partitions = "10@2" }, "bad partition window"},
 		{"negative max-events", func(m *trace.Meta) { m.MaxEvents = -3 }, "max-events=-3"},
@@ -70,6 +73,23 @@ func TestResolveRejects(t *testing.T) {
 	}
 	if _, err := scenario.Resolve(nil); err == nil || !strings.Contains(err.Error(), "no scenario metadata") {
 		t.Errorf("Resolve(nil) = %v, want the missing-metadata error", err)
+	}
+}
+
+// TestValidateRejectsNonFiniteChurn: a programmatic caller's churn fraction
+// never meets ParseChurn, so Validate holds the non-finite line itself.
+func TestValidateRejectsNonFiniteChurn(t *testing.T) {
+	m := base()
+	sc, err := scenario.Resolve(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc.Churn.Fraction = f
+		err := sc.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: churn fraction") {
+			t.Errorf("Validate with churn fraction %v = %v, want a scenario: churn fraction error", f, err)
+		}
 	}
 }
 

@@ -16,10 +16,16 @@ import (
 // Each module broadcasts and receives through its own namespaced channel
 // (payloads are wrapped in envelopes), and modules on the same node may
 // share memory directly — a failure detector is a local oracle to the
-// layers above it. After any event is dispatched to any module, every
-// module implementing Poller is polled, so guard conditions that observe
+// layers above it. After an event is dispatched, the modules implementing
+// Poller are polled in module order, so guard conditions that observe
 // another module's output (e.g. "wait until D.h_leader ≠ id(p)") are
-// re-evaluated whenever that output may have changed.
+// re-evaluated whenever that output may have changed. The one Poller
+// skipped is the module that handled the event (a message addressed to it,
+// or its own timer) when no Poller comes before it: nothing has run since
+// its handler returned, and by the Poller contract that handler already
+// left the state its Poll would. Init, OnRecover, an unwrapped payload
+// (every module handles it) and an envelope for a module this node does
+// not run poll every Poller.
 type Node struct {
 	modules []namedModule
 	byName  map[string]int
@@ -27,13 +33,18 @@ type Node struct {
 }
 
 type namedModule struct {
-	name string
-	proc Process
+	name   string
+	proc   Process
+	poller Poller // proc as a Poller, nil if it is none
 }
 
 // Poller is implemented by modules whose guard conditions depend on state
-// outside their own message stream (another module's output). Poll is
-// invoked after every event processed by the node.
+// outside their own message stream (another module's output). A Node polls
+// it after the events it processes (see Node for the one it skips).
+//
+// Contract: a Poller's handlers (Init, OnMessage, OnTimer, OnRecover) end
+// in the state its Poll would leave, i.e. they evaluate its guards to a
+// fixpoint before returning, and Poll at a fixpoint has no side effects.
 type Poller interface {
 	Poll()
 }
@@ -51,7 +62,8 @@ func (n *Node) Add(name string, p Process) *Node {
 		panic(fmt.Sprintf("sim: duplicate module name %q", name))
 	}
 	n.byName[name] = len(n.modules)
-	n.modules = append(n.modules, namedModule{name: name, proc: p})
+	poller, _ := p.(Poller)
+	n.modules = append(n.modules, namedModule{name: name, proc: p, poller: poller})
 	return n
 }
 
@@ -88,10 +100,12 @@ func (n *Node) OnMessage(payload any) {
 		n.pollAll()
 		return
 	}
+	handled := -1
 	if i, ok := n.byName[env.Module]; ok {
 		n.modules[i].proc.OnMessage(env.Payload)
+		handled = i
 	}
-	n.pollAll()
+	n.pollAfter(handled)
 }
 
 // OnRecover implements Recoverer: it forwards the recovery to every module
@@ -110,14 +124,26 @@ func (n *Node) OnTimer(tag int) {
 	k := len(n.modules)
 	idx, inner := tag%k, tag/k
 	n.modules[idx].proc.OnTimer(inner)
-	n.pollAll()
+	n.pollAfter(idx)
 }
 
-func (n *Node) pollAll() {
-	for _, m := range n.modules {
-		if p, ok := m.proc.(Poller); ok {
+func (n *Node) pollAll() { n.pollAfter(-1) }
+
+// pollAfter polls every Poller in module order after module handled (-1:
+// none, or all) ran an event, except handled itself while no Poller has
+// been polled before it: its handler ended at a fixpoint and nothing has
+// run since.
+func (n *Node) pollAfter(handled int) {
+	polled := false
+	for i := range n.modules {
+		p := n.modules[i].poller
+		if p == nil {
+			continue
+		}
+		if i != handled || polled {
 			p.Poll()
 		}
+		polled = true
 	}
 }
 
