@@ -35,4 +35,10 @@
 // themselves diagnostics: the suppression inventory (-ignores) is the
 // audit trail of every standing exception to the determinism contracts
 // in ARCHITECTURE.md.
+//
+// Exit status: 0 clean, 1 an unsuppressed diagnostic or a malformed
+// suppression, 2 a usage or load error. Package patterns are resolved
+// against the module root. go test ./cmd/detlint pins exit code, stdout
+// and stderr of the lint, listing, report and JSON runs against
+// testdata/golden (-update rewrites them).
 package main

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,38 +14,55 @@ import (
 	"repro/internal/analysis"
 )
 
-func main() {
-	ignores := flag.Bool("ignores", false, "list every //detlint:ignore suppression (file:line analyzer reason) instead of diagnostics")
-	list := flag.Bool("analyzers", false, "list the analyzers and exit")
-	flow := flag.Bool("flow", false, "also run detflow, the whole-module interprocedural nondeterminism taint analysis")
-	report := flag.Bool("report", false, "with -flow: print the certified-deterministic API report instead of diagnostics")
-	jsonOut := flag.Bool("json", false, "render diagnostics as a JSON array (machine-readable, byte-stable)")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command with its process boundary made explicit:
+// arguments in, findings or listings on stdout, errors on stderr, exit
+// code back — 0 clean, 1 an unsuppressed diagnostic or a malformed
+// suppression, 2 a usage or load error (`detlint: <error>` on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ignores := fs.Bool("ignores", false, "list every //detlint:ignore suppression (file:line analyzer reason) instead of diagnostics")
+	list := fs.Bool("analyzers", false, "list the analyzers and exit")
+	flow := fs.Bool("flow", false, "also run detflow, the whole-module interprocedural nondeterminism taint analysis")
+	report := fs.Bool("report", false, "with -flow: print the certified-deterministic API report instead of diagnostics")
+	jsonOut := fs.Bool("json", false, "render diagnostics as a JSON array (machine-readable, byte-stable)")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "detlint:", err)
+		return 2
+	}
 
 	if *report && !*flow {
-		fail(fmt.Errorf("-report requires -flow"))
+		return fail(fmt.Errorf("-report requires -flow"))
 	}
 
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	module, root, err := findModule()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	dirs, err := expand(root, patterns)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	loader := analysis.NewLoader(module, root, "")
@@ -60,7 +79,7 @@ func main() {
 		}
 		us, err := loader.LoadDir(pkgPath, dir)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		for _, unit := range us {
 			d, s, errs := analysis.RunUnit(loader, unit, analysis.All())
@@ -75,13 +94,13 @@ func main() {
 		fl := analysis.NewFlow(loader.Fset, units, root, sups)
 		if *report {
 			for _, err := range badSups {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 			if len(badSups) > 0 {
-				os.Exit(1)
+				return 1
 			}
-			fmt.Print(fl.Report())
-			return
+			fmt.Fprint(stdout, fl.Report())
+			return 0
 		}
 		diags = append(diags, fl.Diagnostics()...)
 	}
@@ -99,13 +118,13 @@ func main() {
 			if r, err := filepath.Rel(root, rel); err == nil {
 				rel = r
 			}
-			fmt.Printf("%s:%d: %s: %s\n", rel, s.Pos.Line, s.Analyzer, s.Reason)
+			fmt.Fprintf(stdout, "%s:%d: %s: %s\n", rel, s.Pos.Line, s.Analyzer, s.Reason)
 		}
 	}
 
 	exit := 0
 	for _, err := range badSups {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		exit = 1
 	}
 	if !*ignores {
@@ -116,22 +135,22 @@ func main() {
 		}
 		analysis.SortDiagnostics(diags)
 		if *jsonOut {
-			os.Stdout.Write(analysis.DiagnosticsJSON(diags))
+			stdout.Write(analysis.DiagnosticsJSON(diags))
 			if len(diags) > 0 {
 				exit = 1
 			}
 		} else {
 			for _, d := range diags {
-				fmt.Println(d)
+				fmt.Fprintln(stdout, d)
 				exit = 1
 			}
 		}
 	}
-	os.Exit(exit)
+	return exit
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: detlint [-flow] [-report] [-json] [-ignores] [-analyzers] [packages]
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `usage: detlint [-flow] [-report] [-json] [-ignores] [-analyzers] [packages]
 
 detlint statically enforces this repo's determinism contracts
 (ARCHITECTURE.md) over the given package patterns (default ./...).
@@ -143,12 +162,7 @@ mandatory.
 
 Flags:
 `)
-	flag.PrintDefaults()
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "detlint:", err)
-	os.Exit(2)
+	fs.PrintDefaults()
 }
 
 // findModule walks up from the working directory to go.mod and reads the

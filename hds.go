@@ -239,11 +239,20 @@ type ConsensusResult struct {
 // live — verifies Termination/Validity/Agreement and returns the verified
 // report plus message statistics.
 func RunFig8(e Fig8Experiment) (ConsensusResult, error) {
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
+	r, err := e.bind()
+	if err != nil {
 		return ConsensusResult{}, err
 	}
+	return r.run()
+}
+
+// bind validates the experiment and binds it to the run body.
+func (e Fig8Experiment) bind() (consensusRun, error) {
+	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
+		return consensusRun{}, err
+	}
 	if n := e.IDs.N(); e.T < 0 || 2*e.T >= n {
-		return ConsensusResult{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
+		return consensusRun{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
 	}
 	return consensusRun{
 		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
@@ -268,7 +277,7 @@ func RunFig8(e Fig8Experiment) (ConsensusResult, error) {
 			}
 			return core.NewFig8(det, e.T, proposal)
 		},
-	}.run()
+	}, nil
 }
 
 // RunFig9 executes the experiment and verifies the consensus properties.
@@ -276,8 +285,17 @@ func RunFig8(e Fig8Experiment) (ConsensusResult, error) {
 // lives in the synchronous model, so the asynchronous consensus is
 // exercised against the class (see DESIGN.md's substitution table).
 func RunFig9(e Fig9Experiment) (ConsensusResult, error) {
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
+	r, err := e.bind()
+	if err != nil {
 		return ConsensusResult{}, err
+	}
+	return r.run()
+}
+
+// bind validates the experiment and binds it to the run body.
+func (e Fig9Experiment) bind() (consensusRun, error) {
+	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
+		return consensusRun{}, err
 	}
 	return consensusRun{
 		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
@@ -301,7 +319,7 @@ func RunFig9(e Fig9Experiment) (ConsensusResult, error) {
 			node.Add("homega", ho)
 			return core.NewFig9(ho, hs, proposal)
 		},
-	}.run()
+	}, nil
 }
 
 // decider is what the run body needs from a consensus instance.
@@ -374,14 +392,7 @@ func (r consensusRun) run() (ConsensusResult, error) {
 			}
 		})
 	}
-	eng.RunUntil(r.horizon, func() bool {
-		for _, p := range truth.EventuallyUp() {
-			if !insts[p].Decided().Decided {
-				return false
-			}
-		}
-		return true
-	})
+	eng.RunUntil(r.horizon, untilDecided(truth.EventuallyUp(), insts, r.cfg.Recorder))
 
 	// A failed run still reports what it cost and why it stopped.
 	failed := ConsensusResult{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
@@ -406,6 +417,32 @@ func (r consensusRun) run() (ConsensusResult, error) {
 	res, err := VerifyConsensus(truth, churn, r.proposals, outcomes)
 	res.Stats, res.Stopped, res.Recoveries = failed.Stats, failed.Stopped, eng.Recoveries()
 	return res, err
+}
+
+// untilDecided is a consensus run's until-predicate: true once every
+// process in up has decided. The engine calls it after every event, and
+// under broken links a run can spend a million idle heartbeat ticks
+// deciding nothing, so it does not rescan up each time. A decision is never
+// revoked (decide and onDecide are first-call-wins), so a cursor over up
+// only ever moves past decided instances. And it moves only when rec's
+// decision count has changed since the last call: decide and onDecide, the
+// only writers of an outcome, each record one KindDecide note through rec
+// as they write it, so between two changes of the count no answer can
+// change. seen starts at -1 so the first call always scans (with up empty
+// it returns true at once); a recorder shared with other runs only causes
+// extra scans.
+func untilDecided(up []sim.PID, insts []decider, rec *trace.Recorder) func() bool {
+	next, seen, all := 0, int64(-1), false
+	return func() bool {
+		if d := rec.Decisions(); d != seen {
+			seen = d
+			for next < len(up) && insts[up[next]].Decided().Decided {
+				next++
+			}
+			all = next == len(up)
+		}
+		return all
+	}
 }
 
 // VerifyConsensus judges final outcomes against the fault pattern and

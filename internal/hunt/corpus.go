@@ -1,7 +1,9 @@
 package hunt
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -27,10 +29,20 @@ type Entry struct {
 }
 
 // DecodeEntry parses one corpus file's bytes, rejecting unknown fields so
-// typos in hand-edited entries fail loudly.
+// typos in hand-edited entries fail loudly. Errors name the entry when the
+// bytes carry its name; the caller names the file.
 func DecodeEntry(b []byte) (Entry, error) {
 	var e Entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&e)
+	if err == nil && dec.InputOffset() < int64(len(bytes.TrimRight(b, " \t\r\n"))) {
+		err = errors.New("data after the entry's closing brace")
+	}
+	if err != nil {
+		if e.Name != "" {
+			return Entry{}, fmt.Errorf("hunt: corpus entry %s: %w", e.Name, err)
+		}
 		return Entry{}, fmt.Errorf("hunt: corpus entry: %w", err)
 	}
 	if e.Name == "" {

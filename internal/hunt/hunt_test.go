@@ -357,4 +357,10 @@ func TestEncodeDecodeEntryRoundTrip(t *testing.T) {
 	if _, err := DecodeEntry([]byte(`{"name":"bad","scenario":{"kind":"nope","n":3,"l":1,"seed":1}}`)); err == nil {
 		t.Error("DecodeEntry accepted an invalid scenario")
 	}
+	if _, err := DecodeEntry([]byte(`{"name":"typo","scenario":{"kind":"fig9","n":3,"l":1,"seed":1},"wnat":"PASS"}`)); err == nil {
+		t.Error("DecodeEntry accepted an unknown field")
+	}
+	if _, err := DecodeEntry([]byte(`{"name":"tail","scenario":{"kind":"fig9","n":3,"l":1,"seed":1}} {}`)); err == nil {
+		t.Error("DecodeEntry accepted data after the entry")
+	}
 }

@@ -52,10 +52,15 @@
 //     (WaveWords counts the loads). The tables of all in-flight broadcasts
 //     are held to a fixed budget, past which a broadcast recomputes its
 //     fates per wave instead (see fanout.go);
-//   - a wave counts its deliveries and drops for a stats-only recorder in
-//     plain ints and adds them once, before it returns: the recorder's
-//     Delivered/Dropped are exact whenever Run/RunUntil has returned and
-//     may lag by the current wave inside an AfterEvent hook;
+//   - a fired timer is re-armed in place: its entry stays at the heap root
+//     while the handler runs, and the process's first SetTimer rewrites
+//     it and sifts it down once — one heap pass per heartbeat tick where a
+//     pop and a push take two, in exactly their order (the pop-then-push
+//     engine is a test-only reference, timer_ref_test.go);
+//   - for a stats-only recorder the engine counts deliveries, drops and
+//     fired timers in plain ints and adds them once, when RunUntil
+//     returns: the recorder's Delivered/Dropped/Timers are exact whenever
+//     Run/RunUntil has returned and may lag inside an AfterEvent hook;
 //   - repeated payload values can be interned through the engine's
 //     type-indexed arena (Intern), so periodic algorithms do not re-box
 //     their messages every period;

@@ -107,6 +107,7 @@ func (e *eagerRef) RunUntil(until Time, done func() bool) int {
 		}
 	}
 	e.done = nil
+	e.flushTally()
 	if e.stopped == StopQuiescent {
 		for i := range e.faults {
 			e.faults[i].partial = nil

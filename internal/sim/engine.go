@@ -226,15 +226,16 @@ type Engine struct {
 	fateBudget int
 	fateEvals  uint64
 	waveWords  uint64
-	// waveDelivered/waveDropped are the current wave's deliveries and
-	// recipient-crashed drops not yet added to a stats-only recorder
-	// (flushWaveTally).
-	waveDelivered int
-	waveDropped   int
+	// tally holds the events a stats-only recorder gets as counts, not yet
+	// added to it (flushTally).
+	tally tally
 	// done is the active RunUntil predicate. It is evaluated after every
 	// event, and a delivered copy is one: deliverWave reads it here to stop
 	// between two copies of a wave.
 	done func() bool
+	// parked is the process whose firing timer's entry is still at the
+	// heap root, -1 when none (fireTimer, setTimer).
+	parked PID
 	// maxQueue is the high-water mark of the event queue: it tracks
 	// in-flight broadcasts, not in-flight copies.
 	maxQueue int
@@ -242,6 +243,13 @@ type Engine struct {
 	// mid-event state changes (partial crashes) order correctly against
 	// scheduled events at the same instant.
 	curSeq int64
+}
+
+// tally counts the deliveries, drops and fired timers of a run in plain
+// ints: what a retaining recorder gets as events, any other gets as one
+// Count per kind when RunUntil returns.
+type tally struct {
+	delivered, dropped, timers int
 }
 
 type partialCrash struct {
@@ -319,6 +327,7 @@ func New(cfg Config) *Engine {
 		everCrashed: make([]bool, n),
 		faultIdx:    make([]int32, n),
 		curSeq:      -1,
+		parked:      -1,
 		fateBudget:  fateTableBudget,
 	}
 	e.fanRand = rand.New(&e.fanSrc)
@@ -490,8 +499,9 @@ func (e *Engine) CorrectIDs() []ident.ID {
 // ran Init). Property checkers use it to sample failure-detector outputs
 // exactly when they can change: a process's output may change only during
 // its own events or when virtual time advances. An observer that reads a
-// stats-only recorder sees Delivered/Dropped short of the delivery wave in
-// progress; they are exact once Run/RunUntil has returned.
+// stats-only recorder sees Delivered, Dropped and Timers short of what the
+// Run/RunUntil call in progress has processed; they are exact once it has
+// returned.
 func (e *Engine) AfterEvent(f func(now Time, p PID)) {
 	e.afterEvent = append(e.afterEvent, f)
 }
@@ -553,6 +563,7 @@ func (e *Engine) RunUntil(until Time, done func() bool) int {
 		}
 	}
 	e.done = nil
+	e.flushTally()
 	if e.stopped == StopQuiescent {
 		// Quiescence: no event will ever be processed again, so no process
 		// will ever broadcast again — unfired CrashDuringBroadcast arms can
@@ -592,8 +603,14 @@ func (e *Engine) start() {
 // tracing off the engine formats nothing and computes no tags, and with a
 // stats-only recorder it counts kinds without building strings.
 func (e *Engine) step() StopReason {
-	ev := e.pop()
+	ev := e.queue[0]
 	e.now = ev.time
+	pid := PID(ev.pid)
+	if ev.kind == evTimer && !e.crashed[pid] {
+		e.fireTimer(ev)
+		return e.afterStep(pid)
+	}
+	e.pop()
 	if ev.kind == evFanout {
 		// Per-copy accounting (processed, curSeq, observers, the done
 		// predicate) happens inside the wave, per delivered copy.
@@ -601,7 +618,6 @@ func (e *Engine) step() StopReason {
 	}
 	e.curSeq = int64(ev.seq)
 	e.processed++
-	pid := PID(ev.pid)
 	switch ev.kind {
 	case evCrash:
 		e.fault(pid).pendingCrash--
@@ -620,25 +636,48 @@ func (e *Engine) step() StopReason {
 			}
 		}
 	case evTimer:
+		// A timer on a down process is dropped, exactly like a message
+		// copy — and, like one, it leaves a trace: silently vanishing
+		// timers made crash interleavings unreproducible from traces.
 		var detail string
 		if e.retain {
 			detail = timerDetail(int(ev.arg))
 		}
-		if e.crashed[pid] {
-			// A timer on a down process is dropped, exactly like a message
-			// copy — and, like one, it leaves a trace: silently vanishing
-			// timers made crash interleavings unreproducible from traces.
-			e.record(trace.KindTimerDrop, int(pid), "", detail)
-			break
-		}
-		e.record(trace.KindTimer, int(pid), "", detail)
-		e.procs[pid].OnTimer(int(ev.arg))
+		e.record(trace.KindTimerDrop, int(pid), "", detail)
 	}
-	e.notifyAfter(pid)
+	return e.afterStep(pid)
+}
+
+// afterStep notifies the observers of an event that concerned p and
+// evaluates the RunUntil predicate.
+func (e *Engine) afterStep(p PID) StopReason {
+	e.notifyAfter(p)
 	if e.done != nil && e.done() {
 		return StopPredicate
 	}
 	return StopNone
+}
+
+// fireTimer runs a live process's timer handler with the timer's entry
+// left at the heap root, parked: the process's first setTimer during the
+// handler re-arms in place (see setTimer), and an entry the handler did
+// not reuse is popped once it returns — before the observers and the
+// predicate run, which therefore see the queue a pop-then-push engine
+// would leave.
+func (e *Engine) fireTimer(ev event) {
+	e.curSeq = int64(ev.seq)
+	e.processed++
+	if e.retain {
+		e.record(trace.KindTimer, int(ev.pid), "", timerDetail(int(ev.arg)))
+	} else {
+		e.tally.timers++
+	}
+	e.parked = PID(ev.pid)
+	e.procs[ev.pid].OnTimer(int(ev.arg))
+	if e.parked >= 0 {
+		e.parked = -1
+		e.pop()
+	}
 }
 
 func (e *Engine) notifyAfter(p PID) {
@@ -708,7 +747,22 @@ func (e *Engine) setTimer(p PID, d Time, tag int) {
 	if tag != int(int32(tag)) {
 		panic("sim: timer tag exceeds 32 bits")
 	}
-	e.push(event{time: e.now + d, kind: evTimer, pid: int32(p), arg: int32(tag)})
+	if p != e.parked {
+		e.push(event{time: e.now + d, kind: evTimer, pid: int32(p), arg: int32(tag)})
+		return
+	}
+	// Re-arm in place: the root still holds p's fired evTimer entry, so the
+	// new timer only rewrites its time, seq and tag and sifts down — one
+	// heap pass where a pop and a push take two. The pop order is the one
+	// they give: everything pushed since the entry was parked has time >=
+	// now and a later seq, so the parked entry stayed the minimum, and the
+	// heap orders (time, seq) totally.
+	e.parked = -1
+	root := &e.queue[0]
+	root.time, root.seq, root.arg = e.now+d, e.seq, int32(tag)
+	e.seq++
+	e.queue.down(0)
+	e.noteQueueLen()
 }
 
 // push enqueues an event, clamping its time to the present: virtual time is
@@ -737,8 +791,19 @@ func (e *Engine) requeue(ev event) {
 func (e *Engine) enqueue(ev event) {
 	e.queue = append(e.queue, ev)
 	e.queue.up(len(e.queue) - 1)
-	if len(e.queue) > e.maxQueue {
-		e.maxQueue = len(e.queue)
+	e.noteQueueLen()
+}
+
+// noteQueueLen raises the high-water mark to the queue's length, a parked
+// timer entry not counted: the mark is what a pop-then-push engine would
+// have held, and that engine has popped it.
+func (e *Engine) noteQueueLen() {
+	n := len(e.queue)
+	if e.parked >= 0 {
+		n--
+	}
+	if n > e.maxQueue {
+		e.maxQueue = n
 	}
 }
 

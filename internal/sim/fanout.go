@@ -56,11 +56,12 @@ package sim
 // evaluations, no bytes — so however many broadcasts are in flight,
 // population size is never a memory dimension beyond that fixed budget.
 //
-// Deliveries and recipient-crashed drops of a wave are counted in plain
-// ints when the recorder keeps statistics only, and added to it once,
-// before deliverWave returns (on every exit, mid-wave stops included): the
-// recorder's Delivered/Dropped are exact whenever Run/RunUntil has
-// returned, and may lag by the current wave inside an AfterEvent hook.
+// Deliveries and drops — recipient-crashed ones in a wave, lost and
+// partial-crash ones in the send-time scan — are counted in plain ints
+// when the recorder keeps statistics only, and added to it once, when
+// RunUntil returns (on every exit, mid-wave stops included): the recorder's
+// Delivered/Dropped are exact whenever Run/RunUntil has returned, and may
+// lag inside an AfterEvent hook.
 
 import (
 	"encoding/binary"
@@ -272,7 +273,8 @@ func (e *Engine) freeFanout(idx int32) {
 // fanoutScan walks the recipients of the broadcast f describes (key, sent,
 // from, partial, prob, fates) once at send time: it records the
 // loss/partial-crash drop traces (at the broadcast instant, in recipient
-// order), counts the scheduled copies, and finds the first wave
+// order; a stats-only recorder gets them through flushTally), counts the
+// scheduled copies, and finds the first wave
 // — the minimum fate delay, stored in f.delay, and the scheduled index of
 // the first copy carrying it. It is the one place a copy's fate is decided:
 // every fate is written into f.fates (unless the broadcast got none) and
@@ -285,12 +287,14 @@ func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int
 	for to := range e.procs {
 		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
 		b := byte(fateNone)
-		switch st {
-		case fatePartialDrop:
+		switch {
+		case st != fateDeliver && !e.retain:
+			e.tally.dropped++
+		case st == fatePartialDrop:
 			e.record(trace.KindDrop, to, tag, "sender crashed mid-broadcast")
-		case fateLost:
+		case st == fateLost:
 			e.record(trace.KindDrop, to, tag, "lost")
-		case fateDeliver:
+		default:
 			if minDelay == 0 || d < minDelay {
 				minDelay, firstK = d, int32(scheduled)
 			}
@@ -326,25 +330,20 @@ func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int
 // growing e.fanouts and invalidating any held pointer into it.
 func (e *Engine) deliverWave(ev event) StopReason {
 	f := e.fanouts[ev.arg]
-	var stop StopReason
 	if f.fates != nil && f.delay < fateLate {
-		stop = e.deliverWaveWords(ev, f)
-	} else {
-		stop = e.deliverWaveFates(ev, f)
+		return e.deliverWaveWords(ev, f)
 	}
-	e.flushWaveTally()
-	return stop
+	return e.deliverWaveFates(ev, f)
 }
 
-// flushWaveTally adds the deliveries and drops deliverCopy counted since
-// the last flush to a stats-only recorder, one atomic add per kind instead
-// of one per copy.
-func (e *Engine) flushWaveTally() {
-	if !e.retain {
-		e.rec.Count(trace.KindDeliver, e.waveDelivered)
-		e.rec.Count(trace.KindDrop, e.waveDropped)
-	}
-	e.waveDelivered, e.waveDropped = 0, 0
+// flushTally adds what the engine tallied since the last flush to a
+// stats-only recorder, one atomic add per kind instead of one per event.
+// RunUntil flushes on every exit; a retaining recorder has nothing to flush.
+func (e *Engine) flushTally() {
+	e.rec.Count(trace.KindDeliver, e.tally.delivered)
+	e.rec.Count(trace.KindDrop, e.tally.dropped)
+	e.rec.Count(trace.KindTimer, e.tally.timers)
+	e.tally = tally{}
 }
 
 const (
@@ -517,7 +516,7 @@ func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
 // a crash: it counts as processed, notifies the observers, and takes seq,
 // its reserved position in the global event order, as the current one.
 // What a retaining recorder gets as an event, any other gets as a count,
-// through flushWaveTally.
+// through flushTally.
 func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 	e.curSeq = int64(seq)
 	e.processed++
@@ -526,7 +525,7 @@ func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 		if e.retain {
 			e.record(trace.KindDrop, to, tagOf(payload), "recipient crashed")
 		} else {
-			e.waveDropped++
+			e.tally.dropped++
 		}
 		e.notifyAfter(pid)
 		return
@@ -534,7 +533,7 @@ func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 	if e.retain {
 		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
 	} else {
-		e.waveDelivered++
+		e.tally.delivered++
 	}
 	e.procs[to].OnMessage(payload)
 	e.notifyAfter(pid)

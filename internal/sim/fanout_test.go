@@ -585,9 +585,8 @@ func (q *quietBroadcaster) OnTimer(int)   {}
 // waveRef is deliverWave as it stood before waves read the fate table a
 // word at a time: one pass over the recipients, each table byte put through
 // a three-way compare with the wave's delay, the same pass finding the
-// minimum delay beyond it. It is kept verbatim (but for the tally flush
-// deliverCopy now needs, and the payload read from the record, where it
-// now is) as the oracle for deliverWave.
+// minimum delay beyond it. It is kept verbatim (but for the payload read
+// from the record, where it now is) as the oracle for deliverWave.
 func (e *Engine) waveRef(ev event) StopReason {
 	idx := ev.arg
 	f := e.fanouts[idx]
@@ -662,7 +661,6 @@ func (e *Engine) waveRef(ev event) StopReason {
 		e.freeFateTable(f.fates)
 		e.freeFanout(idx)
 	}
-	e.flushWaveTally()
 	return stop
 }
 
@@ -757,6 +755,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 	} else {
 		out.stop = e.deliverWave(ev)
 	}
+	e.flushTally() // what RunUntil does on return
 	out.queue = slices.Clone(e.queue)
 	out.delay, out.resumeI = e.fanouts[idx].delay, e.fanouts[idx].resumeI
 	out.freed = [2]int{len(e.freeFans), len(e.freeFates)}

@@ -241,11 +241,13 @@ func (r *Recorder) Record(e Event) {
 
 // Count adds n events of kind k to the statistics and retains nothing: it
 // is how a producer that tallies a run of events in plain ints hands them
-// to a stats-only recorder, with one atomic add instead of n. The engine's
-// delivery waves do; Delivered and Dropped are therefore exact whenever
-// Run/RunUntil has returned, and may lag by the wave in progress when read
-// from inside an AfterEvent hook. Broadcasts, which are also counted per
-// tag, go through Record.
+// to a stats-only recorder, with one atomic add instead of n. The engine
+// tallies delivered copies, dropped ones (to a crashed recipient, lost, or
+// cut by a partial crash) and fired timers, and counts them in when
+// Run/RunUntil returns: Delivered, Dropped and Timers are exact whenever it
+// has, and may lag by the events of the call in progress when read from
+// inside an AfterEvent hook. Broadcasts, which are also counted per tag,
+// go through Record.
 func (r *Recorder) Count(k Kind, n int) {
 	if r == nil || n == 0 {
 		return
@@ -337,6 +339,18 @@ func (r *Recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
+}
+
+// Decisions returns the number of KindDecide events recorded so far: one
+// atomic load, cheap enough to read after every event. The engine records
+// a decision note the moment a process makes it and never tallies one, so
+// in any recorder mode a run can tell from this count alone whether a
+// decision was recorded since it last looked.
+func (r *Recorder) Decisions() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.decisions.Load()
 }
 
 // Stats returns a snapshot of the aggregate statistics.
