@@ -118,6 +118,9 @@ type flowGraph struct {
 	// values anywhere in the loaded units, the candidate set for
 	// func-value calls.
 	addrTaken map[FuncKey]*flowFunc
+	// promoted lists the exported methods exported deterministic-package
+	// types promote from embedded fields (see addPromoted).
+	promoted []promotedMethod
 
 	sups []Suppression
 }
@@ -220,6 +223,12 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 		}
 	}
 
+	for _, unit := range units {
+		if !strings.HasSuffix(unit.Name, "_test") && IsDeterministic(unit.PkgPath) {
+			g.addPromoted(unit)
+		}
+	}
+
 	// Pass 2a: collect address-taken deterministic functions — every
 	// use of a declared function object in non-call position, anywhere
 	// in the loaded units (test files included: a test passing a build
@@ -285,6 +294,42 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 		}
 	}
 	return g
+}
+
+// promotedMethod is an exported method an exported type promotes from an
+// embedded field: part of the type's API, declared on the embedded type.
+type promotedMethod struct {
+	pkgPath string    // the promoting type's package
+	name    string    // "(Fig8).OnMessage"
+	fn      *flowFunc // the declaring function
+}
+
+// addPromoted records the methods each exported type of unit promotes from
+// its embedded fields, keyed to the functions that declare them. Methods
+// of embedded interfaces and of types outside the loaded units have no
+// declaration in the graph and are left out.
+func (g *flowGraph) addPromoted(unit *Unit) {
+	scope := unit.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() || isTestFilename(g.fset, tn.Pos()) {
+			continue
+		}
+		if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
+			continue
+		}
+		mset := types.NewMethodSet(types.NewPointer(tn.Type()))
+		for i := 0; i < mset.Len(); i++ {
+			sel := mset.At(i)
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok || len(sel.Index()) < 2 || !fn.Exported() {
+				continue // declared on the type itself, or unexported
+			}
+			if key, _, ok := funcKeyOf(fn); ok && g.funcs[key] != nil {
+				g.promoted = append(g.promoted, promotedMethod{unit.PkgPath, "(" + name + ")." + fn.Name(), g.funcs[key]})
+			}
+		}
+	}
 }
 
 // displayName renders a function for chains and the report:

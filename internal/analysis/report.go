@@ -7,8 +7,9 @@ import (
 )
 
 // Report renders the certified-deterministic API report: every exported
-// function of every deterministic package, with its transitive taint
-// status. Unlike Diagnostics — which stops at the taint frontier to
+// function of every deterministic package, and every exported method an
+// exported type promotes from an embedded field (under the promoting type,
+// with its declaration's status), with its transitive taint status. Unlike Diagnostics — which stops at the taint frontier to
 // avoid cascades — the report is transitive: an exported function is
 // TAINTED whenever any live source can execute on its behalf, however
 // many frames away, because that is the question a caller of the API
@@ -32,11 +33,18 @@ func (f *Flow) Report() string {
 	b.WriteString("#   suppressed — reaches only sources vetted by //detlint:ignore (listed)\n")
 	b.WriteString("#   TAINTED    — reaches a live source via the shown call chain; fix it\n")
 
-	byPkg := map[string][]*flowFunc{}
+	type entry struct {
+		name string
+		fn   *flowFunc
+	}
+	byPkg := map[string][]entry{}
 	for _, fn := range f.g.order {
 		if fn.det && fn.exported {
-			byPkg[fn.pkgPath] = append(byPkg[fn.pkgPath], fn)
+			byPkg[fn.pkgPath] = append(byPkg[fn.pkgPath], entry{localName(fn), fn})
 		}
+	}
+	for _, p := range f.g.promoted {
+		byPkg[p.pkgPath] = append(byPkg[p.pkgPath], entry{p.name, p.fn})
 	}
 	pkgs := make([]string, 0, len(byPkg))
 	for p := range byPkg {
@@ -45,11 +53,11 @@ func (f *Flow) Report() string {
 	sort.Strings(pkgs)
 
 	for _, pkg := range pkgs {
-		fns := byPkg[pkg]
-		sort.Slice(fns, func(i, j int) bool { return localName(fns[i]) < localName(fns[j]) })
+		entries := byPkg[pkg]
+		sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 		fmt.Fprintf(&b, "\n== %s ==\n", pkg)
-		for _, fn := range fns {
-			fmt.Fprintf(&b, "%s: %s\n", localName(fn), f.status(fn))
+		for _, e := range entries {
+			fmt.Fprintf(&b, "%s: %s\n", e.name, f.status(e.fn))
 		}
 	}
 	return b.String()

@@ -76,3 +76,28 @@ func Registered() func(int64) int64 {
 func Apply(f func(int64) int64) int64 {
 	return f(7)
 }
+
+// counter is unexported, so its exported methods reach the API only
+// promoted through Meter: the report lists them under Meter, each with the
+// status of counter's declaration.
+type counter struct {
+	n int64
+}
+
+// Inc is clean.
+func (c *counter) Inc() int64 {
+	c.n++
+	return c.n
+}
+
+// Stamp reaches the wall clock through helper.
+func (c *counter) Stamp() int64 {
+	return helper()
+}
+
+// Meter promotes Inc and Stamp from its unexported embedded counter, and
+// Tick from the exported VirtualClock.
+type Meter struct {
+	counter
+	*VirtualClock
+}
