@@ -68,9 +68,13 @@ func (o options) monitor(w io.Writer) error {
 	fmt.Fprintf(w, "identity assignment (n=%d, ℓ=%d): %v\n", o.n, o.l, ids)
 	switch o.detector {
 	case "ohp":
-		res, err := hds.RunOHP(hds.OHPExperiment{
-			IDs: ids, Crashes: sched, GST: o.gst, Delta: o.delta, Seed: o.seed, Horizon: o.horizon,
-		})
+		delta := o.delta
+		if delta == 0 {
+			delta = 3 // δ = 0 would make every post-GST link instantaneous
+		}
+		res, err := hds.Experiment{
+			Algo: "ohp", IDs: ids, Crashes: sched, Net: hds.PartialSync{GST: o.gst, Delta: delta}, Horizon: hds.Time(o.horizon),
+		}.Run(o.seed, nil)
 		if err != nil {
 			return err
 		}

@@ -140,7 +140,7 @@ type traceOut struct {
 	path, format string
 	buf          int
 	file         *os.File
-	rec          *trace.Recorder // nil without -trace: the runner's stats-only default applies
+	rec          *trace.Recorder // nil without -trace: the run's stats-only default applies
 }
 
 func (t *traceOut) open(m *trace.Meta) error {
@@ -231,8 +231,8 @@ func runSweep(cfg campaign.Config, sc *scenario.Scenario, k int, stdout io.Write
 		if err != nil {
 			return seedRow{Seed: s, Err: err.Error()}
 		}
-		rep := res.Consensus.Report
-		return seedRow{Seed: s, Rounds: rep.MaxRound, Decided: int64(rep.LastDecision), Broadcasts: res.Consensus.Stats.Broadcasts}
+		rep := res.Report
+		return seedRow{Seed: s, Rounds: rep.MaxRound, Decided: int64(rep.LastDecision), Broadcasts: res.Stats.Broadcasts}
 	})
 	if err != nil {
 		return err

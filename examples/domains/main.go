@@ -38,14 +38,14 @@ func main() {
 	// its remaining member, and HΩ's multiplicity shrinks accordingly.
 	crashes := map[hds.PID]hds.Time{0: 25, 1: 55}
 
-	res, err := hds.RunFig8(hds.Fig8Experiment{
+	res, err := hds.Experiment{
+		Algo:      "fig8",
 		IDs:       ids,
 		T:         3, // n=7, t<n/2
 		Crashes:   crashes,
 		Proposals: proposals,
 		Stabilize: 90,
-		Seed:      3,
-	})
+	}.Run(3, nil)
 	if err != nil {
 		log.Fatalf("consensus failed verification: %v", err)
 	}

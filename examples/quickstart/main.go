@@ -16,14 +16,14 @@ import (
 )
 
 func main() {
-	res, err := hds.RunFig8(hds.Fig8Experiment{
+	res, err := hds.Experiment{
+		Algo:      "fig8",
 		IDs:       hds.BalancedIDs(5, 2),       // 5 processes, 2 identifiers
 		T:         2,                           // tolerate up to 2 crashes
 		Crashes:   map[hds.PID]hds.Time{3: 40}, // process 3 crashes at t=40
 		Net:       hds.PartialSync{GST: 60, Delta: 3},
 		Detectors: hds.MessagePassingDetectors, // Fig. 6 (◇HP̄→HΩ) underneath
-		Seed:      1,
-	})
+	}.Run(1, nil)
 	if err != nil {
 		log.Fatalf("consensus failed verification: %v", err)
 	}

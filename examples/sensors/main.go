@@ -34,13 +34,13 @@ func main() {
 	}
 	crashes := map[hds.PID]hds.Time{0: 15, 2: 30, 4: 45, 6: 60, 8: 75, 9: 90, 11: 105}
 
-	res, err := hds.RunFig9(hds.Fig9Experiment{
+	res, err := hds.Experiment{
+		Algo:      "fig9",
 		IDs:       ids,
 		Crashes:   crashes,
 		Proposals: proposals,
 		Stabilize: 150, // detectors settle after the die-off
-		Seed:      7,
-	})
+	}.Run(7, nil)
 	if err != nil {
 		log.Fatalf("consensus failed verification: %v", err)
 	}

@@ -19,22 +19,26 @@
 // partially synchronous network, with the failure detector stack built
 // from the paper's own Figure 6 algorithm:
 //
-//	res, err := hds.RunFig8(hds.Fig8Experiment{
+//	res, err := hds.Experiment{
+//		Algo:      "fig8",
 //		IDs:       hds.BalancedIDs(5, 2),       // 5 processes, 2 identifiers
 //		T:         2,                           // tolerate 2 crashes
 //		Crashes:   map[hds.PID]hds.Time{3: 40}, // p3 crashes at t=40
 //		Net:       hds.PartialSync{GST: 60, Delta: 3},
 //		Detectors: hds.MessagePassingDetectors, // Fig. 6 underneath
-//		Seed:      1,
-//	})
+//	}.Run(1, nil) // seed 1, stats-only recorder
 //	// res.Report is the verified outcome, res.Stats the message costs.
 //
-// Crash-recovery churn is the same call with a Churn spec added; crash-stop
-// is the churn schedule with no recover events, so each algorithm has one
-// run body.
+// One Experiment describes every run: fig9, fig9-anon, the standalone
+// Figure 6 detector (ohp) and the heartbeat workload are other values of
+// Algo, and crash-recovery churn is the same call with a Churn spec added.
+// Crash-stop is the churn schedule with no recover events, so each
+// algorithm has one run body. RunHSigma, the Figure 7 detector, stays
+// apart: it runs on the lock-step synchronous engine, whose crashes are
+// per-step with a delivery probability.
 //
 // The sub-packages under internal/ hold the implementation; this package
-// re-exports the stable surface and offers turnkey experiment runners.
+// re-exports the stable surface and runs experiments.
 package hds
 
 import (
@@ -126,7 +130,7 @@ type (
 	DiamondHPbar = fd.DiamondHPbar
 )
 
-// DetectorSource selects how experiment runners build failure detectors.
+// DetectorSource selects how a fig8 experiment builds its failure detectors.
 type DetectorSource int
 
 const (
@@ -139,187 +143,149 @@ const (
 	MessagePassingDetectors
 )
 
-// Fig8Experiment describes one run of the Figure 8 consensus
-// (HAS[t < n/2, HΩ]), crash-stop or — with a Churn spec — under
-// crash-recovery churn: churners cycle down and up per the schedule,
-// recovered processes rejoin through the (REJOIN, r) round-resync
-// exchange, and the consensus properties are verified in their
-// crash-recovery restatement (Termination over the eventually-up
-// processes, decisions surviving outages).
-type Fig8Experiment struct {
-	IDs Assignment
-	// T is the crash bound. Under churn it is a budget every process that
-	// ever crashes — churner or permanent — spends, matching the paper's
-	// "at most t faulty" under the strict "correct = never crashes" reading;
-	// T < n/2 guarantees the never-crashed majority completes rounds on its
-	// own, so rejoiners can always catch up.
+// Experiment describes one run: the system model the paper states every
+// result over — the processes and their identifiers, a failure pattern, a
+// network, a detector layer — and the algorithm that runs on it. Each
+// algorithm reads the fields it needs and replaces a zero field with its
+// own default.
+type Experiment struct {
+	// Algo is fig8 (Figure 8, HAS[t < n/2, HΩ]), fig9 (Figure 9,
+	// HAS[HΩ, HΣ]), fig9-anon (Figure 9's anonymous AΩ baseline without the
+	// Leaders' Coordination Phase, §5.3 closing remark), ohp (the Figure 6
+	// detector, ◇HP̄ + HΩ, on its own) or heartbeat (the population-scale
+	// churn workload, judged on engine truth and aggregate costs rather
+	// than on a detector stack; a stress harness, not a paper artifact).
+	Algo string
+	IDs  Assignment
+	// T is fig8's crash bound. Under churn it is a budget every process
+	// that ever crashes — churner or permanent — spends, matching the
+	// paper's "at most t faulty" under the strict "correct = never crashes"
+	// reading; T < n/2 guarantees the never-crashed majority completes
+	// rounds on its own, so rejoiners can always catch up.
 	T int
-	// Crashes are permanent crash-stop crashes. Combined with Churn, a
-	// process may appear in at most one of the two mechanisms.
+	// Crashes are permanent crash-stop crashes (heartbeat takes none).
+	// Combined with Churn, a process may appear in at most one of the two.
 	Crashes map[PID]Time
 	// Churn, when its Fraction is positive, adds a crash-recovery schedule.
+	// Churners cycle down and up; consensus runs the (REJOIN, r) round
+	// resync and is verified in the crash-recovery restatement (Termination
+	// over the eventually-up processes, decisions surviving outages), and
+	// ohp must re-converge to I(EventuallyUp). Fig. 9 admits any schedule
+	// that leaves a process eventually up: its quorums come from HΣ.
 	Churn ChurnSpec
-	// Net defaults to Async{}; use PartialSync with MessagePassingDetectors.
+	// Net nil selects the algorithm's network: Async{} for consensus,
+	// PartialSync{Delta: 3} (the paper's HPS) for ohp, Async{MaxDelay: 8}
+	// for heartbeat. ohp needs an eventually timely model; fig8 with
+	// MessagePassingDetectors wants PartialSync.
 	Net sim.Model
-	// Detectors defaults to OracleDetectors (whose stable views are stated
-	// over the eventually-up set, so they re-converge after churn).
-	Detectors DetectorSource
-	// Stabilize is the oracle stabilization time (OracleDetectors only).
-	// Under churn, zero defaults to 50 past the schedule's last event, so
-	// the adversary stays active through the whole churn phase.
-	Stabilize Time
-	// Adversary shapes pre-stabilization oracle output (OracleDetectors).
-	Adversary oracle.Adversary
-	// Proposals defaults to "v0".."v{n-1}".
-	Proposals []Value
-	Seed      int64
-	// Horizon caps virtual time (default 1e6). Under churn it must exceed
-	// the fault schedule's last event — a horizon that cuts the schedule
-	// short would silently verify a different fault pattern — and the
-	// runner enforces that instead of trusting the caller.
+	// Horizon caps virtual time; 0 selects 1,000,000 for consensus, 5,000
+	// for ohp and ten periods for heartbeat. It must exceed the fault
+	// schedule's last event under churn — a horizon that cuts the schedule
+	// short would verify a fault pattern the run never had — and Run
+	// enforces that instead of trusting the caller.
 	Horizon Time
+	// Stabilize is the oracle detectors' stabilization time; under churn 0
+	// means 50 past the schedule's last event, so the adversary stays
+	// active through the whole churn phase. Adversary shapes their
+	// pre-stabilization output. Detectors selects fig8's detector stack;
+	// the default, OracleDetectors, states its stable views over the
+	// eventually-up set, so they re-converge after churn. Fig. 9 always
+	// runs on oracles: the paper's HΣ implementation (Figure 7) lives in
+	// the synchronous model, so the asynchronous consensus is exercised
+	// against the class.
+	Stabilize Time
+	Adversary oracle.Adversary
+	Detectors DetectorSource
+	// Proposals (consensus) defaults to "v0".."v{n-1}".
+	Proposals []Value
+	// Period is heartbeat's beat interval (10 when not positive). Beaters
+	// bounds how many processes beat, the first Beaters PIDs, while the
+	// rest only listen; 0 means all n. With a fixed beater count the event
+	// volume is Θ(Beaters·n) instead of Θ(n²), so population sweeps grow n
+	// while every broadcast still fans out to all n live recipients.
+	Period  Time
+	Beaters int
 	// MaxEvents overrides the engine's runaway guard (0 = engine default).
 	MaxEvents int
-	// Trace, when non-nil, replaces the default stats-only recorder: pass
-	// a retaining recorder for a full in-memory trace, or one with a
-	// trace.Sink attached to stream batches (spill mode). The caller owns
-	// flushing.
-	Trace *trace.Recorder
 }
 
-// Fig9Experiment describes one run of the Figure 9 consensus
-// (HAS[HΩ, HΣ]) or its anonymous baseline. Fig. 9 needs neither n nor t:
-// quorums come from the HΣ detector, whose stable output under churn is
-// built over the eventually-up set, so any churn schedule is admissible —
-// including final-down churners that shrink the deciding population.
-type Fig9Experiment struct {
-	IDs Assignment
-	// Crashes, Churn, Stabilize, Horizon, MaxEvents and Trace are as in
-	// Fig8Experiment.
-	Crashes map[PID]Time
-	Churn   ChurnSpec
-	Net     sim.Model
-	// AnonymousBaseline switches to the AΩ variant without the Leaders'
-	// Coordination Phase (§5.3 closing remark).
-	AnonymousBaseline bool
-	Stabilize         Time
-	Adversary         oracle.Adversary
-	Proposals         []Value
-	Seed              int64
-	Horizon           Time
-	MaxEvents         int
-	Trace             *trace.Recorder
-}
-
-// ConsensusResult reports a consensus run: the checker-verified outcome,
-// the message costs, and the fault pattern's numbers (for a crash-stop run
-// EventuallyUp equals Correct and Recoveries is zero).
-type ConsensusResult struct {
-	// Report is the checker-verified outcome (Termination quantified over
-	// the eventually-up processes under churn).
+// Result reports a verified run. The fault-pattern fields are every
+// algorithm's; the rest belong to one family and stay zero for the others.
+// For a crash-stop run EventuallyUp equals Correct and Recoveries is zero.
+type Result struct {
+	// Report is a consensus run's checker-verified outcome (Termination
+	// quantified over the eventually-up processes under churn).
 	Report Report
-	// Stats aggregates message costs; filled on verification failures too.
-	Stats Stats
-	// LastChange is the final fault-pattern change (last crash or
-	// recovery) — the earliest instant the run's tail is fault-free.
-	LastChange Time
 	// DecideAfterChurn is how long after the fault pattern settled the last
 	// eventually-up process decided (0 when consensus finished first): the
 	// decision latency attributable to re-convergence and rejoin.
 	DecideAfterChurn Time
-	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
-	EventuallyUp, Correct int
-	// Recoveries counts executed recover events.
-	Recoveries int
-	// Stopped is why the run ended.
+	// TrustedStabilization is the virtual time at which the last
+	// eventually-up process's h_trusted changed for the last time (to
+	// I(EventuallyUp)); LeaderStabilization is the same instant for the HΩ
+	// output, and Leader that output (ohp).
+	TrustedStabilization, LeaderStabilization Time
+	Leader                                    LeaderInfo
+	// FinalTimeouts are the adapted per-process timeout values (ohp).
+	FinalTimeouts []Time
+	// Processed is the number of simulator events executed, and MaxQueue
+	// the event-queue high-water mark (heartbeat). With lazy fan-out the
+	// queue tracks live broadcasts and timers, not n² message copies, which
+	// is what makes large-n sweeps constant-memory.
+	Processed, MaxQueue int
+	// Stats aggregates message costs; a failed consensus run fills it too.
+	Stats Stats
+	// Stopped is why the run ended (horizon for a healthy ohp run: polling
+	// never quiesces).
 	Stopped sim.StopReason
+	// LastChange is the final fault-pattern change (last crash or recovery)
+	// — the earliest instant the run's tail is fault-free.
+	LastChange Time
+	// EventuallyUp and Correct are |EventuallyUp| and |Correct|; Recoveries
+	// counts executed recover events.
+	EventuallyUp, Correct, Recoveries int
 }
 
-// RunFig8 executes the experiment — under churn with the rejoin protocol
-// live — verifies Termination/Validity/Agreement and returns the verified
-// report plus message statistics.
-func RunFig8(e Fig8Experiment) (ConsensusResult, error) {
-	r, err := e.bind()
-	if err != nil {
-		return ConsensusResult{}, err
+// Run executes the experiment with the given seed and verifies it: the
+// consensus properties for fig8/fig9/fig9-anon, the ◇HP̄ and HΩ class
+// properties for ohp, fault bookkeeping, delivery accounting and delivery
+// liveness for heartbeat. rec, when non-nil, replaces the default
+// stats-only recorder: pass a retaining recorder for a full in-memory
+// trace, or one with a trace.Sink attached to stream batches (spill mode);
+// the caller owns flushing it. Malformed input — an invalid assignment, a
+// crash outside [0, n), a horizon that cuts the churn schedule short — is
+// rejected with an error, not run.
+func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
+	if rec == nil {
+		rec = &trace.Recorder{}
 	}
-	return r.run()
+	switch e.Algo {
+	case "fig8", "fig9", "fig9-anon":
+		r, err := e.bind(seed, rec)
+		if err != nil {
+			return Result{}, err
+		}
+		return r.run()
+	case "ohp":
+		return runOHP(e, seed, rec)
+	case "heartbeat":
+		res, _, err := runHeartbeat(e, seed, rec)
+		return res, err
+	}
+	return Result{}, fmt.Errorf("hds: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
 }
 
-// bind validates the experiment and binds it to the run body.
-func (e Fig8Experiment) bind() (consensusRun, error) {
+// bind validates a consensus experiment and binds it to its engine
+// configuration.
+func (e Experiment) bind(seed int64, rec *trace.Recorder) (consensusRun, error) {
 	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
 		return consensusRun{}, err
 	}
-	if n := e.IDs.N(); e.T < 0 || 2*e.T >= n {
+	fig8 := e.Algo == "fig8"
+	if n := e.IDs.N(); fig8 && (e.T < 0 || 2*e.T >= n) {
 		return consensusRun{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
 	}
-	return consensusRun{
-		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
-		stabilize: e.Stabilize, horizon: e.Horizon,
-		cfg: sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, KnownN: true, MaxEvents: e.MaxEvents, Recorder: traceRecorder(e.Trace)},
-		admit: func(truth *fd.GroundTruth) error {
-			if crashed := len(truth.CrashTimes); crashed > e.T {
-				return fmt.Errorf("hds: churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, e.T)
-			}
-			return nil
-		},
-		stack: func(world *oracle.World, node *sim.Node, proposal Value) decider {
-			var det fd.HOmega
-			if e.Detectors == MessagePassingDetectors {
-				d := ohp.New()
-				node.Add("ohp", d)
-				det = d
-			} else {
-				d := oracle.NewHOmega(world, e.Adversary)
-				node.Add("homega", d)
-				det = d
-			}
-			return core.NewFig8(det, e.T, proposal)
-		},
-	}, nil
-}
-
-// RunFig9 executes the experiment and verifies the consensus properties.
-// Detectors are oracle-driven: the paper's HΣ implementation (Figure 7)
-// lives in the synchronous model, so the asynchronous consensus is
-// exercised against the class (see DESIGN.md's substitution table).
-func RunFig9(e Fig9Experiment) (ConsensusResult, error) {
-	r, err := e.bind()
-	if err != nil {
-		return ConsensusResult{}, err
-	}
-	return r.run()
-}
-
-// bind validates the experiment and binds it to the run body.
-func (e Fig9Experiment) bind() (consensusRun, error) {
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return consensusRun{}, err
-	}
-	return consensusRun{
-		crashes: e.Crashes, churn: e.Churn, proposals: e.Proposals,
-		stabilize: e.Stabilize, horizon: e.Horizon,
-		cfg: sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, MaxEvents: e.MaxEvents, Recorder: traceRecorder(e.Trace)},
-		admit: func(truth *fd.GroundTruth) error {
-			if len(truth.EventuallyUp()) == 0 {
-				return fmt.Errorf("hds: no process is eventually up — nothing can decide")
-			}
-			return nil
-		},
-		stack: func(world *oracle.World, node *sim.Node, proposal Value) decider {
-			hs := oracle.NewHSigma(world)
-			node.Add("hsigma", hs)
-			if e.AnonymousBaseline {
-				ao := oracle.NewAOmega(world, e.Adversary)
-				node.Add("aomega", ao)
-				return core.NewFig9Anonymous(ao, hs, proposal)
-			}
-			ho := oracle.NewHOmega(world, e.Adversary)
-			node.Add("homega", ho)
-			return core.NewFig9(ho, hs, proposal)
-		},
-	}, nil
+	return consensusRun{e, sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, KnownN: fig8, MaxEvents: e.MaxEvents, Recorder: rec}}, nil
 }
 
 // decider is what the run body needs from a consensus instance.
@@ -329,57 +295,86 @@ type decider interface {
 	InvariantErr() error
 }
 
-// consensusRun is one validated consensus experiment: the inputs both
-// algorithms share, plus the two things they do not — stack, which puts
-// process i's detectors on its node and returns its consensus instance,
-// and admit, which vets the fault pattern of a churn run (Fig. 8's t
-// budget, Fig. 9's non-empty eventually-up set).
+// consensusRun is a validated consensus experiment and the engine
+// configuration it runs with.
 type consensusRun struct {
-	crashes   map[PID]Time
-	churn     ChurnSpec
-	proposals []Value
-	stabilize Time
-	horizon   Time
-	cfg       sim.Config
-	admit     func(*fd.GroundTruth) error
-	stack     func(*oracle.World, *sim.Node, Value) decider
+	Experiment
+	cfg sim.Config
 }
 
-// run is the one body behind RunFig8 and RunFig9. Crash-stop is the churn
-// schedule with no recover events, so both go through the same fault
-// pattern, engine schedule and until-predicate; what a churn spec adds is
-// decided here from r.churn alone: schedule-vs-horizon validation, the
+// admit vets the fault pattern of a churn run: Fig. 8's t budget, Fig. 9's
+// non-empty eventually-up set.
+func (r consensusRun) admit(truth *fd.GroundTruth) error {
+	if r.Algo == "fig8" {
+		if crashed := len(truth.CrashTimes); crashed > r.T {
+			return fmt.Errorf("hds: churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, r.T)
+		}
+	} else if len(truth.EventuallyUp()) == 0 {
+		return fmt.Errorf("hds: no process is eventually up — nothing can decide")
+	}
+	return nil
+}
+
+// stack puts a process's detectors on its node and returns its consensus
+// instance.
+func (r consensusRun) stack(world *oracle.World, node *sim.Node, proposal Value) decider {
+	switch {
+	case r.Algo == "fig8" && r.Detectors == MessagePassingDetectors:
+		d := ohp.New()
+		node.Add("ohp", d)
+		return core.NewFig8(d, r.T, proposal)
+	case r.Algo == "fig8":
+		d := oracle.NewHOmega(world, r.Adversary)
+		node.Add("homega", d)
+		return core.NewFig8(d, r.T, proposal)
+	}
+	hs := oracle.NewHSigma(world)
+	node.Add("hsigma", hs)
+	if r.Algo == "fig9-anon" {
+		ao := oracle.NewAOmega(world, r.Adversary)
+		node.Add("aomega", ao)
+		return core.NewFig9Anonymous(ao, hs, proposal)
+	}
+	ho := oracle.NewHOmega(world, r.Adversary)
+	node.Add("homega", ho)
+	return core.NewFig9(ho, hs, proposal)
+}
+
+// run is the one consensus body. Crash-stop is the churn schedule with no
+// recover events, so both go through the same fault pattern, engine
+// schedule and until-predicate; what a churn spec adds is
+// decided here from r.Churn alone: schedule-vs-horizon validation, the
 // admit check, the stabilization default, decision-stability monitoring,
 // the engine-vs-truth cross-check, and Termination over "eventually-up"
 // instead of "correct" processes.
-func (r consensusRun) run() (ConsensusResult, error) {
-	ids := r.cfg.IDs
-	churn := r.churn.Fraction > 0
-	if r.horizon == 0 {
-		r.horizon = 1_000_000
+func (r consensusRun) run() (Result, error) {
+	ids := r.IDs
+	churn := r.Churn.Fraction > 0
+	if r.Horizon == 0 {
+		r.Horizon = 1_000_000
 	}
-	schedule, truth, err := FaultPattern(ids, r.churn, r.crashes, r.horizon)
+	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
 	if err != nil {
-		return ConsensusResult{}, err
+		return Result{}, err
 	}
 	if churn {
 		if err := r.admit(truth); err != nil {
-			return ConsensusResult{}, err
+			return Result{}, err
 		}
-		if r.stabilize == 0 {
-			r.stabilize = truth.LastChange() + 50
+		if r.Stabilize == 0 {
+			r.Stabilize = truth.LastChange() + 50
 		}
 	}
-	if r.proposals == nil {
-		r.proposals = DefaultProposals(ids.N())
+	if r.Proposals == nil {
+		r.Proposals = DefaultProposals(ids.N())
 	}
 
 	eng := sim.New(r.cfg)
-	world := oracle.NewWorld(truth, r.stabilize)
+	world := oracle.NewWorld(truth, r.Stabilize)
 	insts := make([]decider, ids.N())
 	for i := range insts {
 		node := sim.NewNode()
-		insts[i] = r.stack(world, node, r.proposals[i])
+		insts[i] = r.stack(world, node, r.Proposals[i])
 		eng.AddProcess(node.Add("consensus", insts[i]))
 	}
 	eng.ApplyChurn(schedule)
@@ -392,10 +387,10 @@ func (r consensusRun) run() (ConsensusResult, error) {
 			}
 		})
 	}
-	eng.RunUntil(r.horizon, untilDecided(truth.EventuallyUp(), insts, r.cfg.Recorder))
+	eng.RunUntil(r.Horizon, untilDecided(truth.EventuallyUp(), insts, r.cfg.Recorder))
 
 	// A failed run still reports what it cost and why it stopped.
-	failed := ConsensusResult{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
+	failed := Result{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
 	if err := guardErr(eng); err != nil {
 		return failed, err
 	}
@@ -414,7 +409,7 @@ func (r consensusRun) run() (ConsensusResult, error) {
 			return failed, fmt.Errorf("hds: internal invariant: %w", err)
 		}
 	}
-	res, err := VerifyConsensus(truth, churn, r.proposals, outcomes)
+	res, err := VerifyConsensus(truth, churn, r.Proposals, outcomes)
 	res.Stats, res.Stopped, res.Recoveries = failed.Stats, failed.Stopped, eng.Recoveries()
 	return res, err
 }
@@ -451,16 +446,16 @@ func untilDecided(up []sim.PID, insts []decider, rec *trace.Recorder) func() boo
 // crash-recovery restatement: Termination over the eventually-up
 // processes instead of the correct ones. It is the judgement a live run
 // and an offline replay of its trace share.
-func VerifyConsensus(truth *fd.GroundTruth, churn bool, proposals []Value, outcomes []core.Outcome) (ConsensusResult, error) {
+func VerifyConsensus(truth *fd.GroundTruth, churn bool, proposals []Value, outcomes []core.Outcome) (Result, error) {
 	verify := check.Consensus
 	if churn {
 		verify = check.ConsensusChurn
 	}
 	rep, err := verify(truth, proposals, outcomes)
 	if err != nil {
-		return ConsensusResult{}, err
+		return Result{}, err
 	}
-	res := ConsensusResult{
+	res := Result{
 		Report:       rep,
 		LastChange:   truth.LastChange(),
 		EventuallyUp: len(truth.EventuallyUp()),
@@ -530,7 +525,7 @@ func guardErr(eng *sim.Engine) error {
 	return nil
 }
 
-// DefaultProposals is the proposal vector every runner uses when the
+// DefaultProposals is the proposal vector a consensus run uses when the
 // experiment supplies none: "v0".."v{n-1}". Exported so offline
 // verification can reconstruct the proposals a recorded run was checked
 // against from its scenario fingerprint alone.
@@ -543,7 +538,7 @@ func DefaultProposals(n int) []Value {
 }
 
 // validateExperiment rejects malformed experiment descriptions with errors
-// rather than panics: runner inputs are user-facing.
+// rather than panics: experiment inputs are user-facing.
 func validateExperiment(ids Assignment, crashes map[PID]Time, proposals []Value) error {
 	if err := ids.Validate(); err != nil {
 		return fmt.Errorf("hds: %w", err)
@@ -573,15 +568,4 @@ func validateExperiment(ids Assignment, crashes map[PID]Time, proposals []Value)
 		}
 	}
 	return nil
-}
-
-// traceRecorder returns the recorder an experiment runs with: the caller-
-// provided one (which may retain events in memory or stream them through a
-// trace.Sink) or the stats-only default. Runners read Stats from it either
-// way; callers that attach a sink flush it themselves after the run.
-func traceRecorder(custom *trace.Recorder) *trace.Recorder {
-	if custom != nil {
-		return custom
-	}
-	return &trace.Recorder{}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 func TestRunChurnFig8Oracle(t *testing.T) {
-	res, err := RunFig8(Fig8Experiment{
+	res, err := Experiment{
+		Algo:      "fig8",
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Churn:     ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
 		Net:       Async{MaxDelay: 8},
 		Adversary: oracle.AdversaryRotate,
-		Seed:      1,
-	})
+	}.Run(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +37,15 @@ func TestRunChurnFig8Oracle(t *testing.T) {
 }
 
 func TestRunChurnFig8MessagePassing(t *testing.T) {
-	res, err := RunFig8(Fig8Experiment{
+	res, err := Experiment{
+		Algo:      "fig8",
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Churn:     ChurnSpec{Fraction: 0.3, Cycles: 2, Start: 3, Down: 40, Up: 50, Stagger: 7},
 		Net:       PartialSync{Delta: 3},
 		Detectors: MessagePassingDetectors,
-		Seed:      2,
 		Horizon:   2_000_000,
-	})
+	}.Run(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestRunChurnFig8MessagePassing(t *testing.T) {
 }
 
 func TestRunChurnFig9(t *testing.T) {
-	res, err := RunFig9(Fig9Experiment{
+	res, err := Experiment{
+		Algo:      "fig9",
 		IDs:       BalancedIDs(6, 3),
 		Churn:     ChurnSpec{Fraction: 0.34, Cycles: 1, Start: 2, Down: 60, Stagger: 7},
 		Net:       Async{MaxDelay: 8},
 		Adversary: oracle.AdversaryRotate,
-		Seed:      3,
-	})
+	}.Run(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestRunChurnFig9FinalDown(t *testing.T) {
 	// Final-down churners degrade churn to crash-stop for them: Termination
 	// quantifies over the strictly smaller eventually-up set, which must
 	// still decide.
-	res, err := RunFig9(Fig9Experiment{
+	res, err := Experiment{
+		Algo:  "fig9",
 		IDs:   BalancedIDs(6, 3),
 		Churn: ChurnSpec{Fraction: 0.34, Cycles: 2, Start: 25, Down: 30, Up: 40, FinalDown: true},
-		Seed:  4,
-	})
+	}.Run(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +97,11 @@ func TestRunChurnFig9FinalDown(t *testing.T) {
 }
 
 func TestRunChurnFig9Anonymous(t *testing.T) {
-	if _, err := RunFig9(Fig9Experiment{
-		IDs:               AnonymousIDs(5),
-		AnonymousBaseline: true,
-		Churn:             ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 35},
-		Seed:              5,
-	}); err != nil {
+	if _, err := (Experiment{
+		Algo:  "fig9-anon",
+		IDs:   AnonymousIDs(5),
+		Churn: ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 35},
+	}).Run(5, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,13 +110,13 @@ func TestRunChurnFig8WithExtraCrashes(t *testing.T) {
 	// Churn plus a disjoint permanent crash: t=2 budget covers one churner
 	// and one crash-stop process; the crash-stop one is exempt from
 	// Termination, the churner is not.
-	res, err := RunFig8(Fig8Experiment{
+	res, err := Experiment{
+		Algo:    "fig8",
 		IDs:     BalancedIDs(5, 2),
 		T:       2,
 		Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 		Crashes: map[PID]Time{3: 35},
-		Seed:    6,
-	})
+	}.Run(6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,66 +132,69 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 		run  func() error
 	}{
 		{"fig8 horizon truncates churn", "horizon", func() error {
-			_, err := RunFig8(Fig8Experiment{
-				IDs: BalancedIDs(5, 2), T: 2,
+			_, err := Experiment{
+				Algo: "fig8", IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Horizon: 50,
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig8 permanent crash past horizon", "horizon", func() error {
 			// The horizon check covers the merged schedule: a Crashes entry
 			// the run would never execute must be rejected, not silently
 			// folded into the ground truth as a crash that "happened".
-			_, err := RunFig8(Fig8Experiment{
-				IDs: BalancedIDs(5, 2), T: 2,
+			_, err := Experiment{
+				Algo: "fig8", IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Crashes: map[PID]Time{3: 2_000_000}, // default horizon is 1e6
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig8 churn and crashes overlap", "both", func() error {
-			_, err := RunFig8(Fig8Experiment{
-				IDs: BalancedIDs(5, 2), T: 2,
+			_, err := Experiment{
+				Algo: "fig8", IDs: BalancedIDs(5, 2), T: 2,
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 40},
 				Crashes: map[PID]Time{0: 30}, // PID 0 is the churner
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig8 churners exceed t budget", "budget", func() error {
-			_, err := RunFig8(Fig8Experiment{
-				IDs: BalancedIDs(5, 2), T: 1,
+			_, err := Experiment{
+				Algo: "fig8", IDs: BalancedIDs(5, 2), T: 1,
 				Churn: ChurnSpec{Fraction: 0.5, Cycles: 1, Start: 25, Down: 40},
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig8 t out of range", "t <", func() error {
-			_, err := RunFig8(Fig8Experiment{
-				IDs: BalancedIDs(4, 2), T: 2,
+			_, err := Experiment{
+				Algo: "fig8", IDs: BalancedIDs(4, 2), T: 2,
 				Churn: ChurnSpec{Fraction: 0.25, Cycles: 1, Start: 25, Down: 40},
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig9 horizon truncates churn", "horizon", func() error {
-			_, err := RunFig9(Fig9Experiment{
+			_, err := Experiment{
+				Algo:    "fig9",
 				IDs:     BalancedIDs(5, 2),
 				Churn:   ChurnSpec{Fraction: 0.2, Cycles: 2, Start: 25, Down: 40, Up: 50},
 				Horizon: 100,
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig9 nobody eventually up", "eventually up", func() error {
-			_, err := RunFig9(Fig9Experiment{
+			_, err := Experiment{
+				Algo:  "fig9",
 				IDs:   AnonymousIDs(3),
 				Churn: ChurnSpec{Fraction: 1, Cycles: 1, Start: 25, Down: 30, FinalDown: true},
-			})
+			}.Run(0, nil)
 			return err
 		}},
 		{"fig9 invalid assignment", "identifier", func() error {
-			_, err := RunFig9(Fig9Experiment{
+			_, err := Experiment{
+				Algo:  "fig9",
 				IDs:   Assignment{"a", ""},
 				Churn: ChurnSpec{Fraction: 0.5, Cycles: 1, Start: 25, Down: 30},
-			})
+			}.Run(0, nil)
 			return err
 		}},
 	}
@@ -213,30 +215,34 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 // detector-layer churn runners validate their inputs like the consensus
 // runners always did, instead of silently producing meaningless numbers.
 func TestChurnDetectorRunnersValidateInputs(t *testing.T) {
-	if _, err := RunOHP(OHPExperiment{
+	if _, err := (Experiment{
+		Algo:  "ohp",
 		IDs:   Assignment{"a", ""},
 		Churn: ChurnSpec{Fraction: 0.5, Cycles: 1},
-	}); err == nil || !strings.Contains(err.Error(), "identifier") {
+	}).Run(0, nil); err == nil || !strings.Contains(err.Error(), "identifier") {
 		t.Errorf("invalid assignment accepted: %v", err)
 	}
-	if _, err := RunOHP(OHPExperiment{
+	if _, err := (Experiment{
+		Algo:    "ohp",
 		IDs:     BalancedIDs(8, 4),
 		Churn:   ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60},
 		Horizon: 100, // last event at 170
-	}); err == nil || !strings.Contains(err.Error(), "horizon") {
+	}).Run(0, nil); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Errorf("schedule-truncating horizon accepted: %v", err)
 	}
-	if _, err := RunHeartbeatChurn(HeartbeatExperiment{
+	if _, err := (Experiment{
+		Algo:  "heartbeat",
 		IDs:   Assignment{},
 		Churn: ChurnSpec{Fraction: 0.5},
-	}); err == nil || !strings.Contains(err.Error(), "no processes") {
+	}).Run(0, nil); err == nil || !strings.Contains(err.Error(), "no processes") {
 		t.Errorf("empty assignment accepted: %v", err)
 	}
-	if _, err := RunHeartbeatChurn(HeartbeatExperiment{
+	if _, err := (Experiment{
+		Algo:    "heartbeat",
 		IDs:     BalancedIDs(10, 2),
 		Churn:   ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 50, Down: 30},
 		Horizon: 60, // recovery at 80 is past the horizon
-	}); err == nil || !strings.Contains(err.Error(), "horizon") {
+	}).Run(0, nil); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Errorf("schedule-truncating horizon accepted: %v", err)
 	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 func TestRunChurnOHPReconverges(t *testing.T) {
-	res, err := RunOHP(OHPExperiment{
+	res, err := Experiment{
+		Algo:  "ohp",
 		IDs:   BalancedIDs(12, 4),
-		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
-		Seed:  1, Horizon: 3000,
-	})
+		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7}, Horizon: 3000,
+	}.Run(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestRunChurnOHPReconverges(t *testing.T) {
 func TestRunChurnOHPFinalDown(t *testing.T) {
 	// Churners that never come back degrade churn to crash-stop for them:
 	// the detector must settle on the strictly smaller eventually-up set.
-	res, err := RunOHP(OHPExperiment{
+	res, err := Experiment{
+		Algo:  "ohp",
 		IDs:   BalancedIDs(8, 4),
-		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 30, Up: 40, FinalDown: true},
-		Seed:  2, Horizon: 3000,
-	})
+		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 30, Up: 40, FinalDown: true}, Horizon: 3000,
+	}.Run(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestRunChurnOHPFinalDown(t *testing.T) {
 }
 
 func TestRunHeartbeatChurnTruthConsistency(t *testing.T) {
-	res, err := RunHeartbeatChurn(HeartbeatExperiment{
+	res, err := Experiment{
+		Algo:  "heartbeat",
 		IDs:   BalancedIDs(120, 12),
-		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 10, Down: 20, Up: 25, FinalDown: true},
-		Seed:  3, Horizon: 150,
-	})
+		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 10, Down: 20, Up: 25, FinalDown: true}, Horizon: 150,
+	}.Run(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestRunHeartbeatChurnTruthConsistency(t *testing.T) {
 // TestGuardSurfacedInDrivers pins the MaxEvents satellite at driver level:
 // a truncated run must be reported, never silently read as complete.
 func TestGuardSurfacedInDrivers(t *testing.T) {
-	res, err := RunHeartbeatChurn(HeartbeatExperiment{
+	res, err := Experiment{
+		Algo:  "heartbeat",
 		IDs:   BalancedIDs(20, 4),
-		Churn: ChurnSpec{Fraction: 0.2, Cycles: 1},
-		Seed:  4, Horizon: 500, MaxEvents: 50,
-	})
+		Churn: ChurnSpec{Fraction: 0.2, Cycles: 1}, Horizon: 500, MaxEvents: 50,
+	}.Run(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestGuardSurfacedInDrivers(t *testing.T) {
 		t.Fatalf("Stopped = %v, want max-events", res.Stopped)
 	}
 	// The verifying runners turn the same condition into an error.
-	_, err = RunOHP(OHPExperiment{
+	_, err = Experiment{
+		Algo:  "ohp",
 		IDs:   BalancedIDs(12, 4),
-		Churn: ChurnSpec{Fraction: 0.25, Cycles: 1},
-		Seed:  5, Horizon: 3000, MaxEvents: 100,
-	})
+		Churn: ChurnSpec{Fraction: 0.25, Cycles: 1}, Horizon: 3000, MaxEvents: 100,
+	}.Run(5, nil)
 	if err == nil || !strings.Contains(err.Error(), "MaxEvents") {
 		t.Fatalf("RunChurnOHP on a guard-tripped run: err = %v, want MaxEvents error", err)
 	}
@@ -142,9 +142,9 @@ func (h *refHeartbeater) OnRecover() {
 	h.env.SetTimer(h.period, h.epoch)
 }
 
-func refRunHeartbeat(e HeartbeatExperiment) (HeartbeatResult, func(PID) int, error) {
+func refRunHeartbeat(e Experiment, seed int64, rec *trace.Recorder) (Result, func(PID) int, error) {
 	if err := e.IDs.Validate(); err != nil {
-		return HeartbeatResult{}, nil, fmt.Errorf("hds: %w", err)
+		return Result{}, nil, fmt.Errorf("hds: %w", err)
 	}
 	if e.Period <= 0 {
 		e.Period = 10
@@ -159,14 +159,13 @@ func refRunHeartbeat(e HeartbeatExperiment) (HeartbeatResult, func(PID) int, err
 	}
 	schedule, truth, err := FaultPattern(e.IDs, e.Churn, nil, e.Horizon)
 	if err != nil {
-		return HeartbeatResult{}, nil, err
+		return Result{}, nil, err
 	}
 	net := e.Net
 	if net == nil {
 		net = sim.Async{MaxDelay: 8}
 	}
-	rec := traceRecorder(e.Trace) // default is stats-only: keeps big n cheap
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
+	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	// One slab, not n objects: a wave visits recipients in ascending pid
 	// order, so the counters it bumps sit next to each other.
 	beats := make([]refHeartbeater, n)
@@ -182,7 +181,7 @@ func refRunHeartbeat(e HeartbeatExperiment) (HeartbeatResult, func(PID) int, err
 		// A truncated run's engine state is still consistent, but the
 		// schedule may not have fully fired; only cross-check complete runs.
 		if err := checkTruthConsistency(eng, truth); err != nil {
-			return HeartbeatResult{}, nil, err
+			return Result{}, nil, err
 		}
 	}
 	stats := rec.Stats()
@@ -191,15 +190,15 @@ func refRunHeartbeat(e HeartbeatExperiment) (HeartbeatResult, func(PID) int, err
 		heard += beats[i].heard
 	}
 	if heard != stats.Delivered {
-		return HeartbeatResult{}, nil, fmt.Errorf(
+		return Result{}, nil, fmt.Errorf(
 			"hds: processes heard %d beats but the recorder delivered %d — fan-out accounting drift", heard, stats.Delivered)
 	}
 	if complete {
 		if err := VerifyHeartbeat(truth, func(p PID) int { return beats[p].heard }); err != nil {
-			return HeartbeatResult{}, nil, err
+			return Result{}, nil, err
 		}
 	}
-	return HeartbeatResult{
+	return Result{
 		Processed:    eng.Processed(),
 		Stopped:      eng.Stopped(),
 		EventuallyUp: len(truth.EventuallyUp()),
@@ -235,7 +234,7 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 		{Fraction: 0.25, Cycles: 2, Start: 1, Down: 2, Up: 2, FinalDown: true},
 	}
 	type outcome struct {
-		res   HeartbeatResult
+		res   Result
 		heard func(PID) int
 		err   error
 		trace []byte
@@ -244,16 +243,16 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 	// value to every address-taken function of that arity, so passing
 	// runHeartbeat as a value would put it behind every one-argument
 	// callback of the certified API report.
-	run := func(reference bool, e HeartbeatExperiment) outcome {
+	run := func(reference bool, e Experiment, seed int64) outcome {
 		var buf bytes.Buffer
-		e.Trace = trace.NewSpillRecorder(trace.NewBinarySink(&buf), 0)
+		rec := trace.NewSpillRecorder(trace.NewBinarySink(&buf), 0)
 		var o outcome
 		if reference {
-			o.res, o.heard, o.err = refRunHeartbeat(e)
+			o.res, o.heard, o.err = refRunHeartbeat(e, seed, rec)
 		} else {
-			o.res, o.heard, o.err = runHeartbeat(e)
+			o.res, o.heard, o.err = runHeartbeat(e, seed, rec)
 		}
-		if err := e.Trace.Flush(); err != nil {
+		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		o.trace = buf.Bytes()
@@ -261,8 +260,8 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 	}
 	// same runs e on both sides and compares everything observable; it
 	// returns the (common) result, zero if both sides refused the run.
-	same := func(name string, e HeartbeatExperiment) HeartbeatResult {
-		got, want := run(false, e), run(true, e)
+	same := func(name string, e Experiment, seed int64) Result {
+		got, want := run(false, e, seed), run(true, e, seed)
 		if !bytes.Equal(got.trace, want.trace) {
 			t.Errorf("%s: binary traces differ (%d bytes, reference %d)", name, len(got.trace), len(want.trace))
 		}
@@ -272,7 +271,7 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 			t.Fatalf("%s: err = %v, reference err = %v", name, got.err, want.err)
 		}
 		if got.err != nil {
-			return HeartbeatResult{}
+			return Result{}
 		}
 		if !reflect.DeepEqual(got.res, want.res) {
 			t.Errorf("%s: result\n got %+v\nwant %+v", name, got.res, want.res)
@@ -289,12 +288,13 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 		for _, beaters := range []int{0, 1, size.n / 3, size.n, size.n + 5} {
 			for ci, churn := range churns {
 				churn.Stagger = size.stagger
-				e := HeartbeatExperiment{
-					IDs: BalancedIDs(size.n, size.l), Churn: churn, Period: 8,
-					Seed: int64(1 + ci + beaters), Horizon: size.horizon, Beaters: beaters,
+				e := Experiment{
+					Algo: "heartbeat", IDs: BalancedIDs(size.n, size.l), Churn: churn, Period: 8,
+					Horizon: size.horizon, Beaters: beaters,
 				}
+				seed := int64(1 + ci + beaters)
 				name := fmt.Sprintf("n=%d beaters=%d churn=%d", size.n, beaters, ci)
-				full := same(name, e)
+				full := same(name, e, seed)
 				if full.Stopped == sim.StopMaxEvents {
 					t.Fatalf("%s: the engine's default event cap truncated the full run", name)
 				}
@@ -307,7 +307,7 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 				if e.MaxEvents == 0 {
 					continue
 				}
-				if cut := same(name+" truncated", e); cut.Stopped != sim.StopMaxEvents || cut.Processed != e.MaxEvents {
+				if cut := same(name+" truncated", e, seed); cut.Stopped != sim.StopMaxEvents || cut.Processed != e.MaxEvents {
 					t.Errorf("%s: MaxEvents %d stopped the run by %v after %d events", name, e.MaxEvents, cut.Stopped, cut.Processed)
 				}
 				truncated++
@@ -324,7 +324,7 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 func TestHeartbeatAccountingDrift(t *testing.T) {
 	rec := &trace.Recorder{}
 	rec.Count(trace.KindDeliver, 1)
-	_, err := RunHeartbeatChurn(HeartbeatExperiment{IDs: BalancedIDs(7, 3), Beaters: 2, Seed: 1, Trace: rec})
+	_, err := Experiment{Algo: "heartbeat", IDs: BalancedIDs(7, 3), Beaters: 2}.Run(1, rec)
 	if err == nil || !strings.Contains(err.Error(), "fan-out accounting drift") {
 		t.Fatalf("err = %v, want the fan-out accounting drift error", err)
 	}

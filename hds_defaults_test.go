@@ -9,81 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/fd/oracle"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/defaults_pin.txt from the current behaviour")
-
-// pinExp describes one run of the defaults pin by the fields a run
-// description carries; run hands it to the algorithm's runner.
-type pinExp struct {
-	Algo      string
-	IDs       Assignment
-	T         int
-	Crashes   map[PID]Time
-	Churn     ChurnSpec
-	Net       sim.Model
-	Horizon   Time
-	Stabilize Time
-	Adversary oracle.Adversary
-	Detectors DetectorSource
-	Proposals []Value
-	Period    Time
-	Beaters   int
-	MaxEvents int
-}
-
-// pinResult is every field a run reports, in one order for every algorithm.
-type pinResult struct {
-	Report                                    Report
-	DecideAfterChurn                          Time
-	TrustedStabilization, LeaderStabilization Time
-	Leader                                    LeaderInfo
-	FinalTimeouts                             []Time
-	Processed, MaxQueue                       int
-	Stats                                     Stats
-	Stopped                                   sim.StopReason
-	LastChange                                Time
-	EventuallyUp, Correct, Recoveries         int
-}
-
-func (e pinExp) run(seed int64, rec *trace.Recorder) (pinResult, error) {
-	switch e.Algo {
-	case "fig8":
-		r, err := RunFig8(Fig8Experiment{
-			IDs: e.IDs, T: e.T, Crashes: e.Crashes, Churn: e.Churn, Net: e.Net, Detectors: e.Detectors,
-			Stabilize: e.Stabilize, Adversary: e.Adversary, Proposals: e.Proposals, Seed: seed,
-			Horizon: e.Horizon, MaxEvents: e.MaxEvents, Trace: rec,
-		})
-		return pinResult{Report: r.Report, DecideAfterChurn: r.DecideAfterChurn, Stats: r.Stats, Stopped: r.Stopped,
-			LastChange: r.LastChange, EventuallyUp: r.EventuallyUp, Correct: r.Correct, Recoveries: r.Recoveries}, err
-	case "fig9", "fig9-anon":
-		r, err := RunFig9(Fig9Experiment{
-			IDs: e.IDs, Crashes: e.Crashes, Churn: e.Churn, Net: e.Net, AnonymousBaseline: e.Algo == "fig9-anon",
-			Stabilize: e.Stabilize, Adversary: e.Adversary, Proposals: e.Proposals, Seed: seed,
-			Horizon: e.Horizon, MaxEvents: e.MaxEvents, Trace: rec,
-		})
-		return pinResult{Report: r.Report, DecideAfterChurn: r.DecideAfterChurn, Stats: r.Stats, Stopped: r.Stopped,
-			LastChange: r.LastChange, EventuallyUp: r.EventuallyUp, Correct: r.Correct, Recoveries: r.Recoveries}, err
-	case "ohp":
-		r, err := RunOHP(OHPExperiment{
-			IDs: e.IDs, Crashes: e.Crashes, Churn: e.Churn, Net: e.Net, Seed: seed,
-			Horizon: e.Horizon, MaxEvents: e.MaxEvents, Trace: rec,
-		})
-		return pinResult{TrustedStabilization: r.TrustedStabilization, LeaderStabilization: r.LeaderStabilization,
-			Leader: r.Leader, FinalTimeouts: r.FinalTimeouts, Stats: r.Stats, Stopped: r.Stopped,
-			LastChange: r.LastChange, EventuallyUp: r.EventuallyUp, Correct: r.Correct, Recoveries: r.Recoveries}, err
-	case "heartbeat":
-		r, err := RunHeartbeatChurn(HeartbeatExperiment{
-			IDs: e.IDs, Churn: e.Churn, Net: e.Net, Period: e.Period, Seed: seed,
-			Horizon: e.Horizon, Beaters: e.Beaters, MaxEvents: e.MaxEvents, Trace: rec,
-		})
-		return pinResult{Processed: r.Processed, MaxQueue: r.MaxQueue, Stats: r.Stats, Stopped: r.Stopped,
-			EventuallyUp: r.EventuallyUp, Correct: r.Correct, Recoveries: r.Recoveries}, err
-	}
-	return pinResult{}, fmt.Errorf("unknown algorithm %q", e.Algo)
-}
 
 // TestDefaultsPin pins what a run description means when it leaves its
 // optional fields zero: every algorithm with nothing but an assignment,
@@ -101,38 +30,38 @@ func TestDefaultsPin(t *testing.T) {
 	proposals := []Value{"p", "q", "r", "s", "t"}
 	cases := []struct {
 		name string
-		e    pinExp
+		e    Experiment
 	}{
-		{"fig8/zero", pinExp{Algo: "fig8", IDs: ids}},
-		{"fig9/zero", pinExp{Algo: "fig9", IDs: ids}},
-		{"fig9-anon/zero", pinExp{Algo: "fig9-anon", IDs: AnonymousIDs(5)}},
-		{"ohp/zero", pinExp{Algo: "ohp", IDs: ids}},
-		{"heartbeat/zero", pinExp{Algo: "heartbeat", IDs: ids}},
-		{"fig8/churn", pinExp{Algo: "fig8", IDs: ids, T: 2, Churn: churn, Adversary: split}},
-		{"fig9/churn", pinExp{Algo: "fig9", IDs: ids, Churn: churn, Adversary: split}},
-		{"fig9-anon/churn", pinExp{Algo: "fig9-anon", IDs: AnonymousIDs(5), Churn: churn, Adversary: split}},
-		{"ohp/churn", pinExp{Algo: "ohp", IDs: ids, Churn: churn}},
-		{"heartbeat/churn", pinExp{Algo: "heartbeat", IDs: ids, Churn: churn}},
-		{"fig8/horizon", pinExp{Algo: "fig8", IDs: ids, T: 2, Churn: ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 999_000, Down: 999}}},
-		{"fig8/proposals", pinExp{Algo: "fig8", IDs: ids, T: 2, Crashes: map[PID]Time{3: 40}, Proposals: proposals}},
-		{"fig9/proposals", pinExp{Algo: "fig9", IDs: ids, Crashes: map[PID]Time{0: 20, 1: 30, 2: 40}, Proposals: proposals}},
-		{"fig9-anon/net", pinExp{Algo: "fig9-anon", IDs: AnonymousIDs(5), Net: PartialSync{GST: 60, Delta: 4}}},
-		{"ohp/net", pinExp{Algo: "ohp", IDs: ids, Crashes: map[PID]Time{1: 30}, Net: Async{MaxDelay: 5}}},
-		{"heartbeat/beaters", pinExp{Algo: "heartbeat", IDs: BalancedIDs(12, 3), Beaters: 4, Churn: churn}},
+		{"fig8/zero", Experiment{Algo: "fig8", IDs: ids}},
+		{"fig9/zero", Experiment{Algo: "fig9", IDs: ids}},
+		{"fig9-anon/zero", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5)}},
+		{"ohp/zero", Experiment{Algo: "ohp", IDs: ids}},
+		{"heartbeat/zero", Experiment{Algo: "heartbeat", IDs: ids}},
+		{"fig8/churn", Experiment{Algo: "fig8", IDs: ids, T: 2, Churn: churn, Adversary: split}},
+		{"fig9/churn", Experiment{Algo: "fig9", IDs: ids, Churn: churn, Adversary: split}},
+		{"fig9-anon/churn", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5), Churn: churn, Adversary: split}},
+		{"ohp/churn", Experiment{Algo: "ohp", IDs: ids, Churn: churn}},
+		{"heartbeat/churn", Experiment{Algo: "heartbeat", IDs: ids, Churn: churn}},
+		{"fig8/horizon", Experiment{Algo: "fig8", IDs: ids, T: 2, Churn: ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 999_000, Down: 999}}},
+		{"fig8/proposals", Experiment{Algo: "fig8", IDs: ids, T: 2, Crashes: map[PID]Time{3: 40}, Proposals: proposals}},
+		{"fig9/proposals", Experiment{Algo: "fig9", IDs: ids, Crashes: map[PID]Time{0: 20, 1: 30, 2: 40}, Proposals: proposals}},
+		{"fig9-anon/net", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5), Net: PartialSync{GST: 60, Delta: 4}}},
+		{"ohp/net", Experiment{Algo: "ohp", IDs: ids, Crashes: map[PID]Time{1: 30}, Net: Async{MaxDelay: 5}}},
+		{"heartbeat/beaters", Experiment{Algo: "heartbeat", IDs: BalancedIDs(12, 3), Beaters: 4, Churn: churn}},
 	}
 	var out strings.Builder
 	for i, c := range cases {
 		seed := int64(1 + i)
 		sink := &digestSink{h: sha256.New()}
 		rec := trace.NewSpillRecorder(sink, 0)
-		traced, err := c.e.run(seed, rec)
+		traced, err := c.e.Run(seed, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		plain, err := c.e.run(seed, nil)
+		plain, err := c.e.Run(seed, nil)
 		if err != nil {
 			t.Fatalf("%s stats-only: %v", c.name, err)
 		}

@@ -13,93 +13,28 @@ import (
 	"repro/internal/trace"
 )
 
-// OHPExperiment describes one standalone run of the Figure 6 detector
-// (◇HP̄ + HΩ) in the partially synchronous system HPS, crash-stop or — with
-// a Churn spec — under crash-recovery churn, where the detector must
-// re-converge to I(EventuallyUp): the crash-recovery restatement of the
-// class properties (their crash-stop forms are the special case with no
-// recoveries).
-type OHPExperiment struct {
-	IDs     Assignment
-	Crashes map[PID]Time
-	// Churn, when its Fraction is positive, adds a crash-recovery schedule;
-	// a process may appear in at most one of Crashes and the schedule.
-	Churn ChurnSpec
-	GST   Time
-	// Delta defaults to 3.
-	Delta Time
-	// Net overrides the network model. When nil the experiment runs on
-	// PartialSync{GST, Delta} — the paper's HPS setting. Any eventually
-	// timely model works (the truncated heavy-tail models qualify: their
-	// Cap bounds every delay); the delay ablation experiment (E19) sweeps
-	// them.
-	Net  sim.Model
-	Seed int64
-	// Horizon caps virtual time (default 5000). Under churn it must exceed
-	// the fault schedule's last event.
-	Horizon Time
-	// MaxEvents overrides the engine's runaway guard (0 = engine default).
-	MaxEvents int
-	// Trace, when non-nil, replaces the default stats-only recorder (see
-	// Fig8Experiment.Trace).
-	Trace *trace.Recorder
-}
-
-// OHPResult reports the verified detector run.
-type OHPResult struct {
-	// TrustedStabilization is the virtual time at which the last
-	// eventually-up process's h_trusted changed for the last time (to
-	// I(EventuallyUp) — I(Correct) in a crash-stop run).
-	TrustedStabilization Time
-	// LeaderStabilization is the analogous instant for the HΩ output.
-	LeaderStabilization Time
-	// Leader is the stabilized HΩ output.
-	Leader LeaderInfo
-	// Stats aggregates message costs over the horizon.
-	Stats Stats
-	// FinalTimeouts are the adapted per-process timeout values.
-	FinalTimeouts []Time
-	// LastChange is the final fault-pattern change (last crash or
-	// recovery) — the earliest instant stabilization could begin.
-	LastChange Time
-	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
-	EventuallyUp, Correct int
-	// Recoveries counts executed recover events.
-	Recoveries int
-	// Stopped is why the run ended (horizon for a healthy detector run:
-	// polling never quiesces).
-	Stopped sim.StopReason
-}
-
-// RunOHP executes Figure 6 on every process, verifies the ◇HP̄ and HΩ
-// class properties against the ground truth (stated over the eventually-up
-// set, which is the correct set when nothing recovers), and reports
-// stabilization times and costs (experiments E6/E7/E18). Under churn it
-// also cross-checks the engine's incremental fault bookkeeping against the
-// schedule-derived truth. Malformed inputs — an invalid assignment, a
-// crash outside [0, n), a horizon that cuts the churn schedule short — are
-// rejected with errors, not run.
-func RunOHP(e OHPExperiment) (OHPResult, error) {
+// runOHP executes Figure 6 on every process, verifies the ◇HP̄ and HΩ
+// class properties against the ground truth — stated over the eventually-up
+// set, the crash-recovery restatement whose crash-stop form is the case
+// with no recoveries — and reports stabilization times and costs
+// (experiments E6/E7/E18/E19). Under churn it also cross-checks the
+// engine's incremental fault bookkeeping against the schedule-derived truth.
+func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 	if err := validateExperiment(e.IDs, e.Crashes, nil); err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
 	if e.Horizon == 0 {
 		e.Horizon = 5000
 	}
-	if e.Delta == 0 {
-		e.Delta = 3
+	if e.Net == nil {
+		e.Net = sim.PartialSync{Delta: 3}
 	}
 	n := e.IDs.N()
 	schedule, truth, err := FaultPattern(e.IDs, e.Churn, e.Crashes, e.Horizon)
 	if err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
-	net := e.Net
-	if net == nil {
-		net = sim.PartialSync{GST: e.GST, Delta: e.Delta}
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
+	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	dets := make([]*ohp.Detector, n)
 	for i := range dets {
 		dets[i] = ohp.New()
@@ -132,17 +67,17 @@ func RunOHP(e OHPExperiment) (OHPResult, error) {
 
 	eng.Run(e.Horizon)
 	if err := guardErr(eng); err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
 	if e.Churn.Fraction > 0 {
 		if err := checkTruthConsistency(eng, truth); err != nil {
-			return OHPResult{}, err
+			return Result{}, err
 		}
 	}
 
 	out, err := VerifyOHP(truth, trustedProbe, leaderProbe)
 	if err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
 	out.Stats, out.Recoveries, out.Stopped = rec.Stats(), eng.Recoveries(), eng.Stopped()
 	for _, d := range dets {
@@ -157,16 +92,16 @@ func RunOHP(e OHPExperiment) (OHPResult, error) {
 // caller adds what only it can count (Stats, Recoveries, Stopped,
 // FinalTimeouts). It is the judgement a live run (streaming probes) and
 // an offline replay of its trace (change replayers) share.
-func VerifyOHP(truth *fd.GroundTruth, trusted fd.FinalView[*multiset.Multiset[ident.ID]], leader fd.FinalView[fd.LeaderInfo]) (OHPResult, error) {
+func VerifyOHP(truth *fd.GroundTruth, trusted fd.FinalView[*multiset.Multiset[ident.ID]], leader fd.FinalView[fd.LeaderInfo]) (Result, error) {
 	resT, err := fd.CheckDiamondHPbar(truth, trusted)
 	if err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
 	resL, err := fd.CheckHOmega(truth, leader)
 	if err != nil {
-		return OHPResult{}, err
+		return Result{}, err
 	}
-	out := OHPResult{
+	out := Result{
 		TrustedStabilization: resT.StabilizationTime,
 		LeaderStabilization:  resL.StabilizationTime,
 		LastChange:           truth.LastChange(),
@@ -206,7 +141,7 @@ type HSigmaResult struct {
 }
 
 // RunHSigma executes Figure 7, verifies all four HΣ axioms, and reports
-// stabilization and quora sizes (experiment E8). Like the other runners it
+// stabilization and quora sizes (experiment E8). Like Experiment.Run it
 // rejects malformed input — an invalid assignment, a crash outside [0, n)
 // or outside steps [1, Steps], a negative step count, a delivery
 // probability outside [0, 1] — with an error, not a panic.

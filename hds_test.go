@@ -9,14 +9,14 @@ import (
 )
 
 func TestRunFig8Oracle(t *testing.T) {
-	res, err := RunFig8(Fig8Experiment{
+	res, err := Experiment{
+		Algo:      "fig8",
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Crashes:   map[PID]Time{1: 30},
 		Stabilize: 80,
 		Adversary: oracle.AdversaryRotate,
-		Seed:      1,
-	})
+	}.Run(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,15 +29,15 @@ func TestRunFig8Oracle(t *testing.T) {
 }
 
 func TestRunFig8EndToEnd(t *testing.T) {
-	res, err := RunFig8(Fig8Experiment{
+	res, err := Experiment{
+		Algo:      "fig8",
 		IDs:       BalancedIDs(5, 2),
 		T:         2,
 		Crashes:   map[PID]Time{3: 40},
 		Net:       PartialSync{GST: 60, Delta: 3},
 		Detectors: MessagePassingDetectors,
-		Seed:      2,
 		Horizon:   2_000_000,
-	})
+	}.Run(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +47,12 @@ func TestRunFig8EndToEnd(t *testing.T) {
 }
 
 func TestRunFig9MinorityCorrect(t *testing.T) {
-	res, err := RunFig9(Fig9Experiment{
+	res, err := Experiment{
+		Algo:      "fig9",
 		IDs:       BalancedIDs(6, 3),
 		Crashes:   map[PID]Time{0: 20, 1: 35, 2: 50, 3: 65},
 		Stabilize: 120,
-		Seed:      3,
-	})
+	}.Run(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,26 +62,24 @@ func TestRunFig9MinorityCorrect(t *testing.T) {
 }
 
 func TestRunFig9AnonymousBaseline(t *testing.T) {
-	if _, err := RunFig9(Fig9Experiment{
-		IDs:               AnonymousIDs(5),
-		AnonymousBaseline: true,
-		Crashes:           map[PID]Time{4: 45},
-		Stabilize:         100,
-		Adversary:         oracle.AdversaryRotate,
-		Seed:              4,
-	}); err != nil {
+	if _, err := (Experiment{
+		Algo:      "fig9-anon",
+		IDs:       AnonymousIDs(5),
+		Crashes:   map[PID]Time{4: 45},
+		Stabilize: 100,
+		Adversary: oracle.AdversaryRotate,
+	}).Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunOHP(t *testing.T) {
-	res, err := RunOHP(OHPExperiment{
+	res, err := Experiment{
+		Algo:    "ohp",
 		IDs:     BalancedIDs(5, 2),
 		Crashes: map[PID]Time{2: 50},
-		GST:     60,
-		Delta:   3,
-		Seed:    5,
-	})
+		Net:     PartialSync{GST: 60, Delta: 3},
+	}.Run(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,31 +133,39 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 		run  func() error
 	}{
 		{"fig8 t too large", func() error {
-			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(4), T: 2})
+			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(4), T: 2}.Run(0, nil)
 			return err
 		}},
 		{"fig8 crash pid out of range", func() error {
-			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{9: 5}})
+			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{9: 5}}.Run(0, nil)
 			return err
 		}},
 		{"fig8 negative crash time", func() error {
-			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{0: -1}})
+			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{0: -1}}.Run(0, nil)
 			return err
 		}},
 		{"fig8 proposal count mismatch", func() error {
-			_, err := RunFig8(Fig8Experiment{IDs: UniqueIDs(3), T: 1, Proposals: []Value{"a"}})
+			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Proposals: []Value{"a"}}.Run(0, nil)
 			return err
 		}},
 		{"fig9 empty assignment", func() error {
-			_, err := RunFig9(Fig9Experiment{})
+			_, err := Experiment{Algo: "fig9"}.Run(0, nil)
 			return err
 		}},
 		{"fig9 bottom proposed", func() error {
-			_, err := RunFig9(Fig9Experiment{IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}})
+			_, err := Experiment{Algo: "fig9", IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}}.Run(0, nil)
 			return err
 		}},
 		{"ohp crash pid out of range", func() error {
-			_, err := RunOHP(OHPExperiment{IDs: UniqueIDs(3), Crashes: map[PID]Time{3: 5}})
+			_, err := Experiment{Algo: "ohp", IDs: UniqueIDs(3), Crashes: map[PID]Time{3: 5}}.Run(0, nil)
+			return err
+		}},
+		{"heartbeat with crashes", func() error {
+			_, err := Experiment{Algo: "heartbeat", IDs: UniqueIDs(3), Crashes: map[PID]Time{1: 5}}.Run(0, nil)
+			return err
+		}},
+		{"unknown algorithm", func() error {
+			_, err := Experiment{Algo: "fig10", IDs: UniqueIDs(3)}.Run(0, nil)
 			return err
 		}},
 		{"hsigma empty assignment", func() error {

@@ -36,7 +36,7 @@ func scanDecided(up []sim.PID, insts []decider) func() bool {
 // of events processed, and the first event after which untilDecided and
 // scanDecided answered differently (-1: they never did).
 type refOutcome struct {
-	res       ConsensusResult
+	res       Result
 	err       error
 	processed int
 	diverged  int
@@ -46,12 +46,12 @@ type refOutcome struct {
 // and untilDecided asked beside it after every event, on the same engine
 // and recorder. The body is run's, verbatim but for the predicate.
 func (r consensusRun) refRun() refOutcome {
-	ids := r.cfg.IDs
-	churn := r.churn.Fraction > 0
-	if r.horizon == 0 {
-		r.horizon = 1_000_000
+	ids := r.IDs
+	churn := r.Churn.Fraction > 0
+	if r.Horizon == 0 {
+		r.Horizon = 1_000_000
 	}
-	schedule, truth, err := FaultPattern(ids, r.churn, r.crashes, r.horizon)
+	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
 	if err != nil {
 		return refOutcome{err: err}
 	}
@@ -59,20 +59,20 @@ func (r consensusRun) refRun() refOutcome {
 		if err := r.admit(truth); err != nil {
 			return refOutcome{err: err}
 		}
-		if r.stabilize == 0 {
-			r.stabilize = truth.LastChange() + 50
+		if r.Stabilize == 0 {
+			r.Stabilize = truth.LastChange() + 50
 		}
 	}
-	if r.proposals == nil {
-		r.proposals = DefaultProposals(ids.N())
+	if r.Proposals == nil {
+		r.Proposals = DefaultProposals(ids.N())
 	}
 
 	eng := sim.New(r.cfg)
-	world := oracle.NewWorld(truth, r.stabilize)
+	world := oracle.NewWorld(truth, r.Stabilize)
 	insts := make([]decider, ids.N())
 	for i := range insts {
 		node := sim.NewNode()
-		insts[i] = r.stack(world, node, r.proposals[i])
+		insts[i] = r.stack(world, node, r.Proposals[i])
 		eng.AddProcess(node.Add("consensus", insts[i]))
 	}
 	eng.ApplyChurn(schedule)
@@ -88,7 +88,7 @@ func (r consensusRun) refRun() refOutcome {
 	out := refOutcome{diverged: -1}
 	scan := scanDecided(truth.EventuallyUp(), insts)
 	cursor := untilDecided(truth.EventuallyUp(), insts, r.cfg.Recorder)
-	eng.RunUntil(r.horizon, func() bool {
+	eng.RunUntil(r.Horizon, func() bool {
 		want := scan()
 		if cursor() != want && out.diverged < 0 {
 			out.diverged = eng.Processed()
@@ -97,7 +97,7 @@ func (r consensusRun) refRun() refOutcome {
 	})
 	out.processed = eng.Processed()
 
-	failed := ConsensusResult{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
+	failed := Result{Stats: r.cfg.Recorder.Stats(), Stopped: eng.Stopped()}
 	out.res = failed
 	if out.err = guardErr(eng); out.err != nil {
 		return out
@@ -118,7 +118,7 @@ func (r consensusRun) refRun() refOutcome {
 			return out
 		}
 	}
-	out.res, out.err = VerifyConsensus(truth, churn, r.proposals, outcomes)
+	out.res, out.err = VerifyConsensus(truth, churn, r.Proposals, outcomes)
 	out.res.Stats, out.res.Stopped, out.res.Recoveries = failed.Stats, failed.Stopped, eng.Recoveries()
 	return out
 }
@@ -150,32 +150,8 @@ func (s *digestSink) Spill(batch []trace.Event) error {
 // untilCase is one consensus experiment of the predicate differential.
 type untilCase struct {
 	name string
-	fig8 *Fig8Experiment
-	fig9 *Fig9Experiment
-}
-
-// bind returns the case's run body with rec as its recorder.
-func (c untilCase) bind(rec *trace.Recorder) (consensusRun, error) {
-	if c.fig8 != nil {
-		e := *c.fig8
-		e.Trace = rec
-		return e.bind()
-	}
-	e := *c.fig9
-	e.Trace = rec
-	return e.bind()
-}
-
-// run runs the case through RunFig8/RunFig9.
-func (c untilCase) run(rec *trace.Recorder) (ConsensusResult, error) {
-	if c.fig8 != nil {
-		e := *c.fig8
-		e.Trace = rec
-		return RunFig8(e)
-	}
-	e := *c.fig9
-	e.Trace = rec
-	return RunFig9(e)
+	e    Experiment
+	seed int64
 }
 
 // untilGrid is the consensus side of the variant-trace grid
@@ -200,24 +176,16 @@ func untilGrid() []untilCase {
 	for _, f := range faults {
 		for seed := int64(1); seed <= 2; seed++ {
 			for _, algo := range []string{"fig8", "fig9", "fig9-anon"} {
-				name := fmt.Sprintf("grid/%s/%s/seed=%d", algo, f.name, seed)
-				if algo == "fig8" {
-					cases = append(cases, untilCase{name: name, fig8: &Fig8Experiment{
-						IDs: ids, T: 2, Crashes: f.crashes, Churn: f.churn, Net: Async{MaxDelay: 8}, Seed: seed,
-					}})
-					continue
-				}
-				cases = append(cases, untilCase{name: name, fig9: &Fig9Experiment{
-					IDs: ids, Crashes: f.crashes, Churn: f.churn, Net: Async{MaxDelay: 8}, Seed: seed,
-					AnonymousBaseline: algo == "fig9-anon",
+				cases = append(cases, untilCase{name: fmt.Sprintf("grid/%s/%s/seed=%d", algo, f.name, seed), seed: seed, e: Experiment{
+					Algo: algo, IDs: ids, T: 2, Crashes: f.crashes, Churn: f.churn, Net: Async{MaxDelay: 8},
 				}})
 			}
 		}
 	}
 	return append(cases,
-		untilCase{name: "max-events", fig9: &Fig9Experiment{IDs: ids, Net: Async{MaxDelay: 8}, Seed: 1, MaxEvents: 40}},
-		untilCase{name: "horizon", fig8: &Fig8Experiment{IDs: ids, T: 2, Net: Async{MaxDelay: 8}, Seed: 1, Horizon: 9}},
-		untilCase{name: "all-crashed", fig9: &Fig9Experiment{IDs: UniqueIDs(3), Crashes: map[PID]Time{0: 5, 1: 5, 2: 5}, Seed: 1}},
+		untilCase{name: "max-events", seed: 1, e: Experiment{Algo: "fig9", IDs: ids, Net: Async{MaxDelay: 8}, MaxEvents: 40}},
+		untilCase{name: "horizon", seed: 1, e: Experiment{Algo: "fig8", IDs: ids, T: 2, Net: Async{MaxDelay: 8}, Horizon: 9}},
+		untilCase{name: "all-crashed", seed: 1, e: Experiment{Algo: "fig9", IDs: UniqueIDs(3), Crashes: map[PID]Time{0: 5, 1: 5, 2: 5}}},
 	)
 }
 
@@ -282,18 +250,9 @@ func corpusCases(t *testing.T) []untilCase {
 			}
 			crashes[PID(c.P)] = Time(c.At)
 		}
-		name := "corpus/" + filepath.Base(file)
-		ids := BalancedIDs(s.N, s.L)
-		if s.Kind == "fig8" {
-			cases = append(cases, untilCase{name: name, fig8: &Fig8Experiment{
-				IDs: ids, T: s.T, Crashes: crashes, Churn: s.Churn, Net: net, Stabilize: s.Stabilize,
-				Adversary: adv, Seed: s.Seed, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			}})
-			continue
-		}
-		cases = append(cases, untilCase{name: name, fig9: &Fig9Experiment{
-			IDs: ids, Crashes: crashes, Churn: s.Churn, Net: net, AnonymousBaseline: s.Kind == "fig9-anon",
-			Stabilize: s.Stabilize, Adversary: adv, Seed: s.Seed, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
+		cases = append(cases, untilCase{name: "corpus/" + filepath.Base(file), seed: s.Seed, e: Experiment{
+			Algo: s.Kind, IDs: BalancedIDs(s.N, s.L), T: s.T, Crashes: crashes, Churn: s.Churn, Net: net,
+			Stabilize: s.Stabilize, Adversary: adv, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
 		}})
 	}
 	return cases
@@ -303,7 +262,7 @@ func corpusCases(t *testing.T) []untilCase {
 // variant-trace grid and the hunt corpus (its loss-liveness entry runs to
 // the 1,000,000 horizon). In the reference run the scan decides when the
 // run stops and the cursor is asked beside it after every event: the two
-// must never disagree. The production run (RunFig8/RunFig9) must then stop
+// must never disagree. The production run (Experiment.Run) must then stop
 // on the same event, for the same reason, with the same result, error and
 // trace bytes; and a production run on the default stats-only recorder
 // must report the same result.
@@ -317,7 +276,7 @@ func TestUntilDecidedMatchesScan(t *testing.T) {
 	for _, c := range cases {
 		refSink := &digestSink{h: sha256.New()}
 		refRec := trace.NewSpillRecorder(refSink, 0)
-		r, err := c.bind(refRec)
+		r, err := c.e.bind(c.seed, refRec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -334,7 +293,7 @@ func TestUntilDecidedMatchesScan(t *testing.T) {
 
 		sink := &digestSink{h: sha256.New()}
 		rec := trace.NewSpillRecorder(sink, 0)
-		res, err := c.run(rec)
+		res, err := c.e.Run(c.seed, rec)
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +307,7 @@ func TestUntilDecidedMatchesScan(t *testing.T) {
 		if got := fmt.Sprintf("%+v err=%v", res, err); got != wantRes {
 			t.Errorf("%s: result\n got %s\nwant %s", c.name, got, wantRes)
 		}
-		res, err = c.run(nil)
+		res, err = c.e.Run(c.seed, nil)
 		if got := fmt.Sprintf("%+v err=%v", res, err); got != wantRes {
 			t.Errorf("%s: stats-only result\n got %s\nwant %s", c.name, got, wantRes)
 		}

@@ -183,7 +183,7 @@ func E15LeaderGroupSize() (Table, error) {
 				ids[i] = ident.ID(fmt.Sprintf("solo%02d", i))
 			}
 		}
-		res, err := hds.RunFig8(hds.Fig8Experiment{IDs: ids, T: 3, Net: sim.Async{MaxDelay: 8}, Seed: int64(90 + c), Horizon: 200_000})
+		res, err := hds.Experiment{Algo: "fig8", IDs: ids, T: 3, Net: sim.Async{MaxDelay: 8}, Horizon: 200_000}.Run(int64(90+c), nil)
 		if err != nil {
 			return []string{itoaI(n), itoaI(c), "✗ " + err.Error(), "-", "-", "-"}
 		}

@@ -119,15 +119,10 @@ func E17PhaseMessageBreakdown() (Table, error) {
 }
 
 func runBreakdown(algo string, crashes map[sim.PID]sim.Time, seed int64) (trace.Stats, error) {
-	ids := ident.Balanced(6, 3)
+	e := hds.Experiment{Algo: "fig9", IDs: ident.Balanced(6, 3), T: 2, Crashes: crashes, Stabilize: 80}
 	if algo == "fig8" {
-		res, err := hds.RunFig8(hds.Fig8Experiment{
-			IDs: ids, T: 2, Crashes: crashes, Stabilize: 80, Seed: seed,
-		})
-		return res.Stats, err
+		e.Algo = "fig8"
 	}
-	res, err := hds.RunFig9(hds.Fig9Experiment{
-		IDs: ids, Crashes: crashes, Stabilize: 80, Seed: seed,
-	})
+	res, err := e.Run(seed, nil)
 	return res.Stats, err
 }

@@ -45,9 +45,9 @@ func E18ChurnSweep() (Table, error) {
 		base := []string{c.workload, itoaI(c.n), itoaI(c.l), c.churn.String()}
 		switch c.workload {
 		case "fig6-ohp":
-			res, err := hds.RunOHP(hds.OHPExperiment{
-				IDs: ids, Churn: c.churn, Seed: c.seed, Horizon: c.horizon,
-			})
+			res, err := hds.Experiment{
+				Algo: "ohp", IDs: ids, Churn: c.churn, Horizon: c.horizon,
+			}.Run(c.seed, nil)
 			if err != nil {
 				return append(base, "✗ "+err.Error(), "-", "-", "-", "-")
 			}
@@ -57,10 +57,10 @@ func E18ChurnSweep() (Table, error) {
 				fmt.Sprintf("%d (last change %d)", res.TrustedStabilization, res.LastChange),
 				res.Stopped.String())
 		default:
-			res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-				IDs: ids, Churn: c.churn, Period: 15, Seed: c.seed, Horizon: c.horizon,
+			res, err := hds.Experiment{
+				Algo: "heartbeat", IDs: ids, Churn: c.churn, Period: 15, Horizon: c.horizon,
 				MaxEvents: 20_000_000,
-			})
+			}.Run(c.seed, nil)
 			if err != nil {
 				return append(base, "✗ "+err.Error(), "-", "-", "-", "-")
 			}
@@ -108,23 +108,14 @@ func E20ChurnConsensus() (Table, error) {
 	err := tableRows(&t, cfgs, func(_ int, c cfg) []string {
 		ids := ident.Balanced(c.n, c.l)
 		base := []string{c.workload, itoaI(c.n), itoaI(c.l), itoaI(c.t), c.churn.String()}
-		var res hds.ConsensusResult
-		var err error
+		e := hds.Experiment{Algo: c.workload, IDs: ids, T: c.t, Churn: c.churn, Net: c.net}
 		switch c.workload {
-		case "fig9", "fig9-anon":
-			res, err = hds.RunFig9(hds.Fig9Experiment{
-				IDs: ids, Churn: c.churn, Net: c.net,
-				AnonymousBaseline: c.workload == "fig9-anon", Seed: c.seed,
-			})
-		default:
-			det := hds.OracleDetectors
-			if c.workload == "fig8-mp" {
-				det = hds.MessagePassingDetectors
-			}
-			res, err = hds.RunFig8(hds.Fig8Experiment{
-				IDs: ids, T: c.t, Churn: c.churn, Net: c.net, Detectors: det, Seed: c.seed,
-			})
+		case "fig8-oracle":
+			e.Algo = "fig8"
+		case "fig8-mp":
+			e.Algo, e.Detectors = "fig8", hds.MessagePassingDetectors
 		}
+		res, err := e.Run(c.seed, nil)
 		if err != nil {
 			return append(base, "✗ "+err.Error(), "-", "-", "-", "-", "-")
 		}
@@ -169,7 +160,7 @@ func E21PopulationScaling() (Table, error) {
 		{10_000, 100, 100, sim.ChurnSpec{Fraction: 0.1, Cycles: 1, Start: 5, Down: 12}, 45, 2},
 		{50_000, 200, 100, sim.ChurnSpec{Fraction: 0.05, Cycles: 1, Start: 5, Down: 12}, 45, 3},
 	}
-	// beatersOf resolves HeartbeatExperiment's "0 = all beat".
+	// beatersOf resolves the heartbeat experiment's "0 = all beat".
 	beatersOf := func(c cfg) int {
 		if c.beaters == 0 {
 			return c.n
@@ -184,10 +175,10 @@ func E21PopulationScaling() (Table, error) {
 		ids := ident.Balanced(c.n, c.l)
 		beaters := beatersOf(c)
 		base := []string{itoaI(c.n), itoaI(c.l), itoaI(beaters), c.churn.String()}
-		res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-			IDs: ids, Churn: c.churn, Period: 15, Seed: c.seed, Horizon: c.horizon,
+		res, err := hds.Experiment{
+			Algo: "heartbeat", IDs: ids, Churn: c.churn, Period: 15, Horizon: c.horizon,
 			Beaters: c.beaters, MaxEvents: 100_000_000,
-		})
+		}.Run(c.seed, nil)
 		if err != nil {
 			return append(base, "✗ "+err.Error(), "-", "-", "-", "-")
 		}
@@ -225,13 +216,13 @@ func E19HeavyTailDelays() (Table, error) {
 		sim.AsymmetricLinks{Base: sim.Async{MaxDelay: 6}, MaxSkew: 10},
 	}
 	err := tableRows(&t, nets, func(i int, net sim.Model) []string {
-		res, err := hds.RunOHP(hds.OHPExperiment{
+		res, err := hds.Experiment{
+			Algo:    "ohp",
 			IDs:     ident.Balanced(6, 3),
 			Crashes: map[hds.PID]hds.Time{1: 30},
 			Net:     net,
-			Seed:    int64(90 + i),
 			Horizon: 12000,
-		})
+		}.Run(int64(90+i), nil)
 		if err != nil {
 			return []string{net.String(), "✗ " + err.Error(), "-", "-", "-"}
 		}

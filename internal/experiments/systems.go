@@ -39,14 +39,13 @@ func E6DiamondHPbar() (Table, error) {
 		{9, 3, 50, 3, map[hds.PID]hds.Time{1: 30, 7: 60}, 10},
 	}
 	err := tableRows(&t, cfgs, func(_ int, c cfg) []string {
-		res, err := hds.RunOHP(hds.OHPExperiment{
+		res, err := hds.Experiment{
+			Algo:    "ohp",
 			IDs:     ident.Balanced(c.n, c.l),
 			Crashes: c.crashes,
-			GST:     c.gst,
-			Delta:   c.delta,
-			Seed:    c.seed,
+			Net:     sim.PartialSync{GST: c.gst, Delta: c.delta},
 			Horizon: 6000,
-		})
+		}.Run(c.seed, nil)
 		if err != nil {
 			return []string{itoaI(c.n), itoaI(c.l), itoa(c.gst), itoa(c.delta),
 				itoaI(len(c.crashes)), "✗ " + err.Error(), "-", "-"}
@@ -88,13 +87,13 @@ func E7HOmegaExtraction() (Table, error) {
 		{8, 4, map[hds.PID]hds.Time{0: 40, 1: 60, 2: 80}},
 	}
 	err := tableRows(&t, cfgs, func(i int, c cfg) []string {
-		res, err := hds.RunOHP(hds.OHPExperiment{
+		res, err := hds.Experiment{
+			Algo:    "ohp",
 			IDs:     ident.Balanced(c.n, c.l),
 			Crashes: c.crashes,
-			GST:     50, Delta: 3,
-			Seed:    int64(40 + i),
+			Net:     sim.PartialSync{GST: 50, Delta: 3},
 			Horizon: 6000,
-		})
+		}.Run(int64(40+i), nil)
 		if err != nil {
 			return []string{itoaI(c.n), itoaI(c.l), itoaI(len(c.crashes)), "✗ " + err.Error(), "-", "-"}
 		}
@@ -186,14 +185,14 @@ func E9Fig8Consensus() (Table, error) {
 		{9, 3, 4, nil, 300, oracle.AdversaryRotate, "rotate", 8},
 	}
 	err := tableRows(&t, cfgs, func(_ int, c cfg) []string {
-		res, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.Experiment{
+			Algo:      "fig8",
 			IDs:       ident.Balanced(c.n, c.l),
 			T:         c.tt,
 			Crashes:   c.crashes,
 			Stabilize: c.stab,
 			Adversary: c.adv,
-			Seed:      c.seed,
-		})
+		}.Run(c.seed, nil)
 		if err != nil {
 			return []string{itoaI(c.n), itoaI(c.l), itoaI(c.tt), itoaI(len(c.crashes)),
 				itoa(c.stab), c.advName, "✗ " + err.Error(), "-", "-"}
@@ -228,13 +227,13 @@ func E10Fig9Consensus() (Table, error) {
 		for i := 0; i < k; i++ {
 			crashes[hds.PID(i)] = hds.Time(20 + 15*i)
 		}
-		res, err := hds.RunFig9(hds.Fig9Experiment{
+		res, err := hds.Experiment{
+			Algo:      "fig9",
 			IDs:       ident.Balanced(n, 3),
 			Crashes:   crashes,
 			Stabilize: 140,
 			Adversary: oracle.AdversaryRotate,
-			Seed:      int64(60 + k),
-		})
+		}.Run(int64(60+k), nil)
 		if err != nil {
 			return []string{itoaI(n), "3", itoaI(k), itoaI(n - k), "140", "✗ " + err.Error(), "-", "-"}
 		}
@@ -260,43 +259,22 @@ func E11HomonymyExtremes() (Table, error) {
 		},
 	}
 	n := 6
-	crashes := map[hds.PID]hds.Time{1: 40}
 	type variant struct {
 		name string
 		l    int
 		algo string
-		run  func() (hds.ConsensusResult, error)
+		e    hds.Experiment
 	}
 	variants := []variant{
-		{"unique (classical)", n, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
-			return hds.RunFig8(hds.Fig8Experiment{
-				IDs: ident.Unique(n), T: 2, Crashes: crashes, Stabilize: 80, Seed: 71,
-			})
-		}},
-		{"homonymous", 2, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
-			return hds.RunFig8(hds.Fig8Experiment{
-				IDs: ident.Balanced(n, 2), T: 2, Crashes: crashes, Stabilize: 80, Seed: 72,
-			})
-		}},
-		{"anonymous", 1, "Fig 8 (HΩ)", func() (hds.ConsensusResult, error) {
-			return hds.RunFig8(hds.Fig8Experiment{
-				IDs: ident.AnonymousN(n), T: 2, Crashes: crashes, Stabilize: 80, Seed: 73,
-			})
-		}},
-		{"anonymous", 1, "Fig 9 (HΩ+HΣ)", func() (hds.ConsensusResult, error) {
-			return hds.RunFig9(hds.Fig9Experiment{
-				IDs: ident.AnonymousN(n), Crashes: crashes, Stabilize: 80, Seed: 74,
-			})
-		}},
-		{"anonymous baseline", 1, "Fig 9 (AΩ, no COORD)", func() (hds.ConsensusResult, error) {
-			return hds.RunFig9(hds.Fig9Experiment{
-				IDs: ident.AnonymousN(n), Crashes: crashes, Stabilize: 80, Seed: 75,
-				AnonymousBaseline: true,
-			})
-		}},
+		{"unique (classical)", n, "Fig 8 (HΩ)", hds.Experiment{Algo: "fig8", IDs: ident.Unique(n), T: 2}},
+		{"homonymous", 2, "Fig 8 (HΩ)", hds.Experiment{Algo: "fig8", IDs: ident.Balanced(n, 2), T: 2}},
+		{"anonymous", 1, "Fig 8 (HΩ)", hds.Experiment{Algo: "fig8", IDs: ident.AnonymousN(n), T: 2}},
+		{"anonymous", 1, "Fig 9 (HΩ+HΣ)", hds.Experiment{Algo: "fig9", IDs: ident.AnonymousN(n)}},
+		{"anonymous baseline", 1, "Fig 9 (AΩ, no COORD)", hds.Experiment{Algo: "fig9-anon", IDs: ident.AnonymousN(n)}},
 	}
-	err := tableRows(&t, variants, func(_ int, v variant) []string {
-		res, err := v.run()
+	err := tableRows(&t, variants, func(i int, v variant) []string {
+		v.e.Crashes, v.e.Stabilize = map[hds.PID]hds.Time{1: 40}, 80
+		res, err := v.e.Run(int64(71+i), nil)
 		if err != nil {
 			return []string{v.name, itoaI(v.l), v.algo, "✗ " + err.Error(), "-", "-", "-"}
 		}
@@ -321,15 +299,15 @@ func E12EndToEndHPS() (Table, error) {
 		},
 	}
 	err := tableRows(&t, []hds.Time{0, 100, 300, 600}, func(i int, gst hds.Time) []string {
-		res, err := hds.RunFig8(hds.Fig8Experiment{
+		res, err := hds.Experiment{
+			Algo:      "fig8",
 			IDs:       ident.Balanced(5, 2),
 			T:         2,
 			Crashes:   map[hds.PID]hds.Time{3: 40},
 			Net:       sim.PartialSync{GST: gst, Delta: 3, PreMax: 120},
 			Detectors: hds.MessagePassingDetectors,
-			Seed:      int64(80 + i),
 			Horizon:   3_000_000,
-		})
+		}.Run(int64(80+i), nil)
 		if err != nil {
 			return []string{"5", "2", itoa(gst), "3", "1", "✗ " + err.Error(), "-", "-"}
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	hds "repro"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -181,10 +182,10 @@ func (s Scenario) resolve() (*scenario.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := &scenario.Scenario{
+	sc := &scenario.Scenario{Experiment: hds.Experiment{
 		Algo: s.Kind, IDs: ids, T: s.T, Churn: s.Churn, Net: net, Horizon: s.Horizon,
 		Stabilize: s.Stabilize, Adversary: adv, Period: s.Period, MaxEvents: s.MaxEvents,
-	}
+	}}
 	if len(s.Crashes) > 0 {
 		sc.Crashes = make(map[sim.PID]sim.Time, len(s.Crashes))
 		for _, c := range s.Crashes {
@@ -279,11 +280,11 @@ func (s Scenario) Run() Outcome {
 	var o Outcome
 	switch s.Kind {
 	case "ohp":
-		o = ohpOutcome(res.OHP, err, churn)
+		o = ohpOutcome(res, err, churn)
 	case "heartbeat":
-		o = heartbeatOutcome(res.Heartbeat, err)
+		o = heartbeatOutcome(res, err)
 	default:
-		o = consensusOutcome(res.Consensus, err, churn)
+		o = consensusOutcome(res, err, churn)
 	}
 	persistent, transient := lossCapable(sc.Net)
 	expected := false

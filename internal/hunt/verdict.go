@@ -143,13 +143,13 @@ func traffic(s trace.Stats) string {
 	return fmt.Sprintf(" bcast=%d deliv=%d drop=%d", s.Broadcasts, s.Delivered, s.Dropped)
 }
 
-func consensusOutcome(res hds.ConsensusResult, err error, churn bool) Outcome {
+func consensusOutcome(res hds.Result, err error, churn bool) Outcome {
 	if err != nil && churn {
 		// A failed churn run buckets as never run, with zero stats: campaign
 		// evolution for a given (seeds, seed, budget) is a function of the
 		// coverage keys, so the bucketing stays what it was when the churn
 		// runners returned nothing on failure.
-		res = hds.ConsensusResult{}
+		res = hds.Result{}
 	}
 	stop, fault := churnFields(churn, res.Stopped, res.EventuallyUp, res.Recoveries)
 	if err != nil {
@@ -166,7 +166,7 @@ func consensusOutcome(res hds.ConsensusResult, err error, churn bool) Outcome {
 	}
 }
 
-func ohpOutcome(res hds.OHPResult, err error, churn bool) Outcome {
+func ohpOutcome(res hds.Result, err error, churn bool) Outcome {
 	stop, fault := churnFields(churn, res.Stopped, res.EventuallyUp, res.Recoveries)
 	if err != nil {
 		return failOutcome(err, res.Stats, stop)
@@ -180,7 +180,7 @@ func ohpOutcome(res hds.OHPResult, err error, churn bool) Outcome {
 	}
 }
 
-func heartbeatOutcome(res hds.HeartbeatResult, err error) Outcome {
+func heartbeatOutcome(res hds.Result, err error) Outcome {
 	stop := res.Stopped.String()
 	if err != nil {
 		return failOutcome(err, res.Stats, stop)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	hds "repro"
 	"repro/internal/cliutil"
 	"repro/internal/scenario"
 )
@@ -45,11 +46,10 @@ func WriteHeader(w io.Writer, sc *scenario.Scenario) {
 // counters (events processed, queue high-water) that a trace cannot
 // carry; a replay verifies the trace-derivable properties and prints only
 // the shared lines.
-func WriteReport(w io.Writer, sc *scenario.Scenario, res scenario.Result, engine bool) {
+func WriteReport(w io.Writer, sc *scenario.Scenario, r hds.Result, engine bool) {
 	n, churn := sc.IDs.N(), sc.Churn.Fraction > 0
 	switch sc.Algo {
 	case "ohp":
-		r := res.OHP
 		if !churn {
 			fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ)")
 			fmt.Fprintf(w, "  ◇HP̄ stabilized:  t=%d\n", r.TrustedStabilization)
@@ -64,7 +64,6 @@ func WriteReport(w io.Writer, sc *scenario.Scenario, res scenario.Result, engine
 		}
 		fmt.Fprintf(w, "  broadcasts:       %d — %s\n", r.Stats.Broadcasts, cliutil.FormatTagCounts(r.Stats.ByTag))
 	case "heartbeat":
-		r := res.Heartbeat
 		if engine {
 			fmt.Fprintln(w, "heartbeat churn verified ✔ (fault bookkeeping vs schedule truth, heard-sum vs delivered, delivery liveness)")
 		} else {
@@ -80,7 +79,6 @@ func WriteReport(w io.Writer, sc *scenario.Scenario, res scenario.Result, engine
 			fmt.Fprintf(w, "  queue high-water: %d entries (lazy fan-out: tracks broadcasts, not n² copies)\n", r.MaxQueue)
 		}
 	default:
-		r := res.Consensus
 		if churn {
 			fmt.Fprintln(w, "consensus verified ✔ (termination over the eventually-up set, validity, agreement, decision stability)")
 		} else {

@@ -33,14 +33,14 @@ func Verify(m *trace.Meta, src trace.EventSource, w io.Writer) error {
 		return err
 	}
 	WriteHeader(w, sc)
-	var res scenario.Result
+	var res hds.Result
 	switch sc.Algo {
 	case "ohp":
-		res.OHP, err = verifyOHP(sc, src)
+		res, err = verifyOHP(sc, src)
 	case "heartbeat":
-		res.Heartbeat, err = verifyHeartbeat(sc, src)
+		res, err = verifyHeartbeat(sc, src)
 	default:
-		res.Consensus, err = verifyConsensus(sc, src)
+		res, err = verifyConsensus(sc, src)
 	}
 	if err != nil {
 		return err
@@ -63,7 +63,7 @@ func drain(src trace.EventSource, observe func(batch []trace.Event)) (hds.Stats,
 	return rec.Stats(), err
 }
 
-func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.ConsensusResult, error) {
+func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.Result, error) {
 	n := sc.IDs.N()
 	tracker := check.NewOutcomeTracker(n)
 	stats, err := drain(src, func(batch []trace.Event) {
@@ -72,21 +72,21 @@ func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.Consensu
 		}
 	})
 	if err != nil {
-		return hds.ConsensusResult{}, err
+		return hds.Result{}, err
 	}
 	if err := tracker.Err(); err != nil {
-		return hds.ConsensusResult{}, err
+		return hds.Result{}, err
 	}
 	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
 	if err != nil {
-		return hds.ConsensusResult{}, err
+		return hds.Result{}, err
 	}
 	res, err := hds.VerifyConsensus(truth, sc.Churn.Fraction > 0, hds.DefaultProposals(n), tracker.Outcomes())
 	res.Stats, res.Recoveries = stats, stats.Recoveries
 	return res, err
 }
 
-func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.OHPResult, error) {
+func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.Result, error) {
 	n := sc.IDs.N()
 	trusted := fd.NewTrustedReplayer(n)
 	leader := fd.NewLeaderReplayer(n)
@@ -97,24 +97,24 @@ func verifyOHP(sc *scenario.Scenario, src trace.EventSource) (hds.OHPResult, err
 		}
 	})
 	if err != nil {
-		return hds.OHPResult{}, err
+		return hds.Result{}, err
 	}
 	if err := trusted.Err(); err != nil {
-		return hds.OHPResult{}, err
+		return hds.Result{}, err
 	}
 	if err := leader.Err(); err != nil {
-		return hds.OHPResult{}, err
+		return hds.Result{}, err
 	}
 	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
 	if err != nil {
-		return hds.OHPResult{}, err
+		return hds.Result{}, err
 	}
 	res, err := hds.VerifyOHP(truth, trusted.Probe(), leader.Probe())
 	res.Stats, res.Recoveries = stats, stats.Recoveries
 	return res, err
 }
 
-func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.HeartbeatResult, error) {
+func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Result, error) {
 	n := sc.IDs.N()
 	heard := make([]int, n)
 	stats, err := drain(src, func(batch []trace.Event) {
@@ -125,11 +125,11 @@ func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Heartbea
 		}
 	})
 	if err != nil {
-		return hds.HeartbeatResult{}, err
+		return hds.Result{}, err
 	}
 	schedule, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, nil, sc.Horizon)
 	if err != nil {
-		return hds.HeartbeatResult{}, err
+		return hds.Result{}, err
 	}
 	want := 0
 	for _, ev := range schedule {
@@ -138,12 +138,12 @@ func verifyHeartbeat(sc *scenario.Scenario, src trace.EventSource) (hds.Heartbea
 		}
 	}
 	if stats.Recoveries != want {
-		return hds.HeartbeatResult{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", stats.Recoveries, want)
+		return hds.Result{}, fmt.Errorf("replay: trace records %d recoveries but the schedule fires %d", stats.Recoveries, want)
 	}
 	if err := hds.VerifyHeartbeat(truth, func(p hds.PID) int { return heard[p] }); err != nil {
-		return hds.HeartbeatResult{}, err
+		return hds.Result{}, err
 	}
-	return hds.HeartbeatResult{
+	return hds.Result{
 		EventuallyUp: len(truth.EventuallyUp()),
 		Correct:      len(truth.Correct()),
 		Recoveries:   stats.Recoveries,

@@ -1,12 +1,12 @@
-// Package scenario holds the one definition of "which scenario is this and
-// how is it run". A Scenario is a description resolved into runnable
-// terms; Resolve is the only code that derives one from a flag-level
-// fingerprint (trace.Meta — what cmd/hdsim builds from its flags and what
-// a v2 trace embeds), Validate is the one admissibility check, and Run is
-// the only switch from an algorithm name to a runner. cmd/hdsim, offline
-// replay and the hunt fuzzer are views of it: hdsim and replay resolve a
-// Meta, hunt fills a Scenario from its own JSON form with its own
-// defaults, and all three run, verify or render the same value.
+// Package scenario holds the one definition of "which scenario is this". A
+// Scenario is an hds.Experiment plus the fingerprint it was resolved from;
+// Resolve is the only code that derives one from a flag-level fingerprint
+// (trace.Meta — what cmd/hdsim builds from its flags and what a v2 trace
+// embeds), and Validate is the one admissibility check. Running one is
+// the embedded experiment's Run. cmd/hdsim, offline replay and the hunt
+// fuzzer are views of it: hdsim and replay resolve a Meta, hunt fills a
+// Scenario from its own JSON form with its own defaults, and all three
+// run, verify or render the same value.
 package scenario
 
 import (
@@ -20,35 +20,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Scenario is one runnable experiment configuration.
+// Scenario is one runnable experiment. Resolve fills Net, Horizon and
+// Period with the values the run uses, which are what report headers
+// print; a zero one (hunt leaves them so) selects the run's own default.
 type Scenario struct {
 	// Meta is the fingerprint the scenario was resolved from; report
 	// headers echo its raw specs. Nil for scenarios not built by Resolve.
 	Meta *trace.Meta
-	// Algo is fig8, fig9, fig9-anon, ohp or heartbeat.
-	Algo string
-	IDs  hds.Assignment
-	// T is fig8's crash budget.
-	T       int
-	Crashes map[hds.PID]hds.Time
-	Churn   hds.ChurnSpec
-	// Net is the effective network model — what the run uses and what
-	// headers print. Nil selects the runner's own default.
-	Net sim.Model
-	// Horizon is the effective virtual-time cap; 0 selects the runner's
-	// own default.
-	Horizon hds.Time
-	// Stabilize, Adversary and Detectors configure the consensus
-	// algorithms' detector layer.
-	Stabilize hds.Time
-	Adversary oracle.Adversary
-	Detectors hds.DetectorSource
-	// Period and Beaters are the heartbeat workload parameters. Period is
-	// the beat interval the run uses; 0 selects the runner's own default.
-	Period  hds.Time
-	Beaters int
-	// MaxEvents overrides the engine's runaway guard (0 = engine default).
-	MaxEvents int
+	hds.Experiment
 }
 
 // Resolve turns a scenario fingerprint into runnable terms with the
@@ -64,11 +43,11 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 	if m == nil {
 		return nil, fmt.Errorf("scenario: trace carries no scenario metadata (recorded by an older hdsim?)")
 	}
-	sc := &Scenario{
-		Meta: m, Algo: m.Algo, T: m.T,
+	sc := &Scenario{Meta: m, Experiment: hds.Experiment{
+		Algo: m.Algo, T: m.T,
 		Horizon: hds.Time(m.Horizon), Stabilize: hds.Time(m.Stabilize),
 		Beaters: m.Beaters, MaxEvents: m.MaxEvents,
-	}
+	}}
 	var err error
 	if sc.IDs, err = BalancedIDs(m.N, m.L); err != nil {
 		return nil, err
@@ -178,15 +157,15 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 	return net, nil
 }
 
-// Validate rejects scenarios no runner should be handed: an unknown
-// algorithm, fault inputs the algorithm's runner has no use for, a negative
-// time or count (a runner would replace it with its default, and the run
-// would not be the one described), a NaN or infinite churn fraction (NaN
-// slips through every comparison downstream), a partition cut that severs
-// nothing or never heals inside the run, more beaters than processes. The runners
-// keep their own input checks (crash PIDs, the t bound, schedules against
-// the horizon); those need the expanded fault pattern, which is built
-// once, by the runner.
+// Validate rejects scenarios no run should be handed: an unknown
+// algorithm, fault inputs the algorithm has no use for, a negative time or
+// count (the run would replace it with its default, and would not be the
+// one described), a NaN or infinite churn fraction (NaN slips through
+// every comparison downstream), a partition cut that severs nothing or
+// never heals inside the run, more beaters than processes. The run keeps
+// its own input checks (crash PIDs, the t bound, schedules against the
+// horizon); those need the expanded fault pattern, which is built once, by
+// the run.
 func (sc *Scenario) Validate() error {
 	switch sc.Algo {
 	case "fig8", "fig9", "fig9-anon":
@@ -232,49 +211,4 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Result is what Run returns: the result of the scenario's algorithm
-// family, the other two zero.
-type Result struct {
-	Consensus hds.ConsensusResult
-	OHP       hds.OHPResult
-	Heartbeat hds.HeartbeatResult
-}
-
-// Run executes the scenario with the given seed through the repository's
-// verified runners. rec, when non-nil, replaces the runner's stats-only
-// recorder; the caller owns flushing it.
-func (sc *Scenario) Run(seed int64, rec *trace.Recorder) (Result, error) {
-	var res Result
-	var err error
-	switch sc.Algo {
-	case "fig8":
-		res.Consensus, err = hds.RunFig8(hds.Fig8Experiment{
-			IDs: sc.IDs, T: sc.T, Crashes: sc.Crashes, Churn: sc.Churn, Net: sc.Net,
-			Detectors: sc.Detectors, Stabilize: sc.Stabilize, Adversary: sc.Adversary,
-			Seed: seed, Horizon: sc.Horizon, MaxEvents: sc.MaxEvents, Trace: rec,
-		})
-	case "fig9", "fig9-anon":
-		res.Consensus, err = hds.RunFig9(hds.Fig9Experiment{
-			IDs: sc.IDs, Crashes: sc.Crashes, Churn: sc.Churn, Net: sc.Net,
-			AnonymousBaseline: sc.Algo == "fig9-anon",
-			Stabilize:         sc.Stabilize, Adversary: sc.Adversary,
-			Seed: seed, Horizon: sc.Horizon, MaxEvents: sc.MaxEvents, Trace: rec,
-		})
-	case "ohp":
-		res.OHP, err = hds.RunOHP(hds.OHPExperiment{
-			IDs: sc.IDs, Crashes: sc.Crashes, Churn: sc.Churn, Net: sc.Net,
-			Seed: seed, Horizon: sc.Horizon, MaxEvents: sc.MaxEvents, Trace: rec,
-		})
-	case "heartbeat":
-		res.Heartbeat, err = hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-			IDs: sc.IDs, Churn: sc.Churn, Net: sc.Net, Period: sc.Period, Seed: seed,
-			Horizon: sc.Horizon, Beaters: sc.Beaters, MaxEvents: sc.MaxEvents,
-			Trace: rec,
-		})
-	default:
-		err = fmt.Errorf("scenario: unknown algorithm %q", sc.Algo)
-	}
-	return res, err
 }

@@ -160,13 +160,13 @@ func TestDefaultWorkers(t *testing.T) {
 // the digest.
 func ohpDigest(t *testing.T, seed int64) string {
 	t.Helper()
-	res, err := hds.RunOHP(hds.OHPExperiment{
+	res, err := hds.Experiment{
+		Algo:    "ohp",
 		IDs:     ident.Balanced(6, 3),
 		Crashes: map[hds.PID]hds.Time{1: 30},
-		GST:     50, Delta: 3,
-		Seed:    seed,
+		Net:     sim.PartialSync{GST: 50, Delta: 3},
 		Horizon: 3000,
-	})
+	}.Run(seed, nil)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -257,46 +257,48 @@ func (p *pollster) OnTimer(tag int) {
 func TestChurnHeavyTailSweepDeterminism(t *testing.T) {
 	scenarios := []func() string{
 		func() string { // Figure 6 detector under churn
-			res, err := hds.RunOHP(hds.OHPExperiment{
-				IDs:   ident.Balanced(12, 4),
-				Churn: hds.ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
-				Seed:  1, Horizon: 2000,
-			})
+			res, err := hds.Experiment{
+				Algo:    "ohp",
+				IDs:     ident.Balanced(12, 4),
+				Churn:   hds.ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
+				Horizon: 2000,
+			}.Run(1, nil)
 			return fmt.Sprintf("churn-ohp %+v %v", res, err)
 		},
 		func() string { // heavy-tailed delays under the same detector
-			res, err := hds.RunOHP(hds.OHPExperiment{
+			res, err := hds.Experiment{
+				Algo:    "ohp",
 				IDs:     ident.Balanced(6, 3),
 				Crashes: map[hds.PID]hds.Time{1: 30},
-				Net:     sim.Pareto{Scale: 2, Alpha: 1.5, Cap: 15},
-				Seed:    2, Horizon: 12000,
-			})
+				Net:     sim.Pareto{Scale: 2, Alpha: 1.5, Cap: 15}, Horizon: 12000,
+			}.Run(2, nil)
 			return fmt.Sprintf("pareto-ohp %d %d %d %v", res.TrustedStabilization,
 				res.LeaderStabilization, res.Stats.Broadcasts, err)
 		},
 		func() string { // n=1000: churn + heavy tail on the heartbeat engine
-			res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
+			res, err := hds.Experiment{
+				Algo:  "heartbeat",
 				IDs:   ident.Balanced(1000, 50),
 				Churn: hds.ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 5, Down: 10},
-				Net:   sim.Pareto{Scale: 1, Alpha: 1.3, Cap: 40},
-				Seed:  3, Period: 12, Horizon: 24, MaxEvents: 20_000_000,
-			})
+				Net:   sim.Pareto{Scale: 1, Alpha: 1.3, Cap: 40}, Period: 12, Horizon: 24, MaxEvents: 20_000_000,
+			}.Run(3, nil)
 			return fmt.Sprintf("hb-1000 %+v %v", res, err)
 		},
 		func() string { // consensus under churn: Fig. 8 with the rejoin protocol
-			res, err := hds.RunFig8(hds.Fig8Experiment{
-				IDs: ident.Balanced(5, 2), T: 2,
+			res, err := hds.Experiment{
+				Algo: "fig8", IDs: ident.Balanced(5, 2), T: 2,
 				Churn: hds.ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
-				Net:   sim.Async{MaxDelay: 8}, Seed: 4,
-			})
+				Net:   sim.Async{MaxDelay: 8},
+			}.Run(4, nil)
 			return fmt.Sprintf("churn-fig8 %+v %v", res, err)
 		},
 		func() string { // consensus under churn: Fig. 9, final-down churners
-			res, err := hds.RunFig9(hds.Fig9Experiment{
+			res, err := hds.Experiment{
+				Algo:  "fig9",
 				IDs:   ident.Balanced(6, 3),
 				Churn: hds.ChurnSpec{Fraction: 0.34, Cycles: 2, Start: 2, Down: 30, Up: 40, FinalDown: true},
-				Net:   sim.Async{MaxDelay: 8}, Seed: 5,
-			})
+				Net:   sim.Async{MaxDelay: 8},
+			}.Run(5, nil)
 			return fmt.Sprintf("churn-fig9 %+v %v", res, err)
 		},
 	}
