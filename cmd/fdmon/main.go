@@ -57,6 +57,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // monitor runs the chosen detector and writes its verified report to w.
 func (o options) monitor(w io.Writer) error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"gst", o.gst}, {"delta", o.delta}, {"horizon", o.horizon}, {"steps", int64(o.steps)}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d, want >= 0", f.name, f.v)
+		}
+	}
 	sched, err := cliutil.ParseCrashes(o.crashes)
 	if err != nil {
 		return err
@@ -78,12 +86,16 @@ func (o options) monitor(w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		horizon := o.horizon
+		if horizon == 0 {
+			horizon = 5000 // the horizon an ohp Experiment runs to when given none
+		}
 		fmt.Fprintln(w, "◇HP̄ and HΩ verified ✔ (Theorem 5, Corollary 2)")
 		fmt.Fprintf(w, "  h_trusted stabilized at:  t=%d\n", res.TrustedStabilization)
 		fmt.Fprintf(w, "  (h_leader, mult) stable:  t=%d → %s\n", res.LeaderStabilization, res.Leader)
 		fmt.Fprintf(w, "  adapted timeouts:         %v\n", res.FinalTimeouts)
 		fmt.Fprintf(w, "  traffic: %d POLLING, %d P_REPLY broadcasts over %d vt\n",
-			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], o.horizon)
+			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], horizon)
 	case "hsigma":
 		crashSteps := make(map[hds.PID]hds.CrashStep, len(sched))
 		for p, at := range sched {
@@ -95,8 +107,12 @@ func (o options) monitor(w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		steps := o.steps
+		if steps == 0 {
+			steps = 12 // the step count RunHSigma runs when given none
+		}
 		fmt.Fprintln(w, "HΣ verified ✔ (Theorem 6: validity, monotonicity, liveness, safety)")
-		fmt.Fprintf(w, "  outputs stabilized at step %d of %d\n", res.StabilizationStep, o.steps)
+		fmt.Fprintf(w, "  outputs stabilized at step %d of %d\n", res.StabilizationStep, steps)
 		fmt.Fprintf(w, "  final |h_quora| per survivor: %v\n", res.QuoraPerProcess)
 		fmt.Fprintf(w, "  traffic: %d IDENT broadcasts\n", res.Stats.ByTag["IDENT"])
 	default:
