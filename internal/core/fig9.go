@@ -356,6 +356,3 @@ func allSame(vs []Value) bool {
 	}
 	return true
 }
-
-// SubRound returns the current sub-round (observability).
-func (c *Fig9) SubRound() int { return c.sr }

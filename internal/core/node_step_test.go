@@ -118,8 +118,8 @@ func TestFig9NodeStepsOncePerOwnEvent(t *testing.T) {
 				if got := hs.labelCalls - before; got != c.want {
 					t.Errorf("%s: %d step entries, want %d", e.name, got, c.want)
 				}
-				if p.phase != inPh2 || p.round != 1 || p.SubRound() != 1 {
-					t.Fatalf("%s moved p off its fixpoint (phase %d, round %d, sub-round %d)", e.name, p.phase, p.round, p.SubRound())
+				if p.phase != inPh2 || p.round != 1 || p.subRound() != 1 {
+					t.Fatalf("%s moved p off its fixpoint (phase %d, round %d, sub-round %d)", e.name, p.phase, p.round, p.subRound())
 				}
 			}
 		})
@@ -139,8 +139,8 @@ func TestFig9StaleTimerReevaluatesGuards(t *testing.T) {
 	hs.labels = []fd.Label{"L", "M"}
 	h.now += heartbeat
 	node.OnTimer(stale)
-	if p.SubRound() != 2 {
-		t.Errorf("after a stale heartbeat with grown h_labels, sub-round %d, want 2", p.SubRound())
+	if p.subRound() != 2 {
+		t.Errorf("after a stale heartbeat with grown h_labels, sub-round %d, want 2", p.subRound())
 	}
 	if len(h.timers) != armed {
 		t.Errorf("stale heartbeat re-armed the timer chain: %d timers set, want %d", len(h.timers), armed)
