@@ -70,7 +70,6 @@ func TestGolden(t *testing.T) {
 func TestZeroMeansDefault(t *testing.T) {
 	for _, pair := range [][2]string{
 		{"-horizon 0", "-horizon 5000"},
-		{"-delta 0", "-delta 3"},
 		{"-detector hsigma -steps 0 -crashes=", "-detector hsigma -steps 12 -crashes="},
 	} {
 		var zero, stated, stderr bytes.Buffer
