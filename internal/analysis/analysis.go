@@ -14,7 +14,7 @@ import (
 // golang.org/x/tools/go/analysis so the suite can migrate onto the
 // upstream framework wholesale if the dependency ever becomes available;
 // the subset implemented here (name, doc, Run over a Pass) is all the
-// five detlint analyzers need.
+// eight detlint analyzers need.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// "//detlint:ignore <name> <reason>" suppression comments.
@@ -55,11 +55,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos lies in a _test.go file. Analyzers whose
+// InTestFile reports whether pos lies in a _test.go file. Sources whose
 // contract allowlists test code (wallclock: test deadlines are legitimate)
 // gate on this.
 func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	return isTestFilename(p.Fset, pos)
 }
 
 // Diagnostic is one finding, positioned and attributed to its analyzer.
@@ -135,10 +135,9 @@ func IsDeterministic(pkgPath string) bool {
 }
 
 // hasSegment reports whether any path segment of pkgPath equals seg.
-// Package-scoped exemptions (sweep's audited pool, hruntime's real-clock
-// runtime) match by segment so fixture packages ("unsortedgo/sweep") and
-// hypothetical subpackages inherit the exemption, mirroring how
-// IsDeterministic classifies.
+// Package-scoped exemptions (carveOuts) match by segment so fixture
+// packages ("unsortedgo/sweep") and hypothetical subpackages inherit the
+// exemption, mirroring how IsDeterministic classifies.
 func hasSegment(pkgPath, seg string) bool {
 	for _, s := range strings.Split(pkgPath, "/") {
 		if s == seg {

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -131,29 +132,7 @@ func (g *flowGraph) rel(pos token.Position) string {
 	if r, err := filepath.Rel(g.root, name); err == nil && !strings.HasPrefix(r, "..") {
 		name = filepath.ToSlash(r)
 	}
-	return name + ":" + itoa(pos.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return name + ":" + strconv.Itoa(pos.Line)
 }
 
 // isTestFilename reports whether the file at pos is a _test.go file.
@@ -393,66 +372,14 @@ func arityOf(fn *types.Func) [2]int {
 
 // scanFunc walks one function body (function literals inlined: their
 // sources and call sites attribute to the enclosing declaration, which
-// is where a human would fix them) recording source instances and call
-// edges.
+// is where a human would fix them) recording source instances, as the
+// leaf analyzers' recognizer finds them, and call edges.
 func (g *flowGraph) scanFunc(fn *flowFunc, decl *ast.FuncDecl, unit *Unit) {
-	info := unit.Info
-	pass := &Pass{Analyzer: Maprange, Fset: g.fset, Files: unit.Files, Pkg: unit.Pkg, Info: info, PkgPath: unit.PkgPath}
-
-	var stack []ast.Node
+	pass := &Pass{Fset: g.fset, Files: unit.Files, Pkg: unit.Pkg, Info: unit.Info, PkgPath: unit.PkgPath}
+	eachSource(pass, decl, func(s source) { g.addSource(fn, s) })
 	ast.Inspect(decl, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			// Package-level source functions referenced by selector:
-			// wall clock, global rand, ambient host state. Detecting on
-			// the selector (not the call) also catches method values
-			// like `f := time.Now` conservatively, matching the leaves.
-			obj := info.Uses[n.Sel]
-			switch {
-			case wallClockFuncs[n.Sel.Name] && isPkgFunc(obj, "time"):
-				g.addSource(fn, "wallclock", "time."+n.Sel.Name, n.Pos())
-			case globalRandFuncs[n.Sel.Name] && (isPkgFunc(obj, "math/rand") || isPkgFunc(obj, "math/rand/v2")):
-				g.addSource(fn, "globalrand", "rand."+n.Sel.Name, n.Pos())
-			case isPkgFunc(obj, "crypto/rand"):
-				g.addSource(fn, "globalrand", "crypto/rand."+n.Sel.Name, n.Pos())
-			default:
-				if name, bad := osenvAt(info, n); bad {
-					g.addSource(fn, "osenv", name, n.Pos())
-				}
-			}
-		case *ast.RangeStmt:
-			tv, ok := info.Types[n.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if orderIndependentFold(pass, n) || collectThenSort(pass, n, stack) {
-				return true
-			}
-			g.addSource(fn, "maprange", "range over map "+types.ExprString(n.X), n.Pos())
-		case *ast.GoStmt:
-			if !sweepExempt(fn.pkgPath) {
-				g.addSource(fn, "unsortedgo", "go statement", n.Pos())
-			}
-		case *ast.SelectStmt:
-			if _, multi := multiSelect(n); multi && !selectExempt(fn.pkgPath) {
-				g.addSource(fn, "selectorder", "multi-case select", n.Pos())
-			}
-		case *ast.CallExpr:
-			if _, bad := unstableSortAt(info, n); bad {
-				g.addSource(fn, "unstablesort", "unstable "+types.ExprString(n.Fun), n.Pos())
-			}
-			for _, leak := range ptrLeaksAt(info, n) {
-				g.addSource(fn, "ptrformat", "fmt address/order leak", leak.pos)
-			}
-			g.addCall(fn, n, info)
+		if call, ok := n.(*ast.CallExpr); ok {
+			g.addCall(fn, call, unit.Info)
 		}
 		return true
 	})
@@ -460,14 +387,14 @@ func (g *flowGraph) scanFunc(fn *flowFunc, decl *ast.FuncDecl, unit *Unit) {
 
 // addSource records one direct source instance on fn, honouring a
 // //detlint:ignore <kind> suppression on or directly above the line.
-func (g *flowGraph) addSource(fn *flowFunc, kind, what string, pos token.Pos) {
-	position := g.fset.Position(pos)
+func (g *flowGraph) addSource(fn *flowFunc, s source) {
+	position := g.fset.Position(s.pos)
 	inst := &srcInst{
 		id:    len(g.insts),
-		kind:  kind,
-		what:  what,
+		kind:  s.kind,
+		what:  s.what,
 		pos:   position,
-		sup:   findSuppression(kind, position, g.sups),
+		sup:   findSuppression(s.kind, position, g.sups),
 		owner: fn,
 	}
 	g.insts = append(g.insts, inst)
@@ -542,7 +469,7 @@ func (g *flowGraph) addCall(fn *flowFunc, call *ast.CallExpr, info *types.Info) 
 	}
 	// Unresolved keys are stdlib/external functions: opaque to the
 	// graph. Their nondeterministic entry points are covered by the
-	// explicit source tables above.
+	// source tables eachSource matches.
 }
 
 // instantiatedFunc resolves f[T](…) generic instantiations.

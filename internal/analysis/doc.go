@@ -18,9 +18,9 @@
 //     later in the same function.
 //   - wallclock: time.Now/Since/Sleep/After/… are forbidden; virtual
 //     time lives in sim.Time. _test.go deadlines are allowlisted.
-//   - globalrand: package-level math/rand draws and crypto/rand are
-//     forbidden; randomness flows through injected seeded *rand.Rand or
-//     the keyed splitmix64 fate streams.
+//   - globalrand: package-level math/rand draws and references to
+//     crypto/rand are forbidden; randomness flows through injected seeded
+//     *rand.Rand or the keyed splitmix64 fate streams.
 //   - unsortedgo: go statements are forbidden outside internal/sweep's
 //     audited worker pool.
 //   - ptrformat: %p and pointer/map/chan/func operands to fmt must not
@@ -34,9 +34,12 @@
 //     filepath.Glob, …) are forbidden; explicit-path file I/O is an
 //     input and stays legal. _test.go harness knobs are allowlisted.
 //
+// Every leaf is the same runner over one recognizer (eachSource in
+// sources.go), filtered to its own kind.
+//
 // On top of the leaves, Flow (cmd/detlint -flow) is the whole-module
-// interprocedural taint pass: it recognizes the same sources in every
-// module package, propagates per-function source-instance summaries
+// interprocedural taint pass: it seeds its taint from the same recognizer
+// in every module package, propagates per-function source-instance summaries
 // over a call graph (static edges via go/types; interface and
 // func-value calls over-approximated by name+arity against
 // deterministic-set candidates), and reports at the taint frontier —

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"go/ast"
-	"strconv"
-)
-
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level
 // functions that draw from the shared, process-global source. The
 // constructors — New, NewSource, NewZipf, NewPCG, NewChaCha8 — are
@@ -24,32 +19,6 @@ var globalRandFuncs = map[string]bool{
 // streams — the global math/rand source is shared process state (seeded
 // randomly since Go 1.20), and crypto/rand is nondeterministic by
 // design, so either one makes a verdict unreproducible from (Config,
-// seed).
-var Globalrand = &Analyzer{
-	Name: "globalrand",
-	Doc:  "forbids global math/rand functions and crypto/rand in deterministic packages",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			for _, imp := range f.Imports {
-				if path, _ := strconv.Unquote(imp.Path.Value); path == "crypto/rand" {
-					pass.Reportf(imp.Pos(), "crypto/rand is nondeterministic by design; deterministic packages draw randomness from an injected seeded *rand.Rand or the keyed fate streams")
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || !globalRandFuncs[sel.Sel.Name] {
-					return true
-				}
-				obj := pass.Info.Uses[sel.Sel]
-				if isPkgFunc(obj, "math/rand") || isPkgFunc(obj, "math/rand/v2") {
-					pass.Reportf(sel.Pos(), "rand.%s draws from the process-global source; inject a seeded *rand.Rand (sim.Env.Rand) or a keyed fate stream instead", sel.Sel.Name)
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+// seed). Every reference to a crypto/rand object is a source at its use
+// site, a function (crand.Read) or a var (crand.Reader) alike.
+var Globalrand = leaf("globalrand", "forbids global math/rand functions and references to crypto/rand in deterministic packages")

@@ -24,44 +24,7 @@ import (
 //
 // Everything else needs a sort, a rewrite, or a justified
 // //detlint:ignore.
-var Maprange = &Analyzer{
-	Name: "maprange",
-	Doc:  "flags range over a map in deterministic packages unless sorted or provably order-independent",
-	Run:  runMaprange,
-}
-
-func runMaprange(pass *Pass) error {
-	if !IsDeterministic(pass.PkgPath) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.Info.Types[rs.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if orderIndependentFold(pass, rs) || collectThenSort(pass, rs, stack) {
-				return true
-			}
-			pass.Reportf(rs.Pos(), "range over map %s: iteration order is nondeterministic; sort the keys first or fold order-independently (determinism contract, ARCHITECTURE.md)", types.ExprString(rs.X))
-			return true
-		})
-	}
-	return nil
-}
+var Maprange = leaf("maprange", "flags range over a map in deterministic packages unless sorted or provably order-independent")
 
 // foldScope carries what the fold prover knows about one range body.
 type foldScope struct {
@@ -238,7 +201,7 @@ func (sc *foldScope) safeAssign(s *ast.AssignStmt) bool {
 			// m[k-derived] = e visits each key once; entries are
 			// independent. The RHS may read the entry being written
 			// (m[k] = append(m[k], v)) but no other mutated state.
-			if sc.keyObj != nil && sc.mentions(idx.Index, sc.keyObj) {
+			if sc.keyObj != nil && mentionsObj(sc.pass.Info, idx.Index, sc.keyObj) {
 				return sc.safeExpr(idx.Index, nil) && sc.safeExpr(rhs, idx)
 			}
 			// seen[x] = <constant> is idempotent whatever the index:
@@ -515,15 +478,7 @@ func sortedAfter(pass *Pass, body *ast.BlockStmt, obj types.Object, pos token.Po
 			return true
 		}
 		for _, arg := range call.Args {
-			mentioned := false
-			ast.Inspect(arg, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && pass.Info.ObjectOf(id) == obj {
-					mentioned = true
-					return false
-				}
-				return true
-			})
-			if mentioned {
+			if mentionsObj(pass.Info, arg, obj) {
 				found = true
 				return false
 			}
@@ -533,15 +488,15 @@ func sortedAfter(pass *Pass, body *ast.BlockStmt, obj types.Object, pos token.Po
 	return found
 }
 
-// mentions reports whether e references obj.
-func (sc *foldScope) mentions(e ast.Expr, obj types.Object) bool {
-	hit := false
+// mentionsObj reports whether e references obj.
+func mentionsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
+	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && sc.pass.Info.ObjectOf(id) == obj {
-			hit = true
+		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
+			found = true
 			return false
 		}
 		return true
 	})
-	return hit
+	return found
 }

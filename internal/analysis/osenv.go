@@ -27,7 +27,6 @@ var osenvFuncs = map[string]map[string]bool{
 
 // osenvAt reports whether the selector expression resolves to one of the
 // ambient-host-state readers, returning its rendered name ("os.Getenv").
-// Shared between the Osenv analyzer and detflow's taint-source scan.
 func osenvAt(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	for pkg, names := range osenvFuncs {
 		if names[sel.Sel.Name] && isPkgFunc(info.Uses[sel.Sel], pkg) {
@@ -48,25 +47,4 @@ func osenvAt(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 // harnesses legitimately consult the environment (CI knobs, testdata
 // discovery) without those reads reaching canonical bytes, because
 // build files cannot call test-file functions.
-var Osenv = &Analyzer{
-	Name: "osenv",
-	Doc:  "forbids os.Getenv/os.Environ/os.ReadDir/filepath.Walk/… in deterministic packages (tests allowlisted)",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if name, bad := osenvAt(pass.Info, sel); bad && !pass.InTestFile(sel.Pos()) {
-					pass.Reportf(sel.Pos(), "%s reads ambient host state (environment/filesystem shape); deterministic outputs must derive from (Config, seed) only (replayability contract, ARCHITECTURE.md)", name)
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+var Osenv = leaf("osenv", "forbids os.Getenv/os.Environ/os.ReadDir/filepath.Walk/… in deterministic packages (tests allowlisted)")

@@ -27,28 +27,7 @@ var fmtFormatArg = map[string]int{
 // runtime state or (for maps) on fmt's own key ordering, which is not
 // part of this repo's canonical-bytes contract — rendering code must
 // extract and sort keys explicitly.
-var Ptrformat = &Analyzer{
-	Name: "ptrformat",
-	Doc:  "flags %p and pointer/map/chan/func operands to fmt in deterministic packages",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, leak := range ptrLeaksAt(pass.Info, call) {
-					pass.Reportf(leak.pos, "%s", leak.msg)
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+var Ptrformat = leaf("ptrformat", "flags %p and pointer/map/chan/func operands to fmt in deterministic packages")
 
 // ptrLeak is one address/order leak in a fmt call.
 type ptrLeak struct {
@@ -57,8 +36,7 @@ type ptrLeak struct {
 }
 
 // ptrLeaksAt inspects one call expression for formatting that leaks
-// address bits or iteration order. Shared between the Ptrformat
-// analyzer and detflow's taint-source scan.
+// address bits or iteration order.
 func ptrLeaksAt(info *types.Info, call *ast.CallExpr) []ptrLeak {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -1,8 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-)
+import "go/ast"
 
 // multiSelect reports whether n is a select statement with more than one
 // case. When two or more cases are runnable, the runtime picks one
@@ -20,37 +18,10 @@ func multiSelect(n ast.Node) (*ast.SelectStmt, bool) {
 	return sel, true
 }
 
-// selectExempt reports whether pkgPath may use multi-case selects:
-// internal/hruntime (the real-clock goroutine runtime — racing timers
-// against inboxes is its whole point, and it is outside the
-// deterministic set anyway) and internal/sweep (the audited worker
-// pool, whose aggregation is proven order-independent). The exemption
-// is shared with detflow's taint lattice, so selects in these packages
-// do not taint their callers either.
-func selectExempt(pkgPath string) bool {
-	return hasSegment(pkgPath, "hruntime") || sweepExempt(pkgPath)
-}
-
 // Selectorder flags multi-case select statements in deterministic
-// packages. Like unsortedgo, tests are not exempt: a select in a
-// deterministic package's tests is still a scheduler-chosen branch and
-// must be a deliberate, enumerable exception (//detlint:ignore with a
-// reason) rather than ambient concurrency.
-var Selectorder = &Analyzer{
-	Name: "selectorder",
-	Doc:  "flags multi-case select statements in deterministic packages (runtime case choice is randomized)",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) || selectExempt(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := multiSelect(n); ok {
-					pass.Reportf(sel.Pos(), "select with multiple cases: the runtime chooses among ready cases pseudorandomly, so the branch taken is not a function of (Config, seed); restructure to a deterministic receive order or route concurrency through internal/sweep")
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+// packages. internal/hruntime and internal/sweep are carved out (see
+// carveOuts), in the taint lattice too. Like unsortedgo, tests are not
+// exempt: a select in a deterministic package's tests is still a
+// scheduler-chosen branch and must be a deliberate, enumerable exception
+// (//detlint:ignore with a reason) rather than ambient concurrency.
+var Selectorder = leaf("selectorder", "flags multi-case select statements in deterministic packages (runtime case choice is randomized)")

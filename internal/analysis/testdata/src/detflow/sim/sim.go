@@ -101,3 +101,9 @@ type Meter struct {
 	counter
 	*VirtualClock
 }
+
+// seed launders crypto/rand's Reader var through an exempt-package
+// helper. It is unexported, so the certified-API report does not list it.
+func seed(buf []byte) {
+	cliutil.Entropy(buf) // want `call to cliutil.Entropy reaches globalrand nondeterminism: sim.seed -> cliutil.Entropy -> crypto/rand.Reader`
+}

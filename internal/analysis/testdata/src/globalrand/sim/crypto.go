@@ -1,9 +1,9 @@
 package sim
 
 import (
-	crand "crypto/rand" // want `crypto/rand is nondeterministic by design`
+	crand "crypto/rand"
 )
 
 func entropy(buf []byte) {
-	crand.Read(buf)
+	crand.Read(buf) // want `crypto/rand is nondeterministic by design`
 }

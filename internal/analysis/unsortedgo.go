@@ -1,17 +1,5 @@
 package analysis
 
-import (
-	"go/ast"
-)
-
-// sweepExempt reports whether pkgPath is internal/sweep (or a
-// subpackage): the one audited home for goroutine spawns, and therefore
-// also exempt from the spawn- and select-order taint sources detflow
-// tracks.
-func sweepExempt(pkgPath string) bool {
-	return hasSegment(pkgPath, "sweep")
-}
-
 // Unsortedgo flags go statements in deterministic packages. Goroutine
 // interleaving is scheduler-chosen, so any result that depends on it
 // breaks byte-identical replay. The one audited exception is
@@ -21,24 +9,4 @@ func sweepExempt(pkgPath string) bool {
 // Concurrency *tests* elsewhere (stress tests, race-detector fodder) are
 // legitimate but must carry a //detlint:ignore with a reason, keeping
 // every concurrent entry point in a deterministic package enumerable.
-var Unsortedgo = &Analyzer{
-	Name: "unsortedgo",
-	Doc:  "flags go statements in deterministic packages outside internal/sweep's audited pool",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		if sweepExempt(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "go statement in a deterministic package: scheduler interleaving breaks byte-identical replay; route parallelism through internal/sweep's audited pool")
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+var Unsortedgo = leaf("unsortedgo", "flags go statements in deterministic packages outside internal/sweep's audited pool")

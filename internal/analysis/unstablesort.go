@@ -27,33 +27,10 @@ import (
 //
 // Everything else — single projected key, a named comparison function
 // the analyzer cannot see into, sort.Sort's opaque Less — is flagged.
-var Unstablesort = &Analyzer{
-	Name: "unstablesort",
-	Doc:  "flags sort.Slice/sort.Sort in deterministic packages whose comparison may tie without a tie-breaker",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if msg, bad := unstableSortAt(pass.Info, call); bad && !pass.InTestFile(call.Pos()) {
-					pass.Reportf(call.Pos(), "%s", msg)
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
+var Unstablesort = leaf("unstablesort", "flags sort.Slice/sort.Sort in deterministic packages whose comparison may tie without a tie-breaker")
 
 // unstableSortAt reports whether call is an unstable sort over a
-// comparison that may tie, with a diagnostic message when it is. It is
-// shared between the Unstablesort analyzer and detflow's taint-source
-// scan.
+// comparison that may tie, with a diagnostic message when it is.
 func unstableSortAt(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -214,17 +191,4 @@ func normExpr(info *types.Info, e ast.Expr, p1, p2 types.Object) string {
 		return normExpr(info, e.Fun, p1, p2) + "(" + strings.Join(parts, ",") + ")"
 	}
 	return types.ExprString(e)
-}
-
-// mentionsObj reports whether e references obj.
-func mentionsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // wallClockFuncs are the package time entry points that read or wait on
 // the wall clock. Duration arithmetic (time.Duration, time.Millisecond,
@@ -27,30 +24,7 @@ var wallClockFuncs = map[string]bool{
 // output. internal/hruntime (the real-clock goroutine runtime) is not a
 // deterministic package, and _test.go files are allowlisted: test
 // deadlines and timeouts legitimately watch the wall clock.
-var Wallclock = &Analyzer{
-	Name: "wallclock",
-	Doc:  "forbids time.Now/Since/Sleep/After/… in deterministic packages (tests allowlisted)",
-	Run: func(pass *Pass) error {
-		if !IsDeterministic(pass.PkgPath) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || !wallClockFuncs[sel.Sel.Name] {
-					return true
-				}
-				obj := pass.Info.Uses[sel.Sel]
-				if !isPkgFunc(obj, "time") || pass.InTestFile(sel.Pos()) {
-					return true
-				}
-				pass.Reportf(sel.Pos(), "time.%s reads the wall clock; deterministic packages must use virtual sim.Time (replayability contract, ARCHITECTURE.md)", sel.Sel.Name)
-				return true
-			})
-		}
-		return nil
-	},
-}
+var Wallclock = leaf("wallclock", "forbids time.Now/Since/Sleep/After/… in deterministic packages (tests allowlisted)")
 
 // isPkgFunc reports whether obj is a package-level function of the given
 // package path.

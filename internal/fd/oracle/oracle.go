@@ -43,6 +43,23 @@ func NewWorld(truth *fd.GroundTruth, stabilize sim.Time) *World {
 
 func (w *World) stable(now sim.Time) bool { return now >= w.Stabilize }
 
+// clock is the sim.Process every oracle embeds: the World it consults
+// and the environment of the process it is attached to, its only window
+// on virtual time and its own PID.
+type clock struct {
+	w   *World
+	env sim.Environment
+}
+
+// Init implements sim.Process.
+func (c *clock) Init(env sim.Environment) { c.env = env }
+
+// OnMessage implements sim.Process; oracles use no messages.
+func (c *clock) OnMessage(any) {}
+
+// OnTimer implements sim.Process; oracles use no timers.
+func (c *clock) OnTimer(int) {}
+
 // Adversary selects the pre-stabilization behaviour of leader oracles.
 type Adversary int
 
@@ -65,8 +82,7 @@ const RotatePeriod = 7
 
 // HOmega is an HΩ-class oracle for one process.
 type HOmega struct {
-	w    *World
-	env  sim.Environment
+	clock
 	mode Adversary
 }
 
@@ -75,17 +91,8 @@ var _ fd.HOmega = (*HOmega)(nil)
 // NewHOmega builds the oracle for one process; attach it to the process's
 // node so it can observe virtual time.
 func NewHOmega(w *World, mode Adversary) *HOmega {
-	return &HOmega{w: w, mode: mode}
+	return &HOmega{clock: clock{w: w}, mode: mode}
 }
-
-// Init implements sim.Process.
-func (o *HOmega) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process; oracles use no messages.
-func (o *HOmega) OnMessage(any) {}
-
-// OnTimer implements sim.Process; oracles use no timers.
-func (o *HOmega) OnTimer(int) {}
 
 // Leader implements fd.HOmega.
 func (o *HOmega) Leader() (fd.LeaderInfo, bool) {
@@ -107,8 +114,7 @@ func (o *HOmega) Leader() (fd.LeaderInfo, bool) {
 // DiamondHPbar is a ◇HP̄-class oracle: it trusts I(alive(now)) before
 // stabilization (a natural over-approximation) and I(Correct) afterwards.
 type DiamondHPbar struct {
-	w     *World
-	env   sim.Environment
+	clock
 	pre   *multiset.Multiset[ident.ID] // memoized pre-stabilization output
 	preAt sim.Time
 }
@@ -116,16 +122,7 @@ type DiamondHPbar struct {
 var _ fd.DiamondHPbar = (*DiamondHPbar)(nil)
 
 // NewDiamondHPbar builds the oracle.
-func NewDiamondHPbar(w *World) *DiamondHPbar { return &DiamondHPbar{w: w} }
-
-// Init implements sim.Process.
-func (o *DiamondHPbar) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *DiamondHPbar) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *DiamondHPbar) OnTimer(int) {}
+func NewDiamondHPbar(w *World) *DiamondHPbar { return &DiamondHPbar{clock: clock{w: w}} }
 
 // Trusted implements fd.DiamondHPbar. The returned multiset is a shared
 // snapshot and must not be mutated; the pre-stabilization value is memoized
@@ -148,8 +145,7 @@ func (o *DiamondHPbar) Trusted() *multiset.Multiset[ident.ID] {
 // AP is an AP-class oracle: the current number of alive processes (always
 // a safe upper bound that converges to |Correct| once all crashes fired).
 type AP struct {
-	w   *World
-	env sim.Environment
+	clock
 	// Slack inflates pre-stabilization outputs, exercising consumers that
 	// must tolerate loose upper bounds.
 	Slack int
@@ -158,16 +154,7 @@ type AP struct {
 var _ fd.AP = (*AP)(nil)
 
 // NewAP builds the oracle.
-func NewAP(w *World, slack int) *AP { return &AP{w: w, Slack: slack} }
-
-// Init implements sim.Process.
-func (o *AP) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *AP) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *AP) OnTimer(int) {}
+func NewAP(w *World, slack int) *AP { return &AP{clock: clock{w: w}, Slack: slack} }
 
 // AliveCount implements fd.AP.
 func (o *AP) AliveCount() int {
@@ -184,23 +171,13 @@ func (o *AP) AliveCount() int {
 // I(Correct). With a majority of correct processes one could emit majority
 // quorums; the oracle keeps the simplest class-valid behaviour.
 type Sigma struct {
-	w   *World
-	env sim.Environment
+	clock
 }
 
 var _ fd.Sigma = (*Sigma)(nil)
 
 // NewSigma builds the oracle.
-func NewSigma(w *World) *Sigma { return &Sigma{w: w} }
-
-// Init implements sim.Process.
-func (o *Sigma) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *Sigma) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *Sigma) OnTimer(int) {}
+func NewSigma(w *World) *Sigma { return &Sigma{clock: clock{w: w}} }
 
 // TrustedQuorum implements fd.Sigma. The returned multiset is shared and
 // must not be mutated.
@@ -216,23 +193,13 @@ func (o *Sigma) TrustedQuorum() *multiset.Multiset[ident.ID] {
 // sub-quora of size n and |Correct| over their member sets always
 // intersect (the correct set is non-empty).
 type ASigma struct {
-	w   *World
-	env sim.Environment
+	clock
 }
 
 var _ fd.ASigma = (*ASigma)(nil)
 
 // NewASigma builds the oracle.
-func NewASigma(w *World) *ASigma { return &ASigma{w: w} }
-
-// Init implements sim.Process.
-func (o *ASigma) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *ASigma) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *ASigma) OnTimer(int) {}
+func NewASigma(w *World) *ASigma { return &ASigma{clock: clock{w: w}} }
 
 // ASigma implements fd.ASigma. The returned slice is shared and must not
 // be mutated.
@@ -246,23 +213,13 @@ func (o *ASigma) ASigma() []fd.APair {
 // HSigma is an HΣ-class oracle: label "all" ↦ I(Π) always, and once stable
 // label "corr" ↦ I(Correct) with membership of all correct processes.
 type HSigma struct {
-	w   *World
-	env sim.Environment
+	clock
 }
 
 var _ fd.HSigma = (*HSigma)(nil)
 
 // NewHSigma builds the oracle.
-func NewHSigma(w *World) *HSigma { return &HSigma{w: w} }
-
-// Init implements sim.Process.
-func (o *HSigma) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *HSigma) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *HSigma) OnTimer(int) {}
+func NewHSigma(w *World) *HSigma { return &HSigma{clock: clock{w: w}} }
 
 // Quora implements fd.HSigma. The returned slice and its multisets are
 // shared and must not be mutated.
@@ -286,24 +243,14 @@ func (o *HSigma) Labels() []fd.Label {
 // AOmega is an AΩ-class oracle: after stabilization exactly the lowest-
 // indexed correct process holds the flag.
 type AOmega struct {
-	w    *World
-	env  sim.Environment
+	clock
 	mode Adversary
 }
 
 var _ fd.AOmega = (*AOmega)(nil)
 
 // NewAOmega builds the oracle.
-func NewAOmega(w *World, mode Adversary) *AOmega { return &AOmega{w: w, mode: mode} }
-
-// Init implements sim.Process.
-func (o *AOmega) Init(env sim.Environment) { o.env = env }
-
-// OnMessage implements sim.Process.
-func (o *AOmega) OnMessage(any) {}
-
-// OnTimer implements sim.Process.
-func (o *AOmega) OnTimer(int) {}
+func NewAOmega(w *World, mode Adversary) *AOmega { return &AOmega{clock: clock{w: w}, mode: mode} }
 
 // IsLeader implements fd.AOmega.
 func (o *AOmega) IsLeader() bool {
