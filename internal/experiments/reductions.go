@@ -91,7 +91,7 @@ func E3AliveList() (Table, error) {
 		eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 8}, Seed: int64(cfg.n), Recorder: rec})
 		dets := make([]*alive.Detector, cfg.n)
 		for i := range dets {
-			dets[i] = alive.New(0)
+			dets[i] = alive.New()
 			eng.AddProcess(dets[i])
 		}
 		eng.CrashSchedule(cfg.crashes)

@@ -20,8 +20,10 @@ func (Msg) MsgTag() string { return "ALIVE" }
 // Detector is the per-process Figure 3 instance. It implements
 // sim.Process and fd.AliveList.
 type Detector struct {
-	env   sim.Environment
-	poll  sim.Time
+	env sim.Environment
+	// msg is ALIVE(id), boxed once in Init: the value never changes, so
+	// every period broadcasts the same box.
+	msg   any
 	alive []ident.ID // index 0 is the first (freshest) position
 }
 
@@ -30,26 +32,21 @@ var (
 	_ fd.AliveList = (*Detector)(nil)
 )
 
-// New creates a detector broadcasting every pollInterval units (values < 1
-// fall back to DefaultPollInterval).
-func New(pollInterval sim.Time) *Detector {
-	if pollInterval < 1 {
-		pollInterval = DefaultPollInterval
-	}
-	return &Detector{poll: pollInterval}
-}
+// New creates a detector broadcasting every DefaultPollInterval units.
+func New() *Detector { return &Detector{} }
 
 // Init implements sim.Process: it starts Task T1 (periodic ALIVE).
 func (d *Detector) Init(env sim.Environment) {
 	d.env = env
-	env.Broadcast(sim.Intern(env, Msg{ID: env.ID()}))
-	env.SetTimer(d.poll, 0)
+	d.msg = Msg{ID: env.ID()}
+	env.Broadcast(d.msg)
+	env.SetTimer(DefaultPollInterval, 0)
 }
 
 // OnTimer implements sim.Process (Task T1's "repeat forever").
 func (d *Detector) OnTimer(tag int) {
-	d.env.Broadcast(sim.Intern(d.env, Msg{ID: d.env.ID()}))
-	d.env.SetTimer(d.poll, tag)
+	d.env.Broadcast(d.msg)
+	d.env.SetTimer(DefaultPollInterval, tag)
 }
 
 // OnMessage implements sim.Process (Task T2): move the received identifier

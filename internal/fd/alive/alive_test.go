@@ -17,7 +17,7 @@ func runAlive(t *testing.T, n int, crashes map[sim.PID]sim.Time, net sim.Model, 
 	eng := sim.New(sim.Config{IDs: ids, Net: net, Seed: seed})
 	dets := make([]*Detector, n)
 	for i := range dets {
-		dets[i] = New(0)
+		dets[i] = New()
 		eng.AddProcess(dets[i])
 	}
 	eng.CrashSchedule(crashes)
@@ -68,8 +68,33 @@ func TestStabilizationAfterLastCrash(t *testing.T) {
 	}
 }
 
+// TestSteadyStateZeroAlloc pins that Figure 3's periodic task costs no heap
+// allocation once the alive lists are full: each Detector broadcasts the
+// box it made in Init, so neither the ALIVE boxing nor the engine's
+// fan-out allocates per period.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	const n = 8
+	eng := sim.New(sim.Config{IDs: ident.Unique(n), Net: sim.Async{MaxDelay: 4}, Seed: 42})
+	for i := 0; i < n; i++ {
+		eng.AddProcess(New())
+	}
+	horizon := sim.Time(1000)
+	eng.Run(horizon) // warm-up: full alive lists, steady-state queue
+	before := eng.Processed()
+	avg := testing.AllocsPerRun(20, func() {
+		horizon += 200
+		eng.Run(horizon)
+	})
+	if eng.Processed() == before {
+		t.Fatal("measurement processed no events")
+	}
+	if avg != 0 {
+		t.Fatalf("ALIVE steady state allocates %.1f allocs/run, want 0", avg)
+	}
+}
+
 func TestMoveToFrontSemantics(t *testing.T) {
-	d := New(1)
+	d := New()
 	// Drive OnMessage directly; Init is not needed for list maintenance.
 	d.OnMessage(Msg{ID: "a"})
 	d.OnMessage(Msg{ID: "b"})
@@ -89,7 +114,7 @@ func TestMoveToFrontSemantics(t *testing.T) {
 }
 
 func TestIgnoresForeignPayloads(t *testing.T) {
-	d := New(1)
+	d := New()
 	d.OnMessage(struct{ X int }{1})
 	if len(d.Alive()) != 0 {
 		t.Error("foreign payload mutated the alive list")
@@ -97,7 +122,7 @@ func TestIgnoresForeignPayloads(t *testing.T) {
 }
 
 func TestAliveReturnsCopy(t *testing.T) {
-	d := New(1)
+	d := New()
 	d.OnMessage(Msg{ID: "a"})
 	got := d.Alive()
 	got[0] = "mutated"

@@ -2,9 +2,10 @@
 // class 𝔈 (Definition 1) for asynchronous systems with unique identifiers
 // AS[∅], without initial knowledge of the membership.
 //
-// Every process repeatedly broadcasts ALIVE(id(p)); on receiving ALIVE(i),
-// the receiver moves i to the first position of its alive list (inserting
-// it if absent). A crashed process eventually stops being refreshed, so its
-// identifier sinks below every correct identifier: eventually the correct
-// identifiers permanently occupy the prefix of the list (Lemma 1).
+// Every process broadcasts ALIVE(id(p)) every DefaultPollInterval; on
+// receiving ALIVE(i), the receiver moves i to the first position of its
+// alive list (inserting it if absent). A crashed process eventually stops
+// being refreshed, so its identifier sinks below every correct identifier:
+// eventually the correct identifiers permanently occupy the prefix of the
+// list (Lemma 1).
 package alive

@@ -185,27 +185,3 @@ func CheckAOmega(g *GroundTruth, pr FinalView[bool]) (Result, error) {
 	}
 	return Result{StabilizationTime: stabilization(g, pr)}, nil
 }
-
-// CheckOmega verifies the classical Ω, restated over the eventually-up set
-// (= Correct in crash-stop): all eventually-up processes' final leader is
-// one common identifier of an eventually-up process.
-func CheckOmega(g *GroundTruth, pr FinalView[ident.ID]) (Result, error) {
-	up := g.EventuallyUp()
-	if len(up) == 0 {
-		return Result{}, nil
-	}
-	first, ok := pr.Last(up[0])
-	if !ok {
-		return Result{}, fmt.Errorf("Ω election: eventually-up process %d produced no output", up[0])
-	}
-	for _, p := range up[1:] {
-		got, ok := pr.Last(p)
-		if !ok || got != first {
-			return Result{}, fmt.Errorf("Ω election: process %d has leader %v, process %d has %v", up[0], first, p, got)
-		}
-	}
-	if !g.EventuallyUpIDs().Contains(first) {
-		return Result{}, fmt.Errorf("Ω election: leader %s is not an eventually-up process", first)
-	}
-	return Result{StabilizationTime: stabilization(g, pr)}, nil
-}

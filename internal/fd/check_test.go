@@ -240,27 +240,6 @@ func TestCheckAOmega(t *testing.T) {
 	}
 }
 
-func TestCheckOmega(t *testing.T) {
-	g := NewGroundTruth(ident.Unique(3), map[sim.PID]sim.Time{0: 5})
-	ids := g.IDs
-	good := NewStaticProbe([][]Sample[ident.ID]{
-		nil,
-		hist(ids[0], ids[1]),
-		hist(ids[1]),
-	})
-	if _, err := CheckOmega(g, good); err != nil {
-		t.Fatalf("good Ω history rejected: %v", err)
-	}
-	bad := NewStaticProbe([][]Sample[ident.ID]{
-		nil,
-		hist(ids[0]), // crashed leader forever
-		hist(ids[0]),
-	})
-	if _, err := CheckOmega(g, bad); err == nil {
-		t.Error("crashed leader accepted")
-	}
-}
-
 func TestRankHelpers(t *testing.T) {
 	alive := []ident.ID{"c", "a", "b"}
 	if Rank("a", alive) != 2 {
@@ -306,13 +285,5 @@ func TestProbeLastOnEmpty(t *testing.T) {
 	}
 	if pr.N() != 1 {
 		t.Error("N wrong")
-	}
-}
-
-func TestCheckOmegaNoOutput(t *testing.T) {
-	g := NewGroundTruth(ident.Unique(2), nil)
-	pr := NewStaticProbe([][]Sample[ident.ID]{nil, nil})
-	if _, err := CheckOmega(g, pr); err == nil {
-		t.Error("missing output accepted")
 	}
 }

@@ -53,23 +53,12 @@ type DiamondHPbar interface {
 	Trusted() *multiset.Multiset[ident.ID]
 }
 
-// DiamondPbar is the classical ◇P̄ for unique-identifier systems: the set
-// of trusted identifiers, eventually forever the identifiers of the correct
-// processes. (In code it shares the multiset representation; in a unique
-// system all multiplicities are one.)
-type DiamondPbar = DiamondHPbar
-
 // Sigma is the quorum class Σ generalized, as the paper does, so that the
 // trusted value is a multiset of identifiers. Liveness: eventually forever
 // trusted ⊆ I(Correct); safety: any two outputs, at any processes and
 // times, intersect.
 type Sigma interface {
 	TrustedQuorum() *multiset.Multiset[ident.ID]
-}
-
-// Omega is the classical eventual-leader class Ω for unique systems.
-type Omega interface {
-	OmegaLeader() (ident.ID, bool)
 }
 
 // AOmega is the anonymous leader class AΩ: eventually, permanently, the

@@ -103,7 +103,7 @@ func NewFixedTimeout(timeout sim.Time) *Detector {
 // Init implements sim.Process: start round 1.
 func (d *Detector) Init(env sim.Environment) {
 	d.env = env
-	env.Broadcast(sim.Intern(env, Polling{Round: d.round, ID: env.ID()}))
+	env.Broadcast(Polling{Round: d.round, ID: env.ID()})
 	env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -117,7 +117,7 @@ func (d *Detector) OnRecover() {
 	d.round++
 	d.resync = true
 	d.pending = d.pending[:0]
-	d.env.Broadcast(sim.Intern(d.env, Polling{Round: d.round, ID: d.env.ID()}))
+	d.env.Broadcast(Polling{Round: d.round, ID: d.env.ID()})
 	d.env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -151,7 +151,7 @@ func (d *Detector) OnTimer(tag int) {
 	}
 	d.pending = kept
 
-	d.env.Broadcast(sim.Intern(d.env, Polling{Round: d.round, ID: d.env.ID()}))
+	d.env.Broadcast(Polling{Round: d.round, ID: d.env.ID()})
 	d.env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -171,9 +171,6 @@ func (d *Detector) onPolling(m Polling) {
 		d.latestR[m.ID] = 0
 	}
 	if d.latestR[m.ID] < m.Round {
-		// Replies are NOT interned: their covered interval makes most
-		// values unique, so the arena would retain entries it rarely hits
-		// (Polling repeats across homonyms and is interned instead).
 		d.env.Broadcast(Reply{
 			From:   d.latestR[m.ID] + 1,
 			To:     m.Round,

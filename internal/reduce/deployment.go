@@ -126,7 +126,7 @@ func JudgeHOmega(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.HOmega) func(
 // StackFig1 is Σ → HΣ with known membership (Theorem 1(1)).
 func StackFig1(w *oracle.World, node *sim.Node) fd.HSigma {
 	src := oracle.NewSigma(w)
-	xf := NewSigmaToHSigmaKnown(src, w.Truth.IDs.I(), 0)
+	xf := NewSigmaToHSigmaKnown(src, w.Truth.IDs.I())
 	node.Add("sigma", src).Add("fig1", xf)
 	return xf
 }
@@ -134,15 +134,15 @@ func StackFig1(w *oracle.World, node *sim.Node) fd.HSigma {
 // StackFig2 is Σ → HΣ with unknown membership (Theorem 1(2)).
 func StackFig2(w *oracle.World, node *sim.Node) fd.HSigma {
 	src := oracle.NewSigma(w)
-	xf := NewSigmaToHSigmaUnknown(src, 0)
+	xf := NewSigmaToHSigmaUnknown(src)
 	node.Add("sigma", src).Add("fig2", xf)
 	return xf
 }
 
 // fig4On stacks 𝔈 (Figure 3) and Figure 4 on an HΣ source already on node.
 func fig4On(node *sim.Node, src fd.HSigma) *HSigmaToSigma {
-	al := alive.New(0)
-	xf := NewHSigmaToSigma(src, al, 0)
+	al := alive.New()
+	xf := NewHSigmaToSigma(src, al)
 	node.Add("alive", al).Add("fig4", xf)
 	return xf
 }
@@ -162,7 +162,7 @@ func StackFig2Fig4(w *oracle.World, node *sim.Node) *HSigmaToSigma {
 // StackThm3 is AΣ → HΣ (Theorem 3).
 func StackThm3(w *oracle.World, node *sim.Node) fd.HSigma {
 	src := oracle.NewASigma(w)
-	xf := NewASigmaToHSigma(src, 0)
+	xf := NewASigmaToHSigma(src)
 	node.Add("asigma", src).Add("thm3", xf)
 	return xf
 }
@@ -170,7 +170,7 @@ func StackThm3(w *oracle.World, node *sim.Node) fd.HSigma {
 // StackLemma2 is AP → ◇HP̄ in anonymous systems (Lemma 2).
 func StackLemma2(w *oracle.World, node *sim.Node) fd.DiamondHPbar {
 	src := oracle.NewAP(w, 0)
-	xf := NewAPToDiamondHPbar(src, 0)
+	xf := NewAPToDiamondHPbar(src)
 	node.Add("ap", src).Add("lemma2", xf)
 	return xf
 }
@@ -178,7 +178,7 @@ func StackLemma2(w *oracle.World, node *sim.Node) fd.DiamondHPbar {
 // StackLemma3 is AP → HΣ in anonymous systems (Lemma 3).
 func StackLemma3(w *oracle.World, node *sim.Node) fd.HSigma {
 	src := oracle.NewAP(w, 0)
-	xf := NewAPToHSigma(src, 0)
+	xf := NewAPToHSigma(src)
 	node.Add("ap", src).Add("lemma3", xf)
 	return xf
 }
@@ -186,7 +186,7 @@ func StackLemma3(w *oracle.World, node *sim.Node) fd.HSigma {
 // StackObs1 is ◇HP̄ → HΩ (Observation 1).
 func StackObs1(w *oracle.World, node *sim.Node) fd.HOmega {
 	src := oracle.NewDiamondHPbar(w)
-	xf := NewDiamondHPbarToHOmega(src, 0)
+	xf := NewDiamondHPbarToHOmega(src)
 	node.Add("ohp", src).Add("obs1", xf)
 	return xf
 }

@@ -7,7 +7,9 @@
 // detector of a source class, sometimes with communication. Reductions are
 // simulator modules; the emulated detector is queried through the same
 // fd interfaces as native implementations, so the same property checkers
-// certify them.
+// certify them. A constructor takes only its source detectors (and, for
+// Figure 1, the membership): every "repeat forever" loop runs at the
+// fixed DefaultPollInterval.
 //
 // Every reduction is verified by the same experiment, and Deployment is
 // that experiment written once: a Stack (one of the eight Stack*

@@ -28,7 +28,6 @@ type HSigmaToSigma struct {
 	env    sim.Environment
 	source fd.HSigma
 	alive  fd.AliveList
-	poll   sim.Time
 
 	idents  map[fd.Label]*multiset.Multiset[ident.ID]
 	trusted *multiset.Multiset[ident.ID]
@@ -51,14 +50,10 @@ var (
 
 // NewHSigmaToSigma builds the Figure 4 transformer from the HΣ source D
 // and the 𝔈 detector X.
-func NewHSigmaToSigma(source fd.HSigma, alive fd.AliveList, poll sim.Time) *HSigmaToSigma {
-	if poll < 1 {
-		poll = DefaultPollInterval
-	}
+func NewHSigmaToSigma(source fd.HSigma, alive fd.AliveList) *HSigmaToSigma {
 	return &HSigmaToSigma{
 		source: source,
 		alive:  alive,
-		poll:   poll,
 		idents: make(map[fd.Label]*multiset.Multiset[ident.ID]),
 	}
 }
@@ -67,13 +62,13 @@ func NewHSigmaToSigma(source fd.HSigma, alive fd.AliveList, poll sim.Time) *HSig
 func (m *HSigmaToSigma) Init(env sim.Environment) {
 	m.env = env
 	m.iterate()
-	env.SetTimer(m.poll, 0)
+	env.SetTimer(DefaultPollInterval, 0)
 }
 
 // OnTimer implements sim.Process (Task T1).
 func (m *HSigmaToSigma) OnTimer(tag int) {
 	m.iterate()
-	m.env.SetTimer(m.poll, tag)
+	m.env.SetTimer(DefaultPollInterval, tag)
 }
 
 func (m *HSigmaToSigma) iterate() {

@@ -19,25 +19,20 @@ import (
 // transformations.
 type localSampler struct {
 	env    sim.Environment
-	poll   sim.Time
 	sample func()
 }
 
-func (l *localSampler) start(env sim.Environment, poll sim.Time, sample func()) {
+func (l *localSampler) start(env sim.Environment, sample func()) {
 	l.env = env
-	if poll < 1 {
-		poll = DefaultPollInterval
-	}
-	l.poll = poll
 	l.sample = sample
 	sample()
-	env.SetTimer(l.poll, 0)
+	env.SetTimer(DefaultPollInterval, 0)
 }
 
 // OnTimer implements sim.Process.
 func (l *localSampler) OnTimer(tag int) {
 	l.sample()
-	l.env.SetTimer(l.poll, tag)
+	l.env.SetTimer(DefaultPollInterval, tag)
 }
 
 // OnMessage implements sim.Process. Local transformations receive nothing
@@ -70,15 +65,13 @@ var (
 )
 
 // NewDiamondHPbarToHOmega builds the Observation 1 transformer.
-func NewDiamondHPbarToHOmega(source fd.DiamondHPbar, poll sim.Time) *DiamondHPbarToHOmega {
-	m := &DiamondHPbarToHOmega{source: source}
-	m.poll = poll
-	return m
+func NewDiamondHPbarToHOmega(source fd.DiamondHPbar) *DiamondHPbarToHOmega {
+	return &DiamondHPbarToHOmega{source: source}
 }
 
 // Init implements sim.Process.
 func (m *DiamondHPbarToHOmega) Init(env sim.Environment) {
-	m.start(env, m.poll, func() {
+	m.start(env, func() {
 		trusted := m.source.Trusted()
 		if id, ok := trusted.Min(); ok {
 			m.out = fd.LeaderInfo{ID: id, Multiplicity: trusted.Count(id)}
@@ -105,15 +98,13 @@ var (
 )
 
 // NewAPToDiamondHPbar builds the Lemma 2 transformer.
-func NewAPToDiamondHPbar(source fd.AP, poll sim.Time) *APToDiamondHPbar {
-	m := &APToDiamondHPbar{source: source}
-	m.poll = poll
-	return m
+func NewAPToDiamondHPbar(source fd.AP) *APToDiamondHPbar {
+	return &APToDiamondHPbar{source: source}
 }
 
 // Init implements sim.Process.
 func (m *APToDiamondHPbar) Init(env sim.Environment) {
-	m.start(env, m.poll, func() { m.count = m.source.AliveCount() })
+	m.start(env, func() { m.count = m.source.AliveCount() })
 }
 
 // Trusted implements fd.DiamondHPbar: ⊥^anap.
@@ -142,15 +133,13 @@ var (
 )
 
 // NewAPToHSigma builds the Lemma 3 transformer.
-func NewAPToHSigma(source fd.AP, poll sim.Time) *APToHSigma {
-	m := &APToHSigma{source: source, seen: make(map[int]bool)}
-	m.poll = poll
-	return m
+func NewAPToHSigma(source fd.AP) *APToHSigma {
+	return &APToHSigma{source: source, seen: make(map[int]bool)}
 }
 
 // Init implements sim.Process.
 func (m *APToHSigma) Init(env sim.Environment) {
-	m.start(env, m.poll, func() {
+	m.start(env, func() {
 		y := m.source.AliveCount()
 		if y <= 0 || m.seen[y] {
 			return
@@ -188,15 +177,13 @@ var (
 )
 
 // NewASigmaToHSigma builds the Theorem 3 transformer.
-func NewASigmaToHSigma(source fd.ASigma, poll sim.Time) *ASigmaToHSigma {
-	m := &ASigmaToHSigma{source: source, pairs: make(map[fd.Label]int)}
-	m.poll = poll
-	return m
+func NewASigmaToHSigma(source fd.ASigma) *ASigmaToHSigma {
+	return &ASigmaToHSigma{source: source, pairs: make(map[fd.Label]int)}
 }
 
 // Init implements sim.Process.
 func (m *ASigmaToHSigma) Init(env sim.Environment) {
-	m.start(env, m.poll, func() {
+	m.start(env, func() {
 		for _, pair := range m.source.ASigma() {
 			if _, ok := m.pairs[pair.Label]; !ok {
 				m.order = append(m.order, pair.Label)

@@ -20,7 +20,6 @@ const DefaultPollInterval sim.Time = 5
 type SigmaToHSigmaKnown struct {
 	env        sim.Environment
 	source     fd.Sigma
-	poll       sim.Time
 	membership *multiset.Multiset[ident.ID]
 
 	labels []fd.Label
@@ -35,13 +34,9 @@ var (
 
 // NewSigmaToHSigmaKnown builds the Figure 1 transformer for one process.
 // membership is I(Π); source is the Σ detector D.
-func NewSigmaToHSigmaKnown(source fd.Sigma, membership *multiset.Multiset[ident.ID], poll sim.Time) *SigmaToHSigmaKnown {
-	if poll < 1 {
-		poll = DefaultPollInterval
-	}
+func NewSigmaToHSigmaKnown(source fd.Sigma, membership *multiset.Multiset[ident.ID]) *SigmaToHSigmaKnown {
 	return &SigmaToHSigmaKnown{
 		source:     source,
-		poll:       poll,
 		known:      make(map[fd.Label]bool),
 		membership: membership.Clone(),
 	}
@@ -54,13 +49,13 @@ func (m *SigmaToHSigmaKnown) Init(env sim.Environment) {
 		m.labels = append(m.labels, fd.Label(s.Key()))
 	}
 	m.sample()
-	env.SetTimer(m.poll, 0)
+	env.SetTimer(DefaultPollInterval, 0)
 }
 
 // OnTimer implements sim.Process (the repeat-forever loop).
 func (m *SigmaToHSigmaKnown) OnTimer(tag int) {
 	m.sample()
-	m.env.SetTimer(m.poll, tag)
+	m.env.SetTimer(DefaultPollInterval, tag)
 }
 
 // OnMessage implements sim.Process; Figure 1 uses no messages.
@@ -90,7 +85,9 @@ func (m *SigmaToHSigmaKnown) Labels() []fd.Label { return cloneLabels(m.labels) 
 type SigmaToHSigmaUnknown struct {
 	env    sim.Environment
 	source fd.Sigma
-	poll   sim.Time
+	// identMsg is IDENT(id(p)), boxed once in Init: the value never changes,
+	// so every period broadcasts the same box.
+	identMsg any
 
 	mship  *multiset.Multiset[ident.ID] // set semantics: unique-id system
 	labels []fd.Label
@@ -112,13 +109,9 @@ var (
 )
 
 // NewSigmaToHSigmaUnknown builds the Figure 2 transformer.
-func NewSigmaToHSigmaUnknown(source fd.Sigma, poll sim.Time) *SigmaToHSigmaUnknown {
-	if poll < 1 {
-		poll = DefaultPollInterval
-	}
+func NewSigmaToHSigmaUnknown(source fd.Sigma) *SigmaToHSigmaUnknown {
 	return &SigmaToHSigmaUnknown{
 		source: source,
-		poll:   poll,
 		mship:  multiset.New[ident.ID](),
 		known:  make(map[fd.Label]bool),
 	}
@@ -127,16 +120,17 @@ func NewSigmaToHSigmaUnknown(source fd.Sigma, poll sim.Time) *SigmaToHSigmaUnkno
 // Init implements sim.Process.
 func (m *SigmaToHSigmaUnknown) Init(env sim.Environment) {
 	m.env = env
-	env.Broadcast(sim.Intern(env, IdentMsg{ID: env.ID()}))
+	m.identMsg = IdentMsg{ID: env.ID()}
+	env.Broadcast(m.identMsg)
 	m.sample()
-	env.SetTimer(m.poll, 0)
+	env.SetTimer(DefaultPollInterval, 0)
 }
 
 // OnTimer implements sim.Process (Task T1).
 func (m *SigmaToHSigmaUnknown) OnTimer(tag int) {
-	m.env.Broadcast(sim.Intern(m.env, IdentMsg{ID: m.env.ID()}))
+	m.env.Broadcast(m.identMsg)
 	m.sample()
-	m.env.SetTimer(m.poll, tag)
+	m.env.SetTimer(DefaultPollInterval, tag)
 }
 
 // OnMessage implements sim.Process (Task T2).

@@ -3,44 +3,44 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/ident"
 	"repro/internal/trace"
 )
 
-// allocPing is a non-empty payload: boxing it into `any` without the arena
-// costs one heap allocation per conversion, which is exactly what the
-// zero-allocation assertions below would catch.
+// allocPing is a non-empty payload, so the engine has to carry a boxed
+// value rather than a zero-size one through its fan-out record.
 type allocPing struct {
 	Round int
 }
 
 func (allocPing) MsgTag() string { return "ALLOC_PING" }
 
-// pinger broadcasts the same interned payload every period.
+// pinger broadcasts the same payload every period, boxed once in Init.
 type pinger struct {
 	env   Environment
+	ping  any
 	heard int
 }
 
 func (p *pinger) Init(env Environment) {
 	p.env = env
+	p.ping = allocPing{Round: 7}
 	env.SetTimer(5, 0)
 }
 
 func (p *pinger) OnMessage(any) { p.heard++ }
 
 func (p *pinger) OnTimer(int) {
-	p.env.Broadcast(Intern(p.env, allocPing{Round: 7}))
+	p.env.Broadcast(p.ping)
 	p.env.SetTimer(5, 0)
 }
 
-// TestUntracedDeliverZeroAlloc pins the PR's headline contract: at steady
-// state, the untraced deliver path (broadcast fan-out, queue churn,
-// payload table, delivery dispatch) performs zero heap allocations per
-// run segment. Warm-up grows the queue, payload table, and arena to their
+// TestUntracedDeliverZeroAlloc pins the engine's zero-allocation contract:
+// at steady state, the untraced deliver path (broadcast fan-out, queue
+// churn, payload table, delivery dispatch) performs zero heap allocations
+// per run segment. Warm-up grows the queue and payload table to their
 // steady-state capacities first.
 func TestUntracedDeliverZeroAlloc(t *testing.T) {
 	const n = 8
@@ -64,69 +64,8 @@ func TestUntracedDeliverZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInternCanonical pins the arena contract: equal values yield the
-// same box, distinct values distinct boxes, and distinct engines do not
-// share arenas.
-func TestInternCanonical(t *testing.T) {
-	mk := func() *Engine {
-		eng := New(Config{IDs: ident.Unique(1), Seed: 1})
-		eng.AddProcess(&pinger{})
-		return eng
-	}
-	e1, e2 := mk(), mk()
-	env1, env2 := e1.Env(0), e2.Env(0)
-
-	a := Intern(env1, allocPing{Round: 3})
-	if a != (allocPing{Round: 3}) {
-		t.Fatal("interned box must hold the value")
-	}
-	if Intern(env1, allocPing{Round: 4}) == a {
-		t.Fatal("distinct values must not share a box")
-	}
-	// Re-interning an existing value returns the canonical box without
-	// boxing again — the zero-allocation property everything rests on.
-	if avg := testing.AllocsPerRun(100, func() { _ = Intern(env1, allocPing{Round: 3}) }); avg != 0 {
-		t.Fatalf("interned lookup allocates %.1f allocs/run, want 0", avg)
-	}
-	_ = Intern(env2, allocPing{Round: 3}) // different engine: separate arena
-	if len(e1.arena.tables) != 1 || len(e2.arena.tables) != 1 {
-		t.Fatal("arenas must be per-engine")
-	}
-}
-
-// nonInterner is an Environment without an engine arena behind it.
-type nonInterner struct{ Environment }
-
-// TestInternFallback pins that Intern degrades to plain boxing for
-// environments that do not reach an arena, and when the per-type cap is
-// exhausted.
-func TestInternFallback(t *testing.T) {
-	v := Intern(nonInterner{}, allocPing{Round: 1})
-	if v != (allocPing{Round: 1}) {
-		t.Fatal("fallback must still box the value")
-	}
-
-	eng := New(Config{IDs: ident.Unique(1), Seed: 1})
-	eng.AddProcess(&pinger{})
-	env := eng.Env(0)
-	for i := 0; i < arenaMaxPerType; i++ {
-		Intern(env, allocPing{Round: i})
-	}
-	if got := Intern(env, allocPing{Round: arenaMaxPerType + 1}); got != (allocPing{Round: arenaMaxPerType + 1}) {
-		t.Fatal("cap overflow must still box the value")
-	}
-	m := eng.arena.tables[reflect.TypeFor[allocPing]()].(map[allocPing]any)
-	if len(m) != arenaMaxPerType {
-		t.Fatalf("arena grew past its cap: %d entries", len(m))
-	}
-	// Existing entries keep being served without re-boxing.
-	if avg := testing.AllocsPerRun(100, func() { _ = Intern(env, allocPing{Round: 5}) }); avg != 0 {
-		t.Fatalf("post-cap interned lookup allocates %.1f allocs/run, want 0", avg)
-	}
-}
-
-// sliceMsg is deliberately non-comparable: interning it through a map key
-// would panic, so the node's envelope interning must skip it.
+// sliceMsg is deliberately non-comparable: an engine that used a payload
+// as a map key would panic on it.
 type sliceMsg struct {
 	Vals []int
 }
@@ -152,9 +91,10 @@ func (s *sliceSender) OnMessage(payload any) {
 
 func (s *sliceSender) OnTimer(int) {}
 
-// TestNodeNonComparablePayload pins the envelope-interning guard: modules
-// broadcasting non-comparable payloads must not panic and must still
-// deliver.
+// TestNodeNonComparablePayload pins that modules broadcasting
+// non-comparable payloads through a Node neither panic nor lose the
+// message: nothing between Broadcast and delivery may compare or hash a
+// payload.
 func TestNodeNonComparablePayload(t *testing.T) {
 	const n = 3
 	eng := New(Config{IDs: ident.Unique(n), Net: Timely{Delta: 1}, Seed: 7})

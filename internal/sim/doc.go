@@ -61,9 +61,9 @@
 //     fired timers in plain ints and adds them once, when RunUntil
 //     returns: the recorder's Delivered/Dropped/Timers are exact whenever
 //     Run/RunUntil has returned and may lag inside an AfterEvent hook;
-//   - repeated payload values can be interned through the engine's
-//     type-indexed arena (Intern), so periodic algorithms do not re-box
-//     their messages every period;
+//   - a broadcast's payload is boxed by its sender, once: the fan-out
+//     record carries that one box to all n copies, and a periodic sender
+//     whose message never changes keeps the box it made in Init;
 //   - trace costs are pay-for-what-you-use: with a nil trace.Recorder the
 //     engine formats nothing and computes no tags, and with a stats-only
 //     recorder it counts event kinds without building tag/detail strings.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/ident"
@@ -187,9 +188,7 @@ type Engine struct {
 	// retain caches rec.Retaining() for the run: when the recorder keeps
 	// statistics only, the engine skips all per-event tag/detail formatting
 	// (broadcast tags are still computed — the ByTag statistic needs them).
-	retain bool
-	// arena interns boxed payloads by (type, value) — see Intern.
-	arena   payloadArena
+	retain  bool
 	crashed []bool
 	// everCrashed[p] is sticky: recovery clears crashed[p] but never this.
 	// CorrectSet ("correct = never crashes") keys off it.
@@ -678,6 +677,25 @@ func (e *Engine) fireTimer(ev event) {
 		e.parked = -1
 		e.pop()
 	}
+}
+
+// timerDetails caches the "tag=N" detail strings for small timer tags, so
+// traced timer events stop allocating one string per event. Tags are tiny
+// in practice (module-multiplexed epochs); larger ones fall back to
+// formatting.
+var timerDetails = func() [64]string {
+	var d [64]string
+	for i := range d {
+		d[i] = "tag=" + strconv.Itoa(i)
+	}
+	return d
+}()
+
+func timerDetail(tag int) string {
+	if tag >= 0 && tag < len(timerDetails) {
+		return timerDetails[tag]
+	}
+	return "tag=" + strconv.Itoa(tag)
 }
 
 func (e *Engine) notifyAfter(p PID) {

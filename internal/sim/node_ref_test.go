@@ -102,28 +102,8 @@ func (m *refModuleEnv) Now() Time        { return m.node.env.Now() }
 func (m *refModuleEnv) Rand() *rand.Rand { return m.node.env.Rand() }
 func (m *refModuleEnv) PID() PID         { return m.node.env.PID() }
 
-// payloadArena forwards to the engine arena when the node runs on one, so
-// modules can Intern their payloads too.
-func (m *refModuleEnv) payloadArena() *payloadArena {
-	if h, ok := m.node.env.(interner); ok {
-		return h.payloadArena()
-	}
-	return nil
-}
-
 func (m *refModuleEnv) Broadcast(payload any) {
 	env := envelope{Module: m.node.modules[m.index].name, Payload: payload}
-	// An envelope repeats exactly as often as its payload does, so extend
-	// interning to the wrapper — but only when the module interned the
-	// payload itself: that is the module's signal that the value repeats.
-	// Interning every comparable envelope would fill the arena with
-	// never-repeating consensus messages (monotone rounds) that are never
-	// hit again. The comparability check guards the canon lookup (an
-	// unhashable key would panic).
-	if a := m.payloadArena(); a != nil && a.comparableDyn(payload) && a.interned(payload) {
-		m.node.env.Broadcast(Intern(m.node.env, env))
-		return
-	}
 	m.node.env.Broadcast(env)
 }
 
