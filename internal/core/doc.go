@@ -24,7 +24,14 @@
 // a fixpoint, stale heartbeats of a pre-outage epoch included; a sim.Node
 // relies on that and does not poll the module again after its own message
 // or timer unless a Poller below it ran in between. Guard evaluation at a
-// fixpoint writes nothing, so one evaluation per event is exact.
+// fixpoint writes nothing, and its answer depends only on the process's
+// own state and the detector outputs the current phase reads. So step
+// memoizes it: a step that fires nothing leaves the process quiet with a
+// small view of those outputs (HΩ's leader or AΩ's flag in the
+// Coordination Phase and Phase 0; the identity of h_labels and h_quora in
+// Fig. 9's Phases 1–2; nothing in Fig. 8's), and until a handler writes
+// state (a message, a recovery) a heartbeat or poll whose view is
+// unchanged returns without evaluating any guard.
 //
 // The paper presents Figure 9 as Figure 8 with Phases 1–2 swapped, and the
 // code is laid out the same way: one round skeleton, two quorum rules. The
@@ -45,7 +52,8 @@
 // it only grows, and the guard holds iff mset ⊆ avail(sr, x) for some
 // pair and sub-round. Buffered messages share the sender's label slice:
 // a sender replaces its current_labels wholesale, never in place, and
-// fd.HSigma.Labels returns copies or immutable values. Under every
+// fd.HSigma.Labels returns an immutable slice that the detector replaces,
+// never writes to, when its output changes. Under every
 // constructor, reception buffers exist for the current round and later
 // ones only; a round's buffers go when the process leaves it.
 //

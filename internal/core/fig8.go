@@ -181,3 +181,6 @@ func (c *Fig8) forget(round int) {
 func (c *Fig8) subRound() int { return 0 }
 
 func (c *Fig8) followAck(RejoinAckMsg) {}
+
+// view is zero: counting copies reads no detector.
+func (c *Fig8) view() quorumView { return quorumView{} }

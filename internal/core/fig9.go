@@ -39,8 +39,8 @@ func (Ph2QMsg) MsgTag() string { return "PH2" }
 
 // quorMsg is one buffered PH1/PH2. labels is the sender's own slice, not a
 // copy: a sender replaces its current_labels wholesale when they change and
-// every fd.HSigma.Labels hands out a fresh or never-mutated slice, so
-// nothing writes to it after the broadcast.
+// fd.HSigma.Labels returns an immutable slice (a detector replaces its
+// output, never writes to it), so nothing writes to it after the broadcast.
 type quorMsg struct {
 	id     ident.ID
 	sr     int
@@ -201,6 +201,12 @@ func (c *Fig9) forget(round int) {
 
 func (c *Fig9) subRound() int { return c.sr }
 
+// view is the identity of h_labels and h_quora, all that Phases 1 and 2
+// read of the detectors.
+func (c *Fig9) view() quorumView {
+	return quorumView{idOf(c.d2.Labels()), idOf(c.d2.Quora())}
+}
+
 // followAck is what a REJOIN_ACK means to a rejoiner stranded *inside*
 // Phase 1 or 2 of the responder's round, beyond the skeleton's resync: a
 // responder already in Phase 2 concludes Phase 1 for the rejoiner (the ack
@@ -302,10 +308,13 @@ func (c *Fig9) nextRoundSignal() bool {
 
 // advanceSubRound implements the two triggers of lines 32–33 / 55–56 —
 // the local h_labels grew, or a peer message of this round carries a
-// higher sub-round — and the re-broadcast at the new sub-round.
+// higher sub-round — and the re-broadcast at the new sub-round. The same
+// slice as current_labels is the same label set (fd.HSigma's contract), so
+// the set comparison runs only when the detector replaced its output.
 func (c *Fig9) advanceSubRound(buf *quorBuf) bool {
 	labels := c.d2.Labels()
-	if fd.LabelsEqual(c.currentLabels, labels) && buf.maxSR() <= c.sr {
+	same := idOf(labels) == idOf(c.currentLabels) || fd.LabelsEqual(c.currentLabels, labels)
+	if same && buf.maxSR() <= c.sr {
 		return false
 	}
 	c.sr++

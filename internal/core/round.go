@@ -41,6 +41,45 @@ type quorumRule interface {
 	// followAck lets a rejoiner stranded inside Phase 1/2 of the
 	// responder's round catch up from the ack alone.
 	followAck(m RejoinAckMsg)
+	// view reads what the Phase 1/2 guards read of the detectors.
+	view() quorumView
+}
+
+// leaderView and quorumView are the step memo's views of the detectors:
+// what a phase's guards read of them, in a form that compares in constant
+// time and allocates nothing. Each is returned by value and fits in four
+// machine words, which the compiler keeps in registers; a larger struct is
+// copied through memory on every return and comparison.
+//
+// leaderView is what the Coordination Phase and Phase 0 read: HΩ's output,
+// or AΩ's flag.
+type leaderView struct {
+	leader fd.LeaderInfo
+	ok     bool // HΩ has an output, or AΩ's flag
+}
+
+// quorumView is what Phases 1 and 2 read: under Fig. 9, the identity of
+// h_labels and h_quora. fd.HSigma's contract makes identity a change
+// signal: a detector replaces an output that changes and never writes to
+// one it returned. Fig. 8's quorums read no detector, so its view is zero.
+type quorumView struct {
+	labels sliceID[fd.Label]
+	quora  sliceID[fd.QuorumPair]
+}
+
+// sliceID is a slice's identity: the address of its first element (nil
+// when it is empty) and its length. A view holding it keeps the array
+// alive, so no later output can be allocated at the same address.
+type sliceID[T any] struct {
+	first *T
+	n     int
+}
+
+func idOf[T any](s []T) sliceID[T] {
+	if len(s) == 0 {
+		return sliceID[T]{}
+	}
+	return sliceID[T]{&s[0], len(s)}
 }
 
 // heard is what one round's COORD and PH0 arrivals left behind.
@@ -93,6 +132,15 @@ type skeleton struct {
 	// round's Phase 1. It stays set until the process closes a full Phase 2
 	// quorum — one successful round means it is a normal participant again.
 	rejoining bool
+
+	// quiet records that the last step found no guard to fire, and seenLeader
+	// or seenQuorum (by phase) the detector outputs its guards read then.
+	// Such a step writes nothing, so until a handler writes guard state again
+	// (OnMessage, OnRecover and Init clear quiet) a step that sees the same
+	// outputs would find the same: it returns at once.
+	quiet      bool
+	seenLeader leaderView
+	seenQuorum quorumView
 }
 
 func newSkeleton(rule quorumRule, proposal Value) skeleton {
@@ -114,6 +162,7 @@ func (c *skeleton) Rejoining() bool { return c.rejoining }
 // Init implements sim.Process: propose(v).
 func (c *skeleton) Init(env sim.Environment) {
 	c.env = env
+	c.quiet = false
 	if c.proposal == Bottom {
 		panic("core: Bottom must not be proposed")
 	}
@@ -175,6 +224,7 @@ func (c *skeleton) OnRecover() {
 		return // crashed before Init ran; the engine never started this instance
 	}
 	c.epoch++
+	c.quiet = false
 	if c.relayAgain() {
 		// The pre-crash DECIDE broadcast may have been lost in part (e.g. a
 		// crash during the broadcast itself).
@@ -188,7 +238,8 @@ func (c *skeleton) OnRecover() {
 
 // Poll implements sim.Poller: co-located module activity (the detectors)
 // may have changed guard values. Every handler ends in c.step(), so a
-// handler already leaves the fixpoint Poll would.
+// handler already leaves the fixpoint Poll would; at a fixpoint, a poll
+// that finds the detector outputs unchanged evaluates no guard.
 func (c *skeleton) Poll() { c.step() }
 
 // OnMessage implements sim.Process. Every round-stamped message doubles as
@@ -197,6 +248,7 @@ func (c *skeleton) Poll() { c.step() }
 // left), so a message that triggers the jump still counts toward its
 // round's quorums.
 func (c *skeleton) OnMessage(payload any) {
+	c.quiet = false
 	switch m := payload.(type) {
 	case DecideMsg:
 		c.onDecide(m)
@@ -314,30 +366,63 @@ func (c *skeleton) leaderNow() bool {
 	return ok && ld.ID == c.env.ID()
 }
 
-// step runs the state machine until no guard fires.
+// step runs the state machine until no guard fires. A step that finds
+// nothing to fire leaves the process quiet, remembering the detector
+// outputs it read; a later step returns at once while they are unchanged.
 func (c *skeleton) step() {
-	if c.env == nil {
+	if c.env == nil || c.quiet && c.unmoved() {
 		return
 	}
+	c.quiet = false
 	for !c.outcome.Decided {
 		if c.maxRounds > 0 && c.round > c.maxRounds {
 			return
 		}
-		var progress bool
-		switch c.phase {
-		case inCoord:
-			progress = c.stepCoord()
-		case inPh0:
-			progress = c.stepPh0()
-		case inPh1:
-			progress = c.rule.stepPh1()
-		case inPh2:
-			progress = c.rule.stepPh2()
-		}
-		if !progress {
+		if !c.fire() {
+			c.quiet = true
+			if c.phase >= inPh1 {
+				c.seenQuorum = c.rule.view()
+			} else {
+				c.seenLeader = c.leaderView()
+			}
 			return
 		}
 	}
+}
+
+// unmoved reports whether the detector outputs the current phase's guards
+// read are still those the last step saw.
+func (c *skeleton) unmoved() bool {
+	if c.phase >= inPh1 {
+		return c.rule.view() == c.seenQuorum
+	}
+	return c.leaderView() == c.seenLeader
+}
+
+// fire evaluates the current phase's guards once and reports whether one
+// fired.
+func (c *skeleton) fire() bool {
+	switch c.phase {
+	case inCoord:
+		return c.stepCoord()
+	case inPh0:
+		return c.stepPh0()
+	case inPh1:
+		return c.rule.stepPh1()
+	case inPh2:
+		return c.rule.stepPh2()
+	}
+	return false
+}
+
+// leaderView reads what the Coordination Phase and Phase 0 read of the
+// detectors.
+func (c *skeleton) leaderView() leaderView {
+	if c.aOmega != nil {
+		return leaderView{ok: c.aOmega.IsLeader()}
+	}
+	ld, ok := c.hOmega.Leader()
+	return leaderView{ld, ok}
 }
 
 // stepCoord is the Leaders' Coordination Phase wait (lines 9–14): leaders

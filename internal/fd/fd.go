@@ -40,7 +40,13 @@ type QuorumPair struct {
 
 // HSigma is the query interface of class HΣ: the h_quora set of
 // (label, multiset) pairs and the h_labels set this process participates
-// in. Implementations must return defensive copies or immutable values.
+// in. Returned slices, and the multisets in them, are immutable: an
+// implementation replaces its output when it changes (a fresh slice, or an
+// append past the length it returned before), never writes to one it
+// returned, and callers never write to them either. So a query with no
+// event since the last one returns the identical slice, and consumers may
+// keep a returned slice as a snapshot and take an unchanged slice identity
+// for an unchanged output.
 type HSigma interface {
 	Quora() []QuorumPair
 	Labels() []Label

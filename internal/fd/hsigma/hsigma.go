@@ -60,17 +60,7 @@ func (d *Detector) StepRecv(_ *sim.SyncEnv, received []any) {
 }
 
 // Quora implements fd.HSigma.
-func (d *Detector) Quora() []fd.QuorumPair {
-	out := make([]fd.QuorumPair, len(d.quora))
-	for i, p := range d.quora {
-		out[i] = fd.QuorumPair{Label: p.Label, M: p.M.Clone()}
-	}
-	return out
-}
+func (d *Detector) Quora() []fd.QuorumPair { return d.quora }
 
 // Labels implements fd.HSigma.
-func (d *Detector) Labels() []fd.Label {
-	out := make([]fd.Label, len(d.labels))
-	copy(out, d.labels)
-	return out
-}
+func (d *Detector) Labels() []fd.Label { return d.labels }

@@ -114,13 +114,23 @@ func TestLivenessQuorumAppearsOneStepAfterLastCrash(t *testing.T) {
 	}
 }
 
-func TestQuoraReturnsDefensiveCopies(t *testing.T) {
+// TestOutputsReplacedNeverWritten pins fd.HSigma's contract on Figure 7:
+// h_quora and h_labels are handed out as held, so two queries return the
+// same slices, and a step that extends them leaves the slices returned
+// before it reading as they did.
+func TestOutputsReplacedNeverWritten(t *testing.T) {
 	d := New()
 	d.StepRecv(nil, []any{Msg{ID: "a"}, Msg{ID: "b"}})
-	q := d.Quora()
-	q[0].M.Add("z")
-	if d.Quora()[0].M.Contains("z") {
-		t.Error("Quora must return cloned multisets")
+	q, l := d.Quora(), d.Labels()
+	if &d.Quora()[0] != &q[0] || &d.Labels()[0] != &l[0] {
+		t.Error("two queries with no step between them returned different slices")
+	}
+	d.StepRecv(nil, []any{Msg{ID: "a"}})
+	if len(q) != 1 || q[0].Label != "a*1|b*1" || !q[0].M.Equal(ident.Assignment{"a", "b"}.I()) || len(l) != 1 || l[0] != "a*1|b*1" {
+		t.Errorf("outputs returned before a step changed under their holder: %v %v", q, l)
+	}
+	if len(d.Quora()) != 2 || len(d.Labels()) != 2 {
+		t.Errorf("the step did not extend the outputs: %v %v", d.Quora(), d.Labels())
 	}
 }
 

@@ -154,10 +154,10 @@ func (m *APToHSigma) Init(env sim.Environment) {
 }
 
 // Quora implements fd.HSigma.
-func (m *APToHSigma) Quora() []fd.QuorumPair { return cloneQuora(m.quora) }
+func (m *APToHSigma) Quora() []fd.QuorumPair { return m.quora }
 
 // Labels implements fd.HSigma.
-func (m *APToHSigma) Labels() []fd.Label { return cloneLabels(m.labels) }
+func (m *APToHSigma) Labels() []fd.Label { return m.labels }
 
 // ASigmaToHSigma is Theorem 3: HΣ obtained from any detector of class AΣ
 // in an anonymous system without communication. Each pair (x, y) of
@@ -169,6 +169,7 @@ type ASigmaToHSigma struct {
 	source fd.ASigma
 	pairs  map[fd.Label]int // label -> current y
 	order  []fd.Label
+	quora  []fd.QuorumPair // rebuilt, as a fresh slice, when a pair changes
 }
 
 var (
@@ -184,25 +185,30 @@ func NewASigmaToHSigma(source fd.ASigma) *ASigmaToHSigma {
 // Init implements sim.Process.
 func (m *ASigmaToHSigma) Init(env sim.Environment) {
 	m.start(env, func() {
+		changed := false
 		for _, pair := range m.source.ASigma() {
-			if _, ok := m.pairs[pair.Label]; !ok {
+			y, ok := m.pairs[pair.Label]
+			if !ok {
 				m.order = append(m.order, pair.Label)
 			}
-			m.pairs[pair.Label] = pair.Y
+			if !ok || y != pair.Y {
+				m.pairs[pair.Label] = pair.Y
+				changed = true
+			}
+		}
+		if changed {
+			m.quora = make([]fd.QuorumPair, 0, len(m.order))
+			for _, label := range m.order {
+				bot := multiset.New[ident.ID]()
+				bot.AddN(ident.Anonymous, m.pairs[label])
+				m.quora = append(m.quora, fd.QuorumPair{Label: label, M: bot})
+			}
 		}
 	})
 }
 
 // Quora implements fd.HSigma.
-func (m *ASigmaToHSigma) Quora() []fd.QuorumPair {
-	out := make([]fd.QuorumPair, 0, len(m.order))
-	for _, label := range m.order {
-		bot := multiset.New[ident.ID]()
-		bot.AddN(ident.Anonymous, m.pairs[label])
-		out = append(out, fd.QuorumPair{Label: label, M: bot})
-	}
-	return out
-}
+func (m *ASigmaToHSigma) Quora() []fd.QuorumPair { return m.quora }
 
 // Labels implements fd.HSigma.
-func (m *ASigmaToHSigma) Labels() []fd.Label { return cloneLabels(m.order) }
+func (m *ASigmaToHSigma) Labels() []fd.Label { return m.order }

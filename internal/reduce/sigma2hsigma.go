@@ -72,10 +72,10 @@ func (m *SigmaToHSigmaKnown) sample() {
 }
 
 // Quora implements fd.HSigma.
-func (m *SigmaToHSigmaKnown) Quora() []fd.QuorumPair { return cloneQuora(m.quora) }
+func (m *SigmaToHSigmaKnown) Quora() []fd.QuorumPair { return m.quora }
 
 // Labels implements fd.HSigma.
-func (m *SigmaToHSigmaKnown) Labels() []fd.Label { return cloneLabels(m.labels) }
+func (m *SigmaToHSigmaKnown) Labels() []fd.Label { return m.labels }
 
 // SigmaToHSigmaUnknown is Figure 2: the same transformation without
 // initial knowledge of the membership. Task T1 repeatedly broadcasts
@@ -143,10 +143,13 @@ func (m *SigmaToHSigmaUnknown) OnMessage(payload any) {
 		return
 	}
 	m.mship.Add(msg.ID)
-	m.labels = m.labels[:0]
-	for _, s := range SubMultisetsContaining(m.mship, m.env.ID()) {
-		m.labels = append(m.labels, fd.Label(s.Key()))
+	// A fresh slice: the one Labels returned before is not written to.
+	subs := SubMultisetsContaining(m.mship, m.env.ID())
+	labels := make([]fd.Label, len(subs))
+	for i, s := range subs {
+		labels[i] = fd.Label(s.Key())
 	}
+	m.labels = labels
 }
 
 func (m *SigmaToHSigmaUnknown) sample() {
@@ -160,10 +163,10 @@ func (m *SigmaToHSigmaUnknown) sample() {
 }
 
 // Quora implements fd.HSigma.
-func (m *SigmaToHSigmaUnknown) Quora() []fd.QuorumPair { return cloneQuora(m.quora) }
+func (m *SigmaToHSigmaUnknown) Quora() []fd.QuorumPair { return m.quora }
 
 // Labels implements fd.HSigma.
-func (m *SigmaToHSigmaUnknown) Labels() []fd.Label { return cloneLabels(m.labels) }
+func (m *SigmaToHSigmaUnknown) Labels() []fd.Label { return m.labels }
 
 // SubMultisetsContaining enumerates every sub-multiset s ⊆ m with at least
 // one instance of id — the h_labels sets of Figures 1 and 2. The count is
@@ -195,19 +198,5 @@ func SubMultisetsContaining(m *multiset.Multiset[ident.ID], id ident.ID) []*mult
 		}
 	}
 	rec(0)
-	return out
-}
-
-func cloneQuora(q []fd.QuorumPair) []fd.QuorumPair {
-	out := make([]fd.QuorumPair, len(q))
-	for i, p := range q {
-		out[i] = fd.QuorumPair{Label: p.Label, M: p.M.Clone()}
-	}
-	return out
-}
-
-func cloneLabels(ls []fd.Label) []fd.Label {
-	out := make([]fd.Label, len(ls))
-	copy(out, ls)
 	return out
 }
