@@ -1,11 +1,21 @@
-// Package sweep fans independent simulation scenarios across CPU cores.
+// Package sweep holds the repository's concurrency primitives: it fans
+// independent simulation scenarios across CPU cores, and it runs one
+// pipeline stage beside the goroutine that feeds it.
 //
 // The simulator (internal/sim) is strictly deterministic but single-
 // goroutine: one engine is one totally ordered event queue. Experiment
 // campaigns, however, run hundreds of independent (seed, assignment,
 // network model, crash pattern) scenarios, and those parallelize
-// perfectly — engines share no mutable state. The sweep runner is the
-// repository's one concurrency primitive for that fan-out.
+// perfectly — engines share no mutable state. Map is the fan-out.
+//
+// Background is the other primitive: one function at a time on a
+// goroutine of its own, with Wait as the only meeting point (it publishes
+// the function's writes and re-raises its panic). The trace recorder uses
+// it to spill one batch while the engine records the next; at most one
+// function is in flight, so whatever it feeds sees the same calls in the
+// same order as a serial run. Nothing else in the deterministic packages
+// may start a goroutine (detlint's unsortedgo rule), so these two are
+// the audited places concurrency enters.
 //
 // # Determinism contract
 //

@@ -137,6 +137,8 @@ type BinarySink struct {
 	closed  bool
 	meta    *Meta
 	strs    map[string]uint64
+	lastStr string // the string appendString last referenced, "" = none
+	lastRef uint64 // its table reference
 	lastT   int64
 	enc     []byte // per-event encode buffer
 	err     error
@@ -244,19 +246,33 @@ func (s *BinarySink) closeFrame() error {
 	s.inFrame = 0
 	s.lastT = 0
 	clear(s.strs)
+	s.lastStr, s.lastRef = "", 0
 	return s.writeBody([]byte{0, controlRestart})
 }
 
+// appendString appends v's string ref, introducing v into the frame's
+// table on first use. The string it referenced last is checked before the
+// table: consecutive events mostly repeat their tag (a delivery wave is
+// thousands of copies of one message), so the map lookup is the
+// exception. The check is only a shortcut to the ref the table holds, and
+// closeFrame clears it with the table, so the bytes are the same.
 func (s *BinarySink) appendString(enc []byte, v string) []byte {
 	if v == "" {
 		return append(enc, 0)
 	}
-	if ref, ok := s.strs[v]; ok {
-		return binary.AppendUvarint(enc, ref)
+	if v == s.lastStr {
+		return binary.AppendUvarint(enc, s.lastRef)
 	}
-	ref := uint64(len(s.strs)) + 1
-	s.strs[v] = ref
+	ref, ok := s.strs[v]
+	if !ok {
+		ref = uint64(len(s.strs)) + 1
+		s.strs[v] = ref
+	}
+	s.lastStr, s.lastRef = v, ref
 	enc = binary.AppendUvarint(enc, ref)
+	if ok {
+		return enc
+	}
 	enc = binary.AppendUvarint(enc, uint64(len(v)))
 	return append(enc, v...)
 }

@@ -119,6 +119,42 @@ func TestBinaryStringTableSharing(t *testing.T) {
 	}
 }
 
+// TestBinaryFrameReintroducesCachedString pins the sink's last-string
+// cache to the frame boundary: when two frames open with the string the
+// previous frame referenced last, each frame introduces it afresh, so every
+// frame still decodes from its own first byte.
+func TestBinaryFrameReintroducesCachedString(t *testing.T) {
+	events := []Event{
+		{Time: 1, Kind: KindDeliver, PID: 1, MsgTag: "BEAT"},
+		{Time: 2, Kind: KindDeliver, PID: 2, MsgTag: "BEAT"},
+		{Time: 3, Kind: KindDeliver, PID: 3, MsgTag: "BEAT"},
+		{Time: 4, Kind: KindDeliver, PID: 4, MsgTag: "BEAT"},
+	}
+	bin := encodeV2(t, events, 2, nil)
+	if got := bytes.Count(bin, []byte("BEAT")); got != 2 {
+		t.Errorf("two frames wrote the tag %d times, want once per frame", got)
+	}
+	got, err := ReadBinary(bytes.NewReader(bin))
+	if err != nil || !slices.Equal(got, events) {
+		t.Fatalf("round trip = %v, %v; want %v", got, err, events)
+	}
+	tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range tf.Index().Frames {
+		r, err := tf.OpenFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if e, err := r.Next(); err != nil || e != events[2*f+i] {
+				t.Fatalf("frame %d event %d = %v, %v; want %v", f, i, e, err, events[2*f+i])
+			}
+		}
+	}
+}
+
 // TestBinaryDecodeErrors covers the corruption paths: short/bad headers,
 // unknown versions, mid-event truncation at every byte offset, dangling
 // string references, and absurd string lengths. Corruption must always

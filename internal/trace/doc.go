@@ -18,10 +18,16 @@
 //     re-copied.
 //   - streaming mode (SetSink / NewSpillRecorder): the batch is handed to
 //     a caller-provided Sink and never retained, so a trace of any length
-//     records in constant memory. WriterSink streams the canonical text
-//     rendering (one Event.String per line) to an io.Writer; a spilled
-//     trace file is byte-identical to WriteText over the same run's
-//     in-memory events. BinarySink streams the compact binary format
+//     records in constant memory. The hand-off is pipelined: each full
+//     batch is spilled on a background goroutine (sweep.Background) while
+//     recording continues into a second buffer. At most one batch is in
+//     flight — the recorder waits for it before the next hand-off, and
+//     Flush and Err wait for it too — so the sink sees the same batches,
+//     in the same order, as a synchronous spill, and writes the same
+//     bytes; the encoding runs on a second core beside the engine.
+//     WriterSink streams the canonical text rendering (one Event.String
+//     per line) to an io.Writer; a spilled trace file is byte-identical
+//     to WriteText over the same run's in-memory events. BinarySink streams the compact binary format
 //     instead (varint fields, delta-coded times, inline string interning;
 //     see binary.go) — about an order of magnitude smaller and free of
 //     per-event formatting; BinaryReader/ReadBinary decode it back to the

@@ -6,17 +6,21 @@ import (
 )
 
 // Sink receives batches of events spilled from a Recorder. Spill is called
-// with batches in recording order; the batch slice is borrowed for the
-// duration of the call only — the recorder overwrites it with the next
-// batch as soon as Spill returns — so a sink that keeps events must copy
-// them. A Recorder calls Spill from at most one goroutine at a time (under
-// its own lock); sinks need no locking of their own.
+// one batch at a time, in recording order: a call returns before the next
+// one starts, so sinks need no locking of their own. It may be called off
+// the recording goroutine — the recorder hands each full batch to a
+// background spill and records on into a second buffer — and it borrows
+// the batch until it returns: the recorder refills that slice afterwards,
+// so a sink that keeps events must copy them. Recorder.Flush returns only
+// once the last Spill has, and no Spill runs after it; whatever the sink
+// wrote is then the caller's to read.
 type Sink interface {
 	Spill(batch []Event) error
 }
 
 // Flusher is implemented by sinks with buffered output; Recorder.Flush
-// calls it after spilling the final partial batch.
+// calls it, on the caller's goroutine, after the final partial batch has
+// been spilled.
 type Flusher interface {
 	Flush() error
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sweep"
 )
 
 // Kind classifies an event.
@@ -99,7 +101,8 @@ const DefaultBufSize = 4096
 // called, otherwise to an in-memory chunk list. Either way the recorder
 // never re-copies previously recorded events the way a grow-forever
 // append slice does, and with a Sink a trace of any length runs in
-// constant memory.
+// constant memory: two staging buffers, one filling while the sink
+// drains the other on a background goroutine.
 //
 // KeepEvents and BufSize must be set before the first Record call and not
 // changed afterwards; concurrent Record calls read them without locking.
@@ -124,9 +127,15 @@ type Recorder struct {
 	buf      []Event   // staging buffer, cap = BufSize
 	chunks   [][]Event // spilled batches (in-memory mode)
 	sink     Sink      // spill target (streaming mode), nil = in-memory
-	spilled  int       // events handed to the sink so far
 	recorded int       // events retained so far (skew canary ordinal)
 	err      error     // first sink error
+
+	// Streaming mode: the batch in flight. spare is the other staging
+	// buffer; from a hand-off to the next spill.Wait it, and err, belong
+	// to the background spill.
+	spill      sweep.Background
+	spillSpare func() // r.spillSpareBatch, bound once
+	spare      []Event
 }
 
 // skewCanary, when set via the linker
@@ -288,32 +297,44 @@ func (r *Recorder) RecordBatch(batch []Event) {
 }
 
 // spillLocked hands the full staging buffer off as one batch and resets the
-// write position. A sink only borrows the batch for the call, so in
-// streaming mode the one staging buffer is reused for the whole run —
-// cleared first, so it does not pin the spilled events' strings. In
-// in-memory mode the batch itself joins the chunk list and the recorder
-// allocates a fresh buffer rather than copying. Either way a batch is
-// written exactly once.
+// write position; a batch is written exactly once. In streaming mode it
+// waits for the batch in flight, which frees the spare buffer, starts the
+// background spill of this batch and records on into the spare, so the
+// sink sees one batch at a time, in recording order, while the engine
+// keeps running. In in-memory mode the batch itself joins the chunk list
+// and the recorder allocates a fresh buffer rather than copying.
 func (r *Recorder) spillLocked() {
 	batch := r.buf
 	if r.sink != nil {
-		r.spilled += len(batch)
-		if err := r.sink.Spill(batch); err != nil && r.err == nil {
-			r.err = err
+		r.spill.Wait()
+		if r.spillSpare == nil {
+			r.spillSpare = r.spillSpareBatch
+			r.spare = make([]Event, 0, cap(batch))
 		}
-		clear(batch)
-		r.buf = batch[:0]
+		r.buf, r.spare = r.spare[:0], batch
+		r.spill.Go(r.spillSpare)
 		return
 	}
 	r.chunks = append(r.chunks, batch)
 	r.buf = make([]Event, 0, cap(batch))
 }
 
+// spillSpareBatch runs on the background goroutine: it spills the batch in
+// flight, keeps the sink's error if it is the first, and clears the batch,
+// so that the idle buffer does not pin the spilled events' strings.
+func (r *Recorder) spillSpareBatch() {
+	if err := r.sink.Spill(r.spare); err != nil && r.err == nil {
+		r.err = err
+	}
+	clear(r.spare)
+}
+
 // Flush pushes the staging buffer's partial batch to the sink (a no-op in
-// in-memory mode, where Events reads the buffer in place) and flushes the
-// sink itself if it implements Flusher. It returns the first error the
-// sink ever reported. Call it after a run before reading the sink's
-// output.
+// in-memory mode, where Events reads the buffer in place), waits until the
+// sink has taken every batch, and flushes the sink itself if it implements
+// Flusher. Nothing runs on the sink after Flush returns. It returns the
+// first error the sink ever reported. Call it after a run before reading
+// the sink's output.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
@@ -323,6 +344,7 @@ func (r *Recorder) Flush() error {
 	if r.sink != nil && len(r.buf) > 0 {
 		r.spillLocked()
 	}
+	r.spill.Wait()
 	if f, ok := r.sink.(Flusher); ok {
 		if err := f.Flush(); err != nil && r.err == nil {
 			r.err = err
@@ -331,13 +353,15 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// Err returns the first error reported by the sink, if any.
+// Err returns the first error reported by the sink, if any. It waits for
+// the batch in flight, so it covers every batch spilled so far.
 func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.spill.Wait()
 	return r.err
 }
 
@@ -401,15 +425,4 @@ func (r *Recorder) Events() []Event {
 		out = append(out, c...)
 	}
 	return append(out, r.buf...)
-}
-
-// Filter returns the recorded events matching the given kind.
-func (r *Recorder) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
 }
