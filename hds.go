@@ -252,9 +252,10 @@ type Result struct {
 // liveness for heartbeat. rec, when non-nil, replaces the default
 // stats-only recorder: pass a retaining recorder for a full in-memory
 // trace, or one with a trace.Sink attached to stream batches (spill mode);
-// the caller owns flushing it. Malformed input — an invalid assignment, a
-// crash outside [0, n), a horizon that cuts the churn schedule short — is
-// rejected with an error, not run.
+// the caller owns flushing it. A recorder has one writer, so rec must not
+// be shared by runs that execute concurrently. Malformed input — an
+// invalid assignment, a crash outside [0, n), a horizon that cuts the
+// churn schedule short — is rejected with an error, not run.
 func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
 	if rec == nil {
 		rec = &trace.Recorder{}

@@ -28,7 +28,9 @@ type Options struct {
 	// Seed drives the delay/loss randomness and the per-process Rand.
 	Seed int64
 	// Recorder, when non-nil, receives trace events (a nil *trace.Recorder
-	// discards them).
+	// discards them). The cluster records every event under its lock, so
+	// the run is the recorder's one writer; read it only after Close and
+	// every Proc.Stop have returned.
 	Recorder *trace.Recorder
 	// InboxSize is the per-process buffer (default 4096).
 	InboxSize int
@@ -99,7 +101,7 @@ func (c *Cluster) Crash(p int) {
 	defer c.mu.Unlock()
 	if !c.crashed[p] {
 		c.crashed[p] = true
-		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindCrash, PID: p})
+		c.record(trace.KindCrash, p, "", "")
 	}
 }
 
@@ -139,7 +141,7 @@ func (c *Cluster) Broadcast(from int, payload any) {
 		}
 	}
 	c.wg.Add(live)
-	c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindBroadcast, PID: from, MsgTag: tagOf(payload)})
+	c.record(trace.KindBroadcast, from, tagOf(payload), "")
 	c.mu.Unlock()
 
 	for _, pl := range plans {
@@ -185,9 +187,18 @@ func (c *Cluster) deliver(to int, payload any, after time.Duration) {
 	}
 	select {
 	case c.inboxes[to] <- payload:
-		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
+		c.mu.Lock()
+		c.record(trace.KindDeliver, to, tagOf(payload), "")
+		c.mu.Unlock()
 	case <-c.done:
 	}
+}
+
+// record stamps an event with the run's clock and hands it to the
+// recorder. Callers hold c.mu: the lock makes the cluster's goroutines one
+// writer of the single-writer trace.Recorder, and the stamps monotone.
+func (c *Cluster) record(kind trace.Kind, pid int, tag, detail string) {
+	c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: kind, PID: pid, MsgTag: tag, Detail: detail})
 }
 
 // Close stops all pending deliveries and waits for delivery goroutines to

@@ -130,9 +130,12 @@ func (p *Proc) SetTimer(d sim.Time, tag int) {
 	time.AfterFunc(time.Duration(d)*p.c.opts.Unit, func() { p.post(timerFired(tag)) })
 }
 
-// Note implements sim.Environment.
+// Note implements sim.Environment; the note is recorded under the cluster
+// lock, like every other event of the run.
 func (p *Proc) Note(kind trace.Kind, tag, detail string) {
-	p.c.opts.Recorder.Record(trace.Event{Time: p.c.sinceStart(), Kind: kind, PID: p.pid, MsgTag: tag, Detail: detail})
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
+	p.c.record(kind, p.pid, tag, detail)
 }
 
 // PID implements sim.Environment.

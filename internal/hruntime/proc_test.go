@@ -1,7 +1,10 @@
 package hruntime
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -125,6 +128,11 @@ func TestProcCrashTakesNoSteps(t *testing.T) {
 		t.Errorf("live process stuck in round %d", got)
 	}
 
+	// The recorder is read once its writers are gone.
+	for _, p := range procs {
+		p.Stop()
+	}
+	c.Close()
 	before, after := 0, 0
 	crashed := false
 	for _, e := range rec.Events() {
@@ -139,6 +147,125 @@ func TestProcCrashTakesNoSteps(t *testing.T) {
 	}
 	if !crashed || before == 0 || after != 0 {
 		t.Fatalf("crash recorded: %v; p1 broadcasts before it: %d (want > 0), after it: %d (want 0)", crashed, before, after)
+	}
+}
+
+// tagged is a payload whose trace tag is its own text.
+type tagged string
+
+func (m tagged) MsgTag() string { return string(m) }
+
+// chatter notes and broadcasts k messages in turn from Init, then notes
+// every message it receives, and reports on done once it has want.
+type chatter struct {
+	k, want int
+	done    chan<- struct{}
+	env     sim.Environment
+	got     []string // tags in receipt order
+}
+
+func (c *chatter) Init(env sim.Environment) {
+	c.env = env
+	for i := 0; i < c.k; i++ {
+		tag := fmt.Sprintf("M%d.%d", env.PID(), i)
+		env.Note(trace.KindNote, "SEND", tag)
+		env.Broadcast(tagged(tag))
+	}
+}
+
+func (c *chatter) OnMessage(m any) {
+	tag := string(m.(tagged))
+	c.got = append(c.got, tag)
+	c.env.Note(trace.KindNote, "RECV", tag)
+	if len(c.got) == c.want {
+		c.done <- struct{}{}
+	}
+}
+
+func (c *chatter) OnTimer(int) {}
+
+// TestConcurrentRecordExactlyOnce: n processes note and broadcast at once
+// while the delivery goroutines record their copies, all into one
+// retaining recorder — in memory, and spilled to a binary sink on the
+// recorder's background goroutine. The cluster lock is the recorder's only
+// serialization: every broadcast, delivery and note must be recorded
+// exactly once, and each process's own events in the order it made them.
+func TestConcurrentRecordExactlyOnce(t *testing.T) {
+	const n, k = 4, 50
+	for _, spill := range []bool{false, true} {
+		var bin bytes.Buffer
+		rec := &trace.Recorder{KeepEvents: true, BufSize: 7}
+		if spill {
+			rec = trace.NewSpillRecorder(trace.NewBinarySink(&bin), 7)
+		}
+		c := NewCluster(ident.Unique(n), Options{Seed: 18, Recorder: rec})
+		t.Cleanup(c.Close)
+		done := make(chan struct{}, n)
+		chatters := make([]*chatter, n)
+		procs := make([]*Proc, n)
+		for i := range procs {
+			chatters[i] = &chatter{k: k, want: n * k, done: done}
+			procs[i] = c.Start(i, chatters[i])
+			t.Cleanup(procs[i].Stop)
+		}
+		for range n {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("spill=%v: not every process received all %d messages", spill, n*k)
+			}
+		}
+		for _, p := range procs {
+			p.Stop()
+		}
+		c.Close()
+
+		events := rec.Events()
+		if spill {
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if events, err = trace.ReadBinary(&bin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := n * k * (2 + 2*n); len(events) != want {
+			t.Errorf("spill=%v: %d events recorded, want %d", spill, len(events), want)
+		}
+		seen := map[trace.Event]int{}   // events less their time stamps
+		own := make([][]trace.Event, n) // each process's notes and broadcasts, in trace order
+		for _, e := range events {
+			e.Time = 0
+			seen[e]++
+			if e.Kind != trace.KindDeliver {
+				own[e.PID] = append(own[e.PID], e)
+			}
+		}
+		for p := range n {
+			var want []trace.Event
+			for i := 0; i < k; i++ {
+				tag := fmt.Sprintf("M%d.%d", p, i)
+				want = append(want,
+					trace.Event{Kind: trace.KindNote, PID: p, MsgTag: "SEND", Detail: tag},
+					trace.Event{Kind: trace.KindBroadcast, PID: p, MsgTag: tag})
+				for q := range n {
+					if d := (trace.Event{Kind: trace.KindDeliver, PID: q, MsgTag: tag}); seen[d] != 1 {
+						t.Errorf("spill=%v: %v recorded %d times, want once", spill, d, seen[d])
+					}
+				}
+			}
+			for _, tag := range chatters[p].got {
+				want = append(want, trace.Event{Kind: trace.KindNote, PID: p, MsgTag: "RECV", Detail: tag})
+			}
+			if !slices.Equal(own[p], want) {
+				t.Errorf("spill=%v: p%d's own events are recorded as\n%v\nwant\n%v", spill, p, own[p], want)
+			}
+		}
+		if s := rec.Stats(); s.Broadcasts != n*k || s.Delivered != n*n*k || len(s.ByTag) != n*k {
+			t.Errorf("spill=%v: stats %d broadcasts, %d deliveries, %d tags; want %d, %d, %d",
+				spill, s.Broadcasts, s.Delivered, len(s.ByTag), n*k, n*n*k, n*k)
+		}
 	}
 }
 

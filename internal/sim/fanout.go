@@ -337,7 +337,7 @@ func (e *Engine) deliverWave(ev event) StopReason {
 }
 
 // flushTally adds what the engine tallied since the last flush to a
-// stats-only recorder, one atomic add per kind instead of one per event.
+// stats-only recorder, one Count per kind instead of one Record per event.
 // RunUntil flushes on every exit; a retaining recorder has nothing to flush.
 func (e *Engine) flushTally() {
 	e.rec.Count(trace.KindDeliver, e.tally.delivered)

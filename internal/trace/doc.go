@@ -6,11 +6,10 @@
 //
 // # Recording modes
 //
-// A Recorder always keeps aggregate statistics (Stats), held in atomic
-// counters so stats-only recording is lock-free. Full event retention is
-// opt-in (KeepEvents) and runs through a fixed-size staging ring of
-// BufSize events; when the write position wraps, the full batch spills in
-// one step:
+// A Recorder always keeps aggregate statistics (Stats), held in plain
+// counters. Full event retention is opt-in (KeepEvents) and runs through
+// a fixed-size staging ring of BufSize events; when the write position
+// wraps, the full batch spills in one step:
 //
 //   - in-memory mode (default): the batch moves to a chunk list; Events()
 //     concatenates chunks plus the staging tail in recording order. Unlike
@@ -33,8 +32,17 @@
 //     per-event formatting; BinaryReader/ReadBinary decode it back to the
 //     exact Event values, so its text rendering is byte-identical too.
 //
-// The zero value is a ready, concurrency-safe, stats-only recorder; a nil
-// *Recorder is safe to record into and reports empty results.
+// The zero value is a ready, stats-only recorder; a nil *Recorder is safe
+// to record into and reports empty results.
+//
+// A Recorder has one writer and takes no lock: it belongs to one
+// goroutine at a time, the one that records into it while the run lasts
+// and whoever reads it afterwards. The simulator records from its engine's
+// goroutine; the live runtime (internal/hruntime) serializes its
+// processes' and delivery goroutines' records under its cluster lock and
+// reads the recorder after the run has stopped. The background spill is
+// the one other goroutine that touches a Recorder, and only its batch in
+// flight and the sink error, which every reader waits for.
 //
 // # Decoding
 //

@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
-// spillRef is spillLocked as it was before streaming spills moved to a
+// spillRef is spillBatch as it was before streaming spills moved to a
 // background goroutine, kept as the differential oracle (less a counter of
 // spilled events that nothing read): the sink is called on the recording
-// goroutine, under the lock, and one staging buffer serves the whole run.
+// goroutine, and one staging buffer serves the whole run.
 func (r *Recorder) spillRef() {
 	batch := r.buf
 	if r.sink != nil {
@@ -31,11 +30,9 @@ func (r *Recorder) spillRef() {
 }
 
 // recordRef is Record's retention half with spillRef in place of
-// spillLocked. The statistics and the skew canary are left out: neither
+// spillBatch. The statistics and the skew canary are left out: neither
 // reaches the sink.
 func (r *Recorder) recordRef(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.buf == nil {
 		size := r.BufSize
 		if size <= 0 {
@@ -49,10 +46,8 @@ func (r *Recorder) recordRef(e Event) {
 	}
 }
 
-// flushRef is Flush with spillRef in place of spillLocked.
+// flushRef is Flush with spillRef in place of spillBatch.
 func (r *Recorder) flushRef() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.sink != nil && len(r.buf) > 0 {
 		r.spillRef()
 	}
@@ -186,21 +181,43 @@ func (c *spillCounter) Flush() error {
 	return c.inner.Flush()
 }
 
+// decodePrefix decodes what a failing writer accepted: the events before
+// the cut, whether the reader rejected the header itself, and the error
+// that ended the stream.
+func decodePrefix(b []byte) (got []Event, inHeader bool, err error) {
+	d, err := NewBinaryReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, true, err
+	}
+	for {
+		e, err := d.Next()
+		if err != nil {
+			return got, false, err
+		}
+		got = append(got, e)
+	}
+}
+
 // TestFailingWriterMatchesRef runs a BinarySink over a writer that fails
 // after k bytes, for budgets from nothing through the header, mid-batch
 // and mid-index to more than the trace needs. Flush must report the
 // writer's error, Err must agree, no Spill may run after Flush returns,
 // and the bytes written, the errors seen along the way and the outcome
-// must all be spillRef's.
+// must all be spillRef's. What the writer accepted must decode: the
+// first m events exactly, m never shrinking as k grows, then an error
+// wrapping ErrBinaryTrace — the header's when k cuts the header — or a
+// clean end once the whole trace fit.
 func TestFailingWriterMatchesRef(t *testing.T) {
 	const bufSize = 64 // ~13 KiB batches: the sink's 64 KiB buffer flushes mid-batch
+	// The header is the magic and a zero metadata length: no Meta here.
+	const header = len(binaryMagic) + 1
 	events := pipelineEvents(2000, true)
 	var full bytes.Buffer
 	if err, _ := spillAll(NewBinarySink(&full), bufSize, events, true, 0); err != nil {
 		t.Fatal(err)
 	}
-	total := full.Len()
-	for _, k := range []int{0, 1, 8, 1 << 16, 1<<16 + 1, 3<<16 + 5000, total - 100, total - 1, total, total + 1} {
+	total, lastM := full.Len(), 0
+	for _, k := range []int{0, 1, 8, header, header + 1, 1 << 16, 1<<16 + 1, 3<<16 + 5000, total - 100, total - 1, total, total + 1} {
 		run := func(ref bool) (*failAfter, *spillCounter, error, []error) {
 			w := &failAfter{k: k}
 			c := &spillCounter{inner: NewBinarySink(w)}
@@ -227,36 +244,21 @@ func TestFailingWriterMatchesRef(t *testing.T) {
 		if want := (len(events) + bufSize - 1) / bufSize; c.spills != want || c.flushes != 1 {
 			t.Errorf("k=%d: %d spills and %d flushes by the time Flush returned, want %d and 1", k, c.spills, c.flushes, want)
 		}
-	}
-}
 
-// TestSpillConcurrentRecord records into one streaming recorder from four
-// sweep workers at once, as the live runtime's delivery goroutines do. The
-// lock serializes the hand-offs, so the sink must get every event exactly
-// once, each worker's events in that worker's order.
-func TestSpillConcurrentRecord(t *testing.T) {
-	const workers, per = 4, 1000
-	sink := &sliceSink{}
-	r := NewSpillRecorder(sink, 7)
-	sweep.MapOpt(sweep.Options{Workers: workers}, make([]struct{}, workers), func(w int, _ struct{}) struct{} {
-		for j := 0; j < per; j++ {
-			r.Record(Event{Time: int64(j), Kind: KindDeliver, PID: w})
+		got, inHeader, err := decodePrefix(w.got.Bytes())
+		m := len(got)
+		switch {
+		case !slices.Equal(got, events[:min(m, len(events))]):
+			t.Errorf("k=%d: the %d decoded events are not the first %d recorded", k, m, m)
+		case m < lastM:
+			t.Errorf("k=%d: %d events decode, fewer than the %d of a shorter cut", k, m, lastM)
+		case k >= total && (err != io.EOF || m != len(events)):
+			t.Errorf("k=%d: the whole trace decodes to %d events and %v, want %d and io.EOF", k, m, err, len(events))
+		case k < total && !errors.Is(err, ErrBinaryTrace):
+			t.Errorf("k=%d: the cut stream ends in %v after %d events, want an ErrBinaryTrace", k, err, m)
+		case inHeader != (k < header):
+			t.Errorf("k=%d: header rejected: %v (%v), want %v", k, inHeader, err, k < header)
 		}
-		return struct{}{}
-	})
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	next := make([]int64, workers)
-	for _, e := range sink.all() {
-		if e.Time != next[e.PID] {
-			t.Fatalf("worker %d: event at t=%d, want t=%d", e.PID, e.Time, next[e.PID])
-		}
-		next[e.PID]++
-	}
-	for w, n := range next {
-		if n != per {
-			t.Errorf("worker %d: sink got %d events, want %d", w, n, per)
-		}
+		lastM = m
 	}
 }

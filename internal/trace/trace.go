@@ -2,8 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"maps"
 
 	"repro/internal/sweep"
 )
@@ -90,10 +89,16 @@ type Stats struct {
 const DefaultBufSize = 4096
 
 // Recorder accumulates events and statistics. The zero value is ready to
-// use, records statistics only, and is safe for concurrent use (the
-// goroutine runtime shares one across delivery goroutines). Statistics are
-// kept in atomic counters, so stats-only recording never contends on a
-// lock.
+// use and records statistics only; a nil *Recorder is safe to record into
+// and reports empty results.
+//
+// A Recorder has one writer: it belongs to one goroutine at a time — the
+// one that records into it while the run lasts, then whoever reads it
+// afterwards — and takes no lock. A simulator run records from its
+// engine's goroutine; the live runtime (internal/hruntime), whose
+// processes run on goroutines of their own, records under its cluster
+// lock. Statistics are plain counters, so stats-only recording costs an
+// increment per event.
 //
 // Event retention (KeepEvents) runs through a fixed-size staging buffer of
 // BufSize events. When the write position wraps (the buffer fills), the
@@ -102,10 +107,12 @@ const DefaultBufSize = 4096
 // never re-copies previously recorded events the way a grow-forever
 // append slice does, and with a Sink a trace of any length runs in
 // constant memory: two staging buffers, one filling while the sink
-// drains the other on a background goroutine.
+// drains the other on a background goroutine. That goroutine touches only
+// the batch in flight and the sink error, and every method that reads
+// either waits for it first.
 //
 // KeepEvents and BufSize must be set before the first Record call and not
-// changed afterwards; concurrent Record calls read them without locking.
+// changed afterwards.
 type Recorder struct {
 	// KeepEvents controls whether events are retained (or spilled); when
 	// false only statistics are kept.
@@ -113,17 +120,9 @@ type Recorder struct {
 	// BufSize is the staging-buffer capacity; 0 means DefaultBufSize.
 	BufSize int
 
-	broadcasts atomic.Int64
-	delivered  atomic.Int64
-	dropped    atomic.Int64
-	crashes    atomic.Int64
-	recoveries atomic.Int64
-	timers     atomic.Int64
-	timerDrops atomic.Int64
-	decisions  atomic.Int64
-	byTag      sync.Map // string -> *atomic.Int64
+	counts [KindTimerDrop + 1]int // events recorded per kind; see Stats
+	byTag  map[string]int         // broadcasts per message tag
 
-	mu       sync.Mutex
 	buf      []Event   // staging buffer, cap = BufSize
 	chunks   [][]Event // spilled batches (in-memory mode)
 	sink     Sink      // spill target (streaming mode), nil = in-memory
@@ -165,8 +164,6 @@ func NewSpillRecorder(sink Sink, bufSize int) *Recorder {
 // Record; attaching a sink after events were retained panics (the retained
 // prefix would silently bypass the sink).
 func (r *Recorder) SetSink(s Sink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(r.buf) > 0 || len(r.chunks) > 0 {
 		panic("trace: SetSink after events were recorded")
 	}
@@ -181,38 +178,18 @@ func (r *Recorder) Retaining() bool {
 	return r != nil && r.KeepEvents
 }
 
-// counter is the one definition of which statistic an event kind counts
-// toward; nil for the kinds that count toward none (fd-change, note,
-// anything out of range). Record and RecordBatch both count through it.
-func (r *Recorder) counter(k Kind) *atomic.Int64 {
-	switch k {
-	case KindBroadcast:
-		return &r.broadcasts
-	case KindDeliver:
-		return &r.delivered
-	case KindDrop:
-		return &r.dropped
-	case KindCrash:
-		return &r.crashes
-	case KindRecover:
-		return &r.recoveries
-	case KindTimer:
-		return &r.timers
-	case KindTimerDrop:
-		return &r.timerDrops
-	case KindDecide:
-		return &r.decisions
+// count adds e to the statistics: its kind's counter and, for a
+// broadcast, its tag's. Record and RecordBatch both count through it.
+func (r *Recorder) count(e *Event) {
+	if uint(e.Kind) < uint(len(r.counts)) {
+		r.counts[e.Kind]++
 	}
-	return nil
-}
-
-// tagCounter is the per-tag broadcast counter, created on first use.
-func (r *Recorder) tagCounter(tag string) *atomic.Int64 {
-	c, ok := r.byTag.Load(tag)
-	if !ok {
-		c, _ = r.byTag.LoadOrStore(tag, new(atomic.Int64))
+	if e.Kind == KindBroadcast {
+		if r.byTag == nil {
+			r.byTag = make(map[string]int)
+		}
+		r.byTag[e.MsgTag]++
 	}
-	return c.(*atomic.Int64)
 }
 
 // Record adds an event.
@@ -220,16 +197,10 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	if c := r.counter(e.Kind); c != nil {
-		c.Add(1)
-	}
-	if e.Kind == KindBroadcast {
-		r.tagCounter(e.MsgTag).Add(1)
-	}
+	r.count(&e)
 	if !r.KeepEvents {
 		return
 	}
-	r.mu.Lock()
 	if skewCanary != "" && r.recorded == skewEventOrdinal {
 		e.Detail += " [" + skewCanary + "]"
 	}
@@ -243,34 +214,28 @@ func (r *Recorder) Record(e Event) {
 	}
 	r.buf = append(r.buf, e)
 	if len(r.buf) == cap(r.buf) {
-		r.spillLocked()
+		r.spillBatch()
 	}
-	r.mu.Unlock()
 }
 
 // Count adds n events of kind k to the statistics and retains nothing: it
 // is how a producer that tallies a run of events in plain ints hands them
-// to a stats-only recorder, with one atomic add instead of n. The engine
-// tallies delivered copies, dropped ones (to a crashed recipient, lost, or
-// cut by a partial crash) and fired timers, and counts them in when
-// Run/RunUntil returns: Delivered, Dropped and Timers are exact whenever it
-// has, and may lag by the events of the call in progress when read from
-// inside an AfterEvent hook. Broadcasts, which are also counted per tag,
-// go through Record.
+// to a stats-only recorder in one step. The engine tallies delivered
+// copies, dropped ones (to a crashed recipient, lost, or cut by a partial
+// crash) and fired timers, and counts them in when Run/RunUntil returns:
+// Delivered, Dropped and Timers are exact whenever it has, and may lag by
+// the events of the call in progress when read from inside an AfterEvent
+// hook. Broadcasts, which are also counted per tag, go through Record.
 func (r *Recorder) Count(k Kind, n int) {
-	if r == nil || n == 0 {
+	if r == nil || uint(k) >= uint(len(r.counts)) {
 		return
 	}
-	if c := r.counter(k); c != nil {
-		c.Add(int64(n))
-	}
+	r.counts[k] += n
 }
 
 // RecordBatch adds the events of batch in order, to the same effect as
-// calling Record on each. On a stats-only recorder it counts the batch
-// first and touches each shared counter once per batch instead of once
-// per event — what a replay, which pulls events in batches, would
-// otherwise spend on 8 M atomic adds. It keeps no reference to batch.
+// calling Record on each; on a stats-only recorder it only counts them. It
+// keeps no reference to batch.
 func (r *Recorder) RecordBatch(batch []Event) {
 	if r == nil {
 		return
@@ -281,29 +246,19 @@ func (r *Recorder) RecordBatch(batch []Event) {
 		}
 		return
 	}
-	var counts [KindTimerDrop + 1]int
 	for i := range batch {
-		e := &batch[i]
-		if uint(e.Kind) < uint(len(counts)) {
-			counts[e.Kind]++
-		}
-		if e.Kind == KindBroadcast {
-			r.tagCounter(e.MsgTag).Add(1)
-		}
-	}
-	for k, n := range counts {
-		r.Count(Kind(k), n)
+		r.count(&batch[i])
 	}
 }
 
-// spillLocked hands the full staging buffer off as one batch and resets the
+// spillBatch hands the full staging buffer off as one batch and resets the
 // write position; a batch is written exactly once. In streaming mode it
 // waits for the batch in flight, which frees the spare buffer, starts the
 // background spill of this batch and records on into the spare, so the
 // sink sees one batch at a time, in recording order, while the engine
 // keeps running. In in-memory mode the batch itself joins the chunk list
 // and the recorder allocates a fresh buffer rather than copying.
-func (r *Recorder) spillLocked() {
+func (r *Recorder) spillBatch() {
 	batch := r.buf
 	if r.sink != nil {
 		r.spill.Wait()
@@ -339,10 +294,8 @@ func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.sink != nil && len(r.buf) > 0 {
-		r.spillLocked()
+		r.spillBatch()
 	}
 	r.spill.Wait()
 	if f, ok := r.sink.(Flusher); ok {
@@ -359,22 +312,20 @@ func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.spill.Wait()
 	return r.err
 }
 
 // Decisions returns the number of KindDecide events recorded so far: one
-// atomic load, cheap enough to read after every event. The engine records
-// a decision note the moment a process makes it and never tallies one, so
+// field read, cheap enough to do after every event. The engine records a
+// decision note the moment a process makes it and never tallies one, so
 // in any recorder mode a run can tell from this count alone whether a
 // decision was recorded since it last looked.
 func (r *Recorder) Decisions() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.decisions.Load()
+	return int64(r.counts[KindDecide])
 }
 
 // Stats returns a snapshot of the aggregate statistics.
@@ -382,21 +333,19 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return Stats{}
 	}
+	c := &r.counts
 	s := Stats{
-		Broadcasts: int(r.broadcasts.Load()),
-		Delivered:  int(r.delivered.Load()),
-		Dropped:    int(r.dropped.Load()),
-		Crashes:    int(r.crashes.Load()),
-		Recoveries: int(r.recoveries.Load()),
-		Timers:     int(r.timers.Load()),
-		TimerDrops: int(r.timerDrops.Load()),
-		Decisions:  int(r.decisions.Load()),
-		ByTag:      make(map[string]int),
+		Broadcasts: c[KindBroadcast],
+		Delivered:  c[KindDeliver],
+		Dropped:    c[KindDrop],
+		Crashes:    c[KindCrash],
+		Recoveries: c[KindRecover],
+		Timers:     c[KindTimer],
+		TimerDrops: c[KindTimerDrop],
+		Decisions:  c[KindDecide],
+		ByTag:      make(map[string]int, len(r.byTag)),
 	}
-	r.byTag.Range(func(k, v any) bool {
-		s.ByTag[k.(string)] = int(v.(*atomic.Int64).Load())
-		return true
-	})
+	maps.Copy(s.ByTag, r.byTag)
 	return s
 }
 
@@ -405,12 +354,7 @@ func (r *Recorder) Stats() Stats {
 // for stats-only recorders and in streaming mode (with a Sink attached the
 // events live wherever the sink put them).
 func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.KeepEvents || r.sink != nil {
+	if r == nil || !r.KeepEvents || r.sink != nil {
 		return nil
 	}
 	total := len(r.buf)
