@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // spillRef is spillBatch as it was before streaming spills moved to a
@@ -260,5 +263,41 @@ func TestFailingWriterMatchesRef(t *testing.T) {
 			t.Errorf("k=%d: header rejected: %v (%v), want %v", k, inHeader, err, k < header)
 		}
 		lastM = m
+	}
+}
+
+// TestSpillConcurrentRecord hands one streaming recorder between four
+// sweep workers, each recording under a lock of its own as the live
+// runtime's delivery goroutines do under the cluster lock. Successive
+// hand-offs to the background spill then start from different
+// goroutines; the sink must still get every event exactly once, each
+// worker's events in that worker's order.
+func TestSpillConcurrentRecord(t *testing.T) {
+	const workers, per = 4, 1000
+	sink := &sliceSink{}
+	r := NewSpillRecorder(sink, 7)
+	var mu sync.Mutex
+	sweep.MapOpt(sweep.Options{Workers: workers}, make([]struct{}, workers), func(w int, _ struct{}) struct{} {
+		for j := 0; j < per; j++ {
+			mu.Lock()
+			r.Record(Event{Time: int64(j), Kind: KindDeliver, PID: w})
+			mu.Unlock()
+		}
+		return struct{}{}
+	})
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int64, workers)
+	for _, e := range sink.all() {
+		if e.Time != next[e.PID] {
+			t.Fatalf("worker %d: event at t=%d, want t=%d", e.PID, e.Time, next[e.PID])
+		}
+		next[e.PID]++
+	}
+	for w, n := range next {
+		if n != per {
+			t.Errorf("worker %d: sink got %d events, want %d", w, n, per)
+		}
 	}
 }

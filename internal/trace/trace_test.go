@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 func TestRecorderStats(t *testing.T) {
@@ -69,6 +72,26 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	if r.Events() != nil {
 		t.Error("nil recorder events should be nil")
+	}
+}
+
+// TestConcurrentRecord hands one stats recorder between eight sweep
+// workers. A Recorder has one writer at a time, so each worker records
+// under a lock of its own, as the live runtime does under its cluster
+// lock; the counts must come out exact and race-free.
+func TestConcurrentRecord(t *testing.T) {
+	r := NewRecorder()
+	var mu sync.Mutex
+	sweep.MapOpt(sweep.Options{Workers: 8}, make([]struct{}, 8), func(int, struct{}) struct{} {
+		for j := 0; j < 100; j++ {
+			mu.Lock()
+			r.Record(Event{Kind: KindBroadcast, MsgTag: "T"})
+			mu.Unlock()
+		}
+		return struct{}{}
+	})
+	if s := r.Stats(); s.Broadcasts != 800 || s.ByTag["T"] != 800 {
+		t.Errorf("Broadcasts = %d, ByTag[T] = %d, want 800 and 800", s.Broadcasts, s.ByTag["T"])
 	}
 }
 
