@@ -41,9 +41,10 @@ func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 		eng.AddProcess(dets[i])
 	}
 	eng.ApplyChurn(schedule)
-	// The trusted probe samples the detector's live view: no clone on the
-	// per-event path (OnTimer replaces h_trusted wholesale, so stored views
-	// are never mutated after sampling). Streaming probes suffice — the
+	// The trusted probe samples the detector's shared output: no clone on
+	// the per-event path (fd.DiamondHPbar's contract: OnTimer replaces
+	// h_trusted wholesale, so stored views are never mutated after
+	// sampling). Streaming probes suffice — the
 	// checkers judge final views and stabilization times only, so O(1)
 	// state per process does (equivalence with the materialized Probe is
 	// pinned in internal/fd) — and their change streams feed the trace
@@ -52,7 +53,7 @@ func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 		if eng.Crashed(p) {
 			return nil, false
 		}
-		return dets[p].TrustedView(), true
+		return dets[p].Trusted(), true
 	}, func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) })
 	leaderProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (fd.LeaderInfo, bool) {
 		if eng.Crashed(p) {

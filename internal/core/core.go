@@ -19,7 +19,9 @@ const Bottom Value = "\x00⊥"
 // heartbeat is the guard re-evaluation period. Guards are also re-checked
 // on every message and every co-located module event; the heartbeat only
 // guarantees progress when a guard's truth depends purely on virtual time
-// (an oracle detector stabilizing) and keeps virtual time advancing.
+// (an oracle detector stabilizing) and keeps virtual time advancing. A
+// quiet process snoozes it until the detectors it reads may change
+// (skeleton.step): the ticks still fire, and the engine re-arms them.
 const heartbeat sim.Time = 5
 
 // Outcome reports one process's consensus result. Round is the round in

@@ -31,7 +31,16 @@
 // Coordination Phase and Phase 0; the identity of h_labels and h_quora in
 // Fig. 9's Phases 1–2; nothing in Fig. 8's), and until a handler writes
 // state (a message, a recovery) a heartbeat or poll whose view is
-// unchanged returns without evaluating any guard.
+// unchanged returns without evaluating any guard. The view also comes with
+// the instant it may next change: the oracles know it in advance
+// (fd.Timed — at stabilization, and at each adversary rotation before
+// it), Fig. 8's Phases 1–2 read nothing (never), and any other detector
+// may change at any event (now). Before that instant a step does not read
+// the detectors, and the heartbeat, which would only re-arm, is snoozed:
+// every handler that leaves the process quiet tells the environment so
+// (sim.Environment.Snooze), and the engine fires and re-arms those ticks
+// itself — the same timer events, seqs and trace bytes — without
+// dispatching them through the node.
 //
 // The paper presents Figure 9 as Figure 8 with Phases 1–2 swapped, and the
 // code is laid out the same way: one round skeleton, two quorum rules. The

@@ -182,5 +182,7 @@ func (c *Fig8) subRound() int { return 0 }
 
 func (c *Fig8) followAck(RejoinAckMsg) {}
 
-// view is zero: counting copies reads no detector.
+// view is zero and never changes: counting copies reads no detector.
 func (c *Fig8) view() quorumView { return quorumView{} }
+
+func (c *Fig8) nextChange(sim.Time) sim.Time { return fd.Forever }

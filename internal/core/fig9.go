@@ -207,6 +207,8 @@ func (c *Fig9) view() quorumView {
 	return quorumView{idOf(c.d2.Labels()), idOf(c.d2.Quora())}
 }
 
+func (c *Fig9) nextChange(now sim.Time) sim.Time { return nextChange(c.d2, now) }
+
 // followAck is what a REJOIN_ACK means to a rejoiner stranded *inside*
 // Phase 1 or 2 of the responder's round, beyond the skeleton's resync: a
 // responder already in Phase 2 concludes Phase 1 for the rejoiner (the ack

@@ -98,6 +98,29 @@ func skeletonOf(p sim.Process) *skeleton {
 	panic(fmt.Sprintf("no consensus instance: %T", p))
 }
 
+// deploy is how the run builders (variantGrid, corpusRuns, seededRun)
+// create a run's recorder and bind its nodes to the engine. The zero value
+// gives a stats-only recorder and binds each node as it is.
+type deploy struct {
+	rec  func() *trace.Recorder
+	bind func(eng *sim.Engine, node sim.Process)
+}
+
+func (d deploy) recorder() *trace.Recorder {
+	if d.rec == nil {
+		return &trace.Recorder{}
+	}
+	return d.rec()
+}
+
+func (d deploy) add(eng *sim.Engine, node sim.Process) {
+	if d.bind == nil {
+		eng.AddProcess(node)
+		return
+	}
+	d.bind(eng, node)
+}
+
 // memoRun is one deployment of the memo differential, built and not yet
 // run. done, when set, stops the run early (the hunt's until-predicate).
 type memoRun struct {
@@ -173,7 +196,7 @@ type corpusScenario struct {
 // windows, the churn schedule followed by the crashes in PID order, oracle
 // detectors, default proposals, the 1,000,000 horizon by default, and a
 // stop once every eventually-up process has decided.
-func corpusRuns(t *testing.T) []memoRun {
+func corpusRuns(t *testing.T, d deploy) []memoRun {
 	t.Helper()
 	files, err := filepath.Glob("../hunt/testdata/corpus/*.json")
 	if err != nil || len(files) == 0 {
@@ -221,7 +244,7 @@ func corpusRuns(t *testing.T) []memoRun {
 			s.Horizon = 1_000_000
 		}
 		adv := map[string]oracle.Adversary{"": oracle.AdversaryRotate, "rotate": oracle.AdversaryRotate, "none": oracle.AdversaryNone, "split": oracle.AdversarySplit}[s.Adversary]
-		eng := sim.New(sim.Config{IDs: ids, Net: net, Seed: s.Seed, KnownN: s.Kind == "fig8", MaxEvents: s.MaxEvents, Recorder: &trace.Recorder{}})
+		eng := sim.New(sim.Config{IDs: ids, Net: net, Seed: s.Seed, KnownN: s.Kind == "fig8", MaxEvents: s.MaxEvents, Recorder: d.recorder()})
 		world := oracle.NewWorld(truth, s.Stabilize)
 		insts := make([]sim.Process, s.N)
 		for i := range insts {
@@ -241,7 +264,7 @@ func corpusRuns(t *testing.T) []memoRun {
 				node.Add("hsigma", hs).Add("aomega", ao)
 				insts[i] = NewFig9Anonymous(ao, hs, v)
 			}
-			eng.AddProcess(node.Add("consensus", insts[i]))
+			d.add(eng, node.Add("consensus", insts[i]))
 		}
 		eng.ApplyChurn(schedule)
 		up := truth.EventuallyUp()
@@ -257,13 +280,37 @@ func corpusRuns(t *testing.T) []memoRun {
 	return runs
 }
 
+// fixedRuns builds the variant grid, run to its horizon, and the hunt
+// corpus's consensus entries.
+func fixedRuns(t *testing.T, d deploy) []memoRun {
+	t.Helper()
+	var runs []memoRun
+	for _, r := range variantGrid(d) {
+		insts := make([]sim.Process, len(r.insts))
+		for i, inst := range r.insts {
+			insts[i] = inst
+		}
+		runs = append(runs, memoRun{name: r.name, eng: r.eng, insts: insts, horizon: variantHorizon})
+	}
+	return append(runs, corpusRuns(t, d)...)
+}
+
+// seededDeployments is how many seededRun deployments a test runs: 2,000,
+// or 200 under -short.
+func seededDeployments() int {
+	if testing.Short() {
+		return 200
+	}
+	return 2000
+}
+
 // seededRun builds one random deployment: Fig. 8 (all three constructors;
 // HΩ from an oracle, from Observation 1 over a ◇HP̄ oracle, or from the
 // message-passing ◇HP̄ detector) or Fig. 9 (homonymous or anonymous; HΣ
 // from an oracle or from one of the four reductions that produce it, over
 // the identities each is meant for), with crashes or churn, over a
 // reliable, lossy or partitioned network.
-func seededRun(seed int64) memoRun {
+func seededRun(seed int64, d deploy) memoRun {
 	rng := rand.New(rand.NewSource(seed))
 	n := 3 + rng.Intn(4)
 	algo := []string{"fig8", "fig8-nocoord", "fig8-alpha", "fig9", "fig9-anon"}[rng.Intn(5)]
@@ -312,7 +359,7 @@ func seededRun(seed int64) memoRun {
 	truth := fd.NewGroundTruthFromChurn(ids, schedule)
 	world := oracle.NewWorld(truth, sim.Time(rng.Intn(150)))
 
-	eng := sim.New(sim.Config{IDs: ids, Net: net, Seed: seed, KnownN: algo == "fig8" || algo == "fig8-nocoord", Recorder: &trace.Recorder{}})
+	eng := sim.New(sim.Config{IDs: ids, Net: net, Seed: seed, KnownN: algo == "fig8" || algo == "fig8-nocoord", Recorder: d.recorder()})
 	insts := make([]sim.Process, n)
 	for i := range insts {
 		node := sim.NewNode()
@@ -363,7 +410,7 @@ func seededRun(seed int64) memoRun {
 			node.Add("aomega", ao)
 			insts[i] = NewFig9Anonymous(ao, hs, v)
 		}
-		eng.AddProcess(node.Add("consensus", insts[i]))
+		d.add(eng, node.Add("consensus", insts[i]))
 	}
 	eng.ApplyChurn(schedule)
 	label := omega
@@ -385,26 +432,14 @@ func seededRun(seed int64) memoRun {
 // h_labels out (over Figure 2, h_labels grows on IDENT arrivals while
 // h_quora stays put, and the sub-round advance no longer runs).
 func TestStepMemoMatchesRef(t *testing.T) {
-	runs := variantGrid(func() *trace.Recorder { return &trace.Recorder{} })
-	memo := make([]memoRun, 0, len(runs))
-	for _, r := range runs {
-		insts := make([]sim.Process, len(r.insts))
-		for i, inst := range r.insts {
-			insts[i] = inst
-		}
-		memo = append(memo, memoRun{name: r.name, eng: r.eng, insts: insts, horizon: variantHorizon})
-	}
-	memo = append(memo, corpusRuns(t)...)
+	memo := fixedRuns(t, deploy{})
 	checks := 0
 	for _, r := range memo {
 		checks += r.run(t)
 	}
-	deployments := 2000
-	if testing.Short() {
-		deployments = 200
-	}
+	deployments := seededDeployments()
 	for seed := int64(1); seed <= int64(deployments); seed++ {
-		checks += seededRun(seed).run(t)
+		checks += seededRun(seed, deploy{}).run(t)
 	}
 	t.Logf("%d runs, %d checks", len(memo)+deployments, checks)
 }

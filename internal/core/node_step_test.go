@@ -29,6 +29,7 @@ func (h *stepHarness) Now() sim.Time                   { return h.now }
 func (h *stepHarness) Rand() *rand.Rand                { return rand.New(rand.NewSource(1)) }
 func (h *stepHarness) Broadcast(payload any)           { h.sent = append(h.sent, payload) }
 func (h *stepHarness) SetTimer(_ sim.Time, tag int)    { h.timers = append(h.timers, tag) }
+func (h *stepHarness) Snooze(sim.Time, int, sim.Time)  {}
 func (h *stepHarness) Note(trace.Kind, string, string) {}
 func (h *stepHarness) PID() sim.PID                    { return 0 }
 

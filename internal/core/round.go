@@ -41,8 +41,10 @@ type quorumRule interface {
 	// followAck lets a rejoiner stranded inside Phase 1/2 of the
 	// responder's round catch up from the ack alone.
 	followAck(m RejoinAckMsg)
-	// view reads what the Phase 1/2 guards read of the detectors.
+	// view reads what the Phase 1/2 guards read of the detectors, and
+	// nextChange the first instant after now at which it may differ.
 	view() quorumView
+	nextChange(now sim.Time) sim.Time
 }
 
 // leaderView and quorumView are the step memo's views of the detectors:
@@ -137,10 +139,13 @@ type skeleton struct {
 	// or seenQuorum (by phase) the detector outputs its guards read then.
 	// Such a step writes nothing, so until a handler writes guard state again
 	// (OnMessage, OnRecover and Init clear quiet) a step that sees the same
-	// outputs would find the same: it returns at once.
+	// outputs would find the same: it returns at once. wake is the first
+	// instant at which those outputs may differ from the ones seen (see
+	// nextChange): before it, the step does not even read them.
 	quiet      bool
 	seenLeader leaderView
 	seenQuorum quorumView
+	wake       sim.Time
 }
 
 func newSkeleton(rule quorumRule, proposal Value) skeleton {
@@ -205,6 +210,12 @@ func (c *skeleton) forgetRounds(from int) {
 // OnRecover started a fresh chain, but they still re-evaluate the guards.
 // Virtual time has moved since the last step, and the node does not
 // re-poll the module whose own timer fired (sim.Poller's contract).
+//
+// A heartbeat of a quiet process before its wake only re-arms: step reads
+// nothing. So every handler that leaves the process quiet ends by telling
+// the environment so (sim.Environment.Snooze, in step), and the engine
+// re-arms such heartbeats itself without calling OnTimer — the same
+// timer events with the same seqs, none of them dispatched.
 func (c *skeleton) OnTimer(tag int) {
 	if tag == c.epoch && !c.outcome.Decided {
 		c.env.SetTimer(heartbeat, c.epoch)
@@ -368,11 +379,29 @@ func (c *skeleton) leaderNow() bool {
 
 // step runs the state machine until no guard fires. A step that finds
 // nothing to fire leaves the process quiet, remembering the detector
-// outputs it read; a later step returns at once while they are unchanged.
+// outputs it read and when they may next change; a later step returns at
+// once while they are unchanged, and before that instant without reading
+// them. A process left quiet — it has not decided, since a decided one
+// never goes quiet — snoozes its heartbeat until then.
 func (c *skeleton) step() {
-	if c.env == nil || c.quiet && c.unmoved() {
+	if c.env == nil {
 		return
 	}
+	now := c.env.Now()
+	switch {
+	case !c.quiet || now >= c.wake && !c.unmoved():
+		c.run(now)
+	case now >= c.wake:
+		c.wake = c.nextChange(now)
+	}
+	if c.quiet && c.wake > now {
+		c.env.Snooze(heartbeat, c.epoch, c.wake)
+	}
+}
+
+// run evaluates guards until none fires, the process decides, or it
+// passes its round bound; the first leaves it quiet.
+func (c *skeleton) run(now sim.Time) {
 	c.quiet = false
 	for !c.outcome.Decided {
 		if c.maxRounds > 0 && c.round > c.maxRounds {
@@ -385,6 +414,7 @@ func (c *skeleton) step() {
 			} else {
 				c.seenLeader = c.leaderView()
 			}
+			c.wake = c.nextChange(now)
 			return
 		}
 	}
@@ -397,6 +427,27 @@ func (c *skeleton) unmoved() bool {
 		return c.rule.view() == c.seenQuorum
 	}
 	return c.leaderView() == c.seenLeader
+}
+
+// nextChange is the first instant after now at which the detector outputs
+// the current phase's guards read may differ from their values at now.
+func (c *skeleton) nextChange(now sim.Time) sim.Time {
+	if c.phase >= inPh1 {
+		return c.rule.nextChange(now)
+	}
+	if c.aOmega != nil {
+		return nextChange(c.aOmega, now)
+	}
+	return nextChange(c.hOmega, now)
+}
+
+// nextChange is d's fd.Timed answer. Any other detector's output may change
+// at its next event, so the answer is now: the step reads it every time.
+func nextChange(d any, now sim.Time) sim.Time {
+	if t, ok := d.(fd.Timed); ok {
+		return t.NextChange(now)
+	}
+	return now
 }
 
 // fire evaluates the current phase's guards once and reports whether one

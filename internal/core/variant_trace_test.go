@@ -41,7 +41,7 @@ type variantRun struct {
 // recording into a recorder of its own that newRec returns: all five
 // constructors × {failure-free, a crash during a broadcast, churn that
 // takes the whole leader group down and back} × 2 seeds.
-func variantGrid(newRec func() *trace.Recorder) []variantRun {
+func variantGrid(d deploy) []variantRun {
 	// Two holders of the smallest identifier: HΩ's stable leader group is
 	// {p0, p1}, AΩ's stable leader is p0.
 	ids := ident.Assignment{"a", "a", "b", "c", "d"}
@@ -107,13 +107,13 @@ func variantGrid(newRec func() *trace.Recorder) []variantRun {
 	for _, v := range variants {
 		for _, s := range schedules {
 			for seed := int64(1); seed <= 2; seed++ {
-				eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 8}, Seed: seed, KnownN: v.knownN, Recorder: newRec()})
+				eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 8}, Seed: seed, KnownN: v.knownN, Recorder: d.recorder()})
 				world := oracle.NewWorld(s.truth, s.stabilize)
 				insts := make([]variantInst, len(ids))
 				for i := range insts {
 					node := sim.NewNode()
 					insts[i] = v.build(world, node, Value(fmt.Sprintf("v%d", i)))
-					eng.AddProcess(node.Add("consensus", insts[i]))
+					d.add(eng, node.Add("consensus", insts[i]))
 				}
 				s.apply(eng)
 				runs = append(runs, variantRun{fmt.Sprintf("%s %s seed=%d", v.name, s.name, seed), eng, insts})
@@ -135,10 +135,10 @@ func variantGrid(newRec func() *trace.Recorder) []variantRun {
 // one recorded.
 func TestVariantTraces(t *testing.T) {
 	var recs []*trace.Recorder
-	runs := variantGrid(func() *trace.Recorder {
+	runs := variantGrid(deploy{rec: func() *trace.Recorder {
 		recs = append(recs, trace.NewRecorder())
 		return recs[len(recs)-1]
-	})
+	}})
 	var b strings.Builder
 	for i, r := range runs {
 		r.eng.Run(variantHorizon)

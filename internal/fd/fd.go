@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/multiset"
+	"repro/internal/sim"
 )
 
 // LeaderInfo is the output pair of class HΩ: an identifier ℓ of some
@@ -54,7 +55,10 @@ type HSigma interface {
 
 // DiamondHPbar is the query interface of class ◇HP̄: the multiset of
 // identifiers the process currently trusts, eventually forever equal to
-// I(Correct).
+// I(Correct). The returned multiset is a shared, read-only snapshot, under
+// the same contract as HSigma's outputs: an implementation replaces it
+// when the output changes, never writes to one it returned, and never
+// copies it per query; callers never write to it either.
 type DiamondHPbar interface {
 	Trusted() *multiset.Multiset[ident.ID]
 }
@@ -62,9 +66,21 @@ type DiamondHPbar interface {
 // Sigma is the quorum class Σ generalized, as the paper does, so that the
 // trusted value is a multiset of identifiers. Liveness: eventually forever
 // trusted ⊆ I(Correct); safety: any two outputs, at any processes and
-// times, intersect.
+// times, intersect. TrustedQuorum returns a shared, read-only snapshot
+// that is replaced when the output changes, as DiamondHPbar.Trusted does.
 type Sigma interface {
 	TrustedQuorum() *multiset.Multiset[ident.ID]
+}
+
+// Timed is implemented by detectors whose output changes with virtual time
+// alone, at instants they know in advance — the oracles of package oracle.
+// NextChange(now) is the first instant after now at which the output may
+// differ from its value at now, or Forever: the output is the same at
+// every instant of [now, NextChange(now)). A consumer may skip re-reading
+// such a detector until then; one that is not Timed may change at any
+// event.
+type Timed interface {
+	NextChange(now sim.Time) sim.Time
 }
 
 // AOmega is the anonymous leader class AΩ: eventually, permanently, the

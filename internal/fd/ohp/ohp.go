@@ -203,16 +203,11 @@ func (d *Detector) onReply(m Reply) {
 	}
 }
 
-// Trusted implements fd.DiamondHPbar: the current h_trustedₚ multiset.
+// Trusted implements fd.DiamondHPbar: the current h_trustedₚ multiset,
+// shared and not copied. OnTimer replaces it wholesale (never mutates it
+// in place) when the output changes, so callers may keep it as a
+// snapshot; they must not mutate it.
 func (d *Detector) Trusted() *multiset.Multiset[ident.ID] {
-	return d.trusted.Clone()
-}
-
-// TrustedView returns the live h_trustedₚ multiset without copying. It is
-// replaced wholesale (never mutated in place) when the output changes, so
-// view probes may retain it as an immutable snapshot; callers must not
-// mutate it.
-func (d *Detector) TrustedView() *multiset.Multiset[ident.ID] {
 	return d.trusted
 }
 

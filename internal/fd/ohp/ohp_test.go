@@ -234,6 +234,7 @@ func (e *scriptEnv) Rand() *rand.Rand {
 }
 func (e *scriptEnv) Broadcast(payload any)                 { e.sent = append(e.sent, payload) }
 func (e *scriptEnv) SetTimer(d sim.Time, tag int)          {}
+func (e *scriptEnv) Snooze(sim.Time, int, sim.Time)        {}
 func (e *scriptEnv) Note(k trace.Kind, tag, detail string) {}
 func (e *scriptEnv) PID() sim.PID                          { return 0 }
 

@@ -43,6 +43,19 @@ func NewWorld(truth *fd.GroundTruth, stabilize sim.Time) *World {
 
 func (w *World) stable(now sim.Time) bool { return now >= w.Stabilize }
 
+// nextChange is the first instant after now at which an output that is
+// constant from Stabilize on may differ: Stabilize, or the next
+// RotatePeriod boundary before it when the output flips at each one.
+func (w *World) nextChange(now sim.Time, rotates bool) sim.Time {
+	if w.stable(now) {
+		return fd.Forever
+	}
+	if next := (now/RotatePeriod + 1) * RotatePeriod; rotates && next < w.Stabilize {
+		return next
+	}
+	return w.Stabilize
+}
+
 // clock is the sim.Process every oracle embeds: the World it consults
 // and the environment of the process it is attached to, its only window
 // on virtual time and its own PID.
@@ -86,7 +99,10 @@ type HOmega struct {
 	mode Adversary
 }
 
-var _ fd.HOmega = (*HOmega)(nil)
+var (
+	_ fd.HOmega = (*HOmega)(nil)
+	_ fd.Timed  = (*HOmega)(nil)
+)
 
 // NewHOmega builds the oracle for one process; attach it to the process's
 // node so it can observe virtual time.
@@ -109,6 +125,16 @@ func (o *HOmega) Leader() (fd.LeaderInfo, bool) {
 	// Multiplicity is deliberately unreliable pre-stabilization: the class
 	// constrains only the eventual output.
 	return fd.LeaderInfo{ID: id, Multiplicity: 1 + k%2}, true
+}
+
+// NextChange implements fd.Timed: the elected pair moves at every
+// RotatePeriod boundary until stabilization, unless the mode is
+// AdversaryNone.
+func (o *HOmega) NextChange(now sim.Time) sim.Time {
+	if o.mode == AdversaryNone {
+		return fd.Forever
+	}
+	return o.w.nextChange(now, true)
 }
 
 // DiamondHPbar is a ◇HP̄-class oracle: it trusts I(alive(now)) before
@@ -216,7 +242,10 @@ type HSigma struct {
 	clock
 }
 
-var _ fd.HSigma = (*HSigma)(nil)
+var (
+	_ fd.HSigma = (*HSigma)(nil)
+	_ fd.Timed  = (*HSigma)(nil)
+)
 
 // NewHSigma builds the oracle.
 func NewHSigma(w *World) *HSigma { return &HSigma{clock: clock{w: w}} }
@@ -240,6 +269,10 @@ func (o *HSigma) Labels() []fd.Label {
 	return o.w.labelsAll
 }
 
+// NextChange implements fd.Timed: h_quora and h_labels change once, at
+// stabilization.
+func (o *HSigma) NextChange(now sim.Time) sim.Time { return o.w.nextChange(now, false) }
+
 // AOmega is an AΩ-class oracle: after stabilization exactly the lowest-
 // indexed correct process holds the flag.
 type AOmega struct {
@@ -247,7 +280,10 @@ type AOmega struct {
 	mode Adversary
 }
 
-var _ fd.AOmega = (*AOmega)(nil)
+var (
+	_ fd.AOmega = (*AOmega)(nil)
+	_ fd.Timed  = (*AOmega)(nil)
+)
 
 // NewAOmega builds the oracle.
 func NewAOmega(w *World, mode Adversary) *AOmega { return &AOmega{clock: clock{w: w}, mode: mode} }
@@ -265,4 +301,14 @@ func (o *AOmega) IsLeader() bool {
 	}
 	up := o.w.Truth.EventuallyUp()
 	return len(up) > 0 && up[0] == o.env.PID()
+}
+
+// NextChange implements fd.Timed: the flag moves at every RotatePeriod
+// boundary until stabilization under AdversaryRotate, once at
+// stabilization under AdversarySplit, and never under AdversaryNone.
+func (o *AOmega) NextChange(now sim.Time) sim.Time {
+	if o.mode == AdversaryNone {
+		return fd.Forever
+	}
+	return o.w.nextChange(now, o.mode == AdversaryRotate)
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fd"
@@ -224,6 +225,84 @@ func TestAOmegaOracle(t *testing.T) {
 		fx.eng.Run(300)
 		if _, err := fd.CheckAOmega(fx.truth, pr); err != nil {
 			t.Errorf("mode %d: %v", mode, err)
+		}
+	}
+}
+
+// clockEnv is the Environment TestNextChangeSound drives oracles with: a
+// clock the test sets and a PID, all an oracle reads of its environment.
+type clockEnv struct {
+	sim.Environment
+	now sim.Time
+	pid sim.PID
+}
+
+func (e *clockEnv) Now() sim.Time { return e.now }
+func (e *clockEnv) PID() sim.PID  { return e.pid }
+
+// hsigmaOutput is an HΣ output by slice identity: the first element and
+// the length of h_labels and h_quora.
+type hsigmaOutput struct {
+	labels  *fd.Label
+	nLabels int
+	quora   *fd.QuorumPair
+	nQuora  int
+}
+
+// TestNextChangeSound holds fd.Timed's contract on every oracle that
+// implements it, in every adversary mode (HΣ has none; it runs under each),
+// at every process and every instant t in [0, 3·Stabilize]: NextChange(t)
+// is after t, and the output is the same at every instant of
+// [t, NextChange(t)) up to 3·Stabilize — HΣ's by slice identity, the way
+// the consensus step memo compares it. Stabilization instants on and off
+// the RotatePeriod grid are covered, and p0 crashes, so h_labels differ
+// between processes once stable.
+//
+// Verified to fail when World.nextChange answers Stabilize+1 for
+// Stabilize (the output then changes one instant inside the promise).
+func TestNextChangeSound(t *testing.T) {
+	ids := ident.Assignment{"a", "a", "b", "c"}
+	truth := fd.NewGroundTruth(ids, map[sim.PID]sim.Time{0: 20})
+	for _, stabilize := range []sim.Time{0, 1, 6, 7, 30, 35, 100} {
+		w := NewWorld(truth, stabilize)
+		end := 3 * stabilize
+		for _, mode := range []Adversary{AdversaryNone, AdversaryRotate, AdversarySplit} {
+			for p := range ids {
+				env := &clockEnv{pid: sim.PID(p)}
+				ho, ao, hs := NewHOmega(w, mode), NewAOmega(w, mode), NewHSigma(w)
+				ho.Init(env)
+				ao.Init(env)
+				hs.Init(env)
+				subjects := []struct {
+					name  string
+					timed fd.Timed
+					out   func() any
+				}{
+					{"HOmega", ho, func() any { li, ok := ho.Leader(); return fmt.Sprint(li, ok) }},
+					{"AOmega", ao, func() any { return ao.IsLeader() }},
+					{"HSigma", hs, func() any { return hsigmaOutput{&hs.Labels()[0], len(hs.Labels()), &hs.Quora()[0], len(hs.Quora())} }},
+				}
+				for _, s := range subjects {
+					outs := make([]any, end+1)
+					for u := range outs {
+						env.now = sim.Time(u)
+						outs[u] = s.out()
+					}
+					for at := sim.Time(0); at <= end; at++ {
+						env.now = at
+						next := s.timed.NextChange(at)
+						if next <= at {
+							t.Fatalf("stabilize=%d mode=%d p%d %s: NextChange(%d) = %d, want > %d", stabilize, mode, p, s.name, at, next, at)
+						}
+						for u := at + 1; u < next && u <= end; u++ {
+							if outs[u] != outs[at] {
+								t.Fatalf("stabilize=%d mode=%d p%d %s: NextChange(%d) = %d, but the output changes at %d",
+									stabilize, mode, p, s.name, at, next, u)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -79,7 +79,7 @@ func awaitDetectors(t *testing.T, dets []*ohp.Detector, procs []*Proc, who []int
 		}
 		if time.Now().After(deadline) {
 			for _, i := range who {
-				procs[i].Do(func() { t.Logf("p%d trusts %v", i, dets[i].TrustedView()) })
+				procs[i].Do(func() { t.Logf("p%d trusts %v", i, dets[i].Trusted()) })
 			}
 			t.Fatal("detectors did not converge")
 		}
@@ -98,7 +98,7 @@ func TestLiveOHPConverges(t *testing.T) {
 	c.Crash(2)
 
 	awaitDetectors(t, dets, procs, []int{0, 1}, func(d *ohp.Detector) bool {
-		tr := d.TrustedView()
+		tr := d.Trusted()
 		li, ok := d.Leader()
 		return tr.Len() == 2 && tr.Count("a") == 2 && ok && li.ID == "a" && li.Multiplicity == 2
 	})
@@ -259,7 +259,7 @@ func TestOHPDetectorToleratesPreGSTLoss(t *testing.T) {
 	defer c.Close()
 	dets, procs := startDetectors(t, c)
 	awaitDetectors(t, dets, procs, []int{0, 1, 2}, func(d *ohp.Detector) bool {
-		tr := d.TrustedView()
+		tr := d.Trusted()
 		return tr.Len() == 3 && tr.Count("a") == 2 && tr.Count("b") == 1
 	})
 }

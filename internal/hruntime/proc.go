@@ -79,7 +79,7 @@ func (p *Proc) post(m any) bool {
 }
 
 // Do runs f on the process's goroutine, between two events, and waits for
-// it: the lock-free way to read the process's state (Decided, TrustedView)
+// it: the lock-free way to read the process's state (Decided, Trusted)
 // from outside. It works on a crashed process too. It reports false, and f
 // did not run, if the process was stopped first.
 func (p *Proc) Do(f func()) bool {
@@ -129,6 +129,10 @@ func (p *Proc) SetTimer(d sim.Time, tag int) {
 	}
 	time.AfterFunc(time.Duration(d)*p.c.opts.Unit, func() { p.post(timerFired(tag)) })
 }
+
+// Snooze implements sim.Environment as a no-op: the live runtime keeps
+// its real timers and calls every handler.
+func (p *Proc) Snooze(sim.Time, int, sim.Time) {}
 
 // Note implements sim.Environment; the note is recorded under the cluster
 // lock, like every other event of the run.

@@ -111,13 +111,14 @@ func (m *HSigmaToSigma) OnMessage(payload any) {
 	}
 }
 
-// TrustedQuorum implements fd.Sigma. Before the first candidate appears it
-// returns nil; HasOutput distinguishes that state for probes.
+// TrustedQuorum implements fd.Sigma: the trusted multiset, shared and not
+// copied (iterate replaces it wholesale). Before the first candidate
+// appears it returns nil; HasOutput distinguishes that state for probes.
 func (m *HSigmaToSigma) TrustedQuorum() *multiset.Multiset[ident.ID] {
 	if !m.hasOut {
 		return nil
 	}
-	return m.trusted.Clone()
+	return m.trusted
 }
 
 // HasOutput reports whether a trusted quorum has been produced yet.

@@ -57,6 +57,12 @@
 //     it and sifts it down once — one heap pass per heartbeat tick where a
 //     pop and a push take two, in exactly their order (the pop-then-push
 //     engine is a test-only reference, timer_ref_test.go);
+//   - a timer its process has snoozed (Environment.Snooze: until some
+//     instant, the handler would only re-arm it) is recorded and re-armed
+//     in place the same way and not dispatched at all; any other event
+//     for the process ends the hint. The record is one slice entry per
+//     process, allocated at the first Snooze, so a run that never snoozes
+//     pays a nil check per dispatch;
 //   - for a stats-only recorder the engine counts deliveries, drops and
 //     fired timers in plain ints and adds them once, when RunUntil
 //     returns: the recorder's Delivered/Dropped/Timers are exact whenever

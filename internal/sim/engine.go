@@ -242,6 +242,10 @@ type Engine struct {
 	// mid-event state changes (partial crashes) order correctly against
 	// scheduled events at the same instant.
 	curSeq int64
+	// snoozes holds each process's standing Environment.Snooze hint, nil
+	// until the first one: a run that never snoozes pays one nil check per
+	// dispatch and no memory.
+	snoozes []snooze
 }
 
 // tally counts the deliveries, drops and fired timers of a run in plain
@@ -249,6 +253,15 @@ type Engine struct {
 // Count per kind when RunUntil returns.
 type tally struct {
 	delivered, dropped, timers int
+}
+
+// snooze is one process's standing Snooze hint: until time until, a
+// firing of its timer tag re-arms after period and dispatches nothing
+// (fireTimer). until = 0 is no hint: virtual time is never below it.
+type snooze struct {
+	until  Time
+	period Time
+	tag    int32
 }
 
 type partialCrash struct {
@@ -620,12 +633,14 @@ func (e *Engine) step() StopReason {
 	switch ev.kind {
 	case evCrash:
 		e.fault(pid).pendingCrash--
+		e.unsnooze(pid)
 		if !e.crashed[pid] {
 			e.crashed[pid] = true
 			e.everCrashed[pid] = true
 			e.record(trace.KindCrash, int(pid), "", "")
 		}
 	case evRecover:
+		e.unsnooze(pid)
 		if e.crashed[pid] {
 			e.crashed[pid] = false
 			e.recoveries++
@@ -662,7 +677,9 @@ func (e *Engine) afterStep(p PID) StopReason {
 // handler re-arms in place (see setTimer), and an entry the handler did
 // not reuse is popped once it returns — before the observers and the
 // predicate run, which therefore see the queue a pop-then-push engine
-// would leave.
+// would leave. A firing the process's Snooze hint covers is recorded and
+// counted the same way, then re-armed in place exactly as the handler's
+// SetTimer would have, and not dispatched; any other firing ends the hint.
 func (e *Engine) fireTimer(ev event) {
 	e.curSeq = int64(ev.seq)
 	e.processed++
@@ -670,6 +687,14 @@ func (e *Engine) fireTimer(ev event) {
 		e.record(trace.KindTimer, int(ev.pid), "", timerDetail(int(ev.arg)))
 	} else {
 		e.tally.timers++
+	}
+	if e.snoozes != nil {
+		s := &e.snoozes[ev.pid]
+		if s.tag == ev.arg && ev.time < s.until {
+			e.rearm(s.period, ev.arg)
+			return
+		}
+		s.until = 0
 	}
 	e.parked = PID(ev.pid)
 	e.procs[ev.pid].OnTimer(int(ev.arg))
@@ -696,6 +721,26 @@ func timerDetail(tag int) string {
 		return timerDetails[tag]
 	}
 	return "tag=" + strconv.Itoa(tag)
+}
+
+// snooze records p's Snooze hint (Environment.Snooze). A down process
+// gets none: nothing of it fires until a recovery, which ends a hint.
+func (e *Engine) snooze(p PID, period Time, tag int, until Time) {
+	if e.crashed[p] {
+		return
+	}
+	period, arg := timerArgs(period, tag)
+	if e.snoozes == nil {
+		e.snoozes = make([]snooze, len(e.procs))
+	}
+	e.snoozes[p] = snooze{until: until, period: period, tag: arg}
+}
+
+// unsnooze ends p's Snooze hint, if any: an event is about to reach p.
+func (e *Engine) unsnooze(p PID) {
+	if e.snoozes != nil {
+		e.snoozes[p].until = 0
+	}
 }
 
 func (e *Engine) notifyAfter(p PID) {
@@ -759,25 +804,36 @@ func (e *Engine) broadcast(from PID, payload any) {
 }
 
 func (e *Engine) setTimer(p PID, d Time, tag int) {
+	d, arg := timerArgs(d, tag)
+	if p != e.parked {
+		e.push(event{time: e.now + d, kind: evTimer, pid: int32(p), arg: arg})
+		return
+	}
+	e.parked = -1
+	e.rearm(d, arg)
+}
+
+// timerArgs clamps a timer's delay to at least 1 and narrows its tag to
+// the 32-bit event arg (Environment.SetTimer, Environment.Snooze).
+func timerArgs(d Time, tag int) (Time, int32) {
 	if d < 1 {
 		d = 1
 	}
 	if tag != int(int32(tag)) {
 		panic("sim: timer tag exceeds 32 bits")
 	}
-	if p != e.parked {
-		e.push(event{time: e.now + d, kind: evTimer, pid: int32(p), arg: int32(tag)})
-		return
-	}
-	// Re-arm in place: the root still holds p's fired evTimer entry, so the
-	// new timer only rewrites its time, seq and tag and sifts down — one
-	// heap pass where a pop and a push take two. The pop order is the one
-	// they give: everything pushed since the entry was parked has time >=
-	// now and a later seq, so the parked entry stayed the minimum, and the
-	// heap orders (time, seq) totally.
-	e.parked = -1
+	return d, int32(tag)
+}
+
+// rearm re-arms the fired evTimer entry at the heap root in place, after d
+// with tag: it rewrites the entry's time, seq and tag and sifts down — one
+// heap pass where a pop and a push take two. The pop order is the one
+// they give: everything pushed since the entry fired has time >= now and
+// a later seq, so the entry stayed the minimum, and the heap orders
+// (time, seq) totally.
+func (e *Engine) rearm(d Time, tag int32) {
 	root := &e.queue[0]
-	root.time, root.seq, root.arg = e.now+d, e.seq, int32(tag)
+	root.time, root.seq, root.arg = e.now+d, e.seq, tag
 	e.seq++
 	e.queue.down(0)
 	e.noteQueueLen()

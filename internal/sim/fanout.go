@@ -535,6 +535,7 @@ func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 	} else {
 		e.tally.delivered++
 	}
+	e.unsnooze(pid)
 	e.procs[to].OnMessage(payload)
 	e.notifyAfter(pid)
 }

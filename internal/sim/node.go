@@ -30,6 +30,7 @@ type Node struct {
 	modules []namedModule
 	byName  map[string]int
 	env     Environment
+	pollers int // modules that are Pollers
 }
 
 type namedModule struct {
@@ -63,6 +64,9 @@ func (n *Node) Add(name string, p Process) *Node {
 	}
 	n.byName[name] = len(n.modules)
 	poller, _ := p.(Poller)
+	if poller != nil {
+		n.pollers++
+	}
 	n.modules = append(n.modules, namedModule{name: name, proc: p, poller: poller})
 	return n
 }
@@ -170,6 +174,17 @@ func (m *moduleEnv) SetTimer(d Time, tag int) {
 		panic("sim: module timer tags must be non-negative")
 	}
 	m.node.env.SetTimer(d, tag*len(m.node.modules)+m.index)
+}
+
+// Snooze forwards the hint, under the node's tag for the module's timer,
+// only when the module is the node's one Poller: the node's OnTimer then
+// runs the module's handler and polls nothing after it (pollAfter), so the
+// module's promise is the node's. With another Poller on the node, that
+// poll would be skipped too, so the hint is dropped.
+func (m *moduleEnv) Snooze(period Time, tag int, until Time) {
+	if m.node.pollers == 1 && m.node.modules[m.index].poller != nil {
+		m.node.env.Snooze(period, tag*len(m.node.modules)+m.index, until)
+	}
 }
 
 func (m *moduleEnv) Note(kind trace.Kind, tag, detail string) {

@@ -114,6 +114,9 @@ func (m *refModuleEnv) SetTimer(d Time, tag int) {
 	m.node.env.SetTimer(d, tag*len(m.node.modules)+m.index)
 }
 
+// Snooze drops the hint: the reference dispatches every timer.
+func (m *refModuleEnv) Snooze(Time, int, Time) {}
+
 func (m *refModuleEnv) Note(kind trace.Kind, tag, detail string) {
 	m.node.env.Note(kind, tag, detail)
 }

@@ -349,6 +349,7 @@ func (nopEnv) Now() Time                       { return 0 }
 func (nopEnv) Rand() *rand.Rand                { return rand.New(rand.NewSource(1)) }
 func (nopEnv) Broadcast(any)                   {}
 func (nopEnv) SetTimer(Time, int)              {}
+func (nopEnv) Snooze(Time, int, Time)          {}
 func (nopEnv) Note(trace.Kind, string, string) {}
 func (nopEnv) PID() PID                        { return 0 }
 
@@ -392,5 +393,79 @@ func TestNodePollsAfterEvents(t *testing.T) {
 	s.OnTimer(0)
 	if solo.polls != 1 {
 		t.Errorf("lone Poller polled %d times after Init, its own message and its own timer; want 1 (Init)", solo.polls)
+	}
+}
+
+// snoozer is a Poller whose heartbeat only re-arms, and which says so with
+// Snooze after every event it handles.
+type snoozer struct {
+	env   Environment
+	ticks int
+}
+
+func (s *snoozer) Init(env Environment) {
+	s.env = env
+	env.SetTimer(5, 0)
+	env.Snooze(5, 0, 1000)
+}
+func (s *snoozer) OnMessage(any) {}
+func (s *snoozer) OnTimer(tag int) {
+	s.ticks++
+	s.env.SetTimer(5, tag)
+	s.env.Snooze(5, tag, 1000)
+}
+func (s *snoozer) Poll() {}
+
+// idleMod handles nothing and sends nothing; idlePoller is the same as a
+// Poller.
+type idleMod struct{}
+
+func (idleMod) Init(Environment) {}
+func (idleMod) OnMessage(any)    {}
+func (idleMod) OnTimer(int)      {}
+
+type idlePoller struct{ idleMod }
+
+func (idlePoller) Poll() {}
+
+// TestNodeSnoozeOnlyPoller pins when a node forwards a module's Snooze: a
+// lone Poller's heartbeats are re-armed by the engine and never reach it,
+// while with a second Poller on the node, before or after it, every
+// heartbeat is dispatched — the node's OnTimer would poll that other
+// module. The timer events themselves, and so the trace, are the same in
+// all three.
+func TestNodeSnoozeOnlyPoller(t *testing.T) {
+	cases := []struct {
+		name      string
+		node      func(s *snoozer) *Node
+		wantTicks int
+	}{
+		{"lone poller", func(s *snoozer) *Node { return NewNode().Add("a", idleMod{}).Add("s", s).Add("b", idleMod{}) }, 0},
+		{"poller before", func(s *snoozer) *Node { return NewNode().Add("a", idlePoller{}).Add("s", s).Add("b", idleMod{}) }, 20},
+		{"poller after", func(s *snoozer) *Node { return NewNode().Add("a", idleMod{}).Add("s", s).Add("b", idlePoller{}) }, 20},
+	}
+	var traces []string
+	for _, c := range cases {
+		rec := trace.NewRecorder()
+		eng := New(Config{IDs: ident.Unique(1), Seed: 1, Recorder: rec})
+		s := &snoozer{}
+		eng.AddProcess(c.node(s))
+		eng.Run(100)
+		if s.ticks != c.wantTicks {
+			t.Errorf("%s: %d heartbeats dispatched, want %d", c.name, s.ticks, c.wantTicks)
+		}
+		if got := rec.Stats().Timers; got != 20 {
+			t.Errorf("%s: %d timer events, want 20", c.name, got)
+		}
+		var text bytes.Buffer
+		if err := trace.WriteText(&text, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, text.String())
+	}
+	for i := range traces[1:] {
+		if traces[i+1] != traces[0] {
+			t.Errorf("%s: trace differs from %s's", cases[i+1].name, cases[0].name)
+		}
 	}
 }

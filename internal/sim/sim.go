@@ -49,6 +49,19 @@ type Environment interface {
 	// SetTimer schedules OnTimer(tag) after d units (clamped to >= 1).
 	// Timers are one-shot and tags must be non-negative.
 	SetTimer(d Time, tag int)
+	// Snooze is a hint about the process's pending timer tag: until
+	// virtual time until, OnTimer(tag) would do exactly SetTimer(period,
+	// tag) and nothing else — write no state, broadcast nothing, note
+	// nothing. An implementation may then re-arm such a timer itself and
+	// not call OnTimer: the engine records the firing as it records any
+	// timer, re-arms it with the seq the handler's SetTimer would have
+	// taken, and dispatches nothing, so every event, seq and trace byte is
+	// the same. The hint holds until the first firing at or after until,
+	// or until any other event reaches the process (a message copy,
+	// another timer, a recovery or a crash) — whichever comes first; the
+	// process gives it again at the end of that event if it still holds.
+	// An implementation may ignore it, as the live runtime does.
+	Snooze(period Time, tag int, until Time)
 	// Note records a custom trace event (decision, detector change).
 	Note(kind trace.Kind, tag, detail string)
 	// PID returns the internal index, for traces and checkers only.
@@ -94,6 +107,9 @@ func (e *Env) Broadcast(payload any) { e.eng.broadcast(e.pid, payload) }
 
 // SetTimer implements Environment.
 func (e *Env) SetTimer(d Time, tag int) { e.eng.setTimer(e.pid, d, tag) }
+
+// Snooze implements Environment.
+func (e *Env) Snooze(period Time, tag int, until Time) { e.eng.snooze(e.pid, period, tag, until) }
 
 // PID implements Environment.
 func (e *Env) PID() PID { return e.pid }

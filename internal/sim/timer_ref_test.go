@@ -53,6 +53,9 @@ type timerRefEnv struct {
 
 func (v *timerRefEnv) SetTimer(d Time, tag int) { v.ref.setTimer(v.pid, d, tag) }
 
+// Snooze drops the hint: the reference dispatches every timer.
+func (v *timerRefEnv) Snooze(Time, int, Time) {}
+
 // AddProcess binds p behind the wrapper.
 func (e *timerRef) AddProcess(p Process) PID {
 	return e.Engine.AddProcess(timerRefProc{Process: p, ref: e})
