@@ -34,8 +34,8 @@
 // Algo, and crash-recovery churn is the same call with a Churn spec added.
 // Crash-stop is the churn schedule with no recover events, so each
 // algorithm has one run body. RunHSigma, the Figure 7 detector, stays
-// apart: it runs on the lock-step synchronous engine, whose crashes are
-// per-step with a delivery probability.
+// apart: it runs in lock-step synchronous steps, and its crashes are
+// per step with a delivery probability.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable surface and runs experiments.

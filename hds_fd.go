@@ -147,11 +147,11 @@ type HSigmaResult struct {
 // or outside steps [1, Steps], a negative step count, a delivery
 // probability outside [0, 1] — with an error, not a panic.
 func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
-	crashTimes := make(map[sim.PID]sim.Time, len(e.CrashSteps))
+	crashSteps := make(map[sim.PID]sim.Time, len(e.CrashSteps))
 	for p, cs := range e.CrashSteps {
-		crashTimes[p] = sim.Time(cs.Step)
+		crashSteps[p] = sim.Time(cs.Step)
 	}
-	if err := validateExperiment(e.IDs, crashTimes, nil); err != nil {
+	if err := validateExperiment(e.IDs, crashSteps, nil); err != nil {
 		return HSigmaResult{}, err
 	}
 	if e.Steps < 0 {
@@ -162,15 +162,17 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 	}
 	n := e.IDs.N()
 	rec := &trace.Recorder{}
-	eng := sim.NewSync(sim.SyncConfig{IDs: e.IDs, Seed: e.Seed, Recorder: rec})
+	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: e.IDs, Seed: e.Seed, Recorder: rec}, e.Steps))
 	dets := make([]*hsigma.Detector, n)
 	for i := range dets {
 		dets[i] = hsigma.New()
-		eng.AddProcess(dets[i])
+		eng.AddProcess(sim.NewLockstep(dets[i]))
 	}
-	// Register in ascending PID order: CrashAtStep appends to the step's
-	// crash list, and the sync engine replays that list, so map iteration
-	// order would otherwise reach the trace (or pick the error reported).
+	// Validate in ascending PID order, so that the error reported for
+	// several bad entries does not depend on map iteration order. A crash
+	// during step k is one at step k's broadcast, and the ground truth
+	// dates it there.
+	crashTimes := make(map[sim.PID]sim.Time, len(e.CrashSteps))
 	crashPids := make([]sim.PID, 0, len(e.CrashSteps))
 	for p := range e.CrashSteps {
 		crashPids = append(crashPids, p)
@@ -186,29 +188,33 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 		if !(cs.DeliverProb >= 0 && cs.DeliverProb <= 1) {
 			return HSigmaResult{}, fmt.Errorf("hds: delivery probability %v for process %d is outside [0,1]", cs.DeliverProb, p)
 		}
-		eng.CrashAtStep(p, cs.Step, cs.DeliverProb)
+		eng.CrashDuringBroadcast(p, sim.StepStart(cs.Step), cs.DeliverProb)
+		crashTimes[p] = sim.StepStart(cs.Step)
 	}
 	truth := fd.NewGroundTruth(e.IDs, crashTimes)
-	quora := fd.NewSyncProbe(eng, n, func(p sim.PID) ([]fd.QuorumPair, bool) {
+	quora := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.QuorumPair, bool) {
 		if eng.Crashed(p) {
 			return nil, false
 		}
 		return dets[p].Quora(), true
 	}, fd.QuoraEqual)
-	labels := fd.NewSyncProbe(eng, n, func(p sim.PID) ([]fd.Label, bool) {
+	labels := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.Label, bool) {
 		if eng.Crashed(p) {
 			return nil, false
 		}
 		return dets[p].Labels(), true
 	}, fd.LabelsEqual)
 
-	eng.RunSteps(e.Steps)
+	eng.Run(sim.StepEnd(e.Steps))
+	if err := guardErr(eng); err != nil {
+		return HSigmaResult{}, err
+	}
 
 	res, err := fd.CheckHSigma(truth, quora, labels)
 	if err != nil {
 		return HSigmaResult{}, err
 	}
-	out := HSigmaResult{StabilizationStep: res.StabilizationTime, Stats: rec.Stats()}
+	out := HSigmaResult{StabilizationStep: Time(sim.StepOf(res.StabilizationTime)), Stats: rec.Stats()}
 	for p := 0; p < n; p++ {
 		if !eng.Crashed(sim.PID(p)) {
 			out.QuoraPerProcess = append(out.QuoraPerProcess, len(dets[p].Quora()))

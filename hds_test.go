@@ -1,6 +1,7 @@
 package hds
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +107,83 @@ func TestRunHSigma(t *testing.T) {
 	}
 	if len(res.QuoraPerProcess) != 5 {
 		t.Errorf("quora sizes = %v, want 5 survivors", res.QuoraPerProcess)
+	}
+}
+
+// TestRunHSigmaPastDefaultEventCap runs more steps than the engine's
+// default 5,000,000-event guard covers: the run must execute every step,
+// not stop at the guard and verify the prefix.
+func TestRunHSigmaPastDefaultEventCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs about 5.2M events")
+	}
+	const steps = 130_000
+	res, err := RunHSigma(HSigmaExperiment{
+		IDs:        BalancedIDs(6, 3),
+		CrashSteps: map[PID]CrashStep{1: {Step: 2, DeliverProb: 0.5}},
+		Steps:      steps,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events := res.Stats.Delivered + res.Stats.Dropped + res.Stats.Timers + res.Stats.TimerDrops; events <= 5_000_000 {
+		t.Fatalf("the run took %d events, not past the default guard", events)
+	}
+	// Six processes broadcast in steps 1 and 2, five in every later step.
+	if got, want := res.Stats.ByTag["IDENT"], 2*6+5*(steps-2); got != want {
+		t.Errorf("%d IDENT broadcasts, want %d", got, want)
+	}
+	if res.StabilizationStep != 3 {
+		t.Errorf("stabilized at step %d, want 3", res.StabilizationStep)
+	}
+}
+
+// TestRunHSigmaStabilizesOneStepAfterLastCrash checks E8's Theorem 6 note
+// over a seeded grid, partial deliveries included: a run with a step after
+// its last crash verifies, and a verified run's outputs stop changing by
+// the step after the last crash (step 1 without crashes).
+func TestRunHSigmaStabilizesOneStepAfterLastCrash(t *testing.T) {
+	type crash struct {
+		pid PID
+		CrashStep
+	}
+	for _, n := range []int{4, 6, 7} {
+		for _, l := range []int{1, 2, n} {
+			for steps := 1; steps <= 6; steps++ {
+				var grid [][]crash
+				grid = append(grid, nil)
+				for s1 := 1; s1 <= steps; s1++ {
+					for _, p := range []float64{0.3, 0.5, 1} {
+						grid = append(grid, []crash{{1, CrashStep{s1, p}}})
+					}
+					for s2 := s1; s2 <= steps; s2++ {
+						grid = append(grid, []crash{{0, CrashStep{s1, 0.4}}, {PID(n - 1), CrashStep{s2, 0.6}}})
+					}
+				}
+				for _, crashes := range grid {
+					last := 0
+					crashSteps := make(map[PID]CrashStep, len(crashes))
+					for _, c := range crashes {
+						last = max(last, c.Step)
+						crashSteps[c.pid] = c.CrashStep
+					}
+					for seed := int64(1); seed <= 3; seed++ {
+						res, err := RunHSigma(HSigmaExperiment{IDs: BalancedIDs(n, l), CrashSteps: crashSteps, Steps: steps, Seed: seed})
+						name := fmt.Sprintf("n=%d l=%d steps=%d crashes=%v seed=%d", n, l, steps, crashes, seed)
+						if err != nil {
+							if last < steps {
+								t.Fatalf("%s: %v", name, err)
+							}
+							continue
+						}
+						if res.StabilizationStep > Time(last+1) {
+							t.Fatalf("%s: stabilized at step %d, after step %d", name, res.StabilizationStep, last+1)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -11,27 +11,28 @@ type Msg struct{}
 // MsgTag implements sim.Tagger.
 func (Msg) MsgTag() string { return "ALIVE" }
 
-// Detector is the per-process synchronous AP instance. It implements
-// sim.SyncProcess and fd.AP.
+// Detector is the per-process synchronous AP instance: run it as
+// sim.NewLockstep(d). It implements sim.StepProcess and fd.AP; it counts
+// each step's inbox, so the order of the inbox does not matter.
 type Detector struct {
 	count int
 	valid bool
 }
 
 var (
-	_ sim.SyncProcess = (*Detector)(nil)
+	_ sim.StepProcess = (*Detector)(nil)
 	_ fd.AP           = (*Detector)(nil)
 )
 
 // New creates a detector.
 func New() *Detector { return &Detector{} }
 
-// StepSend implements sim.SyncProcess.
-func (d *Detector) StepSend(*sim.SyncEnv) []any { return []any{Msg{}} }
+// StepSend implements sim.StepProcess.
+func (d *Detector) StepSend(sim.Environment) any { return Msg{} }
 
-// StepRecv implements sim.SyncProcess: the step's message count is the
+// StepRecv implements sim.StepProcess: the step's message count is the
 // current alive estimate.
-func (d *Detector) StepRecv(_ *sim.SyncEnv, received []any) {
+func (d *Detector) StepRecv(received []any) {
 	n := 0
 	for _, payload := range received {
 		if _, ok := payload.(Msg); ok {

@@ -12,11 +12,11 @@ import (
 func runAP(t *testing.T, n int, crashes map[sim.PID]int, seed int64, steps int) (fd.Result, error) {
 	t.Helper()
 	ids := ident.AnonymousN(n)
-	eng := sim.NewSync(sim.SyncConfig{IDs: ids, Seed: seed})
+	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: ids, Seed: seed}, steps))
 	dets := make([]*Detector, n)
 	for i := range dets {
 		dets[i] = New()
-		eng.AddProcess(dets[i])
+		eng.AddProcess(sim.NewLockstep(dets[i]))
 	}
 	crashPids := make([]sim.PID, 0, len(crashes))
 	for p := range crashes {
@@ -25,16 +25,19 @@ func runAP(t *testing.T, n int, crashes map[sim.PID]int, seed int64, steps int) 
 	slices.Sort(crashPids)
 	crashTimes := make(map[sim.PID]sim.Time)
 	for _, p := range crashPids {
-		eng.CrashAtStep(p, crashes[p], 0.5)
-		crashTimes[p] = sim.Time(crashes[p])
+		eng.CrashDuringBroadcast(p, sim.StepStart(crashes[p]), 0.5)
+		crashTimes[p] = sim.StepStart(crashes[p])
 	}
-	probe := fd.NewSyncProbe(eng, n, func(p sim.PID) (int, bool) {
+	probe := fd.NewProbe(eng, n, func(p sim.PID) (int, bool) {
 		if eng.Crashed(p) || !dets[p].Valid() {
 			return 0, false
 		}
 		return dets[p].AliveCount(), true
 	}, func(a, b int) bool { return a == b })
-	eng.RunSteps(steps)
+	eng.Run(sim.StepEnd(steps))
+	if eng.Stopped() != sim.StopHorizon {
+		t.Fatalf("run stopped by %v before the end of step %d", eng.Stopped(), steps)
+	}
 	return fd.CheckAP(fd.NewGroundTruth(ids, crashTimes), probe)
 }
 
@@ -77,7 +80,7 @@ func TestValidFlag(t *testing.T) {
 	if d.Valid() {
 		t.Error("detector valid before any step")
 	}
-	d.StepRecv(nil, []any{Msg{}, Msg{}})
+	d.StepRecv([]any{Msg{}, Msg{}})
 	if !d.Valid() || d.AliveCount() != 2 {
 		t.Errorf("AliveCount = %d, valid = %v", d.AliveCount(), d.Valid())
 	}

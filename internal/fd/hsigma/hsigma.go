@@ -15,8 +15,10 @@ type Msg struct {
 // MsgTag implements sim.Tagger.
 func (Msg) MsgTag() string { return "IDENT" }
 
-// Detector is the per-process Figure 7 instance for the synchronous
-// engine. It implements sim.SyncProcess and fd.HSigma.
+// Detector is the per-process Figure 7 instance for the synchronous model
+// HSS: run it as sim.NewLockstep(d). It implements sim.StepProcess and
+// fd.HSigma; it folds each step's inbox into a multiset, so the order of
+// the inbox does not matter.
 type Detector struct {
 	quora  []fd.QuorumPair
 	known  map[fd.Label]bool
@@ -24,7 +26,7 @@ type Detector struct {
 }
 
 var (
-	_ sim.SyncProcess = (*Detector)(nil)
+	_ sim.StepProcess = (*Detector)(nil)
 	_ fd.HSigma       = (*Detector)(nil)
 )
 
@@ -33,14 +35,14 @@ func New() *Detector {
 	return &Detector{known: make(map[fd.Label]bool)}
 }
 
-// StepSend implements sim.SyncProcess: broadcast IDENT(id(p)).
-func (d *Detector) StepSend(env *sim.SyncEnv) []any {
-	return []any{Msg{ID: env.ID()}}
+// StepSend implements sim.StepProcess: broadcast IDENT(id(p)).
+func (d *Detector) StepSend(env sim.Environment) any {
+	return Msg{ID: env.ID()}
 }
 
-// StepRecv implements sim.SyncProcess: gather the step's identifiers and
+// StepRecv implements sim.StepProcess: gather the step's identifiers and
 // extend h_quora and h_labels.
-func (d *Detector) StepRecv(_ *sim.SyncEnv, received []any) {
+func (d *Detector) StepRecv(received []any) {
 	mset := multiset.New[ident.ID]()
 	for _, payload := range received {
 		if m, ok := payload.(Msg); ok {

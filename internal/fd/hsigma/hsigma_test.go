@@ -17,30 +17,33 @@ type syncCrash struct {
 // runHSigma executes Figure 7 and verifies all four HΣ properties.
 func runHSigma(t *testing.T, ids ident.Assignment, crashes []syncCrash, seed int64, steps int) (fd.Result, error) {
 	t.Helper()
-	eng := sim.NewSync(sim.SyncConfig{IDs: ids, Seed: seed})
+	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: ids, Seed: seed}, steps))
 	dets := make([]*Detector, ids.N())
 	for i := range dets {
 		dets[i] = New()
-		eng.AddProcess(dets[i])
+		eng.AddProcess(sim.NewLockstep(dets[i]))
 	}
 	crashTimes := make(map[sim.PID]sim.Time)
 	for _, c := range crashes {
-		eng.CrashAtStep(c.pid, c.step, c.deliverProb)
-		crashTimes[c.pid] = sim.Time(c.step)
+		eng.CrashDuringBroadcast(c.pid, sim.StepStart(c.step), c.deliverProb)
+		crashTimes[c.pid] = sim.StepStart(c.step)
 	}
-	quora := fd.NewSyncProbe(eng, ids.N(), func(p sim.PID) ([]fd.QuorumPair, bool) {
+	quora := fd.NewProbe(eng, ids.N(), func(p sim.PID) ([]fd.QuorumPair, bool) {
 		if eng.Crashed(p) {
 			return nil, false
 		}
 		return dets[p].Quora(), true
 	}, fd.QuoraEqual)
-	labels := fd.NewSyncProbe(eng, ids.N(), func(p sim.PID) ([]fd.Label, bool) {
+	labels := fd.NewProbe(eng, ids.N(), func(p sim.PID) ([]fd.Label, bool) {
 		if eng.Crashed(p) {
 			return nil, false
 		}
 		return dets[p].Labels(), true
 	}, fd.LabelsEqual)
-	eng.RunSteps(steps)
+	eng.Run(sim.StepEnd(steps))
+	if eng.Stopped() != sim.StopHorizon {
+		t.Fatalf("run stopped by %v before the end of step %d", eng.Stopped(), steps)
+	}
 	truth := fd.NewGroundTruth(ids, crashTimes)
 	return fd.CheckHSigma(truth, quora, labels)
 }
@@ -90,15 +93,15 @@ func TestLivenessQuorumAppearsOneStepAfterLastCrash(t *testing.T) {
 	// Theorem 6's liveness argument: from the step after the last crash,
 	// every correct process gathers exactly I(Correct).
 	ids := ident.Balanced(5, 2)
-	eng := sim.NewSync(sim.SyncConfig{IDs: ids, Seed: 5})
+	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: ids, Seed: 5}, 5))
 	dets := make([]*Detector, ids.N())
 	for i := range dets {
 		dets[i] = New()
-		eng.AddProcess(dets[i])
+		eng.AddProcess(sim.NewLockstep(dets[i]))
 	}
-	eng.CrashAtStep(1, 4, 0.5)
-	eng.RunSteps(6)
-	truth := fd.NewGroundTruth(ids, map[sim.PID]sim.Time{1: 4})
+	eng.CrashDuringBroadcast(1, sim.StepStart(4), 0.5)
+	eng.Run(sim.StepEnd(5))
+	truth := fd.NewGroundTruth(ids, map[sim.PID]sim.Time{1: sim.StepStart(4)})
 	want := truth.CorrectIDs()
 	for _, p := range truth.Correct() {
 		found := false
@@ -120,12 +123,12 @@ func TestLivenessQuorumAppearsOneStepAfterLastCrash(t *testing.T) {
 // before it reading as they did.
 func TestOutputsReplacedNeverWritten(t *testing.T) {
 	d := New()
-	d.StepRecv(nil, []any{Msg{ID: "a"}, Msg{ID: "b"}})
+	d.StepRecv([]any{Msg{ID: "a"}, Msg{ID: "b"}})
 	q, l := d.Quora(), d.Labels()
 	if &d.Quora()[0] != &q[0] || &d.Labels()[0] != &l[0] {
 		t.Error("two queries with no step between them returned different slices")
 	}
-	d.StepRecv(nil, []any{Msg{ID: "a"}})
+	d.StepRecv([]any{Msg{ID: "a"}})
 	if len(q) != 1 || q[0].Label != "a*1|b*1" || !q[0].M.Equal(ident.Assignment{"a", "b"}.I()) || len(l) != 1 || l[0] != "a*1|b*1" {
 		t.Errorf("outputs returned before a step changed under their holder: %v %v", q, l)
 	}
@@ -136,7 +139,7 @@ func TestOutputsReplacedNeverWritten(t *testing.T) {
 
 func TestEmptyStepIgnored(t *testing.T) {
 	d := New()
-	d.StepRecv(nil, nil)
+	d.StepRecv(nil)
 	if len(d.Quora()) != 0 || len(d.Labels()) != 0 {
 		t.Error("empty receive set must not create an empty quorum")
 	}

@@ -39,18 +39,6 @@ func NewProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq f
 	return collect(NewStreamProbe(eng, n, get, eq))
 }
 
-// NewSyncProbe attaches a probe to a lock-step engine, sampling at the end
-// of every synchronous step (Time carries the step number).
-func NewSyncProbe[T any](eng *sim.SyncEngine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *Probe[T] {
-	pr := collect(NewStaticStreamProbe(n, eq))
-	eng.AfterStep(func(step int) {
-		for p := 0; p < n; p++ {
-			pr.sample(sim.Time(step), sim.PID(p), get)
-		}
-	})
-	return pr
-}
-
 // NewStaticProbe builds a probe from pre-recorded histories (one slice per
 // process), fed sample by sample so the final view is the one a live run
 // with these histories would have left. Checker tests and offline analyses

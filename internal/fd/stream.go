@@ -14,8 +14,8 @@ package fd
 // need final outputs (◇HP̄, HΩ, 𝔈, Ω, AΩ, and the stabilization time)
 // accept the FinalView interface, so the same checker code judges a bare
 // StreamProbe, a history-keeping Probe and a trace replayer. The sampler
-// is compared with an independent reference (the pre-merge NewProbe and
-// NewSyncProbe bodies, kept in stream_test.go) on live runs.
+// is compared with an independent reference (the pre-merge NewProbe body,
+// kept in stream_test.go) on live runs.
 
 import "repro/internal/sim"
 
@@ -76,8 +76,8 @@ func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool)
 }
 
 // NewStaticStreamProbe builds a detached probe fed by hand through Feed:
-// for checker tests, offline replay (driving monitors from a decoded
-// trace) and samplers with their own clock (NewSyncProbe).
+// for checker tests and offline replay (driving monitors from a decoded
+// trace).
 func NewStaticStreamProbe[T any](n int, eq func(a, b T) bool) *StreamProbe[T] {
 	return &StreamProbe[T]{
 		last:       make([]T, n),

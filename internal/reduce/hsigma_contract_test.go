@@ -128,22 +128,22 @@ func TestHSigmaOutputsAreImmutable(t *testing.T) {
 		}
 	}
 
-	// Figure 7 runs on the lock-step engine.
+	// Figure 7 runs in lock-step.
 	ids := ident.Balanced(5, 2)
-	eng := sim.NewSync(sim.SyncConfig{IDs: ids, Seed: 1})
+	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: ids, Seed: 1}, 10))
 	dets := make([]*hsigma.Detector, ids.N())
 	logs := make([]outputLog, len(dets))
 	for i := range dets {
 		dets[i] = hsigma.New()
-		eng.AddProcess(dets[i])
+		eng.AddProcess(sim.NewLockstep(dets[i]))
 	}
-	eng.CrashAtStep(1, 3, 0.5)
-	eng.AfterStep(func(int) {
+	eng.CrashDuringBroadcast(1, sim.StepStart(3), 0.5)
+	eng.AfterEvent(func(sim.Time, sim.PID) {
 		for p := range dets {
 			logs[p].query(t, "Figure 7", dets[p])
 		}
 	})
-	eng.RunSteps(10)
+	eng.Run(sim.StepEnd(10))
 	changes := 0
 	for p := range logs {
 		changes += logs[p].verify(t, "Figure 7")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
@@ -53,21 +54,17 @@ func TestCrashScheduleDeterministicOrder(t *testing.T) {
 }
 
 // TestSyncCrashSameStepDeterministicOrder crashes several processes in the
-// same synchronous step (registered deliberately out of PID order) and
-// demands the recorded KindCrash events come out sorted and the whole trace
-// replays identically — the crash sub-phase used to iterate its map of
-// crashing processes in randomized order.
+// same lock-step step (registered deliberately out of PID order) and
+// demands the recorded KindCrash events come out in PID order and the
+// whole trace replays identically.
 func TestSyncCrashSameStepDeterministicOrder(t *testing.T) {
 	run := func() []trace.Event {
 		rec := trace.NewRecorder()
-		eng := NewSync(SyncConfig{IDs: ident.Unique(6), Seed: 2, Recorder: rec})
-		for i := 0; i < 6; i++ {
-			eng.AddProcess(&identSender{})
+		eng, _ := newLockstep(ident.Unique(6), 2, 4, rec)
+		for _, p := range []PID{5, 1, 3} {
+			eng.CrashDuringBroadcast(p, StepStart(2), 1)
 		}
-		eng.CrashAtStep(5, 2, 1)
-		eng.CrashAtStep(1, 2, 1)
-		eng.CrashAtStep(3, 2, 1)
-		eng.RunSteps(4)
+		eng.Run(StepEnd(4))
 		return rec.Events()
 	}
 	base := run()
@@ -77,24 +74,12 @@ func TestSyncCrashSameStepDeterministicOrder(t *testing.T) {
 			crashPIDs = append(crashPIDs, ev.PID)
 		}
 	}
-	if want := []int{1, 3, 5}; len(crashPIDs) != len(want) {
-		t.Fatalf("recorded %d crash events, want %d", len(crashPIDs), len(want))
-	} else {
-		for i := range want {
-			if crashPIDs[i] != want[i] {
-				t.Fatalf("crash events in order %v, want %v", crashPIDs, want)
-			}
-		}
+	if want := []int{1, 3, 5}; !slices.Equal(crashPIDs, want) {
+		t.Fatalf("crash events in order %v, want %v", crashPIDs, want)
 	}
 	for rep := 0; rep < 10; rep++ {
-		got := run()
-		if len(got) != len(base) {
-			t.Fatalf("rerun %d: event counts differ: %d vs %d", rep, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("rerun %d: event %d differs: %v vs %v", rep, i, got[i], base[i])
-			}
+		if got := run(); !slices.Equal(got, base) {
+			t.Fatalf("rerun %d: trace differs", rep)
 		}
 	}
 }

@@ -16,9 +16,10 @@
 //   - timing models: HAS (asynchronous, reliable links), HPS (partially
 //     synchronous: messages sent after an unknown GST are delivered within
 //     an unknown bound δ; earlier messages may be lost or delayed
-//     arbitrarily but finitely), and HSS (synchronous lock-step; see the
-//     SyncEngine in sync.go). models.go adds heavy-tailed, time-varying,
-//     and per-link-asymmetric delay models for scenario sweeps.
+//     arbitrarily but finitely), and HSS (synchronous lock-step steps,
+//     run on the same engine as Lockstep processes; see lockstep.go).
+//     models.go adds heavy-tailed, time-varying, and per-link-asymmetric
+//     delay models for scenario sweeps.
 //
 // Executions are driven by a single seeded event queue, so every run is
 // reproducible and costs (messages, virtual stabilization times) are exact.

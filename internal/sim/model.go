@@ -88,8 +88,8 @@ func (p PartialSync) String() string {
 
 // Timely is a fully synchronous-latency network for the event engine: every
 // copy is delivered after exactly Delta units. Lock-step executions (HSS)
-// use the dedicated SyncEngine instead; Timely is useful as a best-case
-// network and for tests that need exact delivery times.
+// run on it (LockstepConfig); it is also a best-case network and serves
+// tests that need exact delivery times.
 type Timely struct {
 	Delta Time // default 1
 }
