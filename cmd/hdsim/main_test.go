@@ -71,6 +71,9 @@ var grid = []struct {
 	{"ohp_churn", "-algo ohp -n 12 -l 4 -churn 0.25:2:40:60", true},
 	{"ohp_churn_net", "-algo ohp -n 5 -l 2 -churn 0.4:1 -net psync:0:2", true},
 	{"heartbeat", "-algo heartbeat -n 200 -l 10 -beaters 10 -churn 0.1:1:12:20:0 -horizon 60", true},
+	// The heartbeat run again, spilled seven events at a time: frames then
+	// span Spill calls, and the trace must not notice (TestTraceBufIdentity).
+	{"heartbeat_buf7", "-algo heartbeat -n 200 -l 10 -beaters 10 -churn 0.1:1:12:20:0 -horizon 60 -trace-buf 7", true},
 	{"heartbeat_lossy", "-algo heartbeat -n 40 -l 4 -churn 0.3:1 -net lossy:0.2:6 -period 15 -beaters 5", true},
 	{"sweep_fig8", "-algo fig8 -n 5 -l 2 -t 2 -crashes 3:40 -gst 60 -seeds 4 -workers 2", false},
 	{"sweep_fig9_churn", "-algo fig9 -n 6 -l 3 -churn 0.34:1:60 -seeds 4 -workers 1", false},
@@ -97,6 +100,29 @@ func TestGolden(t *testing.T) {
 			checkGolden(t, tc.name, live)
 			checkGolden(t, tc.name+".replay", hdsim(t, tmp, "-replay", bin))
 		})
+	}
+}
+
+// TestTraceBufIdentity: the spill batch size is not part of the trace.
+// The heartbeat run spilled seven events at a time, which puts frame
+// boundaries inside Spill calls and Spill boundaries inside frames, pins
+// the same trace digest as the default batch.
+func TestTraceBufIdentity(t *testing.T) {
+	digest := func(name string) string {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "trace sha256 ") {
+				return line
+			}
+		}
+		t.Fatalf("%s golden has no trace sha256 line", name)
+		return ""
+	}
+	if got, want := digest("heartbeat_buf7"), digest("heartbeat"); got != want {
+		t.Errorf("-trace-buf 7 golden has %q, the default batch's has %q", got, want)
 	}
 }
 
@@ -138,6 +164,7 @@ func TestGoldenSignRejections(t *testing.T) {
 		"reject_pareto_nan":     "-algo fig9 -n 6 -l 3 -net pareto:NaN",
 		"reject_lognormal_inf":  "-algo fig9 -n 6 -l 3 -net lognormal:+Inf",
 		"reject_churn_nan":      "-algo fig9 -n 6 -l 3 -churn NaN",
+		"reject_trace_buf_huge": "-algo fig9 -n 4 -l 2 -trace x.bin -trace-format binary -trace-buf 4000000000",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(args), &stdout, &stderr)

@@ -37,14 +37,20 @@ func CampaignFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
 	}
 }
 
+// maxTraceBuf caps the -trace-buf spill batch size. The recorder holds two
+// batches of events (one recording, one spilling) at 56 bytes per event,
+// so the cap keeps the staging buffers under 120 MB.
+const maxTraceBuf = 1 << 20
+
 // ValidateTraceBuf checks a -trace-buf flag value before it reaches
 // trace.NewSpillRecorder: 0 selects the default spill batch size and
-// positive values are used as given, but a negative value would flow raw
-// into the staging buffer's capacity and panic mid-run — reject it at the
-// flag boundary with a message naming the flag.
+// values up to maxTraceBuf are used as given. A negative value would flow
+// raw into the staging buffer's capacity and panic mid-run, and a huge one
+// would allocate it and run out of memory: reject both at the flag
+// boundary with a message naming the flag and quoting the value.
 func ValidateTraceBuf(v int) error {
-	if v < 0 {
-		return fmt.Errorf("-trace-buf %d: the spill batch size must be ≥ 0 (0 = default)", v)
+	if v < 0 || v > maxTraceBuf {
+		return fmt.Errorf("-trace-buf %d: the spill batch size must be in [0, %d] events (0 = default)", v, maxTraceBuf)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -320,22 +321,24 @@ func TestParseNetRejectsExtraFields(t *testing.T) {
 }
 
 // TestValidateTraceBuf pins the -trace-buf boundary: 0 (default) and
-// positive sizes pass, negative sizes are rejected with an error naming
-// the flag instead of flowing into the recorder and panicking mid-run.
+// positive sizes up to maxTraceBuf pass; negative sizes and sizes above
+// the cap are rejected with an error naming the flag and quoting the
+// value, instead of flowing into the recorder and panicking or running out
+// of memory mid-run.
 func TestValidateTraceBuf(t *testing.T) {
-	for _, ok := range []int{0, 1, 4096, 1 << 20} {
+	for _, ok := range []int{0, 1, 4096, maxTraceBuf} {
 		if err := ValidateTraceBuf(ok); err != nil {
 			t.Errorf("ValidateTraceBuf(%d) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []int{-1, -4096} {
+	for _, bad := range []int{-1, -4096, maxTraceBuf + 1, 4000000000} {
 		err := ValidateTraceBuf(bad)
 		if err == nil {
 			t.Errorf("ValidateTraceBuf(%d) = nil, want error", bad)
 			continue
 		}
-		if !strings.Contains(err.Error(), "-trace-buf") {
-			t.Errorf("ValidateTraceBuf(%d) error %q does not name the flag", bad, err)
+		if msg := err.Error(); !strings.Contains(msg, "-trace-buf") || !strings.Contains(msg, strconv.Itoa(bad)) {
+			t.Errorf("ValidateTraceBuf(%d) error %q does not name the flag and the value", bad, err)
 		}
 	}
 }

@@ -26,7 +26,8 @@
 // Per-message delivery fates (loss, partial-crash survival, per-link
 // delay) are drawn from deterministic fate streams keyed by (seed,
 // broadcast, recipient) — pure functions, re-evaluable in any order — so
-// a broadcast never has to be stored as n scheduled copies.
+// a broadcast never has to be stored as n scheduled copies. A Model draws
+// from its copy's stream through a concrete *Fate (fate.go).
 //
 // # Hot-path design
 //

@@ -204,12 +204,11 @@ type Engine struct {
 	recoveries int
 	started    bool
 	stopped    StopReason
-	// Fan-out state (fanout.go). fanSrc/fanRand are the engine's one
-	// reusable per-copy fate stream; fanouts/freeFans the table of in-flight
+	// Fan-out state (fanout.go). fate is the engine's one reusable
+	// per-copy fate stream; fanouts/freeFans the table of in-flight
 	// broadcasts and its freelist; bcasts keys fate streams; perLink/linkNet
 	// cache the Net's LinkModel assertion for the per-copy hot path.
-	fanSrc   fanSource
-	fanRand  *rand.Rand
+	fate     Fate
 	fanouts  []fanoutRec
 	freeFans []int32
 	bcasts   uint64
@@ -342,7 +341,6 @@ func New(cfg Config) *Engine {
 		parked:      -1,
 		fateBudget:  fateTableBudget,
 	}
-	e.fanRand = rand.New(&e.fanSrc)
 	e.linkNet, e.perLink = cfg.Net.(LinkModel)
 	return e
 }
@@ -780,9 +778,10 @@ func (e *Engine) broadcast(from PID, payload any) {
 		partial: partial,
 		prob:    prob,
 		payload: payload,
+		tag:     tag,
 		fates:   e.allocFates(),
 	}
-	scheduled, firstK := e.fanoutScan(&f, tag)
+	scheduled, firstK := e.fanoutScan(&f)
 	if scheduled == 0 {
 		e.freeFateTable(f.fates)
 	} else {

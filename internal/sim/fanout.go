@@ -9,17 +9,18 @@ package sim
 // be 2.5 billion entries. What makes one entry enough, without storing n
 // delays, is that every copy's fate is a pure function: copy (b, to) of
 // broadcast b draws its partial-crash survival, loss, and delay from a
-// private splitmix64 stream keyed by (broadcast key, recipient index). Any
-// pass over the recipients can recompute every copy's fate at will, in any
-// order, and always get the same answer — so a broadcast's state compresses
-// to "which wave is next" instead of "here are n scheduled copies".
+// private splitmix64 stream keyed by (broadcast key, recipient index), the
+// Fate the engine reseeds for it (fate.go). Any pass over the recipients
+// can recompute every copy's fate at will, in any order, and always get
+// the same answer — so a broadcast's state compresses to "which wave is
+// next" instead of "here are n scheduled copies".
 //
-// The state is one fanoutRec: the fate key, the boxed payload, the fate
-// table and the wave cursor. broadcast fills it, the queue entry's arg
-// names it, and finishWave — the one place a record is freed — zeroes it
-// and returns its table once the last wave is done. A broadcast that
-// schedules no copy (all lost, or dropped by the sender's partial crash)
-// never gets one.
+// The state is one fanoutRec: the fate key, the boxed payload and its
+// trace tag, the fate table and the wave cursor. broadcast fills it, the
+// queue entry's arg names it, and finishWave — the one place a record is
+// freed — zeroes it and returns its table once the last wave is done. A
+// broadcast that schedules no copy (all lost, or dropped by the sender's
+// partial crash) never gets one.
 //
 // Delivery proceeds in waves, one per distinct delay value: the queue
 // entry for a broadcast carries the current wave's delay d; popping it
@@ -66,46 +67,9 @@ package sim
 import (
 	"encoding/binary"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/trace"
 )
-
-// fanSource is a splitmix64 rand.Source64. The engine keeps exactly one,
-// wrapped in one reusable *rand.Rand, and reseeds it in place before every
-// copy-fate evaluation: per-copy streams cost zero allocation, unlike
-// rand.NewSource (which builds a ~5KB lagged-Fibonacci table per call).
-type fanSource struct{ state uint64 }
-
-func (s *fanSource) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-func (s *fanSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *fanSource) Seed(seed int64) { s.state = uint64(seed) }
-
-var _ rand.Source64 = (*fanSource)(nil)
-
-// fateSeed mixes a broadcast's fate key with a recipient index into the
-// seed of that copy's private stream. The finalizer is splitmix64's, so
-// adjacent recipients land in statistically unrelated streams.
-func fateSeed(key uint64, to int) uint64 {
-	x := key + (uint64(to)+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
 
 // nextFanKey returns the fate key for the next broadcast: a mix of the
 // run's seed and the per-engine broadcast counter. Keys — and therefore
@@ -141,8 +105,8 @@ const (
 // copy, any number of times, in any order. Delays are clamped to >= 1.
 func (e *Engine) copyFate(key uint64, sent Time, from int32, partial bool, prob float64, to int) (Time, fateStatus) {
 	e.fateEvals++
-	e.fanSrc.state = fateSeed(key, to)
-	r := e.fanRand
+	r := &e.fate
+	r.seed(key, to)
 	if partial && r.Float64() >= prob {
 		return 0, fatePartialDrop
 	}
@@ -207,6 +171,10 @@ type fanoutRec struct {
 	partial bool    // CrashDuringBroadcast was armed for this broadcast
 	prob    float64 // partial-crash per-copy deliver probability
 	payload any     // the boxed message, the same box for every copy
+	// tag is the payload's trace tag, resolved once by broadcast ("" when
+	// the engine has no recorder): every copy's deliver or drop event
+	// carries it, and no copy looks it up again.
+	tag string
 	// fates is the broadcast's fate table, nil when it was sent over
 	// budget: its waves then recompute every fate.
 	fates []byte
@@ -279,9 +247,9 @@ func (e *Engine) freeFanout(idx int32) {
 // the first copy carrying it. It is the one place a copy's fate is decided:
 // every fate is written into f.fates (unless the broadcast got none) and
 // summarized in f.delays/lateDelay/lateK, and the waves read those back.
-// tag is the broadcast's trace tag.
-func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int32) {
+func (e *Engine) fanoutScan(f *fanoutRec) (scheduled int, firstK int32) {
 	var delays delaySet
+	var low uint64 // the set's bytes below 64, in a register until the end
 	var minDelay, lateDelay Time
 	var lateK int32
 	for to := range e.procs {
@@ -291,9 +259,9 @@ func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int
 		case st != fateDeliver && !e.retain:
 			e.tally.dropped++
 		case st == fatePartialDrop:
-			e.record(trace.KindDrop, to, tag, "sender crashed mid-broadcast")
+			e.record(trace.KindDrop, to, f.tag, "sender crashed mid-broadcast")
 		case st == fateLost:
-			e.record(trace.KindDrop, to, tag, "lost")
+			e.record(trace.KindDrop, to, f.tag, "lost")
 		default:
 			if minDelay == 0 || d < minDelay {
 				minDelay, firstK = d, int32(scheduled)
@@ -308,11 +276,16 @@ func (e *Engine) fanoutScan(f *fanoutRec, tag string) (scheduled int, firstK int
 			}
 			scheduled++
 		}
-		delays.add(b)
+		if b < 64 {
+			low |= 1 << b
+		} else {
+			delays.add(b)
+		}
 		if f.fates != nil {
 			f.fates[to] = b
 		}
 	}
+	delays[0] |= low
 	f.delay, f.delays, f.lateDelay, f.lateK = minDelay, delays, lateDelay, lateK
 	return scheduled, firstK
 }
@@ -370,7 +343,7 @@ func nonzeroBytes(x uint64) uint64 {
 // find its first copy.
 func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 	tab := f.fates
-	payload := f.payload
+	payload, tag := f.payload, f.tag
 	next := f.delays.after(byte(f.delay))
 	nextDelay, nextK := Time(next), -1
 	switch next {
@@ -422,7 +395,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 				return stop
 			}
 			m &= m - 1
-			e.deliverCopy(to, payload, seq)
+			e.deliverCopy(to, payload, tag, seq)
 			if e.done != nil && e.done() {
 				stop = StopPredicate // and find where the wave resumes
 			}
@@ -439,7 +412,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 // among the table's fateLate entries. The same pass finds the next wave,
 // the minimum fate delay beyond this one.
 func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
-	payload := f.payload
+	payload, tag := f.payload, f.tag
 	stop := StopNone
 	var nextDelay Time
 	var nextK int32
@@ -478,7 +451,7 @@ func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 			e.suspendWave(ev, to, f.baseSeq+uint64(ck))
 			return stop
 		}
-		e.deliverCopy(to, payload, f.baseSeq+uint64(ck))
+		e.deliverCopy(to, payload, tag, f.baseSeq+uint64(ck))
 		if e.done != nil && e.done() {
 			stop = StopPredicate // and find where the wave resumes
 		}
@@ -515,15 +488,16 @@ func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
 // copy — the one place either happens. A copy is an event like a timer or
 // a crash: it counts as processed, notifies the observers, and takes seq,
 // its reserved position in the global event order, as the current one.
+// tag is the broadcast's trace tag, resolved at send time (fanoutRec.tag).
 // What a retaining recorder gets as an event, any other gets as a count,
 // through flushTally.
-func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
+func (e *Engine) deliverCopy(to int, payload any, tag string, seq uint64) {
 	e.curSeq = int64(seq)
 	e.processed++
 	pid := PID(to)
 	if e.crashed[to] {
 		if e.retain {
-			e.record(trace.KindDrop, to, tagOf(payload), "recipient crashed")
+			e.record(trace.KindDrop, to, tag, "recipient crashed")
 		} else {
 			e.tally.dropped++
 		}
@@ -531,7 +505,7 @@ func (e *Engine) deliverCopy(to int, payload any, seq uint64) {
 		return
 	}
 	if e.retain {
-		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
+		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tag})
 	} else {
 		e.tally.delivered++
 	}

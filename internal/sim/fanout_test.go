@@ -453,8 +453,8 @@ func TestLazyFanoutConstantQueue(t *testing.T) {
 // lostNet loses every copy.
 type lostNet struct{}
 
-func (lostNet) Delay(Time, *rand.Rand) (Time, bool) { return 0, false }
-func (lostNet) String() string                      { return "lost" }
+func (lostNet) Delay(Time, *Fate) (Time, bool) { return 0, false }
+func (lostNet) String() string                 { return "lost" }
 
 // requireOneRecordPerBroadcast checks the fanout table against the queue:
 // the records in use are exactly those a queue entry names, they hold a
@@ -585,8 +585,9 @@ func (q *quietBroadcaster) OnTimer(int)   {}
 // waveRef is deliverWave as it stood before waves read the fate table a
 // word at a time: one pass over the recipients, each table byte put through
 // a three-way compare with the wave's delay, the same pass finding the
-// minimum delay beyond it. It is kept verbatim (but for the payload read
-// from the record, where it now is) as the oracle for deliverWave.
+// minimum delay beyond it. It is kept verbatim (but for the payload and
+// tag read from the record, where they now are) as the oracle for
+// deliverWave.
 func (e *Engine) waveRef(ev event) StopReason {
 	idx := ev.arg
 	f := e.fanouts[idx]
@@ -644,7 +645,7 @@ func (e *Engine) waveRef(ev event) StopReason {
 			resumeSeq = f.baseSeq + uint64(ck)
 			continue
 		}
-		e.deliverCopy(to, payload, f.baseSeq+uint64(ck))
+		e.deliverCopy(to, payload, f.tag, f.baseSeq+uint64(ck))
 		if e.done != nil && e.done() {
 			stop = StopPredicate
 		}
@@ -669,8 +670,8 @@ func (e *Engine) waveRef(ev event) StopReason {
 // the entries.
 type lateNet struct{}
 
-func (lateNet) Delay(_ Time, r *rand.Rand) (Time, bool) { return fateLate + Time(r.Intn(3)), true }
-func (lateNet) String() string                          { return "late[255..257]" }
+func (lateNet) Delay(_ Time, r *Fate) (Time, bool) { return fateLate + Time(r.Int63n(3)), true }
+func (lateNet) String() string                     { return "late[255..257]" }
 
 // waveCase is one wave of one planted broadcast: its fate table, the
 // wave's delay, the recipient index it resumes at, and a stop once stopAt
@@ -724,7 +725,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 		e.crashed[to] = c.down>>(to%64)&1 == 1
 	}
 
-	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
+	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, tag: tagOf(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
 	k := int32(0)
 	for to, b := range c.table {
 		f.delays.add(b)

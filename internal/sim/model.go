@@ -1,18 +1,17 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Model decides the fate of each message copy: its delivery latency, or
-// loss. A Model sees only the send time and the random source, which keeps
-// link behaviour identical in distribution across all directed links, as in
-// the paper's model.
+// loss. A Model sees only the send time and the copy's own random stream,
+// which keeps link behaviour identical in distribution across all directed
+// links, as in the paper's model.
 type Model interface {
 	// Delay returns the latency for one message copy sent at time t, or
-	// ok=false if the copy is lost. Latencies must be >= 1.
-	Delay(t Time, r *rand.Rand) (d Time, ok bool)
+	// ok=false if the copy is lost. Latencies must be >= 1. Every draw comes
+	// from r, the copy's Fate, so the answer is a pure function of the
+	// copy: the engine may ask again and gets the same one.
+	Delay(t Time, r *Fate) (d Time, ok bool)
 	// String describes the model for traces and experiment logs.
 	String() string
 }
@@ -27,7 +26,7 @@ type Async struct {
 }
 
 // Delay implements Model.
-func (a Async) Delay(_ Time, r *rand.Rand) (Time, bool) {
+func (a Async) Delay(_ Time, r *Fate) (Time, bool) {
 	lo, hi := a.MinDelay, a.MaxDelay
 	if lo < 1 {
 		lo = 1
@@ -64,7 +63,7 @@ type PartialSync struct {
 }
 
 // Delay implements Model.
-func (p PartialSync) Delay(t Time, r *rand.Rand) (Time, bool) {
+func (p PartialSync) Delay(t Time, r *Fate) (Time, bool) {
 	delta := p.Delta
 	if delta < 1 {
 		delta = 5
@@ -95,7 +94,7 @@ type Timely struct {
 }
 
 // Delay implements Model.
-func (s Timely) Delay(_ Time, _ *rand.Rand) (Time, bool) {
+func (s Timely) Delay(_ Time, _ *Fate) (Time, bool) {
 	if s.Delta < 1 {
 		return 1, true
 	}

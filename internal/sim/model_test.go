@@ -1,14 +1,13 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestAsyncDelayBounds(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
+		r := testFate(seed)
 		m := Async{MinDelay: 2, MaxDelay: 9}
 		for i := 0; i < 50; i++ {
 			d, ok := m.Delay(Time(r.Int63n(1000)), r)
@@ -24,7 +23,7 @@ func TestAsyncDelayBounds(t *testing.T) {
 }
 
 func TestAsyncDefaultsSane(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := testFate(1)
 	m := Async{} // zero value must behave
 	for i := 0; i < 100; i++ {
 		d, ok := m.Delay(0, r)
@@ -39,7 +38,7 @@ func TestAsyncDefaultsSane(t *testing.T) {
 
 func TestPartialSyncLaws(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
+		r := testFate(seed)
 		m := PartialSync{GST: 100, Delta: 4, PreLoss: 0.5, PreMax: 30}
 		for i := 0; i < 200; i++ {
 			sendAt := Time(r.Int63n(200))
@@ -62,7 +61,7 @@ func TestPartialSyncLaws(t *testing.T) {
 }
 
 func TestPartialSyncLosslessIsReliable(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
+	r := testFate(2)
 	m := PartialSync{GST: 100, Delta: 3} // PreLoss 0 → reliable
 	for i := 0; i < 500; i++ {
 		if _, ok := m.Delay(Time(i%200), r); !ok {
@@ -72,7 +71,7 @@ func TestPartialSyncLosslessIsReliable(t *testing.T) {
 }
 
 func TestTimelyExact(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
+	r := testFate(3)
 	m := Timely{Delta: 7}
 	for i := 0; i < 50; i++ {
 		d, ok := m.Delay(Time(i), r)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // LinkModel is an optional extension of Model for networks whose behaviour
@@ -14,8 +13,9 @@ import (
 type LinkModel interface {
 	Model
 	// LinkDelay returns the latency of the copy sent at time t along the
-	// directed link from→to, or ok=false if that copy is lost.
-	LinkDelay(t Time, from, to PID, r *rand.Rand) (d Time, ok bool)
+	// directed link from→to, or ok=false if that copy is lost, drawing
+	// from the copy's Fate r as Delay does.
+	LinkDelay(t Time, from, to PID, r *Fate) (d Time, ok bool)
 }
 
 // Pareto is a heavy-tailed reliable network: delays follow a truncated
@@ -47,7 +47,7 @@ func (p Pareto) params() (scale Time, alpha float64, cap Time) {
 }
 
 // Delay implements Model.
-func (p Pareto) Delay(_ Time, r *rand.Rand) (Time, bool) {
+func (p Pareto) Delay(_ Time, r *Fate) (Time, bool) {
 	scale, alpha, cap := p.params()
 	// Inverse-CDF sampling: X = scale / U^(1/alpha), U uniform in (0,1].
 	u := 1 - r.Float64() // (0, 1]
@@ -92,7 +92,7 @@ func (l LogNormal) params() (median Time, sigma float64, cap Time) {
 }
 
 // Delay implements Model.
-func (l LogNormal) Delay(_ Time, r *rand.Rand) (Time, bool) {
+func (l LogNormal) Delay(_ Time, r *Fate) (Time, bool) {
 	median, sigma, cap := l.params()
 	d := Time(math.Round(float64(median) * math.Exp(sigma*r.NormFloat64())))
 	if d < 1 {
@@ -141,7 +141,7 @@ func (a Alternating) params() (period, good, bad Time) {
 }
 
 // Delay implements Model.
-func (a Alternating) Delay(t Time, r *rand.Rand) (Time, bool) {
+func (a Alternating) Delay(t Time, r *Fate) (Time, bool) {
 	period, good, bad := a.params()
 	inBad := (t/period)%2 == 1
 	if a.CalmAfter > 0 && t >= a.CalmAfter {
@@ -198,7 +198,7 @@ func (a AsymmetricLinks) Skew(from, to PID) Time {
 }
 
 // Delay implements Model (the typical link: base delay plus median skew).
-func (a AsymmetricLinks) Delay(t Time, r *rand.Rand) (Time, bool) {
+func (a AsymmetricLinks) Delay(t Time, r *Fate) (Time, bool) {
 	d, ok := a.base().Delay(t, r)
 	if !ok {
 		return 0, false
@@ -207,7 +207,7 @@ func (a AsymmetricLinks) Delay(t Time, r *rand.Rand) (Time, bool) {
 }
 
 // LinkDelay implements LinkModel.
-func (a AsymmetricLinks) LinkDelay(t Time, from, to PID, r *rand.Rand) (Time, bool) {
+func (a AsymmetricLinks) LinkDelay(t Time, from, to PID, r *Fate) (Time, bool) {
 	d, ok := a.base().Delay(t, r)
 	if !ok {
 		return 0, false

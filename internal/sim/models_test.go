@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ident"
@@ -10,7 +9,7 @@ import (
 
 func sampleDelays(t *testing.T, m Model, n int, seed int64) []Time {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
+	r := testFate(seed)
 	out := make([]Time, 0, n)
 	for i := 0; i < n; i++ {
 		d, ok := m.Delay(Time(i), r)
@@ -86,7 +85,7 @@ func TestModelDeterminismPerSeed(t *testing.T) {
 
 func TestAlternatingWindows(t *testing.T) {
 	m := Alternating{Period: 10, GoodDelta: 2, BadMax: 50, BadLoss: 0, CalmAfter: 100}
-	r := rand.New(rand.NewSource(3))
+	r := testFate(3)
 	for i := 0; i < 2000; i++ {
 		tm := Time(i % 200)
 		d, ok := m.Delay(tm, r)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 )
 
@@ -48,7 +47,7 @@ func (l Lossy) p() float64 {
 // Delay implements Model: the loss draw happens first, then the base delay,
 // in one fate stream — the draw order is part of the byte-identity contract
 // (LinkDelay must consume randomness in the same order).
-func (l Lossy) Delay(t Time, r *rand.Rand) (Time, bool) {
+func (l Lossy) Delay(t Time, r *Fate) (Time, bool) {
 	if p := l.p(); p > 0 && r.Float64() < p {
 		return 0, false
 	}
@@ -57,7 +56,7 @@ func (l Lossy) Delay(t Time, r *rand.Rand) (Time, bool) {
 
 // LinkDelay implements LinkModel, delegating to the base model's per-link
 // behaviour when it has one.
-func (l Lossy) LinkDelay(t Time, from, to PID, r *rand.Rand) (Time, bool) {
+func (l Lossy) LinkDelay(t Time, from, to PID, r *Fate) (Time, bool) {
 	if p := l.p(); p > 0 && r.Float64() < p {
 		return 0, false
 	}
@@ -127,7 +126,7 @@ func (p Partition) severed(t Time, from, to PID) bool {
 
 // Delay implements Model (the typical link: the base model's behaviour —
 // a partition is per-link by nature, so the link-blind view never severs).
-func (p Partition) Delay(t Time, r *rand.Rand) (Time, bool) {
+func (p Partition) Delay(t Time, r *Fate) (Time, bool) {
 	return p.base().Delay(t, r)
 }
 
@@ -135,7 +134,7 @@ func (p Partition) Delay(t Time, r *rand.Rand) (Time, bool) {
 // draw, so the base model's randomness is consumed only for copies the
 // partition lets through — the severed fate is a pure function of
 // (t, from, to), the same whenever and however often it is evaluated.
-func (p Partition) LinkDelay(t Time, from, to PID, r *rand.Rand) (Time, bool) {
+func (p Partition) LinkDelay(t Time, from, to PID, r *Fate) (Time, bool) {
 	if p.severed(t, from, to) {
 		return 0, false
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ident"
@@ -79,7 +78,7 @@ func TestPartitionSeversDelivery(t *testing.T) {
 func TestPartitionDelegatesToLinkBase(t *testing.T) {
 	base := AsymmetricLinks{Base: Timely{Delta: 2}, MaxSkew: 9}
 	part := Partition{Base: base, Windows: []PartitionWindow{{From: 100, To: 200, Cut: 1}}}
-	r := rand.New(rand.NewSource(7))
+	r := testFate(7)
 	for from := PID(0); from < 4; from++ {
 		for to := PID(0); to < 4; to++ {
 			d1, ok1 := base.LinkDelay(5, from, to, r)
@@ -97,7 +96,7 @@ func TestPartitionDelegatesToLinkBase(t *testing.T) {
 // near P with the remaining copies delayed by the base model.
 func TestLossyLossRate(t *testing.T) {
 	net := Lossy{Base: Timely{Delta: 3}, P: 0.25}
-	r := rand.New(rand.NewSource(1))
+	r := testFate(1)
 	lost, delivered := 0, 0
 	for i := 0; i < 10000; i++ {
 		d, ok := net.Delay(0, r)
@@ -123,7 +122,7 @@ func TestLossyClamp(t *testing.T) {
 	if got := net.p(); got != MaxLossP {
 		t.Fatalf("p() = %v, want MaxLossP %v", got, MaxLossP)
 	}
-	r := rand.New(rand.NewSource(1))
+	r := testFate(1)
 	for i := 0; i < 1000; i++ {
 		if _, ok := net.Delay(0, r); ok {
 			return // at least one copy survives

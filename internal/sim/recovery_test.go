@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ident"
@@ -129,8 +128,8 @@ func TestPastTimeSchedulingClampsMonotone(t *testing.T) {
 // trusted them.
 type hostileModel struct{}
 
-func (hostileModel) Delay(_ Time, _ *rand.Rand) (Time, bool) { return -1000, true }
-func (hostileModel) String() string                          { return "hostile" }
+func (hostileModel) Delay(_ Time, _ *Fate) (Time, bool) { return -1000, true }
+func (hostileModel) String() string                     { return "hostile" }
 
 func TestHostileModelDelaysCannotRewindTime(t *testing.T) {
 	eng := New(Config{IDs: ident.Unique(2), Net: hostileModel{}, Seed: 1})

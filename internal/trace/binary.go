@@ -140,7 +140,7 @@ type BinarySink struct {
 	lastStr string // the string appendString last referenced, "" = none
 	lastRef uint64 // its table reference
 	lastT   int64
-	enc     []byte // per-event encode buffer
+	enc     []byte // encode buffer: one frame slice (Spill) or the index
 	err     error
 	off     uint64  // bytes written to the stream so far
 	digest  uint64  // FNV-64a over body bytes (events + restarts)
@@ -198,7 +198,13 @@ func (s *BinarySink) writeBody(p []byte) error {
 	return nil
 }
 
-// Spill implements Sink.
+// Spill implements Sink. It encodes the batch a frame slice at a time:
+// the events from here to the open frame's end (or the batch's) go into
+// one buffer, with the time base and the frame's pid bloom in locals, and
+// reach the writer and the digest in one write — the restart control of a
+// frame the slice fills included. A bloom that is all ones skips the
+// per-event bits: OR-ing more into it cannot change it. The bytes, the
+// index and the digests are those of encoding and writing event by event.
 func (s *BinarySink) Spill(batch []Event) error {
 	if s.closed {
 		return fmt.Errorf("trace: spill after the stream was finalized")
@@ -212,42 +218,53 @@ func (s *BinarySink) Spill(batch []Event) error {
 	if stride <= 0 {
 		stride = DefaultFrameEvents
 	}
-	for _, e := range batch {
+	for len(batch) > 0 {
 		if s.inFrame == 0 {
-			s.cur = Frame{Ordinal: s.count, Start: e.Time, Offset: s.off, DigestBefore: s.digest}
+			s.cur = Frame{Ordinal: s.count, Start: batch[0].Time, Offset: s.off, DigestBefore: s.digest}
 		}
-		s.enc = s.enc[:0]
-		s.enc = binary.AppendUvarint(s.enc, uint64(e.Kind))
-		s.enc = binary.AppendVarint(s.enc, e.Time-s.lastT)
-		s.lastT = e.Time
-		s.enc = binary.AppendUvarint(s.enc, uint64(e.PID))
-		s.enc = s.appendString(s.enc, e.MsgTag)
-		s.enc = s.appendString(s.enc, e.Detail)
-		if err := s.writeBody(s.enc); err != nil {
+		chunk := batch[:min(len(batch), stride-s.inFrame)]
+		batch = batch[len(chunk):]
+		enc, lastT, bloom := s.enc[:0], s.lastT, s.cur.PIDBloom
+		for i := range chunk {
+			e := &chunk[i]
+			enc = binary.AppendUvarint(enc, uint64(e.Kind))
+			enc = binary.AppendVarint(enc, e.Time-lastT)
+			lastT = e.Time
+			enc = binary.AppendUvarint(enc, uint64(e.PID))
+			enc = s.appendString(enc, e.MsgTag)
+			enc = s.appendString(enc, e.Detail)
+			if bloom != ^uint64(0) {
+				bloom |= pidBloomBits(e.PID)
+			}
+		}
+		s.lastT, s.cur.PIDBloom = lastT, bloom
+		s.count += uint64(len(chunk))
+		s.inFrame += len(chunk)
+		full := s.inFrame == stride
+		if full {
+			enc = append(enc, 0, controlRestart)
+		}
+		s.enc = enc
+		if err := s.writeBody(enc); err != nil {
 			return err
 		}
-		s.cur.PIDBloom |= pidBloomBits(e.PID)
-		s.count++
-		s.inFrame++
-		if s.inFrame == stride {
-			if err := s.closeFrame(); err != nil {
-				return err
-			}
+		if full {
+			s.closeFrame()
 		}
 	}
 	return nil
 }
 
-// closeFrame records the open frame in the index and writes the restart
-// control that resets the decoder's string table and time base, making
-// the next frame self-contained.
-func (s *BinarySink) closeFrame() error {
+// closeFrame records the open frame in the index once Spill has written
+// the restart control that ends it, and resets the encoder's string table
+// and time base as that control resets the decoder's, making the next
+// frame self-contained.
+func (s *BinarySink) closeFrame() {
 	s.frames = append(s.frames, s.cur)
 	s.inFrame = 0
 	s.lastT = 0
 	clear(s.strs)
 	s.lastStr, s.lastRef = "", 0
-	return s.writeBody([]byte{0, controlRestart})
 }
 
 // appendString appends v's string ref, introducing v into the frame's
