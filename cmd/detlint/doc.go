@@ -17,11 +17,13 @@
 // analyzers' nondeterminism sources are recognized in every package and
 // propagated over the call graph, so a wall-clock read laundered through
 // a helper — even one in an exempt package — is reported at the
-// deterministic-side call site with its full call chain. -report (with
-// -flow) prints the certified-deterministic API report instead of
-// diagnostics: every exported function of the deterministic packages,
-// marked clean, suppressed (with reasons), or TAINTED (with a witness
-// chain). The report is byte-stable; CI diffs it against the checked-in
+// deterministic-side call site with its full call chain. When the
+// patterns include a main package, -flow also reports as "unreached"
+// every function no main function or package initializer reaches.
+// -report (with -flow) prints the certified-deterministic API report
+// instead of diagnostics: every exported function of the deterministic
+// packages, marked clean, suppressed (with reasons), or TAINTED (with a
+// witness chain). The report is byte-stable; CI diffs it against the checked-in
 // detflow_report.txt, and diffs the -ignores inventory against
 // detlint_ignores.txt, so both the exception set and the certified
 // surface only change through reviewed baseline diffs.
@@ -31,10 +33,11 @@
 //	//detlint:ignore <analyzer> <reason>
 //
 // on (or directly above) the offending line; analyzer "detflow" vets
-// one call edge of the flow pass. Missing or empty reasons are
-// themselves diagnostics: the suppression inventory (-ignores) is the
-// audit trail of every standing exception to the determinism contracts
-// in ARCHITECTURE.md.
+// one call edge of the flow pass, and "unreached" keeps a function no
+// command reaches (its reason says who needs it). Missing or empty
+// reasons are themselves diagnostics: the suppression inventory
+// (-ignores) is the audit trail of every standing exception to the
+// determinism contracts in ARCHITECTURE.md.
 //
 // Exit status: 0 clean, 1 an unsuppressed diagnostic or a malformed
 // suppression, 2 a usage or load error. Package patterns are resolved

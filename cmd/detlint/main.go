@@ -25,7 +25,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	ignores := fs.Bool("ignores", false, "list every //detlint:ignore suppression (file:line analyzer reason) instead of diagnostics")
 	list := fs.Bool("analyzers", false, "list the analyzers and exit")
-	flow := fs.Bool("flow", false, "also run detflow, the whole-module interprocedural nondeterminism taint analysis")
+	flow := fs.Bool("flow", false, "also run detflow, the whole-module interprocedural nondeterminism taint analysis and reachability check")
 	report := fs.Bool("report", false, "with -flow: print the certified-deterministic API report instead of diagnostics")
 	jsonOut := fs.Bool("json", false, "render diagnostics as a JSON array (machine-readable, byte-stable)")
 	fs.Usage = func() { usage(fs) }
@@ -155,7 +155,8 @@ func usage(fs *flag.FlagSet) {
 detlint statically enforces this repo's determinism contracts
 (ARCHITECTURE.md) over the given package patterns (default ./...).
 -flow adds the interprocedural taint pass (nondeterminism laundered
-through helpers and exempt packages); -flow -report prints the
+through helpers and exempt packages) and, when a main package is
+loaded, reports functions no command reaches; -flow -report prints the
 certified-deterministic API report instead. Suppress a finding with an
 adjacent "//detlint:ignore <analyzer> <reason>" comment; the reason is
 mandatory.

@@ -17,8 +17,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // Package patterns are resolved against the module root, whatever the
 // working directory. The whole tree is clean under -flow (the CI lint
 // step); the listings run over internal/multiset, whose suppressions are
-// few and stable; the JSON case lints a wall-clock fixture, so its
-// diagnostics and exit 1 are pinned too. A deliberate change regenerates
+// few and stable, and over the unreached fixture, whose one suppression
+// keeps a function no main reaches; the JSON case lints a wall-clock
+// fixture, so its diagnostics and exit 1 are pinned too. A deliberate change regenerates
 // the files with `go test ./cmd/detlint -update`.
 func TestGolden(t *testing.T) {
 	cases := []struct {
@@ -27,6 +28,7 @@ func TestGolden(t *testing.T) {
 	}{
 		{"clean_tree", "-flow ./..."},
 		{"ignores", "-ignores ./internal/multiset"},
+		{"ignores_unreached", "-ignores ./internal/analysis/testdata/src/unreached/lib"},
 		{"flow_report", "-flow -report ./internal/multiset"},
 		{"json", "-json ./internal/analysis/testdata/src/wallclock/sim"},
 		{"report_without_flow", "-report ./internal/multiset"},

@@ -67,18 +67,8 @@ type (
 // Anonymous is the default identifier ⊥ of anonymous systems.
 const Anonymous = ident.Anonymous
 
-// UniqueIDs returns the classical assignment (ℓ = n).
-func UniqueIDs(n int) Assignment { return ident.Unique(n) }
-
-// AnonymousIDs returns the anonymous assignment (ℓ = 1).
-func AnonymousIDs(n int) Assignment { return ident.AnonymousN(n) }
-
 // BalancedIDs returns n processes spread evenly over l identifiers.
 func BalancedIDs(n, l int) Assignment { return ident.Balanced(n, l) }
-
-// SkewedIDs returns one identifier shared by heavy processes, the rest
-// unique.
-func SkewedIDs(n, heavy int) Assignment { return ident.Skewed(n, heavy) }
 
 // DomainIDs groups processes into named domains sharing the domain name as
 // identifier.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fd/oracle"
+	"repro/internal/ident"
 )
 
 func TestRunChurnFig8Oracle(t *testing.T) {
@@ -99,7 +100,7 @@ func TestRunChurnFig9FinalDown(t *testing.T) {
 func TestRunChurnFig9Anonymous(t *testing.T) {
 	if _, err := (Experiment{
 		Algo:  "fig9-anon",
-		IDs:   AnonymousIDs(5),
+		IDs:   ident.AnonymousN(5),
 		Churn: ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 25, Down: 35},
 	}).Run(5, nil); err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestChurnConsensusRunnersRejectMalformedExperiments(t *testing.T) {
 		{"fig9 nobody eventually up", "eventually up", func() error {
 			_, err := Experiment{
 				Algo:  "fig9",
-				IDs:   AnonymousIDs(3),
+				IDs:   ident.AnonymousN(3),
 				Churn: ChurnSpec{Fraction: 1, Cycles: 1, Start: 25, Down: 30, FinalDown: true},
 			}.Run(0, nil)
 			return err

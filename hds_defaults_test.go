@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fd/oracle"
+	"repro/internal/ident"
 	"repro/internal/trace"
 )
 
@@ -34,18 +35,18 @@ func TestDefaultsPin(t *testing.T) {
 	}{
 		{"fig8/zero", Experiment{Algo: "fig8", IDs: ids}},
 		{"fig9/zero", Experiment{Algo: "fig9", IDs: ids}},
-		{"fig9-anon/zero", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5)}},
+		{"fig9-anon/zero", Experiment{Algo: "fig9-anon", IDs: ident.AnonymousN(5)}},
 		{"ohp/zero", Experiment{Algo: "ohp", IDs: ids}},
 		{"heartbeat/zero", Experiment{Algo: "heartbeat", IDs: ids}},
 		{"fig8/churn", Experiment{Algo: "fig8", IDs: ids, T: 2, Churn: churn, Adversary: split}},
 		{"fig9/churn", Experiment{Algo: "fig9", IDs: ids, Churn: churn, Adversary: split}},
-		{"fig9-anon/churn", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5), Churn: churn, Adversary: split}},
+		{"fig9-anon/churn", Experiment{Algo: "fig9-anon", IDs: ident.AnonymousN(5), Churn: churn, Adversary: split}},
 		{"ohp/churn", Experiment{Algo: "ohp", IDs: ids, Churn: churn}},
 		{"heartbeat/churn", Experiment{Algo: "heartbeat", IDs: ids, Churn: churn}},
 		{"fig8/horizon", Experiment{Algo: "fig8", IDs: ids, T: 2, Churn: ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 999_000, Down: 999}}},
 		{"fig8/proposals", Experiment{Algo: "fig8", IDs: ids, T: 2, Crashes: map[PID]Time{3: 40}, Proposals: proposals}},
 		{"fig9/proposals", Experiment{Algo: "fig9", IDs: ids, Crashes: map[PID]Time{0: 20, 1: 30, 2: 40}, Proposals: proposals}},
-		{"fig9-anon/net", Experiment{Algo: "fig9-anon", IDs: AnonymousIDs(5), Net: PartialSync{GST: 60, Delta: 4}}},
+		{"fig9-anon/net", Experiment{Algo: "fig9-anon", IDs: ident.AnonymousN(5), Net: PartialSync{GST: 60, Delta: 4}}},
 		{"ohp/net", Experiment{Algo: "ohp", IDs: ids, Crashes: map[PID]Time{1: 30}, Net: Async{MaxDelay: 5}}},
 		{"heartbeat/beaters", Experiment{Algo: "heartbeat", IDs: BalancedIDs(12, 3), Beaters: 4, Churn: churn}},
 	}

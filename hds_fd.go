@@ -50,15 +50,9 @@ func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 	// pinned in internal/fd) — and their change streams feed the trace
 	// when one is kept, so a replay can re-verify the same verdicts.
 	trustedProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
 		return dets[p].Trusted(), true
 	}, func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) })
 	leaderProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (fd.LeaderInfo, bool) {
-		if eng.Crashed(p) {
-			return fd.LeaderInfo{}, false
-		}
 		return dets[p].Leader()
 	}, func(a, b fd.LeaderInfo) bool { return a == b })
 	if rec.Retaining() {
@@ -193,15 +187,9 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 	}
 	truth := fd.NewGroundTruth(e.IDs, crashTimes)
 	quora := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.QuorumPair, bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
 		return dets[p].Quora(), true
 	}, fd.QuoraEqual)
 	labels := fd.NewProbe(eng, n, func(p sim.PID) ([]fd.Label, bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
 		return dets[p].Labels(), true
 	}, fd.LabelsEqual)
 

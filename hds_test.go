@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fd/oracle"
+	"repro/internal/ident"
 )
 
 func TestRunFig8Oracle(t *testing.T) {
@@ -65,7 +66,7 @@ func TestRunFig9MinorityCorrect(t *testing.T) {
 func TestRunFig9AnonymousBaseline(t *testing.T) {
 	if _, err := (Experiment{
 		Algo:      "fig9-anon",
-		IDs:       AnonymousIDs(5),
+		IDs:       ident.AnonymousN(5),
 		Crashes:   map[PID]Time{4: 45},
 		Stabilize: 100,
 		Adversary: oracle.AdversaryRotate,
@@ -188,17 +189,8 @@ func TestRunHSigmaStabilizesOneStepAfterLastCrash(t *testing.T) {
 }
 
 func TestIdentityConstructors(t *testing.T) {
-	if got := UniqueIDs(4).DistinctCount(); got != 4 {
-		t.Errorf("UniqueIDs distinct = %d", got)
-	}
-	if got := AnonymousIDs(4).DistinctCount(); got != 1 {
-		t.Errorf("AnonymousIDs distinct = %d", got)
-	}
 	if got := BalancedIDs(6, 3).DistinctCount(); got != 3 {
 		t.Errorf("BalancedIDs distinct = %d", got)
-	}
-	if got := SkewedIDs(5, 3).Mult("giant"); got != 3 {
-		t.Errorf("SkewedIDs giant mult = %d", got)
 	}
 	if got := DomainIDs(map[string]int{"x.org": 2}).N(); got != 2 {
 		t.Errorf("DomainIDs N = %d", got)
@@ -211,19 +203,19 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 		run  func() error
 	}{
 		{"fig8 t too large", func() error {
-			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(4), T: 2}.Run(0, nil)
+			_, err := Experiment{Algo: "fig8", IDs: ident.Unique(4), T: 2}.Run(0, nil)
 			return err
 		}},
 		{"fig8 crash pid out of range", func() error {
-			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{9: 5}}.Run(0, nil)
+			_, err := Experiment{Algo: "fig8", IDs: ident.Unique(3), T: 1, Crashes: map[PID]Time{9: 5}}.Run(0, nil)
 			return err
 		}},
 		{"fig8 negative crash time", func() error {
-			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Crashes: map[PID]Time{0: -1}}.Run(0, nil)
+			_, err := Experiment{Algo: "fig8", IDs: ident.Unique(3), T: 1, Crashes: map[PID]Time{0: -1}}.Run(0, nil)
 			return err
 		}},
 		{"fig8 proposal count mismatch", func() error {
-			_, err := Experiment{Algo: "fig8", IDs: UniqueIDs(3), T: 1, Proposals: []Value{"a"}}.Run(0, nil)
+			_, err := Experiment{Algo: "fig8", IDs: ident.Unique(3), T: 1, Proposals: []Value{"a"}}.Run(0, nil)
 			return err
 		}},
 		{"fig9 empty assignment", func() error {
@@ -231,19 +223,19 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 			return err
 		}},
 		{"fig9 bottom proposed", func() error {
-			_, err := Experiment{Algo: "fig9", IDs: UniqueIDs(2), Proposals: []Value{"a", "\x00⊥"}}.Run(0, nil)
+			_, err := Experiment{Algo: "fig9", IDs: ident.Unique(2), Proposals: []Value{"a", "\x00⊥"}}.Run(0, nil)
 			return err
 		}},
 		{"ohp crash pid out of range", func() error {
-			_, err := Experiment{Algo: "ohp", IDs: UniqueIDs(3), Crashes: map[PID]Time{3: 5}}.Run(0, nil)
+			_, err := Experiment{Algo: "ohp", IDs: ident.Unique(3), Crashes: map[PID]Time{3: 5}}.Run(0, nil)
 			return err
 		}},
 		{"heartbeat with crashes", func() error {
-			_, err := Experiment{Algo: "heartbeat", IDs: UniqueIDs(3), Crashes: map[PID]Time{1: 5}}.Run(0, nil)
+			_, err := Experiment{Algo: "heartbeat", IDs: ident.Unique(3), Crashes: map[PID]Time{1: 5}}.Run(0, nil)
 			return err
 		}},
 		{"unknown algorithm", func() error {
-			_, err := Experiment{Algo: "fig10", IDs: UniqueIDs(3)}.Run(0, nil)
+			_, err := Experiment{Algo: "fig10", IDs: ident.Unique(3)}.Run(0, nil)
 			return err
 		}},
 		{"hsigma empty assignment", func() error {

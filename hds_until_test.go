@@ -13,6 +13,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fd/oracle"
+	"repro/internal/ident"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -185,7 +186,7 @@ func untilGrid() []untilCase {
 	return append(cases,
 		untilCase{name: "max-events", seed: 1, e: Experiment{Algo: "fig9", IDs: ids, Net: Async{MaxDelay: 8}, MaxEvents: 40}},
 		untilCase{name: "horizon", seed: 1, e: Experiment{Algo: "fig8", IDs: ids, T: 2, Net: Async{MaxDelay: 8}, Horizon: 9}},
-		untilCase{name: "all-crashed", seed: 1, e: Experiment{Algo: "fig9", IDs: UniqueIDs(3), Crashes: map[PID]Time{0: 5, 1: 5, 2: 5}}},
+		untilCase{name: "all-crashed", seed: 1, e: Experiment{Algo: "fig9", IDs: ident.Unique(3), Crashes: map[PID]Time{0: 5, 1: 5, 2: 5}}},
 	)
 }
 

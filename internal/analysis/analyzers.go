@@ -13,7 +13,7 @@ func All() []*Analyzer {
 // pass is not a per-unit Analyzer, but its call-site diagnostics are
 // suppressed through the same protocol.
 func Known() map[string]bool {
-	known := map[string]bool{FlowName: true}
+	known := map[string]bool{FlowName: true, UnreachedName: true}
 	for _, a := range All() {
 		known[a.Name] = true
 	}

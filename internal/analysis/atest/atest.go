@@ -33,6 +33,8 @@ var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // Run loads each fixture package (an import path under srcRoot) and
 // applies the analyzer, comparing unsuppressed diagnostics against the
 // fixtures' want comments.
+//
+//detlint:ignore unreached test support: the analyzers' tests run their fixtures through it
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	loader := analysis.NewLoader("", "", srcRoot)
@@ -62,6 +64,8 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgs ...string) {
 // and compares its frontier diagnostics against the fixtures' want
 // comments (collected across every loaded file). The Flow is returned
 // so tests can additionally golden its certified-API report.
+//
+//detlint:ignore unreached test support: the detflow tests run their fixtures through it
 func RunFlow(t *testing.T, srcRoot string, pkgs ...string) *analysis.Flow {
 	t.Helper()
 	loader := analysis.NewLoader("", "", srcRoot)

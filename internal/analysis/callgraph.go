@@ -72,6 +72,11 @@ type flowFunc struct {
 
 	// callers is the reverse edge set, built after all calls resolve.
 	callers []callerRef
+
+	// reach lists the functions this one reaches in one step, and
+	// reached is set when a root reaches it (see markReached).
+	reach   []*flowFunc
+	reached bool
 }
 
 type flowCall struct {
@@ -112,8 +117,8 @@ type flowGraph struct {
 	order []*flowFunc // deterministic iteration order (by position)
 	insts []*srcInst
 
-	// methodIndex maps method name -> candidate implementations in
-	// deterministic packages, for interface-call over-approximation.
+	// methodIndex maps method name -> every declared method of that name,
+	// the candidates for interface-call over-approximation.
 	methodIndex map[string][]*flowFunc
 	// addrTaken lists deterministic-package functions referenced as
 	// values anywhere in the loaded units, the candidate set for
@@ -122,6 +127,8 @@ type flowGraph struct {
 	// promoted lists the exported methods exported deterministic-package
 	// types promote from embedded fields (see addPromoted).
 	promoted []promotedMethod
+	// hasMain is whether the load declares a main function.
+	hasMain bool
 
 	sups []Suppression
 }
@@ -157,12 +164,7 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 	}
 
 	// Pass 1: register every build-file function declaration.
-	type declUnit struct {
-		decl *ast.FuncDecl
-		unit *Unit
-		fn   *flowFunc
-	}
-	var decls []declUnit
+	var decls, inits []flowDecl
 	for _, unit := range units {
 		if strings.HasSuffix(unit.Name, "_test") {
 			continue
@@ -172,6 +174,9 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 				continue
 			}
 			for _, d := range file.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR || isFunc(d, "init") {
+					inits = append(inits, flowDecl{init: d, unit: unit})
+				}
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil || decl.Name.Name == "init" || decl.Name.Name == "_" {
 					continue
@@ -194,8 +199,8 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 					arity:    arityOf(obj),
 				}
 				g.funcs[key] = fn
-				decls = append(decls, declUnit{decl, unit, fn})
-				if decl.Recv != nil && fn.det {
+				decls = append(decls, flowDecl{decl: decl, unit: unit, fn: fn})
+				if decl.Recv != nil {
 					g.methodIndex[decl.Name.Name] = append(g.methodIndex[decl.Name.Name], fn)
 				}
 			}
@@ -251,6 +256,7 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 	for _, du := range decls {
 		g.scanFunc(du.fn, du.decl, du.unit)
 	}
+	g.markReached(units, decls, inits)
 
 	// Deterministic node order and reverse edges.
 	g.order = make([]*flowFunc, 0, len(g.funcs))
@@ -273,6 +279,15 @@ func buildFlowGraph(fset *token.FileSet, units []*Unit, root string, sups []Supp
 		}
 	}
 	return g
+}
+
+// flowDecl ties a graph node to its declaration and unit, or holds one
+// package-initialization declaration (init) of a unit.
+type flowDecl struct {
+	decl *ast.FuncDecl
+	init ast.Decl
+	unit *Unit
+	fn   *flowFunc
 }
 
 // promotedMethod is an exported method an exported type promotes from an
@@ -503,7 +518,7 @@ func instantiatedFunc(info *types.Info, fun ast.Expr) *types.Func {
 func (g *flowGraph) addDynamicByMethod(fn *flowFunc, call *ast.CallExpr, m *types.Func) {
 	ar := arityOf(m)
 	for _, cand := range g.methodIndex[m.Name()] {
-		if cand.arity == ar {
+		if cand.det && cand.arity == ar {
 			g.appendCall(fn, call.Pos(), cand, true)
 		}
 	}

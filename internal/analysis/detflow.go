@@ -165,9 +165,16 @@ func (f *Flow) liveIDs(key FuncKey) []int {
 // diagnostics; what detflow adds is the laundering case, where the
 // nondeterminism hides behind an exempt-package (or otherwise
 // unchecked) helper and only the call chain explains the finding.
+//
+// Diagnostics also reports, when the load has a main function, every
+// function no root of the reachability check reaches (see markReached).
 func (f *Flow) Diagnostics() []Diagnostic {
 	var diags []Diagnostic
 	for _, fn := range f.g.order {
+		if f.g.hasMain && !fn.reached {
+			diags = append(diags, Diagnostic{Analyzer: UnreachedName, Pos: fn.pos, Message: fn.display +
+				" is reached from no main function or package initializer; delete it, move it into the tests that use it, or keep it with \"//detlint:ignore unreached <reason>\""})
+		}
 		if !fn.det {
 			continue
 		}

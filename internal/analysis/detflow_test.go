@@ -23,6 +23,24 @@ func TestDetflow(t *testing.T) {
 	atest.RunFlow(t, "testdata/src", "detflow/sim", "detflow/cliutil")
 }
 
+// TestUnreached checks the reachability diagnostics against the fixture's
+// want comments: a function called only from a _test.go file and a method
+// no interface names are reported; a method reached through a module
+// interface (on a type main uses, and through a call on a type parameter
+// whose type argument main never names), a String reached through fmt, a
+// function passed as a value, one called from a package-level var
+// initializer, and one kept by //detlint:ignore unreached (with its
+// callee) are not.
+func TestUnreached(t *testing.T) {
+	atest.RunFlow(t, "testdata/src", "unreached/app", "unreached/lib")
+}
+
+// TestUnreachedNeedsMain loads a package whose function has no caller,
+// and no main package: the check has no roots and reports nothing.
+func TestUnreachedNeedsMain(t *testing.T) {
+	atest.RunFlow(t, "testdata/src", "unreached/nomain")
+}
+
 // TestDetflowReport goldens the certified-deterministic API report over
 // the fixture tree and pins its byte stability: two independent loads
 // and fixpoints must render identical bytes, and those bytes must match

@@ -48,6 +48,12 @@
 // Report method renders the certified-deterministic API report checked
 // in as detflow_report.txt.
 //
+// The same call graph answers a second question: which functions no
+// main function or package initializer can reach. When the load includes
+// a main package, each such function in a non-test file is a diagnostic
+// of kind "unreached" (unreached.go); keeping one on purpose takes a
+// suppression with its reason, like any other exception.
+//
 // Exceptions are declared in the source as
 //
 //	//detlint:ignore <analyzer> <reason>

@@ -167,6 +167,8 @@ func Run[R any](cfg Config, id string, n int, f func(i int) R) (Result[R], error
 // Merge reassembles a campaign's checkpoints in input order. It errors on
 // missing, truncated, corrupt, or digest/identity-mismatched shard files;
 // it runs nothing.
+//
+//detlint:ignore unreached pinned by bench/layerprobe, a separate module detlint does not load
 func Merge[R any](dir, id string, n, shards int) (Result[R], error) {
 	if shards < 1 {
 		shards = 1

@@ -42,6 +42,15 @@ func ConsensusChurn(truth *fd.GroundTruth, proposals []core.Value, outcomes []co
 	return consensus(truth.EventuallyUp(), "eventually-up", proposals, outcomes)
 }
 
+// Safety checks Validity, Agreement, no-⊥ and round agreement over
+// whoever decided, and demands no Termination: the verdict for runs cut
+// short on purpose (a round cap, an ablation), where undecided processes
+// are expected and only a wrong decision is a failure.
+func Safety(proposals []core.Value, outcomes []core.Outcome) error {
+	_, err := consensus(nil, "", proposals, outcomes)
+	return err
+}
+
 // consensus checks Validity, Agreement, round agreement, and Termination
 // over the `must` set (whose elements the caller names with class, for
 // error messages).

@@ -108,6 +108,31 @@ func TestConsensusRoundAgreement(t *testing.T) {
 	}
 }
 
+// TestSafety: undecided processes are no failure, whoever decided must
+// still satisfy Validity, Agreement, no-⊥ and round agreement.
+func TestSafety(t *testing.T) {
+	props := []core.Value{"a", "b", "c"}
+	if err := Safety(props, []core.Outcome{{}, dec("b", 2, 5), {}}); err != nil {
+		t.Fatalf("undecided processes rejected: %v", err)
+	}
+	if err := Safety(props, make([]core.Outcome, 3)); err != nil {
+		t.Fatalf("a run with no decision rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		want string
+		outs []core.Outcome
+	}{
+		{"validity", []core.Outcome{dec("z", 1, 5), {}, {}}},
+		{"agreement", []core.Outcome{dec("a", 1, 5), dec("b", 1, 6), {}}},
+		{"decided ⊥", []core.Outcome{{}, dec(core.Bottom, 1, 5), {}}},
+		{"round agreement", []core.Outcome{dec("a", 2, 5), relayed("a", 3, 8), {}}},
+	} {
+		if err := Safety(props, tc.outs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v", tc.want, err)
+		}
+	}
+}
+
 // churnTruth builds a crash-recovery pattern: every listed process crashes
 // at 10 and recovers at 60, except those also listed in finalDown.
 func churnTruth(n int, churners []sim.PID, finalDown ...sim.PID) *fd.GroundTruth {

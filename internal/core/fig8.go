@@ -83,6 +83,8 @@ func NewFig8NoCoordination(d fd.HOmega, t int, proposal Value) *Fig8 {
 // intersect, so the Phase 1/2 safety argument is unchanged, and with ≥ α
 // correct senders the waits terminate. The instance never queries
 // Environment.N, so it runs with completely unknown membership size.
+//
+//detlint:ignore unreached paper artifact: the footnote-5 α variant, held by the variant-trace tests
 func NewFig8Alpha(d fd.HOmega, alpha int, proposal Value) *Fig8 {
 	if alpha < 1 {
 		panic(fmt.Sprintf("core: Fig8Alpha requires alpha >= 1, got %d", alpha))

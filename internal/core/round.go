@@ -160,10 +160,6 @@ func (c *skeleton) SetMaxRounds(k int) { c.maxRounds = k }
 // Round returns the current round (observability).
 func (c *skeleton) Round() int { return c.round }
 
-// Rejoining reports whether the process is in rejoin catch-up: recovered
-// from an outage and not yet through a full Phase 2 quorum (observability).
-func (c *skeleton) Rejoining() bool { return c.rejoining }
-
 // Init implements sim.Process: propose(v).
 func (c *skeleton) Init(env sim.Environment) {
 	c.env = env

@@ -24,7 +24,17 @@ type variantInst interface {
 	Decided() Outcome
 	InvariantErr() error
 	Round() int
-	Rejoining() bool
+}
+
+// rejoining reads the skeleton's rejoin catch-up flag off either algorithm.
+func rejoining(inst variantInst) bool {
+	switch c := inst.(type) {
+	case *Fig8:
+		return c.rejoining
+	case *Fig9:
+		return c.rejoining
+	}
+	panic(fmt.Sprintf("variant instance of type %T", inst))
 }
 
 // variantHorizon is how long every run of the variant grid lasts.
@@ -126,7 +136,7 @@ func variantGrid(d deploy) []variantRun {
 // TestVariantTraces pins all five constructors at event granularity: for
 // every run of the variant grid, the sha256 of the retained text trace of
 // a run to the horizon plus every process's round, decision and
-// Rejoining() flag are compared with testdata/variant_traces.txt. The
+// rejoin flag are compared with testdata/variant_traces.txt. The
 // hdsim goldens do the same for NewFig8 / NewFig9 / NewFig9Anonymous only;
 // this file is what holds NewFig8NoCoordination and NewFig8Alpha in place
 // when the round machinery under them moves. No combination is skipped:
@@ -152,7 +162,7 @@ func TestVariantTraces(t *testing.T) {
 				t.Errorf("%s p%d: %v", r.name, p, err)
 			}
 			out := inst.Decided()
-			fmt.Fprintf(&b, "  p%d round=%d decided=%q at=%d rejoining=%v\n", p, inst.Round(), string(out.Value), out.Time, inst.Rejoining())
+			fmt.Fprintf(&b, "  p%d round=%d decided=%q at=%d rejoining=%v\n", p, inst.Round(), string(out.Value), out.Time, rejoining(inst))
 		}
 	}
 	const path = "testdata/variant_traces.txt"

@@ -81,7 +81,7 @@ func E14CoordinationAblation() (Table, error) {
 // runAblated executes one (possibly ablated) Fig. 8 run with distinct
 // proposals and a stable HΩ detector. It reports whether all correct
 // processes decided under the round cap, the max round reached, and
-// whether any *safety* property (validity/agreement/no-⊥) was violated.
+// whether any *safety* property (check.Safety) was violated.
 func runAblated(n, l, tt int, ablate bool, roundCap int, seed int64) (allDecided bool, maxRound int, unsafe bool) {
 	ids := ident.Balanced(n, l)
 	eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 8}, Seed: seed, KnownN: true})
@@ -123,39 +123,8 @@ func runAblated(n, l, tt int, ablate bool, roundCap int, seed int64) (allDecided
 			maxRound = r
 		}
 	}
-	// Safety-only check: ignore termination, verify every decision made.
-	_, err := check.Consensus(truth, proposals, outcomes)
-	if err != nil && allDecided {
-		unsafe = true // with all decided, any failure is a safety failure
-	}
-	if err != nil && !allDecided {
-		// Re-check safety alone over the deciders.
-		unsafe = !safeDecisions(proposals, outcomes)
-	}
+	unsafe = check.Safety(proposals, outcomes) != nil
 	return allDecided, maxRound, unsafe
-}
-
-// safeDecisions verifies validity/agreement/no-⊥ over whoever decided.
-func safeDecisions(proposals []core.Value, outcomes []core.Outcome) bool {
-	proposed := make(map[core.Value]bool, len(proposals))
-	for _, v := range proposals {
-		proposed[v] = true
-	}
-	var have bool
-	var val core.Value
-	for _, o := range outcomes {
-		if !o.Decided {
-			continue
-		}
-		if o.Value == core.Bottom || !proposed[o.Value] {
-			return false
-		}
-		if have && o.Value != val {
-			return false
-		}
-		val, have = o.Value, true
-	}
-	return true
 }
 
 // E15LeaderGroupSize sweeps the size of the elected leader group: the

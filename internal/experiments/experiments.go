@@ -139,11 +139,6 @@ func Registry() []Builder {
 	}
 }
 
-// All runs every experiment and returns the tables in index order.
-func All() ([]Table, error) {
-	return Tables(nil)
-}
-
 // Tables runs the experiments whose ids appear in only (nil or empty =
 // all) and returns their tables in index order. A requested id that
 // matches no experiment is an error — a typo must not silently drop a

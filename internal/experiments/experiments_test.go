@@ -63,7 +63,7 @@ var allTables = func() func(t *testing.T) []Table {
 	)
 	return func(t *testing.T) []Table {
 		t.Helper()
-		once.Do(func() { tables, err = All() })
+		once.Do(func() { tables, err = Tables(nil) })
 		if err != nil {
 			t.Fatal(err)
 		}

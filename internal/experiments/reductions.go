@@ -96,9 +96,6 @@ func E3AliveList() (Table, error) {
 		}
 		eng.CrashSchedule(cfg.crashes)
 		probe := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
-			if eng.Crashed(p) {
-				return nil, false
-			}
 			return dets[p].Alive(), true
 		}, slices.Equal[[]ident.ID])
 		// Prefix probe: the sorted set of the first |Correct| identifiers,
@@ -106,9 +103,6 @@ func E3AliveList() (Table, error) {
 		truth := fd.NewGroundTruth(ids, cfg.crashes)
 		k := len(truth.Correct())
 		prefix := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
-			if eng.Crashed(p) {
-				return nil, false
-			}
 			a := dets[p].Alive()
 			if len(a) < k {
 				return nil, false

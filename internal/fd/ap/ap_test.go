@@ -29,7 +29,7 @@ func runAP(t *testing.T, n int, crashes map[sim.PID]int, seed int64, steps int) 
 		crashTimes[p] = sim.StepStart(crashes[p])
 	}
 	probe := fd.NewProbe(eng, n, func(p sim.PID) (int, bool) {
-		if eng.Crashed(p) || !dets[p].Valid() {
+		if eng.Crashed(p) || !dets[p].valid {
 			return 0, false
 		}
 		return dets[p].AliveCount(), true
@@ -77,11 +77,11 @@ func TestCountIsUpperBoundDuringCascade(t *testing.T) {
 
 func TestValidFlag(t *testing.T) {
 	d := New()
-	if d.Valid() {
+	if d.valid {
 		t.Error("detector valid before any step")
 	}
 	d.StepRecv([]any{Msg{}, Msg{}})
-	if !d.Valid() || d.AliveCount() != 2 {
-		t.Errorf("AliveCount = %d, valid = %v", d.AliveCount(), d.Valid())
+	if !d.valid || d.AliveCount() != 2 {
+		t.Errorf("AliveCount = %d, valid = %v", d.AliveCount(), d.valid)
 	}
 }

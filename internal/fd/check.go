@@ -146,6 +146,8 @@ func CheckAliveList(g *GroundTruth, pr FinalView[[]ident.ID]) (Result, error) {
 // CheckAP verifies class AP. Safety: at every sample time T the output is
 // ≥ the number of alive processes at T. Liveness: every correct process's
 // final output equals |Correct|.
+//
+//detlint:ignore unreached test oracle: holds the AP oracle to its class
 func CheckAP(g *GroundTruth, pr *Probe[int]) (Result, error) {
 	for p := 0; p < pr.N(); p++ {
 		for _, s := range pr.History(sim.PID(p)) {
@@ -169,6 +171,8 @@ func CheckAP(g *GroundTruth, pr *Probe[int]) (Result, error) {
 
 // CheckAOmega verifies class AΩ: in the final samples, exactly one correct
 // process's Boolean is true.
+//
+//detlint:ignore unreached test oracle: holds the AΩ oracle to its class
 func CheckAOmega(g *GroundTruth, pr FinalView[bool]) (Result, error) {
 	leaders := 0
 	for _, p := range g.EventuallyUp() {

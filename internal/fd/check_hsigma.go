@@ -235,6 +235,8 @@ func labelSet(ls []Label) map[Label]bool {
 // final pair (x, y) with |S_A(x) ∩ Correct| ≥ y; safety requires that no
 // two pairs admit disjoint sub-quora, i.e. NOT (y₁ ≤ |S₁| ∧ y₂ ≤ |S₂| ∧
 // y₁+y₂ ≤ |S₁ ∪ S₂|) for any sampled (x₁,y₁), (x₂,y₂).
+//
+//detlint:ignore unreached test oracle: holds the AΣ oracle to its class
 func CheckASigma(g *GroundTruth, pr *Probe[[]APair]) (Result, error) {
 	n := pr.N()
 

@@ -11,6 +11,20 @@ import (
 
 func ms(ids ...ident.ID) *multiset.Multiset[ident.ID] { return multiset.From(ids...) }
 
+// NewStaticProbe builds a probe from pre-recorded histories (one slice per
+// process), fed sample by sample so the final view is the one a live run
+// with these histories would have left.
+func NewStaticProbe[T any](histories [][]Sample[T]) *Probe[T] {
+	// Given histories are stored as they are, repeated values included.
+	pr := collect(NewStaticStreamProbe(len(histories), func(a, b T) bool { return false }))
+	for p, h := range histories {
+		for _, s := range h {
+			pr.Feed(s.Time, sim.PID(p), s.Value)
+		}
+	}
+	return pr
+}
+
 func truth3AAB(crashed ...sim.PID) *GroundTruth {
 	// The paper's running example: Π = {1,2,3}, id(1)=A, id(2)=A, id(3)=B.
 	ct := make(map[sim.PID]sim.Time)
@@ -33,8 +47,8 @@ func TestGroundTruthBasics(t *testing.T) {
 	if got := g.Correct(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("Correct = %v", got)
 	}
-	if !g.CorrectIDs().Equal(ms("A", "B")) {
-		t.Errorf("CorrectIDs = %v", g.CorrectIDs())
+	if !g.EventuallyUpIDs().Equal(ms("A", "B")) { // I(Correct) in crash-stop
+		t.Errorf("EventuallyUpIDs = %v", g.EventuallyUpIDs())
 	}
 	if got := g.AliveAt(5); len(got) != 3 {
 		t.Errorf("AliveAt(5) = %v, want all 3 (crash at 10)", got)

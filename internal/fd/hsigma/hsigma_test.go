@@ -102,7 +102,7 @@ func TestLivenessQuorumAppearsOneStepAfterLastCrash(t *testing.T) {
 	eng.CrashDuringBroadcast(1, sim.StepStart(4), 0.5)
 	eng.Run(sim.StepEnd(5))
 	truth := fd.NewGroundTruth(ids, map[sim.PID]sim.Time{1: sim.StepStart(4)})
-	want := truth.CorrectIDs()
+	want := truth.EventuallyUpIDs() // I(Correct): the crash is final
 	for _, p := range truth.Correct() {
 		found := false
 		for _, pair := range dets[p].Quora() {

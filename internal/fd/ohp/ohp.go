@@ -231,12 +231,5 @@ func (d *Detector) Leader() (fd.LeaderInfo, bool) {
 	return d.leader, true
 }
 
-// Round returns the current round number (experiments observability).
-func (d *Detector) Round() int { return d.round }
-
 // Timeout returns the adapted timeout (experiments observability).
 func (d *Detector) Timeout() sim.Time { return d.timeout }
-
-// MembershipSize returns |mshipₚ|, the number of identifiers learned so
-// far — how much membership knowledge polling has recovered.
-func (d *Detector) MembershipSize() int { return len(d.mship) }

@@ -134,8 +134,8 @@ func TestMembershipDiscovered(t *testing.T) {
 	r := setup(ident.Balanced(6, 3), sim.PartialSync{GST: 40, Delta: 3, PreLoss: 0.5}, nil, 8)
 	r.check(t, 3000)
 	for i, d := range r.dets {
-		if d.MembershipSize() != 3 {
-			t.Errorf("process %d discovered %d identifiers, want 3", i, d.MembershipSize())
+		if len(d.mship) != 3 {
+			t.Errorf("process %d discovered %d identifiers, want 3", i, len(d.mship))
 		}
 	}
 }

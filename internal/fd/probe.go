@@ -39,21 +39,6 @@ func NewProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq f
 	return collect(NewStreamProbe(eng, n, get, eq))
 }
 
-// NewStaticProbe builds a probe from pre-recorded histories (one slice per
-// process), fed sample by sample so the final view is the one a live run
-// with these histories would have left. Checker tests and offline analyses
-// use it; live runs use NewProbe.
-func NewStaticProbe[T any](histories [][]Sample[T]) *Probe[T] {
-	// Given histories are stored as they are, repeated values included.
-	pr := collect(NewStaticStreamProbe(len(histories), func(a, b T) bool { return false }))
-	for p, h := range histories {
-		for _, s := range h {
-			pr.Feed(s.Time, sim.PID(p), s.Value)
-		}
-	}
-	return pr
-}
-
 // History returns process p's sample history (distinct consecutive values
 // with their first-occurrence times).
 func (pr *Probe[T]) History(p sim.PID) []Sample[T] { return pr.histories[p] }

@@ -47,9 +47,10 @@ type StreamProbe[T any] struct {
 }
 
 // NewStreamProbe attaches a probe to the engine. get returns the current
-// output of process p (ok=false while the process has no output or has
-// crashed); eq decides whether two outputs are equal. Register observers
-// before the run starts.
+// output of process p (ok=false while the process has no output); eq
+// decides whether two outputs are equal. A crashed process has no output:
+// the probe does not call get for it while the engine reports it down.
+// Register observers before the run starts.
 //
 // Sampling exploits the engine's change contract: a process's output can
 // change only during its own events or when virtual time advances (oracle
@@ -63,13 +64,13 @@ func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool)
 	eng.AfterEvent(func(now sim.Time, p sim.PID) {
 		if p >= 0 && now == lastNow {
 			if int(p) < n {
-				sp.sample(now, p, get)
+				sp.sample(eng, now, p, get)
 			}
 			return
 		}
 		lastNow = now
 		for q := 0; q < n; q++ {
-			sp.sample(now, sim.PID(q), get)
+			sp.sample(eng, now, sim.PID(q), get)
 		}
 	})
 	return sp
@@ -87,12 +88,13 @@ func NewStaticStreamProbe[T any](n int, eq func(a, b T) bool) *StreamProbe[T] {
 	}
 }
 
-func (sp *StreamProbe[T]) sample(now sim.Time, p sim.PID, get func(p sim.PID) (T, bool)) {
-	v, ok := get(p)
-	if !ok {
+func (sp *StreamProbe[T]) sample(eng *sim.Engine, now sim.Time, p sim.PID, get func(p sim.PID) (T, bool)) {
+	if eng.Crashed(p) {
 		return
 	}
-	sp.Feed(now, p, v)
+	if v, ok := get(p); ok {
+		sp.Feed(now, p, v)
+	}
 }
 
 // Feed records one observation: a no-op if p's output is unchanged,

@@ -130,6 +130,38 @@ func sameAsReference[T any](t *testing.T, name string, ref *refHistories[T], got
 	}
 }
 
+// TestStreamProbeSkipsCrashed: the probe reads no output from a process
+// while the engine reports it down, whatever get would return, and reads
+// it again once the process recovers.
+func TestStreamProbeSkipsCrashed(t *testing.T) {
+	const n = 3
+	eng := sim.New(sim.Config{IDs: ident.Unique(n), Net: sim.Async{MaxDelay: 6}, Seed: 9})
+	for i := 0; i < n; i++ {
+		eng.AddProcess(&gossiper{})
+	}
+	eng.CrashAt(1, 20)
+	eng.RecoverAt(1, 40)
+	sp := NewStreamProbe(eng, n, func(sim.PID) (sim.Time, bool) { return eng.Now(), true },
+		func(a, b sim.Time) bool { return a == b })
+	var times []sim.Time
+	sp.Observe(func(p sim.PID, s Sample[sim.Time]) {
+		if p == 1 {
+			times = append(times, s.Time)
+		}
+	})
+	eng.Run(60)
+	after := false
+	for _, at := range times {
+		if at >= 20 && at < 40 {
+			t.Fatalf("sampled process 1 at %d, inside its outage [20, 40)", at)
+		}
+		after = after || at >= 40
+	}
+	if len(times) == 0 || times[0] >= 20 || !after {
+		t.Fatalf("process 1 sampled at %v, want samples before and after its outage", times)
+	}
+}
+
 // TestStreamProbeMatchesProbeLive pins the sampler on a live engine
 // against the independent reference: a Probe and refProbe attached to
 // the same run store identical sample streams and final views, and the
@@ -137,7 +169,8 @@ func sameAsReference[T any](t *testing.T, name string, ref *refHistories[T], got
 // the Probe and a bare StreamProbe.
 func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	const n = 9
-	eng := sim.New(sim.Config{IDs: ident.Balanced(n, 3), Net: sim.Async{MaxDelay: 6}, Seed: 5})
+	ids := ident.Balanced(n, 3)
+	eng := sim.New(sim.Config{IDs: ids, Net: sim.Async{MaxDelay: 6}, Seed: 5})
 	dets := make([]*gossiper, n)
 	for i := range dets {
 		dets[i] = &gossiper{}
@@ -173,7 +206,7 @@ func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	// Identical verdicts through either pipeline, for passing or failing
 	// checks alike. (The toy detector need not satisfy ◇HP̄; what must hold
 	// is agreement.)
-	g := NewGroundTruth(eng.IDs(), map[sim.PID]sim.Time{5: 21})
+	g := NewGroundTruth(ids, map[sim.PID]sim.Time{5: 21})
 	rr, errR := CheckDiamondHPbar(g, ref)
 	rp, errP := CheckDiamondHPbar(g, probe)
 	rs, errS := CheckDiamondHPbar(g, sp)

@@ -48,7 +48,6 @@ type GroundTruth struct {
 
 	correct      []sim.PID
 	eventuallyUp []sim.PID
-	correctIDs   *multiset.Multiset[ident.ID]
 	euIDs        *multiset.Multiset[ident.ID]
 	leader       LeaderInfo
 	leaderOK     bool
@@ -130,10 +129,6 @@ func (g *GroundTruth) derive() {
 			g.eventuallyUp = append(g.eventuallyUp, sim.PID(p))
 		}
 	}
-	g.correctIDs = multiset.New[ident.ID]()
-	for _, p := range g.correct {
-		g.correctIDs.Add(g.IDs[p])
-	}
 	g.euIDs = multiset.New[ident.ID]()
 	for _, p := range g.eventuallyUp {
 		g.euIDs.Add(g.IDs[p])
@@ -211,12 +206,6 @@ func (g *GroundTruth) AliveCountAt(t sim.Time) int {
 	return n
 }
 
-// CorrectIDs returns I(Correct) as a multiset. The multiset is shared;
-// callers must not mutate it.
-func (g *GroundTruth) CorrectIDs() *multiset.Multiset[ident.ID] {
-	return g.correctIDs
-}
-
 // EventuallyUpIDs returns I(EventuallyUp) as a multiset — the target every
 // heartbeat-driven detector converges to under churn. The multiset is
 // shared; callers must not mutate it.
@@ -253,19 +242,6 @@ func (g *GroundTruth) LastChange() sim.Time {
 		}
 	}
 	return last
-}
-
-// Recoveries returns the total number of recoveries in the pattern.
-func (g *GroundTruth) Recoveries() int {
-	n := 0
-	for _, ivs := range g.Down {
-		for _, iv := range ivs {
-			if iv.To != Forever {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // ExpectedLeader returns the stabilized HΩ output this repository's

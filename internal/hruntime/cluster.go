@@ -89,9 +89,6 @@ func NewCluster(ids ident.Assignment, opts Options) *Cluster {
 // may use it is the algorithm's contract).
 func (c *Cluster) N() int { return c.ids.N() }
 
-// Inbox returns process p's receive channel.
-func (c *Cluster) Inbox(p int) <-chan any { return c.inboxes[p] }
-
 // Crash marks p crashed: its future broadcasts are ignored and nothing
 // more is delivered to it. The crash and every broadcast are recorded
 // under the cluster lock, so a trace never shows p broadcasting after its
@@ -141,7 +138,7 @@ func (c *Cluster) Broadcast(from int, payload any) {
 		}
 	}
 	c.wg.Add(live)
-	c.record(trace.KindBroadcast, from, tagOf(payload), "")
+	c.record(trace.KindBroadcast, from, sim.TagOf(payload), "")
 	c.mu.Unlock()
 
 	for _, pl := range plans {
@@ -188,7 +185,7 @@ func (c *Cluster) deliver(to int, payload any, after time.Duration) {
 	select {
 	case c.inboxes[to] <- payload:
 		c.mu.Lock()
-		c.record(trace.KindDeliver, to, tagOf(payload), "")
+		c.record(trace.KindDeliver, to, sim.TagOf(payload), "")
 		c.mu.Unlock()
 	case <-c.done:
 	}
@@ -216,10 +213,3 @@ func (c *Cluster) Close() {
 
 // sinceStart is the run's clock: whole Units since NewCluster.
 func (c *Cluster) sinceStart() int64 { return int64(time.Since(c.start) / c.opts.Unit) }
-
-func tagOf(payload any) string {
-	if t, ok := payload.(sim.Tagger); ok {
-		return t.MsgTag()
-	}
-	return "?"
-}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fd/ohp"
 	"repro/internal/ident"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestClusterBroadcastDelivery(t *testing.T) {
@@ -19,13 +20,44 @@ func TestClusterBroadcastDelivery(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	for p := 0; p < 3; p++ {
 		select {
-		case m := <-c.Inbox(p):
+		case m := <-c.inboxes[p]:
 			if m != "hi" {
 				t.Fatalf("payload = %v", m)
 			}
 		case <-deadline:
 			t.Fatalf("process %d never received", p)
 		}
+	}
+}
+
+// TestClusterTagsLikeSimulator: a live broadcast of an untagged payload
+// records the tag the simulator records for it, for the broadcast and
+// every delivery.
+func TestClusterTagsLikeSimulator(t *testing.T) {
+	rec := &trace.Recorder{KeepEvents: true}
+	c := NewCluster(ident.Unique(2), Options{Seed: 3, Recorder: rec})
+	c.Broadcast(0, "hi")
+	for p := 0; p < 2; p++ {
+		select {
+		case <-c.inboxes[p]:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("process %d never received", p)
+		}
+	}
+	c.Close() // the recorder is read once its writers are gone
+	want := sim.TagOf("hi")
+	if want != "string" {
+		t.Fatalf("sim.TagOf(\"hi\") = %q, want the type name", want)
+	}
+	kinds := map[trace.Kind]int{}
+	for _, e := range rec.Events() {
+		if e.MsgTag != want {
+			t.Errorf("%v event tagged %q, want %q", e.Kind, e.MsgTag, want)
+		}
+		kinds[e.Kind]++
+	}
+	if kinds[trace.KindBroadcast] != 1 || kinds[trace.KindDeliver] != 2 {
+		t.Errorf("recorded %v, want one broadcast and two deliveries", kinds)
 	}
 }
 
@@ -36,7 +68,7 @@ func TestClusterCrashSilences(t *testing.T) {
 	c.Broadcast(0, "x") // ignored: sender dead
 	c.Broadcast(1, "y")
 	select {
-	case m := <-c.Inbox(1):
+	case m := <-c.inboxes[1]:
 		if m != "y" {
 			t.Fatalf("got %v", m)
 		}
@@ -44,7 +76,7 @@ func TestClusterCrashSilences(t *testing.T) {
 		t.Fatal("no delivery to live process")
 	}
 	select {
-	case m := <-c.Inbox(0):
+	case m := <-c.inboxes[0]:
 		t.Fatalf("crashed process received %v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -229,14 +261,14 @@ func TestClusterGSTLossAndRecovery(t *testing.T) {
 	defer c.Close()
 	c.Broadcast(0, "early")
 	select {
-	case m := <-c.Inbox(1):
+	case m := <-c.inboxes[1]:
 		t.Fatalf("pre-GST message delivered despite PreLoss=1: %v", m)
 	case <-time.After(20 * time.Millisecond):
 	}
 	time.Sleep(40 * time.Millisecond) // past GST
 	c.Broadcast(0, "late")
 	select {
-	case m := <-c.Inbox(1):
+	case m := <-c.inboxes[1]:
 		if m != "late" {
 			t.Fatalf("got %v", m)
 		}

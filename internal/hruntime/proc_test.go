@@ -10,6 +10,7 @@ import (
 
 	hds "repro"
 	"repro/internal/check"
+	"repro/internal/fd/ohp"
 	"repro/internal/ident"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -101,31 +102,45 @@ func TestProcDoAfterStop(t *testing.T) {
 	}
 }
 
+// handlerCounter is an ohp detector that counts the handlers it runs.
+type handlerCounter struct {
+	*ohp.Detector
+	handled int
+}
+
+func (h *handlerCounter) OnMessage(payload any) { h.handled++; h.Detector.OnMessage(payload) }
+func (h *handlerCounter) OnTimer(tag int)       { h.handled++; h.Detector.OnTimer(tag) }
+
 // TestProcCrashTakesNoSteps: after Crash(p) returns, p broadcasts nothing
-// (trace order) and runs no handler (its detector's round stops), while Do
-// still reads its state.
+// (trace order) and runs no handler, while Do still reads its state.
 func TestProcCrashTakesNoSteps(t *testing.T) {
 	rec := &trace.Recorder{KeepEvents: true}
 	c := NewCluster(ident.Unique(3), Options{Seed: 16, Recorder: rec})
 	defer c.Close()
-	dets, procs := startDetectors(t, c)
+	dets := make([]*handlerCounter, c.N())
+	procs := make([]*Proc, c.N())
+	for i := range procs {
+		dets[i] = &handlerCounter{Detector: ohp.New()}
+		procs[i] = c.Start(i, dets[i])
+		t.Cleanup(procs[i].Stop)
+	}
 	time.Sleep(20 * time.Millisecond)
 	c.Crash(1)
-	round := func(p int) (r int) {
-		if !procs[p].Do(func() { r = dets[p].Round() }) {
+	handled := func(p int) (n int) {
+		if !procs[p].Do(func() { n = dets[p].handled }) {
 			t.Fatalf("Do on process %d failed", p)
 		}
-		return r
+		return n
 	}
 	// An event p1 was handling when Crash returned may still finish.
 	time.Sleep(5 * time.Millisecond)
-	at1, at0 := round(1), round(0)
+	at1, at0 := handled(1), handled(0)
 	time.Sleep(30 * time.Millisecond)
-	if got := round(1); got != at1 {
-		t.Errorf("crashed process advanced from round %d to %d", at1, got)
+	if got := handled(1); got != at1 {
+		t.Errorf("crashed process ran handlers: %d before, %d after", at1, got)
 	}
-	if got := round(0); got == at0 {
-		t.Errorf("live process stuck in round %d", got)
+	if got := handled(0); got == at0 {
+		t.Errorf("live process stuck at %d handlers", got)
 	}
 
 	// The recorder is read once its writers are gone.

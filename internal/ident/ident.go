@@ -39,31 +39,9 @@ func (a Assignment) ISub(s []int) *multiset.Multiset[ID] {
 	return m
 }
 
-// Mult returns mult_{I(Π)}(id), the number of processes carrying id.
-func (a Assignment) Mult(id ID) int {
-	c := 0
-	for _, x := range a {
-		if x == id {
-			c++
-		}
-	}
-	return c
-}
-
 // DistinctCount returns ℓ, the number of distinct identifiers in use.
 func (a Assignment) DistinctCount() int {
 	return a.I().Distinct()
-}
-
-// Homonyms returns the indexes of all processes sharing the identity id.
-func (a Assignment) Homonyms(id ID) []int {
-	var out []int
-	for p, x := range a {
-		if x == id {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Validate reports an error for malformed assignments (empty, or empty ID).
@@ -109,25 +87,6 @@ func Balanced(n, l int) Assignment {
 	a := make(Assignment, n)
 	for i := range a {
 		a[i] = ID(fmt.Sprintf("g%03d", i%l+1))
-	}
-	return a
-}
-
-// Skewed returns a homonymous assignment where one "giant" identifier is
-// shared by heavy processes and the remaining processes get unique
-// identifiers. heavy must be in [1, n]. This is the misconfiguration /
-// default-identifier shape from the paper's introduction.
-func Skewed(n, heavy int) Assignment {
-	if heavy < 1 || heavy > n {
-		panic(fmt.Sprintf("ident: Skewed(%d, %d): need 1 <= heavy <= n", n, heavy))
-	}
-	a := make(Assignment, n)
-	for i := range a {
-		if i < heavy {
-			a[i] = "giant"
-		} else {
-			a[i] = ID(fmt.Sprintf("solo%03d", i))
-		}
 	}
 	return a
 }

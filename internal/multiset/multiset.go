@@ -22,23 +22,12 @@ func New[T cmp.Ordered]() *Multiset[T] {
 }
 
 // From builds a multiset from the given elements, honouring repetitions.
+//
+//detlint:ignore unreached test support: fd, core, reduce and multiset tests build fixtures from element lists
 func From[T cmp.Ordered](elems ...T) *Multiset[T] {
 	m := New[T]()
 	for _, e := range elems {
 		m.Add(e)
-	}
-	return m
-}
-
-// FromCounts builds a multiset from an element→multiplicity map.
-// Non-positive multiplicities are ignored.
-func FromCounts[T cmp.Ordered](counts map[T]int) *Multiset[T] {
-	m := New[T]()
-	//detlint:ignore maprange per-element insert into a fresh multiset: AddN is a keyed accumulation, entries are independent
-	for e, c := range counts {
-		if c > 0 {
-			m.AddN(e, c)
-		}
 	}
 	return m
 }
@@ -178,19 +167,6 @@ func (m *Multiset[T]) Intersects(o *Multiset[T]) bool {
 		}
 	}
 	return false
-}
-
-// Intersect returns the multiset intersection: each element with
-// multiplicity min(mult_m, mult_o).
-func (m *Multiset[T]) Intersect(o *Multiset[T]) *Multiset[T] {
-	out := New[T]()
-	//detlint:ignore maprange per-element insert into a fresh multiset: min(n, on) depends only on the entry, AddN is keyed accumulation
-	for e, n := range m.counts {
-		if on := o.counts[e]; on > 0 {
-			out.AddN(e, min(n, on))
-		}
-	}
-	return out
 }
 
 // Union returns the multiset union: each element with multiplicity

@@ -67,16 +67,6 @@ func TestFromAndElems(t *testing.T) {
 	}
 }
 
-func TestFromCounts(t *testing.T) {
-	m := FromCounts(map[string]int{"a": 2, "b": 0, "c": -4, "d": 1})
-	if got := m.Len(); got != 3 {
-		t.Errorf("Len = %d, want 3 (non-positive counts ignored)", got)
-	}
-	if m.Contains("b") || m.Contains("c") {
-		t.Error("zero/negative count elements must be absent")
-	}
-}
-
 func TestMin(t *testing.T) {
 	if _, ok := New[int]().Min(); ok {
 		t.Error("Min of empty multiset should report false")
@@ -137,9 +127,6 @@ func TestIntersects(t *testing.T) {
 func TestIntersectUnionSum(t *testing.T) {
 	a := From("a", "a", "b")
 	b := From("a", "b", "b", "c")
-	if got := a.Intersect(b); !got.Equal(From("a", "b")) {
-		t.Errorf("Intersect = %v", got)
-	}
 	if got := a.Union(b); !got.Equal(From("a", "a", "b", "b", "c")) {
 		t.Errorf("Union = %v", got)
 	}
@@ -239,18 +226,6 @@ func TestQuickLaws(t *testing.T) {
 		}
 	})
 
-	t.Run("intersect is lower bound", func(t *testing.T) {
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			a, b := randomMultiset(r), randomMultiset(r)
-			i := a.Intersect(b)
-			return i.SubsetOf(a) && i.SubsetOf(b) && i.Equal(b.Intersect(a))
-		}
-		if err := quick.Check(f, cfg); err != nil {
-			t.Error(err)
-		}
-	})
-
 	t.Run("union is upper bound", func(t *testing.T) {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
@@ -289,7 +264,11 @@ func TestQuickLaws(t *testing.T) {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			a, b := randomMultiset(r), randomMultiset(r)
-			return a.Intersects(b) == !a.Intersect(b).Empty()
+			common := false
+			for _, e := range a.Support() {
+				common = common || b.Contains(e)
+			}
+			return a.Intersects(b) == common
 		}
 		if err := quick.Check(f, cfg); err != nil {
 			t.Error(err)

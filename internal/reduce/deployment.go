@@ -64,18 +64,6 @@ func (d Deployment[D]) Run() (Outcome[D], error) {
 	return Outcome[D]{Result: res, Stats: rec.Stats(), Detectors: dets}, err
 }
 
-// whileUp restricts a detector read to live processes: a crashed process
-// has no output.
-func whileUp[T any](eng *sim.Engine, get func(p sim.PID) (T, bool)) func(p sim.PID) (T, bool) {
-	return func(p sim.PID) (T, bool) {
-		if eng.Crashed(p) {
-			var none T
-			return none, false
-		}
-		return get(p)
-	}
-}
-
 // The four target classes. CheckHSigma and CheckSigma quantify over whole
 // executions (monotonicity, pairwise intersection of every quorum ever
 // output), so HΣ and Σ are sampled into history-keeping Probes;
@@ -84,39 +72,39 @@ func whileUp[T any](eng *sim.Engine, get func(p sim.PID) (T, bool)) func(p sim.P
 
 // JudgeHSigma samples h_quora and h_labels and checks the four HΣ axioms.
 func JudgeHSigma(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.HSigma) func() (fd.Result, error) {
-	quora := fd.NewProbe(eng, len(dets), whileUp(eng, func(p sim.PID) ([]fd.QuorumPair, bool) {
+	quora := fd.NewProbe(eng, len(dets), func(p sim.PID) ([]fd.QuorumPair, bool) {
 		return dets[p].Quora(), true
-	}), fd.QuoraEqual)
-	labels := fd.NewProbe(eng, len(dets), whileUp(eng, func(p sim.PID) ([]fd.Label, bool) {
+	}, fd.QuoraEqual)
+	labels := fd.NewProbe(eng, len(dets), func(p sim.PID) ([]fd.Label, bool) {
 		return dets[p].Labels(), true
-	}), fd.LabelsEqual)
+	}, fd.LabelsEqual)
 	return func() (fd.Result, error) { return fd.CheckHSigma(truth, quora, labels) }
 }
 
 // JudgeSigma samples the emulated Σ quorum once it exists and checks Σ.
 func JudgeSigma(eng *sim.Engine, truth *fd.GroundTruth, dets []*HSigmaToSigma) func() (fd.Result, error) {
-	pr := fd.NewProbe(eng, len(dets), whileUp(eng, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
+	pr := fd.NewProbe(eng, len(dets), func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 		if !dets[p].HasOutput() {
 			return nil, false
 		}
 		return dets[p].TrustedQuorum(), true
-	}), fd.MultisetEqual)
+	}, fd.MultisetEqual)
 	return func() (fd.Result, error) { return fd.CheckSigma(truth, pr) }
 }
 
 // JudgeDiamondHPbar samples h_trusted and checks ◇HP̄.
 func JudgeDiamondHPbar(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.DiamondHPbar) func() (fd.Result, error) {
-	pr := fd.NewStreamProbe(eng, len(dets), whileUp(eng, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
+	pr := fd.NewStreamProbe(eng, len(dets), func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 		return dets[p].Trusted(), true
-	}), fd.MultisetEqual)
+	}, fd.MultisetEqual)
 	return func() (fd.Result, error) { return fd.CheckDiamondHPbar(truth, pr) }
 }
 
 // JudgeHOmega samples (h_leader, h_multiplicity) and checks HΩ.
 func JudgeHOmega(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.HOmega) func() (fd.Result, error) {
-	pr := fd.NewStreamProbe(eng, len(dets), whileUp(eng, func(p sim.PID) (fd.LeaderInfo, bool) {
+	pr := fd.NewStreamProbe(eng, len(dets), func(p sim.PID) (fd.LeaderInfo, bool) {
 		return dets[p].Leader()
-	}), func(a, b fd.LeaderInfo) bool { return a == b })
+	}, func(a, b fd.LeaderInfo) bool { return a == b })
 	return func() (fd.Result, error) { return fd.CheckHOmega(truth, pr) }
 }
 

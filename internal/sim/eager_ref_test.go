@@ -131,12 +131,12 @@ func (e *eagerRef) step() StopReason {
 	case evDeliver:
 		payload := e.takePayload(ev.arg)
 		if e.crashed[pid] {
-			e.record(trace.KindDrop, int(pid), tagOf(payload), "recipient crashed")
+			e.record(trace.KindDrop, int(pid), TagOf(payload), "recipient crashed")
 			break
 		}
 		if e.rec != nil {
 			if e.retain {
-				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: int(pid), MsgTag: tagOf(payload)})
+				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: int(pid), MsgTag: TagOf(payload)})
 			} else {
 				e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: int(pid)})
 			}
@@ -166,7 +166,7 @@ func (e *eagerRef) broadcast(from PID, payload any) {
 		// The tag is computed even for stats-only recorders: the per-tag
 		// broadcast counts (Stats.ByTag) depend on it. tagOf is
 		// allocation-free for Tagger payloads and cached otherwise.
-		tag = tagOf(payload)
+		tag = TagOf(payload)
 		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindBroadcast, PID: int(from), MsgTag: tag})
 	}
 	key := e.nextFanKey()

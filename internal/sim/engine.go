@@ -361,13 +361,6 @@ func (e *Engine) AddProcess(p Process) PID {
 	return PID(len(e.procs) - 1)
 }
 
-// Env returns the environment of process p, mainly so tests and checkers
-// can read Now/ID through the same lens the process does.
-func (e *Engine) Env(p PID) *Env { return e.envs[p] }
-
-// IDs returns the identity assignment.
-func (e *Engine) IDs() ident.Assignment { return e.ids }
-
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -430,6 +423,8 @@ func (e *Engine) Crashed(p PID) bool { return e.crashed[p] }
 
 // EverCrashed reports whether p has crashed at least once, recovered or
 // not.
+//
+//detlint:ignore unreached test support: sim and core tests check the sticky crash flag
 func (e *Engine) EverCrashed(p PID) bool { return e.everCrashed[p] }
 
 // Recoveries returns the number of recover events executed so far.
@@ -493,16 +488,6 @@ func (e *Engine) EventuallyUpSet() []PID {
 	})
 }
 
-// CorrectIDs returns I(Correct), the multiset of identifiers of correct
-// processes.
-func (e *Engine) CorrectIDs() []ident.ID {
-	var out []ident.ID
-	for _, p := range e.CorrectSet() {
-		out = append(out, e.ids[p])
-	}
-	return out
-}
-
 // AfterEvent registers an observer invoked after every processed event,
 // with the then-current virtual time and the process the event concerned
 // (p = -1 for the initial time-0 notification, where every process just
@@ -530,12 +515,16 @@ func (e *Engine) MaxQueueLen() int { return e.maxQueue }
 // one per copy when every broadcast carried a fate table, one per copy per
 // wave for those that did not. It is a deterministic function of the
 // configuration, like every other counter here.
+//
+//detlint:ignore unreached test oracle: the fan-out cost tests pin it
 func (e *Engine) FateEvals() uint64 { return e.fateEvals }
 
 // WaveWords returns how many 8-byte fate-table words delivery waves have
 // loaded so far: at most ⌈n/8⌉ per wave of a broadcast that carries a
 // table, where selecting the wave's copies byte by byte would visit n. Like
 // FateEvals it is a deterministic function of the configuration.
+//
+//detlint:ignore unreached test oracle: the fan-out cost tests pin it
 func (e *Engine) WaveWords() uint64 { return e.waveWords }
 
 // Stopped reports why the most recent Run/RunUntil call returned. Callers
@@ -768,7 +757,7 @@ func (e *Engine) broadcast(from PID, payload any) {
 		// The tag is computed even for stats-only recorders: the per-tag
 		// broadcast counts (Stats.ByTag) depend on it. tagOf is
 		// allocation-free for Tagger payloads and cached otherwise.
-		tag = tagOf(payload)
+		tag = TagOf(payload)
 		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindBroadcast, PID: int(from), MsgTag: tag})
 	}
 	f := fanoutRec{
@@ -918,7 +907,10 @@ func (e *Engine) note(p PID, kind trace.Kind, tag, detail string) {
 // reads are lock-free.
 var tagCache sync.Map // reflect.Type -> string
 
-func tagOf(payload any) string {
+// TagOf is the trace tag of a message payload: its MsgTag when it is a
+// Tagger, otherwise its Go type name ("%T"). Every recorder of broadcasts
+// and deliveries, simulated or live, tags through it.
+func TagOf(payload any) string {
 	if t, ok := payload.(Tagger); ok {
 		return t.MsgTag()
 	}

@@ -93,10 +93,6 @@ func TestCorrectSetExcludesScheduledCrashes(t *testing.T) {
 			t.Fatalf("CorrectSet = %v, want %v", got, want)
 		}
 	}
-	ids := eng.CorrectIDs()
-	if len(ids) != 3 {
-		t.Fatalf("CorrectIDs = %v", ids)
-	}
 }
 
 func TestTimerFires(t *testing.T) {
@@ -330,12 +326,12 @@ func TestEngineAccessors(t *testing.T) {
 	if samples == 0 {
 		t.Error("AfterEvent observer never fired")
 	}
-	if got := eng.IDs().N(); got != 2 {
-		t.Errorf("IDs().N() = %d", got)
+	if got := eng.ids.N(); got != 2 {
+		t.Errorf("ids.N() = %d", got)
 	}
-	env := eng.Env(0)
-	if env.ID() != eng.IDs()[0] || env.PID() != 0 {
-		t.Errorf("Env(0) = id %v pid %v", env.ID(), env.PID())
+	env := eng.envs[0]
+	if env.ID() != eng.ids[0] || env.PID() != 0 {
+		t.Errorf("envs[0] = id %v pid %v", env.ID(), env.PID())
 	}
 	if env.Rand() == nil {
 		t.Error("Rand is nil")
@@ -401,7 +397,7 @@ func TestModuleEnvAccessors(t *testing.T) {
 	probe := &envProbe{}
 	eng.AddProcess(NewNode().Add("m", probe))
 	eng.Run(10)
-	if probe.id != eng.IDs()[0] || probe.pid != 0 || probe.n != 1 || !probe.nOK {
+	if probe.id != eng.ids[0] || probe.pid != 0 || probe.n != 1 || !probe.nOK {
 		t.Errorf("module env saw id=%v pid=%v n=%d ok=%v", probe.id, probe.pid, probe.n, probe.nOK)
 	}
 	if !probe.randOK || probe.now < 0 {
@@ -483,9 +479,6 @@ func TestCorrectSetCrashThenQueryOrdering(t *testing.T) {
 	}
 	if got := len(eng.CorrectSet()); got != 2 {
 		t.Fatalf("final CorrectSet size = %d, want 2", got)
-	}
-	if ids := eng.CorrectIDs(); len(ids) != 2 {
-		t.Fatalf("CorrectIDs = %v", ids)
 	}
 }
 

@@ -725,7 +725,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 		e.crashed[to] = c.down>>(to%64)&1 == 1
 	}
 
-	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, tag: tagOf(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
+	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, tag: TagOf(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
 	k := int32(0)
 	for to, b := range c.table {
 		f.delays.add(b)

@@ -126,7 +126,7 @@ func TestSyncCrashPartialBroadcast(t *testing.T) {
 	n := 30
 	eng, procs := runLockstep(t, ident.Unique(n), 7, 1, []stepCrash{{pid: 0, step: 1, prob: 0.5}})
 	withCopy, withoutCopy := 0, 0
-	crashedID := eng.IDs()[0]
+	crashedID := eng.ids[0]
 	for i := 1; i < n; i++ {
 		if slices.Contains(procs[i].perStep[0], crashedID) {
 			withCopy++

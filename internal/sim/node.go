@@ -79,7 +79,7 @@ type envelope struct {
 }
 
 // MsgTag implements Tagger, preserving the inner payload's tag.
-func (e envelope) MsgTag() string { return tagOf(e.Payload) }
+func (e envelope) MsgTag() string { return TagOf(e.Payload) }
 
 // Init implements Process.
 func (n *Node) Init(env Environment) {

@@ -214,7 +214,7 @@ func (m *armMod) OnTimer(tag int) {
 		m.env.Broadcast(armMsg{N: m.count})
 	case armPeer:
 		peer := PID((int(pid) + 1 + m.count) % len(m.eng.procs))
-		m.eng.Env(peer).SetTimer(Time(m.count%4), 1+m.count%5)
+		m.eng.envs[peer].SetTimer(Time(m.count%4), 1+m.count%5)
 		m.stats.peerArms++
 		m.env.SetTimer(m.period, 0)
 	}

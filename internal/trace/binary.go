@@ -122,7 +122,7 @@ func pidBloomBits(pid int) uint64 {
 }
 
 // BinarySink streams spilled batches in the binary format. Create with
-// NewBinarySink, attach via NewSpillRecorder or Recorder.SetSink, and call
+// NewBinarySink, attach via NewSpillRecorder, and call
 // Recorder.Flush after the run — Flush finalizes the stream (writes the
 // end-of-events marker, the index and the trailer), so it must come after
 // the last event. Decode the result with BinaryReader, ReadBinary, or —
@@ -334,6 +334,8 @@ func (s *BinarySink) Flush() error {
 
 // ReadBinary decodes a whole binary trace into memory. Large traces should
 // stream through BinaryReader.Next instead.
+//
+//detlint:ignore unreached test support: trace, sim and hruntime tests decode whole traces with it
 func ReadBinary(r io.Reader) ([]Event, error) {
 	d, err := NewBinaryReader(r)
 	if err != nil {

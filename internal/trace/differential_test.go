@@ -28,11 +28,20 @@ type decoded struct {
 type eventSource interface {
 	Next() (Event, error)
 	Meta() *Meta
-	Index() *Index
 }
 
-func (d *refReader) Meta() *Meta   { return d.meta }
-func (d *refReader) Index() *Index { return d.index }
+func (d *refReader) Meta() *Meta { return d.meta }
+
+// indexOf reads the frame index either reader holds after io.EOF.
+func indexOf(src eventSource) *Index {
+	switch d := src.(type) {
+	case *BinaryReader:
+		return d.index
+	case *refReader:
+		return d.index
+	}
+	panic(fmt.Sprintf("eventSource of type %T", src))
+}
 
 // drainAll runs src to its first error. A constructor error (src nil)
 // counts as the final error of an empty pass.
@@ -47,7 +56,7 @@ func drainAll(src eventSource, err error) decoded {
 			}
 			out.events = append(out.events, e)
 		}
-		out.index = src.Index()
+		out.index = indexOf(src)
 	}
 	out.err, out.format = err.Error(), errors.Is(err, ErrBinaryTrace)
 	return out
@@ -142,7 +151,7 @@ func batchesAgainstNext(t testing.TB, data []byte, window, slabSize int, want de
 			}
 			got.events = append(got.events, slab[:n]...)
 		}
-		got.index = r.Index()
+		got.index = r.index
 	}
 	got.err, got.format = err.Error(), errors.Is(err, ErrBinaryTrace)
 	if d := got.diff(want); d != "" {

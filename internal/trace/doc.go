@@ -15,7 +15,7 @@
 //     concatenates chunks plus the staging tail in recording order. Unlike
 //     a grow-forever append slice, previously recorded events are never
 //     re-copied.
-//   - streaming mode (SetSink / NewSpillRecorder): the batch is handed to
+//   - streaming mode (NewSpillRecorder): the batch is handed to
 //     a caller-provided Sink and never retained, so a trace of any length
 //     records in constant memory. The hand-off is pipelined: each full
 //     batch is spilled on a background goroutine (sweep.Background) while

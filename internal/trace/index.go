@@ -35,6 +35,8 @@ type Frame struct {
 
 // MayHavePID reports whether the frame may contain events for pid; false
 // is definitive, true may be a bloom collision.
+//
+//detlint:ignore unreached test oracle: the only reader of the index's bloom, held by the index tests
 func (f Frame) MayHavePID(pid int) bool {
 	b := pidBloomBits(pid)
 	return f.PIDBloom&b == b
@@ -50,19 +52,21 @@ type Index struct {
 	TotalDigest uint64
 }
 
-// FrameForTime returns the index of the last frame starting at or before
-// t — for traces recorded in engine pop order (monotone time), the frame
-// where events at time t begin. It returns 0 when every frame starts
-// later, and -1 for an empty index.
+// FrameForTime returns the frame where events at time t begin, for traces
+// recorded in engine pop order (monotone time): the frame before the first
+// one starting at or after t. A delivery wave records many events at one
+// instant, so several frames can start at t, and the events at t may begin
+// in the tail of the frame before them; reading forward from the returned
+// frame meets every event at t. It returns 0 when no earlier frame exists,
+// and -1 for an empty index.
+//
+//detlint:ignore unreached pinned by bench/layerprobe, a separate module detlint does not load
 func (ix *Index) FrameForTime(t int64) int {
-	i := sort.Search(len(ix.Frames), func(i int) bool { return ix.Frames[i].Start > t })
-	if i == 0 {
-		if len(ix.Frames) == 0 {
-			return -1
-		}
-		return 0
+	if len(ix.Frames) == 0 {
+		return -1
 	}
-	return i - 1
+	i := sort.Search(len(ix.Frames), func(i int) bool { return ix.Frames[i].Start >= t })
+	return max(i-1, 0)
 }
 
 // parseIndex decodes the index section (frame directory through total

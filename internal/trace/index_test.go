@@ -112,7 +112,7 @@ func TestBinaryIndex(t *testing.T) {
 	if err := Drain(d, func(Event) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	sIx := d.Index()
+	sIx := d.index
 	if sIx == nil {
 		t.Fatal("streaming reader has no index after EOF")
 	}
@@ -173,6 +173,9 @@ func TestBinaryIndex(t *testing.T) {
 }
 
 // TestIndexFrameForTime pins the seek primitive over a monotone trace.
+// Frames start at 0, 1000 and 2000; at a frame's own start time the seek
+// lands one frame earlier, because the index alone cannot rule out events
+// at that time in the previous frame's tail.
 func TestIndexFrameForTime(t *testing.T) {
 	events := make([]Event, 300)
 	for i := range events {
@@ -187,7 +190,7 @@ func TestIndexFrameForTime(t *testing.T) {
 	for _, tc := range []struct {
 		t    int64
 		want int
-	}{{-5, 0}, {0, 0}, {999, 0}, {1000, 1}, {1500, 1}, {2000, 2}, {1 << 40, 2}} {
+	}{{-5, 0}, {0, 0}, {999, 0}, {1000, 0}, {1001, 1}, {1500, 1}, {2000, 1}, {2001, 2}, {1 << 40, 2}} {
 		if got := ix.FrameForTime(tc.t); got != tc.want {
 			t.Errorf("FrameForTime(%d) = %d, want %d", tc.t, got, tc.want)
 		}
@@ -209,6 +212,53 @@ func TestIndexFrameForTime(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("event at t=%d not found in its indexed frame", target)
+	}
+}
+
+// TestIndexFrameForTimeTied seeks a time whose events span a frame
+// boundary, as a delivery wave's do: 100 events at t=1500 fill the tail of
+// frame 1 and the head of frame 2. Decoding forward from the returned
+// frame must meet all of them.
+func TestIndexFrameForTimeTied(t *testing.T) {
+	const stride, tied = 100, int64(1500)
+	events := make([]Event, 400)
+	for i := range events {
+		switch {
+		case i < 150:
+			events[i].Time = int64(i * 10)
+		case i < 250:
+			events[i].Time = tied
+		default:
+			events[i].Time = tied + int64(i-249)*10
+		}
+		events[i].Kind, events[i].PID, events[i].Detail = KindNote, i%5, "x"
+	}
+	bin := encodeV2(t, events, stride, nil)
+	tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := tf.Index()
+	if ix.Frames[2].Start != tied {
+		t.Fatalf("frame 2 starts at %d, want the tied time %d", ix.Frames[2].Start, tied)
+	}
+	at := 0
+	for i := ix.FrameForTime(tied); i < len(ix.Frames); i++ {
+		fr, err := tf.OpenFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Drain(fr, func(e Event) error {
+			if e.Time == tied {
+				at++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at != 100 {
+		t.Fatalf("decoding forward from FrameForTime(%d) = %d met %d events at that time, want 100", tied, ix.FrameForTime(tied), at)
 	}
 }
 

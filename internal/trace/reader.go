@@ -159,7 +159,7 @@ func uvarintMulti(b []byte, p int) (uint64, int) {
 type BinaryReader struct {
 	w       window
 	meta    *Meta
-	index   *Index
+	index   *Index // set once Next returns io.EOF; frame sections have none
 	strs    []string
 	lastT   int64
 	counted uint64
@@ -219,11 +219,6 @@ func newBinaryReader(r io.Reader, size int) (*BinaryReader, error) {
 // Meta returns the stream's scenario fingerprint, or nil for a stream
 // written without one.
 func (d *BinaryReader) Meta() *Meta { return d.meta }
-
-// Index returns the stream's frame index. It is available only after
-// Next returned io.EOF (the index trails the events); frame sections have
-// none.
-func (d *BinaryReader) Index() *Index { return d.index }
 
 // Next implements EventSource: it returns the next event, io.EOF at a
 // clean end of stream, and an error wrapping ErrBinaryTrace for any

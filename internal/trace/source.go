@@ -19,6 +19,8 @@ type SliceSource struct {
 }
 
 // NewSliceSource wraps evs; the slice is read, not copied or mutated.
+//
+//detlint:ignore unreached test support: trace and replay tests feed in-memory events through it
 func NewSliceSource(evs []Event) *SliceSource { return &SliceSource{evs: evs} }
 
 // Next implements EventSource.
