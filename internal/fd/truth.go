@@ -116,17 +116,17 @@ func newGroundTruth(ids ident.Assignment, down map[sim.PID][]Interval) *GroundTr
 // derive precomputes the execution-constant views; it runs once from the
 // constructors.
 func (g *GroundTruth) derive() {
-	g.correct = g.correct[:0]
-	g.eventuallyUp = g.eventuallyUp[:0]
-	for p := 0; p < g.IDs.N(); p++ {
+	n := g.IDs.N()
+	g.correct, g.eventuallyUp = nil, nil
+	for p := 0; p < n; p++ {
 		ivs := g.Down[sim.PID(p)]
 		if len(ivs) == 0 {
-			g.correct = append(g.correct, sim.PID(p))
-			g.eventuallyUp = append(g.eventuallyUp, sim.PID(p))
+			g.correct = appendPID(g.correct, p, n)
+			g.eventuallyUp = appendPID(g.eventuallyUp, p, n)
 			continue
 		}
 		if ivs[len(ivs)-1].To != Forever {
-			g.eventuallyUp = append(g.eventuallyUp, sim.PID(p))
+			g.eventuallyUp = appendPID(g.eventuallyUp, p, n)
 		}
 	}
 	g.euIDs = multiset.New[ident.ID]()
@@ -138,6 +138,18 @@ func (g *GroundTruth) derive() {
 	} else {
 		g.leader, g.leaderOK = LeaderInfo{}, false
 	}
+}
+
+// appendPID appends process p of n to s. Nearly every process is correct
+// and eventually up, so s is allocated once, at its first element, with
+// room for all the processes from p on, as sim.Engine.pidsWhere does —
+// grown by doubling, the two slices of a 50,000-process run allocate 3.6 MB
+// to keep 0.8 MB.
+func appendPID(s []sim.PID, p, n int) []sim.PID {
+	if s == nil {
+		s = make([]sim.PID, 0, n-p)
+	}
+	return append(s, sim.PID(p))
 }
 
 // Correct returns the indexes of processes that never crash. The slice is

@@ -208,3 +208,28 @@ func samePIDList(a, b []sim.PID) bool {
 	}
 	return true
 }
+
+// TestGroundTruthDeriveAllocs pins derive to one allocation per process
+// list at n = 10,000 with 5 % of the processes crashing and 5 % churning:
+// grown by append, the two lists took 43 allocations and over four times
+// the bytes they keep. What remains is the eventually-up identifier
+// multiset, a handful for ten identifiers.
+func TestGroundTruthDeriveAllocs(t *testing.T) {
+	const n = 10_000
+	var evs []sim.ChurnEvent
+	for p := sim.PID(0); p < n; p += 20 {
+		evs = append(evs, sim.ChurnEvent{P: p, At: 10}, sim.ChurnEvent{P: p + 1, At: 10}, sim.ChurnEvent{P: p + 1, At: 20, Recover: true})
+	}
+	g := NewGroundTruthFromChurn(ident.Balanced(n, 10), evs)
+	if len(g.Correct()) != n-n/10 || len(g.EventuallyUp()) != n-n/20 {
+		t.Fatalf("%d correct, %d eventually up, want %d and %d", len(g.Correct()), len(g.EventuallyUp()), n-n/10, n-n/20)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		g.correct, g.eventuallyUp = nil, nil // as the constructors leave them
+		g.derive()
+	})
+	t.Logf("derive: %.0f allocations", allocs)
+	if allocs > 8 {
+		t.Errorf("derive made %.0f allocations at n = %d, want <= 8 (one per process list, the rest for the identifier multiset)", allocs, n)
+	}
+}

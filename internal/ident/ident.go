@@ -78,15 +78,21 @@ func AnonymousN(n int) Assignment {
 }
 
 // Balanced returns a homonymous assignment with ℓ distinct identifiers
-// g01..gℓ spread as evenly as possible over n processes. It panics if
-// ℓ < 1 or ℓ > n, which are programming errors in experiment setup.
+// g001..gℓ (three digits at least) spread as evenly as possible over n
+// processes: process i carries identifier i mod ℓ + 1. The ℓ strings are
+// formatted once. It panics if ℓ < 1 or ℓ > n, which are programming
+// errors in experiment setup.
 func Balanced(n, l int) Assignment {
 	if l < 1 || l > n {
 		panic(fmt.Sprintf("ident: Balanced(%d, %d): need 1 <= l <= n", n, l))
 	}
+	names := make([]ID, l)
+	for j := range names {
+		names[j] = ID(fmt.Sprintf("g%03d", j+1))
+	}
 	a := make(Assignment, n)
 	for i := range a {
-		a[i] = ID(fmt.Sprintf("g%03d", i%l+1))
+		a[i] = names[i%l]
 	}
 	return a
 }

@@ -168,3 +168,26 @@ func TestQuickIdentityInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBalancedFormatsOnce pins Balanced's identifiers — g001..gℓ, process
+// i carrying the (i mod ℓ + 1)-th — and that it formats each of the ℓ
+// strings once, not once per process: at n = 10,000 and ℓ = 10 it makes a
+// few dozen allocations where a Sprintf per process made 10,000.
+func TestBalancedFormatsOnce(t *testing.T) {
+	const n, l = 10_000, 10
+	a := Balanced(n, l)
+	for _, c := range []struct {
+		i    int
+		want ID
+	}{{0, "g001"}, {9, "g010"}, {10, "g001"}, {n - 1, "g010"}} {
+		if a[c.i] != c.want {
+			t.Errorf("Balanced(%d, %d)[%d] = %q, want %q", n, l, c.i, a[c.i], c.want)
+		}
+	}
+	if got := Balanced(1000, 1000)[999]; got != "g1000" {
+		t.Errorf("Balanced(1000, 1000)[999] = %q, want g1000", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Balanced(n, l) }); allocs > 3*l+2 {
+		t.Errorf("Balanced(%d, %d) made %.0f allocations, want <= %d", n, l, allocs, 3*l+2)
+	}
+}

@@ -46,14 +46,19 @@
 //     fan-out tests compare every trace byte with. The queue high-water
 //     mark (MaxQueueLen) therefore tracks live broadcasts, not n² copies
 //     in flight;
-//   - every copy's fate is computed once, by the send-time scan, which
-//     writes it into a per-broadcast fate table of one byte per recipient
-//     and notes which delays occur; a wave knows its successor from that
-//     set and picks its own copies out of the table eight recipients per
-//     load, with byte masks and popcounts instead of a compare per byte
-//     (WaveWords counts the loads). The tables of all in-flight broadcasts
-//     are held to a fixed budget, past which a broadcast recomputes its
-//     fates per wave instead (see fanout.go);
+//   - every copy's fate is decided by the send-time scan, which codes it
+//     into a per-broadcast fate table of half a byte per recipient and
+//     notes which codes occur; a wave knows its successor from that set
+//     and picks its own copies out of the table sixteen recipients per
+//     load, with nibble masks and popcounts instead of a compare per
+//     recipient (WaveWords counts the loads). A code holds 13 delays; a
+//     broadcast whose delays run past them is recoded once those waves
+//     are done, recomputing only the later copies' fates. Under Async and
+//     PartialSync, the HAS and HPS models, the scan draws each delay with
+//     the copy's stream in a local Fate rather than through the Model
+//     interface. The tables of all in-flight broadcasts are held to a
+//     fixed budget, past which a broadcast recomputes its fates per wave
+//     instead (see fanout.go);
 //   - a fired timer is re-armed in place: its entry stays at the heap root
 //     while the handler runs, and the process's first SetTimer rewrites
 //     it and sifts it down once — one heap pass per heartbeat tick where a

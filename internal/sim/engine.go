@@ -207,19 +207,22 @@ type Engine struct {
 	// Fan-out state (fanout.go). fate is the engine's one reusable
 	// per-copy fate stream; fanouts/freeFans the table of in-flight
 	// broadcasts and its freelist; bcasts keys fate streams; perLink/linkNet
-	// cache the Net's LinkModel assertion for the per-copy hot path.
+	// cache the Net's LinkModel assertion for the per-copy hot path, and
+	// uniform holds the Net when it is Async or PartialSync, whose copies
+	// the scan may draw itself (uniformLaw).
 	fate     Fate
 	fanouts  []fanoutRec
 	freeFans []int32
 	bcasts   uint64
 	perLink  bool
 	linkNet  LinkModel
+	uniform  uniformModel
 	// Fate tables (fanout.go): freeFates is their freelist, fateBytes the
 	// bytes handed out to in-flight broadcasts right now, fateBudget the
 	// bound on it (fateTableBudget; a field only so tests can force the
 	// rescan fallback). fateEvals counts copyFate calls, waveWords the
 	// table words waves loaded.
-	freeFates  [][]byte
+	freeFates  [][]uint64
 	fateBytes  int
 	fateBudget int
 	fateEvals  uint64
@@ -342,6 +345,10 @@ func New(cfg Config) *Engine {
 		fateBudget:  fateTableBudget,
 	}
 	e.linkNet, e.perLink = cfg.Net.(LinkModel)
+	switch cfg.Net.(type) {
+	case Async, PartialSync:
+		e.uniform = cfg.Net.(uniformModel)
+	}
 	return e
 }
 
@@ -520,8 +527,8 @@ func (e *Engine) MaxQueueLen() int { return e.maxQueue }
 func (e *Engine) FateEvals() uint64 { return e.fateEvals }
 
 // WaveWords returns how many 8-byte fate-table words delivery waves have
-// loaded so far: at most ⌈n/8⌉ per wave of a broadcast that carries a
-// table, where selecting the wave's copies byte by byte would visit n. Like
+// loaded so far: at most ⌈n/16⌉ per wave of a broadcast that carries a
+// table, where selecting the wave's copies one by one would visit n. Like
 // FateEvals it is a deterministic function of the configuration.
 //
 //detlint:ignore unreached test oracle: the fan-out cost tests pin it

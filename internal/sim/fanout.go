@@ -36,26 +36,32 @@ package sim
 // reference (eager_ref_test.go), and the fan-out tests hold every trace
 // byte and every seq to it.
 //
-// Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is the
-// only place a fate is computed — plus Θ(n/8 · waves) word loads, where
-// waves is the number of distinct delay values the model produces (bounded
-// by the delay range, e.g. ≤ 10 for Async{MaxDelay: 10} — independent of
-// n). The scan writes each fate into a per-broadcast fate table, one byte
-// per recipient, and notes in the record which byte values occur (a
-// 256-bit set, nothing per recipient). A wave therefore knows its
-// successor's delay before it starts, and selects its own copies from the
-// table eight recipients per load: an exact equal-byte mask picks them, a
-// running popcount of the non-zero bytes gives each its reserved seq, and
-// a word with no match costs one test (deliverWaveWords; Engine.WaveWords
-// counts the loads). Only what a byte cannot say is left to a
-// per-recipient loop (deliverWaveFates): the waves of delay ≥ fateLate,
-// which recompute the fateLate entries' fates, and the waves of a
-// broadcast without a table. Memory per in-flight broadcast is one queue
-// entry, one fanout record and Θ(n) table bytes, the last only while the
-// engine's live tables stay under fateTableBudget: a broadcast sent over
-// budget carries no table and its waves rescan — Θ(n · waves) fate
-// evaluations, no bytes — so however many broadcasts are in flight,
-// population size is never a memory dimension beyond that fixed budget.
+// Cost: a broadcast is Θ(n) fate evaluations — the send-time scan is where
+// a fate is decided — plus Θ(n/16 · waves) word loads, where waves is the
+// number of distinct delay values the model produces (bounded by the delay
+// range, e.g. ≤ 10 for Async{MaxDelay: 10} — independent of n). The scan
+// codes each fate into a per-broadcast fate table, half a byte per
+// recipient, and notes in the record which codes occur (a 16-bit set,
+// nothing per recipient). A wave therefore knows its successor's delay
+// before it starts, and selects its own copies from the table sixteen
+// recipients per load: an exact equal-nibble mask picks them, a running
+// popcount of the non-zero nibbles gives each its reserved seq, and a word
+// with no match costs one test (deliverWaveWords; Engine.WaveWords counts
+// the loads). A code holds 13 delays past the table's base; when those
+// waves are done and later copies remain, one pass over the table
+// (rebase) recodes it from the shortest remaining delay, computing only
+// those copies' fates again — one more evaluation each. For the paper's
+// timing models, Async and PartialSync, every copy's fate is a uniform
+// delay and nothing else (uniformLaw), and the scan and the rebase draw it
+// with the stream in a local Fate; every other model, and a sender
+// crashing mid-broadcast, goes through copyFate and the Model interface.
+// Memory per in-flight broadcast is one queue entry, one fanout record and
+// Θ(n/2) table bytes, the last only while the engine's live tables stay
+// under fateTableBudget: a broadcast sent over budget carries no table and
+// its waves rescan recipient by recipient (deliverWaveFates) — Θ(n ·
+// waves) fate evaluations, no bytes — so however many broadcasts are in
+// flight, population size is never a memory dimension beyond that fixed
+// budget.
 //
 // Deliveries and drops — recipient-crashed ones in a wave, lost and
 // partial-crash ones in the send-time scan — are counted in plain ints
@@ -65,7 +71,6 @@ package sim
 // lag inside an AfterEvent hook.
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/trace"
@@ -126,43 +131,40 @@ func (e *Engine) copyFate(key uint64, sent Time, from int32, partial bool, prob 
 	return d, fateDeliver
 }
 
-// A fate table holds one byte per recipient of one in-flight broadcast,
-// written by fanoutScan and read by every wave: fateNone for a recipient
-// that gets no copy (lost, or dropped by the sender's partial crash), the
-// fate delay itself when it is below fateLate, and fateLate for any longer
-// delay, which the wave recomputes through copyFate (pure, so the answer is
-// the one the scan saw).
+// A fate table holds one half-byte code (nibble) per recipient of one
+// in-flight broadcast, sixteen recipients to a word, written by fanoutScan
+// and read by every wave. A code says where the copy's fate delay lies
+// against the record's base:
+//
+//	0      no copy (lost, or dropped by the sender's partial crash)
+//	1..13  a copy of delay base+code
+//	14     a copy delivered in an earlier range
+//	15     a late copy: its delay is past base+13
+//
+// base starts at 0. Once the waves of codes 1..13 are done and late copies
+// remain, rebase recodes the table against the shortest late delay; only
+// the late copies' fates are computed again (pure, so the answers are the
+// ones the scan saw).
 const (
-	fateNone = 0
-	fateLate = 255
+	codeNone = 0
+	codeMax  = 13
+	codeDone = 14
+	codeLate = 15
 	// fateTableBudget bounds the table bytes live in one engine at any
 	// instant. It covers the largest checked-in scenario (n = 50,000 with
-	// 100 broadcasts in flight: 4.8 MiB); beyond it broadcasts go without a
-	// table, so a dense run at n = 20,000 cannot allocate n² bytes.
+	// 100 broadcasts in flight: 2.4 MiB); beyond it broadcasts go without a
+	// table, so a dense run at n = 20,000 cannot allocate n²/2 bytes.
 	fateTableBudget = 8 << 20
 )
 
-// delaySet is the set of byte values a broadcast's fate table holds: which
-// waves the broadcast has, in 32 bytes whatever the population.
-type delaySet [4]uint64
-
-func (s *delaySet) add(b byte) { s[b>>6] |= 1 << (b & 63) }
-
-// after returns the smallest member above b, or 0 (fateNone, never a
-// wave) when there is none.
-func (s *delaySet) after(b byte) byte {
-	for v := int(b) + 1; v < 256; v = (v | 63) + 1 {
-		if w := s[v>>6] >> (v & 63); w != 0 {
-			return byte(v + bits.TrailingZeros64(w))
-		}
-	}
-	return 0
-}
+// tableWords is the length of a fate table for n recipients.
+func tableWords(n int) int { return (n + 15) / 16 }
 
 // fanoutRec is everything the engine holds for one in-flight broadcast.
-// The fields down to lateK are fixed at broadcast time; delay/resumeI
-// advance as waves complete. Records are recycled through a freelist, so at
-// steady state broadcasting allocates nothing here.
+// The fields down to fates are fixed at broadcast time; base/codes/
+// lateDelay/lateK change when the table is rebased, delay/resumeI as waves
+// complete. Records are recycled through a freelist, so at steady state
+// broadcasting allocates nothing here.
 type fanoutRec struct {
 	key     uint64  // fate-stream key (nextFanKey)
 	baseSeq uint64  // first seq of the reserved copy-seq interval
@@ -177,13 +179,15 @@ type fanoutRec struct {
 	tag string
 	// fates is the broadcast's fate table, nil when it was sent over
 	// budget: its waves then recompute every fate.
-	fates []byte
-	// delays is the set of bytes in the fate table, so a wave names its
-	// successor without searching for it.
-	delays delaySet
-	// lateDelay is the shortest fate delay a table byte cannot hold (0 when
-	// every delay fits) and lateK the scheduled index of the first copy
-	// carrying it: the wave that follows the last in-range one.
+	fates []uint64
+	// base is the delay the table's codes 1..13 count from.
+	base Time
+	// codes is the set of codes 1..13 and codeLate the table holds, bit c
+	// for code c, so a wave names its successor without searching for it.
+	codes uint16
+	// lateDelay is the shortest fate delay of a late copy (0 when there is
+	// none) and lateK the scheduled index of the first copy carrying it:
+	// the wave that follows the last one in range, and the next rebase.
 	lateDelay Time
 	lateK     int32
 	// delay is the current wave: copies whose fate delay equals it are
@@ -196,27 +200,28 @@ type fanoutRec struct {
 
 // allocFates hands out a fate table for a broadcast about to be scanned,
 // or nil when another table would take the engine's live table bytes over
-// the budget. Tables all have one length, n, and are recycled through a
-// freelist: a new one is allocated only when the freelist is empty, so
-// live plus free bytes never exceed the budget either, and at steady state
-// broadcasting allocates nothing here.
-func (e *Engine) allocFates() []byte {
-	n := len(e.procs)
-	if e.fateBytes+n > e.fateBudget {
+// the budget. Tables all have one length, ⌈n/16⌉ words, and are recycled
+// through a freelist: a new one is allocated only when the freelist is
+// empty, so live plus free bytes never exceed the budget either, and at
+// steady state broadcasting allocates nothing here. The scan overwrites
+// every word of a recycled table.
+func (e *Engine) allocFates() []uint64 {
+	words := tableWords(len(e.procs))
+	if e.fateBytes+8*words > e.fateBudget {
 		return nil
 	}
-	e.fateBytes += n
+	e.fateBytes += 8 * words
 	if k := len(e.freeFates); k > 0 {
 		tab := e.freeFates[k-1]
 		e.freeFates = e.freeFates[:k-1]
 		return tab
 	}
-	return make([]byte, n)
+	return make([]uint64, words)
 }
 
-func (e *Engine) freeFateTable(tab []byte) {
+func (e *Engine) freeFateTable(tab []uint64) {
 	if tab != nil {
-		e.fateBytes -= len(tab)
+		e.fateBytes -= 8 * len(tab)
 		e.freeFates = append(e.freeFates, tab)
 	}
 }
@@ -238,6 +243,61 @@ func (e *Engine) freeFanout(idx int32) {
 	e.freeFans = append(e.freeFans, idx)
 }
 
+// uniformLaw reports whether every copy of broadcast f draws its delay as
+// lo + Int63n(span) and makes no other draw, and the bounds if so: the
+// network is one of the paper's two timing models (Engine.uniform), its
+// bounds say so at f.sent, and the sender is not crashing mid-broadcast,
+// which would draw each copy's survival first. The scan and the rebase then
+// draw such a copy's delay themselves, with the stream in a local Fate,
+// instead of going through copyFate and the Model interface; copyFate
+// stays the reference they must agree with.
+func (e *Engine) uniformLaw(f *fanoutRec) (lo Time, span int64, ok bool) {
+	if e.uniform == nil || f.partial {
+		return 0, 0, false
+	}
+	return e.uniform.bounds(f.sent)
+}
+
+// tableCoder accumulates what a send-time scan learns about a broadcast's
+// scheduled copies: the words of its fate table (tab, nil for none; last is
+// the last recipient) and the record's summary of them. A word is built in
+// a register and stored once, when its last recipient is done.
+type tableCoder struct {
+	tab                 []uint64
+	last                int
+	word                uint64
+	codes               uint16
+	minDelay, lateDelay Time
+	firstK, lateK       int32
+}
+
+// add codes the copy for recipient to, with scheduled index k and fate
+// delay d, against base 0.
+func (c *tableCoder) add(to int, k int32, d Time) {
+	if c.minDelay == 0 || d < c.minDelay {
+		c.minDelay, c.firstK = d, k
+	}
+	code := uint64(codeLate)
+	if d <= codeMax {
+		code = uint64(d)
+	} else if c.lateDelay == 0 || d < c.lateDelay {
+		c.lateDelay, c.lateK = d, k
+	}
+	c.codes |= 1 << code
+	c.word |= code << (4 * (to & 15))
+}
+
+// done ends recipient to, coded or not (codeNone): the last of a word
+// stores it.
+func (c *tableCoder) done(to int) {
+	if to&15 == 15 || to == c.last {
+		if c.tab != nil {
+			c.tab[to>>4] = c.word
+		}
+		c.word = 0
+	}
+}
+
 // fanoutScan walks the recipients of the broadcast f describes (key, sent,
 // from, partial, prob, fates) once at send time: it records the
 // loss/partial-crash drop traces (at the broadcast instant, in recipient
@@ -245,49 +305,40 @@ func (e *Engine) freeFanout(idx int32) {
 // scheduled copies, and finds the first wave
 // — the minimum fate delay, stored in f.delay, and the scheduled index of
 // the first copy carrying it. It is the one place a copy's fate is decided:
-// every fate is written into f.fates (unless the broadcast got none) and
-// summarized in f.delays/lateDelay/lateK, and the waves read those back.
+// every fate is coded into f.fates (unless the broadcast got none) and
+// summarized in f.codes/lateDelay/lateK, and the waves read those back.
 func (e *Engine) fanoutScan(f *fanoutRec) (scheduled int, firstK int32) {
-	var delays delaySet
-	var low uint64 // the set's bytes below 64, in a register until the end
-	var minDelay, lateDelay Time
-	var lateK int32
-	for to := range e.procs {
-		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
-		b := byte(fateNone)
-		switch {
-		case st != fateDeliver && !e.retain:
-			e.tally.dropped++
-		case st == fatePartialDrop:
-			e.record(trace.KindDrop, to, f.tag, "sender crashed mid-broadcast")
-		case st == fateLost:
-			e.record(trace.KindDrop, to, f.tag, "lost")
-		default:
-			if minDelay == 0 || d < minDelay {
-				minDelay, firstK = d, int32(scheduled)
-			}
-			if d < fateLate {
-				b = byte(d)
-			} else {
-				b = fateLate
-				if lateDelay == 0 || d < lateDelay {
-					lateDelay, lateK = d, int32(scheduled)
-				}
-			}
-			scheduled++
+	c := tableCoder{tab: f.fates, last: len(e.procs) - 1}
+	if lo, span, ok := e.uniformLaw(f); ok {
+		// Every copy is scheduled; draw each delay here (uniformLaw).
+		n := len(e.procs)
+		e.fateEvals += uint64(n)
+		var r Fate
+		for to := 0; to < n; to++ {
+			r.src.state = fateSeed(f.key, to)
+			c.add(to, int32(to), lo+Time(r.Int63n(span)))
+			c.done(to)
 		}
-		if b < 64 {
-			low |= 1 << b
-		} else {
-			delays.add(b)
-		}
-		if f.fates != nil {
-			f.fates[to] = b
+		scheduled = n
+	} else {
+		for to := range e.procs {
+			d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			switch {
+			case st != fateDeliver && !e.retain:
+				e.tally.dropped++
+			case st == fatePartialDrop:
+				e.record(trace.KindDrop, to, f.tag, "sender crashed mid-broadcast")
+			case st == fateLost:
+				e.record(trace.KindDrop, to, f.tag, "lost")
+			default:
+				c.add(to, int32(scheduled), d)
+				scheduled++
+			}
+			c.done(to)
 		}
 	}
-	delays[0] |= low
-	f.delay, f.delays, f.lateDelay, f.lateK = minDelay, delays, lateDelay, lateK
-	return scheduled, firstK
+	f.delay, f.codes, f.lateDelay, f.lateK = c.minDelay, c.codes, c.lateDelay, c.lateK
+	return scheduled, c.firstK
 }
 
 // deliverWave pops one wave of a broadcast: every copy whose fate
@@ -295,15 +346,15 @@ func (e *Engine) fanoutScan(f *fanoutRec) (scheduled int, firstK int32) {
 // with its reserved seq; the entry is then re-pushed at the next wave's
 // time, or the record retires. Mid-wave stops (the MaxEvents guard, a
 // RunUntil predicate) re-push the entry keyed by the seq of the first
-// undelivered copy, so a later Run resumes with that copy. A wave whose
-// delay a table byte holds is selected from the table a word at a time;
-// any other goes recipient by recipient.
+// undelivered copy, so a later Run resumes with that copy. A broadcast
+// with a fate table selects each wave from it a word at a time; one
+// without goes recipient by recipient.
 //
 // The record is copied up front: a delivered process may broadcast,
 // growing e.fanouts and invalidating any held pointer into it.
 func (e *Engine) deliverWave(ev event) StopReason {
 	f := e.fanouts[ev.arg]
-	if f.fates != nil && f.delay < fateLate {
+	if f.fates != nil {
 		return e.deliverWaveWords(ev, f)
 	}
 	return e.deliverWaveFates(ev, f)
@@ -320,72 +371,74 @@ func (e *Engine) flushTally() {
 }
 
 const (
-	byteOnes = 0x0101010101010101 // times b: b in every byte
-	byteLow7 = 0x7F7F7F7F7F7F7F7F
-	byteHigh = 0x8080808080808080
+	nibOnes = 0x1111111111111111 // times c: c in every nibble
+	nibLow3 = 0x7777777777777777
+	nibHigh = 0x8888888888888888
 )
 
-// nonzeroBytes returns the top bit of every byte of x that is not zero, and
-// of no other: the low seven bits of a byte carry into its top bit exactly
-// when one of them is set, and never beyond it. (The shorter
-// (x-byteOnes)&^x test is exact only up to the first zero byte: its borrow
-// flags the byte 0x01 that follows one.)
-func nonzeroBytes(x uint64) uint64 {
-	return ((x&byteLow7 + byteLow7) | x) & byteHigh
+// nonzeroNibbles returns the top bit of every nibble of x that is not zero,
+// and of no other: the low three bits of a nibble carry into its top bit
+// exactly when one of them is set, and never beyond it. (The shorter
+// (x-nibOnes)&^x test is exact only up to the first zero nibble: its
+// borrow flags the nibble 1 that follows one.)
+func nonzeroNibbles(x uint64) uint64 {
+	return ((x&nibLow3 + nibLow3) | x) & nibHigh
 }
 
-// deliverWaveWords delivers the wave f.delay < fateLate of a broadcast with
-// a fate table, eight table bytes per load. With nz the non-zero bytes of a
-// word — its scheduled copies — the wave's copies are the bytes equal to
-// the delay, the copy at byte j has scheduled index (copies in earlier
-// words) + popcount(nz below j), and a word holding none is left after one
-// test. The successor wave is known from f.delays; the scan only has to
-// find its first copy.
+// deliverWaveWords delivers the wave f.delay of a broadcast with a fate
+// table, sixteen codes per load, rebasing the table first when the wave is
+// its shortest late delay. With nz the non-zero nibbles of a word — its
+// scheduled copies — the wave's copies are the nibbles equal to its code,
+// the copy at nibble j has scheduled index (copies in earlier words) +
+// popcount(nz below j), and a word holding none is left after one test.
+// The successor wave is known from f.codes; the scan only has to find its
+// first copy.
 func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
+	if f.delay-f.base > codeMax {
+		e.rebase(&f)
+		e.fanouts[ev.arg] = f
+	}
 	tab := f.fates
 	payload, tag := f.payload, f.tag
-	next := f.delays.after(byte(f.delay))
-	nextDelay, nextK := Time(next), -1
+	cur := uint64(f.delay - f.base)
+	next := uint64(0) // the next code in the table: 0 when there is none
+	if above := f.codes >> (cur + 1); above != 0 {
+		next = cur + 1 + uint64(bits.TrailingZeros16(above))
+	}
+	nextDelay, nextK := f.base+Time(next), -1
 	switch next {
-	case fateNone: // this is the last wave
-		nextK = 0
-	case fateLate:
+	case codeNone: // this is the last wave
+		nextDelay, nextK = 0, 0
+	case codeLate:
 		nextDelay, nextK = f.lateDelay, int(f.lateK)
 	}
-	cur, nxt := byteOnes*uint64(f.delay), byteOnes*uint64(next)
+	curW, nxtW := nibOnes*cur, nibOnes*next
 	resumeI := int(f.resumeI)
 	stop := StopNone
 	k := 0 // scheduled copies in the words before this one
-	for i := 0; i < len(tab); i += 8 {
-		var x uint64
-		if i+8 <= len(tab) {
-			x = binary.LittleEndian.Uint64(tab[i:])
-		} else {
-			for j, b := range tab[i:] {
-				x |= uint64(b) << (8 * j)
-			}
-		}
+	for w, x := range tab {
 		e.waveWords++
-		nz := nonzeroBytes(x)
+		nz := nonzeroNibbles(x)
 		if nz == 0 {
 			continue
 		}
+		i := 16 * w
 		if nextK < 0 {
-			if m := byteHigh &^ nonzeroBytes(x^nxt); m != 0 {
+			if m := nibHigh &^ nonzeroNibbles(x^nxtW); m != 0 {
 				nextK = k + bits.OnesCount64(nz&((m&-m)-1))
 			}
 		}
-		m := byteHigh &^ nonzeroBytes(x^cur)
+		m := nibHigh &^ nonzeroNibbles(x^curW)
 		if i < resumeI { // delivered before a mid-wave stop
-			if resumeI-i >= 8 {
+			if resumeI-i >= 16 {
 				m = 0
 			} else {
-				m &= ^uint64(0) << (8 * (resumeI - i))
+				m &= ^uint64(0) << (4 * (resumeI - i))
 			}
 		}
 		for m != 0 {
 			bit := bits.TrailingZeros64(m)
-			to := i + bit>>3
+			to := i + bit>>2
 			seq := f.baseSeq + uint64(k+bits.OnesCount64(nz&(1<<bit-1)))
 			if stop == StopNone && e.processed >= e.cfg.MaxEvents {
 				stop = StopMaxEvents
@@ -406,11 +459,58 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 	return stop
 }
 
-// deliverWaveFates delivers a wave recipient by recipient, taking each
-// fate delay from copyFate: every wave of a broadcast without a table, and
-// of one with a table the waves of delay >= fateLate, whose copies are
-// among the table's fateLate entries. The same pass finds the next wave,
-// the minimum fate delay beyond this one.
+// rebase recodes the table of a broadcast whose wave f.delay is its
+// shortest late delay, against base f.delay-1, a word at a time: every
+// copy of the earlier range becomes codeDone, and only the late copies'
+// fates are computed again — one fate evaluation each — and coded in the
+// new range, or late again beyond it. f's base, codes and late wave are
+// replaced.
+func (e *Engine) rebase(f *fanoutRec) {
+	base := f.delay - 1
+	lo, span, uniform := e.uniformLaw(f)
+	var r Fate
+	var codes uint16
+	var lateDelay Time
+	var lateK int32
+	k := 0 // scheduled copies in the words before this one
+	for w, x := range f.fates {
+		nz := nonzeroNibbles(x)
+		if nz == 0 {
+			continue
+		}
+		late := nibHigh &^ nonzeroNibbles(x^(nibOnes*codeLate))
+		y := nz >> 3 * codeDone
+		for late != 0 {
+			bit := bits.TrailingZeros64(late)
+			late &= late - 1
+			to := 16*w + bit>>2
+			var d Time
+			if uniform {
+				e.fateEvals++
+				r.src.state = fateSeed(f.key, to)
+				d = lo + Time(r.Int63n(span))
+			} else {
+				d, _ = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			}
+			code := uint64(d - base)
+			if code > codeMax {
+				code = codeLate
+				if lateDelay == 0 || d < lateDelay {
+					lateDelay, lateK = d, int32(k+bits.OnesCount64(nz&(1<<bit-1)))
+				}
+			}
+			codes |= 1 << code
+			y ^= (code ^ codeDone) << (bit - 3)
+		}
+		f.fates[w] = y
+		k += bits.OnesCount64(nz)
+	}
+	f.base, f.codes, f.lateDelay, f.lateK = base, codes, lateDelay, lateK
+}
+
+// deliverWaveFates delivers a wave of a broadcast sent without a fate
+// table, recipient by recipient, taking each fate delay from copyFate. The
+// same pass finds the next wave, the minimum fate delay beyond this one.
 func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 	payload, tag := f.payload, f.tag
 	stop := StopNone
@@ -418,14 +518,6 @@ func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 	var nextK int32
 	k := int32(0)
 	for to := range e.procs {
-		if f.fates != nil {
-			if b := f.fates[to]; b != fateLate {
-				if b != fateNone {
-					k++ // delivered by an in-range wave
-				}
-				continue
-			}
-		}
 		d, st := e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
 		if st != fateDeliver {
 			continue

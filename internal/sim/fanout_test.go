@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -205,21 +206,24 @@ func requireIdentical(t *testing.T, key string, runs []fanRun) {
 // deterministic, heavy-tailed, oscillating, per-link asymmetric, lossy,
 // partitioned — a churn-heavy run under lazy fan-out, with fate tables and
 // without, must be byte-identical in trace (and equal in all engine
-// observables) to the same run under eager expansion. The last two models
-// draw delays on both sides of the tables' one-byte range, so their late
-// waves take the recompute escape.
+// observables) to the same run under eager expansion. The models marked
+// late draw delays past a table code's range of 13, so their tables are
+// rebased: the partially synchronous one before its GST at n = 64 several
+// times per broadcast, each late copy drawn in the scan's own way.
 func TestLazyFanoutMatchesEager(t *testing.T) {
 	grid := []struct {
 		net     Model
+		n       int
 		horizon Time
-		late    bool // some delays exceed what a table byte holds
+		late    bool // some delays exceed what a table code holds
 	}{
 		{net: Async{MaxDelay: 8}, horizon: 60},
 		{net: PartialSync{GST: 30, Delta: 4, PreLoss: 0.3, PreMax: 12}, horizon: 60},
+		{net: PartialSync{GST: 1000, Delta: 5, PreMax: 40}, n: 64, horizon: 60, late: true},
 		{net: Timely{Delta: 3}, horizon: 60},
-		{net: Pareto{Scale: 1, Alpha: 1.2, Cap: 40}, horizon: 60},
-		{net: LogNormal{Median: 3, Sigma: 1, Cap: 40}, horizon: 60},
-		{net: Alternating{Period: 15, GoodDelta: 3, BadMax: 20, BadLoss: 0.25, CalmAfter: 45}, horizon: 60},
+		{net: Pareto{Scale: 1, Alpha: 1.2, Cap: 40}, horizon: 60, late: true},
+		{net: LogNormal{Median: 3, Sigma: 1, Cap: 40}, horizon: 60, late: true},
+		{net: Alternating{Period: 15, GoodDelta: 3, BadMax: 20, BadLoss: 0.25, CalmAfter: 45}, horizon: 60, late: true},
 		{net: AsymmetricLinks{Base: Async{MaxDelay: 5}, MaxSkew: 6}, horizon: 60},
 		{net: Lossy{Base: Async{MaxDelay: 6}, P: 0.3}, horizon: 60},
 		{net: Partition{Base: Async{MaxDelay: 6}, Windows: []PartitionWindow{
@@ -233,9 +237,14 @@ func TestLazyFanoutMatchesEager(t *testing.T) {
 	}
 	for _, g := range grid {
 		t.Run(g.net.String(), func(t *testing.T) {
+			n := cmp.Or(g.n, 23)
 			for seed := int64(1); seed <= 3; seed++ {
-				runs := runModes(23, g.net, seed, 0, func(e fanDriver) { e.Run(g.horizon) })
-				requireIdentical(t, fmt.Sprintf("matches/%s/seed=%d", g.net, seed), runs)
+				runs := runModes(n, g.net, seed, 0, func(e fanDriver) { e.Run(g.horizon) })
+				key := fmt.Sprintf("matches/%s/seed=%d", g.net, seed)
+				if g.n != 0 {
+					key = fmt.Sprintf("matches/%s/n=%d/seed=%d", g.net, n, seed)
+				}
+				requireIdentical(t, key, runs)
 				tabled, rescan := runs[1].eng, runs[2].eng
 				if rescan.fateBytes != 0 || len(rescan.freeFates) != 0 {
 					t.Errorf("a run with no budget handed out fate tables (%d B live, %d free)", rescan.fateBytes, len(rescan.freeFates))
@@ -246,8 +255,11 @@ func TestLazyFanoutMatchesEager(t *testing.T) {
 				if tabled.FateEvals() > rescan.FateEvals() {
 					t.Errorf("fate evaluations: %d with tables, %d without", tabled.FateEvals(), rescan.FateEvals())
 				}
-				if g.late != slices.ContainsFunc(tabled.fanouts, func(f fanoutRec) bool { return bytes.IndexByte(f.fates, fateLate) >= 0 }) {
-					t.Errorf("in-flight tables holding a late entry: want %v", g.late)
+				// Every broadcast is tabled and scanned once, so evaluations
+				// beyond the scans' are rebased copies.
+				scans := uint64(runs[1].rec.Stats().Broadcasts * n)
+				if rebased := tabled.FateEvals() - scans; g.late != (rebased > 0) {
+					t.Errorf("%d copies rebased, want some: %v", rebased, g.late)
 				}
 			}
 		})
@@ -320,7 +332,12 @@ func TestLazyFanoutTableZeros(t *testing.T) {
 	tabled := runs[1]
 	tabled.eng.start()
 	f := tabled.eng.fanouts[0]
-	zeros := bytes.Count(f.fates, []byte{fateNone})
+	zeros := 0
+	for to := 0; to < n; to++ {
+		if f.fates[to>>4]>>(4*(to&15))&15 == codeNone {
+			zeros++
+		}
+	}
 	if dropped := tabled.rec.Stats().Dropped; zeros == 0 || zeros != dropped {
 		t.Fatalf("table holds %d zeros for %d send-time drops, want equal and > 0", zeros, dropped)
 	}
@@ -343,7 +360,8 @@ func TestLazyFanoutTableZeros(t *testing.T) {
 // tabled one and fewer than a table-free one), and the trace is the eager
 // oracle's all the same.
 func TestLazyFanoutBudget(t *testing.T) {
-	const n, budget = 120, 10 * 120
+	const n = 120
+	const budget = 10 * 8 * ((n + 15) / 16) // ten tables
 	build := func(mode string, budget int) fanRun {
 		r := buildFanEngine(mode, n, Async{MaxDelay: 8}, 9, 0)
 		r.eng.fateBudget = budget
@@ -361,7 +379,7 @@ func TestLazyFanoutBudget(t *testing.T) {
 	if peak != budget {
 		t.Errorf("live table bytes peaked at %d, want exactly the budget %d under dense traffic", peak, budget)
 	}
-	if held := budgeted.fateBytes + n*len(budgeted.freeFates); held > budget {
+	if held := budgeted.fateBytes + 8*tableWords(n)*len(budgeted.freeFates); held > budget {
 		t.Errorf("engine holds %d table bytes (live + free), over the budget %d", held, budget)
 	}
 	if b, tab, res := budgeted.FateEvals(), runs[2].eng.FateEvals(), runs[3].eng.FateEvals(); !(tab < b && b < res) {
@@ -375,7 +393,7 @@ func TestLazyFanoutBudget(t *testing.T) {
 // evaluation, at send time; without, one per wave of its broadcast.
 //
 // The waves' side of the claim is WaveWords: a wave loads the table a word
-// at a time, at most ⌈n/8⌉ loads where a byte scan visits n entries, and
+// at a time, at most ⌈n/16⌉ loads where a scan of the entries visits n, and
 // async[1..8] gives a broadcast at most 8 waves.
 func TestLazyFanoutFateEvals(t *testing.T) {
 	const n = 2000
@@ -404,8 +422,8 @@ func TestLazyFanoutFateEvals(t *testing.T) {
 	if got > 1.5 {
 		t.Errorf("%.2f fate evaluations per scheduled copy with tables, want <= 1.5", got)
 	}
-	if words, bound := eng.WaveWords(), uint64(st.Broadcasts)*8*((n+7)/8); words == 0 || words > bound {
-		t.Errorf("waves loaded %d table words for %d broadcasts, want > 0 and <= %d (8 waves of %d words each)", words, st.Broadcasts, bound, (n+7)/8)
+	if words, bound := eng.WaveWords(), uint64(st.Broadcasts)*8*uint64(tableWords(n)); words == 0 || words > bound {
+		t.Errorf("waves loaded %d table words for %d broadcasts, want > 0 and <= %d (8 waves of %d words each)", words, st.Broadcasts, bound, tableWords(n))
 	}
 	got, eng, _ = perCopy(0)
 	if got < 8 {
@@ -484,7 +502,7 @@ func requireOneRecordPerBroadcast(t *testing.T, e *Engine) {
 		case f.payload == nil:
 			t.Fatalf("record %d of an in-flight broadcast holds no payload", i)
 		}
-		tableBytes += len(f.fates)
+		tableBytes += 8 * len(f.fates)
 	}
 	if tableBytes != e.fateBytes {
 		t.Fatalf("%d table bytes accounted live, the records in use hold %d", e.fateBytes, tableBytes)
@@ -583,11 +601,13 @@ func (q *quietBroadcaster) OnMessage(any) {}
 func (q *quietBroadcaster) OnTimer(int)   {}
 
 // waveRef is deliverWave as it stood before waves read the fate table a
-// word at a time: one pass over the recipients, each table byte put through
-// a three-way compare with the wave's delay, the same pass finding the
-// minimum delay beyond it. It is kept verbatim (but for the payload and
-// tag read from the record, where they now are) as the oracle for
-// deliverWave.
+// word at a time: one pass over the recipients, each table entry put
+// through a three-way compare with the wave's delay, the same pass finding
+// the minimum delay beyond it. It is kept as the oracle for deliverWave, as
+// it was but for the payload and tag read from the record, where they now
+// are, and for the entries it reads: half-byte codes against the record's
+// base, which it never moves — a late copy's delay always comes from
+// copyFate here, where deliverWave rebases the table.
 func (e *Engine) waveRef(ev event) StopReason {
 	idx := ev.arg
 	f := e.fanouts[idx]
@@ -601,13 +621,15 @@ func (e *Engine) waveRef(ev event) StopReason {
 	for to := range e.procs {
 		var d Time
 		if f.fates != nil {
-			b := f.fates[to]
-			if b == fateNone {
+			switch code := f.fates[to>>4] >> (4 * (to & 15)) & 15; code {
+			case codeNone:
 				continue
-			}
-			d = Time(b)
-			if b == fateLate {
+			case codeDone:
+				d = 0 // delivered in an earlier range
+			case codeLate:
 				d, _ = e.copyFate(f.key, f.sent, f.from, f.partial, f.prob, to)
+			default:
+				d = f.base + Time(code)
 			}
 		} else {
 			var st fateStatus
@@ -665,28 +687,34 @@ func (e *Engine) waveRef(ev event) StopReason {
 	return stop
 }
 
-// lateNet delays every copy beyond what a table byte holds, so the fates
-// copyFate recomputes for a planted table's fateLate entries agree with
-// the entries.
-type lateNet struct{}
+// lateNet delays every copy by 14 to 33 past from: beyond the range of a
+// table planted with base from, and across two ranges once rebased, so the
+// fates copyFate recomputes for the table's late entries agree with them.
+// Unlike Async over the same span, the engine draws it through copyFate.
+type lateNet struct{ from Time }
 
-func (lateNet) Delay(_ Time, r *Fate) (Time, bool) { return fateLate + Time(r.Int63n(3)), true }
-func (lateNet) String() string                     { return "late[255..257]" }
+func (l lateNet) Delay(_ Time, r *Fate) (Time, bool) { return l.from + 14 + Time(r.Int63n(20)), true }
+func (l lateNet) String() string                     { return fmt.Sprintf("late[%d+14..33]", l.from) }
 
-// waveCase is one wave of one planted broadcast: its fate table, the
-// wave's delay, the recipient index it resumes at, and a stop once stopAt
-// copies have been processed — by the MaxEvents guard, which stops short
-// of the next copy, or by a predicate, which stops behind the last one and
-// has the wave look for its resume point. down marks crashed recipients
-// (bit to%64), retain the recorder mode.
+// waveCase is one wave of one planted broadcast: its fate table, one code
+// per recipient, the base the codes count from, the wave's code (0, 14 or
+// 15 for the late wave: the table's shortest late delay, which rebases
+// it), the recipient index it resumes at, and a stop once stopAt copies
+// have been processed — by the MaxEvents guard, which stops short of the
+// next copy, or by a predicate, which stops behind the last one and has
+// the wave look for its resume point. down marks crashed recipients (bit
+// to%64), retain the recorder mode, uniform draws the late copies' delays
+// from Async rather than lateNet.
 type waveCase struct {
 	table   []byte
-	delay   Time
+	base    Time
+	code    byte
 	resumeI int
 	stopAt  int
 	pred    bool
 	down    uint64
 	retain  bool
+	uniform bool
 }
 
 // waveHit is one processed copy: its recipient and its seq (the ordinal of
@@ -696,9 +724,11 @@ type waveHit struct {
 	seq int64
 }
 
-// waveOutcome is everything a wave leaves behind.
+// waveOutcome is everything a wave leaves behind, and what the waves after
+// it deliver.
 type waveOutcome struct {
 	hits      []waveHit
+	wave      Time // the wave's delay
 	stop      StopReason
 	queue     []event // the re-pushed entry: its (time, seq) are the next wave's delay and first copy, or the resume point
 	delay     Time    // the record after the wave: zero once retired
@@ -707,15 +737,23 @@ type waveOutcome struct {
 	processed int
 	stats     string
 	events    []trace.Event
+	// rest is every copy the broadcast's later waves process, run to
+	// retirement without a stop: the table the wave left behind (rebased
+	// or not) must still name them.
+	rest []waveHit
 }
 
-// runWave plants c in a fresh engine and pops the wave, through waveRef if
-// ref and through deliverWave otherwise.
+// runWave plants c in a fresh engine and pops the wave, and then the waves
+// after it, through waveRef if ref and through deliverWave otherwise.
 func runWave(c waveCase, ref bool) waveOutcome {
 	n := len(c.table)
 	rec := &trace.Recorder{KeepEvents: c.retain}
+	var net Model = lateNet{from: c.base}
+	if c.uniform {
+		net = Async{MinDelay: c.base + 14, MaxDelay: c.base + 33}
+	}
 	// An engine needs a process; an empty table gets one and loses it.
-	e := New(Config{IDs: ident.Unique(max(n, 1)), Net: lateNet{}, Seed: 1, Recorder: rec, MaxEvents: 1 << 30})
+	e := New(Config{IDs: ident.Unique(max(n, 1)), Net: net, Seed: 1, Recorder: rec, MaxEvents: 1 << 30})
 	for i := 0; i < max(n, 1); i++ {
 		e.AddProcess(&quietBroadcaster{})
 	}
@@ -725,37 +763,51 @@ func runWave(c waveCase, ref bool) waveOutcome {
 		e.crashed[to] = c.down>>(to%64)&1 == 1
 	}
 
-	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, tag: TagOf(hello{}), fates: c.table, delay: c.delay, resumeI: int32(c.resumeI)}
+	f := fanoutRec{key: 0xFA7E, baseSeq: 1000, sent: 5, payload: hello{}, tag: TagOf(hello{}), fates: make([]uint64, tableWords(n)), base: c.base, resumeI: int32(c.resumeI)}
 	k := int32(0)
 	for to, b := range c.table {
-		f.delays.add(b)
-		if b == fateLate {
+		code := uint64(b & 15)
+		f.fates[to>>4] |= code << (4 * (to & 15))
+		if code != codeNone && code != codeDone {
+			f.codes |= 1 << code
+		}
+		if code == codeLate {
 			if d, _ := e.copyFate(f.key, f.sent, f.from, false, 0, to); f.lateDelay == 0 || d < f.lateDelay {
 				f.lateDelay, f.lateK = d, k
 			}
 		}
-		if b != fateNone {
+		if code != codeNone {
 			k++
 		}
 	}
-	e.fateBytes = n
+	switch code := Time(c.code & 15); {
+	case code != codeNone && code <= codeMax:
+		f.delay = c.base + code
+	case f.lateDelay != 0:
+		f.delay = f.lateDelay
+	default: // no late wave to plant: the range's last one
+		f.delay = c.base + codeMax
+	}
+	e.fateBytes = 8 * len(f.fates)
 	e.seq = f.baseSeq + uint64(k)
 	e.now = f.sent + f.delay
 	idx := e.allocFanout(f)
 
-	var out waveOutcome
-	e.AfterEvent(func(_ Time, p PID) { out.hits = append(out.hits, waveHit{p, e.curSeq}) })
+	out := waveOutcome{wave: f.delay}
+	hits := &out.hits
+	e.AfterEvent(func(_ Time, p PID) { *hits = append(*hits, waveHit{p, e.curSeq}) })
 	if c.pred {
 		e.done = func() bool { return e.processed >= c.stopAt }
 	} else {
 		e.cfg.MaxEvents = c.stopAt
 	}
-	ev := event{time: e.now, seq: f.baseSeq, kind: evFanout, pid: 0, arg: idx}
-	if ref {
-		out.stop = e.waveRef(ev)
-	} else {
-		out.stop = e.deliverWave(ev)
+	wave := func(ev event) StopReason {
+		if ref {
+			return e.waveRef(ev)
+		}
+		return e.deliverWave(ev)
 	}
+	out.stop = wave(event{time: e.now, seq: f.baseSeq, kind: evFanout, pid: 0, arg: idx})
 	e.flushTally() // what RunUntil does on return
 	out.queue = slices.Clone(e.queue)
 	out.delay, out.resumeI = e.fanouts[idx].delay, e.fanouts[idx].resumeI
@@ -763,55 +815,70 @@ func runWave(c waveCase, ref bool) waveOutcome {
 	out.processed = e.processed
 	out.stats = fmt.Sprintf("%+v", rec.Stats())
 	out.events = rec.Events()
+
+	hits = &out.rest
+	e.done, e.cfg.MaxEvents = nil, 1<<30
+	for len(e.queue) > 0 {
+		ev := e.pop()
+		e.now = ev.time
+		wave(ev)
+	}
 	return out
 }
 
 // checkWave runs c through deliverWave and through waveRef and requires
 // the same outcome: the same recipients with the same seqs, the same stop,
 // the same next wave (delay and first copy) or resume point (index and
-// seq), the same record, counts and trace.
+// seq), the same record, counts and trace, and the same copies delivered
+// by the waves after it.
 func checkWave(t *testing.T, c waveCase) waveOutcome {
 	t.Helper()
 	got, want := runWave(c, false), runWave(c, true)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("table %v delay %d resumeI %d stopAt %d pred %v down %#x retain %v:\ndeliverWave %+v\n    waveRef %+v",
-			c.table, c.delay, c.resumeI, c.stopAt, c.pred, c.down, c.retain, got, want)
+		t.Fatalf("table %v base %d code %d resumeI %d stopAt %d pred %v down %#x retain %v uniform %v:\ndeliverWave %+v\n    waveRef %+v",
+			c.table, c.base, c.code, c.resumeI, c.stopAt, c.pred, c.down, c.retain, c.uniform, got, want)
 	}
 	return got
 }
 
 // TestWaveSelectEqualsByteScan is deliverWave's differential test against
-// the byte-at-a-time loop it replaced: 15,123 seeded tables, 213 of each
-// length 0–70 (every len%8 tail; one case in five has a delay of 1 or 2, so
-// 0x01 bytes follow zero bytes) whose bytes are drawn from {0, delay-1,
-// delay, delay+1, 254, 255}; for each length every resume index up to it —
-// word starts and mid-word alike — then 142 waves from the start; a stop
-// after some copy count up to the wave's size, by MaxEvents and by
-// predicate; crashed recipients, both recorder modes, and waves of delay
-// 255–257 so the per-recipient loop is compared too.
+// the entry-at-a-time loop it replaced: 15,123 seeded tables, 213 of each
+// length 0–70 (every len%16 tail) whose codes are drawn from {0, the wave's
+// code and its neighbours, 12, 13, 14, 15} against a base of 0, 13 or 26.
+// One wave in five has code 1 or 2, so 1-nibbles follow zero nibbles, and
+// one in five is a late wave, which rebases the table. For each length
+// every resume index up to it — word starts and mid-word alike — then 142
+// waves from the start; a stop after some copy count up to the wave's
+// size, by MaxEvents and by predicate; crashed recipients, both recorder
+// modes, and late copies drawn through copyFate and in the scan's own way.
+// Every broadcast then runs to retirement, so each rebase — late delays
+// span two ranges — is compared too.
 //
 // Verified to fail with each of four planted mutations in fanout.go:
-// nonzeroBytes replaced by the inexact byteHigh &^ ((x - byteOnes) &^ x)
-// ("haszero": its borrow makes a byte that differs from the delay by one
-// look equal to it when it follows an equal byte); the popcount prefix
+// nonzeroNibbles replaced by the inexact nibHigh &^ ((x - nibOnes) &^ x)
+// ("haszero": its borrow makes a nibble that differs from the code by one
+// look equal to it when it follows an equal nibble); the popcount prefix
 // 1<<bit - 1 widened to 1<<(bit+1) - 1 (the copy counts itself: every seq
-// one too high); the resume mask shifted one byte too far; and the next
+// one too high); the resume mask shifted one nibble too far; and the next
 // wave's first copy located with m-1 in place of (m&-m)-1.
 func TestWaveSelectEqualsByteScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	var suspended, advanced, retired int
+	var suspended, advanced, retired, rebased int
 	for i := 0; i < 71*213; i++ {
-		delay := Time(1 + rng.Intn(257))
-		if rng.Intn(5) == 0 {
-			delay = Time(1 + rng.Intn(2))
+		code := byte(1 + rng.Intn(13))
+		switch rng.Intn(5) {
+		case 0:
+			code = byte(1 + rng.Intn(2))
+		case 1:
+			code = byte(codeDone + rng.Intn(2)) // the late wave
 		}
-		own := byte(min(delay, fateLate))
-		alphabet := []byte{fateNone, fateNone, own, own, 254, fateLate}
-		if delay > 1 {
-			alphabet = append(alphabet, byte(min(delay-1, fateLate)))
+		own := min(code, codeLate)
+		alphabet := []byte{codeNone, codeNone, own, own, 12, 13, codeDone, codeLate}
+		if code > 1 && code <= codeMax {
+			alphabet = append(alphabet, code-1)
 		}
-		if delay < fateLate {
-			alphabet = append(alphabet, byte(delay+1))
+		if code < codeMax {
+			alphabet = append(alphabet, code+1)
 		}
 		// A third of the tables are mostly empty words, a third have no
 		// gaps, and half hold nothing past the wave: it is the last.
@@ -820,22 +887,24 @@ func TestWaveSelectEqualsByteScan(t *testing.T) {
 		for j := range table {
 			switch {
 			case skew == 1 && rng.Intn(4) != 0:
-				table[j] = fateNone
+				table[j] = codeNone
 			case skew == 2:
 				table[j] = alphabet[2+rng.Intn(len(alphabet)-2)]
 			default:
 				table[j] = alphabet[rng.Intn(len(alphabet))]
 			}
-			if last && Time(table[j]) > delay {
+			if last && code <= codeMax && table[j] > code && table[j] != codeDone {
 				table[j] = own
 			}
 		}
 		c := waveCase{
-			table:  table,
-			delay:  delay,
-			stopAt: rng.Intn(len(table)/3 + 2),
-			pred:   rng.Intn(2) == 0,
-			retain: rng.Intn(2) == 0,
+			table:   table,
+			base:    Time(13 * rng.Intn(3)),
+			code:    code,
+			stopAt:  rng.Intn(len(table)/3 + 2),
+			pred:    rng.Intn(2) == 0,
+			retain:  rng.Intn(2) == 0,
+			uniform: rng.Intn(2) == 0,
 		}
 		if r := i / 71; r <= 70 {
 			c.resumeI = r % (len(table) + 1)
@@ -846,37 +915,37 @@ func TestWaveSelectEqualsByteScan(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			c.stopAt = 1 << 20 // no stop
 		}
+		if code > codeMax && slices.Contains(table, codeLate) {
+			rebased++
+		}
 		switch out := checkWave(t, c); {
 		case len(out.queue) == 0:
 			retired++
-		case out.delay == c.delay:
+		case out.delay == out.wave:
 			suspended++
 		default:
 			advanced++
 		}
 	}
-	if least := min(suspended, advanced, retired); least < 71*213/5 {
-		t.Errorf("%d waves suspended, %d advanced, %d retired: want each outcome in a fifth of the cases", suspended, advanced, retired)
+	if least := min(suspended, advanced, retired, rebased); least < 71*213/8 {
+		t.Errorf("%d waves suspended, %d advanced, %d retired, %d rebased: want each in an eighth of the cases", suspended, advanced, retired, rebased)
 	}
 }
 
-// FuzzWaveSelect is the same comparison on arbitrary tables: cur is the
-// wave's delay (0, not a delay, stands for 256), stopAfter's low bit
-// chooses a predicate stop over a MaxEvents one and the rest is the copy
-// count it strikes at.
+// FuzzWaveSelect is the same comparison on arbitrary tables: each table
+// byte's low nibble is one recipient's code; cur's high nibble is the base
+// and its low nibble the wave's code (0, 14 and 15 name the late wave);
+// stopAfter's low bit chooses a predicate stop over a MaxEvents one and
+// the rest is the copy count it strikes at.
 func FuzzWaveSelect(f *testing.F) {
 	f.Add([]byte{}, byte(1), uint16(0), uint16(0))
 	f.Add([]byte{2, 0, 1, 2, 0, 1, 1, 2, 2}, byte(2), uint16(0), uint16(4))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, byte(3), uint16(9), uint16(7))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 254, 255, 253, 0, 255, 254, 253}, byte(253), uint16(0), uint16(1))
-	f.Add([]byte{255, 1, 255, 0, 255, 255, 9, 255, 255}, byte(255), uint16(2), uint16(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 15, 13, 0, 15, 14, 13, 0}, byte(0x2d), uint16(0), uint16(1))
+	f.Add([]byte{15, 1, 15, 0, 15, 15, 9, 14, 15}, byte(0x1f), uint16(2), uint16(3))
 	f.Fuzz(func(t *testing.T, table []byte, cur byte, resumeI, stopAfter uint16) {
 		if len(table) > 512 {
 			t.Skip("longer than anything a word boundary distinguishes")
-		}
-		delay := Time(cur)
-		if cur == 0 {
-			delay = 256
 		}
 		down := uint64(0)
 		for _, b := range table {
@@ -884,12 +953,67 @@ func FuzzWaveSelect(f *testing.F) {
 		}
 		checkWave(t, waveCase{
 			table:   table,
-			delay:   delay,
+			base:    Time(cur >> 4),
+			code:    cur & 15,
 			resumeI: int(resumeI),
 			stopAt:  int(stopAfter >> 1),
 			pred:    stopAfter&1 == 1,
 			down:    down,
 			retain:  len(table)%2 == 0,
+			uniform: len(table)%3 == 0,
 		})
 	})
+}
+
+// TestUniformDrawMatchesCopyFate holds the fan-out's own draw for the
+// paper's two timing models (uniformLaw: the send-time scan and the
+// rebase) to copyFate, the path every other model takes, and to refDelay,
+// the *rand.Rand oracle: for each model 100,000 (key, recipient) pairs —
+// 1,000 broadcasts to 100 processes, each run to its last wave, every
+// copy's delay read off its delivery time. The spans are Async's 1, 2, 3,
+// 7, 8 and 10; 2^61+1, a quarter of whose draws Int63n rejects (every copy
+// its own range, so the waves rebase per copy); and PartialSync's on both
+// sides of GST, 40 wide before it. The engine's own Fate, which copyFate
+// reseeds, must be untouched by the run.
+//
+// Verified to fail with Int63n's rejection loop replaced by a single draw,
+// and with the scan drawing Int63n(span+1).
+func TestUniformDrawMatchesCopyFate(t *testing.T) {
+	const n = 100
+	bcasts := 1000
+	if testing.Short() {
+		bcasts = 100
+	}
+	models := []Model{
+		Async{MaxDelay: 1}, Async{MaxDelay: 2}, Async{MaxDelay: 3}, Async{MaxDelay: 7}, Async{MaxDelay: 8}, Async{MaxDelay: 10},
+		Async{MinDelay: 1, MaxDelay: 1<<61 + 1},
+		PartialSync{GST: 0, Delta: 5},
+		PartialSync{GST: 1, Delta: 5, PreMax: 40},
+	}
+	ids := ident.Unique(n)
+	for _, m := range models {
+		for b := 0; b < bcasts; b++ {
+			e := New(Config{IDs: ids, Net: m, Seed: int64(b)})
+			for i := 0; i < n; i++ {
+				e.AddProcess(&quietBroadcaster{bcast: i == 0})
+			}
+			e.start()
+			key := e.fanouts[0].key
+			got := make([]Time, n)
+			e.AfterEvent(func(now Time, p PID) { got[p] = now })
+			e.Run(1 << 62)
+			if e.fate != (Fate{}) {
+				t.Fatalf("%s: the run drew through copyFate", m)
+			}
+			for to := range got {
+				d, st := e.copyFate(key, 0, 0, false, 0, to)
+				ref := &Fate{}
+				ref.seed(key, to)
+				wantD, _ := refDelay(m, 0, 0, PID(to), false, fateRef(ref))
+				if st != fateDeliver || got[to] != d || d != wantD {
+					t.Fatalf("%s key=%#x to=%d: delivered after %d, copyFate draws %d (%v), refDelay %d", m, key, to, got[to], d, st, wantD)
+				}
+			}
+		}
+	}
 }

@@ -19,10 +19,13 @@ type Fate struct {
 	src fanSource
 	key uint64
 	to  int
-	// n and max cache Int63n's rejection bound for the last non-power-of-
-	// two n: a model draws with one or two bounds, so the division that
-	// computes it runs per distinct n, not per copy.
-	n, max int64
+	// n and notMax cache Int63n's rejection bound for the last n, as its
+	// complement: a model draws with one or two bounds, so the division
+	// that computes it runs per distinct n, not per copy. A Fate that has
+	// cached nothing accepts every draw, so Int63n(0) on it divides by
+	// zero rather than drawing forever.
+	n      int64
+	notMax uint64
 	// norm is NormFloat64's delegate, built on first use.
 	norm *rand.Rand
 }
@@ -37,21 +40,29 @@ func (f *Fate) int63() int64 { return int64(f.src.Uint64() >> 1) }
 
 // Int63n returns a value in [0, n), as (*rand.Rand).Int63n does over the
 // same source. It panics if n <= 0.
+//
+// It is small enough to inline, so a caller holding the Fate in a local
+// variable — the fan-out scan — draws with the stream in registers. A
+// power of two needs no path of its own: its bound rejects nothing, and
+// v % n is v & (n-1).
 func (f *Fate) Int63n(n int64) int64 {
+	if n != f.n {
+		f.setBound(n)
+	}
+	for {
+		if v := f.src.Uint64() >> 1; v <= ^f.notMax {
+			return int64(v) % n
+		}
+	}
+}
+
+// setBound caches Int63n's rejection bound for n: the largest draw whose
+// residue mod n is unbiased.
+func (f *Fate) setBound(n int64) {
 	if n <= 0 {
 		panic("sim: invalid argument to Fate.Int63n")
 	}
-	if n&(n-1) == 0 { // n is a power of two: mask
-		return f.int63() & (n - 1)
-	}
-	if n != f.n {
-		f.n, f.max = n, int64((1<<63)-1-(1<<63)%uint64(n))
-	}
-	v := f.int63()
-	for v > f.max {
-		v = f.int63()
-	}
-	return v % n
+	f.n, f.notMax = n, ^uint64((1<<63)-1-(1<<63)%uint64(n))
 }
 
 // Float64 returns a value in [0, 1), as (*rand.Rand).Float64 does over the
@@ -81,13 +92,9 @@ type fanSource struct{ state uint64 }
 
 func (s *fanSource) Uint64() uint64 {
 	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+	z := (s.state ^ s.state>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
 // fateSource is a fanSource as a rand.Source64, for the draws Fate leaves

@@ -16,6 +16,15 @@ type Model interface {
 	String() string
 }
 
+// uniformModel is a Model that can say, per send time, whether a copy's
+// whole fate is a delay lo + Int63n(span) (bounds): Async and PartialSync,
+// the paper's HAS and HPS networks. The engine's fan-out draws such copies
+// without the Model interface (uniformLaw); Delay is defined through bounds,
+// so the two agree.
+type uniformModel interface {
+	bounds(t Time) (lo Time, span int64, only bool)
+}
+
 // Async is the HAS[∅] network: reliable asynchronous links. Every copy is
 // delivered after a finite delay drawn uniformly from [MinDelay, MaxDelay].
 // There is no bound the algorithms may rely on; the parameters only shape
@@ -26,7 +35,14 @@ type Async struct {
 }
 
 // Delay implements Model.
-func (a Async) Delay(_ Time, r *Fate) (Time, bool) {
+func (a Async) Delay(t Time, r *Fate) (Time, bool) {
+	lo, span, _ := a.bounds(t)
+	return lo + Time(r.Int63n(span)), true
+}
+
+// bounds is the delay law of a copy sent at t, lo + Int63n(span); only
+// reports that the copy makes no other draw, which for Async always holds.
+func (a Async) bounds(Time) (lo Time, span int64, only bool) {
 	lo, hi := a.MinDelay, a.MaxDelay
 	if lo < 1 {
 		lo = 1
@@ -34,11 +50,12 @@ func (a Async) Delay(_ Time, r *Fate) (Time, bool) {
 	if hi < lo {
 		hi = lo
 	}
-	return lo + Time(r.Int63n(int64(hi-lo+1))), true
+	return lo, int64(hi - lo + 1), true
 }
 
 func (a Async) String() string {
-	return fmt.Sprintf("async[%d..%d]", max(a.MinDelay, 1), max(a.MaxDelay, max(a.MinDelay, 1)))
+	lo, span, _ := a.bounds(0)
+	return fmt.Sprintf("async[%d..%d]", lo, lo+Time(span)-1)
 }
 
 // PartialSync is the HPS[∅] network: eventually timely links. Copies sent
@@ -64,21 +81,29 @@ type PartialSync struct {
 
 // Delay implements Model.
 func (p PartialSync) Delay(t Time, r *Fate) (Time, bool) {
+	lo, span, only := p.bounds(t)
+	if !only && r.Float64() < p.PreLoss {
+		return 0, false
+	}
+	return lo + Time(r.Int63n(span)), true
+}
+
+// bounds is the delay law of a copy sent at t, as for Async: within Delta
+// from GST on, up to PreMax before it. Before GST a lossy network draws the
+// copy's loss first, so there only holds just when PreLoss is 0.
+func (p PartialSync) bounds(t Time) (lo Time, span int64, only bool) {
 	delta := p.Delta
 	if delta < 1 {
 		delta = 5
 	}
 	if t >= p.GST {
-		return 1 + Time(r.Int63n(int64(delta))), true
-	}
-	if p.PreLoss > 0 && r.Float64() < p.PreLoss {
-		return 0, false
+		return 1, int64(delta), true
 	}
 	preMax := p.PreMax
 	if preMax < 1 {
 		preMax = 4 * delta
 	}
-	return 1 + Time(r.Int63n(int64(preMax))), true
+	return 1, int64(preMax), p.PreLoss <= 0
 }
 
 func (p PartialSync) String() string {
@@ -107,4 +132,7 @@ var (
 	_ Model = Async{}
 	_ Model = PartialSync{}
 	_ Model = Timely{}
+
+	_ uniformModel = Async{}
+	_ uniformModel = PartialSync{}
 )
