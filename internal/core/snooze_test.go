@@ -90,8 +90,16 @@ func finish(t *testing.T, r memoRun, rec *trace.Recorder, sum hash.Hash, dispatc
 	if err := rec.Flush(); err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
-	out := snoozeRun{stats: rec.Stats(), processed: r.eng.Processed(), maxQueue: r.eng.MaxQueueLen(), stopped: r.eng.Stopped(), dispatched: dispatched}
+	out := observe(r, rec.Stats())
+	out.dispatched = dispatched
 	sum.Sum(out.trace[:0])
+	return out
+}
+
+// observe is what both differentials compare of a finished run but the
+// trace and the dispatch count.
+func observe(r memoRun, stats trace.Stats) snoozeRun {
+	out := snoozeRun{stats: stats, processed: r.eng.Processed(), maxQueue: r.eng.MaxQueueLen(), stopped: r.eng.Stopped()}
 	for _, inst := range r.insts {
 		sk := skeletonOf(inst)
 		out.outcomes = append(out.outcomes, sk.outcome)
@@ -150,4 +158,59 @@ func TestSnoozeMatchesTickChain(t *testing.T) {
 		t.Fatal("no heartbeat was snoozed")
 	}
 	t.Logf("%d of %d timer events snoozed", snoozed, ticks)
+}
+
+// TestSnoozeJumpMatchesTickPath is the stats-only side of
+// TestSnoozeMatchesTickChain, whose streamed text trace makes the recorder
+// retain and so keeps the engine from jumping over cycles of snoozed ticks.
+// Over the same deployments, each with a stats-only recorder, it runs
+// every one twice: as it runs, where the engine may jump, and with a no-op
+// AfterEvent observer, which keeps it on the tick path. The two must agree
+// on Stats, Processed, the queue high-water mark, the stop reason, and
+// every process's outcome, round and rejoin flag; the observed run must
+// jump nothing and the other runs, together, something.
+//
+// Verified to fail when the jump takes one cycle more than fit, and when a
+// hint's until or the horizon does not bound it. No deployment here stops
+// at MaxEvents; TestJumpMatchesTickPath covers that bound.
+func TestSnoozeJumpMatchesTickPath(t *testing.T) {
+	var jumped, ticks uint64
+	finish := func(r memoRun, rec *trace.Recorder) snoozeRun {
+		if r.done == nil {
+			r.eng.Run(r.horizon)
+		} else {
+			r.eng.RunUntil(r.horizon, r.done)
+		}
+		return observe(r, rec.Stats())
+	}
+	compare := func(build func(d deploy) []memoRun) {
+		var recs []*trace.Recorder
+		d := deploy{rec: func() *trace.Recorder {
+			recs = append(recs, &trace.Recorder{})
+			return recs[len(recs)-1]
+		}}
+		liveRuns := build(d)
+		refRuns := build(d)
+		for i, r := range liveRuns {
+			rr := refRuns[i]
+			rr.eng.AfterEvent(func(sim.Time, sim.PID) {})
+			got, want := finish(r, recs[i]), finish(rr, recs[len(liveRuns)+i])
+			if n := rr.eng.JumpedTicks(); n != 0 {
+				t.Fatalf("%s: %d ticks jumped with an observer registered", r.name, n)
+			}
+			jumped += r.eng.JumpedTicks()
+			ticks += uint64(got.stats.Timers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: jumping run differs from the tick path:\n got  %+v\n want %+v", r.name, got, want)
+			}
+		}
+	}
+	compare(func(d deploy) []memoRun { return fixedRuns(t, d) })
+	for seed := int64(1); seed <= int64(seededDeployments()); seed++ {
+		compare(func(d deploy) []memoRun { return []memoRun{seededRun(seed, d)} })
+	}
+	if jumped == 0 {
+		t.Fatal("no tick was jumped")
+	}
+	t.Logf("%d of %d timer events jumped", jumped, ticks)
 }

@@ -70,6 +70,11 @@
 //     for the process ends the hint. The record is one slice entry per
 //     process, allocated at the first Snooze, so a run that never snoozes
 //     pays a nil check per dispatch;
+//   - when every queue entry is such a timer, all of one period, no
+//     observer is registered and the recorder does not retain, the engine
+//     jumps over all but the last of the whole cycles of ticks that fit
+//     before the next stop: one pass over the queue shifts every entry's
+//     time and seq (Engine.jump);
 //   - for a stats-only recorder the engine counts deliveries, drops and
 //     fired timers in plain ints and adds them once, when RunUntil
 //     returns: the recorder's Delivered/Dropped/Timers are exact whenever

@@ -248,6 +248,12 @@ type Engine struct {
 	// until the first one: a run that never snoozes pays one nil check per
 	// dispatch and no memory.
 	snoozes []snooze
+	// covered counts the ticks fireTimer re-armed under a hint since the
+	// last jump attempt, so RunUntil tries one per len(queue) of them; cycle
+	// is the attempt's scratch (jump), and jumped counts the ticks jumped.
+	covered int
+	cycle   []Time
+	jumped  uint64
 }
 
 // tally counts the deliveries, drops and fired timers of a run in plain
@@ -534,6 +540,14 @@ func (e *Engine) FateEvals() uint64 { return e.fateEvals }
 //detlint:ignore unreached test oracle: the fan-out cost tests pin it
 func (e *Engine) WaveWords() uint64 { return e.waveWords }
 
+// JumpedTicks returns how many covered timer ticks the engine has advanced
+// over in closed form (jump) rather than popped one at a time. Like
+// FateEvals it is a deterministic function of the configuration; Processed
+// and the recorder's Timers count them as they count every tick.
+//
+//detlint:ignore unreached test oracle: the jump differentials require it to move
+func (e *Engine) JumpedTicks() uint64 { return e.jumped }
+
 // Stopped reports why the most recent Run/RunUntil call returned. Callers
 // must check for StopMaxEvents before trusting a run's results: the guard
 // silently truncates the execution, and a truncated run is
@@ -549,6 +563,11 @@ func (e *Engine) Run(until Time) int {
 
 // RunUntil is Run with an early-exit predicate, evaluated after every
 // event; it returns the number of events processed during this call.
+//
+// The predicate may read process state, not Now, and a timer tick a
+// process's Snooze hint covers must not change its value: such a tick
+// reaches no process, and the engine may advance over whole cycles of them
+// without evaluating the predicate in between (jump).
 func (e *Engine) RunUntil(until Time, done func() bool) int {
 	e.start()
 	startProcessed := e.processed
@@ -566,6 +585,12 @@ func (e *Engine) RunUntil(until Time, done func() bool) int {
 		if r := e.step(); r != StopNone {
 			e.stopped = r
 			break
+		}
+		// A jump follows an event of this call whose predicate was false;
+		// the covered ticks it takes cannot change that.
+		if e.covered > 0 && e.covered >= len(e.queue) {
+			e.covered = 0
+			e.jump(until)
 		}
 	}
 	e.done = nil
@@ -686,6 +711,7 @@ func (e *Engine) fireTimer(ev event) {
 		s := &e.snoozes[ev.pid]
 		if s.tag == ev.arg && ev.time < s.until {
 			e.rearm(s.period, ev.arg)
+			e.covered++
 			return
 		}
 		s.until = 0
@@ -696,6 +722,75 @@ func (e *Engine) fireTimer(ev event) {
 		e.parked = -1
 		e.pop()
 	}
+}
+
+// jump advances the engine over whole cycles of covered ticks in one O(m)
+// pass, m the queue length, when its future is closed-form: the recorder
+// does not retain, no observer is registered, and every entry is an armed
+// timer of a live process whose Snooze hint covers it, all hints with one
+// period P. If the entries also carry the last m seqs, time not decreasing
+// in seq order, and lie within P of the first, the next m pops take them in
+// seq order and each comes back P later with the next seq: a cycle. k
+// cycles add kP to every time and km to every seq, to e.seq, to processed
+// and to the timer tally — an order-preserving shift, so the heap stays
+// valid, and the queue keeps the length MaxQueueLen already counts. k is
+// one less than the whole cycles whose firings all stay at or below until,
+// below their own hint's until and within MaxEvents: the last cycle and
+// the remainder run tick by tick, so a run stops on the same event as
+// without the jump. An entry past either until leaves k below 1. The
+// RunUntil predicate is not evaluated over the jumped ticks; its contract
+// is that a covered tick cannot change it. When any condition fails
+// nothing changes.
+func (e *Engine) jump(until Time) {
+	if e.retain || len(e.afterEvent) > 0 || e.snoozes == nil {
+		return
+	}
+	m := len(e.queue)
+	period := e.snoozes[e.queue[0].pid].period
+	base := e.seq - uint64(m)
+	cycles := Time(e.cfg.MaxEvents-e.processed) / Time(m)
+	if cap(e.cycle) < m {
+		e.cycle = make([]Time, m)
+	}
+	times := e.cycle[:m]
+	for i := range e.queue {
+		ev := &e.queue[i]
+		if ev.kind != evTimer || e.crashed[ev.pid] || ev.seq < base {
+			return
+		}
+		s := &e.snoozes[ev.pid]
+		if s.tag != ev.arg || ev.time >= s.until || s.period != period {
+			return
+		}
+		// The firings t, t+P, … below s.until number ⌈(s.until-t)/P⌉.
+		cycles = min(cycles, (s.until-ev.time-1)/period+1)
+		times[ev.seq-base] = ev.time
+	}
+	first, last := times[0], times[m-1]
+	if last-first > period {
+		return
+	}
+	for i := 1; i < m; i++ {
+		if times[i] < times[i-1] {
+			return
+		}
+	}
+	cycles = min(cycles, (until-last)/period+1)
+	k := cycles - 1
+	if k < 1 {
+		return
+	}
+	n := uint64(k) * uint64(m)
+	for i := range e.queue {
+		e.queue[i].time += k * period
+		e.queue[i].seq += n
+	}
+	e.seq += n
+	e.processed += int(n)
+	e.tally.timers += int(n)
+	e.jumped += n
+	e.now = last + (k-1)*period
+	e.curSeq = int64(e.seq) - int64(m) - 1
 }
 
 // timerDetails caches the "tag=N" detail strings for small timer tags, so
