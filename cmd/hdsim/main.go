@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tr traceOut
 	fs.StringVar(&tr.path, "trace", "", "stream the full event trace to this file (single runs only)")
 	replayPath := fs.String("replay", "", "re-verify a recorded run offline from its v2 binary trace (engine-free; every other scenario flag is ignored — the trace's embedded fingerprint wins)")
-	fs.IntVar(&tr.buf, "trace-buf", 0, "trace spill batch size in events (0 = default 4096)")
+	fs.IntVar(&tr.buf, "trace-buf", 0, fmt.Sprintf("trace spill batch size in events (0 = default %d)", trace.DefaultBufSize))
 	fs.StringVar(&tr.format, "trace-format", "text", "trace encoding: text (canonical lines) or binary (compact varint stream, decode with trace.ReadBinary)")
 	campaignFlags := cliutil.CampaignFlags(fs)
 	startProfiles := cliutil.ProfileFlags(fs)

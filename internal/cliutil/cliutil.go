@@ -37,9 +37,9 @@ func CampaignFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
 	}
 }
 
-// maxTraceBuf caps the -trace-buf spill batch size. The recorder holds two
-// batches of events (one recording, one spilling) at 56 bytes per event,
-// so the cap keeps the staging buffers under 120 MB.
+// maxTraceBuf caps the -trace-buf spill batch size. The recorder stages up
+// to four batches of events (one recording, three spilling) at 56 bytes
+// per event, so the cap keeps the staging buffers under 240 MB.
 const maxTraceBuf = 1 << 20
 
 // ValidateTraceBuf checks a -trace-buf flag value before it reaches

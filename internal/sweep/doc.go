@@ -8,14 +8,15 @@
 // network model, crash pattern) scenarios, and those parallelize
 // perfectly — engines share no mutable state. Map is the fan-out.
 //
-// Background is the other primitive: one function at a time on a
-// goroutine of its own, with Wait as the only meeting point (it publishes
-// the function's writes and re-raises its panic). The trace recorder uses
-// it to spill one batch while the engine records the next; at most one
-// function is in flight, so whatever it feeds sees the same calls in the
-// same order as a serial run. Nothing else in the deterministic packages
-// may start a goroutine (detlint's unsortedgo rule), so these two are
-// the audited places concurrency enters.
+// Stage is the other primitive: a bounded, in-order queue of functions
+// run one at a time on a goroutine of its own. Go blocks only while depth
+// of them are pending, and Wait is a barrier over all of them (it
+// publishes their writes and re-raises the first panic). The trace
+// recorder uses it to spill batches while the engine records on; the
+// functions run oldest first, one at a time, so whatever they feed sees
+// the same calls in the same order as a serial run. Nothing else in the
+// deterministic packages may start a goroutine (detlint's unsortedgo
+// rule), so these two are the audited places concurrency enters.
 //
 // # Determinism contract
 //

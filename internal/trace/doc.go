@@ -18,12 +18,15 @@
 //   - streaming mode (NewSpillRecorder): the batch is handed to
 //     a caller-provided Sink and never retained, so a trace of any length
 //     records in constant memory. The hand-off is pipelined: each full
-//     batch is spilled on a background goroutine (sweep.Background) while
-//     recording continues into a second buffer. At most one batch is in
-//     flight — the recorder waits for it before the next hand-off, and
-//     Flush and Err wait for it too — so the sink sees the same batches,
-//     in the same order, as a synchronous spill, and writes the same
-//     bytes; the encoding runs on a second core beside the engine.
+//     batch goes to a background spill (a sweep.Stage) while recording
+//     continues into the next buffer of a ring of spillDepth+1. Up to
+//     spillDepth batches are in flight — a hand-off blocks only when that
+//     many are, and Flush and Err wait for all of them — and the stage
+//     spills them one at a time, oldest first, so the sink sees the same
+//     batches, in the same order, as a synchronous spill, and writes the
+//     same bytes; the encoding runs on a second core beside the engine,
+//     and a late wake-up of it costs the engine nothing until the ring
+//     is full.
 //     WriterSink streams the canonical text rendering (one Event.String
 //     per line) to an io.Writer; a spilled trace file is byte-identical
 //     to WriteText over the same run's in-memory events. BinarySink streams the compact binary format
@@ -41,8 +44,8 @@
 // goroutine; the live runtime (internal/hruntime) serializes its
 // processes' and delivery goroutines' records under its cluster lock and
 // reads the recorder after the run has stopped. The background spill is
-// the one other goroutine that touches a Recorder, and only its batch in
-// flight and the sink error, which every reader waits for.
+// the one other goroutine that touches a Recorder, and only the batches
+// handed to it and the sink error, which every reader waits for.
 //
 // # Decoding
 //

@@ -9,11 +9,11 @@ import (
 // one batch at a time, in recording order: a call returns before the next
 // one starts, so sinks need no locking of their own. It may be called off
 // the recording goroutine — the recorder hands each full batch to a
-// background spill and records on into a second buffer — and it borrows
-// the batch until it returns: the recorder refills that slice afterwards,
-// so a sink that keeps events must copy them. Recorder.Flush returns only
-// once the last Spill has, and no Spill runs after it; whatever the sink
-// wrote is then the caller's to read.
+// background spill and records on into the next buffer of its ring — and
+// it borrows the batch until it returns: the recorder refills that slice
+// afterwards, so a sink that keeps events must copy them. Recorder.Flush
+// returns only once the last Spill has, and no Spill runs after it;
+// whatever the sink wrote is then the caller's to read.
 type Sink interface {
 	Spill(batch []Event) error
 }

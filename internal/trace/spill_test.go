@@ -188,9 +188,9 @@ type nopSink struct{}
 func (nopSink) Spill([]Event) error { return nil }
 
 // TestSpillReusesStagingBuffer pins the borrowed-batch contract from the
-// recorder's side: in streaming mode two staging buffers serve the whole
-// run, one filling while the other spills, so recording through any number
-// of background spills allocates nothing.
+// recorder's side: in streaming mode one ring of staging buffers serves
+// the whole run, one filling while the others spill, so recording through
+// any number of background spills allocates nothing.
 func TestSpillReusesStagingBuffer(t *testing.T) {
 	r := NewSpillRecorder(nopSink{}, 8)
 	in := genEvents(64)

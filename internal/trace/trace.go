@@ -85,8 +85,16 @@ type Stats struct {
 }
 
 // DefaultBufSize is the staging-buffer capacity (events per batch) used
-// when Recorder.BufSize is zero.
-const DefaultBufSize = 4096
+// when Recorder.BufSize is zero. A streaming recorder stages up to
+// spillDepth+1 batches, so at the default it holds 8,192 events.
+const DefaultBufSize = 2048
+
+// spillDepth is how many full batches a streaming recorder may have handed
+// to its background spill and not seen spilled yet. With one, any late
+// wake-up of the spill goroutine stalls the engine at the next hand-off;
+// with a few, the engine runs on and the spill catches up. Deeper rings of
+// smaller batches at the same staged total measured no faster.
+const spillDepth = 3
 
 // Recorder accumulates events and statistics. The zero value is ready to
 // use and records statistics only; a nil *Recorder is safe to record into
@@ -106,10 +114,11 @@ const DefaultBufSize = 4096
 // attached, otherwise to an in-memory chunk list. Either way the recorder
 // never re-copies previously recorded events the way a grow-forever
 // append slice does, and with a Sink a trace of any length runs in
-// constant memory: two staging buffers, one filling while the sink
-// drains the other on a background goroutine. That goroutine touches only
-// the batch in flight and the sink error, and every method that reads
-// either waits for it first.
+// constant memory: a ring of spillDepth+1 staging buffers, one filling
+// while a background spill (a sweep.Stage) drains up to spillDepth full
+// ones into the sink, oldest first. That goroutine touches only the
+// batches handed to it and the sink error, and every method that reads
+// the error waits for it first.
 //
 // KeepEvents and BufSize must be set before the first Record call and not
 // changed afterwards.
@@ -129,12 +138,14 @@ type Recorder struct {
 	recorded int       // events retained so far (skew canary ordinal)
 	err      error     // first sink error
 
-	// Streaming mode: the batch in flight. spare is the other staging
-	// buffer; from a hand-off to the next spill.Wait it, and err, belong
-	// to the background spill.
-	spill      sweep.Background
-	spillSpare func() // r.spillSpareBatch, bound once
-	spare      []Event
+	// Streaming mode: the staging ring. buf fills ring[cur]; every other
+	// slot holds a batch handed to spill, or a spilled one. A slot belongs
+	// to the background spill from its hand-off until spillDepth more
+	// hand-offs have returned, and err belongs to it until spill.Wait.
+	spill    *sweep.Stage
+	ring     [spillDepth + 1][]Event
+	spillers [spillDepth + 1]func() // spillers[i] spills ring[i]; bound once
+	cur      int
 }
 
 // skewCanary, when set via the linker
@@ -245,35 +256,49 @@ func (r *Recorder) RecordBatch(batch []Event) {
 
 // spillBatch hands the full staging buffer off as one batch and resets the
 // write position; a batch is written exactly once. In streaming mode it
-// waits for the batch in flight, which frees the spare buffer, starts the
-// background spill of this batch and records on into the spare, so the
-// sink sees one batch at a time, in recording order, while the engine
-// keeps running. In in-memory mode the batch itself joins the chunk list
-// and the recorder allocates a fresh buffer rather than copying.
+// hands the batch to the background spill and records on into the next
+// slot of the ring, which the stage's bound guarantees spilled: the sink
+// sees one batch at a time, in recording order, while the engine keeps
+// running. In in-memory mode the batch itself joins the chunk list and the
+// recorder allocates a fresh buffer rather than copying.
 func (r *Recorder) spillBatch() {
 	batch := r.buf
 	if r.sink != nil {
-		r.spill.Wait()
-		if r.spillSpare == nil {
-			r.spillSpare = r.spillSpareBatch
-			r.spare = make([]Event, 0, cap(batch))
+		if r.spill == nil {
+			r.spill = sweep.NewStage(spillDepth)
 		}
-		r.buf, r.spare = r.spare[:0], batch
-		r.spill.Go(r.spillSpare)
+		i := r.cur
+		if r.spillers[i] == nil {
+			r.spillers[i] = func() { r.spillSlot(i) }
+		}
+		r.ring[i] = batch
+		r.spill.Go(r.spillers[i])
+		r.cur = (i + 1) % len(r.ring)
+		if r.ring[r.cur] == nil {
+			r.ring[r.cur] = make([]Event, 0, cap(batch))
+		}
+		r.buf = r.ring[r.cur][:0]
 		return
 	}
 	r.chunks = append(r.chunks, batch)
 	r.buf = make([]Event, 0, cap(batch))
 }
 
-// spillSpareBatch runs on the background goroutine: it spills the batch in
-// flight, keeps the sink's error if it is the first, and clears the batch,
-// so that the idle buffer does not pin the spilled events' strings.
-func (r *Recorder) spillSpareBatch() {
-	if err := r.sink.Spill(r.spare); err != nil && r.err == nil {
+// spillSlot runs on the background spill: it spills the batch in slot i,
+// keeps the sink's error if it is the first, and clears the batch, so that
+// an idle buffer does not pin the spilled events' strings.
+func (r *Recorder) spillSlot(i int) {
+	if err := r.sink.Spill(r.ring[i]); err != nil && r.err == nil {
 		r.err = err
 	}
-	clear(r.spare)
+	clear(r.ring[i])
+}
+
+// wait returns once every batch handed off so far has been spilled.
+func (r *Recorder) wait() {
+	if r.spill != nil {
+		r.spill.Wait()
+	}
 }
 
 // Flush pushes the staging buffer's partial batch to the sink (a no-op in
@@ -289,7 +314,7 @@ func (r *Recorder) Flush() error {
 	if r.sink != nil && len(r.buf) > 0 {
 		r.spillBatch()
 	}
-	r.spill.Wait()
+	r.wait()
 	if f, ok := r.sink.(Flusher); ok {
 		if err := f.Flush(); err != nil && r.err == nil {
 			r.err = err
@@ -299,12 +324,12 @@ func (r *Recorder) Flush() error {
 }
 
 // Err returns the first error reported by the sink, if any. It waits for
-// the batch in flight, so it covers every batch spilled so far.
+// the batches handed off so far, so it covers every one of them.
 func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
-	r.spill.Wait()
+	r.wait()
 	return r.err
 }
 
