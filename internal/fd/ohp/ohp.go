@@ -32,10 +32,15 @@ func (Reply) MsgTag() string { return "P_REPLY" }
 // sim.Process, sim.Recoverer, fd.DiamondHPbar and fd.HOmega.
 type Detector struct {
 	env     sim.Environment
+	id      ident.ID // env.ID(), read once in Init
 	round   int
 	timeout sim.Time
 	trusted *multiset.Multiset[ident.ID]
 	hasOut  bool
+	// gather is where OnTimer collects the next h_trusted. It becomes
+	// trusted only when it differs from it (and a fresh one is made for
+	// the next round), so an unchanged round allocates no multiset.
+	gather *multiset.Multiset[ident.ID]
 
 	// epoch is carried as the round timer's tag. An outage can strand a
 	// pre-crash timer that fires only after recovery; bumping the epoch on
@@ -53,7 +58,8 @@ type Detector struct {
 	leaderFor *multiset.Multiset[ident.ID]
 	leader    fd.LeaderInfo
 
-	mship   map[ident.ID]bool
+	// latestR holds, per identifier that polled, the last round answered;
+	// an identifier not in it has had no round answered (reads 0).
 	latestR map[ident.ID]int
 
 	// pending holds received replies addressed to id(p) whose interval can
@@ -81,7 +87,6 @@ func New() *Detector {
 		timeout: 1,
 		adapt:   true,
 		trusted: multiset.New[ident.ID](),
-		mship:   make(map[ident.ID]bool),
 		latestR: make(map[ident.ID]int),
 	}
 }
@@ -102,8 +107,8 @@ func NewFixedTimeout(timeout sim.Time) *Detector {
 
 // Init implements sim.Process: start round 1.
 func (d *Detector) Init(env sim.Environment) {
-	d.env = env
-	env.Broadcast(Polling{Round: d.round, ID: env.ID()})
+	d.env, d.id = env, env.ID()
+	env.Broadcast(Polling{Round: d.round, ID: d.id})
 	env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -117,7 +122,7 @@ func (d *Detector) OnRecover() {
 	d.round++
 	d.resync = true
 	d.pending = d.pending[:0]
-	d.env.Broadcast(Polling{Round: d.round, ID: d.env.ID()})
+	d.env.Broadcast(Polling{Round: d.round, ID: d.id})
 	d.env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -130,14 +135,18 @@ func (d *Detector) OnTimer(tag int) {
 	if tag != d.epoch {
 		return // stale pre-outage timer
 	}
-	tmp := multiset.New[ident.ID]()
+	if d.gather == nil {
+		d.gather = multiset.New[ident.ID]()
+	}
+	tmp := d.gather
+	tmp.Reset()
 	for _, rep := range d.pending {
 		if rep.From <= d.round && d.round <= rep.To {
 			tmp.Add(rep.Sender)
 		}
 	}
 	if !tmp.Equal(d.trusted) {
-		d.trusted = tmp
+		d.trusted, d.gather = tmp, nil
 	}
 	d.hasOut = true
 	d.round++
@@ -151,7 +160,7 @@ func (d *Detector) OnTimer(tag int) {
 	}
 	d.pending = kept
 
-	d.env.Broadcast(Polling{Round: d.round, ID: d.env.ID()})
+	d.env.Broadcast(Polling{Round: d.round, ID: d.id})
 	d.env.SetTimer(d.timeout, d.epoch)
 }
 
@@ -166,23 +175,19 @@ func (d *Detector) OnMessage(payload any) {
 }
 
 func (d *Detector) onPolling(m Polling) {
-	if !d.mship[m.ID] {
-		d.mship[m.ID] = true
-		d.latestR[m.ID] = 0
-	}
-	if d.latestR[m.ID] < m.Round {
+	if last := d.latestR[m.ID]; last < m.Round {
 		d.env.Broadcast(Reply{
-			From:   d.latestR[m.ID] + 1,
+			From:   last + 1,
 			To:     m.Round,
 			Dest:   m.ID,
-			Sender: d.env.ID(),
+			Sender: d.id,
 		})
 		d.latestR[m.ID] = m.Round
 	}
 }
 
 func (d *Detector) onReply(m Reply) {
-	if m.Dest != d.env.ID() {
+	if m.Dest != d.id {
 		return
 	}
 	if m.From < d.round && d.adapt {

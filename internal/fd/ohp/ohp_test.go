@@ -134,8 +134,8 @@ func TestMembershipDiscovered(t *testing.T) {
 	r := setup(ident.Balanced(6, 3), sim.PartialSync{GST: 40, Delta: 3, PreLoss: 0.5}, nil, 8)
 	r.check(t, 3000)
 	for i, d := range r.dets {
-		if len(d.mship) != 3 {
-			t.Errorf("process %d discovered %d identifiers, want 3", i, len(d.mship))
+		if len(d.latestR) != 3 {
+			t.Errorf("process %d discovered %d identifiers, want 3", i, len(d.latestR))
 		}
 	}
 }
@@ -261,5 +261,46 @@ func TestFixedTimeoutVariant(t *testing.T) {
 	a.onReply(Reply{From: 1, To: 1, Dest: "me", Sender: "x"})
 	if a.Timeout() != 2 {
 		t.Errorf("adaptive timeout = %d, want 2", a.Timeout())
+	}
+}
+
+// TestUnchangedRoundAllocs: a round that gathers the same h_trusted as the
+// last one keeps the old multiset (pointer-stable, as Leader's memo and
+// the probes require) and allocates only the box of its POLLING.
+func TestUnchangedRoundAllocs(t *testing.T) {
+	d := New()
+	env := &scriptEnv{id: "a"}
+	d.Init(env)
+	round := func() {
+		env.sent = env.sent[:0]
+		for _, s := range []ident.ID{"a", "b", "b"} {
+			d.onReply(Reply{From: d.round, To: d.round, Dest: "a", Sender: s})
+		}
+		d.OnTimer(d.epoch)
+	}
+	round()
+	first := d.Trusted()
+	if want := multiset.From[ident.ID]("a", "b", "b"); !first.Equal(want) {
+		t.Fatalf("h_trusted = %v, want %v", first, want)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 1 {
+		t.Errorf("an unchanged round allocated %.0f times, want 1 (its POLLING box)", allocs)
+	}
+	if d.Trusted() != first {
+		t.Error("an unchanged round replaced h_trusted")
+	}
+	if _, ok := env.sent[0].(Polling); !ok || len(env.sent) != 1 {
+		t.Errorf("a round sent %v, want one POLLING", env.sent)
+	}
+
+	// A changed round hands the gathered multiset out and leaves the
+	// previous one as it was.
+	d.onReply(Reply{From: d.round, To: d.round, Dest: "a", Sender: "c"})
+	d.OnTimer(d.epoch)
+	if d.Trusted() == first || !d.Trusted().Equal(multiset.From[ident.ID]("c")) {
+		t.Errorf("h_trusted = %v after a changed round, want a new {c}", d.Trusted())
+	}
+	if !first.Equal(multiset.From[ident.ID]("a", "b", "b")) {
+		t.Errorf("the replaced h_trusted changed to %v", first)
 	}
 }

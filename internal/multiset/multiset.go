@@ -230,3 +230,9 @@ func (m *Multiset[T]) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// Reset empties the multiset and keeps its storage for reuse.
+func (m *Multiset[T]) Reset() {
+	clear(m.counts)
+	m.size = 0
+}

@@ -275,3 +275,15 @@ func TestQuickLaws(t *testing.T) {
 		}
 	})
 }
+
+func TestReset(t *testing.T) {
+	m := From("a", "b", "b")
+	m.Reset()
+	if !m.Empty() || m.Distinct() != 0 || m.Contains("b") {
+		t.Fatalf("after Reset: %v (len %d, distinct %d)", m, m.Len(), m.Distinct())
+	}
+	m.Add("c")
+	if !m.Equal(From("c")) {
+		t.Errorf("reused after Reset: %v, want {c}", m)
+	}
+}

@@ -300,6 +300,55 @@ func BenchmarkBinarySinkSpill(b *testing.B) {
 	})
 }
 
+// BenchmarkNextBatch is the decode layer alone: one frame of
+// DefaultFrameEvents deliveries shaped like a population-scale heartbeat
+// trace (pids of one to three bytes, one tag, no detail, a tick every 64
+// events) pulled through NextBatch into a 512-event slab, as DrainBatches
+// does. It reports ns/event.
+func BenchmarkNextBatch(b *testing.B) {
+	events := make([]Event, DefaultFrameEvents)
+	for i := range events {
+		events[i] = Event{Time: int64(i / 64), Kind: KindDeliver, PID: (i * 7919) % 20000, MsgTag: "HB"}
+	}
+	var buf bytes.Buffer
+	sink := NewBinarySink(&buf)
+	if err := sink.Spill(events); err != nil {
+		b.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	tf, err := OpenTraceFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if frames := len(tf.Index().Frames); frames != 1 {
+		b.Fatalf("%d frames, want 1", frames)
+	}
+	slab := make([]Event, 512)
+	for b.Loop() {
+		r, err := tf.OpenFrame(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total := 0
+		for {
+			n, err := r.NextBatch(slab)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += n
+		}
+		if total != len(events) {
+			b.Fatalf("decoded %d events, want %d", total, len(events))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
 // TestDecodeSteadyStateAllocs pins the decoder's allocation budget: one
 // 4096-event frame carrying three tags and two details, pulled through
 // NextBatch into a reused slab, allocates one string per distinct

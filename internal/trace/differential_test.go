@@ -394,3 +394,204 @@ func TestReadErrorsPassThrough(t *testing.T) {
 		}
 	}
 }
+
+// batchSlabs are the slab sizes the batch-loop tests decode at: one event
+// (the loop never runs past its first record), a prime, DrainBatches'
+// slab and a whole default frame.
+var batchSlabs = []int{1, 7, 512, DefaultFrameEvents}
+
+// batchesAgainstReference holds NextBatch straight to the reference
+// decoder at every batch-test window and slab, and returns the
+// reference's pass.
+func batchesAgainstReference(t testing.TB, data []byte) decoded {
+	t.Helper()
+	ref, err := newRefReader(bytes.NewReader(data))
+	want := drainAll(ref, err)
+	for _, window := range testWindows {
+		for _, slab := range batchSlabs {
+			batchesAgainstNext(t, data, window, slab, want)
+		}
+	}
+	return want
+}
+
+// batchStream writes a hand-made stream for the batch-loop tests. It
+// tracks the time base and the string table the way the decoder does, so
+// every record it adds has a known event.
+type batchStream struct {
+	h    *handTrace
+	t    int64
+	strs []string
+	want []Event
+}
+
+func newBatchStream(algo string) *batchStream {
+	return &batchStream{h: newHandTrace(&Meta{Algo: algo, N: 20000, L: 100, Seed: 1})}
+}
+
+// ref encodes a string field: a reference into the table, or the next
+// free slot with the string inline when the table does not hold it yet.
+func (s *batchStream) ref(str string) []byte {
+	if str == "" {
+		return uv(0)
+	}
+	if i := slices.Index(s.strs, str); i >= 0 {
+		return uv(uint64(i + 1))
+	}
+	s.strs = append(s.strs, str)
+	return newStr(uint64(len(s.strs)), str)
+}
+
+// add appends one record in canonical encoding.
+func (s *batchStream) add(kind Kind, dt int64, pid int, tag, detail string) {
+	s.t += dt
+	tagField := s.ref(tag) // first: the detail may name the string the tag introduces
+	s.h.event(s.t, pid, uv(uint64(kind)), sv(dt), uv(uint64(pid)), tagField, s.ref(detail))
+	s.want = append(s.want, Event{Time: s.t, Kind: kind, PID: pid, MsgTag: tag, Detail: detail})
+}
+
+// ordinary appends n records the batch loop decodes itself: pids of one,
+// two and three bytes, time deltas of 0, 1 and -1, and a detail now and
+// then, all over strings the table already holds.
+func (s *batchStream) ordinary(n int) {
+	if !slices.Contains(s.strs, "HB") || !slices.Contains(s.strs, "lost") {
+		s.add(KindBroadcast, 1, 0, "HB", "lost") // not ordinary: both strings are new
+	}
+	pids := []int{7, 300, 20000, 0, 127, 128, 16383, 16384, 1<<21 - 1}
+	for i := range n {
+		kind, detail := KindDeliver, ""
+		if i%5 == 4 {
+			kind, detail = KindDrop, "lost"
+		}
+		s.add(kind, int64(i%3-1), pids[i%len(pids)], "HB", detail)
+	}
+}
+
+func (s *batchStream) restart() {
+	s.h.restart()
+	s.t, s.strs = 0, nil
+}
+
+// exitStream is a stream that mixes runs of ordinary records with one
+// way out of the batch loop. want is the events a valid one decodes to,
+// nil for one that must end in a format error.
+type exitStream struct {
+	name string
+	data []byte
+	want []Event
+}
+
+// batchExitStreams are the exit streams: every way out of the batch loop
+// on valid input, then the two invalid records that can follow an
+// ordinary run directly.
+func batchExitStreams() []exitStream {
+	var out []exitStream
+	valid := func(name string, build func(s *batchStream)) {
+		s := newBatchStream("heartbeat")
+		build(s)
+		out = append(out, exitStream{name, s.h.finish(), s.want})
+	}
+	valid("pid widths", func(s *batchStream) {
+		for _, pid := range []int{1, 200, 40000, 1 << 21, 1<<28 - 1} { // 1<<21 up: four bytes
+			s.ordinary(9)
+			s.add(KindDeliver, 0, pid, "HB", "")
+		}
+		s.ordinary(9)
+	})
+	valid("time deltas", func(s *batchStream) {
+		// 64 and -65 are the first deltas of two bytes, -64 the last of one.
+		for _, dt := range []int64{64, -65, 100, -1, -64, 1 << 40, -(1 << 40)} {
+			s.ordinary(9)
+			s.add(KindTimer, dt, 1, "HB", "") // pid 1, so a delta misread as one byte is not caught by luck
+		}
+		s.ordinary(9)
+	})
+	valid("ref 127 and 128", func(s *batchStream) {
+		s.ordinary(3)
+		for len(s.strs) < 130 {
+			s.add(KindNote, 0, 1, fmt.Sprintf("s%d", len(s.strs)+1), "")
+		}
+		for _, r := range []int{127, 128, 126, 129, 127} {
+			str := s.strs[r-1]
+			s.ordinary(5)
+			s.add(KindDeliver, 1, 2, str, "")
+			s.ordinary(5)
+			s.add(KindDeliver, 0, 3, "HB", str)
+		}
+		s.ordinary(5)
+	})
+	valid("new strings", func(s *batchStream) {
+		for i := range 6 {
+			s.ordinary(9 + i)
+			s.add(KindDeliver, 0, 40+i, fmt.Sprintf("TAG%d", i), "")
+			s.add(KindDeliver, 0, 50+i, fmt.Sprintf("TAG%d", i), fmt.Sprintf("detail %d", i))
+			s.add(KindDeliver, 0, 60+i, fmt.Sprintf("TAG%d", i), fmt.Sprintf("detail %d", i)) // ordinary again
+		}
+		s.ordinary(9)
+	})
+	valid("details", func(s *batchStream) {
+		s.ordinary(4)
+		s.add(KindDecide, 2, 5, "", "v=1")
+		for i := range 40 {
+			s.add(KindDeliver, int64(i%2), i*541, []string{"HB", "v=1"}[i%2], []string{"lost", "v=1", ""}[i%3])
+		}
+	})
+	valid("frame restarts", func(s *batchStream) {
+		for i := range 5 {
+			s.ordinary(3 + 4*i)
+			s.restart()
+		}
+		s.ordinary(9)
+	})
+
+	// Format errors directly behind an ordinary run: a one-byte kind past
+	// KindTimerDrop, and a one-byte tag ref past the next free slot.
+	invalid := func(name string, record ...[]byte) {
+		s := newBatchStream("heartbeat")
+		s.ordinary(20)
+		s.h.event(s.t, 1, record...)
+		s.ordinary(5)
+		out = append(out, exitStream{name, s.h.finish(), nil})
+	}
+	invalid("invalid kind", uv(uint64(KindTimerDrop)+1), sv(0), uv(1), uv(1), uv(0))
+	invalid("ref past table", uv(uint64(KindDeliver)), sv(0), uv(1), uv(4), uv(0))
+	return out
+}
+
+// TestBatchLoopExits: NextBatch decodes each crafted stream exactly as
+// the reference does — at every slab and window, whole and cut at every
+// byte — and the valid ones to the events they were built from.
+func TestBatchLoopExits(t *testing.T) {
+	for _, st := range batchExitStreams() {
+		t.Run(st.name, func(t *testing.T) {
+			got := batchesAgainstReference(t, st.data)
+			switch {
+			case st.want == nil && !got.format:
+				t.Fatalf("decoded to %q, want a format error", got.err)
+			case st.want == nil && len(got.events) < 21:
+				t.Fatalf("decoded %d events ahead of the error, want the ordinary run's 21", len(got.events))
+			case st.want != nil && (got.err != "EOF" || !slices.Equal(got.events, st.want)):
+				t.Fatalf("decoded %d events (%s), want %d", len(got.events), got.err, len(st.want))
+			}
+			for cut := range len(st.data) {
+				batchesAgainstReference(t, st.data[:cut])
+			}
+		})
+	}
+}
+
+// TestBatchLoopWindowEdge: a stream longer than the production window
+// puts an ordinary record across its end, at each of eight offsets
+// (the metadata's length shifts the body a byte at a time), so the batch
+// loop stops short of the edge and next refills.
+func TestBatchLoopWindowEdge(t *testing.T) {
+	for shift := range 8 {
+		s := newBatchStream("heartbeat" + strings.Repeat("+", shift))
+		s.ordinary(windowSize / 5)
+		data := s.h.finish()
+		got := batchesAgainstReference(t, data)
+		if got.err != "EOF" || !slices.Equal(got.events, s.want) {
+			t.Fatalf("shift %d: decoded %d events (%s), want %d", shift, len(got.events), got.err, len(s.want))
+		}
+	}
+}

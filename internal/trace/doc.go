@@ -57,6 +57,11 @@
 //   - It owns a byte window over its source and refills it only at record
 //     boundaries; reader state changes only once a record has been
 //     scanned whole, so a refill never tears an event.
+//   - NextBatch decodes runs of ordinary records — one-byte kind, time
+//     delta, tag and detail refs to known strings, a pid of up to three
+//     bytes, at least 8 bytes of window ahead — in one loop over locals,
+//     and hands every other record to the per-event decoder behind Next,
+//     the one place that refills, interns strings and builds errors.
 //   - Offsets in errors are absolute stream offsets, for frame readers
 //     too.
 //   - A batch belongs to the caller: NextBatch keeps no reference to dst,

@@ -128,7 +128,9 @@ func FuzzBinaryReader(f *testing.F) {
 		// bytes.
 		for _, window := range testWindows {
 			got := againstReference(t, data, window, plain)
-			batchesAgainstNext(t, data, window, 7, got)
+			for _, slab := range []int{1, 7, 512} {
+				batchesAgainstNext(t, data, window, slab, got)
+			}
 		}
 		framesAgainstReference(t, data)
 

@@ -240,26 +240,90 @@ func (d *BinaryReader) Next() (Event, error) {
 // it, so a caller that reuses one slab must be done with a batch before
 // asking for the next. Concatenated, the batches are exactly the sequence
 // Next yields.
+//
+// Runs of ordinary records decode in one loop over locals — window,
+// position, time base, string table, event count — committed back to the
+// reader before anything else is handed to next. A record is ordinary
+// when the window holds at least 8 bytes from its start (the longest
+// ordinary record is 7, so no field is checked against the window's end),
+// its kind is one byte in 1..KindTimerDrop, its time delta one byte, its
+// pid one to three bytes, and its tag and detail one byte each naming a
+// string already in the table: a delivery, nearly always. Every other record — a control, a new
+// string, a longer field, one the window may cut off, a malformed one —
+// goes to next, the one place that refills, interns and builds errors.
 func (d *BinaryReader) NextBatch(dst []Event) (int, error) {
-	for n := range dst {
+	n := 0
+	for n < len(dst) {
+		if d.err == nil {
+			var (
+				b     = d.w.buf[:d.w.end]
+				p     = d.w.pos
+				t     = d.lastT
+				strs  = d.strs
+				known = uint8(min(len(strs), 0x7f)) // also bars a ref's multi-byte form
+				m     = n
+			)
+			for ; m < len(dst) && p+8 <= len(b); m++ {
+				r := b[p : p+8]
+				kind, zz := r[0], r[1]
+				if kind-1 >= uint8(KindTimerDrop) || zz >= 0x80 {
+					break
+				}
+				pid, q := uint(r[2]), 3
+				if pid >= 0x80 {
+					if c1 := uint(r[3]); c1 < 0x80 {
+						pid, q = pid&0x7f|c1<<7, 4
+					} else if c2 := uint(r[4]); c2 < 0x80 {
+						pid, q = pid&0x7f|(c1&0x7f)<<7|c2<<14, 5
+					} else {
+						break
+					}
+				}
+				tag, detail := r[q], r[q+1]
+				if tag > known || detail > known {
+					break
+				}
+				t += int64(zz>>1) ^ -int64(zz&1) // zigzag
+				var tagS, detailS string
+				if tag != 0 {
+					tagS = strs[tag-1]
+				}
+				if detail != 0 {
+					detailS = strs[detail-1]
+				}
+				e := &dst[m]
+				e.Time, e.Kind, e.PID = t, Kind(kind), int(pid)
+				e.MsgTag, e.Detail = tagS, detailS
+				p += q + 2
+			}
+			d.w.pos, d.lastT = p, t
+			d.counted += uint64(m - n)
+			if n = m; n == len(dst) {
+				break
+			}
+		}
 		if err := d.next(&dst[n]); err != nil {
 			if n == 0 {
 				return 0, err
 			}
 			return n, nil
 		}
+		n++
 	}
-	return len(dst), nil
+	return n, nil
 }
 
 // next decodes one event into *e, which it leaves untouched on error. A
 // record is scanned from the window without changing the reader and
 // committed — window position, time base, string table — only once it is
-// whole; a scan the window cuts short refills and starts over.
+// whole; a scan the window cuts short refills and starts over. It is the
+// whole decoder behind Next, and behind NextBatch it takes every record
+// the batch loop leaves: controls, new strings, multi-byte fields, records
+// near the window's end, and every malformed one.
 //
 // Each field reads its varint's one-byte case in line and leaves the rest
 // to uvarintMulti: the compiler will not inline a helper that holds both,
-// and five calls per event were a third of the decode. The gotos keep the
+// and a call per field would cost more than the field. The gotos keep the
 // two rare exits — refill, malformed string — out of the field sequence.
 func (d *BinaryReader) next(e *Event) error {
 	if d.err != nil {
