@@ -58,8 +58,8 @@
 // -trace FILE streams the run's full event trace to FILE. -trace-format
 // selects the sink: text (the default; one event per line, the canonical
 // trace.WriteText rendering) or binary (a compact varint stream, ~6
-// bytes/event, decoded with trace.ReadBinary). Either way the trace is
-// spilled in batches of -trace-buf events (0 selects the default,
+// bytes/event, read back by hdsim -replay and tracediff). Either way the
+// trace is spilled in batches of -trace-buf events (0 selects the default,
 // trace.DefaultBufSize = 2048; values outside [0, 1048576] are rejected),
 // so even a multi-million-event run traces in constant memory. Single runs only. Binary traces embed the
 // full scenario fingerprint and a seekable frame index (internal/trace v2

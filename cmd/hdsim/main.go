@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&tr.path, "trace", "", "stream the full event trace to this file (single runs only)")
 	replayPath := fs.String("replay", "", "re-verify a recorded run offline from its v2 binary trace (engine-free; every other scenario flag is ignored — the trace's embedded fingerprint wins)")
 	fs.IntVar(&tr.buf, "trace-buf", 0, fmt.Sprintf("trace spill batch size in events (0 = default %d)", trace.DefaultBufSize))
-	fs.StringVar(&tr.format, "trace-format", "text", "trace encoding: text (canonical lines) or binary (compact varint stream, decode with trace.ReadBinary)")
+	fs.StringVar(&tr.format, "trace-format", "text", "trace encoding: text (canonical lines) or binary (compact varint stream; read it back with hdsim -replay or tracediff)")
 	campaignFlags := cliutil.CampaignFlags(fs)
 	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -183,7 +183,7 @@ func (t *traceOut) report(stdout io.Writer) {
 // runReplay re-verifies a recorded run from its trace alone: the scenario
 // comes from the embedded fingerprint, the checker inputs from the event
 // stream, and the verdict prints through the same renderers the live run
-// used. Events stream through the reader one at a time, so population-
+// used. Events stream through the reader a slab at a time, so population-
 // scale traces re-verify in constant memory.
 func runReplay(path string, stdout io.Writer) error {
 	f, err := os.Open(path)

@@ -172,6 +172,48 @@ func TestGoldenSignRejections(t *testing.T) {
 	}
 }
 
+// TestGoldenReplayDamaged: -replay of the heartbeat grid trace cut short
+// — a few bytes into frame 1, just before frame 1's restart control, one
+// byte short of the trailer — prints the header, then fails with the
+// decoder's format error and exit 1 (stdout, stderr and the exit code are
+// the golden). The cuts come from the trace's own index.
+func TestGoldenReplayDamaged(t *testing.T) {
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "run.bin")
+	var args string
+	for _, tc := range grid {
+		if tc.name == "heartbeat" {
+			args = tc.args
+		}
+	}
+	hdsim(t, tmp, append(strings.Fields(args), "-trace", bin, "-trace-format", "binary")...)
+	data, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := trace.OpenTraceFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame1 := tf.Index().Frames[1].Offset
+	for _, tc := range []struct {
+		name string
+		cut  uint64
+	}{
+		{"replay_cut_mid_frame", frame1 + 3},
+		{"replay_cut_before_restart", frame1 - 2}, // the restart control precedes the frame
+		{"replay_cut_in_trailer", uint64(len(data)) - 1},
+	} {
+		path := filepath.Join(tmp, tc.name+".bin")
+		if err := os.WriteFile(path, data[:tc.cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-replay", path}, &stdout, &stderr)
+		checkGolden(t, tc.name, stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
+	}
+}
+
 // TestHeartbeatHeaderPrintsPeriodUsed: -period 0 selects the default, and
 // the header names it instead of echoing the 0.
 func TestHeartbeatHeaderPrintsPeriodUsed(t *testing.T) {

@@ -293,22 +293,27 @@ func diffStreams(a, b *side, stdout io.Writer) (bool, error) {
 		ea, errA := ra.Next()
 		eb, errB := rb.Next()
 		switch {
+		case errA != nil && errA != io.EOF:
+			return false, fmt.Errorf("%s: %w", a.path, errA)
+		case errB != nil && errB != io.EOF:
+			return false, fmt.Errorf("%s: %w", b.path, errB)
 		case errA == io.EOF && errB == io.EOF:
 			fmt.Fprintf(stdout, "events: identical — %d events\n", ord)
 			return true, nil
-		case errA == io.EOF || errB == io.EOF:
-			var na, nb uint64 = ord, ord
-			if errA == io.EOF {
-				nb++ // b still has at least this event
-			} else {
-				na++
+		case errA == io.EOF:
+			nb, err := countRest(rb, ord+1, b.path)
+			if err != nil {
+				return false, err
 			}
-			reportLength(na, nb, stdout)
+			reportLength(ord, nb, stdout)
 			return false, nil
-		case errA != nil:
-			return false, fmt.Errorf("%s: %w", a.path, errA)
-		case errB != nil:
-			return false, fmt.Errorf("%s: %w", b.path, errB)
+		case errB == io.EOF:
+			na, err := countRest(ra, ord+1, a.path)
+			if err != nil {
+				return false, err
+			}
+			reportLength(na, ord, stdout)
+			return false, nil
 		case ea != eb:
 			fmt.Fprintf(stdout, "events: first divergence at event %d\n", ord)
 			fmt.Fprintf(stdout, "  a: %s\n", ea)
@@ -317,4 +322,18 @@ func diffStreams(a, b *side, stdout io.Writer) (bool, error) {
 		}
 		ord++
 	}
+}
+
+// countRest returns n plus the events r still holds: the length of the
+// longer trace once the other has ended. A decode error on the way is the
+// trace at path's, as in the lockstep loop.
+func countRest(r *trace.BinaryReader, n uint64, path string) (uint64, error) {
+	err := trace.DrainBatches(r, func(batch []trace.Event) error {
+		n += uint64(len(batch))
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return n, nil
 }

@@ -89,6 +89,8 @@ func TestGolden(t *testing.T) {
 	writeTrace(t, "a32.bin", events, 32, meta)
 	writeTrace(t, "skew32.bin", skewed, 32, meta)
 	writeTrace(t, "short.bin", events[:150], 64, meta)
+	writeTrace(t, "short32.bin", events[:150], 32, meta)
+	writeTrace(t, "empty.bin", nil, 64, meta)
 	otherMeta := *meta
 	otherMeta.Seed = 2
 	writeTrace(t, "seed2.bin", events, 64, &otherMeta)
@@ -113,6 +115,10 @@ func TestGolden(t *testing.T) {
 		{"skew_unfinalized", "a.bin skew-unfinalized.bin"},
 		{"stride_mismatch_identical", "a.bin a32.bin"},
 		{"stride_mismatch_skew", "a.bin skew32.bin"},
+		// Misaligned frames take the linear path, which must still count
+		// the longer trace to its end.
+		{"shorter_stride_mismatch", "a.bin short32.bin"},
+		{"empty_vs_full", "empty.bin a.bin"},
 		{"v1_header", "a.bin v1.bin"},
 		{"truncated", "a.bin truncated.bin"},
 		{"missing_file", "a.bin missing.bin"},
@@ -139,5 +145,34 @@ func TestGolden(t *testing.T) {
 				t.Errorf("tracediff %s differs from golden:\n--- want ---\n%s\n--- got ---\n%s", tc.args, want, got)
 			}
 		})
+	}
+}
+
+// TestLinearTailError: once the shorter trace has ended, the linear path
+// reads the longer one to its end to count it, and a decode error there
+// — later on, or in the very record read beside the other's end — is a
+// failure of that trace (exit 2), not a length.
+func TestLinearTailError(t *testing.T) {
+	t.Chdir(t.TempDir())
+	a := writeTrace(t, "a.bin", fixtureEvents(), 64, nil)
+	writeTrace(t, "empty.bin", nil, 64, nil)
+	writeFile(t, "truncated.bin", a[:len(a)/2])
+	tf, err := trace.OpenTraceFile(bytes.NewReader(a), int64(len(a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, "cut.bin", a[:tf.Index().Frames[0].Offset+1]) // one byte of the first record
+	for _, tc := range []struct{ args, bad string }{
+		{"empty.bin truncated.bin", "truncated.bin"},
+		{"truncated.bin empty.bin", "truncated.bin"},
+		{"empty.bin cut.bin", "cut.bin"},
+		{"cut.bin empty.bin", "cut.bin"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		want := "tracediff: " + tc.bad + ": trace: binary format error: "
+		if code != 2 || !strings.HasPrefix(stderr.String(), want) || strings.Contains(stdout.String(), "lengths diverge") {
+			t.Errorf("tracediff %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", tc.args, code, stdout.String(), stderr.String(), want)
+		}
 	}
 }

@@ -74,8 +74,9 @@ const (
 )
 
 // DefaultFrameEvents is the events-per-frame stride used when
-// BinarySink.FrameEvents is zero. One frame per spill batch keeps index
-// granularity aligned with the recorder's staging buffer.
+// BinarySink.FrameEvents is zero, whatever the spill batch size. It sets
+// the grain of random access: tracediff and point queries decode one
+// frame at a time.
 const DefaultFrameEvents = 4096
 
 // maxBinaryString caps one interned string's byte length — far beyond any

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"slices"
@@ -434,5 +435,38 @@ func TestDrainBatches(t *testing.T) {
 	calls := 0
 	if err := DrainBatches(reader(bin), func([]Event) error { calls++; return stop }); err != stop || calls != 1 {
 		t.Errorf("consumer error: got %v after %d calls, want %v after 1", err, calls, stop)
+	}
+}
+
+// TestUvarintMatchesReadUvarint holds the decoder's one varint routine to
+// encoding/binary at every length up to one past the longest, with every
+// last byte, cut at every byte: the same value and length where
+// ReadUvarint reads one, varintShort where it runs out of bytes, and
+// varintOverflow, with the same text, where it overflows.
+func TestUvarintMatchesReadUvarint(t *testing.T) {
+	for size := 1; size <= binary.MaxVarintLen64+1; size++ {
+		for _, fill := range []byte{0x80, 0xa5, 0xff} {
+			for last := range 256 {
+				b := append(bytes.Repeat([]byte{fill}, size-1), byte(last))
+				for cut := range len(b) + 1 {
+					// One byte ahead of the varint, as inside a record.
+					x, p := uvarint(append([]byte{0x7f}, b[:cut]...), 1)
+					r := bytes.NewReader(b[:cut])
+					want, err := binary.ReadUvarint(r)
+					var ok bool
+					switch {
+					case err == nil:
+						ok = x == want && p == 1+cut-r.Len()
+					case err == io.EOF || err == io.ErrUnexpectedEOF:
+						ok = p == varintShort
+					default:
+						ok = p == varintOverflow && err.Error() == errVarintOverflow.Error()
+					}
+					if !ok {
+						t.Fatalf("uvarint(% x) = %d, %d; ReadUvarint = %d, %v", b[:cut], x, p, want, err)
+					}
+				}
+			}
+		}
 	}
 }

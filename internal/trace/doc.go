@@ -32,8 +32,8 @@
 //     to WriteText over the same run's in-memory events. BinarySink streams the compact binary format
 //     instead (varint fields, delta-coded times, inline string interning;
 //     see binary.go) — about an order of magnitude smaller and free of
-//     per-event formatting; BinaryReader/ReadBinary decode it back to the
-//     exact Event values, so its text rendering is byte-identical too.
+//     per-event formatting; BinaryReader decodes it back to the exact
+//     Event values, so its text rendering is byte-identical too.
 //
 // The zero value is a ready, stats-only recorder; a nil *Recorder is safe
 // to record into and reports empty results.
@@ -50,9 +50,11 @@
 // # Decoding
 //
 // BinaryReader decodes a binary stream (NewBinaryReader) or one frame of
-// a finalized file (OpenTraceFile, TraceFile.OpenFrame) event by event
-// (Next) or a slab at a time (NextBatch); Drain and DrainBatches are the
-// matching pull loops over any EventSource. The decoder's contract:
+// a finalized file (OpenTraceFile, TraceFile.OpenFrame) a slab at a time
+// (NextBatch, the EventSource method) or event by event (Next, which is
+// NextBatch for one event). DrainBatches is the pull loop over any
+// EventSource, and Drain is DrainBatches one event at a time. The
+// decoder's contract:
 //
 //   - It owns a byte window over its source and refills it only at record
 //     boundaries; reader state changes only once a record has been
@@ -60,8 +62,9 @@
 //   - NextBatch decodes runs of ordinary records — one-byte kind, time
 //     delta, tag and detail refs to known strings, a pid of up to three
 //     bytes, at least 8 bytes of window ahead — in one loop over locals,
-//     and hands every other record to the per-event decoder behind Next,
-//     the one place that refills, interns strings and builds errors.
+//     the decoder's only fast path, and hands every other record to next,
+//     a plain per-record decoder and the one place that refills, interns
+//     strings and builds errors.
 //   - Offsets in errors are absolute stream offsets, for frame readers
 //     too.
 //   - A batch belongs to the caller: NextBatch keeps no reference to dst,

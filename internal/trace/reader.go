@@ -4,14 +4,17 @@ package trace
 //
 // Decoder contract. A BinaryReader owns a byte window over its source and
 // decodes records out of it by slice index — no per-byte call, no
-// interface. The window is refilled only at record boundaries: a record
-// the window holds in part is rescanned from its first byte once more
-// bytes are in, and nothing about the reader changes until a record has
-// been scanned whole, so a refill can never tear an event. Every offset
-// the reader reports or checks is absolute in the stream (window base +
-// position). Every failure leaves through stop, which makes it sticky and
-// is the one place that decides between a format error (wraps
-// ErrBinaryTrace) and the source's own read error (returned as it came).
+// interface. There is one way in, NextBatch (Next is NextBatch for one
+// event), and two decoders behind it: the batch loop, the one fast path,
+// for ordinary records, and next for every other record. The window is
+// refilled only at record boundaries: a record the window holds in part
+// is rescanned from its first byte once more bytes are in, and nothing
+// about the reader changes until a record has been scanned whole, so a
+// refill can never tear an event. Every offset the reader reports or
+// checks is absolute in the stream (window base + position). Every
+// failure leaves through stop, which makes it sticky and is the one place
+// that decides between a format error (wraps ErrBinaryTrace) and the
+// source's own read error (returned as it came).
 
 import (
 	"bytes"
@@ -109,30 +112,6 @@ var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 // uvarint decodes the uvarint at b[p:] and returns it with the position
 // after it, accepting exactly what binary.ReadUvarint accepts.
 func uvarint(b []byte, p int) (uint64, int) {
-	if p < len(b) {
-		if c := b[p]; c < 0x80 {
-			return uint64(c), p + 1
-		}
-	}
-	return uvarintMulti(b, p)
-}
-
-// uvarintMulti is kept out of line so that uvarint, one compare and one
-// load for the single-byte values that make up nearly all of a trace,
-// inlines into the decoder.
-//
-//go:noinline
-func uvarintMulti(b []byte, p int) (uint64, int) {
-	if p+3 <= len(b) && b[p] >= 0x80 {
-		// Two and three bytes — a pid below 2^21 — without the loop.
-		c0, c1, c2 := uint64(b[p]), uint64(b[p+1]), uint64(b[p+2])
-		if c1 < 0x80 {
-			return c0&0x7f | c1<<7, p + 2
-		}
-		if c2 < 0x80 {
-			return c0&0x7f | (c1&0x7f)<<7 | c2<<14, p + 3
-		}
-	}
 	var x uint64
 	var s uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
@@ -154,12 +133,12 @@ func uvarintMulti(b []byte, p int) (uint64, int) {
 
 // BinaryReader decodes a binary trace stream, holding only its window and
 // the string table — a trace of any length decodes in memory proportional
-// to its distinct tags/details, not its events. It implements EventSource;
-// NextBatch is the same decoder filling a caller's slab.
+// to its distinct tags/details, not its events. It implements EventSource
+// with NextBatch; Next pulls one event through the same method.
 type BinaryReader struct {
 	w       window
 	meta    *Meta
-	index   *Index // set once Next returns io.EOF; frame sections have none
+	index   *Index // set once the stream ends at io.EOF; frame sections have none
 	strs    []string
 	lastT   int64
 	counted uint64
@@ -220,26 +199,27 @@ func newBinaryReader(r io.Reader, size int) (*BinaryReader, error) {
 // written without one.
 func (d *BinaryReader) Meta() *Meta { return d.meta }
 
-// Next implements EventSource: it returns the next event, io.EOF at a
-// clean end of stream, and an error wrapping ErrBinaryTrace for any
-// corruption — truncation mid-event, an invalid kind, a stream cut off
-// before its end-of-events marker, or trailing bytes after the
-// trailer (ErrTrailingData). A read error of the source other than io.EOF
-// is returned as the source gave it, never wrapped in ErrBinaryTrace. The
-// first error ends the stream: every later call returns it again.
+// Next returns the next event: NextBatch for one event, with the same
+// errors and the same end.
 func (d *BinaryReader) Next() (Event, error) {
-	var e Event
-	err := d.next(&e)
-	return e, err
+	var e [1]Event
+	_, err := d.NextBatch(e[:])
+	return e[0], err
 }
 
-// NextBatch decodes up to len(dst) events into dst and returns how many.
-// It returns n > 0 and a nil error, or 0 and the error Next would return:
-// events decoded ahead of a failure are delivered first and the failure
-// on the call after. dst is the caller's; the reader keeps no reference to
-// it, so a caller that reuses one slab must be done with a batch before
-// asking for the next. Concatenated, the batches are exactly the sequence
-// Next yields.
+// NextBatch implements EventSource: it decodes up to len(dst) events into
+// dst and returns how many. It returns n > 0 and a nil error, or 0 and an
+// error: io.EOF at a clean end of stream, and an error wrapping
+// ErrBinaryTrace for any corruption — truncation mid-event, an invalid
+// kind, a stream cut off before its end-of-events marker, or trailing
+// bytes after the trailer (ErrTrailingData). A read error of the source
+// other than io.EOF is returned as the source gave it, never wrapped in
+// ErrBinaryTrace. Events decoded ahead of a failure are delivered first
+// and the failure on the call after; the first error ends the stream, and
+// every later call returns it again. dst is the caller's; the reader
+// keeps no reference to it, so a caller that reuses one slab must be done
+// with a batch before asking for the next. The batches concatenate to the
+// same events whatever len(dst) is.
 //
 // Runs of ordinary records decode in one loop over locals — window,
 // position, time base, string table, event count — committed back to the
@@ -248,9 +228,10 @@ func (d *BinaryReader) Next() (Event, error) {
 // ordinary record is 7, so no field is checked against the window's end),
 // its kind is one byte in 1..KindTimerDrop, its time delta one byte, its
 // pid one to three bytes, and its tag and detail one byte each naming a
-// string already in the table: a delivery, nearly always. Every other record — a control, a new
-// string, a longer field, one the window may cut off, a malformed one —
-// goes to next, the one place that refills, interns and builds errors.
+// string already in the table: a delivery, nearly always. Every other
+// record — a control, a new string, a longer field, one the window may
+// cut off, a malformed one — goes to next, the one place that refills,
+// interns and builds errors.
 func (d *BinaryReader) NextBatch(dst []Event) (int, error) {
 	n := 0
 	for n < len(dst) {
@@ -316,15 +297,12 @@ func (d *BinaryReader) NextBatch(dst []Event) (int, error) {
 // next decodes one event into *e, which it leaves untouched on error. A
 // record is scanned from the window without changing the reader and
 // committed — window position, time base, string table — only once it is
-// whole; a scan the window cuts short refills and starts over. It is the
-// whole decoder behind Next, and behind NextBatch it takes every record
-// the batch loop leaves: controls, new strings, multi-byte fields, records
-// near the window's end, and every malformed one.
-//
-// Each field reads its varint's one-byte case in line and leaves the rest
-// to uvarintMulti: the compiler will not inline a helper that holds both,
-// and a call per field would cost more than the field. The gotos keep the
-// two rare exits — refill, malformed string — out of the field sequence.
+// whole; a scan the window cuts short refills and starts over. NextBatch
+// calls it for every record its loop leaves: controls, new strings, wide
+// fields, records near the window's end, and every malformed one. Those
+// are rare, so each field is read by the one uvarint routine. The gotos
+// keep the two rare exits — refill, malformed string — out of the field
+// sequence.
 func (d *BinaryReader) next(e *Event) error {
 	if d.err != nil {
 		return d.err
@@ -343,9 +321,7 @@ func (d *BinaryReader) next(e *Event) error {
 			err               error
 		)
 
-		if single(b, p) {
-			kind, p = uint64(b[p]), p+1
-		} else if kind, p = uvarintMulti(b, p); p <= 0 {
+		if kind, p = uvarint(b, p); p <= 0 {
 			field = "event kind"
 			goto stalled
 		}
@@ -375,26 +351,16 @@ func (d *BinaryReader) next(e *Event) error {
 		if kind > uint64(KindTimerDrop) {
 			return d.stop(fmt.Errorf("%w: invalid event kind %d at offset %d", ErrBinaryTrace, kind, w.base+uint64(p)))
 		}
-		if single(b, p) {
-			zz, p = uint64(b[p]), p+1
-		} else if zz, p = uvarintMulti(b, p); p <= 0 {
+		if zz, p = uvarint(b, p); p <= 0 {
 			field = "time delta"
 			goto stalled
 		}
-		if single(b, p) {
-			pid, p = uint64(b[p]), p+1
-		} else if p+1 < len(b) && b[p+1] < 0x80 {
-			// The one field that is routinely two bytes: any population
-			// above 128 puts most pids here.
-			pid, p = uint64(b[p]&0x7f)|uint64(b[p+1])<<7, p+2
-		} else if pid, p = uvarintMulti(b, p); p <= 0 {
+		if pid, p = uvarint(b, p); p <= 0 {
 			field = "pid"
 			goto stalled
 		}
 		field = "tag"
-		if single(b, p) {
-			tagRef, p = uint64(b[p]), p+1
-		} else if tagRef, p = uvarintMulti(b, p); p <= 0 {
+		if tagRef, p = uvarint(b, p); p <= 0 {
 			goto stalled
 		}
 		if tagRef > known {
@@ -404,9 +370,7 @@ func (d *BinaryReader) next(e *Event) error {
 			known++ // the detail may refer to the string just introduced
 		}
 		field = "detail"
-		if single(b, p) {
-			detailRef, p = uint64(b[p]), p+1
-		} else if detailRef, p = uvarintMulti(b, p); p <= 0 {
+		if detailRef, p = uvarint(b, p); p <= 0 {
 			goto stalled
 		}
 		if detailRef > known {
@@ -437,9 +401,6 @@ func (d *BinaryReader) next(e *Event) error {
 		}
 	}
 }
-
-// single reports whether the varint at b[p] is there and one byte long.
-func single(b []byte, p int) bool { return p < len(b) && b[p] < 0x80 }
 
 // stringBad is scanNewString's failure outcome beside the two varint
 // ones: the reference is malformed and err says how.

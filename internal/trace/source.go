@@ -2,14 +2,16 @@ package trace
 
 import "io"
 
-// EventSource is the pull face of an event stream: Next returns events
-// in recording order and io.EOF at the end. It is the seam that decouples
-// checkers from live engines — a BinaryReader over a spilled trace file
-// and a SliceSource over an in-memory event list are both EventSources,
-// so every consumer written against this interface replays a recorded
-// run exactly as it would have observed the live one.
+// EventSource is the pull face of an event stream: NextBatch fills dst
+// with the next events in recording order and returns how many — n > 0
+// and a nil error, or 0 and an error, io.EOF at the end — for any
+// non-empty dst. It is the seam that decouples checkers from live
+// engines — a BinaryReader over a spilled trace file and a SliceSource
+// over an in-memory event list are both EventSources, so every consumer
+// written against this interface replays a recorded run exactly as it
+// would have observed the live one.
 type EventSource interface {
-	Next() (Event, error)
+	NextBatch(dst []Event) (int, error)
 }
 
 // SliceSource is an EventSource over an in-memory event slice, in order.
@@ -23,32 +25,28 @@ type SliceSource struct {
 //detlint:ignore unreached test support: trace and replay tests feed in-memory events through it
 func NewSliceSource(evs []Event) *SliceSource { return &SliceSource{evs: evs} }
 
-// Next implements EventSource.
-func (s *SliceSource) Next() (Event, error) {
+// NextBatch implements EventSource.
+func (s *SliceSource) NextBatch(dst []Event) (int, error) {
 	if s.i >= len(s.evs) {
-		return Event{}, io.EOF
+		return 0, io.EOF
 	}
-	e := s.evs[s.i]
-	s.i++
-	return e, nil
+	n := copy(dst, s.evs[s.i:])
+	s.i += n
+	return n, nil
 }
 
-// Drain pulls src to exhaustion, handing each event to fn. It stops at
-// the first error from either side; io.EOF from the source is the clean
-// end and returns nil.
+// Drain pulls src to exhaustion, handing each event to fn: DrainBatches
+// one event at a time. It stops at the first error from either side;
+// io.EOF from the source is the clean end and returns nil.
 func Drain(src EventSource, fn func(Event) error) error {
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return nil
+	return DrainBatches(src, func(batch []Event) error {
+		for _, e := range batch {
+			if err := fn(e); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
+		return nil
+	})
 }
 
 // drainSlab is the batch DrainBatches pulls at a time: large enough that
@@ -56,35 +54,21 @@ func Drain(src EventSource, fn func(Event) error) error {
 // that a replay's memory does not move.
 const drainSlab = 512
 
-// DrainBatches pulls src to exhaustion like Drain, handing fn the events
-// in batches: one reused slab, filled by the source's NextBatch when it
-// has one (a BinaryReader does) and by Next otherwise. A batch is valid
-// only until fn returns — fn must copy what it keeps. Events that precede
-// an error of the source are delivered before DrainBatches returns it.
+// DrainBatches pulls src to exhaustion, handing fn the events in batches:
+// one reused slab, filled by the source's NextBatch. A batch is valid only
+// until fn returns — fn must copy what it keeps. Events that precede an
+// error of the source are delivered before DrainBatches returns it.
 func DrainBatches(src EventSource, fn func([]Event) error) error {
 	slab := make([]Event, drainSlab)
-	batcher, _ := src.(interface{ NextBatch([]Event) (int, error) })
 	for {
-		var n int
-		var err error
-		if batcher != nil {
-			n, err = batcher.NextBatch(slab)
-		} else {
-			for n < len(slab) && err == nil {
-				if slab[n], err = src.Next(); err == nil {
-					n++
-				}
-			}
-		}
-		if n > 0 {
-			if err := fn(slab[:n]); err != nil {
-				return err
-			}
-		}
+		n, err := src.NextBatch(slab)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
+			return err
+		}
+		if err := fn(slab[:n]); err != nil {
 			return err
 		}
 	}
