@@ -222,8 +222,11 @@ func diffFrames(a, b *side, k int, stdout io.Writer) error {
 			return err
 		}
 		ord := a.tf.Index().Frames[k].Ordinal
-		if done, err := reportFirstDiff(fa, fb, ord, k, stdout); done {
-			return err
+		if reportFirstDiff(fa, fb, ord, k, stdout) {
+			return nil
+		}
+		if len(fa) != len(fb) {
+			break // frames are aligned, so the shorter trace ends in this one
 		}
 	}
 	reportLength(a.tf.Index().TotalEvents, b.tf.Index().TotalEvents, stdout)
@@ -244,27 +247,18 @@ func frameEvents(s *side, k int) ([]trace.Event, error) {
 }
 
 // reportFirstDiff compares two aligned event runs starting at ordinal
-// ord; on a mismatch it prints the divergence and reports done. A length
-// mismatch within the pair is also final (frames are aligned, so the
-// shorter side's trace ends inside this frame).
-func reportFirstDiff(fa, fb []trace.Event, ord uint64, frame int, stdout io.Writer) (bool, error) {
-	n := len(fa)
-	if len(fb) < n {
-		n = len(fb)
-	}
-	for i := 0; i < n; i++ {
+// ord up to the shorter one's end; on a mismatch it prints the divergence
+// and reports it.
+func reportFirstDiff(fa, fb []trace.Event, ord uint64, frame int, stdout io.Writer) bool {
+	for i := range min(len(fa), len(fb)) {
 		if fa[i] != fb[i] {
 			fmt.Fprintf(stdout, "events: first divergence at event %d (frame %d)\n", ord+uint64(i), frame)
 			fmt.Fprintf(stdout, "  a: %s\n", fa[i])
 			fmt.Fprintf(stdout, "  b: %s\n", fb[i])
-			return true, nil
+			return true
 		}
 	}
-	if len(fa) != len(fb) {
-		reportLength(ord+uint64(len(fa)), ord+uint64(len(fb)), stdout)
-		return true, nil
-	}
-	return false, nil
+	return false
 }
 
 func reportLength(na, nb uint64, stdout io.Writer) {

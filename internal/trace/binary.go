@@ -189,23 +189,20 @@ func (s *BinarySink) header() error {
 	return nil
 }
 
-// writeBody writes p as body bytes: counted and digested.
-func (s *BinarySink) writeBody(p []byte) error {
-	if _, err := s.w.Write(p); err != nil {
-		return err
-	}
-	s.off += uint64(len(p))
-	s.digest = fnvSum(s.digest, p)
-	return nil
-}
-
 // Spill implements Sink. It encodes the batch a frame slice at a time:
 // the events from here to the open frame's end (or the batch's) go into
-// one buffer, with the time base and the frame's pid bloom in locals, and
-// reach the writer and the digest in one write — the restart control of a
-// frame the slice fills included. A bloom that is all ones skips the
-// per-event bits: OR-ing more into it cannot change it. The bytes, the
-// index and the digests are those of encoding and writing event by event.
+// one buffer, with the time base, the frame's pid bloom and the running
+// digest in locals, and reach the writer in one write — the restart
+// control of a frame the slice fills included. An ordinary record, the
+// shape NextBatch's loop decodes — kind and time delta of one byte each,
+// a pid below 2²¹, the tag appendString referenced last with a one-byte
+// ref, no detail — is written by one append; any other record goes field
+// by field. Each record is digested as soon as it is appended, so the
+// digest's byte-serial multiply chain overlaps the encoding instead of
+// re-reading the buffer, and s.off and s.digest take the slice only once
+// it is written. A bloom that is all ones skips the per-event bits:
+// OR-ing more into it cannot change it. The bytes, the index and the
+// digests are those of encoding and writing event by event.
 func (s *BinarySink) Spill(batch []Event) error {
 	if s.closed {
 		return fmt.Errorf("trace: spill after the stream was finalized")
@@ -225,15 +222,43 @@ func (s *BinarySink) Spill(batch []Event) error {
 		}
 		chunk := batch[:min(len(batch), stride-s.inFrame)]
 		batch = batch[len(chunk):]
-		enc, lastT, bloom := s.enc[:0], s.lastT, s.cur.PIDBloom
+		enc, lastT, bloom, h := s.enc[:0], s.lastT, s.cur.PIDBloom, s.digest
 		for i := range chunk {
 			e := &chunk[i]
-			enc = binary.AppendUvarint(enc, uint64(e.Kind))
-			enc = binary.AppendVarint(enc, e.Time-lastT)
+			dt := e.Time - lastT
 			lastT = e.Time
-			enc = binary.AppendUvarint(enc, uint64(e.PID))
-			enc = s.appendString(enc, e.MsgTag)
-			enc = s.appendString(enc, e.Detail)
+			kind, zz, pid := uint64(e.Kind), uint64(dt<<1^dt>>63), uint64(e.PID)
+			if kind|zz < 0x80 && pid < 1<<21 && e.MsgTag == s.lastStr && s.lastRef < 0x80 && e.Detail == "" {
+				h = (h ^ kind) * fnvPrime
+				h = (h ^ zz) * fnvPrime
+				k, z, ref := byte(kind), byte(zz), byte(s.lastRef)
+				switch {
+				case pid < 1<<7:
+					enc = append(enc, k, z, byte(pid), ref, 0)
+					h = (h ^ pid) * fnvPrime
+				case pid < 1<<14:
+					p0, p1 := byte(pid)|0x80, byte(pid>>7)
+					enc = append(enc, k, z, p0, p1, ref, 0)
+					h = (h ^ uint64(p0)) * fnvPrime
+					h = (h ^ uint64(p1)) * fnvPrime
+				default:
+					p0, p1, p2 := byte(pid)|0x80, byte(pid>>7)|0x80, byte(pid>>14)
+					enc = append(enc, k, z, p0, p1, p2, ref, 0)
+					h = (h ^ uint64(p0)) * fnvPrime
+					h = (h ^ uint64(p1)) * fnvPrime
+					h = (h ^ uint64(p2)) * fnvPrime
+				}
+				h = (h ^ uint64(ref)) * fnvPrime
+				h *= fnvPrime // the empty detail's 0 byte
+			} else {
+				n := len(enc)
+				enc = binary.AppendUvarint(enc, kind)
+				enc = binary.AppendUvarint(enc, zz)
+				enc = binary.AppendUvarint(enc, pid)
+				enc = s.appendString(enc, e.MsgTag)
+				enc = s.appendString(enc, e.Detail)
+				h = fnvSum(h, enc[n:])
+			}
 			if bloom != ^uint64(0) {
 				bloom |= pidBloomBits(e.PID)
 			}
@@ -244,11 +269,14 @@ func (s *BinarySink) Spill(batch []Event) error {
 		full := s.inFrame == stride
 		if full {
 			enc = append(enc, 0, controlRestart)
+			h = fnvSum(h, enc[len(enc)-2:])
 		}
 		s.enc = enc
-		if err := s.writeBody(enc); err != nil {
+		if _, err := s.w.Write(enc); err != nil {
 			return err
 		}
+		s.off += uint64(len(enc))
+		s.digest = h
 		if full {
 			s.closeFrame()
 		}
@@ -334,7 +362,7 @@ func (s *BinarySink) Flush() error {
 }
 
 // ReadBinary decodes a whole binary trace into memory. Large traces should
-// stream through BinaryReader.Next instead.
+// stream through BinaryReader.NextBatch instead, or DrainBatches over it.
 //
 //detlint:ignore unreached test support: trace, sim and hruntime tests decode whole traces with it
 func ReadBinary(r io.Reader) ([]Event, error) {

@@ -275,9 +275,22 @@ func genSpillBatch(n int) []Event {
 	return batch
 }
 
+// heartbeatFrame is one frame of DefaultFrameEvents deliveries shaped like
+// a population-scale heartbeat trace: pids of one to three bytes, one tag,
+// no detail, a tick every 64 events. Nearly every record is ordinary.
+func heartbeatFrame() []Event {
+	events := make([]Event, DefaultFrameEvents)
+	for i := range events {
+		events[i] = Event{Time: int64(i / 64), Kind: KindDeliver, PID: (i * 7919) % 20000, MsgTag: "HB"}
+	}
+	return events
+}
+
 // BenchmarkBinarySinkSpill compares the per-event spill cost of the binary
 // sink against the text sink it replaces — the formatting work that used
-// to dominate traced large-n runs.
+// to dominate traced large-n runs. Its "binary" batch cycles three tags,
+// so no record repeats the string before it; "heartbeat" spills the frame
+// BenchmarkNextBatch decodes, a frame per Spill, and reports ns/event.
 func BenchmarkBinarySinkSpill(b *testing.B) {
 	batch := genSpillBatch(4096)
 	b.Run("binary", func(b *testing.B) {
@@ -291,6 +304,19 @@ func BenchmarkBinarySinkSpill(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+	b.Run("heartbeat", func(b *testing.B) {
+		events := heartbeatFrame()
+		s := NewBinarySink(io.Discard)
+		for b.Loop() {
+			if err := s.Spill(events); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+	})
 	b.Run("text", func(b *testing.B) {
 		s := NewWriterSink(io.Discard)
 		for i := 0; i < b.N; i++ {
@@ -301,16 +327,11 @@ func BenchmarkBinarySinkSpill(b *testing.B) {
 	})
 }
 
-// BenchmarkNextBatch is the decode layer alone: one frame of
-// DefaultFrameEvents deliveries shaped like a population-scale heartbeat
-// trace (pids of one to three bytes, one tag, no detail, a tick every 64
-// events) pulled through NextBatch into a 512-event slab, as DrainBatches
-// does. It reports ns/event.
+// BenchmarkNextBatch is the decode layer alone: one heartbeatFrame pulled
+// through NextBatch into a 512-event slab, as DrainBatches does. It
+// reports ns/event.
 func BenchmarkNextBatch(b *testing.B) {
-	events := make([]Event, DefaultFrameEvents)
-	for i := range events {
-		events[i] = Event{Time: int64(i / 64), Kind: KindDeliver, PID: (i * 7919) % 20000, MsgTag: "HB"}
-	}
+	events := heartbeatFrame()
 	var buf bytes.Buffer
 	sink := NewBinarySink(&buf)
 	if err := sink.Spill(events); err != nil {

@@ -53,6 +53,18 @@ func (s *BinarySink) spillEventRef(batch []Event) error {
 	return nil
 }
 
+// writeBody writes p as body bytes: counted and digested. It is how
+// Spill wrote and digested a frame slice before it digested each record
+// as it appended it.
+func (s *BinarySink) writeBody(p []byte) error {
+	if _, err := s.w.Write(p); err != nil {
+		return err
+	}
+	s.off += uint64(len(p))
+	s.digest = fnvSum(s.digest, p)
+	return nil
+}
+
 // eventRefSink is a BinarySink spilling through spillEventRef.
 type eventRefSink struct{ *BinarySink }
 
@@ -88,12 +100,71 @@ func bloomSaturatesMidFrame(events []Event, stride int) bool {
 	return false
 }
 
+// encoderEdges is a stream that takes every exit of Spill's
+// ordinary-record check at least once, each beside a record that just
+// passes it, and then spreads its pids until the frame's bloom fills.
+// Ordinary means: kind and zigzag time delta of one byte each, a pid in
+// [0, 2²¹), the string appendString referenced last as the tag with a ref
+// below 128, and no detail.
+func encoderEdges() []Event {
+	var out []Event
+	var tm int64
+	add := func(dt int64, kind Kind, pid int, tag, detail string) {
+		tm += dt
+		out = append(out, Event{Time: tm, Kind: kind, PID: pid, MsgTag: tag, Detail: detail})
+	}
+	hb := func() { add(0, KindDeliver, 3, "HB", "") } // ordinary once HB is the last string
+
+	hb() // HB is new: exit (the frame's first tag)
+	hb()
+	// Time deltas: -64 and 63 zigzag to one byte (ordinary), 64 and -65
+	// to two (exit).
+	for _, dt := range []int64{-64, 63, 64, -65} {
+		add(dt, KindDeliver, 3, "HB", "")
+		hb()
+	}
+	// Pids: 127 takes one byte, 128 and 16383 two, 16384 and 2²¹−1 three
+	// (all ordinary); 2²¹ takes four and -1 ten (exit).
+	for _, pid := range []int{127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, -1} {
+		add(1, KindDeliver, pid, "HB", "")
+		hb()
+	}
+	// Kind 128 takes two bytes (exit). No kind has that value, but the
+	// encoder writes what it is given, as spillEventRef does.
+	add(0, Kind(128), 3, "HB", "")
+	hb()
+	// Tags and details.
+	add(0, KindDeliver, 3, "PH1", "") // a new tag: exit
+	hb()                              // a known tag that is not the last: exit
+	hb()
+	add(0, KindDeliver, 3, "", "")      // an empty tag after HB: exit
+	hb()                                // HB is still the last string: ordinary
+	add(0, KindDeliver, 3, "HB", "v=1") // a non-empty detail: exit, and v=1 is now the last string
+	add(0, KindDeliver, 3, "v=1", "")   // the last string, referenced by a detail: ordinary
+	add(0, KindDeliver, 3, "HB", "v=1") // a known tag that is not the last, and a detail: exit
+	// Refs: HB, PH1 and v=1 are 1..3, so s0..s129 are 4..133 and the
+	// frame holds 133 distinct strings. s123 is ref 127 (ordinary when it
+	// repeats), s124 ref 128 (a two-byte ref: exit even when it repeats).
+	for i := range 130 {
+		add(0, KindNote, 5, fmt.Sprintf("s%d", i), "") // new strings: exit
+	}
+	for _, tag := range []string{"s123", "s123", "s124", "s124", "s129", "HB", "HB"} {
+		add(0, KindDeliver, 5, tag, "")
+	}
+	// Spread pids until the bloom is all ones well before the frame ends.
+	for i := range 2000 {
+		add(int64(i%3/2), KindDeliver, i*7919%20000, "HB", "")
+	}
+	return out
+}
+
 // TestChunkedSpillMatchesEventRef holds the frame-slice Spill to the
 // per-event spillEventRef byte for byte and error for error: at frame
 // strides that divide the batches and that do not, at batch sizes from one
 // event up, with pids spread wide enough that a frame's bloom fills
-// partway, and over writers that fail after k bytes, from inside the
-// header to past the end of the trace.
+// partway, over encoderEdges' exits of the ordinary-record check, and
+// over writers that fail after k bytes, from inside the header to past
+// the end of the trace.
 func TestChunkedSpillMatchesEventRef(t *testing.T) {
 	wide := pipelineEvents(3000, false)
 	for i := range wide {
@@ -102,9 +173,12 @@ func TestChunkedSpillMatchesEventRef(t *testing.T) {
 	streams := []struct {
 		name   string
 		events []Event
-	}{{"engine-like", pipelineEvents(3000, false)}, {"long-detail", pipelineEvents(700, true)}, {"wide-pids", wide}}
-	if !bloomSaturatesMidFrame(wide, DefaultFrameEvents) || !bloomSaturatesMidFrame(wide, 600) {
-		t.Fatal("the wide-pid stream never fills a frame's bloom partway: the shortcut goes untested")
+	}{{"engine-like", pipelineEvents(3000, false)}, {"long-detail", pipelineEvents(700, true)}, {"wide-pids", wide},
+		{"encoder-edges", encoderEdges()}}
+	for _, st := range streams[2:] {
+		if !bloomSaturatesMidFrame(st.events, DefaultFrameEvents) || !bloomSaturatesMidFrame(st.events, 600) {
+			t.Fatalf("the %s stream never fills a frame's bloom partway: the shortcut goes untested", st.name)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(38))
