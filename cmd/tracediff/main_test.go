@@ -80,14 +80,20 @@ func TestGolden(t *testing.T) {
 
 	meta := &trace.Meta{Algo: "ohp", N: 5, L: 2, Crashes: "4:206", Seed: 1}
 	events := fixtureEvents()
-	skewed := append([]trace.Event(nil), events...)
-	skewed[100].Detail += " [skew]"
+	skewAt := func(i int) []trace.Event {
+		evs := append([]trace.Event(nil), events...)
+		evs[i].Detail += " [skew]"
+		return evs
+	}
+	skewed := skewAt(100)
 
 	a := writeTrace(t, "a.bin", events, 64, meta)
 	writeTrace(t, "b.bin", events, 64, meta)
 	skew := writeTrace(t, "skew.bin", skewed, 64, meta)
 	writeTrace(t, "a32.bin", events, 32, meta)
 	writeTrace(t, "skew32.bin", skewed, 32, meta)
+	writeTrace(t, "skew5.bin", skewAt(5), 64, meta)
+	writeTrace(t, "skew290.bin", skewAt(290), 64, meta)
 	writeTrace(t, "short.bin", events[:150], 64, meta)
 	writeTrace(t, "short32.bin", events[:150], 32, meta)
 	writeTrace(t, "empty.bin", nil, 64, meta)
@@ -110,6 +116,10 @@ func TestGolden(t *testing.T) {
 	}{
 		{"identical", "a.bin b.bin"},
 		{"skew_indexed", "a.bin skew.bin"},
+		// The frame search's two ends: a skew in frame 0, and one in the
+		// last frame, where no frame's DigestBefore differs.
+		{"skew_first_frame", "a.bin skew5.bin"},
+		{"skew_last_frame", "a.bin skew290.bin"},
 		{"shorter_indexed", "a.bin short.bin"},
 		{"meta_differ", "a.bin seed2.bin"},
 		{"skew_unfinalized", "a.bin skew-unfinalized.bin"},
