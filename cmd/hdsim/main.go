@@ -217,13 +217,16 @@ type seedRow struct {
 // prints per-seed rows plus min/mean/max aggregates. Everything that
 // defines the scenario goes into the campaign id as a hash: checkpoints
 // are only interchangeable between runs of the exact same scenario, so
-// those from a run with different flags (-crashes, -net, -gst, -t, …)
-// never verify against this campaign on -resume.
+// those from a run with different flags (-crashes, -net, -gst, -t,
+// -max-events, …) never verify against this campaign on -resume.
 func runSweep(cfg campaign.Config, sc *scenario.Scenario, k int, stdout io.Writer) error {
 	m, first := sc.Meta, sc.Meta.Seed
 	fp := fnv.New64a()
 	fmt.Fprintf(fp, "algo=%s ids=%v t=%d crashes=%s churn=%s net=%s detectors=%s stabilize=%d adversary=%s horizon=%d",
 		m.Algo, sc.IDs, m.T, m.Crashes, m.Churn, sc.Net, m.Detectors, m.Stabilize, m.Adversary, sc.Horizon)
+	if m.MaxEvents != 0 { // only when set, so uncapped sweeps keep their ids
+		fmt.Fprintf(fp, " max-events=%d", m.MaxEvents)
+	}
 	id := fmt.Sprintf("hdsim-%s-n%d-l%d-seed%d-x%d-%016x", m.Algo, sc.IDs.N(), sc.IDs.DistinctCount(), first, k, fp.Sum64())
 	res, err := campaign.Run(cfg, id, k, func(i int) seedRow {
 		s := first + int64(i)

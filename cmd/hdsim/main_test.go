@@ -147,6 +147,23 @@ func TestGoldenMaxEvents(t *testing.T) {
 	checkGolden(t, "fig8_maxevents", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
 }
 
+// TestSweepResumeMaxEvents: -max-events is part of a sweep's campaign id,
+// so a -resume without the cap runs its seeds afresh instead of reusing
+// the rows the cap truncated.
+func TestSweepResumeMaxEvents(t *testing.T) {
+	args := []string{"-algo", "fig8", "-n", "5", "-l", "2", "-seeds", "4", "-workers", "1", "-checkpoint-dir", filepath.Join(t.TempDir(), "ck")}
+	var stdout, stderr bytes.Buffer
+	code := run(append(args, "-max-events", "50"), &stdout, &stderr)
+	if n := strings.Count(stdout.String(), "run truncated by the MaxEvents guard"); code != 1 || n != 4 {
+		t.Fatalf("capped sweep: exit %d with %d truncated rows, want exit 1 and 4:\n%s%s", code, n, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(args, "-resume"), &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "verified 4/4 runs") {
+		t.Errorf("resumed sweep without the cap: exit %d, want exit 0 and 4/4 verified:\n%s%s", code, stdout.String(), stderr.String())
+	}
+}
+
 // TestGoldenSignRejections: a negative time or count, a non-finite float
 // parameter, and a sweep of no seeds, is a named error before the header,
 // never a default the header does not show or a NaN the run compares
