@@ -16,15 +16,21 @@ tracediff prints whether the fingerprints agree. Traces of different
 scenarios are expected to diverge — the interesting case is two runs of
 the same fingerprint that differ anyway.
 
-Events. With two finalized v2 traces whose frames align (same spill
-stride), the footer index makes the search logarithmic: each frame
-record carries the cumulative digest of every body byte before it, so a
-binary search over frame boundaries pins the divergent frame and only
-that frame pair is decoded — a multi-gigabyte trace pair diffs by
-reading two index sections and one frame from each file. Unfinalized
-traces (a run that died before its trailer) and mismatched strides fall
-back to a linear lockstep scan of both bodies in constant
-memory.
+Events. One lockstep loop decodes both bodies in constant memory up to
+the first divergent event or the shorter trace's end. With two
+finalized v2 traces the footer index decides where it starts: equal
+total digests and event counts mean identical without decoding a body,
+and when the frames align (same spill stride) each frame record carries
+the cumulative digest of every body byte before it, so a binary search
+over frame boundaries picks the divergent frame and the loop starts
+there — a multi-gigabyte trace pair diffs by reading two index sections
+and decoding from one frame on. Unfinalized traces (a run that died
+before its trailer) and mismatched strides start at the first event.
+A decode error names the file it is in.
+
+The digest verdict compares the digests the writers recorded, not the
+bytes on disk: a body damaged after it was written, with its index
+intact, still reads identical. hdsim -replay decodes every byte.
 
 The first divergent event is reported with its global ordinal and both
 renderings:

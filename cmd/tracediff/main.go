@@ -70,13 +70,14 @@ func diff(pathA, pathB string, stdout io.Writer) (bool, error) {
 	return identical && metaOK, err
 }
 
-// side is one trace under comparison: indexed random access when the
-// stream is a finalized v2 file, streaming fallback otherwise (a run that
-// died before writing its trailer).
+// side is one trace under comparison. tf is the footer index of a
+// finalized v2 file, nil for a run that died before writing its trailer;
+// such a side is streamed by r, the reader that read its meta.
 type side struct {
 	path string
 	f    *os.File
-	tf   *trace.TraceFile // nil when only streaming works
+	tf   *trace.TraceFile
+	r    *trace.BinaryReader
 }
 
 func open(path string) (*side, error) {
@@ -98,23 +99,46 @@ func open(path string) (*side, error) {
 
 func (s *side) close() { s.f.Close() }
 
-// stream returns a reader over the side's full event body from the start.
-func (s *side) stream() (*trace.BinaryReader, error) {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return trace.NewBinaryReader(s.f)
-}
-
+// meta returns the side's scenario fingerprint. An unindexed side reads
+// its header here, and its events then go on from the same reader.
 func (s *side) meta() (*trace.Meta, error) {
 	if s.tf != nil {
 		return s.tf.Meta(), nil
 	}
-	r, err := s.stream()
+	r, err := trace.NewBinaryReader(s.f)
 	if err != nil {
 		return nil, err
 	}
+	s.r = r
 	return r.Meta(), nil
+}
+
+// events returns the side's events from frame k on: one reader over the
+// rest of an indexed body, or the unindexed side's own reader (k is 0
+// then, since only two indexes can pick a frame).
+func (s *side) events(k int) (*trace.BinaryReader, error) {
+	if s.tf == nil {
+		return s.r, nil
+	}
+	return s.tf.OpenFrom(k)
+}
+
+// countRest returns the side's event count once the other trace has ended
+// and r has delivered n of its events: the index's total when the side
+// has one, else n plus what r still holds. A decode error on the way is
+// this trace's, as in the lockstep loop.
+func (s *side) countRest(r *trace.BinaryReader, n uint64) (uint64, error) {
+	if s.tf != nil {
+		return s.tf.Index().TotalEvents, nil
+	}
+	err := trace.DrainBatches(r, func(batch []trace.Event) error {
+		n += uint64(len(batch))
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", s.path, err)
+	}
+	return n, nil
 }
 
 // compareMeta prints the scenario-fingerprint verdict and reports whether
@@ -160,130 +184,34 @@ func metaLine(m *trace.Meta) string {
 	return string(j)
 }
 
-// compareEvents finds and reports the first divergent event. With two
-// finalized v2 traces whose frames align, the per-frame cumulative
-// digests locate the divergent frame by binary search and only that frame
-// is decoded from each side; otherwise both bodies stream linearly.
+// compareEvents finds and reports the first divergent event in one
+// lockstep loop over both bodies. Two finalized v2 traces with equal index
+// totals are identical without decoding a body. When their frames align,
+// the per-frame cumulative digests pick the frame the divergence is in by
+// binary search, and the loop starts there instead of at the first event.
 func compareEvents(a, b *side, stdout io.Writer) (bool, error) {
+	k := -1 // the frame the index picked, if it picked one
 	if a.tf != nil && b.tf != nil {
 		ia, ib := a.tf.Index(), b.tf.Index()
 		if ia.TotalDigest == ib.TotalDigest && ia.TotalEvents == ib.TotalEvents {
 			fmt.Fprintf(stdout, "events: identical — %d events, digest %016x\n", ia.TotalEvents, ia.TotalDigest)
 			return true, nil
 		}
-		if k, ok := divergentFrame(ia, ib); ok {
-			return false, diffFrames(a, b, k, stdout)
-		}
-		// Frames misaligned (different spill strides): digests at frame
-		// boundaries are not comparable, scan instead.
+		k = divergentFrame(ia, ib)
 	}
-	return diffStreams(a, b, stdout)
-}
-
-// divergentFrame returns the index of the first frame that can contain
-// the divergence, given aligned frame boundaries: the first frame whose
-// events-before digest disagrees, minus one. ok is false when the frame
-// boundaries do not line up (the binary search would be meaningless).
-func divergentFrame(ia, ib *trace.Index) (int, bool) {
-	m := len(ia.Frames)
-	if len(ib.Frames) < m {
-		m = len(ib.Frames)
-	}
-	for i := 0; i < m; i++ {
-		if ia.Frames[i].Ordinal != ib.Frames[i].Ordinal {
-			return 0, false
-		}
-	}
-	// DigestBefore[0] is the FNV basis on both sides, so the search
-	// never selects -1.
-	k := sort.Search(m, func(i int) bool {
-		return ia.Frames[i].DigestBefore != ib.Frames[i].DigestBefore
-	})
-	if k == 0 {
-		return 0, false
-	}
-	// Bodies agree before frame k-1 and disagree somewhere at or after
-	// its start: the first divergent event is in frame k-1 or, if that
-	// frame ties, a later one (only when k == m; diffFrames walks on).
-	return k - 1, true
-}
-
-// diffFrames reports the first divergent event at or after frame k,
-// decoding one aligned frame pair at a time.
-func diffFrames(a, b *side, k int, stdout io.Writer) error {
-	na, nb := len(a.tf.Index().Frames), len(b.tf.Index().Frames)
-	for ; k < na && k < nb; k++ {
-		fa, err := frameEvents(a, k)
-		if err != nil {
-			return err
-		}
-		fb, err := frameEvents(b, k)
-		if err != nil {
-			return err
-		}
-		ord := a.tf.Index().Frames[k].Ordinal
-		if reportFirstDiff(fa, fb, ord, k, stdout) {
-			return nil
-		}
-		if len(fa) != len(fb) {
-			break // frames are aligned, so the shorter trace ends in this one
-		}
-	}
-	reportLength(a.tf.Index().TotalEvents, b.tf.Index().TotalEvents, stdout)
-	return nil
-}
-
-func frameEvents(s *side, k int) ([]trace.Event, error) {
-	r, err := s.tf.OpenFrame(k)
+	ra, err := a.events(max(k, 0))
 	if err != nil {
-		return nil, err
+		return false, fmt.Errorf("%s: %w", a.path, err)
 	}
-	var out []trace.Event
-	err = trace.Drain(r, func(e trace.Event) error {
-		out = append(out, e)
-		return nil
-	})
-	return out, err
-}
-
-// reportFirstDiff compares two aligned event runs starting at ordinal
-// ord up to the shorter one's end; on a mismatch it prints the divergence
-// and reports it.
-func reportFirstDiff(fa, fb []trace.Event, ord uint64, frame int, stdout io.Writer) bool {
-	for i := range min(len(fa), len(fb)) {
-		if fa[i] != fb[i] {
-			fmt.Fprintf(stdout, "events: first divergence at event %d (frame %d)\n", ord+uint64(i), frame)
-			fmt.Fprintf(stdout, "  a: %s\n", fa[i])
-			fmt.Fprintf(stdout, "  b: %s\n", fb[i])
-			return true
-		}
-	}
-	return false
-}
-
-func reportLength(na, nb uint64, stdout io.Writer) {
-	if na == nb {
-		// Aligned, equal-length, pairwise-equal events — yet the digests
-		// disagreed. That means a body byte difference the decoder
-		// normalizes away (it cannot happen with this writer).
-		fmt.Fprintf(stdout, "events: %d in both, no event-level divergence\n", na)
-		return
-	}
-	fmt.Fprintf(stdout, "events: lengths diverge — %d vs %d (traces agree up to the shorter)\n", na, nb)
-}
-
-// diffStreams is the linear fallback: decode both bodies in lockstep.
-func diffStreams(a, b *side, stdout io.Writer) (bool, error) {
-	ra, err := a.stream()
+	rb, err := b.events(max(k, 0))
 	if err != nil {
-		return false, err
-	}
-	rb, err := b.stream()
-	if err != nil {
-		return false, err
+		return false, fmt.Errorf("%s: %w", b.path, err)
 	}
 	var ord uint64
-	for {
+	if k >= 0 {
+		ord = a.tf.Index().Frames[k].Ordinal
+	}
+	for ; ; ord++ {
 		ea, errA := ra.Next()
 		eb, errB := rb.Next()
 		switch {
@@ -292,42 +220,77 @@ func diffStreams(a, b *side, stdout io.Writer) (bool, error) {
 		case errB != nil && errB != io.EOF:
 			return false, fmt.Errorf("%s: %w", b.path, errB)
 		case errA == io.EOF && errB == io.EOF:
+			if k >= 0 {
+				reportLength(ord, ord, stdout) // the digests disagreed
+				return false, nil
+			}
 			fmt.Fprintf(stdout, "events: identical — %d events\n", ord)
 			return true, nil
 		case errA == io.EOF:
-			nb, err := countRest(rb, ord+1, b.path)
+			nb, err := b.countRest(rb, ord+1)
 			if err != nil {
 				return false, err
 			}
 			reportLength(ord, nb, stdout)
 			return false, nil
 		case errB == io.EOF:
-			na, err := countRest(ra, ord+1, a.path)
+			na, err := a.countRest(ra, ord+1)
 			if err != nil {
 				return false, err
 			}
 			reportLength(na, ord, stdout)
 			return false, nil
 		case ea != eb:
-			fmt.Fprintf(stdout, "events: first divergence at event %d\n", ord)
+			where := ""
+			if k >= 0 {
+				frames := a.tf.Index().Frames
+				j := sort.Search(len(frames), func(i int) bool { return frames[i].Ordinal > ord }) - 1
+				where = fmt.Sprintf(" (frame %d)", j)
+			}
+			fmt.Fprintf(stdout, "events: first divergence at event %d%s\n", ord, where)
 			fmt.Fprintf(stdout, "  a: %s\n", ea)
 			fmt.Fprintf(stdout, "  b: %s\n", eb)
 			return false, nil
 		}
-		ord++
 	}
 }
 
-// countRest returns n plus the events r still holds: the length of the
-// longer trace once the other has ended. A decode error on the way is the
-// trace at path's, as in the lockstep loop.
-func countRest(r *trace.BinaryReader, n uint64, path string) (uint64, error) {
-	err := trace.DrainBatches(r, func(batch []trace.Event) error {
-		n += uint64(len(batch))
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
+// divergentFrame returns the index of the first frame that can contain
+// the divergence, given aligned frame boundaries: the first frame whose
+// events-before digest disagrees, minus one. It returns -1 when the frame
+// boundaries do not line up (the binary search would be meaningless).
+func divergentFrame(ia, ib *trace.Index) int {
+	m := len(ia.Frames)
+	if len(ib.Frames) < m {
+		m = len(ib.Frames)
 	}
-	return n, nil
+	for i := 0; i < m; i++ {
+		if ia.Frames[i].Ordinal != ib.Frames[i].Ordinal {
+			return -1
+		}
+	}
+	// DigestBefore[0] is the FNV basis on both sides, so k is 0 only
+	// when a side has no frames.
+	k := sort.Search(m, func(i int) bool {
+		return ia.Frames[i].DigestBefore != ib.Frames[i].DigestBefore
+	})
+	if k == 0 {
+		return -1
+	}
+	// Bodies agree before frame k-1 and disagree somewhere at or after
+	// its start: the first divergent event is in frame k-1 or, if that
+	// frame ties, a later one (only when k == m; the loop reads on).
+	return k - 1
+}
+
+func reportLength(na, nb uint64, stdout io.Writer) {
+	if na == nb {
+		// Aligned, equal-length, pairwise-equal events — yet the digests
+		// disagreed. That means a body byte difference the decoder
+		// normalizes away, which this writer never makes, or a recorded
+		// digest damaged after writing.
+		fmt.Fprintf(stdout, "events: %d in both, no event-level divergence\n", na)
+		return
+	}
+	fmt.Fprintf(stdout, "events: lengths diverge — %d vs %d (traces agree up to the shorter)\n", na, nb)
 }

@@ -66,9 +66,10 @@ func writeFile(t *testing.T, name string, data []byte) {
 
 // TestGolden pins tracediff's whole observable surface — exit code,
 // stdout, stderr — on a fixed set of trace pairs. tracediff is the trace
-// decoder's second consumer (OpenFrame for the indexed search, lockstep
-// Next for the fallback), so the files under testdata/golden, captured
-// with the byte-at-a-time decoder, are an oracle for any decoder change.
+// decoder's second consumer (one lockstep Next loop, from the frame the
+// index picks through OpenFrom or from the first event), so the files
+// under testdata/golden, most captured with the byte-at-a-time decoder
+// and the old two-loop comparison, are an oracle for any decoder change.
 // A deliberate change regenerates them with `go test ./cmd/tracediff
 // -update`.
 func TestGolden(t *testing.T) {
@@ -88,7 +89,7 @@ func TestGolden(t *testing.T) {
 	skewed := skewAt(100)
 
 	a := writeTrace(t, "a.bin", events, 64, meta)
-	writeTrace(t, "b.bin", events, 64, meta)
+	b := writeTrace(t, "b.bin", events, 64, meta)
 	skew := writeTrace(t, "skew.bin", skewed, 64, meta)
 	writeTrace(t, "a32.bin", events, 32, meta)
 	writeTrace(t, "skew32.bin", skewed, 32, meta)
@@ -107,6 +108,17 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFile(t, "skew-unfinalized.bin", skew[:tf.Index().Frames[3].Offset-2])
+	// A body damaged after it was written: frame 1's first byte becomes an
+	// invalid kind, and the index still describes the intact trace.
+	corrupt := append([]byte(nil), skew...)
+	corrupt[tf.Index().Frames[1].Offset] = 0x7f
+	writeFile(t, "corrupt.bin", corrupt)
+	// The same events under another recorded total digest (the 8 bytes
+	// before the trailer): the frames all agree, so the search starts in
+	// the last one, and the events there agree too.
+	redigest := bytes.Clone(b)
+	redigest[len(redigest)-24] ^= 0xff
+	writeFile(t, "redigest.bin", redigest)
 	writeFile(t, "truncated.bin", a[:len(a)/2])
 	writeFile(t, "v1.bin", []byte{'H', 'D', 'T', 'R', 'A', 'C', 'E', 1, 1, 2, 0, 0, 0})
 
@@ -131,6 +143,8 @@ func TestGolden(t *testing.T) {
 		{"empty_vs_full", "empty.bin a.bin"},
 		{"v1_header", "a.bin v1.bin"},
 		{"truncated", "a.bin truncated.bin"},
+		{"corrupt_frame_indexed", "a.bin corrupt.bin"},
+		{"digest_only_differs", "a.bin redigest.bin"},
 		{"missing_file", "a.bin missing.bin"},
 		{"one_arg", "a.bin"},
 		{"unknown_flag", "-frobnicate a.bin b.bin"},

@@ -148,8 +148,8 @@ func TestLiveReplayEquivalenceBinary(t *testing.T) {
 
 func drainAll(src trace.EventSource) ([]trace.Event, error) {
 	var out []trace.Event
-	err := trace.Drain(src, func(e trace.Event) error {
-		out = append(out, e)
+	err := trace.DrainBatches(src, func(batch []trace.Event) error {
+		out = append(out, batch...)
 		return nil
 	})
 	return out, err

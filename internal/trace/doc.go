@@ -49,12 +49,12 @@
 //
 // # Decoding
 //
-// BinaryReader decodes a binary stream (NewBinaryReader) or one frame of
-// a finalized file (OpenTraceFile, TraceFile.OpenFrame) a slab at a time
-// (NextBatch, the EventSource method) or event by event (Next, which is
-// NextBatch for one event). DrainBatches is the pull loop over any
-// EventSource, and Drain is DrainBatches one event at a time. The
-// decoder's contract:
+// BinaryReader decodes a binary stream (NewBinaryReader), or a finalized
+// file from any frame on (OpenTraceFile, TraceFile.OpenFrom; OpenFrame is
+// its one-frame case), a slab at a time (NextBatch, the EventSource
+// method) or event by event (Next, which is NextBatch for one event).
+// DrainBatches is the pull loop over any EventSource. The decoder's
+// contract:
 //
 //   - It owns a byte window over its source and refills it only at record
 //     boundaries; reader state changes only once a record has been

@@ -131,9 +131,9 @@ func indexCorrupt(field string, err error) error {
 }
 
 // TraceFile is a v2 trace opened for random access: the trailer locates
-// the index, the index locates frames, and OpenFrame decodes any frame
-// without touching the rest of the body. This is what lets cmd/tracediff
-// binary-search a multi-gigabyte pair of traces and decode only the
+// the index, the index locates frames, and OpenFrom decodes from any frame
+// on without touching the body before it. This is what lets cmd/tracediff
+// binary-search a multi-gigabyte pair of traces and start decoding at the
 // divergent frame.
 type TraceFile struct {
 	r        io.ReaderAt
@@ -182,17 +182,38 @@ func (f *TraceFile) Meta() *Meta { return f.meta }
 // Index returns the frame directory.
 func (f *TraceFile) Index() *Index { return f.index }
 
-// OpenFrame returns a reader over exactly frame i's events, positioned at
-// its first event with fresh decoder state. Offsets in its errors are file
-// offsets, like the streaming reader's.
+// OpenFrom returns one reader over frames i through the last, positioned
+// at frame i's first event with fresh decoder state; i == len(Frames)
+// gives a reader with no events. Offsets in its errors are file offsets,
+// like the streaming reader's.
+func (f *TraceFile) OpenFrom(i int) (*BinaryReader, error) {
+	if i < 0 || i > len(f.index.Frames) {
+		return nil, fmt.Errorf("trace: frame %d out of range [0,%d]", i, len(f.index.Frames))
+	}
+	return f.openFrames(i, len(f.index.Frames)), nil
+}
+
+// OpenFrame returns a reader over exactly frame i's events: OpenFrom's
+// reader cut at the next frame.
+//
+//detlint:ignore unreached pinned by bench/layerprobe, a separate module detlint does not load
 func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 	if i < 0 || i >= len(f.index.Frames) {
 		return nil, fmt.Errorf("trace: frame %d out of range [0,%d)", i, len(f.index.Frames))
 	}
-	start := f.index.Frames[i].Offset
+	return f.openFrames(i, i+1), nil
+}
+
+// openFrames returns a bounded reader over frames [i, j), for
+// 0 <= i <= j <= len(Frames).
+func (f *TraceFile) openFrames(i, j int) *BinaryReader {
 	end := f.indexOff - 2 // the end-of-events control precedes the index
-	if i+1 < len(f.index.Frames) {
-		end = f.index.Frames[i+1].Offset - 2 // the restart control precedes the next frame
+	if j < len(f.index.Frames) {
+		end = f.index.Frames[j].Offset - 2 // the restart control precedes the next frame
+	}
+	start := end
+	if i < j {
+		start = f.index.Frames[i].Offset
 	}
 	// The window is the section when that is smaller: decoding one frame
 	// costs one read and the frame's own size in memory.
@@ -201,5 +222,5 @@ func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 		w:       window{src: io.NewSectionReader(f.r, int64(start), int64(end-start)), buf: make([]byte, size), base: start},
 		meta:    f.meta,
 		bounded: true,
-	}, nil
+	}
 }

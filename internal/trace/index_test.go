@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -169,6 +170,47 @@ func TestBinaryIndex(t *testing.T) {
 	}
 	if len(all) != n {
 		t.Fatalf("frames concatenate to %d events, want %d", len(all), n)
+	}
+}
+
+// TestOpenFrom pins the reader over a file's tail: from every frame,
+// from just past the last and over an index with no frames, one reader
+// decodes exactly the events from that frame's first to the trace's end,
+// across every restart control between.
+func TestOpenFrom(t *testing.T) {
+	for _, n := range []int{0, 1000} {
+		events := genEvents(n)
+		bin := encodeV2(t, events, 64, nil)
+		tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := tf.Index().Frames
+		for i := 0; i <= len(frames); i++ {
+			r, err := tf.OpenFrom(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Event
+			if err := Drain(r, func(e Event) error {
+				got = append(got, e)
+				return nil
+			}); err != nil {
+				t.Fatalf("n=%d OpenFrom(%d): %v", n, i, err)
+			}
+			from := n
+			if i < len(frames) {
+				from = int(frames[i].Ordinal)
+			}
+			if !slices.Equal(got, events[from:]) {
+				t.Fatalf("n=%d OpenFrom(%d) decoded %d events, want events %d.. (%d)", n, i, len(got), from, n-from)
+			}
+		}
+		for _, i := range []int{-1, len(frames) + 1} {
+			if _, err := tf.OpenFrom(i); err == nil {
+				t.Errorf("n=%d OpenFrom(%d): want an out-of-range error", n, i)
+			}
+		}
 	}
 }
 

@@ -35,20 +35,6 @@ func (s *SliceSource) NextBatch(dst []Event) (int, error) {
 	return n, nil
 }
 
-// Drain pulls src to exhaustion, handing each event to fn: DrainBatches
-// one event at a time. It stops at the first error from either side;
-// io.EOF from the source is the clean end and returns nil.
-func Drain(src EventSource, fn func(Event) error) error {
-	return DrainBatches(src, func(batch []Event) error {
-		for _, e := range batch {
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // drainSlab is the batch DrainBatches pulls at a time: large enough that
 // per-batch costs vanish against per-event ones, small enough (28 KiB)
 // that a replay's memory does not move.
