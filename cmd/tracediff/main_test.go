@@ -110,7 +110,7 @@ func TestGolden(t *testing.T) {
 	writeFile(t, "skew-unfinalized.bin", skew[:tf.Index().Frames[3].Offset-2])
 	// A body damaged after it was written: frame 1's first byte becomes an
 	// invalid kind, and the index still describes the intact trace.
-	corrupt := append([]byte(nil), skew...)
+	corrupt := bytes.Clone(skew)
 	corrupt[tf.Index().Frames[1].Offset] = 0x7f
 	writeFile(t, "corrupt.bin", corrupt)
 	// The same events under another recorded total digest (the 8 bytes

@@ -415,8 +415,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 }
 
 // Drain pulls src to exhaustion, handing each event to fn: DrainBatches
-// one event at a time, for tests that check event by event. It stops at the first error from either side;
-// io.EOF from the source is the clean end and returns nil.
+// one event at a time, for tests that check event by event. It stops at
+// the first error from either side; io.EOF from the source is the clean
+// end and returns nil.
 func Drain(src EventSource, fn func(Event) error) error {
 	return DrainBatches(src, func(batch []Event) error {
 		for _, e := range batch {
