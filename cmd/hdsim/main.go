@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&m.Detectors, "detectors", "oracle", "oracle, or mp (fig8 only: the Figure 6 stack)")
 	fs.Int64Var(&m.GST, "gst", 0, "network GST (0 = fully asynchronous reliable)")
 	fs.Int64Var(&m.Delta, "delta", 3, "post-GST latency bound")
-	fs.Int64Var(&m.Horizon, "horizon", 0, "virtual-time horizon (0 = algorithm default)")
+	fs.Int64Var(&m.Horizon, "horizon", 0, "virtual-time horizon (0 = 3000000 for consensus, 5000 for ohp, ten periods for heartbeat)")
 	fs.Int64Var(&m.Period, "period", 15, "heartbeat beat interval (heartbeat only)")
 	fs.IntVar(&m.Beaters, "beaters", 0, "how many processes beat, the rest listen (heartbeat only; 0 = all n)")
 	fs.IntVar(&m.MaxEvents, "max-events", 0, "override the engine's runaway-guard event cap (0 = engine default)")

@@ -147,6 +147,16 @@ func TestGoldenMaxEvents(t *testing.T) {
 	checkGolden(t, "fig8_maxevents", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
 }
 
+// TestGoldenCrashAfterHorizon: a crash-stop crash at or past the horizon
+// never happens in the run, so the run is rejected with the schedule-vs-
+// horizon error instead of being judged against a ground truth that counts
+// the process as crashed (stdout, stderr and the exit code are the golden).
+func TestGoldenCrashAfterHorizon(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(strings.Fields("-algo ohp -n 5 -l 2 -crashes 1:9000"), &stdout, &stderr)
+	checkGolden(t, "reject_crash_after_horizon", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
+}
+
 // TestSweepResumeMaxEvents: -max-events is part of a sweep's campaign id,
 // so a -resume without the cap runs its seeds afresh instead of reusing
 // the rows the cap truncated.

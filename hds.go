@@ -43,6 +43,7 @@ package hds
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -170,9 +171,9 @@ type Experiment struct {
 	Net sim.Model
 	// Horizon caps virtual time; 0 selects 1,000,000 for consensus, 5,000
 	// for ohp and ten periods for heartbeat. It must exceed the fault
-	// schedule's last event under churn — a horizon that cuts the schedule
-	// short would verify a fault pattern the run never had — and Run
-	// enforces that instead of trusting the caller.
+	// schedule's last event, crash-stop or churn — a horizon that cuts the
+	// schedule short would verify a fault pattern the run never had — and
+	// Run enforces that instead of trusting the caller.
 	Horizon Time
 	// Stabilize is the oracle detectors' stabilization time; under churn 0
 	// means 50 past the schedule's last event, so the adversary stays
@@ -188,7 +189,7 @@ type Experiment struct {
 	Detectors DetectorSource
 	// Proposals (consensus) defaults to "v0".."v{n-1}".
 	Proposals []Value
-	// Period is heartbeat's beat interval (10 when not positive). Beaters
+	// Period is heartbeat's beat interval (0 selects 10). Beaters
 	// bounds how many processes beat, the first Beaters PIDs, while the
 	// rest only listen; 0 means all n. With a fixed beater count the event
 	// volume is Θ(Beaters·n) instead of Θ(n²), so population sweeps grow n
@@ -243,10 +244,14 @@ type Result struct {
 // stats-only recorder: pass a retaining recorder for a full in-memory
 // trace, or one with a trace.Sink attached to stream batches (spill mode);
 // the caller owns flushing it. A recorder has one writer, so rec must not
-// be shared by runs that execute concurrently. Malformed input — an
-// invalid assignment, a crash outside [0, n), a horizon that cuts the
-// churn schedule short — is rejected with an error, not run.
+// be shared by runs that execute concurrently. Malformed input — a value
+// CheckRanges rejects, an invalid assignment, a crash outside [0, n), a
+// horizon that cuts the fault schedule short — is rejected with an error,
+// not run.
 func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
+	if err := e.CheckRanges(); err != nil {
+		return Result{}, fmt.Errorf("hds: %w", err)
+	}
 	if rec == nil {
 		rec = &trace.Recorder{}
 	}
@@ -264,6 +269,28 @@ func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
 		return res, err
 	}
 	return Result{}, fmt.Errorf("hds: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
+}
+
+// CheckRanges rejects the values no run can honour as given: a negative
+// period, horizon, stabilization time or event cap (the run would replace
+// it with its default, and would not be the one described) and a NaN or
+// infinite churn fraction (NaN slips through every comparison downstream,
+// so the run would expand a churn schedule and judge it as crash-stop).
+// The error is unprefixed: Run reports it as hds's, scenario.Validate as
+// the scenario's.
+func (e Experiment) CheckRanges() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"period", e.Period}, {"horizon", e.Horizon}, {"stabilize", e.Stabilize}, {"max-events", int64(e.MaxEvents)}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s=%d, want >= 0", f.name, f.v)
+		}
+	}
+	if f := e.Churn.Fraction; math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("churn fraction %v, want a finite value", f)
+	}
+	return nil
 }
 
 // bind validates a consensus experiment and binds it to its engine
@@ -463,10 +490,10 @@ func VerifyConsensus(truth *fd.GroundTruth, churn bool, proposals []Value, outco
 // truth the checkers judge against — crash-stop is the case with no
 // recover events. Crashes are appended in ascending PID order: same-time
 // events are tie-broken by registration sequence, so map order must not
-// leak. A process driven by both mechanisms is rejected, and so is a churn
-// schedule whose last event is not before the horizon (crashes included: a
-// permanent crash past the horizon would be truncated exactly like a churn
-// event, and the truth would verify a fault pattern the run never had).
+// leak. A process driven by both mechanisms is rejected, and so is a
+// schedule whose last event is not before the horizon, crash-stop or churn:
+// a crash at or past the horizon never happens in the run, and the truth
+// would verify a fault pattern the run never had.
 // Offline verification rebuilds a recorded run's fault pattern with it
 // from the scenario fingerprint alone.
 func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon Time) ([]ChurnEvent, *fd.GroundTruth, error) {
@@ -493,7 +520,7 @@ func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon
 			schedule = append(schedule, ChurnEvent{P: p, At: crashes[p]})
 		}
 	}
-	if churn.Fraction > 0 {
+	if len(schedule) > 0 {
 		var last Time
 		for _, ev := range schedule {
 			last = max(last, ev.At)

@@ -51,10 +51,10 @@ func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 	// when one is kept, so a replay can re-verify the same verdicts.
 	trustedProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 		return dets[p].Trusted(), true
-	}, func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) })
+	}, fd.MultisetEqual)
 	leaderProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (fd.LeaderInfo, bool) {
 		return dets[p].Leader()
-	}, func(a, b fd.LeaderInfo) bool { return a == b })
+	}, fd.LeaderEqual)
 	if rec.Retaining() {
 		fd.RecordChanges(rec, trustedProbe, fd.TagTrusted, fd.RenderView)
 		fd.RecordChanges(rec, leaderProbe, fd.TagLeader, fd.RenderLeader)

@@ -287,3 +287,57 @@ func TestRunnersRejectMalformedExperiments(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsOutOfRangeValues: a negative time or count and a
+// non-finite churn fraction are rejected by Run itself, before any default
+// replaces them, with the same words scenario.Validate uses.
+func TestRunRejectsOutOfRangeValues(t *testing.T) {
+	bad := []struct {
+		name string
+		set  func(*Experiment)
+		want string
+	}{
+		{"horizon", func(e *Experiment) { e.Horizon = -5 }, "hds: horizon=-5, want >= 0"},
+		{"period", func(e *Experiment) { e.Period = -3 }, "hds: period=-3, want >= 0"},
+		{"stabilize", func(e *Experiment) { e.Stabilize = -10 }, "hds: stabilize=-10, want >= 0"},
+		{"max-events", func(e *Experiment) { e.MaxEvents = -1 }, "hds: max-events=-1, want >= 0"},
+		{"churn NaN", func(e *Experiment) { e.Churn = ChurnSpec{Fraction: math.NaN(), Cycles: 1} }, "hds: churn fraction NaN, want a finite value"},
+		{"churn +Inf", func(e *Experiment) { e.Churn = ChurnSpec{Fraction: math.Inf(1), Cycles: 1} }, "hds: churn fraction +Inf, want a finite value"},
+	}
+	for _, algo := range []string{"fig8", "fig9", "fig9-anon", "ohp", "heartbeat"} {
+		for _, b := range bad {
+			t.Run(algo+"/"+b.name, func(t *testing.T) {
+				e := Experiment{Algo: algo, IDs: BalancedIDs(5, 2), T: 2}
+				b.set(&e)
+				_, err := e.Run(1, nil)
+				if err == nil || err.Error() != b.want {
+					t.Errorf("Run: got error %v, want %q", err, b.want)
+				}
+			})
+		}
+	}
+}
+
+// TestCrashAtOrAfterHorizonRejected: a crash-stop crash the run never
+// reaches is rejected, not written into the ground truth as if it had
+// happened — by FaultPattern, and so by every runner that builds on it.
+func TestCrashAtOrAfterHorizonRejected(t *testing.T) {
+	ids := BalancedIDs(5, 2)
+	for _, at := range []Time{5000, 9000} {
+		if _, _, err := FaultPattern(ids, ChurnSpec{}, map[PID]Time{1: at}, 5000); err == nil || !strings.Contains(err.Error(), "not before the horizon 5000") {
+			t.Errorf("FaultPattern with a crash at t=%d, horizon 5000: got error %v, want the horizon rejection", at, err)
+		}
+	}
+	if _, _, err := FaultPattern(ids, ChurnSpec{}, map[PID]Time{1: 4999}, 5000); err != nil {
+		t.Errorf("FaultPattern with a crash at t=4999, horizon 5000: %v", err)
+	}
+	for _, e := range []Experiment{
+		{Algo: "ohp", IDs: ids, Crashes: map[PID]Time{1: 9000}},
+		{Algo: "fig8", IDs: ids, T: 2, Crashes: map[PID]Time{1: 9000}, Horizon: 5000},
+		{Algo: "fig9", IDs: ids, Crashes: map[PID]Time{1: 5000}, Horizon: 5000},
+	} {
+		if _, err := e.Run(1, nil); err == nil || !strings.Contains(err.Error(), "not before the horizon 5000") {
+			t.Errorf("%s with a crash past the horizon: got error %v, want the horizon rejection", e.Algo, err)
+		}
+	}
+}

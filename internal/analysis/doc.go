@@ -27,9 +27,9 @@
 //     reach trace/digest/table rendering.
 //   - selectorder: multi-case selects are forbidden — the runtime picks
 //     among ready cases pseudorandomly (sweep and hruntime exempt).
-//   - unstablesort: sort.Slice/sort.Sort over a potentially-tying key
-//     are forbidden — use stable sorts, whole-element comparison, or a
-//     multi-key tie-breaker chain.
+//   - unstablesort: sort.Slice, slices.SortFunc and sort.Sort are
+//     forbidden whatever the comparison — use the stable variant, or
+//     slices.Sort when the elements themselves are the key.
 //   - osenv: ambient host-state reads (os.Getenv, os.ReadDir,
 //     filepath.Glob, …) are forbidden; explicit-path file I/O is an
 //     input and stays legal. _test.go harness knobs are allowlisted.

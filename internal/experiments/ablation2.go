@@ -49,7 +49,7 @@ func E16TimeoutAdaptation() (Table, error) {
 		truth := fd.NewGroundTruth(ids, nil)
 		probe := fd.NewProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 			return dets[p].Trusted(), true
-		}, func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) })
+		}, fd.MultisetEqual)
 		eng.Run(horizon)
 
 		_, err := fd.CheckDiamondHPbar(truth, probe)

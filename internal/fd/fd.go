@@ -3,7 +3,6 @@ package fd
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/ident"
 	"repro/internal/multiset"
@@ -154,7 +153,7 @@ func MaxRank(ids []ident.ID, alive []ident.ID) int {
 func SortLabels(ls []Label) []Label {
 	out := make([]Label, len(ls))
 	copy(out, ls)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -200,3 +199,6 @@ func MultisetEqual(a, b *multiset.Multiset[ident.ID]) bool {
 	}
 	return a.Equal(b)
 }
+
+// LeaderEqual is HΩ output equality: the same (ℓ, c) pair.
+func LeaderEqual(a, b LeaderInfo) bool { return a == b }

@@ -122,14 +122,15 @@ func (r *ChangeReplayer[T]) Err() error { return r.err }
 
 // The ohp detector pair (◇HP̄ trusted views + HΩ leaders) is what the E6
 // and churn drivers probe; these constructors pin the (eq, tag, codec)
-// triples so live and replay cannot drift apart.
+// triples, and the live probes compare with the same MultisetEqual and
+// LeaderEqual, so live and replay cannot drift apart.
 
 // NewTrustedReplayer replays TagTrusted multiset views.
 func NewTrustedReplayer(n int) *ChangeReplayer[*multiset.Multiset[ident.ID]] {
-	return NewChangeReplayer(n, (*multiset.Multiset[ident.ID]).Equal, TagTrusted, ParseView)
+	return NewChangeReplayer(n, MultisetEqual, TagTrusted, ParseView)
 }
 
 // NewLeaderReplayer replays TagLeader HΩ outputs.
 func NewLeaderReplayer(n int) *ChangeReplayer[LeaderInfo] {
-	return NewChangeReplayer(n, func(a, b LeaderInfo) bool { return a == b }, TagLeader, ParseLeader)
+	return NewChangeReplayer(n, LeaderEqual, TagLeader, ParseLeader)
 }

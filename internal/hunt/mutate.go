@@ -170,7 +170,7 @@ func Sanitize(s Scenario) Scenario {
 	if len(kept) > maxCrashes {
 		kept = kept[:maxCrashes]
 	}
-	sort.Slice(kept, func(i, j int) bool {
+	sort.SliceStable(kept, func(i, j int) bool {
 		if kept[i].P != kept[j].P {
 			return kept[i].P < kept[j].P
 		}
@@ -248,7 +248,7 @@ func Sanitize(s Scenario) Scenario {
 	if len(pkept) > maxWindows {
 		pkept = pkept[:maxWindows]
 	}
-	sort.Slice(pkept, func(i, j int) bool {
+	sort.SliceStable(pkept, func(i, j int) bool {
 		if pkept[i].From != pkept[j].From {
 			return pkept[i].From < pkept[j].From
 		}

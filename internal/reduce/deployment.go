@@ -104,7 +104,7 @@ func JudgeDiamondHPbar(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.Diamond
 func JudgeHOmega(eng *sim.Engine, truth *fd.GroundTruth, dets []fd.HOmega) func() (fd.Result, error) {
 	pr := fd.NewStreamProbe(eng, len(dets), func(p sim.PID) (fd.LeaderInfo, bool) {
 		return dets[p].Leader()
-	}, func(a, b fd.LeaderInfo) bool { return a == b })
+	}, fd.LeaderEqual)
 	return func() (fd.Result, error) { return fd.CheckHOmega(truth, pr) }
 }
 

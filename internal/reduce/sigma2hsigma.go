@@ -19,12 +19,32 @@ const DefaultPollInterval sim.Time = 5
 // D.trusted.
 type SigmaToHSigmaKnown struct {
 	env        sim.Environment
-	source     fd.Sigma
 	membership *multiset.Multiset[ident.ID]
+	labels     []fd.Label
+	quorumLog
+}
 
-	labels []fd.Label
+// quorumLog is the h_quora half Figures 1 and 2 share: the repeat-forever
+// loop reads a quorum q from D.trusted and adds the pair (q, q) the first
+// time it sees q.
+type quorumLog struct {
+	source fd.Sigma
 	quora  []fd.QuorumPair
 	known  map[fd.Label]bool
+}
+
+func newQuorumLog(source fd.Sigma) quorumLog {
+	return quorumLog{source: source, known: make(map[fd.Label]bool)}
+}
+
+func (l *quorumLog) sample() {
+	q := l.source.TrustedQuorum()
+	label := fd.Label(q.Key())
+	if l.known[label] {
+		return
+	}
+	l.known[label] = true
+	l.quora = append(l.quora, fd.QuorumPair{Label: label, M: q.Clone()})
 }
 
 var (
@@ -35,11 +55,7 @@ var (
 // NewSigmaToHSigmaKnown builds the Figure 1 transformer for one process.
 // membership is I(Π); source is the Σ detector D.
 func NewSigmaToHSigmaKnown(source fd.Sigma, membership *multiset.Multiset[ident.ID]) *SigmaToHSigmaKnown {
-	return &SigmaToHSigmaKnown{
-		source:     source,
-		known:      make(map[fd.Label]bool),
-		membership: membership.Clone(),
-	}
+	return &SigmaToHSigmaKnown{membership: membership.Clone(), quorumLog: newQuorumLog(source)}
 }
 
 // Init implements sim.Process: fix h_labels and start the polling loop.
@@ -61,16 +77,6 @@ func (m *SigmaToHSigmaKnown) OnTimer(tag int) {
 // OnMessage implements sim.Process; Figure 1 uses no messages.
 func (m *SigmaToHSigmaKnown) OnMessage(any) {}
 
-func (m *SigmaToHSigmaKnown) sample() {
-	q := m.source.TrustedQuorum()
-	label := fd.Label(q.Key())
-	if m.known[label] {
-		return
-	}
-	m.known[label] = true
-	m.quora = append(m.quora, fd.QuorumPair{Label: label, M: q.Clone()})
-}
-
 // Quora implements fd.HSigma.
 func (m *SigmaToHSigmaKnown) Quora() []fd.QuorumPair { return m.quora }
 
@@ -83,16 +89,14 @@ func (m *SigmaToHSigmaKnown) Labels() []fd.Label { return m.labels }
 // received identifiers into mship and recomputes h_labels as every subset
 // of mship containing id(p).
 type SigmaToHSigmaUnknown struct {
-	env    sim.Environment
-	source fd.Sigma
+	env sim.Environment
 	// identMsg is IDENT(id(p)), boxed once in Init: the value never changes,
 	// so every period broadcasts the same box.
 	identMsg any
 
 	mship  *multiset.Multiset[ident.ID] // set semantics: unique-id system
 	labels []fd.Label
-	quora  []fd.QuorumPair
-	known  map[fd.Label]bool
+	quorumLog
 }
 
 // IdentMsg is Figure 2's IDENT(id) message.
@@ -110,11 +114,7 @@ var (
 
 // NewSigmaToHSigmaUnknown builds the Figure 2 transformer.
 func NewSigmaToHSigmaUnknown(source fd.Sigma) *SigmaToHSigmaUnknown {
-	return &SigmaToHSigmaUnknown{
-		source: source,
-		mship:  multiset.New[ident.ID](),
-		known:  make(map[fd.Label]bool),
-	}
+	return &SigmaToHSigmaUnknown{mship: multiset.New[ident.ID](), quorumLog: newQuorumLog(source)}
 }
 
 // Init implements sim.Process.
@@ -150,16 +150,6 @@ func (m *SigmaToHSigmaUnknown) OnMessage(payload any) {
 		labels[i] = fd.Label(s.Key())
 	}
 	m.labels = labels
-}
-
-func (m *SigmaToHSigmaUnknown) sample() {
-	q := m.source.TrustedQuorum()
-	label := fd.Label(q.Key())
-	if m.known[label] {
-		return
-	}
-	m.known[label] = true
-	m.quora = append(m.quora, fd.QuorumPair{Label: label, M: q.Clone()})
 }
 
 // Quora implements fd.HSigma.

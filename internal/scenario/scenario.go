@@ -11,7 +11,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	hds "repro"
 	"repro/internal/cliutil"
@@ -158,14 +157,13 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 }
 
 // Validate rejects scenarios no run should be handed: an unknown
-// algorithm, fault inputs the algorithm has no use for, a negative time or
-// count (the run would replace it with its default, and would not be the
-// one described), a NaN or infinite churn fraction (NaN slips through
-// every comparison downstream), a partition cut that severs nothing or
-// never heals inside the run, more beaters than processes. The run keeps
-// its own input checks (crash PIDs, the t bound, schedules against the
-// horizon); those need the expanded fault pattern, which is built once, by
-// the run.
+// algorithm, fault inputs the algorithm has no use for, what
+// hds.Experiment.CheckRanges rejects (a negative time or count, a NaN or
+// infinite churn fraction), a negative -gst or -delta, a partition cut
+// that severs nothing or never heals inside the run, more beaters than
+// processes. The run repeats CheckRanges and keeps its own input checks
+// (crash PIDs, the t bound, schedules against the horizon); those need the
+// expanded fault pattern, which is built once, by the run.
 func (sc *Scenario) Validate() error {
 	switch sc.Algo {
 	case "fig8", "fig9", "fig9-anon":
@@ -180,21 +178,16 @@ func (sc *Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", sc.Algo)
 	}
-	type field struct {
-		name string
-		v    int64
+	if err := sc.CheckRanges(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
-	fields := []field{{"period", sc.Period}, {"horizon", sc.Horizon}, {"stabilize", sc.Stabilize}, {"max-events", int64(sc.MaxEvents)}}
 	if m := sc.Meta; m != nil {
-		fields = append(fields, field{"gst", m.GST}, field{"delta", m.Delta})
-	}
-	for _, f := range fields {
-		if f.v < 0 {
-			return fmt.Errorf("scenario: %s=%d, want >= 0", f.name, f.v)
+		if m.GST < 0 {
+			return fmt.Errorf("scenario: gst=%d, want >= 0", m.GST)
 		}
-	}
-	if f := sc.Churn.Fraction; math.IsNaN(f) || math.IsInf(f, 0) {
-		return fmt.Errorf("scenario: churn fraction %v, want a finite value", f)
+		if m.Delta < 0 {
+			return fmt.Errorf("scenario: delta=%d, want >= 0", m.Delta)
+		}
 	}
 	if err := cliutil.ValidateBeaters(sc.Beaters, sc.IDs.N()); err != nil {
 		return fmt.Errorf("scenario: %w", err)
