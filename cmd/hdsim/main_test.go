@@ -148,13 +148,27 @@ func TestGoldenMaxEvents(t *testing.T) {
 }
 
 // TestGoldenCrashAfterHorizon: a crash-stop crash at or past the horizon
-// never happens in the run, so the run is rejected with the schedule-vs-
-// horizon error instead of being judged against a ground truth that counts
-// the process as crashed (stdout, stderr and the exit code are the golden).
+// never happens in the run, so the scenario is rejected with the schedule-
+// vs-horizon error, as an input error before the header, instead of being
+// judged against a ground truth that counts the process as crashed
+// (stdout, stderr and the exit code are the golden).
 func TestGoldenCrashAfterHorizon(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run(strings.Fields("-algo ohp -n 5 -l 2 -crashes 1:9000"), &stdout, &stderr)
 	checkGolden(t, "reject_crash_after_horizon", stdout.String()+stderr.String()+fmt.Sprintf("exit %d\n", code))
+}
+
+// TestCrashAfterHorizonLeavesNoTrace: the rejection comes before -trace
+// opens its file, so none is left behind.
+func TestCrashAfterHorizonLeavesNoTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.bin")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-algo", "ohp", "-n", "5", "-l", "2", "-crashes", "1:9000", "-trace", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a rejected scenario left %s behind (stat: %v)", path, err)
+	}
 }
 
 // TestSweepResumeMaxEvents: -max-events is part of a sweep's campaign id,

@@ -486,17 +486,29 @@ func VerifyConsensus(truth *fd.GroundTruth, churn bool, proposals []Value, outco
 }
 
 // FaultPattern expands a churn spec plus permanent crashes into the one
-// schedule the engine executes (sim.Engine.ApplyChurn) and the ground
-// truth the checkers judge against — crash-stop is the case with no
-// recover events. Crashes are appended in ascending PID order: same-time
-// events are tie-broken by registration sequence, so map order must not
-// leak. A process driven by both mechanisms is rejected, and so is a
-// schedule whose last event is not before the horizon, crash-stop or churn:
-// a crash at or past the horizon never happens in the run, and the truth
-// would verify a fault pattern the run never had.
-// Offline verification rebuilds a recorded run's fault pattern with it
-// from the scenario fingerprint alone.
+// schedule the engine executes (sim.Engine.ApplyChurn), as FaultSchedule
+// does, and the ground truth the checkers judge against — crash-stop is
+// the case with no recover events. Offline verification rebuilds a
+// recorded run's fault pattern with it from the scenario fingerprint
+// alone.
 func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon Time) ([]ChurnEvent, *fd.GroundTruth, error) {
+	schedule, err := FaultSchedule(ids, churn, crashes, horizon)
+	if err != nil {
+		return nil, nil, err
+	}
+	return schedule, fd.NewGroundTruthFromChurn(ids, schedule), nil
+}
+
+// FaultSchedule expands a churn spec plus permanent crashes into the one
+// schedule the engine executes. Crashes are appended in ascending PID
+// order: same-time events are tie-broken by registration sequence, so map
+// order must not leak. A process driven by both mechanisms is rejected,
+// and so is a schedule whose last event is not before the horizon,
+// crash-stop or churn: a crash at or past the horizon never happens in
+// the run, and the truth would verify a fault pattern the run never had.
+// scenario.Validate runs it to reject such a scenario before anything is
+// printed or created; its cost is O(the schedule's events).
+func FaultSchedule(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon Time) ([]ChurnEvent, error) {
 	schedule := churn.Events(ids.N())
 	if len(crashes) > 0 {
 		churners := make(map[PID]bool, len(schedule))
@@ -513,7 +525,7 @@ func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon
 		}
 		if len(overlap) > 0 {
 			slices.Sort(overlap)
-			return nil, nil, fmt.Errorf("hds: process(es) %v appear in both the churn schedule and the Crashes map — use one crash mechanism per process (the engine would interleave both into a schedule nobody asked for)", overlap)
+			return nil, fmt.Errorf("hds: process(es) %v appear in both the churn schedule and the Crashes map — use one crash mechanism per process (the engine would interleave both into a schedule nobody asked for)", overlap)
 		}
 		slices.Sort(pids)
 		for _, p := range pids {
@@ -526,10 +538,10 @@ func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon
 			last = max(last, ev.At)
 		}
 		if last >= horizon {
-			return nil, nil, fmt.Errorf("hds: the fault schedule's last event at t=%d is not before the horizon %d — the run would truncate the fault pattern", last, horizon)
+			return nil, fmt.Errorf("hds: the fault schedule's last event at t=%d is not before the horizon %d — the run would truncate the fault pattern", last, horizon)
 		}
 	}
-	return schedule, fd.NewGroundTruthFromChurn(ids, schedule), nil
+	return schedule, nil
 }
 
 // guardErr converts a MaxEvents-truncated run into an error. Every

@@ -38,8 +38,10 @@ func CampaignFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
 }
 
 // maxTraceBuf caps the -trace-buf spill batch size. The recorder stages up
-// to four batches of events (one recording, three spilling) at 56 bytes
-// per event, so the cap keeps the staging buffers under 240 MB.
+// to four batches (one recording, three spilling) of 24-byte records, and
+// a text trace's spill expands one batch at a time into 56-byte Events,
+// so the cap keeps staging under 101 MB for a binary trace and 160 MB for
+// a text one.
 const maxTraceBuf = 1 << 20
 
 // ValidateTraceBuf checks a -trace-buf flag value before it reaches

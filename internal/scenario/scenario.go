@@ -36,8 +36,9 @@ type Scenario struct {
 // spec overrides all of that, and partitions wrap the result; horizons
 // default to 3,000,000 for consensus, 5,000 for ohp and ten periods for
 // heartbeat. Every inadmissible value is rejected here, before anything
-// is printed, created or run. Resolve expands no schedule: beyond the
-// identifier assignment its cost does not grow with n.
+// is printed, created or run. Beyond the identifier assignment its cost
+// grows with n only through Validate's expansion of the fault schedule,
+// which is O(its events).
 func Resolve(m *trace.Meta) (*Scenario, error) {
 	if m == nil {
 		return nil, fmt.Errorf("scenario: trace carries no scenario metadata (recorded by an older hdsim?)")
@@ -161,9 +162,14 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 // hds.Experiment.CheckRanges rejects (a negative time or count, a NaN or
 // infinite churn fraction), a negative -gst or -delta, a partition cut
 // that severs nothing or never heals inside the run, more beaters than
-// processes. The run repeats CheckRanges and keeps its own input checks
-// (crash PIDs, the t bound, schedules against the horizon); those need the
-// expanded fault pattern, which is built once, by the run.
+// processes, and a fault schedule hds.FaultSchedule rejects (a process
+// both churned and crashed, a last event not before the horizon). The run
+// repeats CheckRanges and the schedule check, and keeps its own input
+// checks (crash PIDs, the t bound). Expanding the schedule is O(its
+// events), negligible beside any run, so a scenario it rejects fails
+// here, before a header is printed or a trace file created. A zero
+// Horizon (the run's own default, as hunt leaves it) leaves that check
+// to the run.
 func (sc *Scenario) Validate() error {
 	switch sc.Algo {
 	case "fig8", "fig9", "fig9-anon":
@@ -191,6 +197,11 @@ func (sc *Scenario) Validate() error {
 	}
 	if err := cliutil.ValidateBeaters(sc.Beaters, sc.IDs.N()); err != nil {
 		return fmt.Errorf("scenario: %w", err)
+	}
+	if sc.Horizon > 0 {
+		if _, err := hds.FaultSchedule(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 	}
 	// Network puts the partition schedule outermost.
 	if p, ok := sc.Net.(sim.Partition); ok {

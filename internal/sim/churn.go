@@ -85,8 +85,12 @@ func (s ChurnSpec) Churners(n int) []PID {
 // order-insensitive).
 func (s ChurnSpec) Events(n int) []ChurnEvent {
 	s = s.defaults()
-	var evs []ChurnEvent
-	for i, p := range s.Churners(n) {
+	churners := s.Churners(n)
+	if len(churners) == 0 {
+		return nil
+	}
+	evs := make([]ChurnEvent, 0, 2*s.Cycles*len(churners))
+	for i, p := range churners {
 		at := s.Start + Time(i)*s.Stagger
 		for c := 0; c < s.Cycles; c++ {
 			evs = append(evs, ChurnEvent{P: p, At: at})

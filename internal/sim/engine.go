@@ -855,12 +855,16 @@ func (e *Engine) broadcast(from PID, payload any) {
 		prob = flt.partial.deliverProb
 	}
 	var tag string
+	var tagRef trace.Ref
 	if e.rec != nil {
 		// The tag is computed even for stats-only recorders: the per-tag
 		// broadcast counts (Stats.ByTag) depend on it. tagOf is
 		// allocation-free for Tagger payloads and cached otherwise.
 		tag = TagOf(payload)
 		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindBroadcast, PID: int(from), MsgTag: tag})
+		if e.retain {
+			tagRef = e.rec.Intern(tag)
+		}
 	}
 	f := fanoutRec{
 		key:     e.nextFanKey(),
@@ -870,6 +874,7 @@ func (e *Engine) broadcast(from PID, payload any) {
 		prob:    prob,
 		payload: payload,
 		tag:     tag,
+		tagRef:  tagRef,
 		fates:   e.allocFates(),
 	}
 	scheduled, firstK := e.fanoutScan(&f)

@@ -175,7 +175,8 @@ type fanoutRec struct {
 	payload any     // the boxed message, the same box for every copy
 	// tag is the payload's trace tag, resolved once by broadcast ("" when
 	// the engine has no recorder): every copy's deliver or drop event
-	// carries it, and no copy looks it up again.
+	// carries it, and no copy looks it up again. tagRef, last, is its ref
+	// in a retaining recorder's string table, which each delivery records.
 	tag string
 	// fates is the broadcast's fate table, nil when it was sent over
 	// budget: its waves then recompute every fate.
@@ -196,6 +197,7 @@ type fanoutRec struct {
 	// resumeI is the recipient index delivery resumes at within the
 	// current wave, after a mid-wave MaxEvents or predicate stop.
 	resumeI int32
+	tagRef  trace.Ref // beside resumeI, in what would be padding
 }
 
 // allocFates hands out a fate table for a broadcast about to be scanned,
@@ -399,7 +401,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 		e.fanouts[ev.arg] = f
 	}
 	tab := f.fates
-	payload, tag := f.payload, f.tag
+	payload, tag, tagRef := f.payload, f.tag, f.tagRef
 	cur := uint64(f.delay - f.base)
 	next := uint64(0) // the next code in the table: 0 when there is none
 	if above := f.codes >> (cur + 1); above != 0 {
@@ -448,7 +450,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 				return stop
 			}
 			m &= m - 1
-			e.deliverCopy(to, payload, tag, seq)
+			e.deliverCopy(to, payload, tag, tagRef, seq)
 			if e.done != nil && e.done() {
 				stop = StopPredicate // and find where the wave resumes
 			}
@@ -512,7 +514,7 @@ func (e *Engine) rebase(f *fanoutRec) {
 // table, recipient by recipient, taking each fate delay from copyFate. The
 // same pass finds the next wave, the minimum fate delay beyond this one.
 func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
-	payload, tag := f.payload, f.tag
+	payload, tag, tagRef := f.payload, f.tag, f.tagRef
 	stop := StopNone
 	var nextDelay Time
 	var nextK int32
@@ -543,7 +545,7 @@ func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 			e.suspendWave(ev, to, f.baseSeq+uint64(ck))
 			return stop
 		}
-		e.deliverCopy(to, payload, tag, f.baseSeq+uint64(ck))
+		e.deliverCopy(to, payload, tag, tagRef, f.baseSeq+uint64(ck))
 		if e.done != nil && e.done() {
 			stop = StopPredicate // and find where the wave resumes
 		}
@@ -580,10 +582,10 @@ func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
 // copy — the one place either happens. A copy is an event like a timer or
 // a crash: it counts as processed, notifies the observers, and takes seq,
 // its reserved position in the global event order, as the current one.
-// tag is the broadcast's trace tag, resolved at send time (fanoutRec.tag).
-// What a retaining recorder gets as an event, any other gets as a count,
-// through flushTally.
-func (e *Engine) deliverCopy(to int, payload any, tag string, seq uint64) {
+// tag and tagRef are the broadcast's trace tag and its recorder ref,
+// resolved at send time (fanoutRec.tag). What a retaining recorder gets
+// as an event, any other gets as a count, through flushTally.
+func (e *Engine) deliverCopy(to int, payload any, tag string, tagRef trace.Ref, seq uint64) {
 	e.curSeq = int64(seq)
 	e.processed++
 	pid := PID(to)
@@ -597,7 +599,7 @@ func (e *Engine) deliverCopy(to int, payload any, tag string, seq uint64) {
 		return
 	}
 	if e.retain {
-		e.rec.Record(trace.Event{Time: e.now, Kind: trace.KindDeliver, PID: to, MsgTag: tag})
+		e.rec.RecordDeliver(int64(e.now), to, tagRef)
 	} else {
 		e.tally.delivered++
 	}

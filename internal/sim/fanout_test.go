@@ -667,7 +667,7 @@ func (e *Engine) waveRef(ev event) StopReason {
 			resumeSeq = f.baseSeq + uint64(ck)
 			continue
 		}
-		e.deliverCopy(to, payload, f.tag, f.baseSeq+uint64(ck))
+		e.deliverCopy(to, payload, f.tag, f.tagRef, f.baseSeq+uint64(ck))
 		if e.done != nil && e.done() {
 			stop = StopPredicate
 		}

@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // binaryMagic identifies a binary trace stream; the last byte is the
@@ -133,29 +134,39 @@ type BinarySink struct {
 	// Set before the first spill.
 	FrameEvents int
 
-	w       *bufio.Writer
-	wrote   bool
-	closed  bool
-	meta    *Meta
-	strs    map[string]uint64
-	lastStr string // the string appendString last referenced, "" = none
-	lastRef uint64 // its table reference
-	lastT   int64
-	enc     []byte // encode buffer: one frame slice (Spill) or the index
-	err     error
-	off     uint64  // bytes written to the stream so far
-	digest  uint64  // FNV-64a over body bytes (events + restarts)
-	count   uint64  // events written
-	inFrame int     // events in the open frame
-	cur     Frame   // the open frame's index record
-	frames  []Frame // completed frame records
+	w      *bufio.Writer
+	wrote  bool
+	closed bool
+	meta   *Meta
+	// The open frame's string table: frameStrs maps each string it holds
+	// to its wire ref. wire caches that lookup by staged ref for the
+	// table owner, touched lists the refs it holds, and lastStr is the
+	// staged ref appendRef referenced last (0 = none), lastRef its wire
+	// ref.
+	frameStrs map[string]uint64
+	wire      []uint64
+	owner     *strTable
+	touched   []Ref
+	lastStr   Ref
+	lastRef   uint64
+	lastT     int64
+	enc       []byte  // encode buffer: one frame slice (spillStaged) or the index
+	off       uint64  // bytes written to the stream so far
+	digest    uint64  // FNV-64a over body bytes (events + restarts)
+	count     uint64  // events written
+	inFrame   int     // events in the open frame
+	cur       Frame   // the open frame's index record
+	frames    []Frame // completed frame records
+	// Spill stages its events over a table of the sink's own.
+	tab   strTable
+	stage []staged
 }
 
 // NewBinarySink wraps w. The header is written lazily with the first
 // spill, so constructing a sink on a file never touched by the run leaves
 // it empty rather than header-only.
 func NewBinarySink(w io.Writer) *BinarySink {
-	return &BinarySink{w: bufio.NewWriterSize(w, 1<<16), strs: make(map[string]uint64), digest: fnvOffset}
+	return &BinarySink{w: bufio.NewWriterSize(w, 1<<16), frameStrs: make(map[string]uint64), digest: fnvOffset}
 }
 
 // SetMeta attaches the scenario fingerprint written into the stream
@@ -189,21 +200,34 @@ func (s *BinarySink) header() error {
 	return nil
 }
 
-// Spill implements Sink. It encodes the batch a frame slice at a time:
-// the events from here to the open frame's end (or the batch's) go into
-// one buffer, with the time base, the frame's pid bloom and the running
-// digest in locals, and reach the writer in one write — the restart
-// control of a frame the slice fills included. An ordinary record, the
-// shape NextBatch's loop decodes — kind and time delta of one byte each,
-// a pid below 2²¹, the tag appendString referenced last with a one-byte
-// ref, no detail — is written by one append; any other record goes field
-// by field. Each record is digested as soon as it is appended, so the
-// digest's byte-serial multiply chain overlaps the encoding instead of
-// re-reading the buffer, and s.off and s.digest take the slice only once
-// it is written. A bloom that is all ones skips the per-event bits:
-// OR-ing more into it cannot change it. The bytes, the index and the
-// digests are those of encoding and writing event by event.
+// Spill implements Sink: it stages the batch over the sink's own string
+// table and encodes it as spillStaged does a recorder's batch. A Recorder
+// over a BinarySink hands its staged batches to spillStaged directly.
 func (s *BinarySink) Spill(batch []Event) error {
+	s.stage = slices.Grow(s.stage[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		s.tab.stage(&s.stage[i], &batch[i])
+	}
+	v := s.tab.view()
+	return s.spillStaged(s.stage, &v)
+}
+
+// spillStaged encodes a batch of staged records, whose refs are into tab,
+// a frame slice at a time: the records from here to the open frame's end
+// (or the batch's) go into one buffer, with the time base, the frame's
+// pid bloom and the running digest in locals, and reach the writer in one
+// write — the restart control of a frame the slice fills included. An
+// ordinary record, the shape NextBatch's loop decodes — kind and time
+// delta of one byte each, a pid below 2²¹, the tag appendRef referenced
+// last with a one-byte wire ref, no detail — is written by one append;
+// any other record goes field by field. Each record is digested as soon
+// as it is appended, so the digest's byte-serial multiply chain overlaps
+// the encoding instead of re-reading the buffer, and s.off and s.digest
+// take the slice only once it is written. A bloom that is all ones skips
+// the per-event bits: OR-ing more into it cannot change it. The bytes,
+// the index and the digests are those of encoding and writing the
+// expanded events one by one.
+func (s *BinarySink) spillStaged(batch []staged, tab *tableView) error {
 	if s.closed {
 		return fmt.Errorf("trace: spill after the stream was finalized")
 	}
@@ -212,23 +236,30 @@ func (s *BinarySink) Spill(batch []Event) error {
 			return err
 		}
 	}
+	if tab.owner != s.owner {
+		s.forgetWire()
+		s.owner = tab.owner
+	}
+	if n := len(tab.strs) + 1; len(s.wire) < n {
+		s.wire = append(s.wire, make([]uint64, n-len(s.wire))...)
+	}
 	stride := s.FrameEvents
 	if stride <= 0 {
 		stride = DefaultFrameEvents
 	}
 	for len(batch) > 0 {
 		if s.inFrame == 0 {
-			s.cur = Frame{Ordinal: s.count, Start: batch[0].Time, Offset: s.off, DigestBefore: s.digest}
+			s.cur = Frame{Ordinal: s.count, Start: batch[0].time, Offset: s.off, DigestBefore: s.digest}
 		}
 		chunk := batch[:min(len(batch), stride-s.inFrame)]
 		batch = batch[len(chunk):]
 		enc, lastT, bloom, h := s.enc[:0], s.lastT, s.cur.PIDBloom, s.digest
 		for i := range chunk {
-			e := &chunk[i]
-			dt := e.Time - lastT
-			lastT = e.Time
-			kind, zz, pid := uint64(e.Kind), uint64(dt<<1^dt>>63), uint64(e.PID)
-			if kind|zz < 0x80 && pid < 1<<21 && e.MsgTag == s.lastStr && s.lastRef < 0x80 && e.Detail == "" {
+			x := &chunk[i]
+			dt := x.time - lastT
+			lastT = x.time
+			kind, zz, pid := uint64(x.kind), uint64(dt<<1^dt>>63), uint64(x.pid)
+			if kind|zz < 0x80 && pid < 1<<21 && x.tag == s.lastStr && s.lastRef < 0x80 && x.detail == 0 {
 				h = (h ^ kind) * fnvPrime
 				h = (h ^ zz) * fnvPrime
 				k, z, ref := byte(kind), byte(zz), byte(s.lastRef)
@@ -251,16 +282,20 @@ func (s *BinarySink) Spill(batch []Event) error {
 				h = (h ^ uint64(ref)) * fnvPrime
 				h *= fnvPrime // the empty detail's 0 byte
 			} else {
+				if x.kind == wideKind {
+					w := &tab.wides[x.pid]
+					kind, pid = uint64(w.kind), uint64(w.pid)
+				}
 				n := len(enc)
 				enc = binary.AppendUvarint(enc, kind)
 				enc = binary.AppendUvarint(enc, zz)
 				enc = binary.AppendUvarint(enc, pid)
-				enc = s.appendString(enc, e.MsgTag)
-				enc = s.appendString(enc, e.Detail)
+				enc = s.appendRef(enc, x.tag, tab)
+				enc = s.appendRef(enc, x.detail, tab)
 				h = fnvSum(h, enc[n:])
 			}
 			if bloom != ^uint64(0) {
-				bloom |= pidBloomBits(e.PID)
+				bloom |= pidBloomBits(int(pid))
 			}
 		}
 		s.lastT, s.cur.PIDBloom = lastT, bloom
@@ -284,43 +319,64 @@ func (s *BinarySink) Spill(batch []Event) error {
 	return nil
 }
 
-// closeFrame records the open frame in the index once Spill has written
-// the restart control that ends it, and resets the encoder's string table
-// and time base as that control resets the decoder's, making the next
-// frame self-contained.
+// closeFrame records the open frame in the index once spillStaged has
+// written the restart control that ends it, and resets the encoder's
+// string table and time base as that control resets the decoder's,
+// making the next frame self-contained.
 func (s *BinarySink) closeFrame() {
 	s.frames = append(s.frames, s.cur)
 	s.inFrame = 0
 	s.lastT = 0
-	clear(s.strs)
-	s.lastStr, s.lastRef = "", 0
+	clear(s.frameStrs)
+	s.forgetWire()
 }
 
-// appendString appends v's string ref, introducing v into the frame's
-// table on first use. The string it referenced last is checked before the
-// table: consecutive events mostly repeat their tag (a delivery wave is
-// thousands of copies of one message), so the map lookup is the
-// exception. The check is only a shortcut to the ref the table holds, and
-// closeFrame clears it with the table, so the bytes are the same.
-func (s *BinarySink) appendString(enc []byte, v string) []byte {
-	if v == "" {
+// forgetWire empties the wire-ref cache: at a frame's end, whose table it
+// caches, and when batches start coming from another string table, whose
+// refs mean other strings. The frame's own table, frameStrs, is keyed by
+// string and stays valid across the switch.
+func (s *BinarySink) forgetWire() {
+	for _, r := range s.touched {
+		s.wire[r] = 0
+	}
+	s.touched = s.touched[:0]
+	s.lastStr, s.lastRef = 0, 0
+}
+
+// appendRef appends the wire ref of the string r names in tab,
+// introducing the string into the frame's table on first use. The ref it
+// referenced last is checked first, then the cache by staged ref, and
+// only a ref new to the frame looks its string up: a delivery wave is
+// thousands of copies of one tag, and a frame holds few strings. The
+// checks are shortcuts to the wire ref the frame's table holds, and
+// closeFrame clears them with the table, so the bytes are the same.
+func (s *BinarySink) appendRef(enc []byte, r Ref, tab *tableView) []byte {
+	if r == 0 {
 		return append(enc, 0)
 	}
-	if v == s.lastStr {
+	if r == s.lastStr {
 		return binary.AppendUvarint(enc, s.lastRef)
 	}
-	ref, ok := s.strs[v]
-	if !ok {
-		ref = uint64(len(s.strs)) + 1
-		s.strs[v] = ref
-	}
-	s.lastStr, s.lastRef = v, ref
-	enc = binary.AppendUvarint(enc, ref)
-	if ok {
+	ref := s.wire[r]
+	if ref == 0 {
+		v := tab.strs[r-1]
+		var ok bool
+		if ref, ok = s.frameStrs[v]; !ok {
+			ref = uint64(len(s.frameStrs)) + 1
+			s.frameStrs[v] = ref
+			enc = binary.AppendUvarint(enc, ref)
+			enc = binary.AppendUvarint(enc, uint64(len(v)))
+			enc = append(enc, v...)
+		} else {
+			enc = binary.AppendUvarint(enc, ref)
+		}
+		s.wire[r] = ref
+		s.touched = append(s.touched, r)
+		s.lastStr, s.lastRef = r, ref
 		return enc
 	}
-	enc = binary.AppendUvarint(enc, uint64(len(v)))
-	return append(enc, v...)
+	s.lastStr, s.lastRef = r, ref
+	return binary.AppendUvarint(enc, ref)
 }
 
 // Flush implements Flusher: it finalizes the stream — end-of-events

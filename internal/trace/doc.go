@@ -7,33 +7,47 @@
 // # Recording modes
 //
 // A Recorder always keeps aggregate statistics (Stats), held in plain
-// counters. Full event retention is opt-in (KeepEvents) and runs through
-// a fixed-size staging ring of BufSize events; when the write position
-// wraps, the full batch spills in one step:
+// counters. Full event retention is opt-in (KeepEvents). A retaining
+// recorder does not keep Events: it stages each one as a 24-byte record
+// with no pointers (stage.go) — time, pid, kind, and refs for the tag and
+// detail into a string table the recorder owns, which only grows and is
+// bounded by the run's distinct tags and details. Records go into a
+// fixed-size staging buffer of BufSize; when it fills, the full batch
+// spills in one step:
 //
 //   - in-memory mode (default): the batch moves to a chunk list; Events()
-//     concatenates chunks plus the staging tail in recording order. Unlike
-//     a grow-forever append slice, previously recorded events are never
-//     re-copied.
+//     expands the chunks plus the staging tail, in recording order, on
+//     demand. Unlike a grow-forever append slice, previously recorded
+//     events are never re-copied.
 //   - streaming mode (NewSpillRecorder): the batch is handed to
 //     a caller-provided Sink and never retained, so a trace of any length
-//     records in constant memory. The hand-off is pipelined: each full
-//     batch goes to a background spill (a sweep.Stage) while recording
-//     continues into the next buffer of a ring of spillDepth+1. Up to
-//     spillDepth batches are in flight — a hand-off blocks only when that
-//     many are, and Flush and Err wait for all of them — and the stage
-//     spills them one at a time, oldest first, so the sink sees the same
-//     batches, in the same order, as a synchronous spill, and writes the
-//     same bytes; the encoding runs on a second core beside the engine,
-//     and a late wake-up of it costs the engine nothing until the ring
-//     is full.
-//     WriterSink streams the canonical text rendering (one Event.String
-//     per line) to an io.Writer; a spilled trace file is byte-identical
-//     to WriteText over the same run's in-memory events. BinarySink streams the compact binary format
-//     instead (varint fields, delta-coded times, inline string interning;
-//     see binary.go) — about an order of magnitude smaller and free of
-//     per-event formatting; BinaryReader decodes it back to the exact
-//     Event values, so its text rendering is byte-identical too.
+//     records in memory bounded by its distinct strings. The hand-off is
+//     pipelined: each full batch goes to a background spill (a
+//     sweep.Stage) while recording continues into the next buffer of a
+//     ring of spillDepth+1. Up to spillDepth batches are in flight — a
+//     hand-off blocks only when that many are, and Flush and Err wait for
+//     all of them — and the stage spills them one at a time, oldest
+//     first, so the sink sees the same batches, in the same order, as a
+//     synchronous spill, and writes the same bytes; the encoding runs on a
+//     second core beside the engine, and a late wake-up of it costs the
+//     engine nothing until the ring is full. The records hold no pointer, so
+//     a spilled slot has nothing to clear.
+//     A *BinarySink takes the staged records directly and encodes them in
+//     its one loop (see binary.go): varint fields, delta-coded times,
+//     inline string interning, a frame's wire ref found by the record's
+//     ref rather than by hashing the string — about an order of magnitude
+//     smaller than text and free of per-event formatting; BinaryReader
+//     decodes it back to the exact Event values. BinarySink.Spill, for
+//     callers holding Events, stages them over a table of the sink's own
+//     and runs the same loop. Any other Sink gets each batch expanded to
+//     Events in one reused buffer: WriterSink streams the canonical text
+//     rendering (one Event.String per line), byte-identical to WriteText
+//     over the same run's in-memory events and to the decoded binary
+//     trace rendered.
+//
+// The engine records each delivery through RecordDeliver, with the ref
+// Intern gave the broadcast's tag: one record written, one counter
+// incremented, no Event built and no string compared.
 //
 // The zero value is a ready, stats-only recorder; a nil *Recorder is safe
 // to record into and reports empty results.
@@ -44,8 +58,10 @@
 // goroutine; the live runtime (internal/hruntime) serializes its
 // processes' and delivery goroutines' records under its cluster lock and
 // reads the recorder after the run has stopped. The background spill is
-// the one other goroutine that touches a Recorder, and only the batches
-// handed to it and the sink error, which every reader waits for.
+// the one other goroutine that touches a Recorder, and only the slots
+// handed to it (a batch and a view of the string table as of its
+// hand-off, which only appends), the expansion buffer and the sink error,
+// which every reader waits for.
 //
 // # Decoding
 //

@@ -53,6 +53,26 @@ func (s *BinarySink) spillEventRef(batch []Event) error {
 	return nil
 }
 
+// appendString appends v's wire ref, introducing v into the frame's
+// table on first use: appendRef as it was before the sink staged its
+// events, with no shortcut before the table lookup.
+func (s *BinarySink) appendString(enc []byte, v string) []byte {
+	if v == "" {
+		return append(enc, 0)
+	}
+	ref, ok := s.frameStrs[v]
+	if !ok {
+		ref = uint64(len(s.frameStrs)) + 1
+		s.frameStrs[v] = ref
+	}
+	enc = binary.AppendUvarint(enc, ref)
+	if ok {
+		return enc
+	}
+	enc = binary.AppendUvarint(enc, uint64(len(v)))
+	return append(enc, v...)
+}
+
 // writeBody writes p as body bytes: counted and digested. It is how
 // Spill wrote and digested a frame slice before it digested each record
 // as it appended it.
@@ -100,11 +120,11 @@ func bloomSaturatesMidFrame(events []Event, stride int) bool {
 	return false
 }
 
-// encoderEdges is a stream that takes every exit of Spill's
+// encoderEdges is a stream that takes every exit of spillStaged's
 // ordinary-record check at least once, each beside a record that just
 // passes it, and then spreads its pids until the frame's bloom fills.
 // Ordinary means: kind and zigzag time delta of one byte each, a pid in
-// [0, 2²¹), the string appendString referenced last as the tag with a ref
+// [0, 2²¹), the string appendRef referenced last as the tag with a ref
 // below 128, and no detail.
 func encoderEdges() []Event {
 	var out []Event
@@ -124,15 +144,20 @@ func encoderEdges() []Event {
 		hb()
 	}
 	// Pids: 127 takes one byte, 128 and 16383 two, 16384 and 2²¹−1 three
-	// (all ordinary); 2²¹ takes four and -1 ten (exit).
-	for _, pid := range []int{127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, -1} {
+	// (all ordinary); 2²¹ takes four and -1 ten (exit). 2⁴⁰ and -2⁴⁰ do
+	// not fit a staged record's int32 either: a recorder stages them wide.
+	for _, pid := range []int{127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, -1, 1 << 40, -1 << 40} {
 		add(1, KindDeliver, pid, "HB", "")
 		hb()
 	}
 	// Kind 128 takes two bytes (exit). No kind has that value, but the
-	// encoder writes what it is given, as spillEventRef does.
-	add(0, Kind(128), 3, "HB", "")
-	hb()
+	// encoder writes what it is given, as spillEventRef does. 2³²−1 is the
+	// staged record's wide marker, and -1 and 2³² do not fit its uint32:
+	// all three are staged wide.
+	for _, k := range []Kind{128, 1<<32 - 1, -1, 1 << 32} {
+		add(0, k, 3, "HB", "")
+		hb()
+	}
 	// Tags and details.
 	add(0, KindDeliver, 3, "PH1", "") // a new tag: exit
 	hb()                              // a known tag that is not the last: exit

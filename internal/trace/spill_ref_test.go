@@ -14,45 +14,45 @@ import (
 	"repro/internal/sweep"
 )
 
-// spillRef is spillBatch as it was before streaming spills moved to a
-// background goroutine, kept as the differential oracle (less a counter of
-// spilled events that nothing read): the sink is called on the recording
-// goroutine, and one staging buffer serves the whole run.
-func (r *Recorder) spillRef() {
-	batch := r.buf
-	if r.sink != nil {
-		if err := r.sink.Spill(batch); err != nil && r.err == nil {
-			r.err = err
-		}
-		clear(batch)
-		r.buf = batch[:0]
-		return
-	}
-	r.chunks = append(r.chunks, batch)
-	r.buf = make([]Event, 0, cap(batch))
+// syncRecorder is the streaming recorder as it was before spills moved
+// to a background goroutine and before it staged records, kept as the
+// differential oracle (less the statistics and the skew canary, which do
+// not reach the sink): it buffers Events, one buffer serves the whole
+// run, and the sink is called on the recording goroutine. A BinarySink is
+// spilled through spillEventRef, the per-event encoder.
+type syncRecorder struct {
+	sink Sink
+	buf  []Event
+	err  error
 }
 
-// recordRef is Record's retention half with spillRef in place of
-// spillBatch. The statistics and the skew canary are left out: neither
-// reaches the sink.
-func (r *Recorder) recordRef(e Event) {
-	if r.buf == nil {
-		size := r.BufSize
-		if size <= 0 {
-			size = DefaultBufSize
-		}
-		r.buf = make([]Event, 0, size)
+func newSyncRecorder(sink Sink, bufSize int) *syncRecorder {
+	if b, ok := sink.(*BinarySink); ok {
+		sink = eventRefSink{b}
 	}
+	if bufSize <= 0 {
+		bufSize = DefaultBufSize
+	}
+	return &syncRecorder{sink: sink, buf: make([]Event, 0, bufSize)}
+}
+
+func (r *syncRecorder) record(e Event) {
 	r.buf = append(r.buf, e)
 	if len(r.buf) == cap(r.buf) {
-		r.spillRef()
+		r.spill()
 	}
 }
 
-// flushRef is Flush with spillRef in place of spillBatch.
-func (r *Recorder) flushRef() error {
-	if r.sink != nil && len(r.buf) > 0 {
-		r.spillRef()
+func (r *syncRecorder) spill() {
+	if err := r.sink.Spill(r.buf); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.buf = r.buf[:0]
+}
+
+func (r *syncRecorder) flush() error {
+	if len(r.buf) > 0 {
+		r.spill()
 	}
 	if f, ok := r.sink.(Flusher); ok {
 		if err := f.Flush(); err != nil && r.err == nil {
@@ -93,29 +93,33 @@ func pipelineEvents(n int, long bool) []Event {
 }
 
 // spillAll records events into a recorder over sink, the pipelined way or
-// through spillRef, and flushes it. Every step events apart (never, for
-// step 0) it reads Err into errs, and once more after Flush.
+// through syncRecorder, and flushes it. Every step events apart (never,
+// for step 0) it reads the first sink error into errs, and once more after
+// Flush.
 func spillAll(sink Sink, bufSize int, events []Event, ref bool, step int) (flushErr error, errs []error) {
+	if ref {
+		r := newSyncRecorder(sink, bufSize)
+		for i, e := range events {
+			r.record(e)
+			if step > 0 && i%step == 0 {
+				errs = append(errs, r.err)
+			}
+		}
+		flushErr = r.flush()
+		return flushErr, append(errs, r.err)
+	}
 	r := NewSpillRecorder(sink, bufSize)
 	for i, e := range events {
-		if ref {
-			r.recordRef(e)
-		} else {
-			r.Record(e)
-		}
+		r.Record(e)
 		if step > 0 && i%step == 0 {
 			errs = append(errs, r.Err())
 		}
 	}
-	if ref {
-		flushErr = r.flushRef()
-	} else {
-		flushErr = r.Flush()
-	}
+	flushErr = r.Flush()
 	return flushErr, append(errs, r.Err())
 }
 
-// TestPipelinedSpillMatchesRef holds the background spill to spillRef
+// TestPipelinedSpillMatchesRef holds the background spill to syncRecorder
 // byte for byte: with text and binary sinks, at staging-buffer sizes from
 // one event (a hand-off per event) to the default, and at every frame
 // stride (dividing the batch sizes or not), the recorder must write
@@ -140,7 +144,7 @@ func TestPipelinedSpillMatchesRef(t *testing.T) {
 				t.Fatalf("%s buf=%d: flush errors %v (pipelined), %v (ref)", sc.name, bufSize, gotErr, wantErr)
 			}
 			if want.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("%s buf=%d: pipelined recorder wrote %d bytes, spillRef %d, and they differ",
+				t.Errorf("%s buf=%d: pipelined recorder wrote %d bytes, syncRecorder %d, and they differ",
 					sc.name, bufSize, got.Len(), want.Len())
 			}
 		}
@@ -169,7 +173,10 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // Spill still running after Flush returned would race with the test's
 // reads, which the race detector reports.
 type spillCounter struct {
-	inner   *BinarySink
+	inner interface {
+		Sink
+		Flusher
+	}
 	spills  int
 	flushes int
 }
@@ -206,7 +213,7 @@ func decodePrefix(b []byte) (got []Event, inHeader bool, err error) {
 // and mid-index to more than the trace needs. Flush must report the
 // writer's error, Err must agree, no Spill may run after Flush returns,
 // and the bytes written, the errors seen along the way and the outcome
-// must all be spillRef's. What the writer accepted must decode: the
+// must all be syncRecorder's. What the writer accepted must decode: the
 // first m events exactly, m never shrinking as k grows, then an error
 // wrapping ErrBinaryTrace — the header's when k cuts the header — or a
 // clean end once the whole trace fit.
@@ -224,6 +231,9 @@ func TestFailingWriterMatchesRef(t *testing.T) {
 		run := func(ref bool) (*failAfter, *spillCounter, error, []error) {
 			w := &failAfter{k: k}
 			c := &spillCounter{inner: NewBinarySink(w)}
+			if ref {
+				c.inner = eventRefSink{NewBinarySink(w)}
+			}
 			flushErr, errs := spillAll(c, bufSize, events, ref, 61)
 			return w, c, flushErr, errs
 		}
@@ -239,10 +249,10 @@ func TestFailingWriterMatchesRef(t *testing.T) {
 			t.Errorf("k=%d: Flush = %v on a writer with room", k, flushErr)
 		}
 		if fmt.Sprint(flushErr) != fmt.Sprint(wantFlush) || fmt.Sprint(errs) != fmt.Sprint(wantErrs) {
-			t.Errorf("k=%d: errors %v / %v, spillRef's %v / %v", k, errs, flushErr, wantErrs, wantFlush)
+			t.Errorf("k=%d: errors %v / %v, syncRecorder's %v / %v", k, errs, flushErr, wantErrs, wantFlush)
 		}
 		if !bytes.Equal(w.got.Bytes(), wantW.got.Bytes()) {
-			t.Errorf("k=%d: wrote %d bytes, spillRef %d, and they differ", k, w.got.Len(), wantW.got.Len())
+			t.Errorf("k=%d: wrote %d bytes, syncRecorder %d, and they differ", k, w.got.Len(), wantW.got.Len())
 		}
 		if want := (len(events) + bufSize - 1) / bufSize; c.spills != want || c.flushes != 1 {
 			t.Errorf("k=%d: %d spills and %d flushes by the time Flush returned, want %d and 1", k, c.spills, c.flushes, want)

@@ -37,7 +37,7 @@ func awaitLen(ch chan int, n int) bool {
 // TestSpillStagingBounded stalls the sink and records on: the recorder
 // must get through exactly spillDepth hand-offs without blocking and
 // block in the next, so staging stays bounded however far the sink falls
-// behind. Once the sink moves again it must write exactly spillRef's
+// behind. Once the sink moves again it must write exactly syncRecorder's
 // bytes. The recording runs on a stage of its own, so that the test can
 // watch it block.
 func TestSpillStagingBounded(t *testing.T) {
@@ -75,7 +75,7 @@ func TestSpillStagingBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("wrote %d bytes, spillRef %d, and they differ", got.Len(), want.Len())
+		t.Fatalf("wrote %d bytes, syncRecorder %d, and they differ", got.Len(), want.Len())
 	}
 }
 

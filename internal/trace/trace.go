@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"maps"
+	"math"
 
 	"repro/internal/sweep"
 )
@@ -108,17 +109,21 @@ const spillDepth = 3
 // lock. Statistics are plain counters, so stats-only recording costs an
 // increment per event.
 //
-// Event retention (KeepEvents) runs through a fixed-size staging buffer of
-// BufSize events. When the write position wraps (the buffer fills), the
-// full batch is spilled in one step: to the Sink NewSpillRecorder
-// attached, otherwise to an in-memory chunk list. Either way the recorder
-// never re-copies previously recorded events the way a grow-forever
-// append slice does, and with a Sink a trace of any length runs in
-// constant memory: a ring of spillDepth+1 staging buffers, one filling
-// while a background spill (a sweep.Stage) drains up to spillDepth full
-// ones into the sink, oldest first. That goroutine touches only the
-// batches handed to it and the sink error, and every method that reads
-// the error waits for it first.
+// Event retention (KeepEvents) stages each event as a 24-byte record with
+// no pointers (stage.go): its strings become refs into a table the
+// recorder owns. Records go into a fixed-size staging buffer of BufSize;
+// when it fills, the full batch is spilled in one step: to the Sink
+// NewSpillRecorder attached, otherwise to an in-memory chunk list that
+// Events expands on demand. Either way the recorder never re-copies
+// previously recorded events the way a grow-forever append slice does,
+// and with a Sink a trace of any length runs in memory bounded by the
+// run's distinct strings: a ring of spillDepth+1 staging buffers, one
+// filling while a background spill (a sweep.Stage) drains up to
+// spillDepth full ones into the sink, oldest first. A *BinarySink encodes
+// the records directly; any other sink gets them expanded into one reused
+// []Event. That goroutine touches only the slots handed to it, the
+// expansion buffer and the sink error, and every method that reads the
+// error waits for it first.
 //
 // KeepEvents and BufSize must be set before the first Record call and not
 // changed afterwards.
@@ -132,20 +137,36 @@ type Recorder struct {
 	counts [KindTimerDrop + 1]int // events recorded per kind; see Stats
 	byTag  map[string]int         // broadcasts per message tag
 
-	buf      []Event   // staging buffer, cap = BufSize
-	chunks   [][]Event // spilled batches (in-memory mode)
-	sink     Sink      // spill target (streaming mode), nil = in-memory
-	recorded int       // events retained so far (skew canary ordinal)
-	err      error     // first sink error
+	buf     []staged   // staging buffer, len = BufSize once allocated
+	n       int        // records in buf
+	lean    int        // RecordDeliver's bound on n: len(buf)-1, 0 with the skew canary
+	tab     strTable   // the strings buf and every spilled batch refer to
+	chunks  [][]staged // spilled batches (in-memory mode)
+	sink    Sink       // spill target (streaming mode), nil = in-memory
+	spilled int        // events spilled before buf (skew canary ordinal)
 
-	// Streaming mode: the staging ring. buf fills ring[cur]; every other
-	// slot holds a batch handed to spill, or a spilled one. A slot belongs
-	// to the background spill from its hand-off until spillDepth more
-	// hand-offs have returned, and err belongs to it until spill.Wait.
+	// Streaming mode: the staging ring. buf fills ring[cur].recs; every
+	// other slot holds a batch handed to spill, or a spilled one. A slot
+	// belongs to the background spill from its hand-off until spillDepth
+	// more hand-offs have returned, and expanded and err belong to it
+	// until spill.Wait. The pads keep what the engine writes per event
+	// (n, counts) and what the spill reads per batch off each other's
+	// cache lines.
+	_        [64]byte
 	spill    *sweep.Stage
-	ring     [spillDepth + 1][]Event
+	ring     [spillDepth + 1]slot
 	spillers [spillDepth + 1]func() // spillers[i] spills ring[i]; bound once
 	cur      int
+	expanded []Event // a foreign sink's batch, expanded from a slot
+	err      error   // first sink error
+}
+
+// slot is one staging buffer of a streaming recorder's ring and the
+// string table as of its hand-off. It is padded to two cache lines.
+type slot struct {
+	recs []staged
+	tab  tableView
+	_    [128 - 24 - 56]byte
 }
 
 // skewCanary, when set via the linker
@@ -204,21 +225,55 @@ func (r *Recorder) Record(e Event) {
 	if !r.KeepEvents {
 		return
 	}
-	if skewCanary != "" && r.recorded == skewEventOrdinal {
+	if skewCanary != "" && r.spilled+r.n == skewEventOrdinal {
 		e.Detail += " [" + skewCanary + "]"
 	}
-	r.recorded++
 	if r.buf == nil {
 		size := r.BufSize
 		if size <= 0 {
 			size = DefaultBufSize
 		}
-		r.buf = make([]Event, 0, size)
+		r.buf = make([]staged, size)
+		if skewCanary == "" {
+			r.lean = size - 1
+		}
 	}
-	r.buf = append(r.buf, e)
-	if len(r.buf) == cap(r.buf) {
+	r.tab.stage(&r.buf[r.n], &e)
+	r.n++
+	if r.n == len(r.buf) {
 		r.spillBatch()
 	}
+}
+
+// Intern returns the ref RecordDeliver takes for tag. A recorder that
+// retains nothing keeps no strings and returns 0.
+func (r *Recorder) Intern(tag string) Ref {
+	if !r.Retaining() {
+		return 0
+	}
+	return r.tab.intern(tag)
+}
+
+// RecordDeliver records a KindDeliver event at time t for pid with the
+// tag Intern resolved to tag, and no detail: to the same effect as Record,
+// without building an Event or looking a string up. It is the engine's
+// per-copy entry point; a broadcast interns its tag once for all its
+// copies. Any case but the common one — a retaining recorder with room in
+// its staging buffer for this record and the next, a pid that fits a
+// record, no skew canary (lean is 0 otherwise) — goes through Record; in
+// an ordinary run that is the last record of each batch.
+func (r *Recorder) RecordDeliver(t int64, pid int, tag Ref) {
+	if r == nil {
+		return
+	}
+	if n := r.n; n < r.lean && uint(pid) <= math.MaxInt32 {
+		r.buf[n] = staged{time: t, pid: int32(pid), kind: uint32(KindDeliver), tag: tag}
+		r.n = n + 1
+		r.counts[KindDeliver]++
+		return
+	}
+	v := r.tab.view()
+	r.Record(Event{Time: t, Kind: KindDeliver, PID: pid, MsgTag: v.str(tag)})
 }
 
 // Count adds n events of kind k to the statistics and retains nothing: it
@@ -256,13 +311,16 @@ func (r *Recorder) RecordBatch(batch []Event) {
 
 // spillBatch hands the full staging buffer off as one batch and resets the
 // write position; a batch is written exactly once. In streaming mode it
-// hands the batch to the background spill and records on into the next
-// slot of the ring, which the stage's bound guarantees spilled: the sink
-// sees one batch at a time, in recording order, while the engine keeps
-// running. In in-memory mode the batch itself joins the chunk list and the
-// recorder allocates a fresh buffer rather than copying.
+// hands the batch, with a view of the string table as it stands, to the
+// background spill and records on into the next slot of the ring, which
+// the stage's bound guarantees spilled: the sink sees one batch at a time,
+// in recording order, while the engine keeps running. In in-memory mode
+// the batch itself joins the chunk list and the recorder allocates a fresh
+// buffer rather than copying.
 func (r *Recorder) spillBatch() {
-	batch := r.buf
+	batch := r.buf[:r.n]
+	r.spilled += r.n
+	r.n = 0
 	if r.sink != nil {
 		if r.spill == nil {
 			r.spill = sweep.NewStage(spillDepth)
@@ -271,27 +329,35 @@ func (r *Recorder) spillBatch() {
 		if r.spillers[i] == nil {
 			r.spillers[i] = func() { r.spillSlot(i) }
 		}
-		r.ring[i] = batch
+		r.ring[i].recs, r.ring[i].tab = batch, r.tab.view()
 		r.spill.Go(r.spillers[i])
 		r.cur = (i + 1) % len(r.ring)
-		if r.ring[r.cur] == nil {
-			r.ring[r.cur] = make([]Event, 0, cap(batch))
+		if r.ring[r.cur].recs == nil {
+			r.ring[r.cur].recs = make([]staged, len(r.buf))
 		}
-		r.buf = r.ring[r.cur][:0]
+		r.buf = r.ring[r.cur].recs[:len(r.buf)]
 		return
 	}
 	r.chunks = append(r.chunks, batch)
-	r.buf = make([]Event, 0, cap(batch))
+	r.buf = make([]staged, len(r.buf))
 }
 
-// spillSlot runs on the background spill: it spills the batch in slot i,
-// keeps the sink's error if it is the first, and clears the batch, so that
-// an idle buffer does not pin the spilled events' strings.
+// spillSlot runs on the background spill: it spills the batch in slot i —
+// straight to a BinarySink, expanded to Events for any other sink — and
+// keeps the sink's error if it is the first. The records hold no
+// pointers, so an idle slot pins nothing.
 func (r *Recorder) spillSlot(i int) {
-	if err := r.sink.Spill(r.ring[i]); err != nil && r.err == nil {
+	s := &r.ring[i]
+	var err error
+	if bin, ok := r.sink.(*BinarySink); ok {
+		err = bin.spillStaged(s.recs, &s.tab)
+	} else {
+		r.expanded = s.tab.expand(r.expanded[:0], s.recs)
+		err = r.sink.Spill(r.expanded)
+	}
+	if err != nil && r.err == nil {
 		r.err = err
 	}
-	clear(r.ring[i])
 }
 
 // wait returns once every batch handed off so far has been spilled.
@@ -311,7 +377,7 @@ func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	if r.sink != nil && len(r.buf) > 0 {
+	if r.sink != nil && r.n > 0 {
 		r.spillBatch()
 	}
 	r.wait()
@@ -366,26 +432,28 @@ func (r *Recorder) Stats() Stats {
 	return s
 }
 
-// Events returns a copy of the retained events in recording order: all
-// spilled in-memory chunks followed by the staging buffer. It returns nil
-// for stats-only recorders and in streaming mode (with a Sink attached the
-// events live wherever the sink put them).
+// Events returns the retained events in recording order, expanded from
+// the staged records: all spilled in-memory chunks followed by the
+// staging buffer. It returns nil for stats-only recorders and in
+// streaming mode (with a Sink attached the events live wherever the sink
+// put them).
 //
 //detlint:ignore unreached pinned by bench/layerprobe, a separate module detlint does not load
 func (r *Recorder) Events() []Event {
 	if r == nil || !r.KeepEvents || r.sink != nil {
 		return nil
 	}
-	total := len(r.buf)
+	total := r.n
 	for _, c := range r.chunks {
 		total += len(c)
 	}
 	if total == 0 {
 		return nil
 	}
+	v := r.tab.view()
 	out := make([]Event, 0, total)
 	for _, c := range r.chunks {
-		out = append(out, c...)
+		out = v.expand(out, c)
 	}
-	return append(out, r.buf...)
+	return v.expand(out, r.buf[:r.n])
 }
