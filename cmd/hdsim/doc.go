@@ -75,7 +75,9 @@
 // consume the recorded events, and the verdict report is byte-identical
 // to the live run's apart from engine-only counters. Replay streams the
 // trace eventwise, so population-scale runs re-verify in constant
-// memory. See also cmd/tracediff for localizing the first divergent
+// memory; a finalized heartbeat trace is counted in one contiguous range
+// of frames per -workers core when its index proves the ranges are the
+// stream, with the same report. See also cmd/tracediff for localizing the first divergent
 // event between two recorded traces.
 //
 // -cpuprofile FILE and -memprofile FILE write a CPU profile of the run and

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -37,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&m.Partitions, "partition", "", "partition schedule from-to@cut[,from-to@cut...]: during [from,to) links crossing pid cut are severed")
 	fs.Int64Var(&m.Seed, "seed", 1, "random seed (first seed of a sweep)")
 	seeds := fs.Int("seeds", 1, "number of consecutive seeds to sweep")
-	workers := fs.Int("workers", 0, "sweep parallelism (0 = all cores, 1 = serial)")
+	workers := fs.Int("workers", 0, "sweep and replay parallelism (0 = all cores, 1 = serial)")
 	fs.Int64Var(&m.Stabilize, "stabilize", 100, "oracle detector stabilization time")
 	fs.StringVar(&m.Adversary, "adversary", "rotate", "pre-stabilization oracle behaviour: none, rotate, split")
 	fs.StringVar(&m.Detectors, "detectors", "oracle", "oracle, or mp (fig8 only: the Figure 6 stack)")
@@ -183,19 +184,25 @@ func (t *traceOut) report(stdout io.Writer) {
 // runReplay re-verifies a recorded run from its trace alone: the scenario
 // comes from the embedded fingerprint, the checker inputs from the event
 // stream, and the verdict prints through the same renderers the live run
-// used. Events stream through the reader a slab at a time, so population-
-// scale traces re-verify in constant memory.
+// used. Events stream through a reader a slab at a time, so population-
+// scale traces re-verify in constant memory; a finalized heartbeat trace
+// is counted in frame-range shards on -workers cores (replay.VerifyFile).
 func runReplay(path string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := trace.NewBinaryReader(f)
+	fi, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("replay: %w", err)
+		return err
 	}
-	if err := replay.Verify(r.Meta(), r, stdout); err != nil {
+	err = replay.VerifyFile(f, fi.Size(), stdout)
+	var herr *replay.HeaderError
+	switch {
+	case errors.As(err, &herr):
+		return fmt.Errorf("replay: %w", herr.Err)
+	case err != nil:
 		return fmt.Errorf("verification failed: %w", err)
 	}
 	return nil

@@ -255,6 +255,20 @@ func TestGoldenReplayDamaged(t *testing.T) {
 	}
 }
 
+// TestReplayUnreadableHeader: a file that is no trace at all is a replay
+// error, not a verification failure, and prints nothing.
+func TestReplayUnreadableHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "junk.bin")
+	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-replay", path}, &stdout, &stderr)
+	if want := "hdsim: replay: trace: binary format error: bad magic"; code != 1 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("exit %d, stdout %q, stderr %q: want exit 1, no output and %q", code, stdout.String(), stderr.String(), want)
+	}
+}
+
 // TestHeartbeatHeaderPrintsPeriodUsed: -period 0 selects the default, and
 // the header names it instead of echoing the 0.
 func TestHeartbeatHeaderPrintsPeriodUsed(t *testing.T) {

@@ -2,6 +2,8 @@ package replay_test
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,6 +219,22 @@ func TestVerifyDetectsTamperedTrace(t *testing.T) {
 		err := replay.Verify(hb, trace.NewSliceSource(pruned), new(bytes.Buffer))
 		if err == nil || !strings.Contains(err.Error(), "recoveries") {
 			t.Fatalf("want a recovery-count violation, got: %v", err)
+		}
+	})
+
+	t.Run("delivery outside the population", func(t *testing.T) {
+		hb := grid[len(grid)-1].meta
+		_, hbEvents := liveRun(t, hb)
+		tampered := slices.Clone(hbEvents)
+		for i, e := range tampered {
+			if e.Kind == trace.KindDeliver {
+				tampered[i].PID = hb.N
+				break
+			}
+		}
+		err := replay.Verify(hb, trace.NewSliceSource(tampered), new(bytes.Buffer))
+		if want := fmt.Sprintf("deliver event for process %d outside [0,%d)", hb.N, hb.N); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want %q, got: %v", want, err)
 		}
 	})
 

@@ -69,8 +69,17 @@
 // file from any frame on (OpenTraceFile, TraceFile.OpenFrom; OpenFrame is
 // its one-frame case), a slab at a time (NextBatch, the EventSource
 // method) or event by event (Next, which is NextBatch for one event).
-// DrainBatches is the pull loop over any EventSource. The decoder's
-// contract:
+// DrainBatches is the pull loop over any EventSource.
+// TraceFile.DrainShards drains a finalized file as contiguous frame
+// ranges, one bounded reader each, concurrently through sweep; it succeeds
+// only when the index proves the ranges are the stream a streaming reader
+// decodes (frame 0 where the header ends, a restart control before each
+// range boundary, every range clean to its section's end with no
+// end-of-events control inside, that control right before the index, the
+// range counts summing to Index.TotalEvents) and fails with
+// ErrShardLayout otherwise, so a caller falls back to NewBinaryReader for
+// the exact error. OpenTraceFile requires the index to end exactly at the
+// trailer, as the streaming reader does. The decoder's contract:
 //
 //   - It owns a byte window over its source and refills it only at record
 //     boundaries; reader state changes only once a record has been

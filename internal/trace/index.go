@@ -10,9 +10,12 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/sweep"
 )
 
 // Frame is one index record: a run of FrameEvents consecutive events that
@@ -139,6 +142,7 @@ type TraceFile struct {
 	r        io.ReaderAt
 	meta     *Meta
 	index    *Index
+	bodyOff  uint64 // where the header ends
 	indexOff uint64
 }
 
@@ -160,9 +164,16 @@ func OpenTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	if indexOff < 10 || indexOff > uint64(size-16) { // compared unsigned: an offset past 2^63 must not pass as negative
 		return nil, fmt.Errorf("%w: trailer index offset %d outside file of %d bytes", ErrBinaryTrace, indexOff, size)
 	}
-	ix, err := parseIndex(io.NewSectionReader(r, int64(indexOff), size-16-int64(indexOff)))
+	sec := io.NewSectionReader(r, int64(indexOff), size-16-int64(indexOff))
+	br := bufio.NewReader(sec)
+	ix, err := parseIndex(br)
 	if err != nil {
 		return nil, err
+	}
+	// The streaming reader wants the trailer right after the index too.
+	pos, _ := sec.Seek(0, io.SeekCurrent) // a SectionReader's SeekCurrent by 0 cannot fail
+	if end := int64(indexOff) + pos - int64(br.Buffered()); end != size-16 {
+		return nil, fmt.Errorf("%w: index ends at offset %d, %d bytes before the trailer", ErrBinaryTrace, end, size-16-end)
 	}
 	hr, err := newBinaryReader(io.NewSectionReader(r, 0, int64(indexOff)), 1<<12)
 	if err != nil {
@@ -173,7 +184,7 @@ func OpenTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 			return nil, fmt.Errorf("%w: frame offset %d beyond index at %d", ErrBinaryTrace, f.Offset, indexOff)
 		}
 	}
-	return &TraceFile{r: r, meta: hr.Meta(), index: ix, indexOff: indexOff}, nil
+	return &TraceFile{r: r, meta: hr.Meta(), index: ix, bodyOff: hr.w.offset(), indexOff: indexOff}, nil
 }
 
 // Meta returns the scenario fingerprint (nil if the stream carried none).
@@ -207,10 +218,7 @@ func (f *TraceFile) OpenFrame(i int) (*BinaryReader, error) {
 // openFrames returns a bounded reader over frames [i, j), for
 // 0 <= i <= j <= len(Frames).
 func (f *TraceFile) openFrames(i, j int) *BinaryReader {
-	end := f.indexOff - 2 // the end-of-events control precedes the index
-	if j < len(f.index.Frames) {
-		end = f.index.Frames[j].Offset - 2 // the restart control precedes the next frame
-	}
+	end := f.sectionEnd(j)
 	start := end
 	if i < j {
 		start = f.index.Frames[i].Offset
@@ -223,4 +231,89 @@ func (f *TraceFile) openFrames(i, j int) *BinaryReader {
 		meta:    f.meta,
 		bounded: true,
 	}
+}
+
+// sectionEnd is where the events before frame j end: at the restart
+// control that precedes frame j, or at the end-of-events control that
+// precedes the index when j is past the last frame.
+func (f *TraceFile) sectionEnd(j int) uint64 {
+	if j < len(f.index.Frames) {
+		return f.index.Frames[j].Offset - 2
+	}
+	return f.indexOff - 2
+}
+
+// ErrShardLayout reports a finalized trace that DrainShards cannot prove
+// decodes, shard by shard, to the events a streaming reader decodes: a
+// corrupt body, or an index that does not describe it. Re-read such a
+// trace with NewBinaryReader, which names what is wrong with it.
+var ErrShardLayout = errors.New("trace: index does not prove the shard layout")
+
+// DrainShards drains the body as len(fns) shards, contiguous ranges of
+// frames as even in frame count as the split allows, fns[s] taking shard
+// s's events in order, a batch at a time, as DrainBatches hands them
+// (valid only during the call). The shards decode concurrently through
+// sweep, one bounded reader each, and each fns[s] runs on one goroutine.
+//
+// It returns nil only when the index proves that the shards, in order,
+// are the events a streaming reader of the file decodes:
+//
+//   - frame 0 starts where the header ends;
+//   - a restart control sits right before every shard's first frame but
+//     the first, so the stream starts each shard with fresh state too;
+//   - every shard decodes cleanly to exactly its section's end — an
+//     end-of-events control inside a section fails;
+//   - the end-of-events control sits right before the index;
+//   - the shards' event counts sum to Index.TotalEvents.
+//
+// Every other outcome, a shard's decode error included, is an error
+// wrapping ErrShardLayout, and whatever fns were handed must be discarded.
+// It asks for 1 <= len(fns) <= len(Frames).
+func (f *TraceFile) DrainShards(fns []func([]Event)) error {
+	k, frames := len(fns), f.index.Frames
+	if k < 1 || k > len(frames) {
+		return fmt.Errorf("%w: %d shards for %d frames", ErrShardLayout, k, len(frames))
+	}
+	if frames[0].Offset != f.bodyOff {
+		return fmt.Errorf("%w: frame 0 at offset %d, header ends at %d", ErrShardLayout, frames[0].Offset, f.bodyOff)
+	}
+	counts, err := sweep.MapErr(sweep.Options{}, fns, func(s int, fn func([]Event)) (uint64, error) {
+		return f.drainShard(s*len(frames)/k, (s+1)*len(frames)/k, fn)
+	})
+	if err != nil {
+		return err
+	}
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total != f.index.TotalEvents {
+		return fmt.Errorf("%w: shards hold %d events, index records %d", ErrShardLayout, total, f.index.TotalEvents)
+	}
+	return nil
+}
+
+// drainShard drains frames [i, j) into fn and returns how many events they
+// hold, once it has checked that they decode cleanly to their section's
+// end and that the control after it is the one the layout puts there.
+func (f *TraceFile) drainShard(i, j int, fn func([]Event)) (uint64, error) {
+	d := f.openFrames(i, j)
+	if err := DrainBatches(d, func(batch []Event) error { fn(batch); return nil }); err != nil {
+		return 0, fmt.Errorf("%w: frames [%d,%d): %v", ErrShardLayout, i, j, err)
+	}
+	// A bounded reader ends cleanly at its section's end or at an
+	// end-of-events control, which a streaming reader would stop at.
+	if d.ended {
+		return 0, fmt.Errorf("%w: end-of-events control inside frames [%d,%d)", ErrShardLayout, i, j)
+	}
+	end := f.sectionEnd(j)
+	want := [2]byte{0, controlRestart}
+	if j == len(f.index.Frames) {
+		want[1] = controlEnd
+	}
+	var got [2]byte
+	if _, err := f.r.ReadAt(got[:], int64(end)); err != nil || got != want {
+		return 0, fmt.Errorf("%w: control at offset %d reads % x, want % x", ErrShardLayout, end, got, want)
+	}
+	return d.counted, nil
 }

@@ -358,6 +358,142 @@ func TestOpenTraceFileErrors(t *testing.T) {
 	if _, err := OpenTraceFile(bytes.NewReader(mangled), int64(len(mangled))); !errors.Is(err, ErrBinaryTrace) {
 		t.Errorf("wild index offset: got %v, want ErrBinaryTrace", err)
 	}
+	// Junk between the index and the trailer: the trailer still finds the
+	// index, which parses, but the streaming reader meets the junk where
+	// it wants the trailer, and so must the random-access one.
+	junk := slices.Concat(v2[:len(v2)-16], []byte{0, 0}, v2[len(v2)-16:])
+	if _, err := ReadBinary(bytes.NewReader(junk)); !errors.Is(err, ErrBinaryTrace) {
+		t.Errorf("junk before trailer, streamed: got %v, want ErrBinaryTrace", err)
+	}
+	if _, err := OpenTraceFile(bytes.NewReader(junk), int64(len(junk))); !errors.Is(err, ErrBinaryTrace) ||
+		!strings.Contains(err.Error(), "2 bytes before the trailer") {
+		t.Errorf("junk before trailer: got %v, want ErrBinaryTrace naming 2 stray bytes", err)
+	}
+}
+
+// TestDrainShards: at every shard count from one to one per frame, the
+// shards concatenate to the events the streaming reader decodes.
+func TestDrainShards(t *testing.T) {
+	for _, n := range []int{1, 1000} {
+		events := genEvents(n)
+		bin := encodeV2(t, events, 64, nil)
+		tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := len(tf.Index().Frames)
+		for _, k := range []int{1, 2, 3, frames} {
+			if k > frames {
+				continue
+			}
+			shards := make([][]Event, k)
+			fns := make([]func([]Event), k)
+			for s := range fns {
+				fns[s] = func(batch []Event) { shards[s] = append(shards[s], batch...) }
+			}
+			if err := tf.DrainShards(fns); err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			if got := slices.Concat(shards...); !slices.Equal(got, events) {
+				t.Fatalf("n=%d k=%d: shards hold %d events, want the %d streamed", n, k, len(got), n)
+			}
+		}
+	}
+}
+
+// TestDrainShardsUnproven: each way the index can fail to prove the layout
+// is refused with ErrShardLayout, and each is a file the streaming reader
+// decodes to other events than the shards would, or refuses. The index is
+// edited in memory after opening, as a damaged file's would read.
+func TestDrainShardsUnproven(t *testing.T) {
+	bin := encodeV2(t, genEvents(1000), 64, nil)
+	open := func(t *testing.T) *TraceFile {
+		t.Helper()
+		tf, err := OpenTraceFile(bytes.NewReader(bin), int64(len(bin)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tf
+	}
+	// restart is the offset of the restart control before frame 4, the
+	// boundary between two shards out of four.
+	tf := open(t)
+	restart := tf.index.Frames[4].Offset - 2
+	second := tf.openFrames(4, 5) // where frame 4's second event starts
+	if _, err := second.Next(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		edit   func(tf *TraceFile, data []byte) []byte
+	}{
+		{"no shards", 0, nil},
+		{"more shards than frames", 17, nil},
+		// Frame 0 left out of the index, and its events out of the total:
+		// the shards agree with the index, but a streaming reader decodes
+		// frame 0 too.
+		{"frame 0 past the header", 4, func(tf *TraceFile, data []byte) []byte {
+			tf.index.Frames = tf.index.Frames[1:]
+			tf.index.TotalEvents -= tf.index.Frames[0].Ordinal
+			return data
+		}},
+		{"boundary off by one", 4, func(tf *TraceFile, data []byte) []byte {
+			tf.index.Frames[4].Offset++
+			return data
+		}},
+		// The shard before decodes cleanly to frame 4's first event's end,
+		// which is no restart control.
+		{"boundary on an event", 4, func(tf *TraceFile, data []byte) []byte {
+			tf.index.Frames[4].Offset = second.w.offset() + 2
+			return data
+		}},
+		{"end control at a boundary", 4, func(tf *TraceFile, data []byte) []byte {
+			data[restart+1] = controlEnd
+			return data
+		}},
+		{"end control inside a section", 2, func(tf *TraceFile, data []byte) []byte {
+			data[restart+1] = controlEnd
+			return data
+		}},
+		// An end control inserted as the last record of a section, with the
+		// restart control right after it: only the reader knows it stopped
+		// at a control rather than at the section's end.
+		{"end control ending a section", 4, func(tf *TraceFile, data []byte) []byte {
+			for i := 4; i < len(tf.index.Frames); i++ {
+				tf.index.Frames[i].Offset += 2
+			}
+			tf.indexOff += 2
+			return slices.Concat(data[:restart], []byte{0, controlEnd}, data[restart:])
+		}},
+		{"no end control before the index", 4, func(tf *TraceFile, data []byte) []byte {
+			data[tf.indexOff-1] = controlRestart
+			return data
+		}},
+		{"corrupt event", 4, func(tf *TraceFile, data []byte) []byte {
+			data[tf.index.Frames[9].Offset] = 0x7f // an invalid kind
+			return data
+		}},
+		{"total events", 4, func(tf *TraceFile, data []byte) []byte {
+			tf.index.TotalEvents++
+			return data
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tf, data := open(t), bytes.Clone(bin)
+			if tc.edit != nil {
+				data = tc.edit(tf, data)
+			}
+			tf.r = bytes.NewReader(data)
+			fns := make([]func([]Event), tc.shards)
+			for s := range fns {
+				fns[s] = func([]Event) {}
+			}
+			if err := tf.DrainShards(fns); !errors.Is(err, ErrShardLayout) {
+				t.Errorf("got %v, want ErrShardLayout", err)
+			}
+		})
+	}
 }
 
 // TestBinarySinkFlushIdempotent pins that Recorder.Flush-then-Flush (the

@@ -149,6 +149,9 @@ type BinaryReader struct {
 	// file: the section ends between events with no end-of-events marker,
 	// so a clean EOF there is the legitimate end.
 	bounded bool
+	// ended records that the stream stopped at an end-of-events control,
+	// which a bounded reader takes for its end like the section's own.
+	ended bool
 }
 
 var _ EventSource = (*BinaryReader)(nil)
@@ -338,6 +341,7 @@ func (d *BinaryReader) next(e *Event) error {
 				d.lastT = 0
 				continue
 			case controlEnd:
+				d.ended = true
 				if !d.bounded {
 					if err := d.readIndexAndTrailer(); err != nil {
 						return d.stop(err)

@@ -85,6 +85,25 @@ type Stats struct {
 	ByTag      map[string]int // broadcasts per message tag
 }
 
+// Add adds o's counts into s: the Stats of two runs of events recorded
+// one after the other.
+func (s *Stats) Add(o Stats) {
+	s.Broadcasts += o.Broadcasts
+	s.Delivered += o.Delivered
+	s.Dropped += o.Dropped
+	s.Crashes += o.Crashes
+	s.Recoveries += o.Recoveries
+	s.Timers += o.Timers
+	s.TimerDrops += o.TimerDrops
+	s.Decisions += o.Decisions
+	if len(o.ByTag) > 0 && s.ByTag == nil {
+		s.ByTag = make(map[string]int, len(o.ByTag))
+	}
+	for tag, c := range o.ByTag {
+		s.ByTag[tag] += c
+	}
+}
+
 // DefaultBufSize is the staging-buffer capacity (events per batch) used
 // when Recorder.BufSize is zero. A streaming recorder stages up to
 // spillDepth+1 batches, so at the default it holds 8,192 events.
