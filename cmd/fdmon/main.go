@@ -80,39 +80,31 @@ func (o options) monitor(w io.Writer) error {
 		if delta == 0 {
 			delta = 3 // δ = 0 would make every post-GST link instantaneous
 		}
-		res, err := hds.Experiment{
+		e := hds.Experiment{
 			Algo: "ohp", IDs: ids, Crashes: sched, Net: hds.PartialSync{GST: o.gst, Delta: delta}, Horizon: hds.Time(o.horizon),
-		}.Run(o.seed, nil)
+		}.WithDefaults()
+		res, err := e.Run(o.seed, nil)
 		if err != nil {
 			return err
-		}
-		horizon := o.horizon
-		if horizon == 0 {
-			horizon = 5000 // the horizon an ohp Experiment runs to when given none
 		}
 		fmt.Fprintln(w, "◇HP̄ and HΩ verified ✔ (Theorem 5, Corollary 2)")
 		fmt.Fprintf(w, "  h_trusted stabilized at:  t=%d\n", res.TrustedStabilization)
 		fmt.Fprintf(w, "  (h_leader, mult) stable:  t=%d → %s\n", res.LeaderStabilization, res.Leader)
 		fmt.Fprintf(w, "  adapted timeouts:         %v\n", res.FinalTimeouts)
 		fmt.Fprintf(w, "  traffic: %d POLLING, %d P_REPLY broadcasts over %d vt\n",
-			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], horizon)
+			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], e.Horizon)
 	case "hsigma":
 		crashSteps := make(map[hds.PID]hds.CrashStep, len(sched))
 		for p, at := range sched {
 			crashSteps[p] = hds.CrashStep{Step: int(at), DeliverProb: 0.5}
 		}
-		res, err := hds.RunHSigma(hds.HSigmaExperiment{
-			IDs: ids, CrashSteps: crashSteps, Steps: o.steps, Seed: o.seed,
-		})
+		e := hds.HSigmaExperiment{IDs: ids, CrashSteps: crashSteps, Steps: o.steps, Seed: o.seed}.WithDefaults()
+		res, err := hds.RunHSigma(e)
 		if err != nil {
 			return err
 		}
-		steps := o.steps
-		if steps == 0 {
-			steps = 12 // the step count RunHSigma runs when given none
-		}
 		fmt.Fprintln(w, "HΣ verified ✔ (Theorem 6: validity, monotonicity, liveness, safety)")
-		fmt.Fprintf(w, "  outputs stabilized at step %d of %d\n", res.StabilizationStep, steps)
+		fmt.Fprintf(w, "  outputs stabilized at step %d of %d\n", res.StabilizationStep, e.Steps)
 		fmt.Fprintf(w, "  final |h_quora| per survivor: %v\n", res.QuoraPerProcess)
 		fmt.Fprintf(w, "  traffic: %d IDENT broadcasts\n", res.Stats.ByTag["IDENT"])
 	default:

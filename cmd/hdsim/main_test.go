@@ -159,15 +159,22 @@ func TestGoldenCrashAfterHorizon(t *testing.T) {
 }
 
 // TestCrashAfterHorizonLeavesNoTrace: the rejection comes before -trace
-// opens its file, so none is left behind.
+// opens its file, so none is left behind — for a crash past the horizon,
+// a crash PID outside [0, n) and a fig8 t outside [0, n/2) alike.
 func TestCrashAfterHorizonLeavesNoTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.bin")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-algo", "ohp", "-n", "5", "-l", "2", "-crashes", "1:9000", "-trace", path}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1:\n%s%s", code, stdout.String(), stderr.String())
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("a rejected scenario left %s behind (stat: %v)", path, err)
+	for _, args := range []string{
+		"-algo ohp -n 5 -l 2 -crashes 1:9000",
+		"-algo fig9 -n 5 -l 2 -crashes 9:10",
+		"-algo fig8 -n 5 -l 2 -t 3",
+	} {
+		path := filepath.Join(t.TempDir(), "x.bin")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(strings.Fields(args), "-trace", path, "-trace-format", "binary"), &stdout, &stderr); code != 1 || stdout.Len() != 0 {
+			t.Fatalf("%s: exit %d, want 1 and no output:\n%s%s", args, code, stdout.String(), stderr.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: a rejected scenario left %s behind (stat: %v)", args, path, err)
+		}
 	}
 }
 
@@ -189,9 +196,11 @@ func TestSweepResumeMaxEvents(t *testing.T) {
 }
 
 // TestGoldenSignRejections: a negative time or count, a non-finite float
-// parameter, and a sweep of no seeds, is a named error before the header,
-// never a default the header does not show or a NaN the run compares
-// against (stdout, stderr and the exit code are the golden).
+// parameter, a sweep of no seeds, a crash PID outside [0, n) and a fig8 t
+// outside [0, n/2) are each a named error before the header, never a
+// default the header does not show, a NaN the run compares against or a
+// failure after the header (stdout, stderr and the exit code are the
+// golden).
 func TestGoldenSignRejections(t *testing.T) {
 	for name, args := range map[string]string{
 		"reject_period":         "-algo heartbeat -n 20 -l 4 -period -5",
@@ -206,6 +215,8 @@ func TestGoldenSignRejections(t *testing.T) {
 		"reject_lognormal_inf":  "-algo fig9 -n 6 -l 3 -net lognormal:+Inf",
 		"reject_churn_nan":      "-algo fig9 -n 6 -l 3 -churn NaN",
 		"reject_trace_buf_huge": "-algo fig9 -n 4 -l 2 -trace x.bin -trace-format binary -trace-buf 4000000000",
+		"reject_crash_pid":      "-algo fig9 -n 5 -l 2 -crashes 9:10",
+		"reject_t_bound":        "-algo fig8 -n 5 -l 2 -t 3",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(args), &stdout, &stderr)
@@ -307,8 +318,8 @@ func TestRejectsBeforeOutput(t *testing.T) {
 		{"unknown detectors", "-detectors bogus", `unknown detector source "bogus"`},
 		{"mp under fig9", "-algo fig9 -detectors mp", "fig8 only"},
 		{"partition cut at n", "-partition 0-10@5", "does not split n=5"},
-		{"heartbeat with crashes", "-algo heartbeat -crashes 1:5", "not -crashes"},
-		{"ohp crashes and churn", "-algo ohp -crashes 1:5 -churn 0.3:1", "either -churn or -crashes"},
+		{"heartbeat with crashes", "-algo heartbeat -crashes 1:5", "not crashes"},
+		{"ohp crashes and churn", "-algo ohp -crashes 1:5 -churn 0.3:1", "either a churn spec or crashes"},
 		{"bad crashes", "-crashes garbage", "bad crash spec"},
 		{"bad net", "-net warp:9", `unknown network "warp"`},
 		{"negative max-events", "-max-events -3", "max-events=-3"},

@@ -43,6 +43,7 @@ package hds
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -137,8 +138,9 @@ const (
 // Experiment describes one run: the system model the paper states every
 // result over — the processes and their identifiers, a failure pattern, a
 // network, a detector layer — and the algorithm that runs on it. Each
-// algorithm reads the fields it needs and replaces a zero field with its
-// own default.
+// algorithm reads the fields it needs. WithDefaults replaces a zero field
+// with the algorithm's default, and Validate states what the fields must
+// satisfy; Run applies both.
 type Experiment struct {
 	// Algo is fig8 (Figure 8, HAS[t < n/2, HΩ]), fig9 (Figure 9,
 	// HAS[HΩ, HΣ]), fig9-anon (Figure 9's anonymous AΩ baseline without the
@@ -164,16 +166,16 @@ type Experiment struct {
 	// ohp must re-converge to I(EventuallyUp). Fig. 9 admits any schedule
 	// that leaves a process eventually up: its quorums come from HΣ.
 	Churn ChurnSpec
-	// Net nil selects the algorithm's network: Async{} for consensus,
-	// PartialSync{Delta: 3} (the paper's HPS) for ohp, Async{MaxDelay: 8}
-	// for heartbeat. ohp needs an eventually timely model; fig8 with
-	// MessagePassingDetectors wants PartialSync.
+	// Net nil selects the algorithm's network (WithDefaults). ohp needs an
+	// eventually timely model; fig8 with MessagePassingDetectors wants
+	// PartialSync. A sim.Partition must split the n processes and heal
+	// before the horizon.
 	Net sim.Model
-	// Horizon caps virtual time; 0 selects 1,000,000 for consensus, 5,000
-	// for ohp and ten periods for heartbeat. It must exceed the fault
-	// schedule's last event, crash-stop or churn — a horizon that cuts the
-	// schedule short would verify a fault pattern the run never had — and
-	// Run enforces that instead of trusting the caller.
+	// Horizon caps virtual time; 0 selects the algorithm's horizon
+	// (WithDefaults). It must exceed the fault schedule's last event,
+	// crash-stop or churn — a horizon that cuts the schedule short would
+	// verify a fault pattern the run never had — and Validate enforces that
+	// instead of trusting the caller.
 	Horizon Time
 	// Stabilize is the oracle detectors' stabilization time; under churn 0
 	// means 50 past the schedule's last event, so the adversary stays
@@ -187,13 +189,14 @@ type Experiment struct {
 	Stabilize Time
 	Adversary oracle.Adversary
 	Detectors DetectorSource
-	// Proposals (consensus) defaults to "v0".."v{n-1}".
+	// Proposals (consensus) holds one value per process, none ⊥; nil
+	// selects "v0".."v{n-1}".
 	Proposals []Value
-	// Period is heartbeat's beat interval (0 selects 10). Beaters
-	// bounds how many processes beat, the first Beaters PIDs, while the
-	// rest only listen; 0 means all n. With a fixed beater count the event
-	// volume is Θ(Beaters·n) instead of Θ(n²), so population sweeps grow n
-	// while every broadcast still fans out to all n live recipients.
+	// Period is heartbeat's beat interval. Beaters, at most n, bounds how
+	// many processes beat, the first Beaters PIDs, while the rest only
+	// listen; 0 means all n. With a fixed beater count the event volume is
+	// Θ(Beaters·n) instead of Θ(n²), so population sweeps grow n while
+	// every broadcast still fans out to all n live recipients.
 	Period  Time
 	Beaters int
 	// MaxEvents overrides the engine's runaway guard (0 = engine default).
@@ -244,45 +247,118 @@ type Result struct {
 // stats-only recorder: pass a retaining recorder for a full in-memory
 // trace, or one with a trace.Sink attached to stream batches (spill mode);
 // the caller owns flushing it. A recorder has one writer, so rec must not
-// be shared by runs that execute concurrently. Malformed input — a value
-// CheckRanges rejects, an invalid assignment, a crash outside [0, n), a
-// horizon that cuts the fault schedule short — is rejected with an error,
-// not run.
+// be shared by runs that execute concurrently. Run fills the defaults
+// (WithDefaults), and an experiment Validate rejects is not run: Run
+// returns its error with the hds: prefix.
 func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
-	if err := e.CheckRanges(); err != nil {
+	e = e.WithDefaults()
+	if err := e.Validate(); err != nil {
 		return Result{}, fmt.Errorf("hds: %w", err)
 	}
 	if rec == nil {
 		rec = &trace.Recorder{}
 	}
 	switch e.Algo {
-	case "fig8", "fig9", "fig9-anon":
-		r, err := e.bind(seed, rec)
-		if err != nil {
-			return Result{}, err
-		}
-		return r.run()
 	case "ohp":
 		return runOHP(e, seed, rec)
 	case "heartbeat":
 		res, _, err := runHeartbeat(e, seed, rec)
 		return res, err
 	}
-	return Result{}, fmt.Errorf("hds: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
+	return e.bind(seed, rec).run()
 }
 
-// CheckRanges rejects the values no run can honour as given: a negative
-// period, horizon, stabilization time or event cap (the run would replace
-// it with its default, and would not be the one described) and a NaN or
-// infinite churn fraction (NaN slips through every comparison downstream,
-// so the run would expand a churn schedule and judge it as crash-stop).
-// The error is unprefixed: Run reports it as hds's, scenario.Validate as
-// the scenario's.
-func (e Experiment) CheckRanges() error {
+// WithDefaults returns the experiment with every zero field its algorithm
+// reads replaced by the algorithm's default, the one statement of those
+// defaults:
+//
+//   - consensus (fig8, fig9, fig9-anon): horizon 1,000,000, network Async{},
+//     proposals "v0".."v{n-1}";
+//   - ohp: horizon 5,000, network PartialSync{Delta: 3} (the paper's HPS);
+//   - heartbeat: period 10, horizon ten periods, every process beating,
+//     network Async{MaxDelay: 8}.
+//
+// The one default it cannot state is consensus's stabilization time under
+// churn, 50 past the fault pattern's last change: the run derives it from
+// the ground truth it builds. Drivers apply WithDefaults to print the
+// values a run uses; a driver with defaults of its own (hdsim's 3,000,000
+// consensus horizon) sets them first. Negative values stay as they are for
+// Validate to reject and an unknown algorithm gets no defaults, so
+// Validate rules the same on an experiment and on its WithDefaults.
+func (e Experiment) WithDefaults() Experiment {
+	switch e.Algo {
+	case "fig8", "fig9", "fig9-anon":
+		if e.Horizon == 0 {
+			e.Horizon = 1_000_000
+		}
+		if e.Net == nil {
+			e.Net = sim.Async{}
+		}
+		if e.Proposals == nil {
+			e.Proposals = make([]Value, e.IDs.N())
+			for i := range e.Proposals {
+				e.Proposals[i] = Value(fmt.Sprintf("v%d", i))
+			}
+		}
+	case "ohp":
+		if e.Horizon == 0 {
+			e.Horizon = 5000
+		}
+		if e.Net == nil {
+			e.Net = sim.PartialSync{Delta: 3}
+		}
+	case "heartbeat":
+		if e.Period == 0 {
+			e.Period = 10
+		}
+		if e.Horizon == 0 {
+			e.Horizon = 10 * e.Period
+		}
+		if e.Beaters == 0 {
+			e.Beaters = e.IDs.N()
+		}
+		if e.Net == nil {
+			e.Net = sim.Async{MaxDelay: 8}
+		}
+	}
+	return e
+}
+
+// Validate holds every rule an experiment must satisfy before it runs,
+// each stated once; its error is unprefixed (Run reports it as hds's,
+// scenario.Validate as the scenario's). In order, it rejects:
+//
+//   - an algorithm Run does not know;
+//   - a negative period, horizon, stabilization time, event cap or beater
+//     count (the run would replace it with its default, and would not be
+//     the one described) and a NaN or infinite churn fraction (NaN slips
+//     through every comparison downstream, so the run would expand a churn
+//     schedule and judge it as crash-stop);
+//   - a fault input the algorithm has no use for: crashes for heartbeat,
+//     crashes beside a churn spec for ohp; and message-passing detectors
+//     under anything but fig8;
+//   - an invalid assignment, or a crash outside [0, n) or at a negative
+//     time (checkCrashes, which RunHSigma shares);
+//   - more beaters than processes, proposals that are not one per process
+//     or that propose ⊥, and for fig8 a t outside [0, n/2);
+//   - a fault schedule FaultSchedule rejects: a process both churned and
+//     crashed, a last event not before the horizon;
+//   - a partition network whose cut does not split the n processes or
+//     that is still open at the horizon (sim.Partition.Check).
+//
+// Horizons are judged as WithDefaults fills them. Its cost is O(n + the
+// fault schedule's events), negligible beside any run, so a driver calls
+// it to reject a description before it prints or creates anything.
+func (e Experiment) Validate() error {
+	switch e.Algo {
+	case "fig8", "fig9", "fig9-anon", "ohp", "heartbeat":
+	default:
+		return fmt.Errorf("unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
+	}
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"period", e.Period}, {"horizon", e.Horizon}, {"stabilize", e.Stabilize}, {"max-events", int64(e.MaxEvents)}} {
+	}{{"period", e.Period}, {"horizon", e.Horizon}, {"stabilize", e.Stabilize}, {"max-events", int64(e.MaxEvents)}, {"beaters", int64(e.Beaters)}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s=%d, want >= 0", f.name, f.v)
 		}
@@ -290,20 +366,68 @@ func (e Experiment) CheckRanges() error {
 	if f := e.Churn.Fraction; math.IsNaN(f) || math.IsInf(f, 0) {
 		return fmt.Errorf("churn fraction %v, want a finite value", f)
 	}
+	churn := e.Churn.Fraction > 0
+	switch {
+	case e.Algo == "heartbeat" && len(e.Crashes) > 0:
+		return fmt.Errorf("heartbeat takes a churn spec, not crashes")
+	case e.Algo == "ohp" && churn && len(e.Crashes) > 0:
+		return fmt.Errorf("ohp takes either a churn spec or crashes, not both")
+	case e.Algo != "fig8" && e.Detectors == MessagePassingDetectors:
+		return fmt.Errorf("message-passing detectors stack Figure 6 under fig8 only, not %q", e.Algo)
+	}
+	if err := checkCrashes(e.IDs, e.Crashes); err != nil {
+		return err
+	}
+	n := e.IDs.N()
+	if e.Beaters > n {
+		return fmt.Errorf("beaters=%d exceeds n=%d: at most every process can beat", e.Beaters, n)
+	}
+	if e.Proposals != nil && len(e.Proposals) != n {
+		return fmt.Errorf("%d proposals for %d processes", len(e.Proposals), n)
+	}
+	for i, v := range e.Proposals {
+		if v == core.Bottom {
+			return fmt.Errorf("process %d proposes the reserved ⊥ value", i)
+		}
+	}
+	if e.Algo == "fig8" && (e.T < 0 || 2*e.T >= n) {
+		return fmt.Errorf("Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
+	}
+	horizon := e.WithDefaults().Horizon
+	if _, err := FaultSchedule(e.IDs, e.Churn, e.Crashes, horizon); err != nil {
+		return err
+	}
+	if p, ok := e.Net.(sim.Partition); ok {
+		return p.Check(n, horizon)
+	}
 	return nil
 }
 
-// bind validates a consensus experiment and binds it to its engine
-// configuration.
-func (e Experiment) bind(seed int64, rec *trace.Recorder) (consensusRun, error) {
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return consensusRun{}, err
+// checkCrashes rejects an invalid assignment and a crash schedule that
+// names a process outside [0, n) or a negative time: the crash-schedule
+// rule Validate and RunHSigma share. Entries are checked in ascending PID
+// order, so with several malformed ones the one named in the error does
+// not depend on map iteration order.
+func checkCrashes(ids Assignment, crashes map[PID]Time) error {
+	if err := ids.Validate(); err != nil {
+		return err
 	}
-	fig8 := e.Algo == "fig8"
-	if n := e.IDs.N(); fig8 && (e.T < 0 || 2*e.T >= n) {
-		return consensusRun{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
+	n := ids.N()
+	for _, p := range slices.Sorted(maps.Keys(crashes)) {
+		if int(p) < 0 || int(p) >= n {
+			return fmt.Errorf("crash schedule names process %d outside [0,%d)", p, n)
+		}
+		if at := crashes[p]; at < 0 {
+			return fmt.Errorf("crash time %d for process %d is negative", at, p)
+		}
 	}
-	return consensusRun{e, sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, KnownN: fig8, MaxEvents: e.MaxEvents, Recorder: rec}}, nil
+	return nil
+}
+
+// bind binds a consensus experiment, validated and with its defaults
+// filled, to its engine configuration.
+func (e Experiment) bind(seed int64, rec *trace.Recorder) consensusRun {
+	return consensusRun{e, sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, KnownN: e.Algo == "fig8", MaxEvents: e.MaxEvents, Recorder: rec}}
 }
 
 // decider is what the run body needs from a consensus instance.
@@ -321,7 +445,8 @@ type consensusRun struct {
 }
 
 // admit vets the fault pattern of a churn run: Fig. 8's t budget, Fig. 9's
-// non-empty eventually-up set.
+// non-empty eventually-up set. It judges the ground truth the run builds,
+// so it runs there rather than in Validate.
 func (r consensusRun) admit(truth *fd.GroundTruth) error {
 	if r.Algo == "fig8" {
 		if crashed := len(truth.CrashTimes); crashed > r.T {
@@ -361,16 +486,12 @@ func (r consensusRun) stack(world *oracle.World, node *sim.Node, proposal Value)
 // run is the one consensus body. Crash-stop is the churn schedule with no
 // recover events, so both go through the same fault pattern, engine
 // schedule and until-predicate; what a churn spec adds is
-// decided here from r.Churn alone: schedule-vs-horizon validation, the
-// admit check, the stabilization default, decision-stability monitoring,
-// the engine-vs-truth cross-check, and Termination over "eventually-up"
-// instead of "correct" processes.
+// decided here from r.Churn alone: the admit check, the stabilization
+// default, decision-stability monitoring, the engine-vs-truth cross-check, and
+// Termination over "eventually-up" instead of "correct" processes.
 func (r consensusRun) run() (Result, error) {
 	ids := r.IDs
 	churn := r.Churn.Fraction > 0
-	if r.Horizon == 0 {
-		r.Horizon = 1_000_000
-	}
 	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
 	if err != nil {
 		return Result{}, err
@@ -382,9 +503,6 @@ func (r consensusRun) run() (Result, error) {
 		if r.Stabilize == 0 {
 			r.Stabilize = truth.LastChange() + 50
 		}
-	}
-	if r.Proposals == nil {
-		r.Proposals = DefaultProposals(ids.N())
 	}
 
 	eng := sim.New(r.cfg)
@@ -506,8 +624,9 @@ func FaultPattern(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon
 // and so is a schedule whose last event is not before the horizon,
 // crash-stop or churn: a crash at or past the horizon never happens in
 // the run, and the truth would verify a fault pattern the run never had.
-// scenario.Validate runs it to reject such a scenario before anything is
-// printed or created; its cost is O(the schedule's events).
+// Its errors are unprefixed: Validate runs it to reject such an experiment
+// before anything is printed or created; its cost is O(the schedule's
+// events).
 func FaultSchedule(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizon Time) ([]ChurnEvent, error) {
 	schedule := churn.Events(ids.N())
 	if len(crashes) > 0 {
@@ -525,7 +644,7 @@ func FaultSchedule(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizo
 		}
 		if len(overlap) > 0 {
 			slices.Sort(overlap)
-			return nil, fmt.Errorf("hds: process(es) %v appear in both the churn schedule and the Crashes map — use one crash mechanism per process (the engine would interleave both into a schedule nobody asked for)", overlap)
+			return nil, fmt.Errorf("process(es) %v appear in both the churn schedule and the Crashes map — use one crash mechanism per process (the engine would interleave both into a schedule nobody asked for)", overlap)
 		}
 		slices.Sort(pids)
 		for _, p := range pids {
@@ -538,7 +657,7 @@ func FaultSchedule(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizo
 			last = max(last, ev.At)
 		}
 		if last >= horizon {
-			return nil, fmt.Errorf("hds: the fault schedule's last event at t=%d is not before the horizon %d — the run would truncate the fault pattern", last, horizon)
+			return nil, fmt.Errorf("the fault schedule's last event at t=%d is not before the horizon %d — the run would truncate the fault pattern", last, horizon)
 		}
 	}
 	return schedule, nil
@@ -551,51 +670,6 @@ func FaultSchedule(ids Assignment, churn ChurnSpec, crashes map[PID]Time, horizo
 func guardErr(eng *sim.Engine) error {
 	if eng.Stopped() == sim.StopMaxEvents {
 		return fmt.Errorf("hds: run truncated by the MaxEvents guard after %d events — raise MaxEvents or shrink the scenario", eng.Processed())
-	}
-	return nil
-}
-
-// DefaultProposals is the proposal vector a consensus run uses when the
-// experiment supplies none: "v0".."v{n-1}". Exported so offline
-// verification can reconstruct the proposals a recorded run was checked
-// against from its scenario fingerprint alone.
-func DefaultProposals(n int) []Value {
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Value(fmt.Sprintf("v%d", i))
-	}
-	return out
-}
-
-// validateExperiment rejects malformed experiment descriptions with errors
-// rather than panics: experiment inputs are user-facing.
-func validateExperiment(ids Assignment, crashes map[PID]Time, proposals []Value) error {
-	if err := ids.Validate(); err != nil {
-		return fmt.Errorf("hds: %w", err)
-	}
-	n := ids.N()
-	// Validate in ascending PID order: with several malformed entries, the
-	// one named in the error must not depend on map iteration order.
-	pids := make([]PID, 0, len(crashes))
-	for p := range crashes {
-		pids = append(pids, p)
-	}
-	slices.Sort(pids)
-	for _, p := range pids {
-		if int(p) < 0 || int(p) >= n {
-			return fmt.Errorf("hds: crash schedule names process %d outside [0,%d)", p, n)
-		}
-		if at := crashes[p]; at < 0 {
-			return fmt.Errorf("hds: crash time %d for process %d is negative", at, p)
-		}
-	}
-	if proposals != nil && len(proposals) != n {
-		return fmt.Errorf("hds: %d proposals for %d processes", len(proposals), n)
-	}
-	for i, v := range proposals {
-		if v == core.Bottom {
-			return fmt.Errorf("hds: process %d proposes the reserved ⊥ value", i)
-		}
 	}
 	return nil
 }

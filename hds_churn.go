@@ -75,31 +75,12 @@ var (
 // lazy fan-out path. Complete runs are also judged for delivery liveness,
 // read off the same counters (see VerifyHeartbeat). It also returns every
 // process's delivery counter (the differential test compares them one by
-// one).
+// one). e is validated, with its defaults filled (Experiment.Run).
 func runHeartbeat(e Experiment, seed int64, rec *trace.Recorder) (Result, func(PID) int, error) {
-	if err := e.IDs.Validate(); err != nil {
-		return Result{}, nil, fmt.Errorf("hds: %w", err)
-	}
-	if len(e.Crashes) > 0 {
-		return Result{}, nil, fmt.Errorf("hds: heartbeat takes a Churn spec, not Crashes")
-	}
-	if e.Period <= 0 {
-		e.Period = 10
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 10 * e.Period
-	}
-	n := e.IDs.N()
-	beaters := e.Beaters
-	if beaters <= 0 || beaters > n {
-		beaters = n
-	}
+	n, beaters := e.IDs.N(), e.Beaters
 	schedule, truth, err := FaultPattern(e.IDs, e.Churn, nil, e.Horizon)
 	if err != nil {
 		return Result{}, nil, err
-	}
-	if e.Net == nil {
-		e.Net = sim.Async{MaxDelay: 8}
 	}
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	// Two slabs, not n objects. A wave visits recipients in ascending pid

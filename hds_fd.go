@@ -19,16 +19,8 @@ import (
 // with no recoveries — and reports stabilization times and costs
 // (experiments E6/E7/E18/E19). Under churn it also cross-checks the
 // engine's incremental fault bookkeeping against the schedule-derived truth.
+// e is validated, with its defaults filled (Experiment.Run).
 func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
-	if err := validateExperiment(e.IDs, e.Crashes, nil); err != nil {
-		return Result{}, err
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 5000
-	}
-	if e.Net == nil {
-		e.Net = sim.PartialSync{Delta: 3}
-	}
 	n := e.IDs.N()
 	schedule, truth, err := FaultPattern(e.IDs, e.Churn, e.Crashes, e.Horizon)
 	if err != nil {
@@ -116,8 +108,19 @@ type HSigmaExperiment struct {
 	// CrashSteps maps process → (step, deliverProb): the process crashes
 	// during that step, its broadcast reaching each peer with deliverProb.
 	CrashSteps map[PID]CrashStep
-	Steps      int
-	Seed       int64
+	// Steps is the run's length in synchronous steps; 0 selects the
+	// default (WithDefaults).
+	Steps int
+	Seed  int64
+}
+
+// WithDefaults returns the experiment with a zero Steps replaced by the
+// default step count, 12: the one statement of it.
+func (e HSigmaExperiment) WithDefaults() HSigmaExperiment {
+	if e.Steps == 0 {
+		e.Steps = 12
+	}
+	return e
 }
 
 // CrashStep is a synchronous crash specification.
@@ -145,15 +148,13 @@ func RunHSigma(e HSigmaExperiment) (HSigmaResult, error) {
 	for p, cs := range e.CrashSteps {
 		crashSteps[p] = sim.Time(cs.Step)
 	}
-	if err := validateExperiment(e.IDs, crashSteps, nil); err != nil {
-		return HSigmaResult{}, err
+	if err := checkCrashes(e.IDs, crashSteps); err != nil {
+		return HSigmaResult{}, fmt.Errorf("hds: %w", err)
 	}
 	if e.Steps < 0 {
 		return HSigmaResult{}, fmt.Errorf("hds: negative step count %d", e.Steps)
 	}
-	if e.Steps == 0 {
-		e.Steps = 12
-	}
+	e = e.WithDefaults()
 	n := e.IDs.N()
 	rec := &trace.Recorder{}
 	eng := sim.New(sim.LockstepConfig(sim.Config{IDs: e.IDs, Seed: e.Seed, Recorder: rec}, e.Steps))

@@ -197,6 +197,29 @@ func TestIdentityConstructors(t *testing.T) {
 	}
 }
 
+// TestValidateBeaters pins the beater count's range: 0 selects every
+// process, 1..n that many, and anything else is rejected — more beaters
+// than processes used to be silently clamped to all, hiding the typo that
+// produced it.
+func TestValidateBeaters(t *testing.T) {
+	cases := []struct {
+		beaters, n int
+		wantErr    string // empty = valid
+	}{
+		{0, 5, ""}, // 0 = all n
+		{1, 5, ""}, // boundary: minimum selective value
+		{5, 5, ""}, // boundary: exactly n
+		{6, 5, "beaters=6 exceeds n=5: at most every process can beat"},
+		{-1, 5, "beaters=-1, want >= 0"},
+	}
+	for _, c := range cases {
+		err := Experiment{Algo: "heartbeat", IDs: BalancedIDs(c.n, 1), Beaters: c.beaters}.Validate()
+		if got := fmt.Sprint(err); (c.wantErr == "" && err != nil) || (c.wantErr != "" && got != c.wantErr) {
+			t.Errorf("Validate with %d beaters of n=%d = %v, want %q", c.beaters, c.n, err, c.wantErr)
+		}
+	}
+}
+
 func TestRunnersRejectMalformedExperiments(t *testing.T) {
 	tests := []struct {
 		name string

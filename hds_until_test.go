@@ -49,9 +49,6 @@ type refOutcome struct {
 func (r consensusRun) refRun() refOutcome {
 	ids := r.IDs
 	churn := r.Churn.Fraction > 0
-	if r.Horizon == 0 {
-		r.Horizon = 1_000_000
-	}
 	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
 	if err != nil {
 		return refOutcome{err: err}
@@ -63,9 +60,6 @@ func (r consensusRun) refRun() refOutcome {
 		if r.Stabilize == 0 {
 			r.Stabilize = truth.LastChange() + 50
 		}
-	}
-	if r.Proposals == nil {
-		r.Proposals = DefaultProposals(ids.N())
 	}
 
 	eng := sim.New(r.cfg)
@@ -277,11 +271,10 @@ func TestUntilDecidedMatchesScan(t *testing.T) {
 	for _, c := range cases {
 		refSink := &digestSink{h: sha256.New()}
 		refRec := trace.NewSpillRecorder(refSink, 0)
-		r, err := c.e.bind(c.seed, refRec)
-		if err != nil {
+		if err := c.e.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want := r.refRun()
+		want := c.e.WithDefaults().bind(c.seed, refRec).refRun()
 		if err := refRec.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -74,20 +74,6 @@ func ValidateTraceFormat(format, tracePath string) error {
 	return nil
 }
 
-// ValidateBeaters checks -beaters against the system size n: 0 selects
-// every process, 1..n selects that many, and anything else is rejected at
-// the flag boundary — more beaters than processes used to be silently
-// clamped to "all", hiding the typo that produced it.
-func ValidateBeaters(beaters, n int) error {
-	if beaters < 0 {
-		return fmt.Errorf("-beaters %d: must be ≥ 0 (0 = all n)", beaters)
-	}
-	if beaters > n {
-		return fmt.Errorf("-beaters %d exceeds n=%d: at most every process can beat", beaters, n)
-	}
-	return nil
-}
-
 // ParseCrashes parses a crash schedule of the form "pid:time[,pid:time...]"
 // (e.g. "1:30,4:120"): each pid >= 0 at most once, each time >= 0. An
 // empty or blank string yields an empty schedule.
@@ -298,30 +284,6 @@ func ParsePartitions(s string) ([]sim.PartitionWindow, error) {
 		out = append(out, sim.PartitionWindow{From: from, To: to, Cut: sim.PID(cut)})
 	}
 	return out, nil
-}
-
-// ValidatePartitionN checks a partition schedule against the system size:
-// a cut at or beyond n puts every process on one side, so the window
-// severs nothing — like an oversized -beaters, always a misassembled
-// command line rather than a scenario.
-func ValidatePartitionN(ws []sim.PartitionWindow, n int) error {
-	for _, w := range ws {
-		if int(w.Cut) >= n {
-			return fmt.Errorf("partition cut %d does not split n=%d processes (want 1 <= cut < n)", w.Cut, n)
-		}
-	}
-	return nil
-}
-
-// ValidatePartitionHorizon rejects schedules with a window still open at
-// the horizon, exactly like a churn schedule whose last event the horizon
-// truncates: the run would verify a permanently partitioned system nobody
-// asked for.
-func ValidatePartitionHorizon(ws []sim.PartitionWindow, horizon sim.Time) error {
-	if last := sim.LastWindowEnd(ws); len(ws) > 0 && last >= horizon {
-		return fmt.Errorf("the partition schedule's last window ends at t=%d, not before the horizon %d — the network would never heal inside the run", last, horizon)
-	}
-	return nil
 }
 
 // ParseChurn parses a crash-recovery churn spec of the form

@@ -269,45 +269,57 @@ func TestParsePartitions(t *testing.T) {
 	}
 }
 
-// TestValidatePartitionN pins the cut-vs-population check: a cut at or
-// beyond n puts everyone on one side.
+// checkPartitionFlag parses a -partitions value the way a command line
+// does and checks the schedule against n processes and the horizon.
+func checkPartitionFlag(t *testing.T, flagVal string, n int, horizon sim.Time) error {
+	t.Helper()
+	ws, err := ParsePartitions(flagVal)
+	if err != nil {
+		t.Fatalf("ParsePartitions(%q): %v", flagVal, err)
+	}
+	return sim.Partition{Windows: ws}.Check(n, horizon)
+}
+
+// TestValidatePartitionN pins the cut-vs-population check on a parsed
+// -partitions value: a cut at or beyond n puts everyone on one side.
 func TestValidatePartitionN(t *testing.T) {
-	ws := []sim.PartitionWindow{{From: 10, To: 20, Cut: 3}}
-	if err := ValidatePartitionN(ws, 5); err != nil {
+	const ws = "10-20@3"
+	if err := checkPartitionFlag(t, ws, 5, 100); err != nil {
 		t.Errorf("cut 3 of n=5: %v, want nil", err)
 	}
-	if err := ValidatePartitionN(ws, 4); err != nil {
+	if err := checkPartitionFlag(t, ws, 4, 100); err != nil {
 		t.Errorf("cut 3 of n=4 (boundary): %v, want nil", err)
 	}
-	if err := ValidatePartitionN(ws, 3); err == nil {
-		t.Error("cut 3 of n=3 severs nothing, want error")
+	if err := checkPartitionFlag(t, ws, 3, 100); err == nil || !strings.Contains(err.Error(), "does not split n=3") {
+		t.Errorf("cut 3 of n=3 severs nothing: %v, want a does-not-split error", err)
 	}
-	if err := ValidatePartitionN(ws, 2); err == nil {
-		t.Error("cut 3 of n=2 severs nothing, want error")
+	if err := checkPartitionFlag(t, ws, 2, 100); err == nil || !strings.Contains(err.Error(), "does not split n=2") {
+		t.Errorf("cut 3 of n=2 severs nothing: %v, want a does-not-split error", err)
 	}
-	if err := ValidatePartitionN(nil, 1); err != nil {
+	if err := checkPartitionFlag(t, "", 1, 1); err != nil {
 		t.Errorf("empty schedule: %v, want nil", err)
 	}
 }
 
-// TestValidatePartitionHorizon pins the truncating-horizon check: a window
-// still open at the horizon means the network never heals inside the run,
-// exactly like a churn schedule the horizon cuts short.
+// TestValidatePartitionHorizon pins the truncating-horizon check on a
+// parsed -partitions value: a window still open at the horizon means the
+// network never heals inside the run, exactly like a churn schedule the
+// horizon cuts short.
 func TestValidatePartitionHorizon(t *testing.T) {
-	ws := []sim.PartitionWindow{{From: 10, To: 60, Cut: 2}, {From: 70, To: 90, Cut: 2}}
-	if err := ValidatePartitionHorizon(ws, 100); err != nil {
+	const ws = "10-60@2,70-90@2"
+	if err := checkPartitionFlag(t, ws, 5, 100); err != nil {
 		t.Errorf("horizon 100 > last end 90: %v, want nil", err)
 	}
-	if err := ValidatePartitionHorizon(ws, 91); err != nil {
+	if err := checkPartitionFlag(t, ws, 5, 91); err != nil {
 		t.Errorf("horizon 91 (boundary: strictly after the last end): %v, want nil", err)
 	}
-	if err := ValidatePartitionHorizon(ws, 90); err == nil {
-		t.Error("horizon 90 == last end truncates the heal, want error")
+	if err := checkPartitionFlag(t, ws, 5, 90); err == nil || !strings.Contains(err.Error(), "never heal") {
+		t.Errorf("horizon 90 == last end truncates the heal: %v, want a never-heal error", err)
 	}
-	if err := ValidatePartitionHorizon(ws, 50); err == nil {
-		t.Error("horizon 50 leaves a window open, want error")
+	if err := checkPartitionFlag(t, ws, 5, 50); err == nil || !strings.Contains(err.Error(), "never heal") {
+		t.Errorf("horizon 50 leaves a window open: %v, want a never-heal error", err)
 	}
-	if err := ValidatePartitionHorizon(nil, 1); err != nil {
+	if err := checkPartitionFlag(t, "", 1, 1); err != nil {
 		t.Errorf("empty schedule: %v, want nil", err)
 	}
 }
@@ -365,32 +377,6 @@ func TestValidateTraceFormat(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("ValidateTraceFormat(%q, %q) = %v, want error containing %q", c.format, c.trace, err, c.wantErr)
-		}
-	}
-}
-
-func TestValidateBeaters(t *testing.T) {
-	cases := []struct {
-		beaters, n int
-		wantErr    string // substring; empty = valid
-	}{
-		{0, 5, ""}, // 0 = all n
-		{1, 5, ""}, // boundary: minimum selective value
-		{5, 5, ""}, // boundary: exactly n
-		{6, 5, "exceeds n=5"},
-		{1, 0, "exceeds n=0"},
-		{-1, 5, "must be ≥ 0"},
-	}
-	for _, c := range cases {
-		err := ValidateBeaters(c.beaters, c.n)
-		if c.wantErr == "" {
-			if err != nil {
-				t.Errorf("ValidateBeaters(%d, %d) = %v, want nil", c.beaters, c.n, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("ValidateBeaters(%d, %d) = %v, want error containing %q", c.beaters, c.n, err, c.wantErr)
 		}
 	}
 }

@@ -149,41 +149,37 @@ func E21PopulationScaling() (Table, error) {
 			"Shape to observe: delivered messages grow linearly in n (fixed beater pool × n recipients) while the queue high-water mark stays in the thousands — bounded by live broadcasts, timers, and the churn schedule, independent of the n² copies the eager path would enqueue. Every row is verified: engine fault bookkeeping against schedule-derived truth, heard-sum against the recorder's delivery count, and per-process delivery liveness via a streaming probe with O(1) state per process.",
 		},
 	}
-	type cfg struct {
-		n, l, beaters int
-		churn         sim.ChurnSpec
-		horizon       hds.Time
-		seed          int64
+	type row struct {
+		e    hds.Experiment
+		l    int
+		seed int64
 	}
-	cfgs := []cfg{
-		{1000, 50, 0 /* all beat: the old ceiling, now dense baseline */, sim.ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 5, Down: 12}, 40, 1},
-		{10_000, 100, 100, sim.ChurnSpec{Fraction: 0.1, Cycles: 1, Start: 5, Down: 12}, 45, 2},
-		{50_000, 200, 100, sim.ChurnSpec{Fraction: 0.05, Cycles: 1, Start: 5, Down: 12}, 45, 3},
+	// heartbeat is one row's experiment with its defaults filled, so the
+	// row reads the beater count it runs (0 = all beat) off the value.
+	heartbeat := func(n, l, beaters int, churn sim.ChurnSpec, horizon hds.Time, seed int64) row {
+		return row{hds.Experiment{
+			Algo: "heartbeat", IDs: ident.Balanced(n, l), Churn: churn, Period: 15, Horizon: horizon,
+			Beaters: beaters, MaxEvents: 100_000_000,
+		}.WithDefaults(), l, seed}
 	}
-	// beatersOf resolves the heartbeat experiment's "0 = all beat".
-	beatersOf := func(c cfg) int {
-		if c.beaters == 0 {
-			return c.n
-		}
-		return c.beaters
+	rows := []row{
+		heartbeat(1000, 50, 0 /* all beat: the old ceiling, now dense baseline */, sim.ChurnSpec{Fraction: 0.2, Cycles: 1, Start: 5, Down: 12}, 40, 1),
+		heartbeat(10_000, 100, 100, sim.ChurnSpec{Fraction: 0.1, Cycles: 1, Start: 5, Down: 12}, 45, 2),
+		heartbeat(50_000, 200, 100, sim.ChurnSpec{Fraction: 0.05, Cycles: 1, Start: 5, Down: 12}, 45, 3),
 	}
 	// A row's length is its copies per beat, n recipients × beaters: the
 	// 50,000 row is half the table, so it starts first and the two small
 	// rows run beside it instead of ahead of it.
-	copiesPerBeat := func(c cfg) int64 { return int64(c.n) * int64(beatersOf(c)) }
-	err := tableRowsByCost(&t, cfgs, copiesPerBeat, func(_ int, c cfg) []string {
-		ids := ident.Balanced(c.n, c.l)
-		beaters := beatersOf(c)
-		base := []string{itoaI(c.n), itoaI(c.l), itoaI(beaters), c.churn.String()}
-		res, err := hds.Experiment{
-			Algo: "heartbeat", IDs: ids, Churn: c.churn, Period: 15, Horizon: c.horizon,
-			Beaters: c.beaters, MaxEvents: 100_000_000,
-		}.Run(c.seed, nil)
+	copiesPerBeat := func(r row) int64 { return int64(r.e.IDs.N()) * int64(r.e.Beaters) }
+	err := tableRowsByCost(&t, rows, copiesPerBeat, func(_ int, r row) []string {
+		n := r.e.IDs.N()
+		base := []string{itoaI(n), itoaI(r.l), itoaI(r.e.Beaters), r.e.Churn.String()}
+		res, err := r.e.Run(r.seed, nil)
 		if err != nil {
 			return append(base, "✗ "+err.Error(), "-", "-", "-", "-")
 		}
 		return append(base,
-			fmt.Sprintf("%d/%d", res.EventuallyUp, c.n), itoaI(res.Recoveries),
+			fmt.Sprintf("%d/%d", res.EventuallyUp, n), itoaI(res.Recoveries),
 			itoaI(res.Stats.Delivered), itoaI(res.MaxQueue), res.Stopped.String())
 	})
 	return t, err

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	hds "repro"
 	"repro/internal/cliutil"
 	"repro/internal/sim"
 )
@@ -269,12 +270,9 @@ func Sanitize(s Scenario) Scenario {
 		}
 	}
 	if s.Kind == "heartbeat" && s.Horizon == 0 {
-		period := s.Period
-		if period <= 0 {
-			period = 10
-		}
-		if last := s.lastScheduleEvent(); last+1 >= 10*period {
-			s.Horizon = last + 20*period
+		d := hds.Experiment{Algo: "heartbeat", Period: s.Period}.WithDefaults()
+		if last := s.lastScheduleEvent(); last+1 >= d.Horizon {
+			s.Horizon = last + 2*d.Horizon
 		}
 	}
 	if s.Seed < 0 {

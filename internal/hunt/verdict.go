@@ -71,7 +71,7 @@ func Classify(err error) string {
 	}
 	msg := err.Error()
 	switch {
-	case strings.HasPrefix(msg, "scenario:"), strings.HasPrefix(msg, "hunt:"), strings.HasPrefix(msg, "cliutil:"):
+	case strings.HasPrefix(msg, "scenario:"), strings.HasPrefix(msg, "hunt:"):
 		// Resolver rejections quote their input, so they are matched
 		// before the substring cases below can see it.
 		return ClassConfig

@@ -22,8 +22,8 @@ func WriteHeader(w io.Writer, sc *scenario.Scenario) {
 	switch sc.Algo {
 	case "heartbeat":
 		beaters := "all"
-		if m.Beaters > 0 && m.Beaters < n {
-			beaters = fmt.Sprint(m.Beaters)
+		if sc.Beaters < n {
+			beaters = fmt.Sprint(sc.Beaters)
 		}
 		fmt.Fprintf(w, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
 			n, m.L, beaters, sc.Churn, sc.Net, sc.Period, m.Seed)

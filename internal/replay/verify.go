@@ -144,7 +144,7 @@ func verifyConsensus(sc *scenario.Scenario, src trace.EventSource) (hds.Result, 
 	if err != nil {
 		return hds.Result{}, err
 	}
-	res, err := hds.VerifyConsensus(truth, sc.Churn.Fraction > 0, hds.DefaultProposals(n), tracker.Outcomes())
+	res, err := hds.VerifyConsensus(truth, sc.Churn.Fraction > 0, sc.Proposals, tracker.Outcomes())
 	res.Stats, res.Recoveries = stats, stats.Recoveries
 	return res, err
 }

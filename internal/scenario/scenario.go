@@ -2,11 +2,14 @@
 // Scenario is an hds.Experiment plus the fingerprint it was resolved from;
 // Resolve is the only code that derives one from a flag-level fingerprint
 // (trace.Meta — what cmd/hdsim builds from its flags and what a v2 trace
-// embeds), and Validate is the one admissibility check. Running one is
-// the embedded experiment's Run. cmd/hdsim, offline replay and the hunt
-// fuzzer are views of it: hdsim and replay resolve a Meta, hunt fills a
-// Scenario from its own JSON form with its own defaults, and all three
-// run, verify or render the same value.
+// embeds). Admissibility and the run's own defaults belong to the
+// experiment (hds.Experiment.Validate and WithDefaults): Resolve adds only
+// the driver's choices and flag syntax, and Validate only the
+// fingerprint's own -gst/-delta signs. Running one is the embedded
+// experiment's Run. cmd/hdsim, offline replay and the hunt fuzzer are
+// views of it: hdsim and replay resolve a Meta, hunt fills a Scenario from
+// its own JSON form with its own defaults, and all three run, verify or
+// render the same value.
 package scenario
 
 import (
@@ -19,9 +22,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Scenario is one runnable experiment. Resolve fills Net, Horizon and
-// Period with the values the run uses, which are what report headers
-// print; a zero one (hunt leaves them so) selects the run's own default.
+// Scenario is one runnable experiment. Resolve fills every default with
+// the value the run uses, which is what report headers print; a zero field
+// (hunt leaves them so) selects the run's own default.
 type Scenario struct {
 	// Meta is the fingerprint the scenario was resolved from; report
 	// headers echo its raw specs. Nil for scenarios not built by Resolve.
@@ -29,16 +32,16 @@ type Scenario struct {
 	hds.Experiment
 }
 
-// Resolve turns a scenario fingerprint into runnable terms with the
-// driver's defaulting rules: the base network is Async{MaxDelay: 8},
+// Resolve turns a scenario fingerprint into runnable terms. The driver's
+// own choices are made here: the base network is Async{MaxDelay: 8},
 // -gst>0 switches to PartialSync{gst, delta}, ohp without -net/-gst runs
 // on its own PartialSync{gst, delta} (δ=0 meaning 3), an explicit -net
-// spec overrides all of that, and partitions wrap the result; horizons
-// default to 3,000,000 for consensus, 5,000 for ohp and ten periods for
-// heartbeat. Every inadmissible value is rejected here, before anything
-// is printed, created or run. Beyond the identifier assignment its cost
-// grows with n only through Validate's expansion of the fault schedule,
-// which is O(its events).
+// spec overrides all of that, partitions wrap the result, and consensus
+// runs to 3,000,000 by default. Every other default is the experiment's
+// (hds.Experiment.WithDefaults), and every inadmissible value is rejected
+// by Validate, before anything is printed, created or run. Beyond the
+// identifier assignment its cost grows with n only through Validate's
+// expansion of the fault schedule, which is O(its events).
 func Resolve(m *trace.Meta) (*Scenario, error) {
 	if m == nil {
 		return nil, fmt.Errorf("scenario: trace carries no scenario metadata (recorded by an older hdsim?)")
@@ -68,41 +71,34 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 	switch m.Detectors {
 	case "", "oracle":
 	case "mp":
-		if m.Algo != "fig8" {
-			return nil, fmt.Errorf("scenario: -detectors mp stacks Figure 6 under fig8 only, not %q", m.Algo)
-		}
 		sc.Detectors = hds.MessagePassingDetectors
 	default:
 		return nil, fmt.Errorf("scenario: unknown detector source %q (want oracle or mp)", m.Detectors)
 	}
 
 	var base sim.Model = sim.Async{MaxDelay: 8}
-	if m.GST > 0 {
+	switch {
+	case m.GST > 0:
 		base = sim.PartialSync{GST: hds.Time(m.GST), Delta: hds.Time(m.Delta)}
+	case m.Algo == "ohp":
+		delta := hds.Time(m.Delta)
+		if delta == 0 {
+			delta = 3
+		}
+		base = sim.PartialSync{GST: hds.Time(m.GST), Delta: delta}
 	}
-	defaultHorizon := hds.Time(3_000_000)
 	switch m.Algo {
-	case "ohp":
-		if m.GST <= 0 {
-			delta := hds.Time(m.Delta)
-			if delta == 0 {
-				delta = 3
-			}
-			base = sim.PartialSync{GST: hds.Time(m.GST), Delta: delta}
+	case "fig8", "fig9", "fig9-anon":
+		if sc.Horizon == 0 {
+			sc.Horizon = 3_000_000
 		}
-		defaultHorizon = 5000
 	case "heartbeat":
-		if sc.Period = hds.Time(m.Period); sc.Period == 0 {
-			sc.Period = 10
-		}
-		defaultHorizon = 10 * sc.Period
-	}
-	if sc.Horizon == 0 {
-		sc.Horizon = defaultHorizon
+		sc.Period = hds.Time(m.Period)
 	}
 	if sc.Net, err = Network(m.Net, base, windows); err != nil {
 		return nil, err
 	}
+	sc.Experiment = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,34 +153,12 @@ func Network(spec string, def sim.Model, windows []sim.PartitionWindow) (sim.Mod
 	return net, nil
 }
 
-// Validate rejects scenarios no run should be handed: an unknown
-// algorithm, fault inputs the algorithm has no use for, what
-// hds.Experiment.CheckRanges rejects (a negative time or count, a NaN or
-// infinite churn fraction), a negative -gst or -delta, a partition cut
-// that severs nothing or never heals inside the run, more beaters than
-// processes, and a fault schedule hds.FaultSchedule rejects (a process
-// both churned and crashed, a last event not before the horizon). The run
-// repeats CheckRanges and the schedule check, and keeps its own input
-// checks (crash PIDs, the t bound). Expanding the schedule is O(its
-// events), negligible beside any run, so a scenario it rejects fails
-// here, before a header is printed or a trace file created. A zero
-// Horizon (the run's own default, as hunt leaves it) leaves that check
-// to the run.
+// Validate rejects scenarios no run should be handed: what the embedded
+// experiment's Validate rejects, and a negative -gst or -delta in the
+// fingerprint. A zero Horizon (the run's own default, as hunt leaves it)
+// is judged as the run will fill it.
 func (sc *Scenario) Validate() error {
-	switch sc.Algo {
-	case "fig8", "fig9", "fig9-anon":
-	case "ohp":
-		if sc.Churn.Fraction > 0 && len(sc.Crashes) > 0 {
-			return fmt.Errorf("scenario: use either -churn or -crashes for -algo ohp, not both")
-		}
-	case "heartbeat":
-		if len(sc.Crashes) > 0 {
-			return fmt.Errorf("scenario: -algo heartbeat takes a -churn spec, not -crashes")
-		}
-	default:
-		return fmt.Errorf("scenario: unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", sc.Algo)
-	}
-	if err := sc.CheckRanges(); err != nil {
+	if err := sc.Experiment.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	if m := sc.Meta; m != nil {
@@ -193,25 +167,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if m.Delta < 0 {
 			return fmt.Errorf("scenario: delta=%d, want >= 0", m.Delta)
-		}
-	}
-	if err := cliutil.ValidateBeaters(sc.Beaters, sc.IDs.N()); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if sc.Horizon > 0 {
-		if _, err := hds.FaultSchedule(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
-	// Network puts the partition schedule outermost.
-	if p, ok := sc.Net.(sim.Partition); ok {
-		if err := cliutil.ValidatePartitionN(p.Windows, sc.IDs.N()); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if sc.Horizon > 0 {
-			if err := cliutil.ValidatePartitionHorizon(p.Windows, sc.Horizon); err != nil {
-				return fmt.Errorf("scenario: %w", err)
-			}
 		}
 	}
 	return nil

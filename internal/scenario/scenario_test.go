@@ -38,9 +38,11 @@ func TestResolveRejects(t *testing.T) {
 		{"mp under ohp", func(m *trace.Meta) { m.Algo, m.Detectors = "ohp", "mp" }, "fig8 only"},
 		{"partition cut at n", func(m *trace.Meta) { m.Partitions = "0-10@5" }, "does not split n=5"},
 		{"partition open at horizon", func(m *trace.Meta) { m.Partitions, m.Horizon = "0-500@2", 400 }, "never heal"},
-		{"heartbeat with crashes", func(m *trace.Meta) { m.Algo, m.Crashes = "heartbeat", "1:5" }, "not -crashes"},
-		{"ohp crashes and churn", func(m *trace.Meta) { m.Algo, m.Crashes, m.Churn = "ohp", "1:5", "0.3:1" }, "either -churn or -crashes"},
-		{"beaters above n", func(m *trace.Meta) { m.Algo, m.Beaters = "heartbeat", 9 }, "-beaters 9 exceeds n=5"},
+		{"heartbeat with crashes", func(m *trace.Meta) { m.Algo, m.Crashes = "heartbeat", "1:5" }, "not crashes"},
+		{"ohp crashes and churn", func(m *trace.Meta) { m.Algo, m.Crashes, m.Churn = "ohp", "1:5", "0.3:1" }, "either a churn spec or crashes"},
+		{"beaters above n", func(m *trace.Meta) { m.Algo, m.Beaters = "heartbeat", 9 }, "beaters=9 exceeds n=5"},
+		{"crash pid out of range", func(m *trace.Meta) { m.Algo, m.Crashes = "fig9", "9:10" }, "crash schedule names process 9 outside [0,5)"},
+		{"t bound", func(m *trace.Meta) { m.T = 3 }, "Fig8 requires 0 <= t < n/2, got t=3 n=5"},
 		{"bad crashes", func(m *trace.Meta) { m.Crashes = "garbage" }, "bad crash spec"},
 		{"bad churn", func(m *trace.Meta) { m.Churn = "2" }, "bad churn fraction"},
 		{"NaN churn", func(m *trace.Meta) { m.Churn = "NaN:1:60" }, "bad churn fraction"},

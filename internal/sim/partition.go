@@ -167,6 +167,25 @@ func LastWindowEnd(ws []PartitionWindow) Time {
 	return last
 }
 
+// Check rejects a partition schedule no run of n processes to the
+// horizon should be handed. A cut at or beyond n puts every process on one
+// side, so the window severs nothing: like more beaters than processes,
+// always a misassembled description rather than a scenario. A window still
+// open at the horizon is rejected exactly like a churn schedule whose last
+// event the horizon truncates: the run would verify a permanently
+// partitioned system nobody asked for.
+func (p Partition) Check(n int, horizon Time) error {
+	for _, w := range p.Windows {
+		if int(w.Cut) >= n {
+			return fmt.Errorf("partition cut %d does not split n=%d processes (want 1 <= cut < n)", w.Cut, n)
+		}
+	}
+	if last := LastWindowEnd(p.Windows); len(p.Windows) > 0 && last >= horizon {
+		return fmt.Errorf("the partition schedule's last window ends at t=%d, not before the horizon %d — the network would never heal inside the run", last, horizon)
+	}
+	return nil
+}
+
 var (
 	_ LinkModel = Lossy{}
 	_ LinkModel = Partition{}

@@ -31,6 +31,46 @@ func TestPartitionWindowActive(t *testing.T) {
 	}
 }
 
+// TestPartitionCheck pins the two schedule checks: a cut at or beyond n
+// puts everyone on one side, and a window still open at the horizon means
+// the network never heals inside the run, exactly like a churn schedule
+// the horizon cuts short.
+func TestPartitionCheck(t *testing.T) {
+	cut3 := Partition{Windows: []PartitionWindow{{From: 10, To: 20, Cut: 3}}}
+	for _, c := range []struct {
+		p       Partition
+		n       int
+		horizon Time
+		ok      bool
+		why     string
+	}{
+		{cut3, 5, 100, true, "cut 3 of n=5"},
+		{cut3, 4, 100, true, "cut 3 of n=4 (boundary)"},
+		{cut3, 3, 100, false, "cut 3 of n=3 severs nothing"},
+		{cut3, 2, 100, false, "cut 3 of n=2 severs nothing"},
+		{Partition{}, 1, 1, true, "empty schedule"},
+	} {
+		if err := c.p.Check(c.n, c.horizon); (err == nil) != c.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", c.why, err, c.ok)
+		}
+	}
+	two := Partition{Windows: []PartitionWindow{{From: 10, To: 60, Cut: 2}, {From: 70, To: 90, Cut: 2}}}
+	for _, c := range []struct {
+		horizon Time
+		ok      bool
+		why     string
+	}{
+		{100, true, "horizon 100 > last end 90"},
+		{91, true, "horizon 91 (boundary: strictly after the last end)"},
+		{90, false, "horizon 90 == last end truncates the heal"},
+		{50, false, "horizon 50 leaves a window open"},
+	} {
+		if err := two.Check(5, c.horizon); (err == nil) != c.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", c.why, err, c.ok)
+		}
+	}
+}
+
 // TestPartitionSeversDelivery runs a broadcast workload under a total
 // mid-run partition and asserts the trace shows cross-cut copies dropped
 // during the window and delivered outside it.
