@@ -34,9 +34,11 @@ func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
 	}
 	eng.ApplyChurn(schedule)
 	// The trusted probe samples the detector's shared output: no clone on
-	// the per-event path (fd.DiamondHPbar's contract: OnTimer replaces
+	// the sampling path (fd.DiamondHPbar's contract: OnTimer replaces
 	// h_trusted wholesale, so stored views are never mutated after
-	// sampling). Streaming probes suffice — the
+	// sampling). The detector signals each replacement (sim.Signaller), so
+	// both probes read it once per change, not after every POLLING and
+	// P_REPLY delivery. Streaming probes suffice — the
 	// checkers judge final views and stabilization times only, so O(1)
 	// state per process does (equivalence with the materialized Probe is
 	// pinned in internal/fd) — and their change streams feed the trace

@@ -32,6 +32,7 @@ func (h *stepHarness) SetTimer(_ sim.Time, tag int)    { h.timers = append(h.tim
 func (h *stepHarness) Snooze(sim.Time, int, sim.Time)  {}
 func (h *stepHarness) Note(trace.Kind, string, string) {}
 func (h *stepHarness) PID() sim.PID                    { return 0 }
+func (h *stepHarness) Changed()                        {}
 
 // last returns the node's latest broadcast with the given tag, still in
 // its envelope.

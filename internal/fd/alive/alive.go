@@ -18,7 +18,10 @@ type Msg struct {
 func (Msg) MsgTag() string { return "ALIVE" }
 
 // Detector is the per-process Figure 3 instance. It implements
-// sim.Process and fd.AliveList.
+// sim.Process and fd.AliveList, and it is a sim.Signaller: the list
+// changes only when OnMessage inserts an identifier or moves one up to the
+// first position, and it calls Environment.Changed then — a refresh of the
+// identifier already first changes nothing and signals nothing.
 type Detector struct {
 	env sim.Environment
 	// msg is ALIVE(id), boxed once in Init: the value never changes, so
@@ -28,8 +31,9 @@ type Detector struct {
 }
 
 var (
-	_ sim.Process  = (*Detector)(nil)
-	_ fd.AliveList = (*Detector)(nil)
+	_ sim.Process   = (*Detector)(nil)
+	_ fd.AliveList  = (*Detector)(nil)
+	_ sim.Signaller = (*Detector)(nil)
 )
 
 // New creates a detector broadcasting every DefaultPollInterval units.
@@ -58,13 +62,20 @@ func (d *Detector) OnMessage(payload any) {
 	}
 	for i, id := range d.alive {
 		if id == m.ID {
-			copy(d.alive[1:i+1], d.alive[:i])
-			d.alive[0] = m.ID
+			if i > 0 {
+				copy(d.alive[1:i+1], d.alive[:i])
+				d.alive[0] = m.ID
+				d.env.Changed()
+			}
 			return
 		}
 	}
 	d.alive = append([]ident.ID{m.ID}, d.alive...)
+	d.env.Changed()
 }
+
+// SignalsChanges implements sim.Signaller: OnMessage signals every change.
+func (d *Detector) SignalsChanges() bool { return true }
 
 // Alive implements fd.AliveList: a copy of the current list, first
 // position first.

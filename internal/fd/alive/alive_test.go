@@ -93,9 +93,22 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// changeCounter is the Environment OnMessage needs when it is driven
+// directly: it counts Changed calls and has nothing else.
+type changeCounter struct {
+	sim.Environment
+	changes int
+}
+
+func (c *changeCounter) Changed() { c.changes++ }
+
+// TestMoveToFrontSemantics drives OnMessage directly (Init is not needed
+// for list maintenance) and counts its signals: an insertion and a move
+// signal, a refresh of the identifier already first does not.
 func TestMoveToFrontSemantics(t *testing.T) {
+	env := &changeCounter{}
 	d := New()
-	// Drive OnMessage directly; Init is not needed for list maintenance.
+	d.env = env
 	d.OnMessage(Msg{ID: "a"})
 	d.OnMessage(Msg{ID: "b"})
 	d.OnMessage(Msg{ID: "c"})
@@ -111,6 +124,10 @@ func TestMoveToFrontSemantics(t *testing.T) {
 	if got := d.Alive(); len(got) != 3 {
 		t.Fatalf("duplicate inserted: %v", got)
 	}
+	d.OnMessage(Msg{ID: "a"}) // already first: no change
+	if env.changes != 4 {
+		t.Fatalf("%d Changed calls, want 4 (three insertions, one move)", env.changes)
+	}
 }
 
 func TestIgnoresForeignPayloads(t *testing.T) {
@@ -123,6 +140,7 @@ func TestIgnoresForeignPayloads(t *testing.T) {
 
 func TestAliveReturnsCopy(t *testing.T) {
 	d := New()
+	d.env = &changeCounter{}
 	d.OnMessage(Msg{ID: "a"})
 	got := d.Alive()
 	got[0] = "mutated"

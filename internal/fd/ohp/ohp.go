@@ -29,7 +29,13 @@ type Reply struct {
 func (Reply) MsgTag() string { return "P_REPLY" }
 
 // Detector is the per-process Figure 6 instance. It implements
-// sim.Process, sim.Recoverer, fd.DiamondHPbar and fd.HOmega.
+// sim.Process, sim.Recoverer, fd.DiamondHPbar and fd.HOmega, and it is a
+// sim.Signaller: h_trusted and the leader extracted from it change only
+// when OnTimer closes a round, and OnTimer calls Environment.Changed when
+// it replaces h_trusted — so probes read it once per change, not after
+// every POLLING and P_REPLY delivery. (Setting hasOut needs no signal of
+// its own: the leader exists only once h_trusted is non-empty, and it
+// starts empty, so the first leader comes with a replacement.)
 type Detector struct {
 	env     sim.Environment
 	id      ident.ID // env.ID(), read once in Init
@@ -78,6 +84,7 @@ var (
 	_ sim.Recoverer   = (*Detector)(nil)
 	_ fd.DiamondHPbar = (*Detector)(nil)
 	_ fd.HOmega       = (*Detector)(nil)
+	_ sim.Signaller   = (*Detector)(nil)
 )
 
 // New creates a detector.
@@ -147,6 +154,7 @@ func (d *Detector) OnTimer(tag int) {
 	}
 	if !tmp.Equal(d.trusted) {
 		d.trusted, d.gather = tmp, nil
+		d.env.Changed()
 	}
 	d.hasOut = true
 	d.round++
@@ -163,6 +171,9 @@ func (d *Detector) OnTimer(tag int) {
 	d.env.Broadcast(Polling{Round: d.round, ID: d.id})
 	d.env.SetTimer(d.timeout, d.epoch)
 }
+
+// SignalsChanges implements sim.Signaller: OnTimer signals every change.
+func (d *Detector) SignalsChanges() bool { return true }
 
 // OnMessage implements sim.Process (Task T2 and timeout adaptation).
 func (d *Detector) OnMessage(payload any) {

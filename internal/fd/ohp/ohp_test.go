@@ -237,6 +237,7 @@ func (e *scriptEnv) SetTimer(d sim.Time, tag int)          {}
 func (e *scriptEnv) Snooze(sim.Time, int, sim.Time)        {}
 func (e *scriptEnv) Note(k trace.Kind, tag, detail string) {}
 func (e *scriptEnv) PID() sim.PID                          { return 0 }
+func (e *scriptEnv) Changed()                              {}
 
 func TestFixedTimeoutVariant(t *testing.T) {
 	d := NewFixedTimeout(7)

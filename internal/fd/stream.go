@@ -4,18 +4,21 @@ package fd
 // StreamProbe reads a detector output at the instants it can change,
 // compares it with the last value it accepted (Feed — the only place a
 // sample is compared and stored) and, on a change, replaces that value and
-// runs its observers. Its own state is each process's latest output and
-// the time it last changed — O(1) per process, independent of the event
-// count, which is what lets n = 50,000 runs be verified at all. Anything
-// that needs more than the final view subscribes with Observe: Probe
-// (probe.go) is a StreamProbe with a collector that appends every accepted
-// sample to a per-process history, RecordChanges writes the change stream
-// into a trace. Checkers that only
-// need final outputs (◇HP̄, HΩ, 𝔈, Ω, AΩ, and the stabilization time)
-// accept the FinalView interface, so the same checker code judges a bare
-// StreamProbe, a history-keeping Probe and a trace replayer. The sampler
-// is compared with an independent reference (the pre-merge NewProbe body,
-// kept in stream_test.go) on live runs.
+// runs its observers. Those instants are after each event in which a
+// process signalled a change when all its processes signal, and otherwise
+// after every event and at every clock advance (NewStreamProbe). Its own
+// state is each process's latest output and the time it last changed —
+// O(1) per process, independent of the event count, which is what lets
+// n = 50,000 runs be verified at all. Anything that needs more than the
+// final view subscribes with Observe: Probe (probe.go) is a StreamProbe
+// with a collector that appends every accepted sample to a per-process
+// history, RecordChanges writes the change stream into a trace. Checkers
+// that only need final outputs (◇HP̄, HΩ, 𝔈, Ω, AΩ, and the stabilization
+// time) accept the FinalView interface, so the same checker code judges a
+// bare StreamProbe, a history-keeping Probe and a trace replayer. The
+// sampler is compared with an independent reference (the pre-merge
+// NewProbe body, kept in stream_test.go) on live runs, signalling
+// detectors included.
 
 import "repro/internal/sim"
 
@@ -50,19 +53,31 @@ type StreamProbe[T any] struct {
 // output of process p (ok=false while the process has no output); eq
 // decides whether two outputs are equal. A crashed process has no output:
 // the probe does not call get for it while the engine reports it down.
-// Register observers before the run starts.
+// Register observers before the run starts, and build the probe after
+// its processes are added: it reads their declarations (Engine.Signals).
 //
 // Sampling exploits the engine's change contract: a process's output can
-// change only during its own events or when virtual time advances (oracle
-// detectors are functions of the clock). The probe therefore samples the
-// event's process after every event, and all processes whenever the clock
-// moved — which observes exactly the same history as sampling everyone
-// after every event, at a fraction of the cost.
+// change only during its own events or, for an oracle, when virtual time
+// advances. Every process is sampled once at time 0, after Init. From then
+// on:
+//   - when every process below n signals (sim.Signaller), p is sampled
+//     after each event in which it called Environment.Changed, and the
+//     engine calls the probe after no other event (Engine.AfterSignal);
+//   - otherwise the event's process is sampled after every event, and
+//     every process whenever the clock moved (Engine.AfterEvent).
+//
+// Either way the probe observes exactly the history that sampling everyone
+// after every event would (the reference in stream_test.go), at a fraction
+// of the cost; a detector that signals is read once per change.
 func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *StreamProbe[T] {
 	sp := NewStaticStreamProbe(n, eq)
+	signalling := true
+	for q := sim.PID(0); int(q) < n && signalling; q++ {
+		signalling = eng.Signals(q)
+	}
 	lastNow := sim.Time(-1)
-	eng.AfterEvent(func(now sim.Time, p sim.PID) {
-		if p >= 0 && now == lastNow {
+	sampler := func(now sim.Time, p sim.PID) {
+		if p >= 0 && (signalling || now == lastNow) {
 			if int(p) < n {
 				sp.sample(eng, now, p, get)
 			}
@@ -72,7 +87,12 @@ func NewStreamProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool)
 		for q := 0; q < n; q++ {
 			sp.sample(eng, now, sim.PID(q), get)
 		}
-	})
+	}
+	if signalling {
+		eng.AfterSignal(sampler)
+	} else {
+		eng.AfterEvent(sampler)
+	}
 	return sp
 }
 

@@ -1,9 +1,10 @@
-package fd
+package fd_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/multiset"
 	"repro/internal/sim"
@@ -45,14 +46,14 @@ func (g *gossiper) OnRecover() { g.env.SetTimer(4, 0) }
 // refHistories is what the reference sampler below fills: the Probe type
 // as it was before Probe became a collector on StreamProbe.
 type refHistories[T any] struct {
-	histories [][]Sample[T]
+	histories [][]fd.Sample[T]
 }
 
 // refProbe is NewProbe's body from before the samplers were merged, kept
 // verbatim as the independent reference: its own AfterEvent loop, its own
 // "equal to the last stored sample?" test, its own append.
 func refProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq func(a, b T) bool) *refHistories[T] {
-	pr := &refHistories[T]{histories: make([][]Sample[T], n)}
+	pr := &refHistories[T]{histories: make([][]fd.Sample[T], n)}
 	sample := func(now sim.Time, p int) {
 		v, ok := get(sim.PID(p))
 		if !ok {
@@ -62,7 +63,7 @@ func refProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq f
 		if len(h) > 0 && eq(h[len(h)-1].Value, v) {
 			return
 		}
-		pr.histories[p] = append(h, Sample[T]{Time: now, Value: v})
+		pr.histories[p] = append(h, fd.Sample[T]{Time: now, Value: v})
 	}
 	lastNow := sim.Time(-1)
 	eng.AfterEvent(func(now sim.Time, p sim.PID) {
@@ -80,7 +81,7 @@ func refProbe[T any](eng *sim.Engine, n int, get func(p sim.PID) (T, bool), eq f
 	return pr
 }
 
-func (pr *refHistories[T]) History(p sim.PID) []Sample[T] { return pr.histories[p] }
+func (pr *refHistories[T]) History(p sim.PID) []fd.Sample[T] { return pr.histories[p] }
 
 func (pr *refHistories[T]) Last(p sim.PID) (T, bool) {
 	h := pr.histories[p]
@@ -103,31 +104,40 @@ func (pr *refHistories[T]) N() int { return len(pr.histories) }
 
 // sameAsReference requires a probe's histories and final view to be the
 // reference sampler's, sample for sample.
-func sameAsReference[T any](t *testing.T, name string, ref *refHistories[T], got *Probe[T], eq func(a, b T) bool) {
+func sameAsReference[T any](t *testing.T, name string, ref *refHistories[T], got *fd.Probe[T], eq func(a, b T) bool) {
 	t.Helper()
+	if err := diffReference(name, ref, got, eq); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffReference reports the first difference between a probe's histories
+// and final view and the reference sampler's, nil when there is none.
+func diffReference[T any](name string, ref *refHistories[T], got *fd.Probe[T], eq func(a, b T) bool) error {
 	if got.N() != ref.N() {
-		t.Fatalf("%s: probes %d processes, reference %d", name, got.N(), ref.N())
+		return fmt.Errorf("%s: probes %d processes, reference %d", name, got.N(), ref.N())
 	}
 	for p := sim.PID(0); int(p) < ref.N(); p++ {
 		want, h := ref.History(p), got.History(p)
 		if len(h) != len(want) {
-			t.Fatalf("%s p%d: stored %d samples, reference %d", name, p, len(h), len(want))
+			return fmt.Errorf("%s p%d: stored %d samples, reference %d", name, p, len(h), len(want))
 		}
 		for i := range want {
 			if h[i].Time != want[i].Time || !eq(h[i].Value, want[i].Value) {
-				t.Fatalf("%s p%d sample %d: %v@%d, reference %v@%d",
+				return fmt.Errorf("%s p%d sample %d: %v@%d, reference %v@%d",
 					name, p, i, h[i].Value, h[i].Time, want[i].Value, want[i].Time)
 			}
 		}
 		rv, rok := ref.Last(p)
 		gv, gok := got.Last(p)
 		if rok != gok || (rok && !eq(rv, gv)) {
-			t.Fatalf("%s p%d: Last diverges: (%v,%v), reference (%v,%v)", name, p, gv, gok, rv, rok)
+			return fmt.Errorf("%s p%d: Last diverges: (%v,%v), reference (%v,%v)", name, p, gv, gok, rv, rok)
 		}
 		if got.LastChange(p) != ref.LastChange(p) {
-			t.Fatalf("%s p%d: LastChange %d, reference %d", name, p, got.LastChange(p), ref.LastChange(p))
+			return fmt.Errorf("%s p%d: LastChange %d, reference %d", name, p, got.LastChange(p), ref.LastChange(p))
 		}
 	}
+	return nil
 }
 
 // TestStreamProbeSkipsCrashed: the probe reads no output from a process
@@ -141,10 +151,10 @@ func TestStreamProbeSkipsCrashed(t *testing.T) {
 	}
 	eng.CrashAt(1, 20)
 	eng.RecoverAt(1, 40)
-	sp := NewStreamProbe(eng, n, func(sim.PID) (sim.Time, bool) { return eng.Now(), true },
+	sp := fd.NewStreamProbe(eng, n, func(sim.PID) (sim.Time, bool) { return eng.Now(), true },
 		func(a, b sim.Time) bool { return a == b })
 	var times []sim.Time
-	sp.Observe(func(p sim.PID, s Sample[sim.Time]) {
+	sp.Observe(func(p sim.PID, s fd.Sample[sim.Time]) {
 		if p == 1 {
 			times = append(times, s.Time)
 		}
@@ -189,8 +199,8 @@ func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	eq := func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) }
 
 	ref := refProbe(eng, n, get, eq)
-	probe := NewProbe(eng, n, get, eq)
-	sp := NewStreamProbe(eng, n, get, eq)
+	probe := fd.NewProbe(eng, n, get, eq)
+	sp := fd.NewStreamProbe(eng, n, get, eq)
 
 	eng.Run(60)
 
@@ -206,10 +216,10 @@ func TestStreamProbeMatchesProbeLive(t *testing.T) {
 	// Identical verdicts through either pipeline, for passing or failing
 	// checks alike. (The toy detector need not satisfy ◇HP̄; what must hold
 	// is agreement.)
-	g := NewGroundTruth(ids, map[sim.PID]sim.Time{5: 21})
-	rr, errR := CheckDiamondHPbar(g, ref)
-	rp, errP := CheckDiamondHPbar(g, probe)
-	rs, errS := CheckDiamondHPbar(g, sp)
+	g := fd.NewGroundTruth(ids, map[sim.PID]sim.Time{5: 21})
+	rr, errR := fd.CheckDiamondHPbar(g, ref)
+	rp, errP := fd.CheckDiamondHPbar(g, probe)
+	rs, errS := fd.CheckDiamondHPbar(g, sp)
 	if fmt.Sprint(rr, errR) != fmt.Sprint(rp, errP) || fmt.Sprint(rr, errR) != fmt.Sprint(rs, errS) {
 		t.Errorf("◇HP̄ verdicts diverge:\nreference: %v %v\nprobe:     %v %v\nstream:    %v %v", rr, errR, rp, errP, rs, errS)
 	}

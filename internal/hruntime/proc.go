@@ -134,6 +134,10 @@ func (p *Proc) SetTimer(d sim.Time, tag int) {
 // its real timers and calls every handler.
 func (p *Proc) Snooze(sim.Time, int, sim.Time) {}
 
+// Changed implements sim.Environment as a no-op: the live runtime has no
+// probes to wake.
+func (p *Proc) Changed() {}
+
 // Note implements sim.Environment; the note is recorded under the cluster
 // lock, like every other event of the run.
 func (p *Proc) Note(kind trace.Kind, tag, detail string) {

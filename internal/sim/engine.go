@@ -204,6 +204,11 @@ type Engine struct {
 	recoveries int
 	started    bool
 	stopped    StopReason
+	// afterSignal are the AfterSignal observers; changed[p] is raised when
+	// p calls Environment.Changed or recovers, and lowered when the
+	// AfterSignal observers have seen the event.
+	afterSignal []func(now Time, p PID)
+	changed     []bool
 	// Fan-out state (fanout.go). fate is the engine's one reusable
 	// per-copy fate stream; fanouts/freeFans the table of in-flight
 	// broadcasts and its freelist; bcasts keys fate streams; perLink/linkNet
@@ -345,6 +350,7 @@ func New(cfg Config) *Engine {
 		envs:        make([]*Env, 0, n),
 		crashed:     make([]bool, n),
 		everCrashed: make([]bool, n),
+		changed:     make([]bool, n),
 		faultIdx:    make([]int32, n),
 		curSeq:      -1,
 		parked:      -1,
@@ -506,12 +512,36 @@ func (e *Engine) EventuallyUpSet() []PID {
 // (p = -1 for the initial time-0 notification, where every process just
 // ran Init). Property checkers use it to sample failure-detector outputs
 // exactly when they can change: a process's output may change only during
-// its own events or when virtual time advances. An observer that reads a
-// stats-only recorder sees Delivered, Dropped and Timers short of what the
-// Run/RunUntil call in progress has processed; they are exact once it has
-// returned.
+// its own events or when virtual time advances (fd.NewStreamProbe; a
+// probe over processes that all signal uses AfterSignal instead). While an
+// AfterEvent observer is registered the engine never jumps over covered
+// timer ticks. An observer that reads a stats-only recorder sees
+// Delivered, Dropped and Timers short of what the Run/RunUntil call in
+// progress has processed; they are exact once it has returned.
 func (e *Engine) AfterEvent(f func(now Time, p PID)) {
 	e.afterEvent = append(e.afterEvent, f)
+}
+
+// AfterSignal registers an observer invoked, with AfterEvent's arguments,
+// after the time-0 notification and after each event in which p called
+// Environment.Changed; a recovery counts as a call, since a down process
+// is not sampled and what changed in the event that crashed it is read
+// when it comes back. AfterSignal observers run after the AfterEvent
+// ones, in registration order. They see no covered timer tick (a covered
+// tick calls no handler), so they do not keep the engine from jumping.
+func (e *Engine) AfterSignal(f func(now Time, p PID)) {
+	e.afterSignal = append(e.afterSignal, f)
+}
+
+// Signals reports whether process p has been added and declares that it
+// signals every output change (Signaller). A probe reads it when it is
+// built.
+func (e *Engine) Signals(p PID) bool {
+	if int(p) >= len(e.procs) {
+		return false
+	}
+	s, ok := e.procs[p].(Signaller)
+	return ok && s.SignalsChanges()
 }
 
 // Processed returns the number of events processed so far.
@@ -623,6 +653,7 @@ func (e *Engine) start() {
 		}
 	}
 	e.notifyAfter(-1)
+	clear(e.changed)
 }
 
 // step processes the single earliest queue entry and reports whether the
@@ -662,6 +693,7 @@ func (e *Engine) step() StopReason {
 		e.unsnooze(pid)
 		if e.crashed[pid] {
 			e.crashed[pid] = false
+			e.changed[pid] = true
 			e.recoveries++
 			e.record(trace.KindRecover, int(pid), "", "")
 			if r, ok := e.procs[pid].(Recoverer); ok {
@@ -833,7 +865,25 @@ func (e *Engine) unsnooze(p PID) {
 }
 
 func (e *Engine) notifyAfter(p PID) {
+	if len(e.afterEvent) > 0 || len(e.afterSignal) > 0 {
+		e.observe(p)
+	}
+}
+
+// observe runs every AfterEvent observer, then the AfterSignal ones when
+// p signalled in the event being observed (lowering its bit) or at the
+// time-0 notification (p = -1).
+func (e *Engine) observe(p PID) {
 	for _, f := range e.afterEvent {
+		f(e.now, p)
+	}
+	if len(e.afterSignal) == 0 || p >= 0 && !e.changed[p] {
+		return
+	}
+	if p >= 0 {
+		e.changed[p] = false
+	}
+	for _, f := range e.afterSignal {
 		f(e.now, p)
 	}
 }

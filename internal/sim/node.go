@@ -131,6 +131,17 @@ func (n *Node) OnTimer(tag int) {
 	n.pollAfter(idx)
 }
 
+// SignalsChanges implements Signaller: a node signals when every module
+// does, since any module's output may be the one a probe reads.
+func (n *Node) SignalsChanges() bool {
+	for _, m := range n.modules {
+		if s, ok := m.proc.(Signaller); !ok || !s.SignalsChanges() {
+			return false
+		}
+	}
+	return true
+}
+
 func (n *Node) pollAll() { n.pollAfter(-1) }
 
 // pollAfter polls every Poller in module order after module handled (-1:
@@ -157,13 +168,17 @@ type moduleEnv struct {
 	index int
 }
 
-var _ Environment = (*moduleEnv)(nil)
+var (
+	_ Environment = (*moduleEnv)(nil)
+	_ Signaller   = (*Node)(nil)
+)
 
 func (m *moduleEnv) ID() ident.ID     { return m.node.env.ID() }
 func (m *moduleEnv) N() (int, bool)   { return m.node.env.N() }
 func (m *moduleEnv) Now() Time        { return m.node.env.Now() }
 func (m *moduleEnv) Rand() *rand.Rand { return m.node.env.Rand() }
 func (m *moduleEnv) PID() PID         { return m.node.env.PID() }
+func (m *moduleEnv) Changed()         { m.node.env.Changed() }
 
 func (m *moduleEnv) Broadcast(payload any) {
 	m.node.env.Broadcast(envelope{Module: m.node.modules[m.index].name, Payload: payload})

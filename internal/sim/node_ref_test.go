@@ -101,6 +101,7 @@ func (m *refModuleEnv) N() (int, bool)   { return m.node.env.N() }
 func (m *refModuleEnv) Now() Time        { return m.node.env.Now() }
 func (m *refModuleEnv) Rand() *rand.Rand { return m.node.env.Rand() }
 func (m *refModuleEnv) PID() PID         { return m.node.env.PID() }
+func (m *refModuleEnv) Changed()         { m.node.env.Changed() }
 
 func (m *refModuleEnv) Broadcast(payload any) {
 	env := envelope{Module: m.node.modules[m.index].name, Payload: payload}

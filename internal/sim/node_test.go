@@ -352,6 +352,7 @@ func (nopEnv) SetTimer(Time, int)              {}
 func (nopEnv) Snooze(Time, int, Time)          {}
 func (nopEnv) Note(trace.Kind, string, string) {}
 func (nopEnv) PID() PID                        { return 0 }
+func (nopEnv) Changed()                        {}
 
 // TestNodePollsAfterEvents pins which Pollers a node polls after each kind
 // of event: not the module whose own message or timer it was unless a

@@ -64,8 +64,29 @@ type Environment interface {
 	Snooze(period Time, tag int, until Time)
 	// Note records a custom trace event (decision, detector change).
 	Note(kind trace.Kind, tag, detail string)
+	// Changed tells the engine that the process replaced one of its
+	// outputs during the event being processed. A Signaller calls it in
+	// every event in which an output a probe reads changes; the engine
+	// then runs its AfterSignal observers after the event. A process that
+	// is not a Signaller may call it; no probe relies on it. An
+	// implementation without probes (the live runtime) ignores it.
+	Changed()
 	// PID returns the internal index, for traces and checkers only.
 	PID() PID
+}
+
+// Signaller is implemented by a process that tells the engine when its
+// outputs change. SignalsChanges returning true promises: every output a
+// probe reads of this process changes only inside a call the engine makes
+// into it (Init, OnMessage, OnTimer, OnRecover, a Node's Poll) that also
+// calls Environment.Changed — never with the clock alone, as an oracle's
+// does. A probe whose processes all signal samples each once at time 0
+// and then after each event in which it signalled (fd.NewStreamProbe,
+// Engine.AfterSignal); any other probe samples after every event and at
+// every clock advance. A Node signals when every module does, so its
+// modules are added before a probe over it is built.
+type Signaller interface {
+	SignalsChanges() bool
 }
 
 // Tagger is implemented by payloads that want a message-type tag in traces
@@ -113,6 +134,9 @@ func (e *Env) Snooze(period Time, tag int, until Time) { e.eng.snooze(e.pid, per
 
 // PID implements Environment.
 func (e *Env) PID() PID { return e.pid }
+
+// Changed implements Environment.
+func (e *Env) Changed() { e.eng.changed[e.pid] = true }
 
 // Note implements Environment.
 func (e *Env) Note(kind trace.Kind, tag, detail string) {
