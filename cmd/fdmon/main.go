@@ -11,6 +11,7 @@ import (
 	hds "repro"
 	"repro/internal/cliutil"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -56,15 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // monitor runs the chosen detector and writes its verified report to w.
+// The ohp run is a scenario like hdsim's: its flags fill a trace.Meta and
+// scenario.Resolve states every default and rejection.
 func (o options) monitor(w io.Writer) error {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"gst", o.gst}, {"delta", o.delta}, {"horizon", o.horizon}, {"steps", int64(o.steps)}} {
-		if f.v < 0 {
-			return fmt.Errorf("-%s %d, want >= 0", f.name, f.v)
-		}
-	}
 	sched, err := cliutil.ParseCrashes(o.crashes)
 	if err != nil {
 		return err
@@ -76,14 +71,13 @@ func (o options) monitor(w io.Writer) error {
 	fmt.Fprintf(w, "identity assignment (n=%d, ℓ=%d): %v\n", o.n, o.l, ids)
 	switch o.detector {
 	case "ohp":
-		delta := o.delta
-		if delta == 0 {
-			delta = 3 // δ = 0 would make every post-GST link instantaneous
+		sc, err := scenario.Resolve(&trace.Meta{
+			Algo: "ohp", N: o.n, L: o.l, GST: o.gst, Delta: o.delta, Horizon: o.horizon, Crashes: o.crashes,
+		})
+		if err != nil {
+			return err
 		}
-		e := hds.Experiment{
-			Algo: "ohp", IDs: ids, Crashes: sched, Net: hds.PartialSync{GST: o.gst, Delta: delta}, Horizon: hds.Time(o.horizon),
-		}.WithDefaults()
-		res, err := e.Run(o.seed, nil)
+		res, err := sc.Run(o.seed, nil)
 		if err != nil {
 			return err
 		}
@@ -92,7 +86,7 @@ func (o options) monitor(w io.Writer) error {
 		fmt.Fprintf(w, "  (h_leader, mult) stable:  t=%d → %s\n", res.LeaderStabilization, res.Leader)
 		fmt.Fprintf(w, "  adapted timeouts:         %v\n", res.FinalTimeouts)
 		fmt.Fprintf(w, "  traffic: %d POLLING, %d P_REPLY broadcasts over %d vt\n",
-			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], e.Horizon)
+			res.Stats.ByTag["POLLING"], res.Stats.ByTag["P_REPLY"], sc.Horizon)
 	case "hsigma":
 		crashSteps := make(map[hds.PID]hds.CrashStep, len(sched))
 		for p, at := range sched {

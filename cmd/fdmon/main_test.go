@@ -84,3 +84,34 @@ func TestZeroMeansDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectionMatrix runs the fdmon rows of the rejection matrix that
+// cmd/hdsim's TestRejectionMatrix pins: an ohp input fdmon can spell is
+// resolved by the same scenario.Resolve, so it must fail with the row's
+// body behind fdmon: scenario:, exit 1 and print nothing on stdout.
+func TestRejectionMatrix(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "hdsim", "testdata", "golden", "rejection_matrix.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	rows := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if b, ok := strings.CutPrefix(line, "body:  "); ok {
+			body = b
+		}
+		args, ok := strings.CutPrefix(line, "fdmon: ")
+		if !ok || args == "-" {
+			continue
+		}
+		rows++
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(args), &stdout, &stderr)
+		if want := "fdmon: scenario: " + body + "\n"; code != 1 || stdout.Len() != 0 || stderr.String() != want {
+			t.Errorf("fdmon %s: exit %d, stdout %q, stderr %q; want exit 1, no output and %q", args, code, stdout.String(), stderr.String(), want)
+		}
+	}
+	if rows < 5 {
+		t.Errorf("the matrix has %d fdmon rows, want at least 5", rows)
+	}
+}

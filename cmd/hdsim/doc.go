@@ -30,7 +30,9 @@
 // with ohp, -beaters > n, a negative -period, -horizon, -stabilize, -gst,
 // -delta or -max-events, and any malformed -crashes/-churn/-net/-partition
 // spec, including a NaN or infinite -churn fraction or -net float
-// parameter. -seeds < 1 is rejected the same way.
+// parameter. So is a churn run the algorithm is not stated over: fig8
+// churners plus crashes beyond -t, or a fig9 run with no process
+// eventually up. -seeds < 1 is rejected the same way.
 //
 // heartbeat-only flags: -period sets the beat interval (0 = the default,
 // 10, which is what the header then prints); -beaters caps how
@@ -46,14 +48,16 @@
 // stability across outages, and relayed decisions reporting the round the
 // decision was actually reached in. -crashes may be combined with -churn
 // for additional permanent crashes of non-churning processes (fig8's -t
-// budget covers churners and permanent crashes alike).
+// budget covers churners and permanent crashes alike, and a run over it is
+// rejected before the header).
 //
 // -net selects the delay model (see cliutil.ParseNet): async[:max],
 // psync:gst:delta, timely[:δ], pareto[:α[:cap]], lognormal[:σ[:cap]],
-// alt[:period[:calm]], asym[:skew], lossy[:p[:max]]. It overrides
-// -gst/-delta. Without -net or -gst, ohp runs on its own
-// PartialSync{gst, delta} (-delta 0 meaning 3) rather than the
-// asynchronous default; the header prints the network that runs.
+// alt[:period[:calm]], asym[:skew], lossy[:p[:max]]. Its spec states the
+// network's timing, so an explicit -gst or -delta beside it exits 1 before
+// the header. Without -net, -gst > 0 runs PartialSync{gst, delta}, and so
+// does ohp at any -gst rather than the asynchronous default; -delta 0
+// means 3 on every such network. The header prints the network that runs.
 //
 // -trace FILE streams the run's full event trace to FILE. -trace-format
 // selects the sink: text (the default; one event per line, the canonical

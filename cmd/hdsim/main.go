@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&m.T, "t", 2, "crash bound for fig8 (t < n/2)")
 	fs.StringVar(&m.Crashes, "crashes", "", "crash schedule pid:time[,pid:time...]")
 	fs.StringVar(&m.Churn, "churn", "", "crash-recovery churn fraction[:cycles[:down[:up]]], stagger fixed at 7 (all algorithms; consensus runs the rejoin protocol)")
-	fs.StringVar(&m.Net, "net", "", "network model spec (overrides -gst/-delta; see doc comment)")
+	fs.StringVar(&m.Net, "net", "", "network model spec, which states its own timing: -gst and -delta may not be given beside it (see doc comment)")
 	fs.StringVar(&m.Partitions, "partition", "", "partition schedule from-to@cut[,from-to@cut...]: during [from,to) links crossing pid cut are severed")
 	fs.Int64Var(&m.Seed, "seed", 1, "random seed (first seed of a sweep)")
 	seeds := fs.Int("seeds", 1, "number of consecutive seeds to sweep")
@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&m.Adversary, "adversary", "rotate", "pre-stabilization oracle behaviour: none, rotate, split")
 	fs.StringVar(&m.Detectors, "detectors", "oracle", "oracle, or mp (fig8 only: the Figure 6 stack)")
 	fs.Int64Var(&m.GST, "gst", 0, "network GST (0 = fully asynchronous reliable)")
-	fs.Int64Var(&m.Delta, "delta", 3, "post-GST latency bound")
+	fs.Int64Var(&m.Delta, "delta", 3, "post-GST latency bound (0 = 3)")
 	fs.Int64Var(&m.Horizon, "horizon", 0, "virtual-time horizon (0 = 3000000 for consensus, 5000 for ohp, ten periods for heartbeat)")
 	fs.Int64Var(&m.Period, "period", 15, "heartbeat beat interval (heartbeat only)")
 	fs.IntVar(&m.Beaters, "beaters", 0, "how many processes beat, the rest listen (heartbeat only; 0 = all n)")
@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil {
 		if *replayPath != "" {
 			err = runReplay(*replayPath, stdout)
-		} else {
+		} else if err = timingBesideNet(fs, m.Net); err == nil {
 			err = runLive(m, *seeds, &tr, campaignFlags, stdout)
 		}
 		if perr := stopProfiles(); err == nil {
@@ -76,6 +76,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// timingBesideNet rejects an explicit -gst or -delta beside -net, whose
+// spec states the network's timing itself: the resolver would drop them
+// without a word. Only the flag set can tell an explicit value from a
+// default (-delta's is 3), so the check is here and not in the resolver.
+func timingBesideNet(fs *flag.FlagSet, net string) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if net != "" && err == nil && (f.Name == "gst" || f.Name == "delta") {
+			err = fmt.Errorf("-%s beside -net %s: the network spec states its own timing (psync:gst:delta)", f.Name, net)
+		}
+	})
+	return err
 }
 
 // runLive validates the command line, resolves the scenario — both before

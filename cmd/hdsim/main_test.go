@@ -68,6 +68,9 @@ var grid = []struct {
 	{"ohp_delta0", "-algo ohp -delta 0 -crashes 1:100", true},
 	{"ohp_net", "-algo ohp -n 6 -l 3 -crashes 1:30 -net lognormal:0.7:15 -horizon 12000", true},
 	{"ohp_gst", "-algo ohp -gst 50 -delta 4 -crashes 2:150", true},
+	// -delta 0 means 3 on every PartialSync the resolver builds, GST or
+	// not: it used to reach the network as 0 here and run its own δ = 5.
+	{"ohp_gst_delta0", "-algo ohp -gst 50 -delta 0 -crashes 1:100", true},
 	{"ohp_churn", "-algo ohp -n 12 -l 4 -churn 0.25:2:40:60", true},
 	{"ohp_churn_net", "-algo ohp -n 5 -l 2 -churn 0.4:1 -net psync:0:2", true},
 	{"heartbeat", "-algo heartbeat -n 200 -l 10 -beaters 10 -churn 0.1:1:12:20:0 -horizon 60", true},
@@ -199,8 +202,9 @@ func TestSweepResumeMaxEvents(t *testing.T) {
 // parameter, a sweep of no seeds, a crash PID outside [0, n) and a fig8 t
 // outside [0, n/2) are each a named error before the header, never a
 // default the header does not show, a NaN the run compares against or a
-// failure after the header (stdout, stderr and the exit code are the
-// golden).
+// failure after the header; so is an explicit -gst or -delta beside -net,
+// which the network spec would override without a word (stdout, stderr
+// and the exit code are the golden).
 func TestGoldenSignRejections(t *testing.T) {
 	for name, args := range map[string]string{
 		"reject_period":         "-algo heartbeat -n 20 -l 4 -period -5",
@@ -217,6 +221,7 @@ func TestGoldenSignRejections(t *testing.T) {
 		"reject_trace_buf_huge": "-algo fig9 -n 4 -l 2 -trace x.bin -trace-format binary -trace-buf 4000000000",
 		"reject_crash_pid":      "-algo fig9 -n 5 -l 2 -crashes 9:10",
 		"reject_t_bound":        "-algo fig8 -n 5 -l 2 -t 3",
+		"reject_net_with_gst":   "-algo ohp -net psync:0:2 -gst 40 -delta 6",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(args), &stdout, &stderr)
@@ -325,6 +330,7 @@ func TestRejectsBeforeOutput(t *testing.T) {
 		{"negative max-events", "-max-events -3", "max-events=-3"},
 		{"negative period", "-algo heartbeat -period -5", "period=-5"},
 		{"no seeds", "-seeds 0", "-seeds 0, want >= 1"},
+		{"delta beside net", "-net psync:0:2 -delta 6", "-delta beside -net"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,9 +33,12 @@
 // Figure 6 detector (ohp) and the heartbeat workload are other values of
 // Algo, and crash-recovery churn is the same call with a Churn spec added.
 // Crash-stop is the churn schedule with no recover events, so each
-// algorithm has one run body. RunHSigma, the Figure 7 detector, stays
-// apart: it runs in lock-step synchronous steps, and its crashes are
-// per step with a delivery probability.
+// algorithm has one run body. Experiment.Validate states every rule a
+// description must satisfy before anything runs, the admission of a churn
+// run's fault pattern among them: fig8's t budget over every process that
+// ever crashes, and a non-empty eventually-up set for fig9. RunHSigma, the
+// Figure 7 detector, stays apart: it runs in lock-step synchronous steps,
+// and its crashes are per step with a delivery probability.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable surface and runs experiments.
@@ -249,10 +252,12 @@ type Result struct {
 // the caller owns flushing it. A recorder has one writer, so rec must not
 // be shared by runs that execute concurrently. Run fills the defaults
 // (WithDefaults), and an experiment Validate rejects is not run: Run
-// returns its error with the hds: prefix.
+// returns its error with the hds: prefix. The fault schedule and ground
+// truth validation expands are the ones the run executes and judges.
 func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
 	e = e.WithDefaults()
-	if err := e.Validate(); err != nil {
+	faults, err := e.validate(true)
+	if err != nil {
 		return Result{}, fmt.Errorf("hds: %w", err)
 	}
 	if rec == nil {
@@ -260,12 +265,12 @@ func (e Experiment) Run(seed int64, rec *trace.Recorder) (Result, error) {
 	}
 	switch e.Algo {
 	case "ohp":
-		return runOHP(e, seed, rec)
+		return runOHP(e, faults, seed, rec)
 	case "heartbeat":
-		res, _, err := runHeartbeat(e, seed, rec)
+		res, _, err := runHeartbeat(e, faults, seed, rec)
 		return res, err
 	}
-	return e.bind(seed, rec).run()
+	return e.bind(faults, seed, rec).run()
 }
 
 // WithDefaults returns the experiment with every zero field its algorithm
@@ -343,64 +348,101 @@ func (e Experiment) WithDefaults() Experiment {
 //     or that propose ⊥, and for fig8 a t outside [0, n/2);
 //   - a fault schedule FaultSchedule rejects: a process both churned and
 //     crashed, a last event not before the horizon;
+//   - a churn run whose fault pattern the algorithm is not stated over:
+//     for fig8, more processes that ever crash, churners and crash-stop
+//     alike, than its t budget (the paper's HAS[t < n/2, HΩ] under the
+//     strict "correct = never crashes" reading); for fig9 and fig9-anon,
+//     an empty eventually-up set, which leaves nothing to decide;
 //   - a partition network whose cut does not split the n processes or
 //     that is still open at the horizon (sim.Partition.Check).
 //
-// Horizons are judged as WithDefaults fills them. Its cost is O(n + the
-// fault schedule's events), negligible beside any run, so a driver calls
-// it to reject a description before it prints or creates anything.
+// Horizons are judged as WithDefaults fills them. The admission rules
+// read the ground truth, which Validate builds for a churn consensus run
+// only. Its cost is O(n) plus a sort of the fault schedule's events,
+// negligible beside any run, so a command calls it to reject a description
+// before it prints or creates anything.
 func (e Experiment) Validate() error {
+	_, err := e.validate(false)
+	return err
+}
+
+// faultPattern is what validation expands of an experiment: the schedule
+// the engine executes and, where it was built, the ground truth the
+// checkers judge against.
+type faultPattern struct {
+	schedule []ChurnEvent
+	truth    *fd.GroundTruth
+}
+
+// validate is Validate, returning the fault pattern it expanded. It builds
+// the ground truth when withTruth is set (Run, which runs on it) or when a
+// churn admission rule reads it, and only then.
+func (e Experiment) validate(withTruth bool) (faultPattern, error) {
+	var fp faultPattern
 	switch e.Algo {
 	case "fig8", "fig9", "fig9-anon", "ohp", "heartbeat":
 	default:
-		return fmt.Errorf("unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
+		return fp, fmt.Errorf("unknown algorithm %q (want fig8, fig9, fig9-anon, ohp or heartbeat)", e.Algo)
 	}
 	for _, f := range []struct {
 		name string
 		v    int64
 	}{{"period", e.Period}, {"horizon", e.Horizon}, {"stabilize", e.Stabilize}, {"max-events", int64(e.MaxEvents)}, {"beaters", int64(e.Beaters)}} {
 		if f.v < 0 {
-			return fmt.Errorf("%s=%d, want >= 0", f.name, f.v)
+			return fp, fmt.Errorf("%s=%d, want >= 0", f.name, f.v)
 		}
 	}
 	if f := e.Churn.Fraction; math.IsNaN(f) || math.IsInf(f, 0) {
-		return fmt.Errorf("churn fraction %v, want a finite value", f)
+		return fp, fmt.Errorf("churn fraction %v, want a finite value", f)
 	}
 	churn := e.Churn.Fraction > 0
 	switch {
 	case e.Algo == "heartbeat" && len(e.Crashes) > 0:
-		return fmt.Errorf("heartbeat takes a churn spec, not crashes")
+		return fp, fmt.Errorf("heartbeat takes a churn spec, not crashes")
 	case e.Algo == "ohp" && churn && len(e.Crashes) > 0:
-		return fmt.Errorf("ohp takes either a churn spec or crashes, not both")
+		return fp, fmt.Errorf("ohp takes either a churn spec or crashes, not both")
 	case e.Algo != "fig8" && e.Detectors == MessagePassingDetectors:
-		return fmt.Errorf("message-passing detectors stack Figure 6 under fig8 only, not %q", e.Algo)
+		return fp, fmt.Errorf("message-passing detectors stack Figure 6 under fig8 only, not %q", e.Algo)
 	}
 	if err := checkCrashes(e.IDs, e.Crashes); err != nil {
-		return err
+		return fp, err
 	}
 	n := e.IDs.N()
 	if e.Beaters > n {
-		return fmt.Errorf("beaters=%d exceeds n=%d: at most every process can beat", e.Beaters, n)
+		return fp, fmt.Errorf("beaters=%d exceeds n=%d: at most every process can beat", e.Beaters, n)
 	}
 	if e.Proposals != nil && len(e.Proposals) != n {
-		return fmt.Errorf("%d proposals for %d processes", len(e.Proposals), n)
+		return fp, fmt.Errorf("%d proposals for %d processes", len(e.Proposals), n)
 	}
 	for i, v := range e.Proposals {
 		if v == core.Bottom {
-			return fmt.Errorf("process %d proposes the reserved ⊥ value", i)
+			return fp, fmt.Errorf("process %d proposes the reserved ⊥ value", i)
 		}
 	}
 	if e.Algo == "fig8" && (e.T < 0 || 2*e.T >= n) {
-		return fmt.Errorf("Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
+		return fp, fmt.Errorf("Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
 	}
 	horizon := e.WithDefaults().Horizon
-	if _, err := FaultSchedule(e.IDs, e.Churn, e.Crashes, horizon); err != nil {
-		return err
+	var err error
+	if fp.schedule, err = FaultSchedule(e.IDs, e.Churn, e.Crashes, horizon); err != nil {
+		return fp, err
+	}
+	admission := churn && (e.Algo == "fig8" || e.Algo == "fig9" || e.Algo == "fig9-anon")
+	if withTruth || admission {
+		fp.truth = fd.NewGroundTruthFromChurn(e.IDs, fp.schedule)
+	}
+	if admission {
+		if faulty := len(fp.truth.Faulty()); e.Algo == "fig8" && faulty > e.T {
+			return fp, fmt.Errorf("churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", faulty, e.T)
+		}
+		if len(fp.truth.EventuallyUp()) == 0 {
+			return fp, fmt.Errorf("no process is eventually up — nothing can decide")
+		}
 	}
 	if p, ok := e.Net.(sim.Partition); ok {
-		return p.Check(n, horizon)
+		return fp, p.Check(n, horizon)
 	}
-	return nil
+	return fp, nil
 }
 
 // checkCrashes rejects an invalid assignment and a crash schedule that
@@ -425,9 +467,10 @@ func checkCrashes(ids Assignment, crashes map[PID]Time) error {
 }
 
 // bind binds a consensus experiment, validated and with its defaults
-// filled, to its engine configuration.
-func (e Experiment) bind(seed int64, rec *trace.Recorder) consensusRun {
-	return consensusRun{e, sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, KnownN: e.Algo == "fig8", MaxEvents: e.MaxEvents, Recorder: rec}}
+// filled, to the fault pattern its validation built and its engine
+// configuration.
+func (e Experiment) bind(faults faultPattern, seed int64, rec *trace.Recorder) consensusRun {
+	return consensusRun{e, faults, sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, KnownN: e.Algo == "fig8", MaxEvents: e.MaxEvents, Recorder: rec}}
 }
 
 // decider is what the run body needs from a consensus instance.
@@ -437,25 +480,12 @@ type decider interface {
 	InvariantErr() error
 }
 
-// consensusRun is a validated consensus experiment and the engine
-// configuration it runs with.
+// consensusRun is a validated consensus experiment, its fault pattern and
+// the engine configuration it runs with.
 type consensusRun struct {
 	Experiment
-	cfg sim.Config
-}
-
-// admit vets the fault pattern of a churn run: Fig. 8's t budget, Fig. 9's
-// non-empty eventually-up set. It judges the ground truth the run builds,
-// so it runs there rather than in Validate.
-func (r consensusRun) admit(truth *fd.GroundTruth) error {
-	if r.Algo == "fig8" {
-		if crashed := len(truth.CrashTimes); crashed > r.T {
-			return fmt.Errorf("hds: churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, r.T)
-		}
-	} else if len(truth.EventuallyUp()) == 0 {
-		return fmt.Errorf("hds: no process is eventually up — nothing can decide")
-	}
-	return nil
+	faults faultPattern
+	cfg    sim.Config
 }
 
 // stack puts a process's detectors on its node and returns its consensus
@@ -486,23 +516,15 @@ func (r consensusRun) stack(world *oracle.World, node *sim.Node, proposal Value)
 // run is the one consensus body. Crash-stop is the churn schedule with no
 // recover events, so both go through the same fault pattern, engine
 // schedule and until-predicate; what a churn spec adds is
-// decided here from r.Churn alone: the admit check, the stabilization
-// default, decision-stability monitoring, the engine-vs-truth cross-check, and
+// decided here from r.Churn alone: the stabilization default,
+// decision-stability monitoring, the engine-vs-truth cross-check, and
 // Termination over "eventually-up" instead of "correct" processes.
 func (r consensusRun) run() (Result, error) {
 	ids := r.IDs
 	churn := r.Churn.Fraction > 0
-	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
-	if err != nil {
-		return Result{}, err
-	}
-	if churn {
-		if err := r.admit(truth); err != nil {
-			return Result{}, err
-		}
-		if r.Stabilize == 0 {
-			r.Stabilize = truth.LastChange() + 50
-		}
+	schedule, truth := r.faults.schedule, r.faults.truth
+	if churn && r.Stabilize == 0 {
+		r.Stabilize = truth.LastChange() + 50
 	}
 
 	eng := sim.New(r.cfg)

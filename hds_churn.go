@@ -75,13 +75,10 @@ var (
 // lazy fan-out path. Complete runs are also judged for delivery liveness,
 // read off the same counters (see VerifyHeartbeat). It also returns every
 // process's delivery counter (the differential test compares them one by
-// one). e is validated, with its defaults filled (Experiment.Run).
-func runHeartbeat(e Experiment, seed int64, rec *trace.Recorder) (Result, func(PID) int, error) {
-	n, beaters := e.IDs.N(), e.Beaters
-	schedule, truth, err := FaultPattern(e.IDs, e.Churn, nil, e.Horizon)
-	if err != nil {
-		return Result{}, nil, err
-	}
+// one). e is validated, with its defaults filled, and faults is the fault
+// pattern its validation built (Experiment.Run).
+func runHeartbeat(e Experiment, faults faultPattern, seed int64, rec *trace.Recorder) (Result, func(PID) int, error) {
+	n, beaters, truth := e.IDs.N(), e.Beaters, faults.truth
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	// Two slabs, not n objects. A wave visits recipients in ascending pid
 	// order and bumps one counter each; the listeners' counters are eight
@@ -102,7 +99,7 @@ func runHeartbeat(e Experiment, seed int64, rec *trace.Recorder) (Result, func(P
 		}
 		return int(listeners[int(p)-beaters])
 	}
-	eng.ApplyChurn(schedule)
+	eng.ApplyChurn(faults.schedule)
 
 	eng.Run(e.Horizon)
 	complete := eng.Stopped() != sim.StopMaxEvents

@@ -251,7 +251,11 @@ func TestHeartbeatMatchesReference(t *testing.T) {
 		if reference {
 			o.res, o.heard, o.err = refRunHeartbeat(e, seed, rec)
 		} else {
-			o.res, o.heard, o.err = runHeartbeat(e.WithDefaults(), seed, rec)
+			e = e.WithDefaults()
+			faults, err := e.validate(true)
+			if o.err = err; err == nil {
+				o.res, o.heard, o.err = runHeartbeat(e, faults, seed, rec)
+			}
 		}
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)

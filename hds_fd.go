@@ -19,20 +19,17 @@ import (
 // with no recoveries — and reports stabilization times and costs
 // (experiments E6/E7/E18/E19). Under churn it also cross-checks the
 // engine's incremental fault bookkeeping against the schedule-derived truth.
-// e is validated, with its defaults filled (Experiment.Run).
-func runOHP(e Experiment, seed int64, rec *trace.Recorder) (Result, error) {
-	n := e.IDs.N()
-	schedule, truth, err := FaultPattern(e.IDs, e.Churn, e.Crashes, e.Horizon)
-	if err != nil {
-		return Result{}, err
-	}
+// e is validated, with its defaults filled, and faults is the fault
+// pattern its validation built (Experiment.Run).
+func runOHP(e Experiment, faults faultPattern, seed int64, rec *trace.Recorder) (Result, error) {
+	n, truth := e.IDs.N(), faults.truth
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	dets := make([]*ohp.Detector, n)
 	for i := range dets {
 		dets[i] = ohp.New()
 		eng.AddProcess(dets[i])
 	}
-	eng.ApplyChurn(schedule)
+	eng.ApplyChurn(faults.schedule)
 	// The trusted probe samples the detector's shared output: no clone on
 	// the sampling path (fd.DiamondHPbar's contract: OnTimer replaces
 	// h_trusted wholesale, so stored views are never mutated after

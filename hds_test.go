@@ -343,7 +343,8 @@ func TestRunRejectsOutOfRangeValues(t *testing.T) {
 
 // TestCrashAtOrAfterHorizonRejected: a crash-stop crash the run never
 // reaches is rejected, not written into the ground truth as if it had
-// happened — by FaultPattern, and so by every runner that builds on it.
+// happened — by FaultSchedule, which FaultPattern and Experiment.Validate
+// (and so every runner) build on.
 func TestCrashAtOrAfterHorizonRejected(t *testing.T) {
 	ids := BalancedIDs(5, 2)
 	for _, at := range []Time{5000, 9000} {

@@ -49,17 +49,9 @@ type refOutcome struct {
 func (r consensusRun) refRun() refOutcome {
 	ids := r.IDs
 	churn := r.Churn.Fraction > 0
-	schedule, truth, err := FaultPattern(ids, r.Churn, r.Crashes, r.Horizon)
-	if err != nil {
-		return refOutcome{err: err}
-	}
-	if churn {
-		if err := r.admit(truth); err != nil {
-			return refOutcome{err: err}
-		}
-		if r.Stabilize == 0 {
-			r.Stabilize = truth.LastChange() + 50
-		}
+	schedule, truth := r.faults.schedule, r.faults.truth
+	if churn && r.Stabilize == 0 {
+		r.Stabilize = truth.LastChange() + 50
 	}
 
 	eng := sim.New(r.cfg)
@@ -271,10 +263,12 @@ func TestUntilDecidedMatchesScan(t *testing.T) {
 	for _, c := range cases {
 		refSink := &digestSink{h: sha256.New()}
 		refRec := trace.NewSpillRecorder(refSink, 0)
-		if err := c.e.Validate(); err != nil {
+		e := c.e.WithDefaults()
+		faults, err := e.validate(true)
+		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want := c.e.WithDefaults().bind(c.seed, refRec).refRun()
+		want := e.bind(faults, c.seed, refRec).refRun()
 		if err := refRec.Flush(); err != nil {
 			t.Fatal(err)
 		}

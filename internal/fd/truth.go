@@ -1,7 +1,9 @@
 package fd
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ident"
@@ -35,16 +37,20 @@ type Interval struct {
 //     detector can only converge to what is eventually permanently up);
 //     in crash-stop executions it equals Correct.
 //
+// The outages are held by the faulty processes alone, in ascending PID
+// order: faulty[i]'s intervals are down[first[i]:first[i+1]]. A run of
+// n = 50,000 with no crash keeps no per-process index, and the O(faulty)
+// queries (AliveCountAt, LastChange, LastCrashTime) walk flat slices.
+//
 // The fault pattern is fixed for the whole execution, so the derived views
 // are computed once and shared: callers must treat the returned slices and
 // multisets as read-only.
 type GroundTruth struct {
 	IDs ident.Assignment
-	// CrashTimes holds the first crash time of each process that crashes
-	// at least once; processes absent from it are correct.
-	CrashTimes map[sim.PID]sim.Time
-	// Down holds each process's outage intervals, sorted by From.
-	Down map[sim.PID][]Interval
+
+	faulty []sim.PID
+	first  []int
+	down   []Interval
 
 	correct      []sim.PID
 	eventuallyUp []sim.PID
@@ -54,37 +60,40 @@ type GroundTruth struct {
 }
 
 // NewGroundTruth builds a crash-stop ground truth for the assignment with
-// the given crash schedule: every crash is final.
+// the given crash schedule: every crash is final. It is
+// NewGroundTruthFromChurn's case with no recover events.
 func NewGroundTruth(ids ident.Assignment, crashTimes map[sim.PID]sim.Time) *GroundTruth {
-	down := make(map[sim.PID][]Interval, len(crashTimes))
-	for p, t := range crashTimes {
-		down[p] = []Interval{{From: t, To: Forever}}
+	evs := make([]sim.ChurnEvent, 0, len(crashTimes))
+	for _, p := range slices.Sorted(maps.Keys(crashTimes)) {
+		evs = append(evs, sim.ChurnEvent{P: p, At: crashTimes[p]})
 	}
-	return newGroundTruth(ids, down)
+	return NewGroundTruthFromChurn(ids, evs)
 }
 
 // NewGroundTruthFromChurn builds a crash-recovery ground truth from the
 // same schedule the engine executes (sim.ChurnSpec.Events, or a hand-built
-// slice of crash/recover entries). A recover entry for an up process is
-// ignored and consecutive crashes merge, mirroring the engine's semantics.
+// slice of crash/recover entries, in any order; evs is not modified). A
+// recover entry for an up process is ignored and consecutive crashes
+// merge, mirroring the engine's semantics. Its cost is O(n) plus a sort
+// of the events.
 func NewGroundTruthFromChurn(ids ident.Assignment, evs []sim.ChurnEvent) *GroundTruth {
-	byProc := make(map[sim.PID][]sim.ChurnEvent)
-	for _, ev := range evs {
-		byProc[ev.P] = append(byProc[ev.P], ev)
-	}
-	down := make(map[sim.PID][]Interval, len(byProc))
-	//detlint:ignore maprange per-key build: each process's intervals derive only from its own (locally sorted) events, written under its own key
-	for p, pevs := range byProc {
-		sort.SliceStable(pevs, func(i, j int) bool { return pevs[i].At < pevs[j].At })
-		var ivs []Interval
-		open := false
-		for _, ev := range pevs {
-			switch {
+	evs = slices.Clone(evs)
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].P != evs[j].P {
+			return evs[i].P < evs[j].P
+		}
+		return evs[i].At < evs[j].At
+	})
+	g := &GroundTruth{IDs: ids, first: []int{0}}
+	for i := 0; i < len(evs); {
+		p, from, open := evs[i].P, len(g.down), false
+		for ; i < len(evs) && evs[i].P == p; i++ {
+			switch ev := evs[i]; {
 			case !ev.Recover && !open:
-				ivs = append(ivs, Interval{From: ev.At, To: Forever})
+				g.down = append(g.down, Interval{From: ev.At, To: Forever})
 				open = true
 			case ev.Recover && open:
-				ivs[len(ivs)-1].To = ev.At
+				g.down[len(g.down)-1].To = ev.At
 				open = false
 			}
 		}
@@ -93,50 +102,44 @@ func NewGroundTruthFromChurn(ids ident.Assignment, evs []sim.ChurnEvent) *Ground
 		// sticky everCrashed excludes the process from CorrectSet, and so
 		// must the truth), even though no AliveAt sample can observe the
 		// outage (From <= t < To never holds for an empty interval).
-		if len(ivs) > 0 {
-			down[p] = ivs
+		if len(g.down) > from {
+			g.faulty = append(g.faulty, p)
+			g.first = append(g.first, len(g.down))
 		}
-	}
-	return newGroundTruth(ids, down)
-}
-
-func newGroundTruth(ids ident.Assignment, down map[sim.PID][]Interval) *GroundTruth {
-	g := &GroundTruth{
-		IDs:        ids,
-		CrashTimes: make(map[sim.PID]sim.Time, len(down)),
-		Down:       down,
-	}
-	for p, ivs := range down {
-		g.CrashTimes[p] = ivs[0].From
 	}
 	g.derive()
 	return g
 }
 
 // derive precomputes the execution-constant views; it runs once from the
-// constructors.
+// constructors. The expected leader is the smallest eventually-up
+// identifier, found by a scan in PID order.
 func (g *GroundTruth) derive() {
 	n := g.IDs.N()
 	g.correct, g.eventuallyUp = nil, nil
+	j := 0 // the first faulty process not below p
 	for p := 0; p < n; p++ {
-		ivs := g.Down[sim.PID(p)]
-		if len(ivs) == 0 {
+		for j < len(g.faulty) && g.faulty[j] < sim.PID(p) {
+			j++
+		}
+		if j == len(g.faulty) || g.faulty[j] != sim.PID(p) {
 			g.correct = appendPID(g.correct, p, n)
 			g.eventuallyUp = appendPID(g.eventuallyUp, p, n)
-			continue
-		}
-		if ivs[len(ivs)-1].To != Forever {
+		} else if g.down[g.first[j+1]-1].To != Forever {
 			g.eventuallyUp = appendPID(g.eventuallyUp, p, n)
 		}
 	}
 	g.euIDs = multiset.New[ident.ID]()
+	g.leader, g.leaderOK = LeaderInfo{}, false
 	for _, p := range g.eventuallyUp {
-		g.euIDs.Add(g.IDs[p])
-	}
-	if id, ok := g.euIDs.Min(); ok {
-		g.leader, g.leaderOK = LeaderInfo{ID: id, Multiplicity: g.euIDs.Count(id)}, true
-	} else {
-		g.leader, g.leaderOK = LeaderInfo{}, false
+		id := g.IDs[p]
+		g.euIDs.Add(id)
+		switch {
+		case !g.leaderOK || id < g.leader.ID:
+			g.leader, g.leaderOK = LeaderInfo{ID: id, Multiplicity: 1}, true
+		case id == g.leader.ID:
+			g.leader.Multiplicity++
+		}
 	}
 }
 
@@ -171,23 +174,38 @@ func (g *GroundTruth) EventuallyUp() []sim.PID {
 	return g.eventuallyUp
 }
 
+// Faulty returns the indexes of processes that crash at least once,
+// recovered or not, in ascending order. The slice is shared; callers must
+// not mutate it.
+func (g *GroundTruth) Faulty() []sim.PID { return g.faulty }
+
+// Down returns p's outage intervals, sorted by From; nil when p never
+// crashes. The slice is shared; callers must not mutate it.
+func (g *GroundTruth) Down(p sim.PID) []Interval {
+	i, ok := slices.BinarySearch(g.faulty, p)
+	if !ok {
+		return nil
+	}
+	return g.down[g.first[i]:g.first[i+1]:g.first[i+1]]
+}
+
 // IsCorrect reports whether p never crashes in this execution.
 func (g *GroundTruth) IsCorrect(p sim.PID) bool {
-	return len(g.Down[p]) == 0
+	return len(g.Down(p)) == 0
 }
 
 // IsEventuallyUp reports whether p is up from some point on.
 func (g *GroundTruth) IsEventuallyUp(p sim.PID) bool {
-	ivs := g.Down[p]
+	ivs := g.Down(p)
 	return len(ivs) == 0 || ivs[len(ivs)-1].To != Forever
 }
 
-// downAt reports whether p is down at time t. A process crashing at t is
-// down at exactly t (matching the simulator, which processes crashes
+// downIn reports whether one of ivs holds time t. A process crashing at t
+// is down at exactly t (matching the simulator, which processes crashes
 // before deliveries at equal times only by sequence order — checkers use
 // it with ±1 slack); a process recovering at t is up at t.
-func (g *GroundTruth) downAt(p sim.PID, t sim.Time) bool {
-	for _, iv := range g.Down[p] {
+func downIn(ivs []Interval, t sim.Time) bool {
+	for _, iv := range ivs {
 		if iv.From <= t && t < iv.To {
 			return true
 		}
@@ -199,7 +217,7 @@ func (g *GroundTruth) downAt(p sim.PID, t sim.Time) bool {
 func (g *GroundTruth) AliveAt(t sim.Time) []sim.PID {
 	var out []sim.PID
 	for p := 0; p < g.IDs.N(); p++ {
-		if !g.downAt(sim.PID(p), t) {
+		if !downIn(g.Down(sim.PID(p)), t) {
 			out = append(out, sim.PID(p))
 		}
 	}
@@ -209,9 +227,8 @@ func (g *GroundTruth) AliveAt(t sim.Time) []sim.PID {
 // AliveCountAt returns |AliveAt(t)| without building the slice.
 func (g *GroundTruth) AliveCountAt(t sim.Time) int {
 	n := g.IDs.N()
-	//detlint:ignore maprange commutative count: downAt is a pure read of immutable intervals and n-- folds order-independently
-	for p := range g.Down {
-		if g.downAt(p, t) {
+	for i := range g.faulty {
+		if downIn(g.down[g.first[i]:g.first[i+1]], t) {
 			n--
 		}
 	}
@@ -228,12 +245,8 @@ func (g *GroundTruth) EventuallyUpIDs() *multiset.Multiset[ident.ID] {
 // LastCrashTime returns the time of the last crash (0 if none).
 func (g *GroundTruth) LastCrashTime() sim.Time {
 	var last sim.Time
-	for _, ivs := range g.Down {
-		for _, iv := range ivs {
-			if iv.From > last {
-				last = iv.From
-			}
-		}
+	for _, iv := range g.down {
+		last = max(last, iv.From)
 	}
 	return last
 }
@@ -243,14 +256,10 @@ func (g *GroundTruth) LastCrashTime() sim.Time {
 // it; churn checkers use it as the re-stabilization baseline.
 func (g *GroundTruth) LastChange() sim.Time {
 	var last sim.Time
-	for _, ivs := range g.Down {
-		for _, iv := range ivs {
-			if iv.From > last {
-				last = iv.From
-			}
-			if iv.To != Forever && iv.To > last {
-				last = iv.To
-			}
+	for _, iv := range g.down {
+		last = max(last, iv.From)
+		if iv.To != Forever {
+			last = max(last, iv.To)
 		}
 	}
 	return last

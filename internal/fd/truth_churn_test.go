@@ -88,8 +88,8 @@ func TestChurnTruthTimesAndCounts(t *testing.T) {
 		t.Fatalf("LastChange = %d, want 40", got)
 	}
 	recoveries := 0
-	for _, ivs := range g.Down {
-		for _, iv := range ivs {
+	for _, p := range g.Faulty() {
+		for _, iv := range g.Down(p) {
 			if iv.To != Forever {
 				recoveries++
 			}

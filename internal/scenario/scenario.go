@@ -34,14 +34,14 @@ type Scenario struct {
 
 // Resolve turns a scenario fingerprint into runnable terms. The driver's
 // own choices are made here: the base network is Async{MaxDelay: 8},
-// -gst>0 switches to PartialSync{gst, delta}, ohp without -net/-gst runs
-// on its own PartialSync{gst, delta} (δ=0 meaning 3), an explicit -net
-// spec overrides all of that, partitions wrap the result, and consensus
-// runs to 3,000,000 by default. Every other default is the experiment's
+// -gst>0 or ohp switches to PartialSync{gst, delta}, δ=0 meaning 3 on
+// every PartialSync it builds, an explicit -net spec overrides all of
+// that, partitions wrap the result, and consensus runs to 3,000,000 by
+// default. Every other default is the experiment's
 // (hds.Experiment.WithDefaults), and every inadmissible value is rejected
 // by Validate, before anything is printed, created or run. Beyond the
-// identifier assignment its cost grows with n only through Validate's
-// expansion of the fault schedule, which is O(its events).
+// identifier assignment its cost grows with n only through Validate's,
+// which is O(n) plus a sort of the fault schedule's events.
 func Resolve(m *trace.Meta) (*Scenario, error) {
 	if m == nil {
 		return nil, fmt.Errorf("scenario: trace carries no scenario metadata (recorded by an older hdsim?)")
@@ -77,13 +77,10 @@ func Resolve(m *trace.Meta) (*Scenario, error) {
 	}
 
 	var base sim.Model = sim.Async{MaxDelay: 8}
-	switch {
-	case m.GST > 0:
-		base = sim.PartialSync{GST: hds.Time(m.GST), Delta: hds.Time(m.Delta)}
-	case m.Algo == "ohp":
+	if m.GST > 0 || m.Algo == "ohp" {
 		delta := hds.Time(m.Delta)
 		if delta == 0 {
-			delta = 3
+			delta = 3 // δ = 0 would make every post-GST link instantaneous
 		}
 		base = sim.PartialSync{GST: hds.Time(m.GST), Delta: delta}
 	}
