@@ -47,6 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if err := unreadFlag(fs, o.detector); err != nil {
+		fmt.Fprintf(stderr, "fdmon: %v\n", err)
+		return 1
+	}
 	var report bytes.Buffer // reaches stdout only once the run is verified
 	if err := o.monitor(&report); err != nil {
 		fmt.Fprintf(stderr, "fdmon: %v\n", err)
@@ -54,6 +58,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	stdout.Write(report.Bytes())
 	return 0
+}
+
+// unreadFlag rejects an explicit flag that the chosen detector does not
+// read — -steps beside ohp; -gst, -delta or -horizon beside hsigma — which
+// the run would drop without a word. Only the flag set can tell an
+// explicit value from a default, so the check is on the flags, as
+// cmd/hdsim's timingBesideNet is.
+func unreadFlag(fs *flag.FlagSet, detector string) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		unread := false
+		switch detector {
+		case "ohp":
+			unread = f.Name == "steps"
+		case "hsigma":
+			unread = f.Name == "gst" || f.Name == "delta" || f.Name == "horizon"
+		}
+		if unread && err == nil {
+			err = fmt.Errorf("-%s beside -detector %s, which does not read it", f.Name, detector)
+		}
+	})
+	return err
 }
 
 // monitor runs the chosen detector and writes its verified report to w.

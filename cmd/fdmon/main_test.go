@@ -17,8 +17,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // default (the report prints the horizon and step count the run used), and
 // on the inputs it must reject with a named error: ℓ > n used to panic in
 // ident.Balanced, a crash PID ≥ n died with an index out of range in the
-// synchronous engine, and a negative -gst, -delta or -horizon used to run
-// and verify. A deliberate change regenerates the files with
+// synchronous engine, a negative -gst, -delta or -horizon used to run and
+// verify, and a flag only the other detector reads (-steps beside ohp,
+// -gst, -delta or -horizon beside hsigma) used to be dropped without a
+// word. A deliberate change regenerates the files with
 // `go test ./cmd/fdmon -update`.
 func TestGolden(t *testing.T) {
 	cases := []struct {
@@ -40,6 +42,8 @@ func TestGolden(t *testing.T) {
 		{"horizon_zero", "-horizon 0"},
 		{"hsigma_steps_zero", "-detector hsigma -steps 0 -crashes="},
 		{"unknown_flag", "-frobnicate"},
+		{"hsigma_with_ohp_flags", "-detector hsigma -horizon -5 -gst -3"},
+		{"ohp_with_steps", "-steps -3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

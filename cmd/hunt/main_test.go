@@ -62,6 +62,19 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestWorkersIdentity: a batch starts its longest scenarios first
+// (Scenario.runCost), and the campaign log still comes out in input
+// order, the golden's, at one, two and four workers.
+func TestWorkersIdentity(t *testing.T) {
+	want := golden(t, "budget30_seed1")
+	for _, w := range []string{"1", "2", "4"} {
+		stdout, stderr, code := huntCmd(t, "-budget", "30", "-seed", "1", "-workers", w)
+		if code != 0 || stdout != want {
+			t.Errorf("-workers %s: exit %d (stderr %q), stdout differs from budget30_seed1: %t", w, code, stderr, stdout != want)
+		}
+	}
+}
+
 // TestReplayDrift: a corpus entry whose pinned verdict no longer matches
 // is named on stdout, counted on stderr, and exits 1 — after every other
 // entry was still replayed.

@@ -95,22 +95,29 @@ func E3AliveList() (Table, error) {
 			eng.AddProcess(dets[i])
 		}
 		eng.CrashSchedule(cfg.crashes)
-		probe := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
-			return dets[p].Alive(), true
+		lists := newListReader(cfg.n)
+		lists.probe = fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
+			return lists.read(p, dets[p].AppendAlive), true
 		}, slices.Equal[[]ident.ID])
+		probe := lists.probe
 		// Prefix probe: the sorted set of the first |Correct| identifiers,
 		// whose last change is the meaningful stabilization instant.
 		truth := fd.NewGroundTruth(ids, cfg.crashes)
 		k := len(truth.Correct())
-		prefix := fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
-			a := dets[p].Alive()
-			if len(a) < k {
+		tops := newListReader(cfg.n)
+		var scratch []ident.ID
+		tops.probe = fd.NewStreamProbe(eng, cfg.n, func(p sim.PID) ([]ident.ID, bool) {
+			scratch = dets[p].AppendAlive(scratch[:0])
+			if len(scratch) < k {
 				return nil, false
 			}
-			top := append([]ident.ID(nil), a[:k]...)
-			slices.Sort(top)
-			return top, true
+			return tops.read(p, func(dst []ident.ID) []ident.ID {
+				dst = append(dst, scratch[:k]...)
+				slices.Sort(dst)
+				return dst
+			}), true
 		}, slices.Equal[[]ident.ID])
+		prefix := tops.probe
 		eng.Run(1200)
 		_, err := fd.CheckAliveList(truth, probe)
 		var prefixStable sim.Time
@@ -125,6 +132,35 @@ func E3AliveList() (Table, error) {
 		}
 	})
 	return t, err
+}
+
+// listReader feeds a StreamProbe of identifier lists without allocating
+// a list per read. Each process has two buffers: the probe holds one as
+// its last accepted value, and read fills the other. A read equal to the
+// held list is handed over and stored nowhere (Feed keeps the held one); a
+// changed read is the one Feed accepts, so the two buffers swap roles. A
+// read therefore never writes into the list the probe holds. The probe
+// must have no observer that keeps samples.
+type listReader struct {
+	probe *fd.StreamProbe[[]ident.ID]
+	bufs  [][2][]ident.ID
+	held  []uint8
+}
+
+func newListReader(n int) *listReader {
+	return &listReader{bufs: make([][2][]ident.ID, n), held: make([]uint8, n)}
+}
+
+// read fills p's spare buffer through fill, which appends the list to the
+// empty slice it is given and returns it, and returns the list.
+func (r *listReader) read(p sim.PID, fill func(dst []ident.ID) []ident.ID) []ident.ID {
+	spare := 1 - r.held[p]
+	v := fill(r.bufs[p][spare][:0])
+	r.bufs[p][spare] = v
+	if last, ok := r.probe.Last(p); !ok || !slices.Equal(last, v) {
+		r.held[p] = spare
+	}
+	return v
 }
 
 // E4HSigmaToSigma measures Figure 4 (HΣ→Σ via 𝔈): the emulated Σ detector

@@ -84,3 +84,10 @@ func (d *Detector) Alive() []ident.ID {
 	copy(out, d.alive)
 	return out
 }
+
+// AppendAlive appends the current list, first position first, to dst and
+// returns the extended slice: Alive without the allocation, for a reader
+// that reuses its buffer.
+func (d *Detector) AppendAlive(dst []ident.ID) []ident.ID {
+	return append(dst, d.alive...)
+}

@@ -147,8 +147,8 @@ func (d *Detector) OnTimer(tag int) {
 	}
 	tmp := d.gather
 	tmp.Reset()
-	for _, rep := range d.pending {
-		if rep.From <= d.round && d.round <= rep.To {
+	for i := range d.pending {
+		if rep := &d.pending[i]; rep.From <= d.round && d.round <= rep.To {
 			tmp.Add(rep.Sender)
 		}
 	}
@@ -159,14 +159,20 @@ func (d *Detector) OnTimer(tag int) {
 	d.hasOut = true
 	d.round++
 
-	// Prune replies that can no longer cover any round >= d.round.
-	kept := d.pending[:0]
-	for _, rep := range d.pending {
-		if rep.To >= d.round {
-			kept = append(kept, rep)
+	// Prune replies that can no longer cover any round >= d.round. The
+	// replies before the first pruned one stay where they are; only those
+	// after it move.
+	kept := 0
+	for kept < len(d.pending) && d.pending[kept].To >= d.round {
+		kept++
+	}
+	for i := kept + 1; i < len(d.pending); i++ {
+		if d.pending[i].To >= d.round {
+			d.pending[kept] = d.pending[i]
+			kept++
 		}
 	}
-	d.pending = kept
+	d.pending = d.pending[:kept]
 
 	d.env.Broadcast(Polling{Round: d.round, ID: d.id})
 	d.env.SetTimer(d.timeout, d.epoch)

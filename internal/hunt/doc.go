@@ -12,10 +12,12 @@
 //     master seed, consumed sequentially while batches are *assembled* —
 //     never inside workers — so the mutant stream is independent of
 //     parallelism.
-//   - Batches execute through sweep.Map, whose results arrive in input
-//     order at any worker count; the campaign log is written only from
-//     that ordered stream. Two campaigns with the same master seed and
-//     budget therefore produce byte-identical find/shrink logs.
+//   - Batches execute through sweep.MapOpt, whose results arrive in
+//     input order at any worker count and whatever order its Cost hint
+//     (Scenario.runCost: longest first) starts them in; the campaign log
+//     is written only from that ordered stream. Two campaigns with the
+//     same master seed and budget therefore produce byte-identical
+//     find/shrink logs.
 //   - The shrinker is greedy over a fixed candidate order with a strictly
 //     decreasing size metric (Scenario.Size), so the same failing
 //     scenario always reduces to the same minimal scenario.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	hds "repro"
 	"repro/internal/sweep"
 )
 
@@ -51,8 +52,9 @@ type FuzzResult struct {
 // mutate coverage-novel members generation by generation until the budget
 // is spent, shrinking every failure as it is found. Batches are assembled
 // sequentially (all randomness drawn on the coordinator) and executed
-// through sweep.Map, so the log and findings are byte-identical for a
-// given (Seeds, MasterSeed, Budget) at any worker parallelism.
+// through sweep.MapOpt, longest first, so the log and findings are
+// byte-identical for a given (Seeds, MasterSeed, Budget) at any worker
+// parallelism.
 //
 // Findings are deduplicated by (kind, class): the first scenario to
 // witness a failure signature is shrunk and kept, later witnesses only
@@ -119,9 +121,13 @@ func Fuzz(cfg FuzzConfig) FuzzResult {
 		}
 	}
 
+	// runBatch starts the longest scenarios first (runCost), so a long run
+	// does not start last and hold the batch's barrier alone; results stay
+	// in input order.
 	runBatch := func(scs []Scenario) []Outcome {
 		res.Executed += len(scs)
-		return sweep.Map(scs, func(_ int, sc Scenario) Outcome { return sc.Run() })
+		opt := sweep.Options{Cost: func(i int) int64 { return scs[i].runCost() }}
+		return sweep.MapOpt(opt, scs, func(_ int, sc Scenario) Outcome { return sc.Run() })
 	}
 
 	// Generation 0: the structured seeds, before any random exploration.
@@ -143,4 +149,23 @@ func Fuzz(cfg FuzzConfig) FuzzResult {
 	sort.SliceStable(res.Findings, func(i, j int) bool { return res.Findings[i].Class < res.Findings[j].Class })
 	fmt.Fprintf(logw, "done: executed=%d coverage=%d findings=%d\n", res.Executed, res.Coverage, len(res.Findings))
 	return res
+}
+
+// runCost estimates how many deliveries the scenario's run makes, from its
+// own kind, size and horizon (or the runner's default), for
+// sweep.Options.Cost. Only the order of the estimates matters. Figure 6
+// polls until the horizon, and every POLLING draws a P_REPLY broadcast
+// from each process: n³ deliveries a round. A heartbeat run beats to all
+// once a period until the horizon. A consensus run stops at its decision,
+// a few rounds of everyone broadcasting to all.
+func (s Scenario) runCost() int64 {
+	n := int64(s.N)
+	e := hds.Experiment{Algo: s.Kind, Horizon: s.Horizon, Period: s.Period}.WithDefaults()
+	switch s.Kind {
+	case "ohp":
+		return int64(e.Horizon) * n * n * n
+	case "heartbeat":
+		return int64(e.Horizon/max(e.Period, 1)) * n * n
+	}
+	return n * n * n
 }

@@ -364,3 +364,31 @@ func TestEncodeDecodeEntryRoundTrip(t *testing.T) {
 		t.Error("DecodeEntry accepted data after the entry")
 	}
 }
+
+// TestRunCostRanksFigure6First: Figure 6 runs poll until their horizon and
+// are what a campaign waits for, so in the structured seeds every ohp
+// scenario must cost more than every scenario of another kind, and a
+// longer horizon or a larger population must cost more.
+func TestRunCostRanksFigure6First(t *testing.T) {
+	var cheapestOHP, dearestOther int64 = -1, -1
+	for _, s := range StructuredSeeds() {
+		c := s.runCost()
+		if s.Kind == "ohp" {
+			if cheapestOHP < 0 || c < cheapestOHP {
+				cheapestOHP = c
+			}
+		} else if c > dearestOther {
+			dearestOther = c
+		}
+	}
+	if cheapestOHP <= dearestOther {
+		t.Errorf("cheapest ohp seed costs %d, dearest other seed %d", cheapestOHP, dearestOther)
+	}
+	base := Scenario{Kind: "ohp", N: 6, L: 3}
+	longer, larger := base, base
+	longer.Horizon, larger.N = 6000, 7
+	if base.runCost() >= longer.runCost() || base.runCost() >= larger.runCost() {
+		t.Errorf("costs %d (default horizon, n=6), %d (horizon 6000), %d (n=7): want the first lowest",
+			base.runCost(), longer.runCost(), larger.runCost())
+	}
+}

@@ -39,8 +39,9 @@
 //   - fan-out is lazy: an in-flight broadcast is one evFanout queue entry
 //     and one fanout record (fate key, boxed payload, fate table, wave
 //     cursor), freed in one place when its last wave is done. The entry
-//     delivers one delay-wave at a time against live membership and
-//     re-enqueues itself for the next wave, each copy keeping the
+//     delivers one delay-wave at a time against live membership, parked
+//     at the heap root, and is re-keyed in place for the next wave (one
+//     sift down, as a fired timer is re-armed), each copy keeping the
 //     (time, seq) position a queue entry of its own would have had — the
 //     per-copy expansion is a test-only reference (eager_ref_test.go) the
 //     fan-out tests compare every trace byte with. The queue high-water

@@ -239,9 +239,11 @@ type Engine struct {
 	// event, and a delivered copy is one: deliverWave reads it here to stop
 	// between two copies of a wave.
 	done func() bool
-	// parked is the process whose firing timer's entry is still at the
-	// heap root, -1 when none (fireTimer, setTimer).
-	parked PID
+	// parked is set while the entry at the heap root is the event being
+	// processed, left in place rather than popped: a firing timer
+	// (fireTimer) or a delivering wave (step). One heap pass re-keys it to
+	// its successor (rekey), or it is popped once the event is done.
+	parked bool
 	// maxQueue is the high-water mark of the event queue: it tracks
 	// in-flight broadcasts, not in-flight copies.
 	maxQueue int
@@ -353,7 +355,6 @@ func New(cfg Config) *Engine {
 		changed:     make([]bool, n),
 		faultIdx:    make([]int32, n),
 		curSeq:      -1,
-		parked:      -1,
 		fateBudget:  fateTableBudget,
 	}
 	e.linkNet, e.perLink = cfg.Net.(LinkModel)
@@ -668,16 +669,19 @@ func (e *Engine) step() StopReason {
 	ev := e.queue[0]
 	e.now = ev.time
 	pid := PID(ev.pid)
-	if ev.kind == evTimer && !e.crashed[pid] {
+	switch {
+	case ev.kind == evTimer && !e.crashed[pid]:
 		e.fireTimer(ev)
 		return e.afterStep(pid)
+	case ev.kind == evFanout:
+		// The wave's entry stays parked at the root until the wave re-keys
+		// or retires it (fanout.go). Per-copy accounting (processed,
+		// curSeq, observers, the done predicate) happens inside the wave,
+		// per delivered copy.
+		e.parked = true
+		return e.deliverWave(ev.arg)
 	}
 	e.pop()
-	if ev.kind == evFanout {
-		// Per-copy accounting (processed, curSeq, observers, the done
-		// predicate) happens inside the wave, per delivered copy.
-		return e.deliverWave(ev)
-	}
 	e.curSeq = int64(ev.seq)
 	e.processed++
 	switch ev.kind {
@@ -748,11 +752,10 @@ func (e *Engine) fireTimer(ev event) {
 		}
 		s.until = 0
 	}
-	e.parked = PID(ev.pid)
+	e.parked = true
 	e.procs[ev.pid].OnTimer(int(ev.arg))
-	if e.parked >= 0 {
-		e.parked = -1
-		e.pop()
+	if e.parked {
+		e.popParked()
 	}
 }
 
@@ -950,11 +953,10 @@ func (e *Engine) broadcast(from PID, payload any) {
 
 func (e *Engine) setTimer(p PID, d Time, tag int) {
 	d, arg := timerArgs(d, tag)
-	if p != e.parked {
+	if !e.parked || e.queue[0].kind != evTimer || e.queue[0].pid != int32(p) {
 		e.push(event{time: e.now + d, kind: evTimer, pid: int32(p), arg: arg})
 		return
 	}
-	e.parked = -1
 	e.rearm(d, arg)
 }
 
@@ -971,17 +973,34 @@ func timerArgs(d Time, tag int) (Time, int32) {
 }
 
 // rearm re-arms the fired evTimer entry at the heap root in place, after d
-// with tag: it rewrites the entry's time, seq and tag and sifts down — one
-// heap pass where a pop and a push take two. The pop order is the one
-// they give: everything pushed since the entry fired has time >= now and
-// a later seq, so the entry stayed the minimum, and the heap orders
-// (time, seq) totally.
+// with tag and a fresh seq (rekey).
 func (e *Engine) rearm(d Time, tag int32) {
-	root := &e.queue[0]
-	root.time, root.seq, root.arg = e.now+d, e.seq, tag
+	seq := e.seq
 	e.seq++
+	e.queue[0].arg = tag
+	e.rekey(e.now+d, seq)
+}
+
+// rekey gives the entry at the heap root — the timer that fired or the
+// wave that delivered — the time and seq of its successor, unparks it and
+// sifts it down: one heap pass where a pop and a push take two. The pop
+// order is the one they give: everything pushed since the entry's event
+// began has time >= now and a seq later than any the entry carried or
+// reserved, so the entry stayed the minimum, and the heap orders (time,
+// seq) totally.
+func (e *Engine) rekey(t Time, seq uint64) {
+	e.parked = false
+	root := &e.queue[0]
+	root.time, root.seq = t, seq
 	e.queue.down(0)
 	e.noteQueueLen()
+}
+
+// popParked pops the parked root entry, whose event is done and left no
+// successor.
+func (e *Engine) popParked() {
+	e.parked = false
+	e.pop()
 }
 
 // push enqueues an event, clamping its time to the present: virtual time is
@@ -1014,11 +1033,11 @@ func (e *Engine) enqueue(ev event) {
 }
 
 // noteQueueLen raises the high-water mark to the queue's length, a parked
-// timer entry not counted: the mark is what a pop-then-push engine would
-// have held, and that engine has popped it.
+// entry not counted: the mark is what a pop-then-push engine would have
+// held, and that engine has popped it.
 func (e *Engine) noteQueueLen() {
 	n := len(e.queue)
-	if e.parked >= 0 {
+	if e.parked {
 		n--
 	}
 	if n > e.maxQueue {

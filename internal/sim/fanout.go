@@ -23,16 +23,17 @@ package sim
 // partial crash) never gets one.
 //
 // Delivery proceeds in waves, one per distinct delay value: the queue
-// entry for a broadcast carries the current wave's delay d; popping it
-// delivers every copy with fate delay == d (in recipient order, with the
-// copy's reserved seq); the entry is then re-pushed at the next wave's
-// time, or retired when no wave remains. At send time the broadcast
-// reserves a contiguous seq interval, one seq per scheduled copy in
-// recipient order — the seqs n separate queue entries pushed in that order
-// would have drawn — so the wave entry can always be keyed by the seq of
-// its earliest undelivered copy, and whatever is due at one instant, copies
-// of several broadcasts and timers alike, pops in the order it was
-// scheduled, copy by copy. That per-copy expansion exists as a test-only
+// entry for a broadcast carries the current wave's delay d; when it
+// reaches the heap root it delivers every copy with fate delay == d (in
+// recipient order, with the copy's reserved seq) while it stays there,
+// parked, and is then re-keyed in place to the next wave's time and first
+// copy — one sift down, as a fired timer is re-armed — or popped when no
+// wave remains. At send time the broadcast reserves a contiguous seq
+// interval, one seq per scheduled copy in recipient order — the seqs n
+// separate queue entries pushed in that order would have drawn — so the
+// wave entry can always be keyed by the seq of its earliest undelivered
+// copy, and whatever is due at one instant, copies of several broadcasts
+// and timers alike, pops in the order it was scheduled, copy by copy. That per-copy expansion exists as a test-only
 // reference (eager_ref_test.go), and the fan-out tests hold every trace
 // byte and every seq to it.
 //
@@ -343,23 +344,23 @@ func (e *Engine) fanoutScan(f *fanoutRec) (scheduled int, firstK int32) {
 	return scheduled, c.firstK
 }
 
-// deliverWave pops one wave of a broadcast: every copy whose fate
-// delay equals the record's current wave delay, in recipient order, each
-// with its reserved seq; the entry is then re-pushed at the next wave's
-// time, or the record retires. Mid-wave stops (the MaxEvents guard, a
-// RunUntil predicate) re-push the entry keyed by the seq of the first
-// undelivered copy, so a later Run resumes with that copy. A broadcast
-// with a fate table selects each wave from it a word at a time; one
-// without goes recipient by recipient.
+// deliverWave delivers one wave of the broadcast whose record is
+// e.fanouts[idx] and whose entry is parked at the heap root: every copy
+// whose fate delay equals the record's current wave delay, in recipient
+// order, each with its reserved seq; the entry is then re-keyed to the
+// next wave's time and first copy, or popped as the record retires.
+// Mid-wave stops (the MaxEvents guard, a RunUntil predicate) re-key the
+// entry to the seq of the first undelivered copy, so a later Run resumes
+// with that copy. A broadcast with a fate table selects each wave from it
+// a word at a time; one without goes recipient by recipient.
 //
-// The record is copied up front: a delivered process may broadcast,
-// growing e.fanouts and invalidating any held pointer into it.
-func (e *Engine) deliverWave(ev event) StopReason {
-	f := e.fanouts[ev.arg]
-	if f.fates != nil {
-		return e.deliverWaveWords(ev, f)
+// Neither holds a pointer into e.fanouts across a delivery: a delivered
+// process may broadcast, growing the slice and invalidating it.
+func (e *Engine) deliverWave(idx int32) StopReason {
+	if e.fanouts[idx].fates != nil {
+		return e.deliverWaveWords(idx)
 	}
-	return e.deliverWaveFates(ev, f)
+	return e.deliverWaveFates(idx)
 }
 
 // flushTally adds what the engine tallied since the last flush to a
@@ -394,13 +395,15 @@ func nonzeroNibbles(x uint64) uint64 {
 // the copy at nibble j has scheduled index (copies in earlier words) +
 // popcount(nz below j), and a word holding none is left after one test.
 // The successor wave is known from f.codes; the scan only has to find its
-// first copy.
-func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
+// first copy. The record is read in place, into locals, before the first
+// delivery, and not touched again until finishWave or suspendWave look it
+// up anew.
+func (e *Engine) deliverWaveWords(idx int32) StopReason {
+	f := &e.fanouts[idx]
 	if f.delay-f.base > codeMax {
-		e.rebase(&f)
-		e.fanouts[ev.arg] = f
+		e.rebase(f)
 	}
-	tab := f.fates
+	tab, baseSeq, resumeI := f.fates, f.baseSeq, int(f.resumeI)
 	payload, tag, tagRef := f.payload, f.tag, f.tagRef
 	cur := uint64(f.delay - f.base)
 	next := uint64(0) // the next code in the table: 0 when there is none
@@ -415,7 +418,6 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 		nextDelay, nextK = f.lateDelay, int(f.lateK)
 	}
 	curW, nxtW := nibOnes*cur, nibOnes*next
-	resumeI := int(f.resumeI)
 	stop := StopNone
 	k := 0 // scheduled copies in the words before this one
 	for w, x := range tab {
@@ -441,12 +443,12 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 		for m != 0 {
 			bit := bits.TrailingZeros64(m)
 			to := i + bit>>2
-			seq := f.baseSeq + uint64(k+bits.OnesCount64(nz&(1<<bit-1)))
+			seq := baseSeq + uint64(k+bits.OnesCount64(nz&(1<<bit-1)))
 			if stop == StopNone && e.processed >= e.cfg.MaxEvents {
 				stop = StopMaxEvents
 			}
 			if stop != StopNone {
-				e.suspendWave(ev, to, seq)
+				e.suspendWave(idx, to, seq)
 				return stop
 			}
 			m &= m - 1
@@ -457,7 +459,7 @@ func (e *Engine) deliverWaveWords(ev event, f fanoutRec) StopReason {
 		}
 		k += bits.OnesCount64(nz)
 	}
-	e.finishWave(ev, &f, nextDelay, int32(nextK))
+	e.finishWave(idx, nextDelay, int32(nextK))
 	return stop
 }
 
@@ -513,7 +515,9 @@ func (e *Engine) rebase(f *fanoutRec) {
 // deliverWaveFates delivers a wave of a broadcast sent without a fate
 // table, recipient by recipient, taking each fate delay from copyFate. The
 // same pass finds the next wave, the minimum fate delay beyond this one.
-func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
+// It works on a copy of the record: every recipient's fate reads it.
+func (e *Engine) deliverWaveFates(idx int32) StopReason {
+	f := e.fanouts[idx]
 	payload, tag, tagRef := f.payload, f.tag, f.tagRef
 	stop := StopNone
 	var nextDelay Time
@@ -542,7 +546,7 @@ func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 			stop = StopMaxEvents
 		}
 		if stop != StopNone {
-			e.suspendWave(ev, to, f.baseSeq+uint64(ck))
+			e.suspendWave(idx, to, f.baseSeq+uint64(ck))
 			return stop
 		}
 		e.deliverCopy(to, payload, tag, tagRef, f.baseSeq+uint64(ck))
@@ -550,32 +554,32 @@ func (e *Engine) deliverWaveFates(ev event, f fanoutRec) StopReason {
 			stop = StopPredicate // and find where the wave resumes
 		}
 	}
-	e.finishWave(ev, &f, nextDelay, nextK)
+	e.finishWave(idx, nextDelay, nextK)
 	return stop
 }
 
-// suspendWave re-pushes a wave that stopped short of its copy for
-// recipient to, keyed by that copy's seq.
-func (e *Engine) suspendWave(ev event, to int, seq uint64) {
-	e.fanouts[ev.arg].resumeI = int32(to)
-	ev.seq = seq
-	e.requeue(ev)
+// suspendWave re-keys the parked entry of a wave that stopped short of its
+// copy for recipient to by that copy's seq, at the present time.
+func (e *Engine) suspendWave(idx int32, to int, seq uint64) {
+	e.fanouts[idx].resumeI = int32(to)
+	e.rekey(e.now, seq)
 }
 
-// finishWave moves a broadcast whose current wave is done on to the wave
-// of delay next, whose first copy has scheduled index nextK, or retires it
-// when next is 0: the table goes back to its freelist and the record is
-// zeroed, which lets go of the payload.
-func (e *Engine) finishWave(ev event, f *fanoutRec, next Time, nextK int32) {
+// finishWave moves the broadcast of record idx, whose current wave is
+// done, on to the wave of delay next, whose first copy has scheduled index
+// nextK — its parked entry is re-keyed to that copy — or retires it when
+// next is 0: the entry is popped, the table goes back to its freelist and
+// the record is zeroed, which lets go of the payload.
+func (e *Engine) finishWave(idx int32, next Time, nextK int32) {
+	f := &e.fanouts[idx]
 	if next == 0 {
 		e.freeFateTable(f.fates)
-		e.freeFanout(ev.arg)
+		e.freeFanout(idx)
+		e.popParked()
 		return
 	}
-	r := &e.fanouts[ev.arg]
-	r.delay, r.resumeI = next, 0
-	ev.time, ev.seq = f.sent+next, f.baseSeq+uint64(nextK)
-	e.requeue(ev)
+	f.delay, f.resumeI = next, 0
+	e.rekey(f.sent+next, f.baseSeq+uint64(nextK))
 }
 
 // deliverCopy delivers (or drops, if the recipient is down) one fan-out

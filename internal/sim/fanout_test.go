@@ -730,7 +730,7 @@ type waveOutcome struct {
 	hits      []waveHit
 	wave      Time // the wave's delay
 	stop      StopReason
-	queue     []event // the re-pushed entry: its (time, seq) are the next wave's delay and first copy, or the resume point
+	queue     []event // the queue in pop order: the wave's entry, its (time, seq) the next wave's delay and first copy, or the resume point
 	delay     Time    // the record after the wave: zero once retired
 	resumeI   int32
 	freed     [2]int // records, tables on the freelists
@@ -743,8 +743,10 @@ type waveOutcome struct {
 	rest []waveHit
 }
 
-// runWave plants c in a fresh engine and pops the wave, and then the waves
-// after it, through waveRef if ref and through deliverWave otherwise.
+// runWave plants c in a fresh engine, its entry at the heap root, and runs
+// the wave and then the waves after it: popped and handed to waveRef if
+// ref, through the engine's step otherwise, which delivers it with the
+// entry parked and re-keys or pops it.
 func runWave(c waveCase, ref bool) waveOutcome {
 	n := len(c.table)
 	rec := &trace.Recorder{KeepEvents: c.retain}
@@ -801,15 +803,20 @@ func runWave(c waveCase, ref bool) waveOutcome {
 	} else {
 		e.cfg.MaxEvents = c.stopAt
 	}
-	wave := func(ev event) StopReason {
-		if ref {
-			return e.waveRef(ev)
+	e.queue = append(e.queue, event{time: e.now, seq: f.baseSeq, kind: evFanout, pid: 0, arg: idx})
+	wave := func() StopReason {
+		if !ref {
+			return e.step()
 		}
-		return e.deliverWave(ev)
+		ev := e.pop()
+		e.now = ev.time
+		return e.waveRef(ev)
 	}
-	out.stop = wave(event{time: e.now, seq: f.baseSeq, kind: evFanout, pid: 0, arg: idx})
+	out.stop = wave()
 	e.flushTally() // what RunUntil does on return
-	out.queue = slices.Clone(e.queue)
+	// In pop order: re-keying the entry in place may leave the heap's array
+	// in another layout than a pop and a push, and only the order counts.
+	out.queue = popOrder(e.queue)
 	out.delay, out.resumeI = e.fanouts[idx].delay, e.fanouts[idx].resumeI
 	out.freed = [2]int{len(e.freeFans), len(e.freeFates)}
 	out.processed = e.processed
@@ -819,9 +826,7 @@ func runWave(c waveCase, ref bool) waveOutcome {
 	hits = &out.rest
 	e.done, e.cfg.MaxEvents = nil, 1<<30
 	for len(e.queue) > 0 {
-		ev := e.pop()
-		e.now = ev.time
-		wave(ev)
+		wave()
 	}
 	return out
 }

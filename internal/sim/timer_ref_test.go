@@ -21,8 +21,9 @@ import (
 // handed an Environment whose SetTimer goes through timerRef.setTimer, and
 // timerRef.RunUntil is the engine's run loop popping timer entries itself
 // and handing every other entry to the engine's step. The engine parks no
-// entry under it, so the engine's own setTimer (a process arming a timer
-// through another's *Env) is the same push.
+// timer entry under it (only a delivering wave's, which no setTimer
+// re-arms), so the engine's own setTimer (a process arming a timer through
+// another's *Env) is the same push.
 
 type timerRef struct {
 	*Engine
@@ -313,6 +314,37 @@ func runArmCase(seed int64, ref, retain bool, stats *armStats) armRun {
 	return out
 }
 
+// checkArmRuns requires the retaining engine run got and the stats-only
+// runs to agree with the retaining reference run want: on the trace bytes
+// (got's), the (time, process, seq) order of every event, MaxQueueLen,
+// Processed, Stopped, Now, every module's state, and the Stats.
+func checkArmRuns(t *testing.T, seed int64, want, got armRun, stats ...armRun) {
+	t.Helper()
+	if got.trace != want.trace {
+		t.Fatalf("seed %d: traces diverge (sha256 %x, reference %x)", seed, got.trace[:6], want.trace[:6])
+	}
+	for _, r := range append([]armRun{got}, stats...) {
+		if r.order != want.order {
+			t.Fatalf("seed %d: events processed in a different (time, process, seq) order", seed)
+		}
+		if g, w := r.eng.MaxQueueLen(), want.eng.MaxQueueLen(); g != w {
+			t.Fatalf("seed %d: MaxQueueLen %d, reference %d", seed, g, w)
+		}
+		if g, w := r.eng.Processed(), want.eng.Processed(); g != w {
+			t.Fatalf("seed %d: processed %d, reference %d", seed, g, w)
+		}
+		if r.eng.Stopped() != want.eng.Stopped() || r.eng.Now() != want.eng.Now() {
+			t.Fatalf("seed %d: stopped %v at %d, reference %v at %d", seed, r.eng.Stopped(), r.eng.Now(), want.eng.Stopped(), want.eng.Now())
+		}
+		if r.modules != want.modules {
+			t.Fatalf("seed %d: module states %s, reference %s", seed, r.modules, want.modules)
+		}
+		if g, w := fmt.Sprintf("%+v", r.stats), fmt.Sprintf("%+v", want.stats); g != w {
+			t.Fatalf("seed %d: stats diverge:\n got %s\nwant %s", seed, g, w)
+		}
+	}
+}
+
 // TestTimerRearmMatchesReference holds the engine to timerRef, which pops
 // a timer's entry before its handler runs and pushes every new timer, on
 // 2,000 random deployments, each run four ways — engine and reference,
@@ -339,29 +371,7 @@ func TestTimerRearmMatchesReference(t *testing.T) {
 		want := runArmCase(seed, true, true, &armStats{})
 		gotStats := runArmCase(seed, false, false, &armStats{})
 		wantStats := runArmCase(seed, true, false, &armStats{})
-		if got.trace != want.trace {
-			t.Fatalf("seed %d: traces diverge (sha256 %x, reference %x)", seed, got.trace[:6], want.trace[:6])
-		}
-		for _, r := range []armRun{got, gotStats, wantStats} {
-			if r.order != want.order {
-				t.Fatalf("seed %d: events processed in a different (time, process, seq) order", seed)
-			}
-			if g, w := r.eng.MaxQueueLen(), want.eng.MaxQueueLen(); g != w {
-				t.Fatalf("seed %d: MaxQueueLen %d, reference %d", seed, g, w)
-			}
-			if g, w := r.eng.Processed(), want.eng.Processed(); g != w {
-				t.Fatalf("seed %d: processed %d, reference %d", seed, g, w)
-			}
-			if r.eng.Stopped() != want.eng.Stopped() || r.eng.Now() != want.eng.Now() {
-				t.Fatalf("seed %d: stopped %v at %d, reference %v at %d", seed, r.eng.Stopped(), r.eng.Now(), want.eng.Stopped(), want.eng.Now())
-			}
-			if r.modules != want.modules {
-				t.Fatalf("seed %d: module states %s, reference %s", seed, r.modules, want.modules)
-			}
-			if g, w := fmt.Sprintf("%+v", r.stats), fmt.Sprintf("%+v", want.stats); g != w {
-				t.Fatalf("seed %d: stats diverge:\n got %s\nwant %s", seed, g, w)
-			}
-		}
+		checkArmRuns(t, seed, want, got, gotStats, wantStats)
 		events += got.eng.Processed()
 		if got.eng.Stopped() == StopMaxEvents {
 			maxStops++

@@ -49,10 +49,13 @@
 // Workers take indices in input order unless Options.Cost is set; then
 // they take them by descending cost, ties in input order, so that one
 // scenario much longer than its siblings starts first instead of running
-// alone at the end. Cost is a scheduling hint: by the contract above it
-// can change when a scenario runs and never what Map returns, and the
-// panic contract survives it — the pool stops starting indices above the
-// lowest panic captured so far and keeps starting those below it, so the
-// panic that reaches the caller is the lowest-index one, the one a serial
-// run stops at, in any dispatch order.
+// alone at the end. Two callers state one: E21's rows (through
+// internal/campaign) and hunt's batches, where a Figure 6 run polls to its
+// horizon beside consensus runs that stop at their decision. Cost is a
+// scheduling hint: by the contract above it can change when a scenario
+// runs and never what Map returns, and the panic contract survives it —
+// the pool stops starting indices above the lowest panic captured so far
+// and keeps starting those below it, so the panic that reaches the caller
+// is the lowest-index one, the one a serial run stops at, in any dispatch
+// order.
 package sweep
